@@ -42,7 +42,6 @@ from .meanfield import (
     variational_bvm_limit,
 )
 from .posteriors import (
-    AlphaPosteriorConjugate,
     ConjugatePrior,
     LikelihoodEvaluator,
     concentration_probability,

@@ -27,7 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True, help="path to a flat key = value config file")
         sp.add_argument("--seed", type=int, default=None, help="override the master seed")
-        sp.add_argument("--threads", type=int, default=None, help="replication-level thread cap")
         sp.add_argument("--out", default=None, help="output directory")
     return parser
 
@@ -38,8 +37,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.out is not None:
             cfg.out = args.out
         csv_path, json_path = run_and_write(cfg, args.experiment)

@@ -6,7 +6,7 @@ documented computation, and writes ``<experiment>.csv`` plus
 output directory.  Reruns with the same seed produce byte-identical CSV
 bodies: every replication derives its own RNG stream from
 ``(master seed, n, rep)`` and rows are sorted deterministically before
-writing, so the thread count never changes the output.
+writing.
 
 CSV schemas (stable, one file per run):
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -124,7 +123,6 @@ class ExperimentConfig:
     experiment: str = ""
     seed: int | None = None
     out: str = "."
-    threads: int = 1
     replications: int = 200
     n_grid: list[int] = field(default_factory=lambda: [50, 200, 1000, 5000, 10000])
     n: int | None = None
@@ -157,7 +155,6 @@ class ExperimentConfig:
         "experiment": str,
         "seed": int,
         "out": str,
-        "threads": int,
         "replications": int,
         "n_grid": lambda s: [int(v) for v in s.split(",") if v.strip() != ""],
         "n": int,
@@ -263,18 +260,28 @@ class ExperimentConfig:
         self.experiment = experiment
         if self.seed is None:
             raise ConfigError("seed: a master seed is mandatory")
-        if self.threads < 1:
-            raise ConfigError("threads: must be at least 1")
         if self.replications < 1:
             raise ConfigError("replications: must be at least 1")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ConfigError("n_grid: must be a nonempty list of positive sizes")
+        if self.n is not None and self.n < 1:
+            raise ConfigError("n: must be a positive sample size")
         if not self.alphas or any(a <= 0 for a in self.alphas):
             raise ConfigError("alphas: must be a nonempty list of positive reals")
         if self.alpha <= 0:
             raise ConfigError("alpha: must be positive")
         if self.eps <= 0:
             raise ConfigError("eps: must be positive")
+        sizes = {
+            "robustness-curve": [self.single_n()],
+            "optimal-alpha": [self.single_n()],
+            "surrogate-fidelity": self.n_grid,
+        }.get(experiment, [])
+        if sizes and self.eps > min(sizes):
+            raise ConfigError(
+                f"eps: must not exceed the smallest sample size n = {min(sizes)}, "
+                "since eps / n is a probability"
+            )
         if self.grid_points < 101:
             raise ConfigError("grid_points: at least 101 nodes per axis are required")
         if self.model not in ("regression", "laplace-location"):
@@ -326,13 +333,15 @@ def laplace_log_prior(loc: float = 0.0, scale: float = 1.0) -> Callable[[np.ndar
 # -- experiment implementations --------------------------------------------
 
 
-def _run_tasks(tasks: list[Callable[[], list]], threads: int) -> list[list]:
-    if threads <= 1:
-        chunks = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-    return [row for chunk in chunks for row in chunk]
+def _replicated_rows(cfg: ExperimentConfig, one_rep: Callable[[int, int], list[list]]) -> list[list]:
+    """Rows of ``one_rep(n, rep)`` over every ``(n, rep)``, sorted by their first three columns.
+
+    A replication's rows are fixed by ``(n, rep)``, from which its RNG stream
+    is derived, so the result does not depend on the order of ``n_grid`` or
+    ``alphas``.
+    """
+    rows = [row for n in cfg.n_grid for rep in range(cfg.replications) for row in one_rep(n, rep)]
+    return sorted(rows, key=lambda r: r[:3])
 
 
 def _location_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> list[list]:
@@ -380,23 +389,13 @@ def _regression_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> l
 
 def exp_bvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     rep_fn = _location_rep if cfg.model == "laplace-location" else _regression_rep
-    tasks = [
-        (lambda n=n, rep=rep: rep_fn(cfg, n, rep, False))
-        for n in cfg.n_grid
-        for rep in range(cfg.replications)
-    ]
-    rows = sorted(_run_tasks(tasks, cfg.threads), key=lambda r: (r[0], r[1], r[2]))
+    rows = _replicated_rows(cfg, lambda n, rep: rep_fn(cfg, n, rep, False))
     return ["n", "rep", "alpha", "tv", "kl"], rows
 
 
 def exp_vbvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     rep_fn = _location_rep if cfg.model == "laplace-location" else _regression_rep
-    tasks = [
-        (lambda n=n, rep=rep: rep_fn(cfg, n, rep, True))
-        for n in cfg.n_grid
-        for rep in range(cfg.replications)
-    ]
-    rows = sorted(_run_tasks(tasks, cfg.threads), key=lambda r: (r[0], r[1], r[2]))
+    rows = _replicated_rows(cfg, lambda n, rep: rep_fn(cfg, n, rep, True))
     return ["n", "rep", "alpha", "kl"], rows
 
 
@@ -471,12 +470,7 @@ def exp_assumption_checks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]
         kl_limit = kl_gaussian(post, gaussian_bvm_limit(ols(ds.W, ds.Y), v, n, cfg.alpha))
         return [[n, rep, lan_residual_sup(ds, dgp), prior_term, lan_term, markov, kl_limit]]
 
-    tasks = [
-        (lambda n=n, rep=rep: one_rep(n, rep))
-        for n in cfg.n_grid
-        for rep in range(cfg.replications)
-    ]
-    rows = sorted(_run_tasks(tasks, cfg.threads), key=lambda r: (r[0], r[1]))
+    rows = _replicated_rows(cfg, one_rep)
     return ["n", "rep", "lan_sup", "prior_term", "lan_term", "markov_bound", "kl_limit"], rows
 
 
@@ -502,12 +496,7 @@ def exp_surrogate_fidelity(cfg: ExperimentConfig) -> tuple[list[str], list[list]
             rows.append([n, rep, float(alpha), r_exact, r_surr, abs(r_exact - r_surr)])
         return rows
 
-    tasks = [
-        (lambda n=n, rep=rep: one_rep(n, rep))
-        for n in cfg.n_grid
-        for rep in range(cfg.replications)
-    ]
-    rows = sorted(_run_tasks(tasks, cfg.threads), key=lambda r: (r[0], r[1], r[2]))
+    rows = _replicated_rows(cfg, one_rep)
     return ["n", "rep", "alpha", "r_exact", "r_star", "abs_diff"], rows
 
 

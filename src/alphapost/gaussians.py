@@ -51,10 +51,10 @@ _KL_SLACK = 1e-12
 class GaussianDist:
     """A multivariate normal distribution N(mean, cov).
 
-    The covariance must be symmetric to within 1e-12 relative tolerance and
-    admit a Cholesky factorization; violation raises ``ValueError`` at
-    construction.  Scalars are promoted, so ``GaussianDist(0.0, 1.0)`` is the
-    standard normal on the real line.
+    Mean and covariance must be finite, and the covariance symmetric to
+    within 1e-12 relative tolerance and admit a Cholesky factorization;
+    violation raises ``ValueError`` at construction.  Scalars are promoted,
+    so ``GaussianDist(0.0, 1.0)`` is the standard normal on the real line.
     """
 
     mean: np.ndarray
@@ -69,6 +69,8 @@ class GaussianDist:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean of dimension {mean.size}"
             )
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
         scale = max(float(np.max(np.abs(cov))), 1e-300)
         if np.max(np.abs(cov - cov.T)) > _SYM_RTOL * scale:
             raise ValueError("covariance must be symmetric")
@@ -319,25 +321,23 @@ class GridDensity:
                 raise ValueError("points fall outside the tabulated support")
         return pts
 
-    def log_pdf_at(self, points: np.ndarray) -> np.ndarray:
-        """Cubic interpolation of the normalized log density at off-grid points.
+    def log_pdf_and_grad_at(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interpolated log density with its gradient and Hessian at off-grid points.
 
-        Raises ``ValueError`` if any point falls outside the grid box.
+        Returns arrays of shape (N,), (N, dim) and (N, dim, dim), all exact
+        derivatives of the same cubic interpolant.  Raises ``ValueError`` if
+        any point falls outside the grid box.
         """
-        pts = self._check_support(points)
-        if self.dim == 1:
-            return self._spline()(pts[:, 0])
-        return self._spline().ev(pts[:, 0], pts[:, 1])
-
-    def log_pdf_and_grad_at(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated log density together with its gradient, shape (N,) and (N, dim)."""
         pts = self._check_support(points)
         sp = self._spline()
         if self.dim == 1:
-            return sp(pts[:, 0]), sp.derivative()(pts[:, 0])[:, None]
+            x = pts[:, 0]
+            return sp(x), sp(x, 1)[:, None], sp(x, 2)[:, None, None]
         x, y = pts[:, 0], pts[:, 1]
         grad = np.stack([sp.ev(x, y, dx=1), sp.ev(x, y, dy=1)], axis=-1)
-        return sp.ev(x, y), grad
+        hxy = sp.ev(x, y, dx=1, dy=1)
+        hess = np.stack([sp.ev(x, y, dx=2), hxy, hxy, sp.ev(x, y, dy=2)], axis=-1).reshape(-1, 2, 2)
+        return sp.ev(x, y), grad, hess
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis mean and variance by trapezoid integration."""

@@ -4,10 +4,10 @@ The Gaussian mean-field family consists of normal distributions with
 diagonal covariance.  Projecting a Gaussian target in KL divergence has a
 unique closed form: keep the mean, invert the diagonal of the precision
 (:func:`gmf_project_gaussian`).  Arbitrary grid targets are projected
-numerically by deterministic quasi-Newton descent on (mean, log variance),
+numerically by deterministic damped Newton descent on (mean, log variance),
 with the KL evaluated by Gauss-Hermite quadrature against a cubic
-interpolant of the tabulated log density and gradients taken exactly
-through the quadrature nodes (:func:`gmf_project_numeric`).
+interpolant of the tabulated log density, and its gradient and Hessian
+taken exactly through the quadrature nodes (:func:`gmf_project_numeric`).
 
 The closely related penalized objective
 ``E_q[log f_n] - (1/alpha) KL(q || prior)`` is exposed as
@@ -19,7 +19,6 @@ operation equivalent to that projection.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,6 +56,8 @@ class DiagonalGaussian:
             raise ValueError("mean and var must have the same shape")
         if np.any(var <= 0) or not np.all(np.isfinite(var)):
             raise ValueError("variances must be positive and finite")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
 
@@ -106,36 +107,6 @@ def _gh_mesh(dim: int, num: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.outer(w, w).ravel()
 
 
-def _newton_polish(grad_fn, x: np.ndarray, tol: np.ndarray, max_steps: int = 25) -> np.ndarray | None:
-    """Drive each gradient component below its tolerance by Newton on the gradient.
-
-    ``grad_fn`` must be the gradient of a scalar objective in the *same*
-    coordinates as ``x`` (its Jacobian is then a symmetric Hessian).  The
-    Hessian is a central difference of the analytic gradient, so the
-    iteration converges past the rounding floor of value-based line
-    searches.  Returns None if the tolerances are not met.
-    """
-    for _ in range(max_steps):
-        g = grad_fn(x)
-        if np.all(np.abs(g) < tol):
-            return x
-        m = x.size
-        hess = np.empty((m, m))
-        for j in range(m):
-            h = 1e-6 * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            hess[:, j] = (grad_fn(xp) - grad_fn(xm)) / (2.0 * h)
-        hess = (hess + hess.T) / 2.0
-        try:
-            step = np.linalg.solve(hess, g)
-        except np.linalg.LinAlgError:
-            return None
-        x = x - step
-    return x if np.all(np.abs(grad_fn(x)) < tol) else None
-
-
 def gmf_project_numeric(
     target: GridDensity,
     init: DiagonalGaussian | None = None,
@@ -145,15 +116,19 @@ def gmf_project_numeric(
 ) -> DiagonalGaussian:
     """Numerical KL projection of a grid density onto the mean-field family.
 
-    Minimizes ``KL(q || target)`` by deterministic BFGS on (mean, log sd):
+    Minimizes ``KL(q || target)`` by damped Newton iteration on (mean, log sd):
     the cross-entropy term is a Gauss-Hermite quadrature of the target's
-    interpolated log density, and the gradient differentiates that same
-    quadrature exactly (spline derivatives through the node locations), so
-    the iteration terminates when the gradient sup-norm drops below
-    ``grad_tol``.  The default starting point is moment-matched to the
-    target, which makes the reported minimizer reproducible.  Raises
-    ``ValueError`` when quadrature nodes leave the tabulated support and
-    ``RuntimeError`` on non-convergence within ``max_iter`` iterations.
+    interpolated log density, and its gradient and Hessian differentiate
+    that same quadrature exactly (spline derivatives through the node
+    locations).  Each iteration takes the Newton step when it is a descent
+    direction and the negative gradient otherwise, halving it while the KL
+    rises or quadrature nodes leave the tabulated support, and the
+    iteration terminates when every gradient component of (mean, log
+    variance) is below ``grad_tol``.  The default starting point is
+    moment-matched to the target, which makes the reported minimizer
+    reproducible.  Raises ``ValueError`` when the starting point's
+    quadrature nodes leave the support and ``RuntimeError`` on
+    non-convergence within ``max_iter`` iterations.
     """
     if target.dim > 2:
         raise ValueError("numeric projection supports dimension <= 2")
@@ -162,53 +137,65 @@ def gmf_project_numeric(
         init = DiagonalGaussian(mean, var)
     if init.dim != target.dim:
         raise ValueError("init dimension does not match target")
-    if not np.all(np.isfinite(init.mean)):
-        raise ValueError("init must be finite")
 
     dim = target.dim
     z, w = _gh_mesh(dim, gh_nodes)
-    sqrt2 = np.sqrt(2.0)
+    offsets = np.sqrt(2.0) * z
     mu0 = init.mean
     sd0 = np.sqrt(init.var)
+    # Each internal coordinate moves one axis of every quadrature node.
+    axis = np.tile(np.arange(dim), 2)
 
     # Internal coordinates v = ((mu - mu0)/sd0, log(sd/sd0)) keep the descent
     # well-conditioned regardless of how concentrated the target is.
     def params(v):
         return mu0 + sd0 * v[:dim], sd0 * np.exp(v[dim:])
 
-    def value_and_grad(v):
+    def kl_grad_hess(v):
         mu, sd = params(v)
-        pts = mu + sqrt2 * sd * z
-        vals, grads = target.log_pdf_and_grad_at(pts)
+        vals, grads, hess = target.log_pdf_and_grad_at(mu + sd * offsets)
         # KL(q||t) = -H(q) - E_q[log t]; d(-H)/d(log sd_j) = -1.
         kl = -0.5 * dim * (1.0 + np.log(2.0 * np.pi)) - np.sum(np.log(sd)) - w @ vals
-        grad_mu = -w @ grads
-        grad_s = -1.0 - (w[:, None] * grads * (sqrt2 * sd * z)).sum(axis=0)
-        return kl, np.concatenate([sd0 * grad_mu, grad_s])
+        # d(node)/dv: sd0 for the mean coordinates, sd * offset for the log sd ones.
+        jac = np.concatenate([np.broadcast_to(sd0, offsets.shape), sd * offsets], axis=1)
+        wg = w[:, None] * grads[:, axis] * jac
+        grad = -wg.sum(axis=0)
+        grad[dim:] -= 1.0
+        h = -np.einsum("k,km,kn,kmn->mn", w, jac, jac, hess[:, axis][:, :, axis])
+        # The nodes are exponential in log sd, which adds the curvature of that map.
+        h[dim:, dim:] -= np.diag(wg[:, dim:].sum(axis=0))
+        return kl, grad, h
 
-    with warnings.catch_warnings():
-        # Line searches stall once objective differences reach rounding; the
-        # Newton polish below enforces the actual convergence criterion.
-        warnings.filterwarnings("ignore", message="The line search algorithm did not converge")
-        res = minimize(
-            value_and_grad,
-            np.zeros(2 * dim),
-            jac=True,
-            method="BFGS",
-            options={"gtol": grad_tol, "maxiter": max_iter, "norm": np.inf},
-        )
-    # BFGS line searches bottom out once objective differences hit rounding;
-    # a Newton polish on the analytic gradient is immune to that floor.  The
-    # componentwise tolerances translate the (mean, log var) sup-norm
+    # The componentwise tolerances translate the (mean, log var) sup-norm
     # criterion into the standardized coordinates.
     tol = np.concatenate([grad_tol * sd0, np.full(dim, 2.0 * grad_tol)])
-    v = _newton_polish(lambda xv: value_and_grad(xv)[1], res.x, tol)
-    if v is None:
-        raise RuntimeError(
-            f"quasi-Newton descent failed to converge within {max_iter} iterations"
-        )
-    mu, sd = params(v)
-    return DiagonalGaussian(mu, sd**2)
+    v = np.zeros(2 * dim)
+    kl, grad, hess = kl_grad_hess(v)
+    for _ in range(max_iter):
+        if np.all(np.abs(grad) < tol):
+            mu, sd = params(v)
+            return DiagonalGaussian(mu, sd**2)
+        try:
+            step = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = -grad
+        if not grad @ step < 0.0:
+            step = -grad
+        # Accept rounding-level rises: near the optimum the KL no longer
+        # resolves the progress the gradient still shows.
+        slack = 1e-12 * max(1.0, abs(kl))
+        while True:
+            try:
+                trial = kl_grad_hess(v + step)
+            except ValueError:
+                # Quadrature nodes left the support; a shorter step stays inside.
+                trial = None
+            if trial is not None and trial[0] <= kl + slack:
+                break
+            step = step / 2.0
+        v = v + step
+        kl, grad, hess = trial
+    raise RuntimeError(f"damped Newton descent failed to converge within {max_iter} iterations")
 
 
 def penalized_objective(

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .gaussians import GaussianDist, GridDensity, trapezoid_weights
 
 __all__ = [
     "ConjugatePrior",
     "LikelihoodEvaluator",
-    "AlphaPosteriorConjugate",
     "conjugate_alpha_posterior",
     "grid_alpha_posterior",
     "default_grid_axes",
@@ -129,25 +128,6 @@ def conjugate_alpha_posterior(
     return GaussianDist(mean, (cov + cov.T) / 2.0)
 
 
-@dataclass(frozen=True)
-class AlphaPosteriorConjugate:
-    """Conjugate tempered posterior bundled with the tempering level and sample size."""
-
-    mu_n_alpha: np.ndarray
-    Sigma_n_alpha: np.ndarray
-    alpha: float
-    n: int
-
-    @classmethod
-    def fit(cls, W, Y, prior: ConjugatePrior, sigma_u: float, alpha: float) -> "AlphaPosteriorConjugate":
-        dist = conjugate_alpha_posterior(W, Y, prior, sigma_u, alpha)
-        return cls(dist.mean, dist.cov, alpha, np.asarray(Y).size)
-
-    @property
-    def dist(self) -> GaussianDist:
-        return GaussianDist(self.mu_n_alpha, self.Sigma_n_alpha)
-
-
 def default_grid_axes(
     theta_hat_ml: np.ndarray,
     V: np.ndarray,
@@ -228,8 +208,8 @@ def concentration_probability(
 
     Returns ``P(||sqrt(n)(theta - theta_star)|| > radius)`` under ``post``.
     Gaussian posteriors use the exact normal tail in one dimension and Monte
-    Carlo (``draws`` samples from an explicit ``rng``) otherwise; grid
-    posteriors use a masked trapezoid sum.
+    Carlo (``draws`` samples from an explicit ``rng``, without which it raises
+    ``ValueError``) otherwise; grid posteriors use a masked trapezoid sum.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if isinstance(post, GaussianDist):
@@ -239,9 +219,9 @@ def concentration_probability(
         if post.dim == 1:
             sd = float(np.sqrt(n * post.cov[0, 0]))
             m = float(shift[0])
-            return float(norm.cdf((-radius - m) / sd) + norm.sf((radius - m) / sd))
+            return float(ndtr((-radius - m) / sd) + ndtr((m - radius) / sd))
         if rng is None:
-            rng = np.random.default_rng(0)
+            raise ValueError("Monte Carlo in dimension >= 2 requires an explicit rng")
         z = rng.standard_normal((draws, post.dim)) @ (np.sqrt(n) * post.chol).T + shift
         return float(np.mean(np.linalg.norm(z, axis=1) > radius))
     if post.dim != theta_star.size:

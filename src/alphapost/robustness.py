@@ -51,6 +51,8 @@ __all__ = [
 
 def _spd(mat, name: str) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} must be finite")
     try:
         np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as err:
@@ -83,8 +85,10 @@ class MisspecScenario:
         p = theta0.size
         if theta_star.size != p or V.shape != (p, p) or Omega.shape != (p, p):
             raise ValueError("scenario dimensions disagree")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (np.all(np.isfinite(theta0)) and np.all(np.isfinite(theta_star))):
+            raise ValueError("theta0 and theta_star must be finite")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "theta_star", theta_star)
         object.__setattr__(self, "V", V)
@@ -119,6 +123,8 @@ class FiniteSampleInputs:
         g = np.atleast_1d(np.asarray(self.theta_hat_ml_G, dtype=float))
         if f.size != g.size:
             raise ValueError("ML estimates must share a dimension")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+            raise ValueError("ML estimates must be finite")
         if not 0.0 <= self.eps_n <= 1.0:
             raise ValueError("eps_n must lie in [0, 1]")
         if self.n < 1:
@@ -206,19 +212,17 @@ def r_tilde_star_closed_form(alpha: float, s: MisspecScenario, f: FiniteSampleIn
 def optimal_alpha(s: MisspecScenario, f: FiniteSampleInputs) -> float:
     """Unique minimizer ``p / A_n(V)`` of the surrogate criterion.
 
-    ``alpha -> alpha A - p log(alpha)`` is strictly convex for ``A > 0``, so
-    the first-order condition pins the global minimum.
+    ``A_n`` is positive, a convex combination of traces of products of SPD
+    matrices plus a nonnegative quadratic form, and ``alpha -> alpha A -
+    p log(alpha)`` is strictly convex for ``A > 0``, so the first-order
+    condition pins the global minimum.
     """
-    a = a_n(s.V, s, f)
-    assert a > 0, "A_n must be positive for SPD inputs"
-    return s.p / a
+    return s.p / a_n(s.V, s, f)
 
 
 def optimal_alpha_tilde(s: MisspecScenario, f: FiniteSampleInputs) -> float:
     """Unique minimizer ``p / A_n(diag V)`` of the mean-field surrogate criterion."""
-    a = a_n(s.V_tilde, s, f)
-    assert a > 0, "A_n must be positive for SPD inputs"
-    return s.p / a
+    return s.p / a_n(s.V_tilde, s, f)
 
 
 def limit_alpha_star(s: MisspecScenario) -> float:

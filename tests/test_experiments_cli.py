@@ -126,14 +126,6 @@ class TestExperimentOutputs:
         assert all(r[1] > 0.001 for r in rows)
         assert rows[-1][2] < rows[0][2]
 
-    def test_threads_do_not_change_rows(self, tmp_path):
-        base = ExperimentConfig.from_file(write_config(tmp_path, FAST_REGRESSION))
-        _, rows1 = run_experiment(base, "surrogate-fidelity")
-        threaded = ExperimentConfig.from_file(write_config(tmp_path, FAST_REGRESSION))
-        threaded.threads = 4
-        _, rows4 = run_experiment(threaded, "surrogate-fidelity")
-        assert rows1 == rows4
-
     def test_schema_stability(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, FAST_LOCATION))
         columns, rows = run_experiment(cfg, "bvm-convergence")
@@ -186,6 +178,17 @@ class TestCLI:
         assert self.run_cli(["optimal-alpha", "--config", str(bad)]) == 2
         missing = tmp_path / "missing.cfg"
         assert self.run_cli(["optimal-alpha", "--config", str(missing)]) == 2
+
+    @pytest.mark.parametrize("experiment", ["surrogate-fidelity", "robustness-curve", "optimal-alpha"])
+    def test_eps_above_sample_size_is_a_config_error(self, tmp_path, experiment, capsys):
+        cfg_path = write_config(tmp_path, "seed = 1\neps = 100\nn_grid = 50\nreplications = 1\n")
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "eps")]) == 2
+        assert "eps:" in capsys.readouterr().err
+
+    def test_nonpositive_n_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "seed = 1\nn = 0\n")
+        assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(tmp_path / "n0")]) == 2
+        assert "n:" in capsys.readouterr().err
 
     def test_unwritable_output_is_a_config_error(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)

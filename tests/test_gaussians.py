@@ -43,6 +43,11 @@ class TestGaussianDist:
         with pytest.raises(ValueError):
             GaussianDist([0.0, 0.0], [[1.0]])
 
+    @pytest.mark.parametrize("mean, cov", [([np.nan], [[1.0]]), ([0.0], [[np.inf]]), ([0.0], [[np.nan]])])
+    def test_rejects_non_finite_input(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianDist(mean, cov)
+
     def test_tiny_asymmetry_tolerated(self):
         cov = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
         g = GaussianDist([0.0, 0.0], cov)
@@ -207,6 +212,19 @@ class TestGridDensity:
         mean, var = g.moments()
         assert_allclose(mean, [1.0], atol=1e-9)
         assert_allclose(var, [2.0], atol=1e-8)
+
+    def test_gaussian_log_density_derivatives(self):
+        # The log density of N(m, S) has gradient -S^{-1}(x - m) and Hessian -S^{-1}.
+        for target, num in ((GaussianDist(0.5, 2.0), 4001), (GaussianDist([0.5, -0.3], [[2.0, 1.0], [1.0, 2.0]]), 401)):
+            axes = [np.linspace(m - 12.0, m + 12.0, num) for m in target.mean]
+            grid = GridDensity.from_gaussian(target, axes)
+            pts = target.mean + np.random.default_rng(4).uniform(-3.0, 3.0, size=(20, target.dim))
+            vals, grads, hess = grid.log_pdf_and_grad_at(pts)
+            prec = np.linalg.inv(target.cov)
+            assert grads.shape == pts.shape and hess.shape == (20, target.dim, target.dim)
+            assert_allclose(vals, log_density(target, pts), atol=1e-6)
+            assert_allclose(grads, -(pts - target.mean) @ prec, atol=1e-5)
+            assert_allclose(hess, np.broadcast_to(-prec, hess.shape), atol=1e-4)
 
     def test_trapezoid_weights_sum_to_box_volume(self):
         axes = [np.linspace(0, 1, 11), np.linspace(0, 2, 21)]

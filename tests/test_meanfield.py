@@ -13,7 +13,7 @@ from alphapost.meanfield import (
     penalized_objective,
     variational_bvm_limit,
 )
-from alphapost.posteriors import ConjugatePrior, conjugate_alpha_posterior
+from alphapost.posteriors import ConjugatePrior, conjugate_alpha_posterior, grid_alpha_posterior
 from alphapost.regression import RegressionDGP, regression_likelihood, simulate
 
 from oracles import coordinate_descent_diag_kl
@@ -29,6 +29,10 @@ class TestDiagonalGaussian:
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError, match="positive"):
             DiagonalGaussian([0.0], [0.0])
+
+    def test_rejects_nan_mean(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiagonalGaussian([np.nan], [1.0])
 
     def test_dist_round_trip(self):
         q = DiagonalGaussian([1.0, -1.0], [2.0, 0.5])
@@ -120,6 +124,40 @@ class TestNumericProjection:
         far = gmf_project_numeric(grid, DiagonalGaussian([1.0 + 5.0 * np.sqrt(2.0)], [2.0]))
         assert_allclose(far.mean, default.mean, atol=1e-6)
         assert_allclose(far.var, default.var, atol=1e-6)
+        target = GaussianDist([0.5, -0.3], [[2.0, 1.0], [1.0, 2.0]])
+        axes = [np.linspace(m - 40.0, m + 40.0, 801) for m in target.mean]
+        grid = GridDensity.from_gaussian(target, axes)
+        default = gmf_project_numeric(grid)
+        far = gmf_project_numeric(grid, DiagonalGaussian([4.0, -3.0], [0.3, 5.0]))
+        assert_allclose(far.mean, default.mean, atol=1e-6)
+        assert_allclose(far.var, default.var, atol=1e-6)
+
+    def test_non_gaussian_2d_target_matches_penalized_objective(self):
+        # Correlated regression likelihood times an independent logistic prior.
+        dgp = RegressionDGP(
+            theta0=[1.0, -0.5],
+            gamma0=[1.0],
+            sigma_eps=1.0,
+            cov_WW=[[1.0, 0.6], [0.6, 1.0]],
+            cov_WZ=[[0.5], [0.3]],
+            cov_ZZ=[[1.0]],
+        )
+        alpha = 0.5
+        ds = simulate(dgp, 40, 3)
+        lik = regression_likelihood(ds, dgp.sigma_u)
+
+        def log_prior(pts):
+            z = np.atleast_2d(pts) - 0.5
+            return np.sum(-z - 2.0 * np.log1p(np.exp(-z)), axis=1)
+
+        flat = conjugate_alpha_posterior(ds.W, ds.Y, ConjugatePrior.flat(2), dgp.sigma_u, alpha)
+        sd = np.sqrt(np.diag(flat.cov))
+        axes = [np.linspace(m - 16.0 * s, m + 16.0 * s, 401) for m, s in zip(flat.mean, sd)]
+        projected = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, alpha, axes))
+        init = DiagonalGaussian(projected.mean + 0.3 * np.sqrt(projected.var), 1.4 * projected.var)
+        maximized = maximize_penalized_objective(lik, log_prior, alpha, init)
+        assert_allclose(projected.mean, maximized.mean, atol=1e-6)
+        assert_allclose(projected.var, maximized.var, atol=1e-6)
 
     def test_laplace_posterior_near_limit_at_large_n(self):
         rng = np.random.default_rng(31)

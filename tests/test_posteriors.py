@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from alphapost.gaussians import GaussianDist, GridDensity
 from alphapost.posteriors import (
-    AlphaPosteriorConjugate,
     ConjugatePrior,
     LikelihoodEvaluator,
     concentration_probability,
@@ -72,11 +71,6 @@ class TestConjugateAlphaPosterior:
         w = np.zeros((5, 1))
         with pytest.raises(ValueError, match="singular"):
             conjugate_alpha_posterior(w, np.ones(5), ConjugatePrior.flat(1), 1.0, 1.0)
-
-    def test_bundle_carries_alpha_and_n(self):
-        fit = AlphaPosteriorConjugate.fit(np.ones(3), [1.0, 2.0, 3.0], ConjugatePrior([0.0], [[1.0]]), 1.0, 0.5)
-        assert fit.alpha == 0.5 and fit.n == 3
-        assert fit.dist.dim == 1
 
 
 class TestGridAlphaPosterior:
@@ -201,6 +195,11 @@ class TestConcentrationProbability:
                 concentration_probability(g, [0.0], r, n),
                 atol=1e-3,
             )
+
+    def test_multivariate_requires_rng(self):
+        g = GaussianDist(np.zeros(2), np.eye(2) / 100)
+        with pytest.raises(ValueError, match="rng"):
+            concentration_probability(g, np.zeros(2), 2.0, 100)
 
     def test_multivariate_monte_carlo_path(self):
         rng = np.random.default_rng(8)

@@ -60,6 +60,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="eps"):
             MisspecScenario([0.0], [0.0], [[1.0]], [[1.0]], 0.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([np.nan], [0.0], [[1.0]], [[1.0]], 1.0),
+            ([0.0], [np.nan], [[1.0]], [[1.0]], 1.0),
+            ([0.0], [0.0], [[np.nan]], [[1.0]], 1.0),
+            ([0.0], [0.0], [[1.0]], [[np.nan]], 1.0),
+            ([0.0], [0.0], [[1.0]], [[1.0]], np.nan),
+        ],
+    )
+    def test_scenario_rejects_nan(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            MisspecScenario(*args)
+
+    @pytest.mark.parametrize("f, g", [([np.nan], [0.0]), ([0.0], [np.nan])])
+    def test_inputs_reject_nan_estimates(self, f, g):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteSampleInputs(f, g, 10, 0.1)
+
     def test_inputs_require_probability_eps_n(self):
         with pytest.raises(ValueError, match="eps_n"):
             FiniteSampleInputs([0.0], [0.0], 10, 1.5)
