@@ -43,5 +43,5 @@ dgp = RegressionDGP(
     sigma_u=1.0,
 )
 prior = ConjugatePrior([0.0], [[1.0]])
-h2 = failure_case_hellinger(dgp, prior, alpha0=1.0, n_grid=[10**3, 10**4, 10**5], seed=5)
+h2 = failure_case_hellinger(dgp, prior, alpha0=1.0, n_grid=[10**3, 10**4, 10**5], seed=5)[:, 0]
 print("vanishing tempering H^2 gaps:", np.round(h2, 5), " (stalls above zero)")

@@ -15,13 +15,11 @@ from alphapost import (
     FiniteSampleInputs,
     MisspecScenario,
     RobustnessCurve,
-    golden_section_minimize,
     limit_alpha_star,
     limit_alpha_tilde,
     optimal_alpha,
     optimized_limit_kl,
     r_infinity,
-    r_star,
 )
 
 scenario = MisspecScenario(
@@ -35,9 +33,7 @@ fin = FiniteSampleInputs.at_population_limits(scenario, n=2000)
 
 curve = RobustnessCurve.evaluate(np.linspace(0.05, 1.5, 59), scenario, fin)
 closed = optimal_alpha(scenario, fin)
-numeric = golden_section_minimize(lambda a: r_star(a, scenario, fin), 1e-6, 50.0)
 print("closed-form optimal tempering:", closed)
-print("golden-section cross-check:   ", numeric)
 print("grid argmin of the curve:     ", curve.argmin_alpha())
 print("large-sample limits:          ", limit_alpha_star(scenario), limit_alpha_tilde(scenario))
 

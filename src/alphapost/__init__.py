@@ -11,8 +11,8 @@ The library covers four layers:
 * ``meanfield`` -- KL projection onto diagonal Gaussians, in closed form
   for Gaussian targets and numerically for grid targets, plus the
   penalized evidence-style objective.
-* ``robustness`` -- expected-KL robustness criteria, their closed forms,
-  the optimal tempering level and its large-sample limits.
+* ``robustness`` -- expected-KL robustness criteria (the surrogate ones in
+  closed form), the optimal tempering level and its large-sample limits.
 * ``regression`` -- the omitted-variable linear regression example with
   every population quantity in closed form.
 * ``experiments``/``cli`` -- seeded, deterministic experiment harness with
@@ -76,7 +76,6 @@ from .robustness import (
     a_n,
     b_n,
     exact_expected_kl,
-    golden_section_minimize,
     limit_alpha_star,
     limit_alpha_tilde,
     optimal_alpha,
@@ -85,9 +84,7 @@ from .robustness import (
     optimized_limit_kl_var,
     r_infinity,
     r_star,
-    r_star_closed_form,
     r_tilde_star,
-    r_tilde_star_closed_form,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from .regression import (
     concentration_markov_bound,
     curvature,
     derived_seed,
+    failure_case_hellinger,
     lan_residual_sup,
     misspec_scenario,
     ols,
@@ -110,6 +113,13 @@ def _parse_vector(text: str) -> list[float]:
 
 def _parse_matrix(text: str) -> list[list[float]]:
     return [_parse_vector(row) for row in text.split(";") if row.strip() != ""]
+
+
+def _flatten(value) -> list:
+    # Scalars, vectors and (possibly ragged) matrices as one flat list.
+    if isinstance(value, (list, tuple)):
+        return [v for item in value for v in _flatten(item)]
+    return [value]
 
 
 @dataclass
@@ -260,6 +270,9 @@ class ExperimentConfig:
         self.experiment = experiment
         if self.seed is None:
             raise ConfigError("seed: a master seed is mandatory")
+        for f in fields(self):
+            if any(isinstance(v, float) and not math.isfinite(v) for v in _flatten(getattr(self, f.name))):
+                raise ConfigError(f"{f.name}: every value must be finite")
         if self.replications < 1:
             raise ConfigError("replications: must be at least 1")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
@@ -432,28 +445,9 @@ def exp_optimal_alpha(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def exp_failure_case(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    from .gaussians import hellinger_sq_gaussian
-
-    dgp = cfg.dgp()
-    prior = cfg.prior()
-    v = curvature(dgp)
-    rows = []
-    for n in sorted(cfg.n_grid):
-        ds = simulate(dgp, n, derived_seed(cfg.seed, n))
-        theta_hat = ols(ds.W, ds.Y)
-        alpha_n = cfg.alpha0 / n
-        fail_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha_n)
-        fail_lim = gaussian_bvm_limit(theta_hat, v, n, alpha_n)
-        ctrl_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
-        ctrl_lim = gaussian_bvm_limit(theta_hat, v, n, 1.0)
-        rows.append(
-            [
-                n,
-                hellinger_sq_gaussian(fail_post, fail_lim),
-                hellinger_sq_gaussian(ctrl_post, ctrl_lim),
-            ]
-        )
-    return ["n", "h2_failure", "h2_control"], rows
+    n_grid = sorted(cfg.n_grid)
+    h2 = failure_case_hellinger(cfg.dgp(), cfg.prior(), cfg.alpha0, n_grid, cfg.seed)
+    return ["n", "h2_failure", "h2_control"], [[n, *row] for n, row in zip(n_grid, h2.tolist())]
 
 
 def exp_assumption_checks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
@@ -525,6 +519,19 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def _replace_atomically(path: Path, write: Callable[[TextIO], object]):
+    # Write through a temporary file in the same directory, then rename it
+    # over ``path``: an interrupted run leaves the earlier file intact.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_outputs(
     cfg: ExperimentConfig,
     experiment: str,
@@ -532,23 +539,30 @@ def write_outputs(
     rows: list[list],
     elapsed_seconds: float,
 ) -> tuple[Path, Path]:
-    """Write ``<experiment>.csv`` and its JSON sidecar into the output directory."""
+    """Write ``<experiment>.csv`` and its JSON sidecar into the output directory.
+
+    Each file is replaced atomically, so a failure part way leaves the
+    previous file, if any, unchanged.
+    """
     out_dir = Path(cfg.out)
+
+    def write_csv(fh):
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_format_cell(v) for v in row])
+
+    sidecar = {
+        "config": cfg.to_dict(),
+        "version": __version__,
+        "elapsed_seconds": elapsed_seconds,
+    }
+    csv_path = out_dir / f"{experiment}.csv"
+    json_path = out_dir / f"{experiment}.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / f"{experiment}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_cell(v) for v in row])
-        json_path = out_dir / f"{experiment}.json"
-        sidecar = {
-            "config": cfg.to_dict(),
-            "version": __version__,
-            "elapsed_seconds": elapsed_seconds,
-        }
-        json_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+        _replace_atomically(csv_path, write_csv)
+        _replace_atomically(json_path, lambda fh: fh.write(json.dumps(sidecar, indent=2) + "\n"))
     except OSError as err:
         raise ConfigError(f"out: cannot write to {out_dir}: {err}") from err
     return csv_path, json_path

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.linalg import solve_triangular
 
 __all__ = [
@@ -39,6 +38,7 @@ __all__ = [
     "kl_grid",
     "tv_grid",
     "trapezoid_weights",
+    "mesh_points",
 ]
 
 # Symmetry tolerance (relative) for covariance inputs.
@@ -199,7 +199,7 @@ def tv_gaussian(
         if p.dim > 2:
             raise ValueError("quadrature is only supported in dimension <= 2")
         axes = _pooled_axes(p, q, budget)
-        mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        mesh = mesh_points(axes)
         diff = np.abs(np.exp(log_density(p, mesh)) - np.exp(log_density(q, mesh)))
         w = trapezoid_weights(axes).ravel()
         return TVEstimate(0.5 * float(w @ diff), 0.0)
@@ -210,6 +210,17 @@ def tv_gaussian(
         g = 0.5 * np.abs(1.0 - np.exp(log_density(q, x) - log_density(p, x)))
         return TVEstimate(float(np.mean(g)), float(np.std(g, ddof=1) / np.sqrt(budget)))
     raise ValueError(f"unknown method {method!r}")
+
+
+def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every node of the tensor grid on ``axes`` as an (N, dim) array, in row-major mesh order.
+
+    Row ``k`` is the node at flat index ``k`` of an array of shape
+    ``(len(axes[0]), len(axes[1]), ...)``, so values computed on these points
+    reshape straight back onto the grid.
+    """
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def trapezoid_weights(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -272,9 +283,7 @@ class GridDensity:
     @classmethod
     def from_log_fn(cls, axes: Sequence[np.ndarray], log_fn: Callable[[np.ndarray], np.ndarray]) -> "GridDensity":
         """Tabulate ``log_fn`` (mapping (N, dim) points to (N,) values) on the grid."""
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = np.asarray(log_fn(pts), dtype=float).reshape(mesh[0].shape)
+        vals = np.asarray(log_fn(mesh_points(axes)), dtype=float).reshape([len(ax) for ax in axes])
         return cls.from_log_unnormalized(axes, vals)
 
     @classmethod
@@ -298,13 +307,16 @@ class GridDensity:
 
     def nodes(self) -> np.ndarray:
         """All grid nodes as an (N, dim) array in row-major mesh order."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return mesh_points(self.axes)
 
     def _spline(self):
         # Lazily built cubic interpolant of the normalized log density.
+        # scipy.interpolate is imported here, not at module load, because it
+        # costs a large share of start-up and most runs never build a spline.
         cached = getattr(self, "_spline_cache", None)
         if cached is None:
+            from scipy.interpolate import CubicSpline, RectBivariateSpline
+
             if self.dim == 1:
                 cached = CubicSpline(self.axes[0], self.log_pdf())
             else:

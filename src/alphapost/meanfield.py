@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .gaussians import GaussianDist, GridDensity
+from .gaussians import GaussianDist, GridDensity, mesh_points
 from .posteriors import LikelihoodEvaluator
 
 __all__ = [
@@ -102,9 +101,7 @@ def _gh_mesh(dim: int, num: int) -> tuple[np.ndarray, np.ndarray]:
     w = w / np.sqrt(np.pi)
     if dim == 1:
         return z[:, None], w
-    za, zb = np.meshgrid(z, z, indexing="ij")
-    nodes = np.stack([za.ravel(), zb.ravel()], axis=-1)
-    return nodes, np.outer(w, w).ravel()
+    return mesh_points([z, z]), np.outer(w, w).ravel()
 
 
 def gmf_project_numeric(
@@ -244,6 +241,9 @@ def maximize_penalized_objective(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    # Imported here: scipy.optimize is slow to import and only this search needs it.
+    from scipy.optimize import minimize
+
     dim = lik.dim
 
     def neg_objective(x):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .gaussians import GaussianDist, GridDensity, trapezoid_weights
+from .gaussians import GaussianDist, GridDensity, mesh_points, trapezoid_weights
 
 __all__ = [
     "ConjugatePrior",
@@ -174,12 +174,11 @@ def grid_alpha_posterior(
             raise ValueError("each grid axis needs at least 101 nodes")
         if not np.all(np.isfinite(ax)):
             raise ValueError("grid axes must be finite")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = mesh_points(axes)
     ll = lik(pts)
     if not np.all(np.isfinite(ll)):
         raise ValueError("non-finite log-likelihood on a grid node")
-    lw = (alpha * ll + np.asarray(log_prior(pts), dtype=float)).reshape(mesh[0].shape)
+    lw = (alpha * ll + np.asarray(log_prior(pts), dtype=float)).reshape([len(ax) for ax in axes])
     return GridDensity.from_log_unnormalized(axes, lw)
 
 

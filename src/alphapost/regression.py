@@ -9,10 +9,11 @@ analysis needs is then available in closed form: the pseudo-true parameter
 scale, and the conjugate tempered posterior itself.
 
 The module also houses the verification probes used by the experiment
-harness: the local-asymptotic-normality residual, the prior/remainder
-integrals that the mean-field limit needs to vanish, a Markov bound on posterior
-concentration, and the vanishing-tempering failure case where the Gaussian
-approximation stays bounded away from the posterior.
+harness: the local-asymptotic-normality residual (batched over
+perturbations), the prior/remainder integrals that the mean-field limit needs
+to vanish, a Markov bound on posterior concentration, and the
+vanishing-tempering failure case, where the Gaussian approximation stays
+bounded away from the posterior, next to its constant-tempering control.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist
+from .gaussians import GaussianDist, hellinger_sq_gaussian, mesh_points
 from .meanfield import DiagonalGaussian
 from .posteriors import ConjugatePrior, LikelihoodEvaluator, conjugate_alpha_posterior, gaussian_bvm_limit
 from .robustness import MisspecScenario
@@ -245,27 +246,20 @@ def _q_n(ds: RegressionDataset, dgp: RegressionDGP) -> np.ndarray:
     return ds.W.T @ ds.W / (ds.n * dgp.sigma_u**2) - curvature(dgp)
 
 
-def lan_residual(ds: RegressionDataset, dgp: RegressionDGP, h: np.ndarray, route: str = "qn") -> float:
-    """Local-asymptotic-normality defect at perturbation ``h``.
+def lan_residual(ds: RegressionDataset, dgp: RegressionDGP, h: np.ndarray) -> float | np.ndarray:
+    """Local-asymptotic-normality defect ``h'Q_n Delta_n - h'Q_n h / 2`` at perturbation ``h``.
 
-    route="qn" evaluates ``h'Q_n Delta_n - h'Q_n h / 2`` with
-    ``Q_n = W'W/(n sigma_u^2) - V``; route="direct" recomputes it as the raw
-    log-likelihood-ratio defect.  The two agree to rounding on any dataset.
+    ``Q_n = W'W/(n sigma_u^2) - V`` and ``Delta_n = sqrt(n)(theta_hat - theta_star)``;
+    this is the log-likelihood ratio at ``theta_star + h/sqrt(n)`` minus its
+    quadratic LAN expansion.  ``h`` is one perturbation of shape (p,),
+    giving a float, or a batch of shape (N, p), giving an (N,) array.
     """
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    theta_star = pseudo_true(dgp)
-    theta_hat = ols(ds.W, ds.Y)
-    delta = np.sqrt(ds.n) * (theta_hat - theta_star)
-    if route == "qn":
-        q = _q_n(ds, dgp)
-        return float(h @ q @ delta - 0.5 * h @ q @ h)
-    if route == "direct":
-        v = curvature(dgp)
-        lik = regression_likelihood(ds, dgp.sigma_u)
-        pts = np.vstack([theta_star + h / np.sqrt(ds.n), theta_star])
-        ll = lik(pts)
-        return float(ll[0] - ll[1] - h @ v @ delta + 0.5 * h @ v @ h)
-    raise ValueError(f"unknown route {route!r}")
+    h = np.asarray(h, dtype=float)
+    pts = np.atleast_2d(h)
+    q = _q_n(ds, dgp)
+    delta = np.sqrt(ds.n) * (ols(ds.W, ds.Y) - pseudo_true(dgp))
+    vals = pts @ q @ delta - 0.5 * np.einsum("ni,ij,nj->n", pts, q, pts)
+    return float(vals[0]) if h.ndim <= 1 else vals
 
 
 def lan_residual_sup(
@@ -275,13 +269,8 @@ def lan_residual_sup(
     points_per_axis: int = 13,
 ) -> float:
     """sup of |LAN defect| over the cube ``[-bound, bound]^p`` on a grid."""
-    axes = [np.linspace(-bound, bound, points_per_axis)] * dgp.p
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    q = _q_n(ds, dgp)
-    delta = np.sqrt(ds.n) * (ols(ds.W, ds.Y) - pseudo_true(dgp))
-    vals = pts @ q @ delta - 0.5 * np.einsum("ni,ij,nj->n", pts, q, pts)
-    return float(np.max(np.abs(vals)))
+    pts = mesh_points([np.linspace(-bound, bound, points_per_axis)] * dgp.p)
+    return float(np.max(np.abs(lan_residual(ds, dgp, pts))))
 
 
 def assumption2_terms(
@@ -393,24 +382,27 @@ def failure_case_hellinger(
     n_grid: Sequence[int],
     seed: int = 0,
 ) -> np.ndarray:
-    """Squared Hellinger gap when the tempering vanishes like ``alpha0 / n``.
+    """Squared Hellinger gap when the tempering vanishes like ``alpha0 / n``, with its control.
 
-    For each ``n`` the tempered posterior with ``alpha_n = alpha0 / n`` is
-    compared to the would-be Gaussian limit ``N(theta_hat, V^{-1}/(alpha_n n))``.
-    Because ``alpha_n n`` stays constant, posterior and limit converge to
-    different Gaussians and the gap stabilizes at a strictly positive value
-    (a constant tempering drives the same gap to zero).
+    For each ``n`` one sample is drawn (seed ``derived_seed(seed, n)``) and the
+    tempered posterior is compared to its would-be Gaussian limit
+    ``N(theta_hat, V^{-1}/(alpha n))`` at two temperings: ``alpha_n = alpha0 / n``
+    and the constant control ``alpha = 1``.  Because ``alpha_n n`` stays
+    constant, the first pair converges to different Gaussians and its gap
+    stabilizes at a strictly positive value; the control's gap goes to zero.
+
+    Returns an array of shape ``(len(n_grid), 2)`` whose rows are
+    ``[h2_failure, h2_control]`` in the order of ``n_grid``.
     """
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
-    from .gaussians import hellinger_sq_gaussian
-
     v = curvature(dgp)
-    out = []
-    for n in n_grid:
-        ds = simulate(dgp, int(n), derived_seed(seed, int(n)))
-        alpha_n = alpha0 / n
-        post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha_n)
-        limit = gaussian_bvm_limit(ols(ds.W, ds.Y), v, n, alpha_n)
-        out.append(hellinger_sq_gaussian(post, limit))
-    return np.array(out)
+    out = np.empty((len(n_grid), 2))
+    for i, n in enumerate(n_grid):
+        n = int(n)
+        ds = simulate(dgp, n, derived_seed(seed, n))
+        theta_hat = ols(ds.W, ds.Y)
+        for j, alpha in enumerate((alpha0 / n, 1.0)):
+            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
+            out[i, j] = hellinger_sq_gaussian(post, gaussian_bvm_limit(theta_hat, v, n, alpha))
+    return out

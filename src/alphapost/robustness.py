@@ -10,9 +10,10 @@ from the posterior they should have reported:
 Replacing every posterior by its Gaussian large-sample limit produces the
 surrogate criteria ``r_star`` (tempered posterior reported) and
 ``r_tilde_star`` (its mean-field approximation reported).  Both reduce to
-``(alpha * A_n - p log(alpha) + B_n) / 2``, strictly convex in ``alpha``
-with unique minimizer ``p / A_n`` -- strictly below one as soon as the true
-and pseudo-true parameters differ.  The limiting criterion ``r_infinity``
+``(alpha * A_n - p log(alpha) + B_n) / 2``, which is how they are evaluated
+here; the form is strictly convex in ``alpha`` with unique minimizer
+``p / A_n`` -- strictly below one as soon as the true and pseudo-true
+parameters differ.  The limiting criterion ``r_infinity``
 and the optimized limits complete the picture: the regular posterior's
 expected KL grows linearly in the squared misspecification while the
 optimally tempered one grows only logarithmically.
@@ -35,8 +36,6 @@ __all__ = [
     "b_n",
     "r_star",
     "r_tilde_star",
-    "r_star_closed_form",
-    "r_tilde_star_closed_form",
     "optimal_alpha",
     "optimal_alpha_tilde",
     "limit_alpha_star",
@@ -45,7 +44,6 @@ __all__ = [
     "optimized_limit_kl",
     "optimized_limit_kl_var",
     "exact_expected_kl",
-    "golden_section_minimize",
 ]
 
 
@@ -171,42 +169,24 @@ def b_n(Sigma: np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float:
     )
 
 
-def _surrogate_direct(alpha: float, s: MisspecScenario, f: FiniteSampleInputs, reported_curv: np.ndarray) -> float:
-    # The two explicit Gaussian KL terms with reported covariance
-    # reported_curv^{-1} / (alpha n).
+def _surrogate(alpha: float, s: MisspecScenario, f: FiniteSampleInputs, curv: np.ndarray) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    reported = GaussianDist(f.theta_hat_ml_F, np.linalg.inv(reported_curv) / (alpha * f.n))
-    true_limit = GaussianDist(f.theta_hat_ml_G, s.Omega / f.n)
-    regular_limit = GaussianDist(f.theta_hat_ml_F, np.linalg.inv(s.V) / f.n)
-    return f.eps_n * kl_gaussian(true_limit, reported) + (1.0 - f.eps_n) * kl_gaussian(
-        regular_limit, reported
-    )
+    return float(0.5 * (alpha * a_n(curv, s, f) - s.p * np.log(alpha) + b_n(curv, s, f)))
 
 
 def r_star(alpha: float, s: MisspecScenario, f: FiniteSampleInputs) -> float:
-    """Surrogate expected KL for the tempered posterior, via the explicit Gaussian KLs."""
-    return _surrogate_direct(alpha, s, f, s.V)
+    """Surrogate expected KL for the tempered posterior: ``(alpha A_n(V) - p log(alpha) + B_n(V)) / 2``.
+
+    It equals ``eps_n KL(N(theta_G, Omega/n) || R) + (1 - eps_n) KL(N(theta_F, V^{-1}/n) || R)``
+    for the reported ``R = N(theta_F, V^{-1}/(alpha n))``.
+    """
+    return _surrogate(alpha, s, f, s.V)
 
 
 def r_tilde_star(alpha: float, s: MisspecScenario, f: FiniteSampleInputs) -> float:
-    """Surrogate expected KL for the mean-field approximation (curvature diag(V))."""
-    return _surrogate_direct(alpha, s, f, s.V_tilde)
-
-
-def r_star_closed_form(alpha: float, s: MisspecScenario, f: FiniteSampleInputs) -> float:
-    """``(alpha A_n(V) - p log(alpha) + B_n(V)) / 2``; must agree with :func:`r_star`."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return 0.5 * (alpha * a_n(s.V, s, f) - s.p * np.log(alpha) + b_n(s.V, s, f))
-
-
-def r_tilde_star_closed_form(alpha: float, s: MisspecScenario, f: FiniteSampleInputs) -> float:
-    """``(alpha A_n(diag V) - p log(alpha) + B_n(diag V)) / 2``."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    vt = s.V_tilde
-    return 0.5 * (alpha * a_n(vt, s, f) - s.p * np.log(alpha) + b_n(vt, s, f))
+    """Surrogate expected KL for the mean-field approximation: the same form with curvature diag(V)."""
+    return _surrogate(alpha, s, f, s.V_tilde)
 
 
 def optimal_alpha(s: MisspecScenario, f: FiniteSampleInputs) -> float:
@@ -286,21 +266,15 @@ def exact_expected_kl(
     alpha_post: GaussianDist,
     std_post: GaussianDist,
     eps_n: float,
-    sandwich_cov: np.ndarray | None = None,
 ) -> float:
     """Finite-sample expected KL with explicit posterior inputs.
 
     ``eps_n * KL(true_post || alpha_post) + (1 - eps_n) * KL(std_post || alpha_post)``.
     The same call evaluates the variational criterion when ``alpha_post`` is
-    the diagonal approximation.  ``sandwich_cov`` optionally swaps the
-    covariance of the misspecification target for a sandwich matrix
-    (off by default; the criterion value only depends on the target through
-    its mean gap and the reported covariance, so minimizers are unchanged).
+    the diagonal approximation.
     """
     if not 0.0 <= eps_n <= 1.0:
         raise ValueError("eps_n must lie in [0, 1]")
-    if sandwich_cov is not None:
-        true_post = GaussianDist(true_post.mean, sandwich_cov)
     return eps_n * kl_gaussian(true_post, alpha_post) + (1.0 - eps_n) * kl_gaussian(
         std_post, alpha_post
     )
@@ -354,30 +328,3 @@ class RobustnessCurve:
         """Grid argmin of the tempered-posterior surrogate column."""
         return float(self.alphas[int(np.argmin(self.r_star_vals))])
 
-
-def golden_section_minimize(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-) -> float:
-    """Derivative-free golden-section minimizer of a unimodal scalar function.
-
-    Deterministic: shrinks the bracket until its width falls below ``tol``
-    and returns the midpoint.
-    """
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0

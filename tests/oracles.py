@@ -2,12 +2,15 @@
 
 Everything here deliberately avoids the code paths under test: Monte Carlo
 estimates of divergences, brute-force quadrature on dense grids, textbook
-closed forms for special cases, and a locally written golden-section
-minimizer for argmin cross-checks.
+closed forms for special cases, the surrogate robustness criteria as the
+explicit Gaussian KL terms they abbreviate, and a locally written
+golden-section minimizer for argmin cross-checks.
 """
 
 import numpy as np
 from scipy.stats import norm
+
+from alphapost.gaussians import GaussianDist, kl_gaussian
 
 
 def mc_kl(sample_p, log_p, log_q, num, rng):
@@ -46,6 +49,23 @@ def quadrature_kl_1d(log_p, log_q, lo, hi, num=200_001):
 def tv_equal_variance(mu1, mu2, sigma):
     """Closed-form total variation of two equal-variance 1-d normals: 2 Phi(|dmu|/(2 sigma)) - 1."""
     return 2.0 * norm.cdf(abs(mu2 - mu1) / (2.0 * sigma)) - 1.0
+
+
+def surrogate_via_kl(alpha, s, f, reported_curv):
+    """Surrogate expected KL of reporting ``N(theta_F, reported_curv^{-1} / (alpha n))``.
+
+    ``eps_n KL(N(theta_G, Omega/n) || reported) + (1 - eps_n) KL(N(theta_F, V^{-1}/n) || reported)``
+    for the scenario ``s`` and finite-sample inputs ``f``, by two explicit
+    Gaussian KL divergences rather than the closed form in ``alpha``.
+    ``reported_curv`` is ``s.V`` for ``r_star`` and ``s.V_tilde`` for
+    ``r_tilde_star``.
+    """
+    reported = GaussianDist(f.theta_hat_ml_F, np.linalg.inv(reported_curv) / (alpha * f.n))
+    true_limit = GaussianDist(f.theta_hat_ml_G, s.Omega / f.n)
+    regular_limit = GaussianDist(f.theta_hat_ml_F, np.linalg.inv(s.V) / f.n)
+    return f.eps_n * kl_gaussian(true_limit, reported) + (1.0 - f.eps_n) * kl_gaussian(
+        regular_limit, reported
+    )
 
 
 def golden_min(f, a, b, tol=1e-10):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from alphapost import experiments
 from alphapost.cli import main
 from alphapost.experiments import (
     EXPERIMENT_NAMES,
@@ -185,6 +186,29 @@ class TestCLI:
         assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "eps")]) == 2
         assert "eps:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, line, field",
+        [
+            ("surrogate-fidelity", "alphas = 0.5,nan", "alphas"),
+            ("surrogate-fidelity", "eps = nan", "eps"),
+            ("surrogate-fidelity", "sigma_eps = nan", "sigma_eps"),
+            ("surrogate-fidelity", "theta0 = nan", "theta0"),
+            ("surrogate-fidelity", "cov_wz = inf", "cov_wz"),
+            ("failure-case", "alpha0 = nan", "alpha0"),
+            ("bvm-convergence", "model = laplace-location\nnoise_sd = nan", "noise_sd"),
+            ("assumption-checks", "alpha = inf", "alpha"),
+        ],
+    )
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, experiment, line, field):
+        cfg_path = write_config(tmp_path, f"seed = 1\nn_grid = 50\nreplications = 1\n{line}\n")
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "nf")]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+
+    def test_ragged_matrix_is_a_dgp_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "seed = 1\ncov_ww = 1;0.3,1\n")
+        assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(tmp_path / "rg")]) == 2
+        assert "dgp/prior:" in capsys.readouterr().err
+
     def test_nonpositive_n_is_a_config_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "seed = 1\nn = 0\n")
         assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(tmp_path / "n0")]) == 2
@@ -205,6 +229,32 @@ class TestCLI:
         )
         rc = self.run_cli(["robustness-curve", "--config", str(cfg_path), "--out", str(tmp_path / "nf")])
         assert rc == 3
+
+    def test_failed_rewrite_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, FAST_REGRESSION)
+        out = tmp_path / "atomic"
+        assert self.run_cli(["surrogate-fidelity", "--config", str(cfg_path), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        cells = iter(range(40))
+        real_format_cell = experiments._format_cell
+
+        def failing_format_cell(value):
+            if next(cells, None) is None:
+                raise RuntimeError("interrupted")
+            return real_format_cell(value)
+
+        monkeypatch.setattr(experiments, "_format_cell", failing_format_cell)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            experiments.run_and_write(ExperimentConfig.from_file(cfg_path), "surrogate-fidelity")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_cli_import_defers_heavy_scipy_modules(self):
+        code = (
+            "import sys, alphapost.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_module_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)

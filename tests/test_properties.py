@@ -1,0 +1,127 @@
+"""Property-based checks of the divergence inequalities and the surrogate criteria.
+
+Gaussians are drawn on a coarse lattice (means in steps of 1/4, Cholesky
+factors with entries in steps of 1/4 and diagonals in [1/4, 2]), so two draws
+are either identical or clearly apart, and no draw is near-singular.
+Hypothesis runs derandomized, so every run checks the same examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from alphapost.gaussians import GaussianDist, hellinger_sq_gaussian, kl_gaussian, tv_gaussian
+from alphapost.robustness import FiniteSampleInputs, MisspecScenario, r_star, r_tilde_star
+
+from oracles import surrogate_via_kl
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+# The 4001-node quadrature TV is within 1.1e-5 of the closed form on the 1-d lattice.
+TV_SLACK = 2e-5
+
+
+def lattice(draw, shape, lo, hi):
+    # An array of the given shape with entries k / 4 for integers lo <= k <= hi.
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))).reshape(shape) / 4.0
+
+
+@st.composite
+def gaussians(draw, dim):
+    mean = lattice(draw, (dim,), -16, 16)
+    chol = np.tril(lattice(draw, (dim, dim), -4, 4), -1) + np.diag(lattice(draw, (dim,), 1, 8))
+    return GaussianDist(mean, chol @ chol.T)
+
+
+@st.composite
+def gaussian_pairs(draw, dims=(1, 2, 3)):
+    dim = draw(st.sampled_from(dims))
+    return draw(gaussians(dim)), draw(gaussians(dim))
+
+
+def same(p, q):
+    return np.array_equal(p.mean, q.mean) and np.array_equal(p.cov, q.cov)
+
+
+@PROPERTY
+@given(gaussian_pairs())
+def test_kl_nonnegative_and_zero_only_for_equal_gaussians(pair):
+    p, q = pair
+    assert kl_gaussian(p, p) == pytest.approx(0.0, abs=1e-12)
+    kl = kl_gaussian(p, q)
+    if same(p, q):
+        assert kl == pytest.approx(0.0, abs=1e-12)
+    else:
+        assert kl > 1e-6
+
+
+@PROPERTY
+@given(gaussian_pairs(dims=(1,)))
+def test_pinsker(pair):
+    p, q = pair
+    tv = tv_gaussian(p, q).value
+    assert tv <= np.sqrt(kl_gaussian(p, q) / 2.0) + TV_SLACK
+
+
+@PROPERTY
+@given(gaussian_pairs(dims=(1,)))
+def test_le_cam_hellinger_bounds_on_tv(pair):
+    p, q = pair
+    tv = tv_gaussian(p, q).value
+    h2 = hellinger_sq_gaussian(p, q)
+    assert h2 <= tv + TV_SLACK
+    assert tv <= np.sqrt(h2) * np.sqrt(2.0 - h2) + TV_SLACK
+
+
+def push_forward(g, a, b):
+    cov = a @ g.cov @ a.T
+    return GaussianDist(a @ g.mean + b, (cov + cov.T) / 2.0)
+
+
+@PROPERTY
+@given(gaussian_pairs(), st.data())
+def test_kl_and_hellinger_are_affine_invariant(pair, data):
+    p, q = pair
+    dim = p.dim
+    a = lattice(data.draw, (dim, dim), -8, 8)
+    assume(abs(np.linalg.det(a)) > 0.25 and np.linalg.cond(a) < 50.0)
+    b = lattice(data.draw, (dim,), -16, 16)
+    pa, qa = push_forward(p, a, b), push_forward(q, a, b)
+    assert kl_gaussian(pa, qa) == pytest.approx(kl_gaussian(p, q), rel=1e-8, abs=1e-10)
+    assert hellinger_sq_gaussian(pa, qa) == pytest.approx(hellinger_sq_gaussian(p, q), rel=1e-8, abs=1e-12)
+
+
+def spd(draw, dim):
+    a = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    return a @ a.T + draw(st.floats(0.5, 1.5)) * np.eye(dim)
+
+
+def vector(draw, dim, scale):
+    return np.array(draw(st.lists(st.floats(-scale, scale), min_size=dim, max_size=dim)))
+
+
+@st.composite
+def scenarios(draw):
+    # The ranges of the random scenarios in test_robustness.
+    dim = draw(st.integers(1, 4))
+    theta0 = vector(draw, dim, 2.0)
+    theta_star = theta0 + vector(draw, dim, 1.0)
+    s = MisspecScenario(theta0, theta_star, spd(draw, dim), spd(draw, dim), draw(st.floats(0.5, 3.0)))
+    n = draw(st.integers(20, 2000))
+    f = FiniteSampleInputs(
+        theta_star + vector(draw, dim, 0.1),
+        theta0 + vector(draw, dim, 0.1),
+        n,
+        eps_n=draw(st.floats(0.0, 2.5)) / n,
+    )
+    return s, f
+
+
+@PROPERTY
+@given(scenarios(), st.floats(0.05, 5.0))
+def test_surrogate_criteria_equal_their_kl_form(scenario, alpha):
+    s, f = scenario
+    assert abs(r_star(alpha, s, f) - surrogate_via_kl(alpha, s, f, s.V)) < 1e-10
+    assert abs(r_tilde_star(alpha, s, f) - surrogate_via_kl(alpha, s, f, s.V_tilde)) < 1e-10

@@ -160,12 +160,27 @@ class TestLanResidual:
         assert lan_residual(ds, toy_dgp(), [0.0]) == 0.0
 
     def test_two_routes_agree(self):
+        # Against the raw log-likelihood-ratio defect at theta_star + h / sqrt(n).
         dgp = toy_dgp()
+        v = curvature(dgp)
+        theta_star = pseudo_true(dgp)
         rng = np.random.default_rng(29)
         for _ in range(10):
             ds = simulate(dgp, int(rng.integers(50, 500)), int(rng.integers(10**6)))
             h = rng.normal(scale=2.0, size=1)
-            assert abs(lan_residual(ds, dgp, h, "qn") - lan_residual(ds, dgp, h, "direct")) < 1e-10
+            delta = np.sqrt(ds.n) * (ols(ds.W, ds.Y) - theta_star)
+            ll = regression_likelihood(ds, dgp.sigma_u)(np.vstack([theta_star + h / np.sqrt(ds.n), theta_star]))
+            direct = float(ll[0] - ll[1] - h @ v @ delta + 0.5 * h @ v @ h)
+            assert abs(lan_residual(ds, dgp, h) - direct) < 1e-10
+
+    def test_batch_matches_single_perturbations(self):
+        dgp = toy_dgp()
+        ds = simulate(dgp, 200, 5)
+        hs = np.linspace(-3.0, 3.0, 7)[:, None]
+        batch = lan_residual(ds, dgp, hs)
+        assert batch.shape == (7,)
+        assert_allclose(batch, [lan_residual(ds, dgp, h) for h in hs], rtol=1e-12, atol=1e-12)
+        assert lan_residual_sup(ds, dgp, bound=3.0, points_per_axis=7) == float(np.max(np.abs(batch)))
 
     def test_sup_decays_with_n(self):
         dgp = toy_dgp()
@@ -334,9 +349,24 @@ class TestFailureCase:
     def test_vanishing_tempering_keeps_gap_positive(self):
         dgp = toy_dgp(cov_WW=[[1.0]], sigma_u=1.0)
         prior = ConjugatePrior([0.0], [[1.0]])
-        h2 = failure_case_hellinger(dgp, prior, 1.0, [10**4, 10**5], seed=3)
+        h2 = failure_case_hellinger(dgp, prior, 1.0, [10**4, 10**5], seed=3)[:, 0]
         assert np.all(h2 > 0.001)
         assert abs(h2[1] - h2[0]) / h2[0] < 0.10
+
+    def test_control_column_is_untempered_gap_on_the_same_sample(self):
+        dgp = toy_dgp()
+        prior = ConjugatePrior([0.0], [[1.0]])
+        from alphapost.gaussians import hellinger_sq_gaussian
+        from alphapost.posteriors import gaussian_bvm_limit
+
+        h2 = failure_case_hellinger(dgp, prior, 2.0, [300, 100], seed=5)
+        assert h2.shape == (2, 2)
+        for row, n in zip(h2, (300, 100)):
+            ds = simulate(dgp, n, derived_seed(5, n))
+            lim = gaussian_bvm_limit(ols(ds.W, ds.Y), curvature(dgp), n, 1.0)
+            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
+            assert row[1] == hellinger_sq_gaussian(post, lim)
+            assert row[0] > row[1]
 
     def test_constant_tempering_gap_vanishes(self):
         dgp = toy_dgp()

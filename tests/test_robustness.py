@@ -11,7 +11,6 @@ from alphapost.robustness import (
     RobustnessCurve,
     a_n,
     exact_expected_kl,
-    golden_section_minimize,
     limit_alpha_star,
     limit_alpha_tilde,
     optimal_alpha,
@@ -20,12 +19,10 @@ from alphapost.robustness import (
     optimized_limit_kl_var,
     r_infinity,
     r_star,
-    r_star_closed_form,
     r_tilde_star,
-    r_tilde_star_closed_form,
 )
 
-from oracles import golden_min
+from oracles import golden_min, surrogate_via_kl
 
 
 def random_scenario(rng, dim=None):
@@ -116,8 +113,8 @@ class TestSurrogateCriteria:
         for _ in range(100):
             s, f = random_scenario(rng)
             for alpha in (0.2, 0.7, 1.0, 1.8):
-                assert abs(r_star(alpha, s, f) - r_star_closed_form(alpha, s, f)) < 1e-10
-                assert abs(r_tilde_star(alpha, s, f) - r_tilde_star_closed_form(alpha, s, f)) < 1e-10
+                assert abs(r_star(alpha, s, f) - surrogate_via_kl(alpha, s, f, s.V)) < 1e-10
+                assert abs(r_tilde_star(alpha, s, f) - surrogate_via_kl(alpha, s, f, s.V_tilde)) < 1e-10
 
     def test_diagonal_v_makes_both_criteria_equal(self):
         rng = np.random.default_rng(15)
@@ -152,7 +149,7 @@ class TestOptimalAlpha:
         s = unit_scenario()
         f = FiniteSampleInputs([1.0], [0.0], 100, 0.01)
         assert optimal_alpha(s, f) == pytest.approx(0.5, rel=1e-14)
-        numeric = golden_min(lambda a: r_star(a, s, f), 1e-6, 10.0)
+        numeric = golden_min(lambda a: surrogate_via_kl(a, s, f, s.V), 1e-6, 10.0)
         assert abs(optimal_alpha(s, f) - numeric) < 1e-6
 
     def test_closed_form_matches_golden_section_on_random_scenarios(self):
@@ -160,7 +157,7 @@ class TestOptimalAlpha:
         for _ in range(50):
             s, f = random_scenario(rng)
             closed = optimal_alpha(s, f)
-            numeric = golden_section_minimize(lambda a: r_star(a, s, f), 1e-6, 50.0)
+            numeric = golden_min(lambda a: surrogate_via_kl(a, s, f, s.V), 1e-6, 50.0)
             assert abs(closed - numeric) < 1e-6
 
     def test_diagonal_v_equates_both_optima(self):
@@ -260,14 +257,6 @@ class TestExactExpectedKL:
         got = exact_expected_kl(true_post, alpha_post, std_post, 0.3)
         assert_allclose(got, 0.3 * k1 + 0.7 * k2, rtol=1e-14)
 
-    def test_sandwich_swap_changes_target_covariance(self):
-        true_post = GaussianDist(0.3, 0.02)
-        alpha_post = GaussianDist(0.0, 0.02)
-        std_post = GaussianDist(0.05, 0.01)
-        swapped = exact_expected_kl(true_post, alpha_post, std_post, 1.0, sandwich_cov=np.array([[0.05]]))
-        expected = kl_gaussian(GaussianDist(0.3, 0.05), alpha_post)
-        assert_allclose(swapped, expected, rtol=1e-14)
-
     def test_rejects_bad_eps_n(self):
         g = GaussianDist(0.0, 1.0)
         with pytest.raises(ValueError, match="eps_n"):
@@ -290,13 +279,3 @@ class TestRobustnessCurve:
         with pytest.raises(ValueError, match="length"):
             RobustnessCurve(np.array([0.5, 1.0]), np.zeros(3), np.zeros(2))
 
-
-class TestGoldenSection:
-    def test_quadratic_minimum(self):
-        assert abs(golden_section_minimize(lambda x: (x - 2.0) ** 2, 0.0, 5.0) - 2.0) < 1e-7
-
-    def test_agrees_with_oracle_implementation(self):
-        fn = lambda a: a * 3.0 - 2.0 * np.log(a)
-        assert abs(
-            golden_section_minimize(fn, 1e-6, 10.0) - golden_min(fn, 1e-6, 10.0)
-        ) < 1e-7
