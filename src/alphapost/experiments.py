@@ -102,6 +102,10 @@ EXPERIMENT_NAMES = (
 # grid: the outermost of 32 nodes reaches past 10 matched standard deviations.
 PROJECTION_BOX_SCALE = 14.0
 
+# assumption-checks takes the sup of the LAN defect over a 13^p mesh
+# (regression.lan_residual_sup); 13^5 is about 371k points.
+_LAN_MESH_MAX_DIM = 5
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
@@ -305,7 +309,14 @@ class ExperimentConfig:
             if self.prior_scale <= 0:
                 raise ConfigError("prior_scale: must be positive")
         if experiment == "bvm-convergence" and self.model == "regression" and self.p > 2:
-            raise ConfigError("theta0: quadrature TV needs dimension <= 2 for this experiment")
+            raise ConfigError(
+                f"theta0: exact Gaussian TV is available in dimension <= 2 only, got dimension {self.p}"
+            )
+        if experiment == "assumption-checks" and self.p > _LAN_MESH_MAX_DIM:
+            raise ConfigError(
+                f"theta0: the LAN defect is evaluated on a 13^p mesh, so dimension must be "
+                f"<= {_LAN_MESH_MAX_DIM}, got dimension {self.p}"
+            )
         if self.alpha0 <= 0:
             raise ConfigError("alpha0: must be positive")
         try:
@@ -395,7 +406,7 @@ def _regression_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> l
             rows.append([n, rep, float(alpha), kl_gaussian(vc.dist, lim.dist)])
         else:
             lim = gaussian_bvm_limit(theta_hat, v, n, alpha)
-            tv = tv_gaussian(post, lim, "quadrature", cfg.grid_points).value
+            tv = tv_gaussian(post, lim, budget=cfg.grid_points).value
             rows.append([n, rep, float(alpha), tv, kl_gaussian(post, lim)])
     return rows
 

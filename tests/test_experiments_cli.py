@@ -204,6 +204,26 @@ class TestCLI:
         assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "nf")]) == 2
         assert f"{field}:" in capsys.readouterr().err
 
+    def test_oversized_lan_mesh_is_a_config_error(self, tmp_path, capsys):
+        # 13^8 (about 815M) mesh points would be requested before any check.
+        cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\ntheta0 = 1,1,1,1,1,1,1,1\n")
+        assert self.run_cli(["assumption-checks", "--config", str(cfg_path), "--out", str(tmp_path / "lan")]) == 2
+        assert "theta0:" in capsys.readouterr().err
+
+    def test_largest_lan_mesh_runs(self, tmp_path):
+        eye = ";".join(",".join("1" if i == j else "0" for j in range(5)) for i in range(5))
+        cfg_path = write_config(
+            tmp_path,
+            "seed = 1\nn_grid = 50\nreplications = 1\ntheta0 = 1,1,1,1,1\n"
+            f"cov_ww = {eye}\ncov_wz = 0.5;0;0;0;0\nmu_pi = 0,0,0,0,0\nsigma_pi = {eye}\n",
+        )
+        assert self.run_cli(["assumption-checks", "--config", str(cfg_path), "--out", str(tmp_path / "lan5")]) == 0
+
+    def test_three_dimensional_bvm_convergence_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\ntheta0 = 1,1,1\n")
+        assert self.run_cli(["bvm-convergence", "--config", str(cfg_path), "--out", str(tmp_path / "tv3")]) == 2
+        assert "theta0: exact Gaussian TV" in capsys.readouterr().err
+
     def test_ragged_matrix_is_a_dgp_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "seed = 1\ncov_ww = 1;0.3,1\n")
         assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(tmp_path / "rg")]) == 2

@@ -16,7 +16,14 @@ from alphapost.gaussians import (
     tv_grid,
 )
 
-from oracles import mc_kl, mc_tv, perturbed_pair, quadrature_hellinger_sq, tv_equal_variance
+from oracles import (
+    mc_kl,
+    mc_tv,
+    perturbed_pair,
+    quadrature_hellinger_sq,
+    tv_equal_variance,
+    tv_tensor_quadrature,
+)
 
 
 def random_gaussian(rng, dim, mean_scale=1.0):
@@ -150,33 +157,88 @@ class TestHellinger:
 
 class TestTVGaussian:
     def test_identical_is_zero(self):
-        g = GaussianDist(0.0, 1.0)
-        assert tv_gaussian(g, g, "quadrature", 2001).value < 1e-12
+        for g in (GaussianDist(0.3, 2.0), GaussianDist([0.3, -1.0], [[2.0, 0.4], [0.4, 0.5]])):
+            assert tv_gaussian(g, g, "exact", 2001).value == 0.0
 
     def test_equal_variance_closed_form(self):
         p, q = GaussianDist(0.0, 1.0), GaussianDist(1.0, 1.0)
-        got = tv_gaussian(p, q, "quadrature", 8001)
+        got = tv_gaussian(p, q, "exact", 8001)
         assert got.se == 0.0
-        assert_allclose(got.value, tv_equal_variance(0.0, 1.0, 1.0), atol=1e-6)
+        assert_allclose(got.value, tv_equal_variance(0.0, 1.0, 1.0), atol=1e-12)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            mu1, mu2, sigma = rng.normal(scale=3.0), rng.normal(scale=3.0), rng.uniform(0.1, 5.0)
+            got = tv_gaussian(GaussianDist(mu1, sigma**2), GaussianDist(mu2, sigma**2)).value
+            assert_allclose(got, tv_equal_variance(mu1, mu2, sigma), atol=1e-12)
+
+    def test_equal_covariance_2d_is_mahalanobis_closed_form(self):
+        # Equal covariances make log p - log q linear (d = 1 in the whitened
+        # frame): TV = 2 Phi(delta / 2) - 1 with delta the Mahalanobis distance.
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            p = random_gaussian(rng, 2)
+            q = GaussianDist(rng.normal(size=2), p.cov)
+            delta = np.sqrt((q.mean - p.mean) @ np.linalg.solve(p.cov, q.mean - p.mean))
+            assert_allclose(tv_gaussian(p, q).value, tv_equal_variance(0.0, delta, 1.0), atol=1e-12)
+
+    def test_2d_pair_agreeing_on_one_axis_reduces_to_1d(self):
+        p = GaussianDist([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]])
+        for q_mean, q_var in (([0.0, 0.7], [1.0, 0.5]), ([0.7, 0.0], [0.5, 2.0])):
+            q = GaussianDist(q_mean, np.diag(q_var))
+            axis = 1 if q_var[0] == 1.0 else 0
+            marginal = tv_gaussian(
+                GaussianDist(0.0, p.cov[axis, axis]), GaussianDist(q_mean[axis], q_var[axis])
+            ).value
+            assert_allclose(tv_gaussian(p, q).value, marginal, atol=1e-12)
+
+    def test_1d_matches_dense_trapezoid(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            p = GaussianDist(rng.normal(scale=2.0), rng.uniform(0.05, 4.0))
+            q = GaussianDist(rng.normal(scale=2.0), rng.uniform(0.05, 4.0))
+            assert abs(tv_gaussian(p, q).value - tv_tensor_quadrature(p, q, 200_001)) < 1e-9
+
+    def test_2d_matches_tensor_quadrature(self):
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            p, q = random_gaussian(rng, 2), random_gaussian(rng, 2)
+            assert abs(tv_gaussian(p, q).value - tv_tensor_quadrature(p, q, 4001)) < 1e-7
+
+    def test_2d_converges_in_the_budget(self):
+        # The outer rule is split where the section of {p > q} appears or
+        # vanishes, so even strongly elongated pairs need no large budget.
+        rng = np.random.default_rng(9)
+        for k in range(40):
+            stretch = np.diag([1.0, (30.0, 1.0, 1.0 / 30.0)[k % 3]])
+            a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 2)) @ stretch
+            p = GaussianDist(rng.normal(scale=3.0, size=2), a @ a.T + 0.01 * np.eye(2))
+            q = GaussianDist(rng.normal(size=2), b @ b.T + 0.01 * np.eye(2))
+            coarse, fine = tv_gaussian(p, q, budget=2001).value, tv_gaussian(p, q, budget=40_001).value
+            assert abs(coarse - fine) < 1e-12
 
     def test_pinsker_specific_pair(self):
         p, q = GaussianDist(0.0, 1.0), GaussianDist(0.3, 1.1)
-        tv = tv_gaussian(p, q, "quadrature", 4001).value
-        assert tv <= np.sqrt(2.0 * kl_gaussian(p, q))
+        tv = tv_gaussian(p, q, "exact", 4001).value
+        assert tv <= np.sqrt(kl_gaussian(p, q) / 2.0)
 
-    def test_quadrature_vs_monte_carlo(self):
+    def test_exact_vs_monte_carlo(self):
         rng = np.random.default_rng(23)
         for dim in (1, 2):
             for _ in range(5):
                 (m1, c1), (m2, c2) = perturbed_pair(rng, dim)
                 p, q = GaussianDist(m1, c1), GaussianDist(m2, c2)
-                quad = tv_gaussian(p, q, "quadrature", 2001 if dim == 1 else 301)
+                exact = tv_gaussian(p, q, "exact", 2001)
                 mc = tv_gaussian(p, q, "monte_carlo", 40_000, rng=rng)
-                assert abs(quad.value - mc.value) < 3 * mc.se + 1e-4
+                assert abs(exact.value - mc.value) < 3 * mc.se + 1e-4
 
-    def test_quadrature_rejects_high_dim(self):
+    def test_exact_rejects_high_dim(self):
         g = GaussianDist(np.zeros(3), np.eye(3))
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="dimension 3"):
+            tv_gaussian(g, g, "exact", 101)
+
+    def test_quadrature_method_is_gone(self):
+        g = GaussianDist(0.0, 1.0)
+        with pytest.raises(ValueError, match="unknown method"):
             tv_gaussian(g, g, "quadrature", 101)
 
     def test_monte_carlo_needs_rng(self):
