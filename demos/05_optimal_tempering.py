@@ -14,12 +14,12 @@ import numpy as np
 from alphapost import (
     FiniteSampleInputs,
     MisspecScenario,
-    RobustnessCurve,
     limit_alpha_star,
     limit_alpha_tilde,
     optimal_alpha,
     optimized_limit_kl,
     r_infinity,
+    r_star,
 )
 
 scenario = MisspecScenario(
@@ -31,10 +31,11 @@ scenario = MisspecScenario(
 )
 fin = FiniteSampleInputs.at_population_limits(scenario, n=2000)
 
-curve = RobustnessCurve.evaluate(np.linspace(0.05, 1.5, 59), scenario, fin)
+alphas = np.linspace(0.05, 1.5, 59)
+curve = [r_star(alpha, scenario, fin) for alpha in alphas]
 closed = optimal_alpha(scenario, fin)
 print("closed-form optimal tempering:", closed)
-print("grid argmin of the curve:     ", curve.argmin_alpha())
+print("grid argmin of the curve:     ", float(alphas[np.argmin(curve)]))
 print("large-sample limits:          ", limit_alpha_star(scenario), limit_alpha_tilde(scenario))
 
 # Growth comparison: double the parameter gap and watch the untempered

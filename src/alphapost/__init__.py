@@ -72,7 +72,6 @@ from .regression import (
 from .robustness import (
     FiniteSampleInputs,
     MisspecScenario,
-    RobustnessCurve,
     a_n,
     b_n,
     exact_expected_kl,

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .gaussians import GridDensity, kl_gaussian, kl_grid, tv_gaussian, tv_grid
-from .meanfield import gmf_project_numeric, variational_bvm_limit
+from .meanfield import gmf_project_gaussian, gmf_project_numeric, variational_bvm_limit
 from .posteriors import (
     ConjugatePrior,
     LikelihoodEvaluator,
@@ -65,7 +65,6 @@ from .regression import (
     pseudo_true,
     simulate,
     true_posterior_theta,
-    variational_conjugate_cov,
 )
 from .robustness import (
     FiniteSampleInputs,
@@ -289,12 +288,10 @@ class ExperimentConfig:
             raise ConfigError("alpha: must be positive")
         if self.eps <= 0:
             raise ConfigError("eps: must be positive")
-        sizes = {
-            "robustness-curve": [self.single_n()],
-            "optimal-alpha": [self.single_n()],
-            "surrogate-fidelity": self.n_grid,
-        }.get(experiment, [])
-        if sizes and self.eps > min(sizes):
+        single = experiment in ("robustness-curve", "optimal-alpha")
+        sizes = [self.single_n()] if single else self.n_grid
+        size_field = "n" if single and self.n is not None else "n_grid"
+        if experiment in ("robustness-curve", "optimal-alpha", "surrogate-fidelity") and self.eps > min(sizes):
             raise ConfigError(
                 f"eps: must not exceed the smallest sample size n = {min(sizes)}, "
                 "since eps / n is a probability"
@@ -303,12 +300,13 @@ class ExperimentConfig:
             raise ConfigError("grid_points: at least 101 nodes per axis are required")
         if self.model not in ("regression", "laplace-location"):
             raise ConfigError(f"model: unknown model {self.model!r}")
-        if experiment in ("bvm-convergence", "vbvm-convergence") and self.model == "laplace-location":
+        laplace = experiment in ("bvm-convergence", "vbvm-convergence") and self.model == "laplace-location"
+        if laplace:
             if self.noise_sd <= 0:
                 raise ConfigError("noise_sd: must be positive")
             if self.prior_scale <= 0:
                 raise ConfigError("prior_scale: must be positive")
-        if experiment == "bvm-convergence" and self.model == "regression" and self.p > 2:
+        if experiment == "bvm-convergence" and not laplace and self.p > 2:
             raise ConfigError(
                 f"theta0: exact Gaussian TV is available in dimension <= 2 only, got dimension {self.p}"
             )
@@ -317,6 +315,18 @@ class ExperimentConfig:
                 f"theta0: the LAN defect is evaluated on a 13^p mesh, so dimension must be "
                 f"<= {_LAN_MESH_MAX_DIM}, got dimension {self.p}"
             )
+        # Every experiment but optimal-alpha and the location model simulates
+        # regression samples and reads the prior.
+        if experiment != "optimal-alpha" and not laplace:
+            if len(self.mu_pi) != self.p:
+                raise ConfigError(f"mu_pi: the prior has dimension {len(self.mu_pi)}, theta0 has {self.p}")
+            if min(sizes) < self.p + self.d:
+                raise ConfigError(f"{size_field}: every sample size must be at least p + d = {self.p + self.d}")
+        if experiment in ("robustness-curve", "surrogate-fidelity") and self.full_prior_mu is not None:
+            if len(self.full_prior_mu) != self.p + self.d:
+                raise ConfigError(
+                    f"full_prior_mu: the full prior has dimension {len(self.full_prior_mu)}, p + d is {self.p + self.d}"
+                )
         if self.alpha0 <= 0:
             raise ConfigError("alpha0: must be positive")
         try:
@@ -391,9 +401,9 @@ def _location_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> lis
     return rows
 
 
-def _regression_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> list[list]:
-    dgp = cfg.dgp()
-    prior = cfg.prior()
+def _regression_rep(
+    cfg: ExperimentConfig, dgp: RegressionDGP, prior: ConjugatePrior, n: int, rep: int, project: bool
+) -> list[list]:
     ds = simulate(dgp, n, derived_seed(cfg.seed, n, rep))
     theta_hat = ols(ds.W, ds.Y)
     v = curvature(dgp)
@@ -401,9 +411,8 @@ def _regression_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> l
     for alpha in cfg.alphas:
         post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
         if project:
-            vc = variational_conjugate_cov(ds, prior, dgp.sigma_u, alpha)
             lim = variational_bvm_limit(theta_hat, v, n, alpha)
-            rows.append([n, rep, float(alpha), kl_gaussian(vc.dist, lim.dist)])
+            rows.append([n, rep, float(alpha), kl_gaussian(gmf_project_gaussian(post).dist, lim.dist)])
         else:
             lim = gaussian_bvm_limit(theta_hat, v, n, alpha)
             tv = tv_gaussian(post, lim, budget=cfg.grid_points).value
@@ -411,35 +420,52 @@ def _regression_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> l
     return rows
 
 
+def _convergence_rows(cfg: ExperimentConfig, project: bool) -> list[list]:
+    if cfg.model == "laplace-location":
+        return _replicated_rows(cfg, lambda n, rep: _location_rep(cfg, n, rep, project))
+    dgp, prior = cfg.dgp(), cfg.prior()
+    return _replicated_rows(cfg, lambda n, rep: _regression_rep(cfg, dgp, prior, n, rep, project))
+
+
+def _exact_robustness(
+    cfg: ExperimentConfig, dgp: RegressionDGP, prior: ConjugatePrior, full_prior: ConjugatePrior, n: int, rep: int
+) -> tuple[FiniteSampleInputs, list[tuple[float, float]]]:
+    """Sample ``(n, rep)``'s finite-sample inputs and ``(alpha, r_exact)`` for each sorted alpha.
+
+    ``r_exact`` is the expected KL of the tempered posterior against the
+    correctly specified (``true_posterior_theta``) and the standard
+    (``alpha = 1``) posteriors, with misspecification probability ``eps / n``.
+    """
+    eps_n = cfg.eps / n
+    ds = simulate(dgp, n, derived_seed(cfg.seed, n, rep))
+    theta_f = ols(ds.W, ds.Y)
+    theta_g = ols(np.hstack([ds.W, ds.Z]), ds.Y)[: dgp.p]
+    fin = FiniteSampleInputs(theta_f, theta_g, n, eps_n)
+    true_post, _ = true_posterior_theta(ds, full_prior, dgp.sigma_eps)
+    std_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
+    curve = []
+    for alpha in sorted(cfg.alphas):
+        alpha_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
+        curve.append((float(alpha), exact_expected_kl(true_post, alpha_post, std_post, eps_n)))
+    return fin, curve
+
+
 def exp_bvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    rep_fn = _location_rep if cfg.model == "laplace-location" else _regression_rep
-    rows = _replicated_rows(cfg, lambda n, rep: rep_fn(cfg, n, rep, False))
-    return ["n", "rep", "alpha", "tv", "kl"], rows
+    return ["n", "rep", "alpha", "tv", "kl"], _convergence_rows(cfg, False)
 
 
 def exp_vbvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    rep_fn = _location_rep if cfg.model == "laplace-location" else _regression_rep
-    rows = _replicated_rows(cfg, lambda n, rep: rep_fn(cfg, n, rep, True))
-    return ["n", "rep", "alpha", "kl"], rows
+    return ["n", "rep", "alpha", "kl"], _convergence_rows(cfg, True)
 
 
 def exp_robustness_curve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     dgp = cfg.dgp()
-    prior = cfg.prior()
     scenario = misspec_scenario(dgp, cfg.eps)
-    n = cfg.single_n()
-    eps_n = cfg.eps / n
-    ds = simulate(dgp, n, derived_seed(cfg.seed, n, 0))
-    theta_f = ols(ds.W, ds.Y)
-    theta_g = ols(np.hstack([ds.W, ds.Z]), ds.Y)[: dgp.p]
-    fin = FiniteSampleInputs(theta_f, theta_g, n, eps_n)
-    true_post, _ = true_posterior_theta(ds, cfg.full_prior(), dgp.sigma_eps)
-    std_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
-    rows = []
-    for alpha in sorted(cfg.alphas):
-        alpha_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
-        r_exact = exact_expected_kl(true_post, alpha_post, std_post, eps_n)
-        rows.append([float(alpha), r_star(alpha, scenario, fin), r_tilde_star(alpha, scenario, fin), r_exact])
+    fin, curve = _exact_robustness(cfg, dgp, cfg.prior(), cfg.full_prior(), cfg.single_n(), 0)
+    rows = [
+        [alpha, r_star(alpha, scenario, fin), r_tilde_star(alpha, scenario, fin), r_exact]
+        for alpha, r_exact in curve
+    ]
     return ["alpha", "r_star", "r_tilde_star", "r_exact"], rows
 
 
@@ -486,19 +512,11 @@ def exp_surrogate_fidelity(cfg: ExperimentConfig) -> tuple[list[str], list[list]
     scenario = misspec_scenario(dgp, cfg.eps)
 
     def one_rep(n: int, rep: int) -> list[list]:
-        eps_n = cfg.eps / n
-        ds = simulate(dgp, n, derived_seed(cfg.seed, n, rep))
-        theta_f = ols(ds.W, ds.Y)
-        theta_g = ols(np.hstack([ds.W, ds.Z]), ds.Y)[: dgp.p]
-        fin = FiniteSampleInputs(theta_f, theta_g, n, eps_n)
-        true_post, _ = true_posterior_theta(ds, full_prior, dgp.sigma_eps)
-        std_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
+        fin, curve = _exact_robustness(cfg, dgp, prior, full_prior, n, rep)
         rows = []
-        for alpha in sorted(cfg.alphas):
-            alpha_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
-            r_exact = exact_expected_kl(true_post, alpha_post, std_post, eps_n)
+        for alpha, r_exact in curve:
             r_surr = r_star(alpha, scenario, fin)
-            rows.append([n, rep, float(alpha), r_exact, r_surr, abs(r_exact - r_surr)])
+            rows.append([n, rep, alpha, r_exact, r_surr, abs(r_exact - r_surr)])
         return rows
 
     rows = _replicated_rows(cfg, one_rep)

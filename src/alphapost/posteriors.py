@@ -65,9 +65,6 @@ class ConjugatePrior:
     def dim(self) -> int:
         return self.mu_pi.size
 
-    def is_flat(self) -> bool:
-        return not np.any(self.Sigma_pi)
-
     def log_density_fn(self, sigma_u: float) -> Callable[[np.ndarray], np.ndarray]:
         """Batched log prior density; requires an invertible ``Sigma_pi``."""
         cov = sigma_u**2 * np.linalg.inv(self.Sigma_pi)
@@ -118,6 +115,8 @@ def conjugate_alpha_posterior(
     n = W.shape[0]
     if n < 1 or Y.size != n:
         raise ValueError("design and response row counts disagree")
+    if prior.dim != W.shape[1]:
+        raise ValueError(f"prior dimension {prior.dim} does not match the {W.shape[1]} design columns")
     s = W.T @ W / n + prior.Sigma_pi / (alpha * n)
     b = prior.Sigma_pi @ prior.mu_pi / (alpha * n) + W.T @ Y / n
     try:

@@ -18,15 +18,13 @@ bounded away from the posterior, next to its constant-tempering control.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .gaussians import GaussianDist, hellinger_sq_gaussian, mesh_points
-from .meanfield import DiagonalGaussian
+from .meanfield import DiagonalGaussian, gmf_project_gaussian
 from .posteriors import ConjugatePrior, LikelihoodEvaluator, conjugate_alpha_posterior, gaussian_bvm_limit
 from .robustness import MisspecScenario
 
@@ -127,7 +125,6 @@ class RegressionDataset:
     Y: np.ndarray
     W: np.ndarray
     Z: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         y = np.asarray(self.Y, dtype=float).ravel()
@@ -143,30 +140,6 @@ class RegressionDataset:
     def n(self) -> int:
         return self.Y.size
 
-    def to_csv(self, path: str | Path):
-        """Write rows with header ``y,w1..wp,z1..zd`` for external cross-checks."""
-        p, d = self.W.shape[1], self.Z.shape[1]
-        header = ["y"] + [f"w{j + 1}" for j in range(p)] + [f"z{j + 1}" for j in range(d)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.n):
-                writer.writerow(
-                    [repr(float(v)) for v in (self.Y[i], *self.W[i], *self.Z[i])]
-                )
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "RegressionDataset":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = np.array([[float(v) for v in row] for row in reader])
-        p = sum(name.startswith("w") for name in header)
-        d = sum(name.startswith("z") for name in header)
-        if header[0] != "y" or 1 + p + d != len(header):
-            raise ValueError("expected header y,w1..wp,z1..zd")
-        return cls(rows[:, 0], rows[:, 1 : 1 + p], rows[:, 1 + p :])
-
 
 def simulate(dgp: RegressionDGP, n: int, seed: int) -> RegressionDataset:
     """Draw an i.i.d. sample of size ``n``; bit-reproducible given the seed."""
@@ -177,7 +150,7 @@ def simulate(dgp: RegressionDGP, n: int, seed: int) -> RegressionDataset:
     x = rng.standard_normal((n, dgp.p + dgp.d)) @ chol.T
     w, z = x[:, : dgp.p], x[:, dgp.p :]
     y = w @ dgp.theta0 + z @ dgp.gamma0 + dgp.sigma_eps * rng.standard_normal(n)
-    return RegressionDataset(y, w, z, seed=seed)
+    return RegressionDataset(y, w, z)
 
 
 def ols(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -312,19 +285,13 @@ def variational_conjugate_cov(
 ) -> DiagonalGaussian:
     """Closed-form mean-field approximation of the conjugate tempered posterior.
 
-    Same mean as the tempered posterior; the variances invert the diagonal
-    of the posterior precision scale, so each coordinate's variance is never
-    above the corresponding tempered-posterior marginal variance.
+    The KL projection (:func:`gmf_project_gaussian`) of
+    :func:`conjugate_alpha_posterior`: same mean as the tempered posterior;
+    the variances invert the diagonal of its precision, so each coordinate's
+    variance is never above the corresponding tempered-posterior marginal
+    variance.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    n = ds.n
-    s = ds.W.T @ ds.W / n + prior.Sigma_pi / (alpha * n)
-    if np.any(np.diag(s) <= 0) or not np.all(np.isfinite(s)):
-        raise ValueError("singular normal-equations matrix")
-    mean = conjugate_alpha_posterior(ds.W, ds.Y, prior, sigma_u, alpha).mean
-    var = sigma_u**2 / (alpha * n) / np.diag(s)
-    return DiagonalGaussian(mean, var)
+    return gmf_project_gaussian(conjugate_alpha_posterior(ds.W, ds.Y, prior, sigma_u, alpha))
 
 
 def true_posterior_theta(

@@ -22,7 +22,6 @@ optimally tempered one grows only logarithmically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .gaussians import GaussianDist, kl_gaussian
 __all__ = [
     "MisspecScenario",
     "FiniteSampleInputs",
-    "RobustnessCurve",
     "a_n",
     "b_n",
     "r_star",
@@ -278,53 +276,3 @@ def exact_expected_kl(
     return eps_n * kl_gaussian(true_post, alpha_post) + (1.0 - eps_n) * kl_gaussian(
         std_post, alpha_post
     )
-
-
-@dataclass(frozen=True)
-class RobustnessCurve:
-    """Tabulated robustness criteria over a grid of tempering levels."""
-
-    alphas: np.ndarray
-    r_star_vals: np.ndarray
-    r_tilde_star_vals: np.ndarray
-    r_exact_vals: np.ndarray | None = None
-
-    def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=float)
-        rs = np.asarray(self.r_star_vals, dtype=float)
-        rt = np.asarray(self.r_tilde_star_vals, dtype=float)
-        if np.any(np.diff(alphas) <= 0) or np.any(alphas <= 0):
-            raise ValueError("alphas must be sorted positive values")
-        if rs.shape != alphas.shape or rt.shape != alphas.shape:
-            raise ValueError("curve arrays must share the alpha grid length")
-        arrays = [alphas, rs, rt]
-        if self.r_exact_vals is not None:
-            re = np.asarray(self.r_exact_vals, dtype=float)
-            if re.shape != alphas.shape:
-                raise ValueError("curve arrays must share the alpha grid length")
-            arrays.append(re)
-            object.__setattr__(self, "r_exact_vals", re)
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise ValueError("curve values must be finite")
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "r_star_vals", rs)
-        object.__setattr__(self, "r_tilde_star_vals", rt)
-
-    @classmethod
-    def evaluate(
-        cls,
-        alphas: Sequence[float],
-        s: MisspecScenario,
-        f: FiniteSampleInputs,
-        exact_fn: Callable[[float], float] | None = None,
-    ) -> "RobustnessCurve":
-        alphas = np.asarray(sorted(alphas), dtype=float)
-        rs = np.array([r_star(a, s, f) for a in alphas])
-        rt = np.array([r_tilde_star(a, s, f) for a in alphas])
-        re = np.array([exact_fn(a) for a in alphas]) if exact_fn is not None else None
-        return cls(alphas, rs, rt, re)
-
-    def argmin_alpha(self) -> float:
-        """Grid argmin of the tempered-posterior surrogate column."""
-        return float(self.alphas[int(np.argmin(self.r_star_vals))])
-

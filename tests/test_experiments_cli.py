@@ -118,6 +118,15 @@ class TestExperimentOutputs:
         # allow a couple of grid steps around the closed form.
         assert abs(argmin - optimal_alpha(scenario, fin)) <= 3 * (grid[1] - grid[0])
 
+    def test_robustness_curve_is_surrogate_fidelity_at_rep_zero(self, tmp_path):
+        cfg_text = "seed = 13\nn_grid = 300\nreplications = 2\nalphas = 1.0,0.25,0.5\n"
+        _, curve = run_experiment(ExperimentConfig.from_file(write_config(tmp_path, cfg_text)), "robustness-curve")
+        _, fidelity = run_experiment(ExperimentConfig.from_file(write_config(tmp_path, cfg_text)), "surrogate-fidelity")
+        rep0 = [row for row in fidelity if row[1] == 0]
+        assert [r[0] for r in curve] == [r[2] for r in rep0] == [0.25, 0.5, 1.0]
+        assert [r[3] for r in curve] == [r[3] for r in rep0]
+        assert [r[1] for r in curve] == [r[4] for r in rep0]
+
     def test_failure_case_arms_separate(self, tmp_path):
         cfg = ExperimentConfig.from_file(
             write_config(tmp_path, "seed = 11\nn_grid = 2000,8000\nalpha0 = 1.0\n")
@@ -233,6 +242,33 @@ class TestCLI:
         cfg_path = write_config(tmp_path, "seed = 1\nn = 0\n")
         assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(tmp_path / "n0")]) == 2
         assert "n:" in capsys.readouterr().err
+        # Regression samples need at least p + d = 2 rows.
+        for experiment, text, field in [
+            ("assumption-checks", "n_grid = 1", "n_grid"),
+            ("surrogate-fidelity", "n_grid = 1", "n_grid"),
+            ("bvm-convergence", "n_grid = 1", "n_grid"),
+            ("robustness-curve", "n = 1", "n"),
+            ("robustness-curve", "n_grid = 1", "n_grid"),
+        ]:
+            cfg_path = write_config(tmp_path, f"seed = 1\nreplications = 1\n{text}\n")
+            assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "n1")]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize("experiment", ["bvm-convergence", "assumption-checks"])
+    def test_prior_dimension_mismatch_is_a_config_error(self, tmp_path, capsys, experiment):
+        cfg_path = write_config(
+            tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\ntheta0 = 1,0.5\ncov_ww = 1,0;0,1\ncov_wz = 0.5;0\n"
+        )
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "pd")]) == 2
+        assert "mu_pi:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["surrogate-fidelity", "robustness-curve"])
+    def test_full_prior_dimension_mismatch_is_a_config_error(self, tmp_path, capsys, experiment):
+        cfg_path = write_config(
+            tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\nfull_prior_mu = 0\nfull_prior_sigma = 1\n"
+        )
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "fp")]) == 2
+        assert "full_prior_mu:" in capsys.readouterr().err
 
     def test_unwritable_output_is_a_config_error(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)

@@ -30,7 +30,7 @@ def toy_dgp(**kw):
 class TestConjugatePrior:
     def test_flat_prior(self):
         prior = ConjugatePrior.flat(2)
-        assert prior.is_flat()
+        assert not np.any(prior.Sigma_pi)
 
     def test_rejects_negative_eigenvalues(self):
         with pytest.raises(ValueError, match="semidefinite"):
@@ -71,6 +71,12 @@ class TestConjugateAlphaPosterior:
         w = np.zeros((5, 1))
         with pytest.raises(ValueError, match="singular"):
             conjugate_alpha_posterior(w, np.ones(5), ConjugatePrior.flat(1), 1.0, 1.0)
+
+    def test_prior_dimension_mismatch_rejected(self):
+        # A 1-d prior on a 2-column design would broadcast Sigma_pi onto every entry of W'W/n.
+        w = np.random.default_rng(4).standard_normal((20, 2))
+        with pytest.raises(ValueError, match="prior dimension"):
+            conjugate_alpha_posterior(w, np.ones(20), ConjugatePrior([0.0], [[1.0]]), 1.0, 1.0)
 
 
 class TestGridAlphaPosterior:

@@ -438,34 +438,6 @@ class TestPosteriorSequenceScaling:
         assert np.median(errs) < 0.02
 
 
-class TestCSVRoundTrip:
-    def test_export_import_identity(self, tmp_path):
-        dgp = RegressionDGP(
-            theta0=[1.0, 0.5],
-            gamma0=[1.0],
-            sigma_eps=1.0,
-            cov_WW=[[1.0, 0.2], [0.2, 1.0]],
-            cov_WZ=[[0.3], [0.1]],
-            cov_ZZ=[[1.0]],
-        )
-        ds = simulate(dgp, 50, 91)
-        path = tmp_path / "sample.csv"
-        ds.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "y,w1,w2,z1"
-        back = RegressionDataset.from_csv(path)
-        assert np.array_equal(back.Y, ds.Y)
-        assert np.array_equal(back.W, ds.W)
-        assert np.array_equal(back.Z, ds.Z)
-        assert_allclose(ols(back.W, back.Y), ols(ds.W, ds.Y), rtol=1e-15)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            RegressionDataset.from_csv(path)
-
-
 class TestRegressionLikelihood:
     def test_matches_direct_evaluation(self):
         dgp = toy_dgp()

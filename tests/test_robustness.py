@@ -8,7 +8,6 @@ from alphapost.gaussians import GaussianDist, kl_gaussian
 from alphapost.robustness import (
     FiniteSampleInputs,
     MisspecScenario,
-    RobustnessCurve,
     a_n,
     exact_expected_kl,
     limit_alpha_star,
@@ -261,21 +260,3 @@ class TestExactExpectedKL:
         g = GaussianDist(0.0, 1.0)
         with pytest.raises(ValueError, match="eps_n"):
             exact_expected_kl(g, g, g, -0.1)
-
-
-class TestRobustnessCurve:
-    def test_evaluate_and_argmin(self):
-        s = unit_scenario()
-        f = FiniteSampleInputs([1.0], [0.0], 100, 0.01)
-        alphas = np.linspace(0.05, 2.0, 80)
-        curve = RobustnessCurve.evaluate(alphas, s, f)
-        assert abs(curve.argmin_alpha() - optimal_alpha(s, f)) <= alphas[1] - alphas[0]
-
-    def test_rejects_unsorted_alphas(self):
-        with pytest.raises(ValueError, match="sorted"):
-            RobustnessCurve(np.array([1.0, 0.5]), np.zeros(2), np.zeros(2))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            RobustnessCurve(np.array([0.5, 1.0]), np.zeros(3), np.zeros(2))
-
