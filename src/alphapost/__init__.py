@@ -37,7 +37,6 @@ from .meanfield import (
     DiagonalGaussian,
     gmf_project_gaussian,
     gmf_project_numeric,
-    maximize_penalized_objective,
     penalized_objective,
     variational_bvm_limit,
 )

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .experiments import EXPERIMENT_NAMES, ConfigError, ExperimentConfig, run_and_write
+from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run_and_write
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run a named, seeded experiment and write CSV + JSON outputs.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in EXPERIMENT_NAMES:
+    for name in EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True, help="path to a flat key = value config file")
         sp.add_argument("--seed", type=int, default=None, help="override the master seed")

@@ -68,6 +68,7 @@ from .regression import (
 )
 from .robustness import (
     FiniteSampleInputs,
+    MisspecScenario,
     exact_expected_kl,
     limit_alpha_star,
     limit_alpha_tilde,
@@ -87,16 +88,6 @@ __all__ = [
     "laplace_log_prior",
 ]
 
-EXPERIMENT_NAMES = (
-    "bvm-convergence",
-    "vbvm-convergence",
-    "robustness-curve",
-    "optimal-alpha",
-    "failure-case",
-    "assumption-checks",
-    "surrogate-fidelity",
-)
-
 # Grid box scale used whenever a Gauss-Hermite projection runs against the
 # grid: the outermost of 32 nodes reaches past 10 matched standard deviations.
 PROJECTION_BOX_SCALE = 14.0
@@ -110,12 +101,16 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
 
 
-def _parse_vector(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _parse_matrix(text: str) -> list[list[float]]:
-    return [_parse_vector(row) for row in text.split(";") if row.strip() != ""]
+def _parse(annotation: str, text: str):
+    # A field's value from its annotation: ``str``, ``int`` or ``float``, a
+    # comma separated ``list[...]`` of them, or a ``list[list[...]]`` matrix
+    # with ``;`` between rows.  ``| None`` only marks a ``None`` default.
+    base = annotation.removesuffix(" | None")
+    if not base.startswith("list["):
+        return {"str": str, "int": int, "float": float}[base](text)
+    inner = base[len("list[") : -1]
+    sep = ";" if inner.startswith("list[") else ","
+    return [_parse(inner, part) for part in text.split(sep) if part.strip() != ""]
 
 
 def _flatten(value) -> list:
@@ -125,12 +120,29 @@ def _flatten(value) -> list:
     return [value]
 
 
+def _conjugate_prior(mu_field: str, mu, sigma_field: str, sigma, dims: str, k: int) -> ConjugatePrior:
+    # A prior of dimension k (``dims`` names it) whose errors name its fields.
+    if len(mu) != k:
+        raise ConfigError(f"{mu_field}: has dimension {len(mu)}, but {dims} = {k}")
+    try:
+        sig = np.array(sigma, dtype=float)
+        if sig.shape != (k, k):
+            raise ValueError(f"must be a {k} x {k} matrix since {dims} = {k}, got shape {sig.shape}")
+        return ConjugatePrior(np.array(mu, dtype=float), sig)
+    except ValueError as err:
+        raise ConfigError(f"{sigma_field}: {err}") from err
+
+
 @dataclass
 class ExperimentConfig:
     """Flat configuration for one experiment run.
 
-    The master ``seed`` is mandatory.  Vector values are comma separated,
-    matrices use ``;`` between rows (``"1,0.5;0.5,1"``).
+    The master ``seed`` is mandatory.  Each field is parsed by its
+    annotation: vector values are comma separated, matrices use ``;``
+    between rows (``"1,0.5;0.5,1"``).  :meth:`validate` checks each field on
+    its own; the builders (:meth:`dgp`, :meth:`prior`, :meth:`full_prior`,
+    :meth:`scenario`) check the objects an experiment builds from several
+    fields, so fields an experiment never reads are not checked further.
     """
 
     experiment: str = ""
@@ -164,38 +176,9 @@ class ExperimentConfig:
     # failure case
     alpha0: float = 1.0
 
-    _PARSERS = {
-        "experiment": str,
-        "seed": int,
-        "out": str,
-        "replications": int,
-        "n_grid": lambda s: [int(v) for v in s.split(",") if v.strip() != ""],
-        "n": int,
-        "alphas": _parse_vector,
-        "alpha": float,
-        "eps": float,
-        "grid_points": int,
-        "model": str,
-        "theta0": _parse_vector,
-        "gamma0": _parse_vector,
-        "sigma_eps": float,
-        "cov_ww": _parse_matrix,
-        "cov_wz": _parse_matrix,
-        "cov_zz": _parse_matrix,
-        "sigma_u": float,
-        "mu_pi": _parse_vector,
-        "sigma_pi": _parse_matrix,
-        "full_prior_mu": _parse_vector,
-        "full_prior_sigma": _parse_matrix,
-        "theta_true": float,
-        "noise_sd": float,
-        "prior_loc": float,
-        "prior_scale": float,
-        "alpha0": float,
-    }
-
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
+        annotations = {f.name: f.type for f in fields(cls)}
         cfg = cls()
         try:
             text = Path(path).read_text()
@@ -210,25 +193,16 @@ class ExperimentConfig:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in cls._PARSERS:
+            if key not in annotations:
                 raise ConfigError(f"{key}: unknown configuration field")
             try:
-                setattr(cfg, key, cls._PARSERS[key](value))
+                setattr(cfg, key, _parse(annotations[key], value))
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"{key}: cannot parse {value!r}") from err
         return cfg
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        cfg = cls()
-        for key, value in d.items():
-            if key not in {f.name for f in fields(cls)}:
-                raise ConfigError(f"{key}: unknown configuration field")
-            setattr(cfg, key, value)
-        return cfg
 
     # -- derived objects ---------------------------------------------------
 
@@ -241,30 +215,42 @@ class ExperimentConfig:
         return len(self.gamma0)
 
     def dgp(self) -> RegressionDGP:
-        return RegressionDGP(
-            theta0=np.array(self.theta0),
-            gamma0=np.array(self.gamma0),
-            sigma_eps=self.sigma_eps,
-            cov_WW=np.array(self.cov_ww),
-            cov_WZ=np.array(self.cov_wz),
-            cov_ZZ=np.array(self.cov_zz),
-            sigma_u=self.sigma_u,
-        )
+        try:
+            return RegressionDGP(
+                theta0=np.array(self.theta0),
+                gamma0=np.array(self.gamma0),
+                sigma_eps=self.sigma_eps,
+                cov_WW=np.array(self.cov_ww),
+                cov_WZ=np.array(self.cov_wz),
+                cov_ZZ=np.array(self.cov_zz),
+                sigma_u=self.sigma_u,
+            )
+        except ValueError as err:
+            raise ConfigError(f"dgp/prior: {err}") from err
 
     def prior(self) -> ConjugatePrior:
-        return ConjugatePrior(np.array(self.mu_pi), np.array(self.sigma_pi))
+        return _conjugate_prior("mu_pi", self.mu_pi, "sigma_pi", self.sigma_pi, "p", self.p)
 
     def full_prior(self) -> ConjugatePrior:
         k = self.p + self.d
-        mu = np.array(self.full_prior_mu) if self.full_prior_mu is not None else np.zeros(k)
-        sig = np.array(self.full_prior_sigma) if self.full_prior_sigma is not None else np.eye(k)
-        return ConjugatePrior(mu, sig)
+        mu = self.full_prior_mu if self.full_prior_mu is not None else [0.0] * k
+        sig = self.full_prior_sigma if self.full_prior_sigma is not None else np.eye(k)
+        return _conjugate_prior("full_prior_mu", mu, "full_prior_sigma", sig, "p + d", k)
+
+    def scenario(self) -> MisspecScenario:
+        if self.sigma_eps <= 0:
+            raise ConfigError(
+                "sigma_eps: must be positive, since the correctly specified posterior's covariance scale "
+                "Omega is zero at sigma_eps = 0"
+            )
+        return misspec_scenario(self.dgp(), self.eps)
 
     def single_n(self) -> int:
         return self.n if self.n is not None else max(self.n_grid)
 
     def validate(self, experiment: str):
-        if experiment not in EXPERIMENT_NAMES:
+        """Check each field on its own; the builders check what they build."""
+        if experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: unknown experiment {experiment!r}")
         if self.experiment and self.experiment != experiment:
             raise ConfigError(
@@ -316,25 +302,11 @@ class ExperimentConfig:
                 f"<= {_LAN_MESH_MAX_DIM}, got dimension {self.p}"
             )
         # Every experiment but optimal-alpha and the location model simulates
-        # regression samples and reads the prior.
-        if experiment != "optimal-alpha" and not laplace:
-            if len(self.mu_pi) != self.p:
-                raise ConfigError(f"mu_pi: the prior has dimension {len(self.mu_pi)}, theta0 has {self.p}")
-            if min(sizes) < self.p + self.d:
-                raise ConfigError(f"{size_field}: every sample size must be at least p + d = {self.p + self.d}")
-        if experiment in ("robustness-curve", "surrogate-fidelity") and self.full_prior_mu is not None:
-            if len(self.full_prior_mu) != self.p + self.d:
-                raise ConfigError(
-                    f"full_prior_mu: the full prior has dimension {len(self.full_prior_mu)}, p + d is {self.p + self.d}"
-                )
+        # regression samples.
+        if experiment != "optimal-alpha" and not laplace and min(sizes) < self.p + self.d:
+            raise ConfigError(f"{size_field}: every sample size must be at least p + d = {self.p + self.d}")
         if self.alpha0 <= 0:
             raise ConfigError("alpha0: must be positive")
-        try:
-            self.dgp()
-            self.prior()
-            self.full_prior()
-        except (ValueError, ConfigError) as err:
-            raise ConfigError(f"dgp/prior: {err}") from err
 
 
 # -- location model helpers ----------------------------------------------
@@ -459,9 +431,8 @@ def exp_vbvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def exp_robustness_curve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    dgp = cfg.dgp()
-    scenario = misspec_scenario(dgp, cfg.eps)
-    fin, curve = _exact_robustness(cfg, dgp, cfg.prior(), cfg.full_prior(), cfg.single_n(), 0)
+    scenario = cfg.scenario()
+    fin, curve = _exact_robustness(cfg, cfg.dgp(), cfg.prior(), cfg.full_prior(), cfg.single_n(), 0)
     rows = [
         [alpha, r_star(alpha, scenario, fin), r_tilde_star(alpha, scenario, fin), r_exact]
         for alpha, r_exact in curve
@@ -470,7 +441,7 @@ def exp_robustness_curve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def exp_optimal_alpha(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    scenario = misspec_scenario(cfg.dgp(), cfg.eps)
+    scenario = cfg.scenario()
     fin = FiniteSampleInputs.at_population_limits(scenario, cfg.single_n())
     row = [
         limit_alpha_star(scenario),
@@ -506,10 +477,10 @@ def exp_assumption_checks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]
 
 
 def exp_surrogate_fidelity(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+    scenario = cfg.scenario()
     dgp = cfg.dgp()
     prior = cfg.prior()
     full_prior = cfg.full_prior()
-    scenario = misspec_scenario(dgp, cfg.eps)
 
     def one_rep(n: int, rep: int) -> list[list]:
         fin, curve = _exact_robustness(cfg, dgp, prior, full_prior, n, rep)

@@ -13,8 +13,8 @@ The closely related penalized objective
 ``E_q[log f_n] - (1/alpha) KL(q || prior)`` is exposed as
 :func:`penalized_objective`.  The objective is an evidence-style lower
 bound: it is *maximized*, not minimized, by the distribution closest in KL
-to the tempered posterior, so :func:`maximize_penalized_objective` is the
-operation equivalent to that projection.
+to the tempered posterior, so maximizing it is equivalent to that
+projection.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "gmf_project_numeric",
     "variational_bvm_limit",
     "penalized_objective",
-    "maximize_penalized_objective",
 ]
 
 GH_NODES = 32
@@ -95,22 +94,16 @@ def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float) -> DiagonalGaus
     )
 
 
-def _gh_mesh(dim: int, num: int) -> tuple[np.ndarray, np.ndarray]:
+def _gh_mesh(dim: int) -> tuple[np.ndarray, np.ndarray]:
     # Standardized Gauss-Hermite tensor nodes and probabilist-normalized weights.
-    z, w = np.polynomial.hermite.hermgauss(num)
+    z, w = np.polynomial.hermite.hermgauss(GH_NODES)
     w = w / np.sqrt(np.pi)
     if dim == 1:
         return z[:, None], w
     return mesh_points([z, z]), np.outer(w, w).ravel()
 
 
-def gmf_project_numeric(
-    target: GridDensity,
-    init: DiagonalGaussian | None = None,
-    gh_nodes: int = GH_NODES,
-    grad_tol: float = GRAD_TOL,
-    max_iter: int = MAX_ITER,
-) -> DiagonalGaussian:
+def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = None) -> DiagonalGaussian:
     """Numerical KL projection of a grid density onto the mean-field family.
 
     Minimizes ``KL(q || target)`` by damped Newton iteration on (mean, log sd):
@@ -121,11 +114,11 @@ def gmf_project_numeric(
     direction and the negative gradient otherwise, halving it while the KL
     rises or quadrature nodes leave the tabulated support, and the
     iteration terminates when every gradient component of (mean, log
-    variance) is below ``grad_tol``.  The default starting point is
+    variance) is below ``GRAD_TOL``.  The default starting point is
     moment-matched to the target, which makes the reported minimizer
     reproducible.  Raises ``ValueError`` when the starting point's
     quadrature nodes leave the support and ``RuntimeError`` on
-    non-convergence within ``max_iter`` iterations.
+    non-convergence within ``MAX_ITER`` iterations.
     """
     if target.dim > 2:
         raise ValueError("numeric projection supports dimension <= 2")
@@ -136,7 +129,7 @@ def gmf_project_numeric(
         raise ValueError("init dimension does not match target")
 
     dim = target.dim
-    z, w = _gh_mesh(dim, gh_nodes)
+    z, w = _gh_mesh(dim)
     offsets = np.sqrt(2.0) * z
     mu0 = init.mean
     sd0 = np.sqrt(init.var)
@@ -165,10 +158,10 @@ def gmf_project_numeric(
 
     # The componentwise tolerances translate the (mean, log var) sup-norm
     # criterion into the standardized coordinates.
-    tol = np.concatenate([grad_tol * sd0, np.full(dim, 2.0 * grad_tol)])
+    tol = np.concatenate([GRAD_TOL * sd0, np.full(dim, 2.0 * GRAD_TOL)])
     v = np.zeros(2 * dim)
     kl, grad, hess = kl_grad_hess(v)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if np.all(np.abs(grad) < tol):
             mu, sd = params(v)
             return DiagonalGaussian(mu, sd**2)
@@ -192,7 +185,7 @@ def gmf_project_numeric(
             step = step / 2.0
         v = v + step
         kl, grad, hess = trial
-    raise RuntimeError(f"damped Newton descent failed to converge within {max_iter} iterations")
+    raise RuntimeError(f"damped Newton descent failed to converge within {MAX_ITER} iterations")
 
 
 def penalized_objective(
@@ -200,7 +193,6 @@ def penalized_objective(
     lik: LikelihoodEvaluator,
     log_prior: Callable[[np.ndarray], np.ndarray],
     alpha: float,
-    gh_nodes: int = GH_NODES,
 ) -> float:
     """Evidence-style objective ``E_q[log f_n] - (1/alpha) KL(q || prior)``.
 
@@ -213,7 +205,7 @@ def penalized_objective(
         raise ValueError("alpha must be positive")
     if q.dim != lik.dim:
         raise ValueError("variational dimension does not match likelihood")
-    z, w = _gh_mesh(q.dim, gh_nodes)
+    z, w = _gh_mesh(q.dim)
     pts = q.mean + np.sqrt(2.0) * np.sqrt(q.var) * z
     ll = lik(pts)
     lp = np.asarray(log_prior(pts), dtype=float)
@@ -222,41 +214,3 @@ def penalized_objective(
     kl_q_prior = -q.entropy() - float(w @ lp)
     return float(w @ ll) - kl_q_prior / alpha
 
-
-def maximize_penalized_objective(
-    lik: LikelihoodEvaluator,
-    log_prior: Callable[[np.ndarray], np.ndarray],
-    alpha: float,
-    init: DiagonalGaussian,
-    gh_nodes: int = GH_NODES,
-    xatol: float = 1e-9,
-    max_iter: int = 4000,
-) -> DiagonalGaussian:
-    """Maximizer of :func:`penalized_objective` over the Gaussian mean-field family.
-
-    Deterministic derivative-free simplex search on (mean, log sd); the
-    evaluators only need values, not gradients.  By the objective/projection
-    equivalence the result coincides with the KL projection onto the
-    tempered posterior.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    # Imported here: scipy.optimize is slow to import and only this search needs it.
-    from scipy.optimize import minimize
-
-    dim = lik.dim
-
-    def neg_objective(x):
-        q = DiagonalGaussian(x[:dim], np.exp(2.0 * x[dim:]))
-        return -penalized_objective(q, lik, log_prior, alpha, gh_nodes)
-
-    x0 = np.concatenate([init.mean, 0.5 * np.log(init.var)])
-    res = minimize(
-        neg_objective,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": xatol, "fatol": 1e-12, "maxiter": max_iter, "maxfev": max_iter},
-    )
-    if not res.success:
-        raise RuntimeError(f"simplex ascent failed to converge: {res.message}")
-    return DiagonalGaussian(res.x[:dim], np.exp(2.0 * res.x[dim:]))

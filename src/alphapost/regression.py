@@ -312,13 +312,11 @@ def true_posterior_theta(
     x = np.hstack([ds.W, ds.Z])
     if full_prior.dim != x.shape[1]:
         raise ValueError("full prior dimension must be p + d")
-    s = x.T @ x + full_prior.Sigma_pi
-    if np.linalg.matrix_rank(s) < s.shape[0]:
+    if np.linalg.matrix_rank(x.T @ x + full_prior.Sigma_pi) < x.shape[1]:
         raise ValueError("stacked design is rank deficient given the prior")
-    cov = sigma_eps**2 * np.linalg.inv(s)
-    mean = np.linalg.solve(s, full_prior.Sigma_pi @ full_prior.mu_pi + x.T @ ds.Y)
-    theta_cov = cov[:p, :p]
-    marginal = GaussianDist(mean[:p], (theta_cov + theta_cov.T) / 2.0)
+    # The correctly specified posterior is the untempered conjugate one.
+    joint = conjugate_alpha_posterior(x, ds.Y, full_prior, sigma_eps, 1.0)
+    marginal = GaussianDist(joint.mean[:p], joint.cov[:p, :p])
     return marginal, ds.n * marginal.cov
 
 

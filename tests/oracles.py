@@ -3,14 +3,17 @@
 Everything here deliberately avoids the code paths under test: Monte Carlo
 estimates of divergences, brute-force quadrature on dense grids, textbook
 closed forms for special cases, the surrogate robustness criteria as the
-explicit Gaussian KL terms they abbreviate, and a locally written
-golden-section minimizer for argmin cross-checks.
+explicit Gaussian KL terms they abbreviate, a locally written
+golden-section minimizer for argmin cross-checks, and a derivative-free
+maximizer of the penalized variational objective.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.stats import norm
 
 from alphapost.gaussians import GaussianDist, kl_gaussian, log_density, mesh_points, trapezoid_weights
+from alphapost.meanfield import DiagonalGaussian, penalized_objective
 
 
 def mc_kl(sample_p, log_p, log_q, num, rng):
@@ -160,3 +163,30 @@ def perturbed_pair(rng, dim):
     jitter = rng.standard_normal((dim, dim)) * 0.05
     cov_q = scale * cov + jitter @ jitter.T * float(np.min(np.linalg.eigvalsh(cov)))
     return (mean, cov), (mean + shift, cov_q)
+
+
+def maximize_penalized_objective(lik, log_prior, alpha, init, xatol=1e-9, max_iter=4000):
+    """Maximizer of ``penalized_objective`` over the Gaussian mean-field family.
+
+    Deterministic Nelder-Mead simplex search on (mean, log sd) from the
+    ``DiagonalGaussian`` ``init``; it needs objective values only, so it
+    shares nothing with the library's Newton projection.  By the
+    objective/projection equivalence the result coincides with the KL
+    projection onto the tempered posterior.
+    """
+    dim = lik.dim
+
+    def neg_objective(x):
+        q = DiagonalGaussian(x[:dim], np.exp(2.0 * x[dim:]))
+        return -penalized_objective(q, lik, log_prior, alpha)
+
+    x0 = np.concatenate([init.mean, 0.5 * np.log(init.var)])
+    res = minimize(
+        neg_objective,
+        x0,
+        method="Nelder-Mead",
+        options={"xatol": xatol, "fatol": 1e-12, "maxiter": max_iter, "maxfev": max_iter},
+    )
+    if not res.success:
+        raise RuntimeError(f"simplex ascent failed to converge: {res.message}")
+    return DiagonalGaussian(res.x[:dim], np.exp(2.0 * res.x[dim:]))

@@ -1,8 +1,11 @@
 """Experiment harness and CLI: config handling, schemas, determinism, exit codes."""
 
+import ast
 import json
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 from alphapost import experiments
 from alphapost.cli import main
 from alphapost.experiments import (
-    EXPERIMENT_NAMES,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     run_experiment,
@@ -86,10 +89,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="experiment"):
             cfg.validate("optimal-alpha")
 
-    def test_dict_round_trip(self, tmp_path):
-        cfg = ExperimentConfig.from_file(write_config(tmp_path, FAST_REGRESSION))
-        cfg.validate("surrogate-fidelity")
-        assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+    def test_every_field_parses_back_from_its_rendering(self, tmp_path):
+        # One non-default value per annotation, so every parser runs.
+        samples = {
+            "str": "laplace-location",
+            "int": 7,
+            "int | None": 9,
+            "list[int]": [30, 60],
+            "float": 0.25,
+            "float | None": 1.5,
+            "list[float]": [0.5, -1.25],
+            "list[float] | None": [0.0, 2.5],
+            "list[list[float]]": [[1.0, 0.5], [0.5, 2.0]],
+            "list[list[float]] | None": [[3.0, 0.0], [0.0, 0.125]],
+        }
+        config = {f.name: samples[f.type] for f in fields(ExperimentConfig)}
+
+        def render(value):
+            if isinstance(value, list):
+                return ";".join(render(v) for v in value) if isinstance(value[0], list) else ",".join(map(str, value))
+            return str(value)
+
+        text = "".join(f"{name} = {render(value)}\n" for name, value in config.items())
+        assert ExperimentConfig.from_file(write_config(tmp_path, text)).to_dict() == config
 
 
 class TestExperimentOutputs:
@@ -164,7 +186,7 @@ class TestCLI:
         assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(out)]) == 0
         sidecar = json.loads((out / "optimal-alpha.json").read_text())
         assert set(sidecar) == {"config", "version", "elapsed_seconds"}
-        echo = ExperimentConfig.from_dict(sidecar["config"])
+        echo = ExperimentConfig(**sidecar["config"])
         echo.validate("optimal-alpha")
         _, rows_echo = run_experiment(echo, "optimal-alpha")
         cfg = ExperimentConfig.from_file(cfg_path)
@@ -270,6 +292,35 @@ class TestCLI:
         assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "fp")]) == 2
         assert "full_prior_mu:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, line, prefix, detail",
+        [
+            ("surrogate-fidelity", "full_prior_sigma = 1,0,0;0,1,0;0,0,1", "full_prior_sigma: ", "p + d = 2"),
+            ("robustness-curve", "full_prior_sigma = 1,0,0;0,1,0;0,0,1", "full_prior_sigma: ", "p + d = 2"),
+            ("optimal-alpha", "sigma_eps = 0", "sigma_eps: ", "positive"),
+            ("robustness-curve", "sigma_eps = 0", "sigma_eps: ", "positive"),
+            ("surrogate-fidelity", "sigma_eps = 0", "sigma_eps: ", "positive"),
+        ],
+    )
+    def test_builder_error_names_the_field(self, tmp_path, capsys, experiment, line, prefix, detail):
+        cfg_path = write_config(tmp_path, f"seed = 1\nn_grid = 50\nreplications = 1\n{line}\n")
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {prefix}")
+        assert detail in err
+
+    @pytest.mark.parametrize(
+        "experiment, line",
+        [
+            ("optimal-alpha", "full_prior_sigma = 1,0,0;0,1,0;0,0,1"),
+            ("bvm-convergence", "sigma_eps = 0"),
+            ("bvm-convergence", "model = laplace-location\ngrid_points = 101\ncov_ww = 1;0.3,1"),
+        ],
+    )
+    def test_fields_the_experiment_never_reads_are_not_checked(self, tmp_path, experiment, line):
+        cfg_path = write_config(tmp_path, f"seed = 1\nn_grid = 50\nreplications = 1\n{line}\n")
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "u")]) == 0
+
     def test_unwritable_output_is_a_config_error(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)
         blocked = tmp_path / "blocked"
@@ -312,6 +363,21 @@ class TestCLI:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
+    def test_library_never_imports_scipy_optimize_or_stats(self):
+        banned = {"scipy.optimize", "scipy.stats"}
+        src = Path(experiments.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                found += [f"{path.name}: {name}" for name in names if any(name.startswith(b) for b in banned)]
+        assert found == []
+
     def test_module_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)
         out = tmp_path / "mod"
@@ -327,6 +393,6 @@ class TestCLI:
         from alphapost.cli import build_parser
 
         parser = build_parser()
-        for name in EXPERIMENT_NAMES:
+        for name in EXPERIMENTS:
             args = parser.parse_args([name, "--config", "x"])
             assert args.experiment == name

@@ -9,14 +9,13 @@ from alphapost.meanfield import (
     DiagonalGaussian,
     gmf_project_gaussian,
     gmf_project_numeric,
-    maximize_penalized_objective,
     penalized_objective,
     variational_bvm_limit,
 )
 from alphapost.posteriors import ConjugatePrior, conjugate_alpha_posterior, grid_alpha_posterior
 from alphapost.regression import RegressionDGP, regression_likelihood, simulate
 
-from oracles import coordinate_descent_diag_kl
+from oracles import coordinate_descent_diag_kl, maximize_penalized_objective
 
 
 def random_spd_target(rng, dim):
