@@ -215,14 +215,38 @@ class ExperimentConfig:
         return len(self.gamma0)
 
     def dgp(self) -> RegressionDGP:
+        # The covariance blocks are checked here, where their field names are
+        # known; RegressionDGP names sigma_eps and sigma_u itself.
+        p, d = self.p, self.d
+        blocks = {}
+        for name, rows, cols in (("cov_ww", p, p), ("cov_wz", p, d), ("cov_zz", d, d)):
+            try:
+                block = np.array(getattr(self, name), dtype=float)
+            except ValueError as err:
+                raise ConfigError(f"dgp/prior: {name}: every row must have the same length") from err
+            # cov_wz is reshaped to p x d, so a single row or column also serves.
+            if block.size != rows * cols or (name != "cov_wz" and block.shape != (rows, cols)):
+                raise ConfigError(
+                    f"dgp/prior: {name}: must be a {rows} x {cols} matrix since p = {p} and d = {d}, "
+                    f"got shape {block.shape}"
+                )
+            blocks[name] = block.reshape(rows, cols)
+        ww, wz, zz = blocks["cov_ww"], blocks["cov_wz"], blocks["cov_zz"]
+        try:
+            np.linalg.cholesky(np.block([[ww, wz], [wz.T, zz]]))
+        except np.linalg.LinAlgError as err:
+            raise ConfigError(
+                "dgp/prior: cov_ww, cov_wz, cov_zz: the covariance [[cov_ww, cov_wz], [cov_wz', cov_zz]] "
+                "of (W, Z) must be positive definite"
+            ) from err
         try:
             return RegressionDGP(
                 theta0=np.array(self.theta0),
                 gamma0=np.array(self.gamma0),
                 sigma_eps=self.sigma_eps,
-                cov_WW=np.array(self.cov_ww),
-                cov_WZ=np.array(self.cov_wz),
-                cov_ZZ=np.array(self.cov_zz),
+                cov_WW=ww,
+                cov_WZ=wz,
+                cov_ZZ=zz,
                 sigma_u=self.sigma_u,
             )
         except ValueError as err:
@@ -379,17 +403,16 @@ def _regression_rep(
     ds = simulate(dgp, n, derived_seed(cfg.seed, n, rep))
     theta_hat = ols(ds.W, ds.Y)
     v = curvature(dgp)
-    rows = []
-    for alpha in cfg.alphas:
-        post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
-        if project:
-            lim = variational_bvm_limit(theta_hat, v, n, alpha)
-            rows.append([n, rep, float(alpha), kl_gaussian(gmf_project_gaussian(post).dist, lim.dist)])
-        else:
-            lim = gaussian_bvm_limit(theta_hat, v, n, alpha)
-            tv = tv_gaussian(post, lim, budget=cfg.grid_points).value
-            rows.append([n, rep, float(alpha), tv, kl_gaussian(post, lim)])
-    return rows
+    # One stack over the alphas: posteriors, limits and divergences.
+    post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, cfg.alphas)
+    if project:
+        lim = variational_bvm_limit(theta_hat, v, n, cfg.alphas)
+        kl = kl_gaussian(gmf_project_gaussian(post).dist, lim.dist)
+        return [[n, rep, float(alpha), k] for alpha, k in zip(cfg.alphas, kl)]
+    lim = gaussian_bvm_limit(theta_hat, v, n, cfg.alphas)
+    tv = tv_gaussian(post, lim, budget=cfg.grid_points).value
+    kl = kl_gaussian(post, lim)
+    return [[n, rep, float(alpha), t, k] for alpha, t, k in zip(cfg.alphas, tv, kl)]
 
 
 def _convergence_rows(cfg: ExperimentConfig, project: bool) -> list[list]:
@@ -401,8 +424,8 @@ def _convergence_rows(cfg: ExperimentConfig, project: bool) -> list[list]:
 
 def _exact_robustness(
     cfg: ExperimentConfig, dgp: RegressionDGP, prior: ConjugatePrior, full_prior: ConjugatePrior, n: int, rep: int
-) -> tuple[FiniteSampleInputs, list[tuple[float, float]]]:
-    """Sample ``(n, rep)``'s finite-sample inputs and ``(alpha, r_exact)`` for each sorted alpha.
+) -> tuple[FiniteSampleInputs, np.ndarray, np.ndarray]:
+    """Sample ``(n, rep)``'s finite-sample inputs, the sorted alphas and ``r_exact`` at each.
 
     ``r_exact`` is the expected KL of the tempered posterior against the
     correctly specified (``true_posterior_theta``) and the standard
@@ -414,12 +437,10 @@ def _exact_robustness(
     theta_g = ols(np.hstack([ds.W, ds.Z]), ds.Y)[: dgp.p]
     fin = FiniteSampleInputs(theta_f, theta_g, n, eps_n)
     true_post, _ = true_posterior_theta(ds, full_prior, dgp.sigma_eps)
-    std_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
-    curve = []
-    for alpha in sorted(cfg.alphas):
-        alpha_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
-        curve.append((float(alpha), exact_expected_kl(true_post, alpha_post, std_post, eps_n)))
-    return fin, curve
+    alphas = np.sort(cfg.alphas)
+    # One stack: the standard posterior first, then one per alpha.
+    posts = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, np.concatenate([[1.0], alphas]))
+    return fin, alphas, exact_expected_kl(true_post, posts[1:], posts[0], eps_n)
 
 
 def exp_bvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
@@ -432,11 +453,9 @@ def exp_vbvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 def exp_robustness_curve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     scenario = cfg.scenario()
-    fin, curve = _exact_robustness(cfg, cfg.dgp(), cfg.prior(), cfg.full_prior(), cfg.single_n(), 0)
-    rows = [
-        [alpha, r_star(alpha, scenario, fin), r_tilde_star(alpha, scenario, fin), r_exact]
-        for alpha, r_exact in curve
-    ]
+    fin, alphas, r_exact = _exact_robustness(cfg, cfg.dgp(), cfg.prior(), cfg.full_prior(), cfg.single_n(), 0)
+    curves = zip(alphas, r_star(alphas, scenario, fin), r_tilde_star(alphas, scenario, fin), r_exact)
+    rows = [list(row) for row in curves]
     return ["alpha", "r_star", "r_tilde_star", "r_exact"], rows
 
 
@@ -483,12 +502,9 @@ def exp_surrogate_fidelity(cfg: ExperimentConfig) -> tuple[list[str], list[list]
     full_prior = cfg.full_prior()
 
     def one_rep(n: int, rep: int) -> list[list]:
-        fin, curve = _exact_robustness(cfg, dgp, prior, full_prior, n, rep)
-        rows = []
-        for alpha, r_exact in curve:
-            r_surr = r_star(alpha, scenario, fin)
-            rows.append([n, rep, alpha, r_exact, r_surr, abs(r_exact - r_surr)])
-        return rows
+        fin, alphas, r_exact = _exact_robustness(cfg, dgp, prior, full_prior, n, rep)
+        r_surr = r_star(alphas, scenario, fin)
+        return [[n, rep, *row, abs(row[1] - row[2])] for row in zip(alphas, r_exact, r_surr)]
 
     rows = _replicated_rows(cfg, one_rep)
     return ["n", "rep", "alpha", "r_exact", "r_star", "abs_diff"], rows

@@ -20,12 +20,13 @@ projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, GridDensity, mesh_points
-from .posteriors import LikelihoodEvaluator
+from .gaussians import GaussianDist, GridDensity, _require_single, _result, mesh_points
+from .posteriors import LikelihoodEvaluator, _tempering
 
 __all__ = [
     "DiagonalGaussian",
@@ -42,7 +43,11 @@ MAX_ITER = 500
 
 @dataclass(frozen=True)
 class DiagonalGaussian:
-    """A Gaussian with independent coordinates: mean vector + per-coordinate variances."""
+    """A Gaussian with independent coordinates: mean vector + per-coordinate variances.
+
+    Like :class:`GaussianDist` it may be a stack: ``mean`` and ``var`` of
+    shape (k, p) hold k distributions.
+    """
 
     mean: np.ndarray
     var: np.ndarray
@@ -61,15 +66,20 @@ class DiagonalGaussian:
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        """Whether this is a stack of distributions rather than one."""
+        return self.mean.ndim == 2
 
     @property
     def dist(self) -> GaussianDist:
-        """The same distribution as a full-covariance :class:`GaussianDist`."""
-        return GaussianDist(self.mean, np.diag(self.var))
+        """The same distribution (or stack) as a full-covariance :class:`GaussianDist`."""
+        return GaussianDist(self.mean, self.var[..., None] * np.eye(self.dim))
 
-    def entropy(self) -> float:
-        return 0.5 * float(np.sum(1.0 + np.log(2.0 * np.pi * self.var)))
+    def entropy(self) -> float | np.ndarray:
+        return _result(0.5 * np.sum(1.0 + np.log(2.0 * np.pi * self.var), axis=-1))
 
 
 def gmf_project_gaussian(target: GaussianDist) -> DiagonalGaussian:
@@ -78,29 +88,34 @@ def gmf_project_gaussian(target: GaussianDist) -> DiagonalGaussian:
     The unique minimizer of ``KL(q || target)`` over diagonal Gaussians keeps
     the target mean and sets ``var_j = 1 / precision_jj``.  Each projected
     variance understates the corresponding marginal variance of the target.
+    A stacked target gives the stack of projections.
     """
     precision = np.linalg.inv(target.cov)
-    return DiagonalGaussian(target.mean.copy(), 1.0 / np.diag(precision))
+    return DiagonalGaussian(target.mean.copy(), 1.0 / np.diagonal(precision, axis1=-2, axis2=-1))
 
 
-def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float) -> DiagonalGaussian:
-    """Mean-field limit: mean at the ML estimator, ``var_j = 1 / (alpha n V_jj)``."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float]) -> DiagonalGaussian:
+    """Mean-field limit: mean at the ML estimator, ``var_j = 1 / (alpha n V_jj)``.
+
+    A vector of ``alpha`` gives the stack of limits, one per ``alpha``.
+    """
+    alpha = _tempering(alpha)[..., None]
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    return DiagonalGaussian(
-        np.atleast_1d(np.asarray(theta_hat_ml, dtype=float)),
-        1.0 / (alpha * n * np.diag(V)),
-    )
+    var = 1.0 / (alpha * n * np.diag(V))
+    mean = np.atleast_1d(np.asarray(theta_hat_ml, dtype=float))
+    return DiagonalGaussian(np.broadcast_to(mean, var.shape), var)
 
 
+@lru_cache(maxsize=None)
 def _gh_mesh(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # Standardized Gauss-Hermite tensor nodes and probabilist-normalized weights.
+    # Standardized Gauss-Hermite tensor nodes and probabilist-normalized
+    # weights, built once per dimension; callers must not write to them.
     z, w = np.polynomial.hermite.hermgauss(GH_NODES)
     w = w / np.sqrt(np.pi)
-    if dim == 1:
-        return z[:, None], w
-    return mesh_points([z, z]), np.outer(w, w).ravel()
+    nodes, weights = (z[:, None], w) if dim == 1 else (mesh_points([z, z]), np.outer(w, w).ravel())
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = None) -> DiagonalGaussian:
@@ -125,6 +140,7 @@ def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = Non
     if init is None:
         mean, var = target.moments()
         init = DiagonalGaussian(mean, var)
+    _require_single(init)
     if init.dim != target.dim:
         raise ValueError("init dimension does not match target")
 
@@ -203,6 +219,7 @@ def penalized_objective(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    _require_single(q)
     if q.dim != lik.dim:
         raise ValueError("variational dimension does not match likelihood")
     z, w = _gh_mesh(q.dim)

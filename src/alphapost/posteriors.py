@@ -8,6 +8,10 @@ multiplying by the prior.  Two constructions are provided:
 
 The Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))`` and concentration
 probes around the (pseudo-)true parameter complete the module.
+
+The conjugate posterior and the Gaussian limit take either one ``alpha`` or
+a vector of them, and then return one stacked :class:`GaussianDist` with a
+member per ``alpha``.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from .gaussians import GaussianDist, GridDensity, mesh_points, trapezoid_weights
+from .gaussians import GaussianDist, GridDensity, _require_single, mesh_points, trapezoid_weights
 
 __all__ = [
     "ConjugatePrior",
@@ -93,21 +96,32 @@ class LikelihoodEvaluator:
         return np.asarray(self.log_lik(pts), dtype=float)
 
 
+def _tempering(alpha) -> np.ndarray:
+    # One alpha or a vector of them, each positive.
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim > 1:
+        raise ValueError("alpha must be a number or a vector")
+    if not np.all(alpha > 0):
+        raise ValueError("alpha must be positive")
+    return alpha
+
+
 def conjugate_alpha_posterior(
     W: np.ndarray,
     Y: np.ndarray,
     prior: ConjugatePrior,
     sigma_u: float,
-    alpha: float,
+    alpha: float | Sequence[float],
 ) -> GaussianDist:
     """Closed-form tempered posterior for the Gaussian linear model.
 
     With ``S = W'W/n + Sigma_pi/(alpha n)`` the posterior is Gaussian with
     mean ``S^{-1} (Sigma_pi mu_pi / (alpha n) + W'Y/n)`` and covariance
-    ``sigma_u^2 / (alpha n) * S^{-1}``.
+    ``sigma_u^2 / (alpha n) * S^{-1}``.  A vector of ``alpha`` gives the
+    stack of these posteriors, one per ``alpha`` in order, from one stacked
+    solve.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = _tempering(alpha)
     W = np.asarray(W, dtype=float)
     if W.ndim == 1:
         W = W[:, None]
@@ -117,14 +131,15 @@ def conjugate_alpha_posterior(
         raise ValueError("design and response row counts disagree")
     if prior.dim != W.shape[1]:
         raise ValueError(f"prior dimension {prior.dim} does not match the {W.shape[1]} design columns")
-    s = W.T @ W / n + prior.Sigma_pi / (alpha * n)
-    b = prior.Sigma_pi @ prior.mu_pi / (alpha * n) + W.T @ Y / n
+    scale = alpha * n
+    s = W.T @ W / n + prior.Sigma_pi / scale[..., None, None]
+    b = prior.Sigma_pi @ prior.mu_pi / scale[..., None] + W.T @ Y / n
     try:
-        mean = np.linalg.solve(s, b)
-        cov = sigma_u**2 / (alpha * n) * np.linalg.inv(s)
+        mean = np.linalg.solve(s, b[..., None])[..., 0]
+        cov = (sigma_u**2 / scale)[..., None, None] * np.linalg.inv(s)
     except np.linalg.LinAlgError as err:
         raise ValueError("singular normal-equations matrix") from err
-    return GaussianDist(mean, (cov + cov.T) / 2.0)
+    return GaussianDist(mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
 
 
 def default_grid_axes(
@@ -181,17 +196,22 @@ def grid_alpha_posterior(
     return GridDensity.from_log_unnormalized(axes, lw)
 
 
-def gaussian_bvm_limit(theta_hat_ml: np.ndarray, V: np.ndarray, n: int, alpha: float) -> GaussianDist:
+def gaussian_bvm_limit(
+    theta_hat_ml: np.ndarray, V: np.ndarray, n: int, alpha: float | Sequence[float]
+) -> GaussianDist:
     """Large-sample Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))``.
 
     Tempering only rescales the covariance: ``alpha < 1`` inflates it, the
-    location stays at the maximum likelihood estimator.
+    location stays at the maximum likelihood estimator.  A vector of
+    ``alpha`` gives the stack of limits, one per ``alpha``.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = _tempering(alpha)
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    cov = np.linalg.inv(V) / (alpha * n)
-    return GaussianDist(np.atleast_1d(np.asarray(theta_hat_ml, dtype=float)), (cov + cov.T) / 2.0)
+    cov = np.linalg.inv(V) / (alpha * n)[..., None, None]
+    mean = np.atleast_1d(np.asarray(theta_hat_ml, dtype=float))
+    if alpha.ndim:
+        mean = np.broadcast_to(mean, alpha.shape + mean.shape)
+    return GaussianDist(mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
 
 
 def concentration_probability(
@@ -205,16 +225,20 @@ def concentration_probability(
     """Posterior probability that ``sqrt(n) * (theta - theta_star)`` leaves a ball.
 
     Returns ``P(||sqrt(n)(theta - theta_star)|| > radius)`` under ``post``.
-    Gaussian posteriors use the exact normal tail in one dimension and Monte
-    Carlo (``draws`` samples from an explicit ``rng``, without which it raises
-    ``ValueError``) otherwise; grid posteriors use a masked trapezoid sum.
+    Gaussian posteriors (one, not a stack) use the exact normal tail in one
+    dimension and Monte Carlo (``draws`` samples from an explicit ``rng``,
+    without which it raises ``ValueError``) otherwise; grid posteriors use a
+    masked trapezoid sum.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if isinstance(post, GaussianDist):
+        _require_single(post)
         if post.dim != theta_star.size:
             raise ValueError("dimension mismatch")
         shift = np.sqrt(n) * (post.mean - theta_star)
         if post.dim == 1:
+            from scipy.special import ndtr
+
             sd = float(np.sqrt(n * post.cov[0, 0]))
             m = float(shift[0])
             return float(ndtr((-radius - m) / sd) + ndtr((m - radius) / sd))

@@ -89,7 +89,7 @@ class RegressionDGP:
             raise ValueError("covariance block shapes disagree with theta0/gamma0")
         stacked = np.block([[cov_ww, cov_wz], [cov_wz.T, cov_zz]])
         try:
-            np.linalg.cholesky(stacked)
+            chol = np.linalg.cholesky(stacked)
         except np.linalg.LinAlgError as err:
             raise ValueError("stacked covariate covariance must be positive definite") from err
         if self.sigma_eps < 0:
@@ -99,6 +99,8 @@ class RegressionDGP:
         object.__setattr__(self, "cov_WW", cov_ww)
         object.__setattr__(self, "cov_WZ", cov_wz)
         object.__setattr__(self, "cov_ZZ", cov_zz)
+        # Kept for simulate, which draws the covariates through it.
+        object.__setattr__(self, "_stacked_chol", chol)
         if self.sigma_u is None:
             resid_cov = cov_zz - cov_wz.T @ np.linalg.solve(cov_ww, cov_wz)
             sigma_u = float(np.sqrt(self.sigma_eps**2 + gamma0 @ resid_cov @ gamma0))
@@ -146,8 +148,7 @@ def simulate(dgp: RegressionDGP, n: int, seed: int) -> RegressionDataset:
     if n < dgp.p + dgp.d:
         raise ValueError("n must be at least p + d")
     rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(dgp.stacked_cov())
-    x = rng.standard_normal((n, dgp.p + dgp.d)) @ chol.T
+    x = rng.standard_normal((n, dgp.p + dgp.d)) @ dgp._stacked_chol.T
     w, z = x[:, : dgp.p], x[:, dgp.p :]
     y = w @ dgp.theta0 + z @ dgp.gamma0 + dgp.sigma_eps * rng.standard_normal(n)
     return RegressionDataset(y, w, z)
@@ -367,7 +368,7 @@ def failure_case_hellinger(
         n = int(n)
         ds = simulate(dgp, n, derived_seed(seed, n))
         theta_hat = ols(ds.W, ds.Y)
-        for j, alpha in enumerate((alpha0 / n, 1.0)):
-            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
-            out[i, j] = hellinger_sq_gaussian(post, gaussian_bvm_limit(theta_hat, v, n, alpha))
+        alphas = [alpha0 / n, 1.0]
+        post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alphas)
+        out[i] = hellinger_sq_gaussian(post, gaussian_bvm_limit(theta_hat, v, n, alphas))
     return out

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import GaussianDist, kl_gaussian
+from .gaussians import GaussianDist, _result, kl_gaussian
+from .posteriors import _tempering
 
 __all__ = [
     "MisspecScenario",
@@ -167,22 +168,22 @@ def b_n(Sigma: np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float:
     )
 
 
-def _surrogate(alpha: float, s: MisspecScenario, f: FiniteSampleInputs, curv: np.ndarray) -> float:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return float(0.5 * (alpha * a_n(curv, s, f) - s.p * np.log(alpha) + b_n(curv, s, f)))
+def _surrogate(alpha, s: MisspecScenario, f: FiniteSampleInputs, curv: np.ndarray) -> float | np.ndarray:
+    alpha = _tempering(alpha)
+    return _result(0.5 * (alpha * a_n(curv, s, f) - s.p * np.log(alpha) + b_n(curv, s, f)))
 
 
-def r_star(alpha: float, s: MisspecScenario, f: FiniteSampleInputs) -> float:
+def r_star(alpha: float | np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float | np.ndarray:
     """Surrogate expected KL for the tempered posterior: ``(alpha A_n(V) - p log(alpha) + B_n(V)) / 2``.
 
     It equals ``eps_n KL(N(theta_G, Omega/n) || R) + (1 - eps_n) KL(N(theta_F, V^{-1}/n) || R)``
-    for the reported ``R = N(theta_F, V^{-1}/(alpha n))``.
+    for the reported ``R = N(theta_F, V^{-1}/(alpha n))``.  An array of
+    ``alpha`` gives the array of values, with ``A_n`` and ``B_n`` computed once.
     """
     return _surrogate(alpha, s, f, s.V)
 
 
-def r_tilde_star(alpha: float, s: MisspecScenario, f: FiniteSampleInputs) -> float:
+def r_tilde_star(alpha: float | np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float | np.ndarray:
     """Surrogate expected KL for the mean-field approximation: the same form with curvature diag(V)."""
     return _surrogate(alpha, s, f, s.V_tilde)
 
@@ -264,12 +265,13 @@ def exact_expected_kl(
     alpha_post: GaussianDist,
     std_post: GaussianDist,
     eps_n: float,
-) -> float:
+) -> float | np.ndarray:
     """Finite-sample expected KL with explicit posterior inputs.
 
     ``eps_n * KL(true_post || alpha_post) + (1 - eps_n) * KL(std_post || alpha_post)``.
     The same call evaluates the variational criterion when ``alpha_post`` is
-    the diagonal approximation.
+    the diagonal approximation.  Stacked inputs broadcast, as in
+    :func:`~alphapost.gaussians.kl_gaussian`.
     """
     if not 0.0 <= eps_n <= 1.0:
         raise ValueError("eps_n must lie in [0, 1]")

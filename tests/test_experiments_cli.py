@@ -300,6 +300,15 @@ class TestCLI:
             ("optimal-alpha", "sigma_eps = 0", "sigma_eps: ", "positive"),
             ("robustness-curve", "sigma_eps = 0", "sigma_eps: ", "positive"),
             ("surrogate-fidelity", "sigma_eps = 0", "sigma_eps: ", "positive"),
+            ("optimal-alpha", "cov_ww = 1;0.3,1", "dgp/prior: cov_ww: ", "same length"),
+            ("optimal-alpha", "cov_ww = 1,0.3;0.3,1", "dgp/prior: cov_ww: ", "1 x 1 matrix"),
+            (
+                "optimal-alpha",
+                "theta0 = 1,2\ncov_ww = 1,0;0,1\nmu_pi = 0,0\nsigma_pi = 1,0;0,1\ncov_wz = 0.5",
+                "dgp/prior: cov_wz: ",
+                "2 x 1 matrix",
+            ),
+            ("optimal-alpha", "cov_wz = 1.5", "dgp/prior: cov_ww, cov_wz, cov_zz: ", "positive definite"),
         ],
     )
     def test_builder_error_names_the_field(self, tmp_path, capsys, experiment, line, prefix, detail):
@@ -356,12 +365,21 @@ class TestCLI:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_cli_import_defers_heavy_scipy_modules(self):
-        code = (
-            "import sys, alphapost.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
-        )
+        # Start-up loads numpy only; scipy waits for the TV, concentration and spline code.
+        code = "import sys, alphapost.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_closed_form_run_imports_no_scipy(self, tmp_path):
+        # A p = 1 surrogate-fidelity run needs only the KL closed forms.
+        cfg_path = write_config(tmp_path, FAST_REGRESSION)
+        code = (
+            "import sys; from alphapost.cli import main; "
+            f"code = main(['surrogate-fidelity', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'sf')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
     def test_library_never_imports_scipy_optimize_or_stats(self):
         banned = {"scipy.optimize", "scipy.stats"}

@@ -50,7 +50,17 @@ class TestGaussianDist:
         with pytest.raises(ValueError):
             GaussianDist([0.0, 0.0], [[1.0]])
 
-    @pytest.mark.parametrize("mean, cov", [([np.nan], [[1.0]]), ([0.0], [[np.inf]]), ([0.0], [[np.nan]])])
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            ([np.nan], [[1.0]]),
+            ([0.0], [[np.inf]]),
+            ([0.0], [[np.nan]]),
+            # One non-finite member rejects a stack.
+            ([[0.0], [np.nan]], [[[1.0]], [[1.0]]]),
+            ([[0.0], [0.0]], [[[1.0]], [[np.inf]]]),
+        ],
+    )
     def test_rejects_non_finite_input(self, mean, cov):
         with pytest.raises(ValueError, match="finite"):
             GaussianDist(mean, cov)
@@ -59,6 +69,53 @@ class TestGaussianDist:
         cov = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
         g = GaussianDist([0.0, 0.0], cov)
         assert_allclose(g.cov, g.cov.T)
+
+
+class TestStacks:
+    def test_members_and_indexing(self):
+        stack = GaussianDist([[0.0], [1.0], [2.0]], [[[1.0]], [[2.0]], [[3.0]]])
+        assert stack.stacked and stack.dim == 1
+        assert stack.mean.shape == (3, 1) and stack.chol.shape == (3, 1, 1)
+        assert_allclose(stack.half_log_det(), 0.5 * np.log([1.0, 2.0, 3.0]))
+        member = stack[1]
+        assert not member.stacked
+        assert_allclose(member.mean, [1.0])
+        assert_allclose(member.cov, [[2.0]])
+        assert stack[1:].mean.shape == (2, 1)
+        with pytest.raises(ValueError, match="stack"):
+            GaussianDist(0.0, 1.0)[0]
+
+    @pytest.mark.parametrize(
+        "mean, cov, message",
+        [
+            ([[0.0, 0.0], [0.0, 0.0]], [np.eye(2), [[1.0, 2.0], [2.0, 1.0]]], "positive definite"),
+            ([[0.0, 0.0], [0.0, 0.0]], [np.eye(2), [[1.0, 0.5], [0.2, 1.0]]], "symmetric"),
+            ([[0.0], [0.0]], [[[1.0]], [[1.0]], [[1.0]]], "does not match"),
+        ],
+    )
+    def test_one_bad_member_rejects_the_stack(self, mean, cov, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianDist(mean, cov)
+
+    def test_single_distribution_routines_reject_a_stack(self):
+        stack = GaussianDist([[0.0], [1.0]], [[[1.0]], [[2.0]]])
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="stack"):
+            stack.sample(rng, 10)
+        with pytest.raises(ValueError, match="stack"):
+            log_density(stack, [0.0])
+        with pytest.raises(ValueError, match="stack"):
+            tv_gaussian(stack, stack, "monte_carlo", 100, rng=rng)
+
+    def test_single_pairs_give_floats_and_stacks_broadcast(self):
+        p = GaussianDist(0.0, 1.0)
+        stack = GaussianDist([[0.0], [1.0], [0.5]], [[[1.0]], [[2.0]], [[0.5]]])
+        for divergence in (kl_gaussian, hellinger_sq_gaussian, lambda a, b: tv_gaussian(a, b).value):
+            assert type(divergence(p, stack[2])) is float
+            both_ways = divergence(p, stack), divergence(stack, p)
+            for values, pairs in zip(both_ways, ([(p, stack[i]) for i in range(3)], [(stack[i], p) for i in range(3)])):
+                assert values.shape == (3,)
+                assert list(values) == [divergence(a, b) for a, b in pairs]
 
 
 class TestLogDensity:

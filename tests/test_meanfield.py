@@ -36,6 +36,9 @@ class TestDiagonalGaussian:
     def test_dist_round_trip(self):
         q = DiagonalGaussian([1.0, -1.0], [2.0, 0.5])
         assert_allclose(q.dist.cov, np.diag([2.0, 0.5]))
+        stack = DiagonalGaussian([[1.0, -1.0], [0.0, 0.5]], [[2.0, 0.5], [1.0, 3.0]])
+        assert_allclose(stack.dist.cov, [np.diag([2.0, 0.5]), np.diag([1.0, 3.0])])
+        assert_allclose(stack.entropy(), [q.entropy(), DiagonalGaussian([0.0, 0.5], [1.0, 3.0]).entropy()])
 
 
 class TestClosedFormProjection:
@@ -59,6 +62,16 @@ class TestClosedFormProjection:
         )
         assert_allclose(mean, proj.mean, atol=1e-7)
         assert_allclose(var, proj.var, atol=1e-6)
+
+    def test_stacked_target_projects_each_member(self):
+        rng = np.random.default_rng(6)
+        targets = [random_spd_target(rng, 3) for _ in range(4)]
+        stack = GaussianDist(np.stack([t.mean for t in targets]), np.stack([t.cov for t in targets]))
+        projected = gmf_project_gaussian(stack)
+        for i, target in enumerate(targets):
+            single = gmf_project_gaussian(target)
+            assert np.array_equal(projected.mean[i], single.mean)
+            assert np.array_equal(projected.var[i], single.var)
 
     def test_variance_understatement(self):
         rng = np.random.default_rng(21)
@@ -179,6 +192,11 @@ class TestNumericProjection:
         with pytest.raises(ValueError, match="support"):
             gmf_project_numeric(grid, DiagonalGaussian([5.0], [1.0]))
 
+    def test_stacked_init_rejected(self):
+        grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), [np.linspace(-8, 8, 1001)])
+        with pytest.raises(ValueError, match="stack"):
+            gmf_project_numeric(grid, DiagonalGaussian([[0.0], [0.1]], [[1.0], [1.0]]))
+
     def test_dimension_above_two_rejected(self):
         target = GaussianDist(0.0, 1.0)
         grid = GridDensity.from_gaussian(target, [np.linspace(-8, 8, 1001)])
@@ -207,6 +225,15 @@ class TestVariationalBvmLimit:
             2.0 * variational_bvm_limit([0.0, 0.0], v, 100, 1.0).var,
             rtol=1e-12,
         )
+
+
+    def test_alpha_vector_stacks_the_single_alpha_limits(self):
+        v = [[2.0, 1.0], [1.0, 2.0]]
+        stack = variational_bvm_limit([0.1, 0.2], v, 100, [0.5, 1.0])
+        for i, alpha in enumerate((0.5, 1.0)):
+            single = variational_bvm_limit([0.1, 0.2], v, 100, alpha)
+            assert np.array_equal(stack.mean[i], single.mean)
+            assert np.array_equal(stack.var[i], single.var)
 
 
 def conjugate_1d_setup(seed=5, n=200, alpha=1.0):

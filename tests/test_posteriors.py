@@ -79,6 +79,26 @@ class TestConjugateAlphaPosterior:
             conjugate_alpha_posterior(w, np.ones(20), ConjugatePrior([0.0], [[1.0]]), 1.0, 1.0)
 
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_alpha_vector_stacks_the_single_alpha_posteriors(self, dim):
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((60, dim))
+        y = rng.standard_normal(60)
+        prior = ConjugatePrior(np.full(dim, 0.2), np.eye(dim))
+        alphas = [0.25, 1.0, 3.0]
+        stack = conjugate_alpha_posterior(w, y, prior, 1.3, alphas)
+        assert stack.mean.shape == (3, dim) and stack.cov.shape == (3, dim, dim)
+        for i, alpha in enumerate(alphas):
+            single = conjugate_alpha_posterior(w, y, prior, 1.3, alpha)
+            assert np.array_equal(stack.mean[i], single.mean)
+            assert np.array_equal(stack.cov[i], single.cov)
+
+    @pytest.mark.parametrize("alpha", [[0.5, 0.0], [0.5, np.nan], [[0.5]]])
+    def test_bad_alpha_vector_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            conjugate_alpha_posterior(np.ones(3), np.ones(3), ConjugatePrior.flat(1), 1.0, alpha)
+
+
 class TestGridAlphaPosterior:
     def test_normal_normal_update(self):
         # One N(theta, 1) observation at 0.7 with a standard normal prior.
@@ -165,10 +185,24 @@ class TestGaussianBvmLimit:
             gaussian_bvm_limit([0.0], [[1.0]], 10, 0.0)
 
 
+    def test_alpha_vector_stacks_the_single_alpha_limits(self):
+        v = np.array([[2.0, 0.3], [0.3, 1.0]])
+        stack = gaussian_bvm_limit([0.1, -0.2], v, 50, [0.5, 1.0])
+        for i, alpha in enumerate((0.5, 1.0)):
+            single = gaussian_bvm_limit([0.1, -0.2], v, 50, alpha)
+            assert np.array_equal(stack.mean[i], single.mean)
+            assert np.array_equal(stack.cov[i], single.cov)
+
+
 class TestConcentrationProbability:
     def test_infinite_radius_gives_zero(self):
         g = GaussianDist(0.2, 0.01)
         assert concentration_probability(g, [0.0], 1e9, 100) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_a_stack(self):
+        stack = GaussianDist([[0.0], [0.1]], [[[0.01]], [[0.02]]])
+        with pytest.raises(ValueError, match="stack"):
+            concentration_probability(stack, [0.0], 1.0, 100)
 
     def test_1d_exact_normal_tail(self):
         n = 400

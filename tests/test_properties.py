@@ -46,6 +46,34 @@ def same(p, q):
     return np.array_equal(p.mean, q.mean) and np.array_equal(p.cov, q.cov)
 
 
+@st.composite
+def stacked_pairs(draw, dims=(1, 2, 3)):
+    # Up to five pairs of one dimension, stacked on each side.
+    dim = draw(st.sampled_from(dims))
+    pairs = draw(st.lists(gaussian_pairs(dims=(dim,)), min_size=1, max_size=5))
+    stack = lambda gs: GaussianDist(np.stack([g.mean for g in gs]), np.stack([g.cov for g in gs]))
+    return pairs, stack([p for p, _ in pairs]), stack([q for _, q in pairs])
+
+
+@PROPERTY
+@given(stacked_pairs())
+def test_stacked_divergences_equal_their_members(stacked):
+    # Exactly in one dimension, where the stacked arithmetic is the same
+    # operation by operation; to rounding in more.
+    pairs, p, q = stacked
+    divergences = [kl_gaussian, hellinger_sq_gaussian]
+    if p.dim <= 2:
+        divergences.append(lambda a, b: tv_gaussian(a, b).value)
+    for divergence in divergences:
+        values = divergence(p, q)
+        members = np.array([divergence(a, b) for a, b in pairs])
+        assert values.shape == members.shape
+        if p.dim == 1:
+            assert np.array_equal(values, members)
+        else:
+            assert np.all(np.abs(values - members) <= 1e-12 * np.maximum(1.0, np.abs(members)))
+
+
 @PROPERTY
 @given(gaussian_pairs())
 def test_kl_nonnegative_and_zero_only_for_equal_gaussians(pair):

@@ -109,11 +109,15 @@ class TestSurrogateCriteria:
 
     def test_two_routes_agree_on_random_scenarios(self):
         rng = np.random.default_rng(14)
+        alphas = (0.2, 0.7, 1.0, 1.8)
         for _ in range(100):
             s, f = random_scenario(rng)
-            for alpha in (0.2, 0.7, 1.0, 1.8):
+            for alpha in alphas:
                 assert abs(r_star(alpha, s, f) - surrogate_via_kl(alpha, s, f, s.V)) < 1e-10
                 assert abs(r_tilde_star(alpha, s, f) - surrogate_via_kl(alpha, s, f, s.V_tilde)) < 1e-10
+            # A vector of alphas gives each alpha's value.
+            for criterion in (r_star, r_tilde_star):
+                assert np.array_equal(criterion(np.array(alphas), s, f), [criterion(a, s, f) for a in alphas])
 
     def test_diagonal_v_makes_both_criteria_equal(self):
         rng = np.random.default_rng(15)
@@ -255,6 +259,12 @@ class TestExactExpectedKL:
         k2 = kl_gaussian(std_post, alpha_post)
         got = exact_expected_kl(true_post, alpha_post, std_post, 0.3)
         assert_allclose(got, 0.3 * k1 + 0.7 * k2, rtol=1e-14)
+
+    def test_stacked_report_broadcasts(self):
+        true_post, std_post = GaussianDist(0.3, 0.02), GaussianDist(0.05, 0.01)
+        alpha_posts = GaussianDist([[0.0], [0.1]], [[[0.02]], [[0.04]]])
+        got = exact_expected_kl(true_post, alpha_posts, std_post, 0.3)
+        assert list(got) == [exact_expected_kl(true_post, alpha_posts[i], std_post, 0.3) for i in range(2)]
 
     def test_rejects_bad_eps_n(self):
         g = GaussianDist(0.0, 1.0)
