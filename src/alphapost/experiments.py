@@ -53,6 +53,7 @@ from .posteriors import (
     grid_alpha_posterior,
 )
 from .regression import (
+    LAN_MESH_NODES,
     RegressionDGP,
     assumption2_terms,
     concentration_markov_bound,
@@ -92,8 +93,9 @@ __all__ = [
 # grid: the outermost of 32 nodes reaches past 10 matched standard deviations.
 PROJECTION_BOX_SCALE = 14.0
 
-# assumption-checks takes the sup of the LAN defect over a 13^p mesh
-# (regression.lan_residual_sup); 13^5 is about 371k points.
+# assumption-checks takes the sup of the LAN defect over a
+# LAN_MESH_NODES^p mesh (regression.lan_residual_sup); this cap keeps it to a
+# few hundred thousand points.
 _LAN_MESH_MAX_DIM = 5
 
 
@@ -283,6 +285,8 @@ class ExperimentConfig:
         self.experiment = experiment
         if self.seed is None:
             raise ConfigError("seed: a master seed is mandatory")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be a non-negative integer, got {self.seed}")
         for f in fields(self):
             if any(isinstance(v, float) and not math.isfinite(v) for v in _flatten(getattr(self, f.name))):
                 raise ConfigError(f"{f.name}: every value must be finite")
@@ -322,7 +326,7 @@ class ExperimentConfig:
             )
         if experiment == "assumption-checks" and self.p > _LAN_MESH_MAX_DIM:
             raise ConfigError(
-                f"theta0: the LAN defect is evaluated on a 13^p mesh, so dimension must be "
+                f"theta0: the LAN defect is evaluated on a {LAN_MESH_NODES}^p mesh, so dimension must be "
                 f"<= {_LAN_MESH_MAX_DIM}, got dimension {self.p}"
             )
         # Every experiment but optimal-alpha and the location model simulates

@@ -45,7 +45,6 @@ __all__ = [
     "kl_grid",
     "tv_grid",
     "trapezoid_weights",
-    "mesh_points",
 ]
 
 # Symmetry tolerance (relative) for covariance inputs.

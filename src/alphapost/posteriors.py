@@ -6,8 +6,8 @@ multiplying by the prior.  Two constructions are provided:
 * closed form for the conjugate Gaussian linear regression model,
 * tabulation on a rectangular grid for generic low-dimensional models.
 
-The Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))`` and concentration
-probes around the (pseudo-)true parameter complete the module.
+The Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))`` completes the
+module.
 
 The conjugate posterior and the Gaussian limit take either one ``alpha`` or
 a vector of them, and then return one stacked :class:`GaussianDist` with a
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, GridDensity, _require_single, mesh_points, trapezoid_weights
+from .gaussians import GaussianDist, GridDensity, log_density, mesh_points
 
 __all__ = [
     "ConjugatePrior",
@@ -30,7 +30,6 @@ __all__ = [
     "grid_alpha_posterior",
     "default_grid_axes",
     "gaussian_bvm_limit",
-    "concentration_probability",
 ]
 
 
@@ -72,8 +71,6 @@ class ConjugatePrior:
         """Batched log prior density; requires an invertible ``Sigma_pi``."""
         cov = sigma_u**2 * np.linalg.inv(self.Sigma_pi)
         dist = GaussianDist(self.mu_pi, (cov + cov.T) / 2.0)
-        from .gaussians import log_density
-
         return lambda pts: log_density(dist, pts)
 
 
@@ -139,6 +136,9 @@ def conjugate_alpha_posterior(
         cov = (sigma_u**2 / scale)[..., None, None] * np.linalg.inv(s)
     except np.linalg.LinAlgError as err:
         raise ValueError("singular normal-equations matrix") from err
+    # A computed inverse is symmetric only up to rounding, which can exceed
+    # GaussianDist's 1e-12 symmetry tolerance once p >= 3 and the design is
+    # ill-conditioned; averaging with the transpose first keeps such inputs.
     return GaussianDist(mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
 
 
@@ -212,43 +212,3 @@ def gaussian_bvm_limit(
     if alpha.ndim:
         mean = np.broadcast_to(mean, alpha.shape + mean.shape)
     return GaussianDist(mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
-
-
-def concentration_probability(
-    post: GaussianDist | GridDensity,
-    theta_star: np.ndarray,
-    radius: float,
-    n: int,
-    rng: np.random.Generator | None = None,
-    draws: int = 100_000,
-) -> float:
-    """Posterior probability that ``sqrt(n) * (theta - theta_star)`` leaves a ball.
-
-    Returns ``P(||sqrt(n)(theta - theta_star)|| > radius)`` under ``post``.
-    Gaussian posteriors (one, not a stack) use the exact normal tail in one
-    dimension and Monte Carlo (``draws`` samples from an explicit ``rng``,
-    without which it raises ``ValueError``) otherwise; grid posteriors use a
-    masked trapezoid sum.
-    """
-    theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    if isinstance(post, GaussianDist):
-        _require_single(post)
-        if post.dim != theta_star.size:
-            raise ValueError("dimension mismatch")
-        shift = np.sqrt(n) * (post.mean - theta_star)
-        if post.dim == 1:
-            from scipy.special import ndtr
-
-            sd = float(np.sqrt(n * post.cov[0, 0]))
-            m = float(shift[0])
-            return float(ndtr((-radius - m) / sd) + ndtr((m - radius) / sd))
-        if rng is None:
-            raise ValueError("Monte Carlo in dimension >= 2 requires an explicit rng")
-        z = rng.standard_normal((draws, post.dim)) @ (np.sqrt(n) * post.chol).T + shift
-        return float(np.mean(np.linalg.norm(z, axis=1) > radius))
-    if post.dim != theta_star.size:
-        raise ValueError("dimension mismatch")
-    pts = post.nodes()
-    mask = np.linalg.norm(np.sqrt(n) * (pts - theta_star), axis=1) > radius
-    w = trapezoid_weights(post.axes).ravel() * post.pdf().ravel()
-    return float(np.sum(w[mask]))

@@ -48,6 +48,9 @@ __all__ = [
     "failure_case_hellinger",
 ]
 
+# Nodes per axis of the mesh on which lan_residual_sup takes its sup.
+LAN_MESH_NODES = 13
+
 
 def derived_seed(master_seed: int, *key: int) -> int:
     """Deterministic per-replication seed derived from a master seed and index key.
@@ -67,7 +70,8 @@ class RegressionDGP:
     short regression of ``Y`` on ``W``.  When omitted it defaults to the
     population residual standard deviation of that projection,
     ``sqrt(sigma_eps^2 + gamma0' (cov_ZZ - cov_WZ' cov_WW^{-1} cov_WZ) gamma0)``,
-    so that the omitted variable is the only misspecification.
+    so that the omitted variable is the only misspecification; a derived
+    value of 0 raises ``ValueError``.
     """
 
     theta0: np.ndarray
@@ -104,6 +108,11 @@ class RegressionDGP:
         if self.sigma_u is None:
             resid_cov = cov_zz - cov_wz.T @ np.linalg.solve(cov_ww, cov_wz)
             sigma_u = float(np.sqrt(self.sigma_eps**2 + gamma0 @ resid_cov @ gamma0))
+            if sigma_u == 0:
+                raise ValueError(
+                    "sigma_eps, gamma0: the derived sigma_u is 0 (no noise, and no part of gamma0'Z "
+                    "outside W); give sigma_u explicitly"
+                )
             object.__setattr__(self, "sigma_u", sigma_u)
         elif self.sigma_u <= 0:
             raise ValueError("sigma_u must be positive")
@@ -236,14 +245,9 @@ def lan_residual(ds: RegressionDataset, dgp: RegressionDGP, h: np.ndarray) -> fl
     return float(vals[0]) if h.ndim <= 1 else vals
 
 
-def lan_residual_sup(
-    ds: RegressionDataset,
-    dgp: RegressionDGP,
-    bound: float = 3.0,
-    points_per_axis: int = 13,
-) -> float:
-    """sup of |LAN defect| over the cube ``[-bound, bound]^p`` on a grid."""
-    pts = mesh_points([np.linspace(-bound, bound, points_per_axis)] * dgp.p)
+def lan_residual_sup(ds: RegressionDataset, dgp: RegressionDGP) -> float:
+    """sup of |LAN defect| over ``[-3, 3]^p``, on a mesh of ``LAN_MESH_NODES`` nodes per axis."""
+    pts = mesh_points([np.linspace(-3.0, 3.0, LAN_MESH_NODES)] * dgp.p)
     return float(np.max(np.abs(lan_residual(ds, dgp, pts))))
 
 

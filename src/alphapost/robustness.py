@@ -130,11 +130,9 @@ class FiniteSampleInputs:
         object.__setattr__(self, "theta_hat_ml_G", g)
 
     @classmethod
-    def at_population_limits(cls, s: MisspecScenario, n: int, eps_n: float | None = None) -> "FiniteSampleInputs":
+    def at_population_limits(cls, s: MisspecScenario, n: int) -> "FiniteSampleInputs":
         """Inputs with both estimators at their probability limits and ``eps_n = eps / n``."""
-        if eps_n is None:
-            eps_n = s.eps / n
-        return cls(s.theta_star, s.theta0, n, eps_n)
+        return cls(s.theta_star, s.theta0, n, s.eps / n)
 
 
 def a_n(Sigma: np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float:

@@ -78,9 +78,10 @@ class TestConfigParsing:
             ExperimentConfig.from_file(write_config(tmp_path, "replications = soon\n"))
 
     def test_seed_is_mandatory(self, tmp_path):
-        cfg = ExperimentConfig.from_file(write_config(tmp_path, "replications = 2\n"))
-        with pytest.raises(ConfigError, match="seed"):
-            cfg.validate("optimal-alpha")
+        for seed_line in ("", "seed = -1\n"):
+            cfg = ExperimentConfig.from_file(write_config(tmp_path, f"replications = 2\n{seed_line}"))
+            with pytest.raises(ConfigError, match="^seed: "):
+                cfg.validate("optimal-alpha")
 
     def test_experiment_name_mismatch_rejected(self, tmp_path):
         cfg = ExperimentConfig.from_file(
@@ -309,6 +310,7 @@ class TestCLI:
                 "2 x 1 matrix",
             ),
             ("optimal-alpha", "cov_wz = 1.5", "dgp/prior: cov_ww, cov_wz, cov_zz: ", "positive definite"),
+            ("bvm-convergence", "sigma_eps = 0\ngamma0 = 0", "dgp/prior: ", "sigma_eps"),
         ],
     )
     def test_builder_error_names_the_field(self, tmp_path, capsys, experiment, line, prefix, detail):

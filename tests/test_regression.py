@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphapost.meanfield import gmf_project_gaussian
-from alphapost.posteriors import ConjugatePrior, concentration_probability, conjugate_alpha_posterior
+from alphapost.posteriors import ConjugatePrior, conjugate_alpha_posterior
 from alphapost.regression import (
+    LAN_MESH_NODES,
     RegressionDGP,
     RegressionDataset,
     assumption2_terms,
@@ -26,6 +27,8 @@ from alphapost.regression import (
     variational_conjugate_cov,
 )
 
+from oracles import normal_tail_two_sided
+
 
 def toy_dgp(**kw):
     base = dict(
@@ -43,6 +46,11 @@ class TestRegressionDGP:
     def test_rejects_non_spd_stacked_covariance(self):
         with pytest.raises(ValueError, match="positive definite"):
             toy_dgp(cov_WZ=[[1.5]])
+
+    def test_rejects_a_derived_sigma_u_of_zero(self):
+        with pytest.raises(ValueError, match="sigma_eps, gamma0"):
+            toy_dgp(gamma0=[0.0], sigma_eps=0.0)
+        assert toy_dgp(gamma0=[0.0], sigma_eps=0.0, sigma_u=1.0).sigma_u == 1.0
 
     def test_rejects_nonpositive_sigma_u(self):
         with pytest.raises(ValueError, match="sigma_u"):
@@ -176,11 +184,11 @@ class TestLanResidual:
     def test_batch_matches_single_perturbations(self):
         dgp = toy_dgp()
         ds = simulate(dgp, 200, 5)
-        hs = np.linspace(-3.0, 3.0, 7)[:, None]
+        hs = np.linspace(-3.0, 3.0, LAN_MESH_NODES)[:, None]
         batch = lan_residual(ds, dgp, hs)
-        assert batch.shape == (7,)
+        assert batch.shape == (LAN_MESH_NODES,)
         assert_allclose(batch, [lan_residual(ds, dgp, h) for h in hs], rtol=1e-12, atol=1e-12)
-        assert lan_residual_sup(ds, dgp, bound=3.0, points_per_axis=7) == float(np.max(np.abs(batch)))
+        assert lan_residual_sup(ds, dgp) == float(np.max(np.abs(batch)))
 
     def test_sup_decays_with_n(self):
         dgp = toy_dgp()
@@ -328,7 +336,10 @@ class TestConcentrationMarkovBound:
             post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 0.5)
             r_n = np.log(ds.n)
             bound = concentration_markov_bound(post.mean, post.cov, theta_star, r_n, ds.n)
-            exact = concentration_probability(post, theta_star, r_n, ds.n)
+            sqrt_n = np.sqrt(ds.n)
+            exact = normal_tail_two_sided(
+                r_n, sqrt_n * float(post.mean[0] - theta_star[0]), sqrt_n * np.sqrt(post.cov[0, 0])
+            )
             assert bound >= exact
 
     def test_substitution_arithmetic(self):
