@@ -50,12 +50,12 @@ dgp = RegressionDGP(
     cov_WZ=[[0.5], [0.3]],
     cov_ZZ=[[1.0]],
 )
-ds = simulate(dgp, 200, 3)
+w = simulate(dgp, 200, 3).stats().first_columns(dgp.p)
 prior = ConjugatePrior([0.0, 0.0], np.eye(2))
 alpha = 0.5
-lik = regression_likelihood(ds, dgp.sigma_u)
+lik = regression_likelihood(w, dgp.sigma_u)
 log_prior = prior.log_density_fn(dgp.sigma_u)
-best = gmf_project_gaussian(conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha))
+best = gmf_project_gaussian(conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha))
 top = penalized_objective(best, lik, log_prior, alpha)
 print("objective at the projection:", top)
 sd = np.sqrt(best.var)

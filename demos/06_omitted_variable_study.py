@@ -41,20 +41,21 @@ print("limit optimal tempering:", limit_alpha_star(scenario))
 
 n = 5000
 eps_n = eps / n
-ds = simulate(dgp, n, seed=29)
+stats = simulate(dgp, n, seed=29).stats()  # n and the Gram matrix of [W, Z, Y]
+w = stats.first_columns(dgp.p)  # the analyst's short regression on W
 prior = ConjugatePrior([0.0], [[1.0]])
 full_prior = ConjugatePrior(np.zeros(2), np.eye(2))
 
-theta_f = ols(ds.W, ds.Y)
-theta_g = ols(np.hstack([ds.W, ds.Z]), ds.Y)[:1]
+theta_f = ols(w)
+theta_g = ols(stats)[:1]
 fin = FiniteSampleInputs(theta_f, theta_g, n, eps_n)
 
-true_post, omega_hat = true_posterior_theta(ds, full_prior, dgp.sigma_eps)
-std_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
+true_post, omega_hat = true_posterior_theta(stats, full_prior, dgp.sigma_eps, dgp.p)
+std_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
 
 print("\nalpha   exact criterion   Gaussian surrogate")
 for alpha in (0.25, 0.5, 0.75, 1.0):
-    alpha_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
+    alpha_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
     exact = exact_expected_kl(true_post, alpha_post, std_post, eps_n)
     surrogate = r_star(alpha, scenario, fin)
     print(f"{alpha:5.2f}   {exact:15.6f}   {surrogate:18.6f}")

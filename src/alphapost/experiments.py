@@ -6,7 +6,9 @@ documented computation, and writes ``<experiment>.csv`` plus
 output directory.  Reruns with the same seed produce byte-identical CSV
 bodies: every replication derives its own RNG stream from
 ``(master seed, n, rep)`` and rows are sorted deterministically before
-writing.
+writing.  The regression experiments reduce each replication's sample to
+its sufficient statistics as soon as it is drawn, and then run one stacked
+computation over every (replication, alpha) cell of each sample size.
 
 CSV schemas (stable, one file per run):
 
@@ -31,6 +33,7 @@ example with its conjugate closed forms).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -47,6 +50,7 @@ from .meanfield import gmf_project_gaussian, gmf_project_numeric, variational_bv
 from .posteriors import (
     ConjugatePrior,
     LikelihoodEvaluator,
+    SufficientStats,
     conjugate_alpha_posterior,
     default_grid_axes,
     gaussian_bvm_limit,
@@ -367,15 +371,31 @@ def laplace_log_prior(loc: float = 0.0, scale: float = 1.0) -> Callable[[np.ndar
 # -- experiment implementations --------------------------------------------
 
 
-def _replicated_rows(cfg: ExperimentConfig, one_rep: Callable[[int, int], list[list]]) -> list[list]:
-    """Rows of ``one_rep(n, rep)`` over every ``(n, rep)``, sorted by their first three columns.
+def _replicated_rows(cfg: ExperimentConfig, rows_at: Callable[[int], list[list]]) -> list[list]:
+    """Rows of ``rows_at(n)`` over ``n_grid``, sorted by their first three columns.
 
-    A replication's rows are fixed by ``(n, rep)``, from which its RNG stream
+    ``rows_at(n)`` gives the rows of every replication at ``n``.  A
+    replication's rows are fixed by ``(n, rep)``, from which its RNG stream
     is derived, so the result does not depend on the order of ``n_grid`` or
-    ``alphas``.
+    ``alphas``, nor on the number of replications.
     """
-    rows = [row for n in cfg.n_grid for rep in range(cfg.replications) for row in one_rep(n, rep)]
+    rows = [row for n in cfg.n_grid for row in rows_at(n)]
     return sorted(rows, key=lambda r: r[:3])
+
+
+def _replications(cfg: ExperimentConfig, dgp: RegressionDGP, n: int, reps: int) -> SufficientStats:
+    """The stacked statistics of replications ``0 .. reps - 1`` at ``n``.
+
+    Each sample is drawn from its ``(seed, n, rep)`` stream and reduced at
+    once, so one raw sample is alive at a time.
+    """
+    return SufficientStats.stack([simulate(dgp, n, derived_seed(cfg.seed, n, rep)).stats() for rep in range(reps)])
+
+
+def _cell_rows(n: int, reps: int, alphas, *columns) -> list[list]:
+    # One row per (rep, alpha) cell of replication-major stacked columns.
+    cells = itertools.product(range(reps), alphas)
+    return [[n, rep, float(alpha), *vals] for (rep, alpha), vals in zip(cells, zip(*columns))]
 
 
 def _location_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> list[list]:
@@ -401,50 +421,55 @@ def _location_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> lis
     return rows
 
 
-def _regression_rep(
-    cfg: ExperimentConfig, dgp: RegressionDGP, prior: ConjugatePrior, n: int, rep: int, project: bool
+def _regression_convergence(
+    cfg: ExperimentConfig, dgp: RegressionDGP, prior: ConjugatePrior, n: int, project: bool
 ) -> list[list]:
-    ds = simulate(dgp, n, derived_seed(cfg.seed, n, rep))
-    theta_hat = ols(ds.W, ds.Y)
+    w = _replications(cfg, dgp, n, cfg.replications).first_columns(dgp.p)
+    theta_hat = ols(w)
     v = curvature(dgp)
-    # One stack over the alphas: posteriors, limits and divergences.
-    post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, cfg.alphas)
+    # One stack over every (rep, alpha) cell: posteriors, limits and divergences.
+    post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, cfg.alphas)
     if project:
         lim = variational_bvm_limit(theta_hat, v, n, cfg.alphas)
-        kl = kl_gaussian(gmf_project_gaussian(post).dist, lim.dist)
-        return [[n, rep, float(alpha), k] for alpha, k in zip(cfg.alphas, kl)]
+        return _cell_rows(n, cfg.replications, cfg.alphas, kl_gaussian(gmf_project_gaussian(post).dist, lim.dist))
     lim = gaussian_bvm_limit(theta_hat, v, n, cfg.alphas)
     tv = tv_gaussian(post, lim, budget=cfg.grid_points).value
-    kl = kl_gaussian(post, lim)
-    return [[n, rep, float(alpha), t, k] for alpha, t, k in zip(cfg.alphas, tv, kl)]
+    return _cell_rows(n, cfg.replications, cfg.alphas, tv, kl_gaussian(post, lim))
 
 
 def _convergence_rows(cfg: ExperimentConfig, project: bool) -> list[list]:
     if cfg.model == "laplace-location":
-        return _replicated_rows(cfg, lambda n, rep: _location_rep(cfg, n, rep, project))
+        reps = range(cfg.replications)
+        return _replicated_rows(cfg, lambda n: [row for rep in reps for row in _location_rep(cfg, n, rep, project)])
     dgp, prior = cfg.dgp(), cfg.prior()
-    return _replicated_rows(cfg, lambda n, rep: _regression_rep(cfg, dgp, prior, n, rep, project))
+    return _replicated_rows(cfg, lambda n: _regression_convergence(cfg, dgp, prior, n, project))
 
 
 def _exact_robustness(
-    cfg: ExperimentConfig, dgp: RegressionDGP, prior: ConjugatePrior, full_prior: ConjugatePrior, n: int, rep: int
+    cfg: ExperimentConfig,
+    dgp: RegressionDGP,
+    prior: ConjugatePrior,
+    full_prior: ConjugatePrior,
+    stats: SufficientStats,
 ) -> tuple[FiniteSampleInputs, np.ndarray, np.ndarray]:
-    """Sample ``(n, rep)``'s finite-sample inputs, the sorted alphas and ``r_exact`` at each.
+    """The stacked samples' finite-sample inputs, the sorted alphas and ``r_exact`` at each cell.
 
     ``r_exact`` is the expected KL of the tempered posterior against the
     correctly specified (``true_posterior_theta``) and the standard
-    (``alpha = 1``) posteriors, with misspecification probability ``eps / n``.
+    (``alpha = 1``) posteriors, with misspecification probability ``eps / n``,
+    one value per (rep, alpha) cell, replication-major.
     """
+    n = stats.n
     eps_n = cfg.eps / n
-    ds = simulate(dgp, n, derived_seed(cfg.seed, n, rep))
-    theta_f = ols(ds.W, ds.Y)
-    theta_g = ols(np.hstack([ds.W, ds.Z]), ds.Y)[: dgp.p]
-    fin = FiniteSampleInputs(theta_f, theta_g, n, eps_n)
-    true_post, _ = true_posterior_theta(ds, full_prior, dgp.sigma_eps)
+    w = stats.first_columns(dgp.p)
+    fin = FiniteSampleInputs(ols(w), ols(stats)[..., : dgp.p], n, eps_n)
+    true_post, _ = true_posterior_theta(stats, full_prior, dgp.sigma_eps, dgp.p)
     alphas = np.sort(cfg.alphas)
-    # One stack: the standard posterior first, then one per alpha.
-    posts = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, np.concatenate([[1.0], alphas]))
-    return fin, alphas, exact_expected_kl(true_post, posts[1:], posts[0], eps_n)
+    posts = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alphas)
+    std_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
+    # Each replication's true and standard posteriors, once per alpha.
+    rep_of_cell = np.repeat(np.arange(len(std_post.mean)), alphas.size)
+    return fin, alphas, exact_expected_kl(true_post[rep_of_cell], posts, std_post[rep_of_cell], eps_n)
 
 
 def exp_bvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
@@ -457,7 +482,9 @@ def exp_vbvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 def exp_robustness_curve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     scenario = cfg.scenario()
-    fin, alphas, r_exact = _exact_robustness(cfg, cfg.dgp(), cfg.prior(), cfg.full_prior(), cfg.single_n(), 0)
+    dgp = cfg.dgp()
+    stats = _replications(cfg, dgp, cfg.single_n(), 1)
+    fin, alphas, r_exact = _exact_robustness(cfg, dgp, cfg.prior(), cfg.full_prior(), stats)
     curves = zip(alphas, r_star(alphas, scenario, fin), r_tilde_star(alphas, scenario, fin), r_exact)
     rows = [list(row) for row in curves]
     return ["alpha", "r_star", "r_tilde_star", "r_exact"], rows
@@ -487,15 +514,16 @@ def exp_assumption_checks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]
     v = curvature(dgp)
     theta_star = pseudo_true(dgp)
 
-    def one_rep(n: int, rep: int) -> list[list]:
-        ds = simulate(dgp, n, derived_seed(cfg.seed, n, rep))
-        post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, cfg.alpha)
-        prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, ds)
+    def rows_at(n: int) -> list[list]:
+        w = _replications(cfg, dgp, n, cfg.replications).first_columns(dgp.p)
+        post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, cfg.alpha)
+        prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, w)
         markov = concentration_markov_bound(post.mean, post.cov, theta_star, np.log(n), n)
-        kl_limit = kl_gaussian(post, gaussian_bvm_limit(ols(ds.W, ds.Y), v, n, cfg.alpha))
-        return [[n, rep, lan_residual_sup(ds, dgp), prior_term, lan_term, markov, kl_limit]]
+        kl_limit = kl_gaussian(post, gaussian_bvm_limit(ols(w), v, n, cfg.alpha))
+        columns = zip(lan_residual_sup(w, dgp), prior_term, lan_term, markov, kl_limit)
+        return [[n, rep, *vals] for rep, vals in enumerate(columns)]
 
-    rows = _replicated_rows(cfg, one_rep)
+    rows = _replicated_rows(cfg, rows_at)
     return ["n", "rep", "lan_sup", "prior_term", "lan_term", "markov_bound", "kl_limit"], rows
 
 
@@ -505,12 +533,13 @@ def exp_surrogate_fidelity(cfg: ExperimentConfig) -> tuple[list[str], list[list]
     prior = cfg.prior()
     full_prior = cfg.full_prior()
 
-    def one_rep(n: int, rep: int) -> list[list]:
-        fin, alphas, r_exact = _exact_robustness(cfg, dgp, prior, full_prior, n, rep)
+    def rows_at(n: int) -> list[list]:
+        stats = _replications(cfg, dgp, n, cfg.replications)
+        fin, alphas, r_exact = _exact_robustness(cfg, dgp, prior, full_prior, stats)
         r_surr = r_star(alphas, scenario, fin)
-        return [[n, rep, *row, abs(row[1] - row[2])] for row in zip(alphas, r_exact, r_surr)]
+        return _cell_rows(n, cfg.replications, alphas, r_exact, r_surr, np.abs(r_exact - r_surr))
 
-    rows = _replicated_rows(cfg, one_rep)
+    rows = _replicated_rows(cfg, rows_at)
     return ["n", "rep", "alpha", "r_exact", "r_star", "abs_diff"], rows
 
 

@@ -20,8 +20,9 @@ dimension one and two: a closed form in the normal CDF in 1-d, and in 2-d a
 closed-form inner integral under a 1-d outer rule (Monte Carlo is the option
 in any dimension).
 
-The module needs only numpy at import; the total variation loads
-``scipy.special`` and grid splines ``scipy.interpolate`` on first use.
+The module needs only numpy: the normal CDF behind the total variation is
+built on :func:`math.erf`.  Grid splines alone load ``scipy.interpolate``,
+on first use.
 
 All functions are pure; Monte Carlo routines take an explicit
 ``numpy.random.Generator`` so concurrent callers own independent streams.
@@ -29,6 +30,7 @@ All functions are pure; Monte Carlo routines take an explicit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -233,12 +235,34 @@ def _positive_set(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _ndtr(a) -> np.ndarray:
+    """Standard normal CDF, elementwise, in the form of Cephes' ndtr.
+
+    ``math.erf`` near the centre, ``math.erfc`` of ``|x|`` in the tails,
+    reflected for positive ``x``.  ``map`` over a list calls the two C
+    builtins without a Python frame per element, about twice as fast as a
+    ``np.frompyfunc`` ufunc.
+    """
+    x = np.asarray(a, dtype=float) * _SQRT1_2
+    z = np.abs(x)
+    centre = z < _SQRT1_2
+    tail = ~centre
+    out = np.empty_like(x)
+    out[centre] = 0.5 + 0.5 * np.fromiter(map(math.erf, x[centre].tolist()), float)
+    lower = 0.5 * np.fromiter(map(math.erfc, z[tail].tolist()), float)
+    out[tail] = np.where(x[tail] > 0.0, 1.0 - lower, lower)
+    return out
+
+
 def _normal_mass(lo, hi, mean, sd) -> np.ndarray:
     """P(lo < X < hi) for X ~ N(mean, sd^2), from the nearer tail so right-tail intervals keep precision."""
-    from scipy.special import ndtr
-
     zl, zh = (lo - mean) / sd, (hi - mean) / sd
-    return np.where(zl > 0.0, ndtr(-zl) - ndtr(-zh), ndtr(zh) - ndtr(zl))
+    right = zl > 0.0
+    # Phi(-zl) - Phi(-zh) on the right of the mean, Phi(zh) - Phi(zl) elsewhere.
+    return _ndtr(np.where(right, -zl, zh)) - _ndtr(np.where(right, -zh, zl))
 
 
 def _tv_frame(p: GaussianDist, q: GaussianDist) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussians import GaussianDist, GridDensity, _require_single, _result, mesh_points
-from .posteriors import LikelihoodEvaluator, _tempering
+from .posteriors import LikelihoodEvaluator, _per_alpha, _replication_major, _tempering
 
 __all__ = [
     "DiagonalGaussian",
@@ -97,13 +97,14 @@ def gmf_project_gaussian(target: GaussianDist) -> DiagonalGaussian:
 def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float]) -> DiagonalGaussian:
     """Mean-field limit: mean at the ML estimator, ``var_j = 1 / (alpha n V_jj)``.
 
-    A vector of ``alpha`` gives the stack of limits, one per ``alpha``.
+    A stack of estimates (shape (R, p), one per replication) or a vector of
+    ``alpha`` gives the stack of limits, replication-major.
     """
-    alpha = _tempering(alpha)[..., None]
+    alpha = _tempering(alpha)
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    var = 1.0 / (alpha * n * np.diag(V))
     mean = np.atleast_1d(np.asarray(theta_hat_ml, dtype=float))
-    return DiagonalGaussian(np.broadcast_to(mean, var.shape), var)
+    mean, var = np.broadcast_arrays(_per_alpha(mean, alpha, 1), 1.0 / (alpha[..., None] * n * np.diag(V)))
+    return DiagonalGaussian(_replication_major(mean, 1), _replication_major(var, 1))
 
 
 @lru_cache(maxsize=None)

@@ -3,15 +3,18 @@
 A tempered posterior raises the likelihood to a power ``alpha > 0`` before
 multiplying by the prior.  Two constructions are provided:
 
-* closed form for the conjugate Gaussian linear regression model,
+* closed form for the conjugate Gaussian linear regression model, from the
+  sample's sufficient statistics (:class:`SufficientStats`),
 * tabulation on a rectangular grid for generic low-dimensional models.
 
 The Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))`` completes the
 module.
 
-The conjugate posterior and the Gaussian limit take either one ``alpha`` or
-a vector of them, and then return one stacked :class:`GaussianDist` with a
-member per ``alpha``.
+The conjugate posterior and the Gaussian limit take one sample or a stack of
+replications, and either one ``alpha`` or a vector of them.  They return one
+:class:`GaussianDist` with a member per (replication, ``alpha``) cell,
+replication-major: member ``r * len(alpha) + a`` is replication ``r`` at
+``alpha[a]``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .gaussians import GaussianDist, GridDensity, log_density, mesh_points
 
 __all__ = [
+    "SufficientStats",
     "ConjugatePrior",
     "LikelihoodEvaluator",
     "conjugate_alpha_posterior",
@@ -31,6 +35,80 @@ __all__ = [
     "default_grid_axes",
     "gaussian_bvm_limit",
 ]
+
+
+@dataclass(frozen=True)
+class SufficientStats:
+    """Sufficient statistics of linear-model samples: the size ``n`` and the Gram matrix of ``[X, Y]``.
+
+    ``gram`` is ``[X, Y]'[X, Y]`` with the response last, of shape
+    (k + 1, k + 1) for one sample with k design columns, or (R, k + 1, k + 1)
+    for a stack of R samples that share ``n`` (replications).  Every routine
+    that takes these broadcasts over the stack, so one sample runs the same
+    code as a stack.  ``gram`` must be finite; ``n`` at least 1.
+    """
+
+    n: int
+    gram: np.ndarray
+
+    def __post_init__(self):
+        gram = np.asarray(self.gram, dtype=float)
+        if gram.ndim not in (2, 3) or gram.shape[-1] != gram.shape[-2] or gram.shape[-1] < 2:
+            raise ValueError(f"gram must be a (k + 1) x (k + 1) matrix or a stack of them, got shape {gram.shape}")
+        if not np.all(np.isfinite(gram)):
+            raise ValueError("gram must be finite")
+        if int(self.n) != self.n or self.n < 1:
+            raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "gram", gram)
+
+    @classmethod
+    def of(cls, X: np.ndarray, Y: np.ndarray) -> "SufficientStats":
+        """The statistics of one sample: design ``X`` of shape (n, k) or (n,), response ``Y``."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X[:, None]
+        Y = np.asarray(Y, dtype=float).ravel()
+        if X.ndim != 2 or X.shape[0] != Y.size:
+            raise ValueError("design and response row counts disagree")
+        cols = np.column_stack([X, Y])
+        return cls(Y.size, cols.T @ cols)
+
+    @classmethod
+    def stack(cls, members: Sequence["SufficientStats"]) -> "SufficientStats":
+        """One stack of single-sample statistics that share ``n`` and the design columns."""
+        if not members or any(m.stacked or m.n != members[0].n for m in members):
+            raise ValueError("a stack takes one or more single samples of one size n")
+        return cls(members[0].n, np.stack([m.gram for m in members]))
+
+    @property
+    def k(self) -> int:
+        """Number of design columns."""
+        return self.gram.shape[-1] - 1
+
+    @property
+    def stacked(self) -> bool:
+        """Whether this is a stack of samples rather than one."""
+        return self.gram.ndim == 3
+
+    @property
+    def xtx(self) -> np.ndarray:
+        return self.gram[..., : self.k, : self.k]
+
+    @property
+    def xty(self) -> np.ndarray:
+        return self.gram[..., : self.k, self.k]
+
+    @property
+    def yty(self) -> float | np.ndarray:
+        return self.gram[..., self.k, self.k]
+
+    def first_columns(self, k: int) -> "SufficientStats":
+        """The statistics of the regression of ``Y`` on the first ``k`` design columns only."""
+        if not 1 <= k <= self.k:
+            raise ValueError(f"k must lie in [1, {self.k}]")
+        keep = np.r_[0:k, self.k]
+        return SufficientStats(self.n, self.gram[..., keep[:, None], keep])
 
 
 @dataclass(frozen=True)
@@ -93,6 +171,20 @@ class LikelihoodEvaluator:
         return np.asarray(self.log_lik(pts), dtype=float)
 
 
+def _per_alpha(x: np.ndarray, alpha: np.ndarray, core: int) -> np.ndarray:
+    # Room for the alpha axis, if any, between the replication axis, if any,
+    # and the last ``core`` axes that belong to one member.
+    cut = x.ndim - core
+    return x.reshape(x.shape[:cut] + (1,) * alpha.ndim + x.shape[cut:])
+
+
+def _replication_major(x: np.ndarray, core: int) -> np.ndarray:
+    # Merge the leading (replication, alpha) axes of an array whose last
+    # ``core`` axes belong to one member into one stack axis, replication-major.
+    lead = x.shape[: x.ndim - core]
+    return x.reshape((-1,) + x.shape[x.ndim - core :]) if len(lead) > 1 else x
+
+
 def _tempering(alpha) -> np.ndarray:
     # One alpha or a vector of them, each positive.
     alpha = np.asarray(alpha, dtype=float)
@@ -104,33 +196,26 @@ def _tempering(alpha) -> np.ndarray:
 
 
 def conjugate_alpha_posterior(
-    W: np.ndarray,
-    Y: np.ndarray,
+    stats: SufficientStats,
     prior: ConjugatePrior,
     sigma_u: float,
     alpha: float | Sequence[float],
 ) -> GaussianDist:
-    """Closed-form tempered posterior for the Gaussian linear model.
+    """Closed-form tempered posterior for the Gaussian linear model, from sufficient statistics.
 
-    With ``S = W'W/n + Sigma_pi/(alpha n)`` the posterior is Gaussian with
-    mean ``S^{-1} (Sigma_pi mu_pi / (alpha n) + W'Y/n)`` and covariance
-    ``sigma_u^2 / (alpha n) * S^{-1}``.  A vector of ``alpha`` gives the
-    stack of these posteriors, one per ``alpha`` in order, from one stacked
-    solve.
+    With ``S = X'X/n + Sigma_pi/(alpha n)`` the posterior is Gaussian with
+    mean ``S^{-1} (Sigma_pi mu_pi / (alpha n) + X'Y/n)`` and covariance
+    ``sigma_u^2 / (alpha n) * S^{-1}``, where ``X`` is every design column of
+    ``stats``.  A stack of samples or a vector of ``alpha`` gives the stack
+    of these posteriors, replication-major, from one stacked solve.
     """
     alpha = _tempering(alpha)
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
-    Y = np.asarray(Y, dtype=float).ravel()
-    n = W.shape[0]
-    if n < 1 or Y.size != n:
-        raise ValueError("design and response row counts disagree")
-    if prior.dim != W.shape[1]:
-        raise ValueError(f"prior dimension {prior.dim} does not match the {W.shape[1]} design columns")
+    if prior.dim != stats.k:
+        raise ValueError(f"prior dimension {prior.dim} does not match the {stats.k} design columns")
+    n = stats.n
     scale = alpha * n
-    s = W.T @ W / n + prior.Sigma_pi / scale[..., None, None]
-    b = prior.Sigma_pi @ prior.mu_pi / scale[..., None] + W.T @ Y / n
+    s = _per_alpha(stats.xtx, alpha, 2) / n + prior.Sigma_pi / scale[..., None, None]
+    b = prior.Sigma_pi @ prior.mu_pi / scale[..., None] + _per_alpha(stats.xty, alpha, 1) / n
     try:
         mean = np.linalg.solve(s, b[..., None])[..., 0]
         cov = (sigma_u**2 / scale)[..., None, None] * np.linalg.inv(s)
@@ -139,7 +224,8 @@ def conjugate_alpha_posterior(
     # A computed inverse is symmetric only up to rounding, which can exceed
     # GaussianDist's 1e-12 symmetry tolerance once p >= 3 and the design is
     # ill-conditioned; averaging with the transpose first keeps such inputs.
-    return GaussianDist(mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
+    cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    return GaussianDist(_replication_major(mean, 1), _replication_major(cov, 2))
 
 
 def default_grid_axes(
@@ -202,13 +288,15 @@ def gaussian_bvm_limit(
     """Large-sample Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))``.
 
     Tempering only rescales the covariance: ``alpha < 1`` inflates it, the
-    location stays at the maximum likelihood estimator.  A vector of
-    ``alpha`` gives the stack of limits, one per ``alpha``.
+    location stays at the maximum likelihood estimator.  A stack of
+    estimates (shape (R, p), one per replication) or a vector of ``alpha``
+    gives the stack of limits, replication-major.
     """
     alpha = _tempering(alpha)
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    cov = np.linalg.inv(V) / (alpha * n)[..., None, None]
     mean = np.atleast_1d(np.asarray(theta_hat_ml, dtype=float))
-    if alpha.ndim:
-        mean = np.broadcast_to(mean, alpha.shape + mean.shape)
-    return GaussianDist(mean, (cov + np.swapaxes(cov, -1, -2)) / 2.0)
+    cells = mean.shape[:-1] + alpha.shape
+    mean = np.broadcast_to(_per_alpha(mean, alpha, 1), cells + mean.shape[-1:])
+    cov = np.linalg.inv(V) / (alpha * n)[..., None, None]
+    cov = np.broadcast_to((cov + np.swapaxes(cov, -1, -2)) / 2.0, cells + V.shape)
+    return GaussianDist(_replication_major(mean, 1), _replication_major(cov, 2))

@@ -8,6 +8,11 @@ analysis needs is then available in closed form: the pseudo-true parameter
 ``E[WW'] / sigma_u^2``, the correctly specified posterior's covariance
 scale, and the conjugate tempered posterior itself.
 
+A sample enters every estimator and probe through its sufficient
+statistics (:meth:`RegressionDataset.stats`: ``n`` and the Gram matrix of
+``[W, Z, Y]``), one sample or a stack of replications of one size ``n``,
+and the stacked routines return one value per replication.
+
 The module also houses the verification probes used by the experiment
 harness: the local-asymptotic-normality residual (batched over
 perturbations), the prior/remainder integrals that the mean-field limit needs
@@ -23,9 +28,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, hellinger_sq_gaussian, mesh_points
+from .gaussians import GaussianDist, _result, hellinger_sq_gaussian, mesh_points
 from .meanfield import DiagonalGaussian, gmf_project_gaussian
-from .posteriors import ConjugatePrior, LikelihoodEvaluator, conjugate_alpha_posterior, gaussian_bvm_limit
+from .posteriors import (
+    ConjugatePrior,
+    LikelihoodEvaluator,
+    SufficientStats,
+    conjugate_alpha_posterior,
+    gaussian_bvm_limit,
+)
 from .robustness import MisspecScenario
 
 __all__ = [
@@ -151,6 +162,14 @@ class RegressionDataset:
     def n(self) -> int:
         return self.Y.size
 
+    def stats(self) -> SufficientStats:
+        """Sufficient statistics of the sample: ``n`` and the Gram matrix of ``[W, Z, Y]``.
+
+        Its first ``p`` design columns are ``W``: ``stats().first_columns(p)``
+        are the statistics of the analyst's short regression.
+        """
+        return SufficientStats.of(np.hstack([self.W, self.Z]), self.Y)
+
 
 def simulate(dgp: RegressionDGP, n: int, seed: int) -> RegressionDataset:
     """Draw an i.i.d. sample of size ``n``; bit-reproducible given the seed."""
@@ -163,16 +182,16 @@ def simulate(dgp: RegressionDGP, n: int, seed: int) -> RegressionDataset:
     return RegressionDataset(y, w, z)
 
 
-def ols(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficient ``(W'W)^{-1} W'Y``."""
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
-    Y = np.asarray(Y, dtype=float).ravel()
-    gram = W.T @ W
-    if np.linalg.matrix_rank(gram) < gram.shape[0]:
+def ols(stats: SufficientStats) -> np.ndarray:
+    """Least-squares coefficients ``(X'X)^{-1} X'Y`` on every design column of ``stats``.
+
+    A stack of samples gives one row of coefficients per sample; a
+    rank-deficient design in any of them raises ``ValueError``.
+    """
+    xtx = stats.xtx
+    if np.any(np.linalg.matrix_rank(xtx) < stats.k):
         raise ValueError("design matrix is rank deficient")
-    return np.linalg.solve(gram, W.T @ Y)
+    return np.linalg.solve(xtx, stats.xty[..., None])[..., 0]
 
 
 def pseudo_true(dgp: RegressionDGP) -> np.ndarray:
@@ -206,15 +225,15 @@ def misspec_scenario(dgp: RegressionDGP, eps: float) -> MisspecScenario:
     )
 
 
-def regression_likelihood(ds: RegressionDataset, sigma_u: float) -> LikelihoodEvaluator:
-    """Batched log-likelihood of the working model, via sufficient statistics.
+def regression_likelihood(stats: SufficientStats, sigma_u: float) -> LikelihoodEvaluator:
+    """Batched log-likelihood of the working model for one sample, regressing ``Y`` on every design column.
 
     The covariate marginal does not involve theta and is dropped.
     """
-    n = ds.n
-    yty = float(ds.Y @ ds.Y)
-    wty = ds.W.T @ ds.Y
-    wtw = ds.W.T @ ds.W
+    if stats.stacked:
+        raise ValueError("the likelihood takes one sample, not a stack")
+    n = stats.n
+    yty, wty, wtw = float(stats.yty), stats.xty, stats.xtx
     const = -0.5 * n * np.log(2.0 * np.pi * sigma_u**2)
 
     def log_lik(thetas: np.ndarray) -> np.ndarray:
@@ -222,33 +241,49 @@ def regression_likelihood(ds: RegressionDataset, sigma_u: float) -> LikelihoodEv
         quad = np.einsum("ni,ij,nj->n", thetas, wtw, thetas)
         return const - (yty - 2.0 * thetas @ wty + quad) / (2.0 * sigma_u**2)
 
-    return LikelihoodEvaluator(log_lik, ds.W.shape[1])
+    return LikelihoodEvaluator(log_lik, stats.k)
 
 
-def _q_n(ds: RegressionDataset, dgp: RegressionDGP) -> np.ndarray:
-    return ds.W.T @ ds.W / (ds.n * dgp.sigma_u**2) - curvature(dgp)
+# lan_residual_sup holds at most this many (sample, mesh point) values at a
+# time: 200 samples on the 13^5-point mesh would otherwise take about 2 GB.
+_LAN_BLOCK = 2**18
 
 
-def lan_residual(ds: RegressionDataset, dgp: RegressionDGP, h: np.ndarray) -> float | np.ndarray:
+def _lan_terms(stats: SufficientStats, dgp: RegressionDGP) -> tuple[np.ndarray, np.ndarray]:
+    # Q_n = W'W/(n sigma_u^2) - V and Delta_n = sqrt(n)(theta_hat - theta_star), per sample.
+    w = stats.first_columns(dgp.p)
+    q = w.xtx / (w.n * dgp.sigma_u**2) - curvature(dgp)
+    return q, np.sqrt(w.n) * (ols(w) - pseudo_true(dgp))
+
+
+def _lan_defect(q: np.ndarray, delta: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    linear = np.einsum("ni,...ij,...j->...n", pts, q, delta)
+    return linear - 0.5 * np.einsum("ni,...ij,nj->...n", pts, q, pts)
+
+
+def lan_residual(stats: SufficientStats, dgp: RegressionDGP, h: np.ndarray) -> float | np.ndarray:
     """Local-asymptotic-normality defect ``h'Q_n Delta_n - h'Q_n h / 2`` at perturbation ``h``.
 
     ``Q_n = W'W/(n sigma_u^2) - V`` and ``Delta_n = sqrt(n)(theta_hat - theta_star)``;
     this is the log-likelihood ratio at ``theta_star + h/sqrt(n)`` minus its
-    quadratic LAN expansion.  ``h`` is one perturbation of shape (p,),
-    giving a float, or a batch of shape (N, p), giving an (N,) array.
+    quadratic LAN expansion.  ``stats`` are a sample's (or a stack's)
+    statistics whose first ``p`` design columns are ``W``.  ``h`` is one
+    perturbation of shape (p,), giving a float per sample, or a batch of
+    shape (N, p), giving N values per sample; a stack puts its sample axis
+    first.
     """
     h = np.asarray(h, dtype=float)
-    pts = np.atleast_2d(h)
-    q = _q_n(ds, dgp)
-    delta = np.sqrt(ds.n) * (ols(ds.W, ds.Y) - pseudo_true(dgp))
-    vals = pts @ q @ delta - 0.5 * np.einsum("ni,ij,nj->n", pts, q, pts)
-    return float(vals[0]) if h.ndim <= 1 else vals
+    vals = _lan_defect(*_lan_terms(stats, dgp), np.atleast_2d(h))
+    return _result(vals[..., 0]) if h.ndim <= 1 else vals
 
 
-def lan_residual_sup(ds: RegressionDataset, dgp: RegressionDGP) -> float:
-    """sup of |LAN defect| over ``[-3, 3]^p``, on a mesh of ``LAN_MESH_NODES`` nodes per axis."""
+def lan_residual_sup(stats: SufficientStats, dgp: RegressionDGP) -> float | np.ndarray:
+    """sup of |LAN defect| over ``[-3, 3]^p``, on a mesh of ``LAN_MESH_NODES`` nodes per axis, per sample."""
+    q, delta = _lan_terms(stats, dgp)
     pts = mesh_points([np.linspace(-3.0, 3.0, LAN_MESH_NODES)] * dgp.p)
-    return float(np.max(np.abs(lan_residual(ds, dgp, pts))))
+    values = delta.size // dgp.p * len(pts)  # samples x mesh points
+    blocks = np.array_split(pts, -(-values // _LAN_BLOCK))
+    return _result(np.max([np.max(np.abs(_lan_defect(q, delta, b)), axis=-1) for b in blocks], axis=0))
 
 
 def assumption2_terms(
@@ -256,73 +291,82 @@ def assumption2_terms(
     Sigma_n: np.ndarray,
     dgp: RegressionDGP,
     prior: ConjugatePrior,
-    ds: RegressionDataset,
-) -> tuple[float, float]:
+    stats: SufficientStats,
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """The two integrals whose decay the mean-field limit requires.
 
     Both are expectations under ``N(sqrt(n)(mu_n - theta_star), n Sigma_n)``:
     the first of the log prior ratio (closed form for the Gaussian prior),
     the second of the LAN defect.  Flat priors zero the first term exactly.
+    ``stats`` are the sample's statistics (first ``p`` design columns ``W``);
+    a stack of samples takes ``mu_n`` of shape (R, p) and ``Sigma_n`` of
+    shape (R, p, p), one per sample, and gives one value of each per sample.
     """
     mu_n = np.atleast_1d(np.asarray(mu_n, dtype=float))
     Sigma_n = np.atleast_2d(np.asarray(Sigma_n, dtype=float))
-    n = ds.n
+    w = stats.first_columns(dgp.p)
+    n = w.n
     theta_star = pseudo_true(dgp)
     mu_bar = np.sqrt(n) * (mu_n - theta_star)
     n_sigma = n * Sigma_n
     prec = prior.Sigma_pi / dgp.sigma_u**2
     prior_term = (
-        -0.5 / n * mu_bar @ prec @ mu_bar
-        - 0.5 / n * np.trace(n_sigma @ prec)
+        -0.5 / n * np.einsum("...i,ij,...j->...", mu_bar, prec, mu_bar)
+        - 0.5 / n * np.trace(n_sigma @ prec, axis1=-2, axis2=-1)
         + mu_bar @ prec @ (prior.mu_pi - theta_star) / np.sqrt(n)
     )
-    q = _q_n(ds, dgp)
-    delta = np.sqrt(n) * (ols(ds.W, ds.Y) - theta_star)
-    lan_term = mu_bar @ q @ delta - 0.5 * mu_bar @ q @ mu_bar - 0.5 * np.trace(q @ n_sigma)
-    return float(prior_term), float(lan_term)
+    q, delta = _lan_terms(w, dgp)
+    lan_term = (
+        np.einsum("...i,...ij,...j->...", mu_bar, q, delta)
+        - 0.5 * np.einsum("...i,...ij,...j->...", mu_bar, q, mu_bar)
+        - 0.5 * np.trace(q @ n_sigma, axis1=-2, axis2=-1)
+    )
+    return _result(prior_term), _result(lan_term)
 
 
 def variational_conjugate_cov(
-    ds: RegressionDataset,
+    stats: SufficientStats,
     prior: ConjugatePrior,
     sigma_u: float,
-    alpha: float,
+    alpha: float | Sequence[float],
 ) -> DiagonalGaussian:
     """Closed-form mean-field approximation of the conjugate tempered posterior.
 
     The KL projection (:func:`gmf_project_gaussian`) of
-    :func:`conjugate_alpha_posterior`: same mean as the tempered posterior;
-    the variances invert the diagonal of its precision, so each coordinate's
-    variance is never above the corresponding tempered-posterior marginal
-    variance.
+    :func:`conjugate_alpha_posterior`, stacked as it is: same mean as the
+    tempered posterior; the variances invert the diagonal of its precision,
+    so each coordinate's variance is never above the corresponding
+    tempered-posterior marginal variance.
     """
-    return gmf_project_gaussian(conjugate_alpha_posterior(ds.W, ds.Y, prior, sigma_u, alpha))
+    return gmf_project_gaussian(conjugate_alpha_posterior(stats, prior, sigma_u, alpha))
 
 
 def true_posterior_theta(
-    ds: RegressionDataset,
+    stats: SufficientStats,
     full_prior: ConjugatePrior,
     sigma_eps: float,
+    p: int,
 ) -> tuple[GaussianDist, np.ndarray]:
     """Posterior for theta under the correctly specified long model.
 
-    ``full_prior`` is a Gaussian prior over the stacked coefficient
-    ``(theta, gamma)`` in precision-scale form (covariance
-    ``sigma_eps^2 Sigma_pi^{-1}``; zero encodes the flat prior).  Returns the
-    theta-block marginal of the joint conjugate posterior together with
+    ``stats`` are the statistics of ``[W, Z, Y]`` (:meth:`RegressionDataset.stats`)
+    for one sample or a stack, and ``theta`` is the coefficient of the first
+    ``p`` design columns.  ``full_prior`` is a Gaussian prior over the
+    stacked coefficient ``(theta, gamma)`` in precision-scale form
+    (covariance ``sigma_eps^2 Sigma_pi^{-1}``; zero encodes the flat prior).
+    Returns the theta-block marginal of the joint conjugate posterior (one
+    member per sample for a stack) together with
     ``n * (posterior theta covariance)``, the finite-n covariance scale for
     the robustness scenario.
     """
-    p = ds.W.shape[1]
-    x = np.hstack([ds.W, ds.Z])
-    if full_prior.dim != x.shape[1]:
+    if full_prior.dim != stats.k:
         raise ValueError("full prior dimension must be p + d")
-    if np.linalg.matrix_rank(x.T @ x + full_prior.Sigma_pi) < x.shape[1]:
+    if np.any(np.linalg.matrix_rank(stats.xtx + full_prior.Sigma_pi) < stats.k):
         raise ValueError("stacked design is rank deficient given the prior")
     # The correctly specified posterior is the untempered conjugate one.
-    joint = conjugate_alpha_posterior(x, ds.Y, full_prior, sigma_eps, 1.0)
-    marginal = GaussianDist(joint.mean[:p], joint.cov[:p, :p])
-    return marginal, ds.n * marginal.cov
+    joint = conjugate_alpha_posterior(stats, full_prior, sigma_eps, 1.0)
+    marginal = GaussianDist(joint.mean[..., :p], joint.cov[..., :p, :p])
+    return marginal, stats.n * marginal.cov
 
 
 def concentration_markov_bound(
@@ -331,18 +375,19 @@ def concentration_markov_bound(
     theta_star: np.ndarray,
     r_n: float,
     n: int,
-) -> float:
+) -> float | np.ndarray:
     """Markov bound ``(n / r_n^2) (||post_mean - theta_star||^2 + tr(post_cov))``.
 
     Dominates the posterior probability that ``sqrt(n)(theta - theta_star)``
-    exits the ball of radius ``r_n``.
+    exits the ball of radius ``r_n``.  A stack of posteriors (means (R, p),
+    covariances (R, p, p)) gives one bound per member.
     """
     if r_n <= 0:
         raise ValueError("r_n must be positive")
     post_mean = np.atleast_1d(np.asarray(post_mean, dtype=float))
     post_cov = np.atleast_2d(np.asarray(post_cov, dtype=float))
     gap = post_mean - np.atleast_1d(np.asarray(theta_star, dtype=float))
-    return float(n / r_n**2 * (gap @ gap + np.trace(post_cov)))
+    return _result(n / r_n**2 * (np.sum(gap * gap, axis=-1) + np.trace(post_cov, axis1=-2, axis2=-1)))
 
 
 def failure_case_hellinger(
@@ -370,9 +415,8 @@ def failure_case_hellinger(
     out = np.empty((len(n_grid), 2))
     for i, n in enumerate(n_grid):
         n = int(n)
-        ds = simulate(dgp, n, derived_seed(seed, n))
-        theta_hat = ols(ds.W, ds.Y)
+        w = simulate(dgp, n, derived_seed(seed, n)).stats().first_columns(dgp.p)
         alphas = [alpha0 / n, 1.0]
-        post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alphas)
-        out[i] = hellinger_sq_gaussian(post, gaussian_bvm_limit(theta_hat, v, n, alphas))
+        post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alphas)
+        out[i] = hellinger_sq_gaussian(post, gaussian_bvm_limit(ols(w), v, n, alphas))
     return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import GaussianDist, _result, kl_gaussian
-from .posteriors import _tempering
+from .posteriors import _replication_major, _tempering
 
 __all__ = [
     "MisspecScenario",
@@ -108,7 +108,12 @@ class MisspecScenario:
 
 @dataclass(frozen=True)
 class FiniteSampleInputs:
-    """Sample-size-n ingredients: the two ML estimates, n, and the misspecification probability."""
+    """Sample-size-n ingredients: the two ML estimates, n, and the misspecification probability.
+
+    Like :class:`~alphapost.gaussians.GaussianDist` the estimates may be a
+    stack: shape (R, p) holds one pair per replication, and the routines
+    below give one value per replication.
+    """
 
     theta_hat_ml_F: np.ndarray
     theta_hat_ml_G: np.ndarray
@@ -118,8 +123,8 @@ class FiniteSampleInputs:
     def __post_init__(self):
         f = np.atleast_1d(np.asarray(self.theta_hat_ml_F, dtype=float))
         g = np.atleast_1d(np.asarray(self.theta_hat_ml_G, dtype=float))
-        if f.size != g.size:
-            raise ValueError("ML estimates must share a dimension")
+        if f.shape != g.shape or f.ndim > 2:
+            raise ValueError("ML estimates must share one shape, (p,) or (R, p)")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise ValueError("ML estimates must be finite")
         if not 0.0 <= self.eps_n <= 1.0:
@@ -135,19 +140,20 @@ class FiniteSampleInputs:
         return cls(s.theta_star, s.theta0, n, s.eps / n)
 
 
-def a_n(Sigma: np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float:
+def a_n(Sigma: np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float | np.ndarray:
     """Linear coefficient of the surrogate criterion in ``alpha``.
 
     ``eps_n tr(Sigma Omega) + (1 - eps_n) tr(Sigma V^{-1})
-    + n eps_n (theta_F - theta_G)' Sigma (theta_F - theta_G)``.
+    + n eps_n (theta_F - theta_G)' Sigma (theta_F - theta_G)``, one value
+    per replication of a stacked ``f``.
     """
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
     delta = f.theta_hat_ml_F - f.theta_hat_ml_G
     v_inv = np.linalg.inv(s.V)
-    return float(
+    return _result(
         f.eps_n * np.trace(Sigma @ s.Omega)
         + (1.0 - f.eps_n) * np.trace(Sigma @ v_inv)
-        + f.n * f.eps_n * delta @ Sigma @ delta
+        + f.n * f.eps_n * np.sum((delta @ Sigma) * delta, axis=-1)
     )
 
 
@@ -168,7 +174,8 @@ def b_n(Sigma: np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float:
 
 def _surrogate(alpha, s: MisspecScenario, f: FiniteSampleInputs, curv: np.ndarray) -> float | np.ndarray:
     alpha = _tempering(alpha)
-    return _result(0.5 * (alpha * a_n(curv, s, f) - s.p * np.log(alpha) + b_n(curv, s, f)))
+    val = 0.5 * (np.multiply.outer(a_n(curv, s, f), alpha) - s.p * np.log(alpha) + b_n(curv, s, f))
+    return _result(_replication_major(val, 0))
 
 
 def r_star(alpha: float | np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float | np.ndarray:
@@ -176,7 +183,9 @@ def r_star(alpha: float | np.ndarray, s: MisspecScenario, f: FiniteSampleInputs)
 
     It equals ``eps_n KL(N(theta_G, Omega/n) || R) + (1 - eps_n) KL(N(theta_F, V^{-1}/n) || R)``
     for the reported ``R = N(theta_F, V^{-1}/(alpha n))``.  An array of
-    ``alpha`` gives the array of values, with ``A_n`` and ``B_n`` computed once.
+    ``alpha`` gives the array of values, with ``A_n`` and ``B_n`` computed once;
+    a stacked ``f`` gives one value per (replication, ``alpha``) cell,
+    replication-major.
     """
     return _surrogate(alpha, s, f, s.V)
 
@@ -186,8 +195,8 @@ def r_tilde_star(alpha: float | np.ndarray, s: MisspecScenario, f: FiniteSampleI
     return _surrogate(alpha, s, f, s.V_tilde)
 
 
-def optimal_alpha(s: MisspecScenario, f: FiniteSampleInputs) -> float:
-    """Unique minimizer ``p / A_n(V)`` of the surrogate criterion.
+def optimal_alpha(s: MisspecScenario, f: FiniteSampleInputs) -> float | np.ndarray:
+    """Unique minimizer ``p / A_n(V)`` of the surrogate criterion, per replication of a stacked ``f``.
 
     ``A_n`` is positive, a convex combination of traces of products of SPD
     matrices plus a nonnegative quadratic form, and ``alpha -> alpha A -
@@ -197,7 +206,7 @@ def optimal_alpha(s: MisspecScenario, f: FiniteSampleInputs) -> float:
     return s.p / a_n(s.V, s, f)
 
 
-def optimal_alpha_tilde(s: MisspecScenario, f: FiniteSampleInputs) -> float:
+def optimal_alpha_tilde(s: MisspecScenario, f: FiniteSampleInputs) -> float | np.ndarray:
     """Unique minimizer ``p / A_n(diag V)`` of the mean-field surrogate criterion."""
     return s.p / a_n(s.V_tilde, s, f)
 

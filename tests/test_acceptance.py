@@ -268,8 +268,8 @@ def test_criterion_7_regression_verification_suite(capsys):
         for n in (100, 1000, 10**4, 10**5):
             vals = []
             for rep in range(reps):
-                ds = simulate(dgp, n, derived_seed(710, n, rep))
-                post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
+                w = simulate(dgp, n, derived_seed(710, n, rep)).stats().first_columns(dgp.p)
+                post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
                 vals.append(
                     concentration_markov_bound(post.mean, post.cov, theta_star, np.log(n), n)
                 )
@@ -283,9 +283,9 @@ def test_criterion_7_regression_verification_suite(capsys):
         for n in (50, 200, 1000, 5000):
             vals = []
             for rep in range(reps):
-                ds = simulate(dgp, n, derived_seed(720, n, rep))
-                post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
-                lim = gaussian_bvm_limit(ols(ds.W, ds.Y), v, n, alpha)
+                w = simulate(dgp, n, derived_seed(720, n, rep)).stats().first_columns(dgp.p)
+                post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
+                lim = gaussian_bvm_limit(ols(w), v, n, alpha)
                 vals.append(kl_gaussian(post, lim))
             kl_medians.append(float(np.median(vals)))
         assert all(a > b for a, b in zip(kl_medians, kl_medians[1:])), kl_medians
@@ -298,9 +298,9 @@ def test_criterion_7_regression_verification_suite(capsys):
         assert abs(h2[1] - h2[0]) / h2[0] < 0.10, h2
         control = []
         for n in (10**4, 10**5):
-            ds = simulate(dgp, n, derived_seed(731, n))
-            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
-            lim = gaussian_bvm_limit(ols(ds.W, ds.Y), v, n, 1.0)
+            w = simulate(dgp, n, derived_seed(731, n)).stats().first_columns(dgp.p)
+            post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
+            lim = gaussian_bvm_limit(ols(w), v, n, 1.0)
             control.append(hellinger_sq_gaussian(post, lim))
         assert control[1] < control[0] and control[1] < 1e-4, control
 
@@ -309,10 +309,10 @@ def test_criterion_7_regression_verification_suite(capsys):
         for n in (100, 1000, 10**4):
             rows = []
             for rep in range(reps):
-                ds = simulate(dgp, n, derived_seed(740, n, rep))
-                post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
-                prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, ds)
-                rows.append([abs(prior_term), abs(lan_term), lan_residual_sup(ds, dgp)])
+                w = simulate(dgp, n, derived_seed(740, n, rep)).stats().first_columns(dgp.p)
+                post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
+                prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, w)
+                rows.append([abs(prior_term), abs(lan_term), lan_residual_sup(w, dgp)])
             defect_medians.append(np.median(rows, axis=0))
         defect_medians = np.array(defect_medians)
         assert np.all(defect_medians[1] < defect_medians[0]), defect_medians
@@ -328,21 +328,20 @@ def test_criterion_7_regression_verification_suite(capsys):
         exact_curves = []
         full_prior = ConjugatePrior(np.zeros(2), np.eye(2))
         for rep in range(reps):
-            ds = simulate(dgp, n, derived_seed(760, n, rep))
-            theta_f = ols(ds.W, ds.Y)
-            theta_g = ols(np.hstack([ds.W, ds.Z]), ds.Y)[:1]
-            fin = FiniteSampleInputs(theta_f, theta_g, n, eps_n)
-            true_post, _ = true_posterior_theta(ds, full_prior, dgp.sigma_eps)
-            std_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
+            stats = simulate(dgp, n, derived_seed(760, n, rep)).stats()
+            w = stats.first_columns(dgp.p)
+            fin = FiniteSampleInputs(ols(w), ols(stats)[:1], n, eps_n)
+            true_post, _ = true_posterior_theta(stats, full_prior, dgp.sigma_eps, dgp.p)
+            std_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
             for a in gaps:
-                alpha_post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, a)
+                alpha_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, a)
                 exact = exact_expected_kl(true_post, alpha_post, std_post, eps_n)
                 gaps[a].append(abs(exact - r_star(a, scenario, fin)))
             exact_curves.append(
                 [
                     exact_expected_kl(
                         true_post,
-                        conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, a),
+                        conjugate_alpha_posterior(w, prior, dgp.sigma_u, a),
                         std_post,
                         eps_n,
                     )

@@ -18,7 +18,7 @@ from alphapost.experiments import (
     ExperimentConfig,
     run_experiment,
 )
-from alphapost.regression import misspec_scenario
+from alphapost.regression import RegressionDataset, misspec_scenario
 from alphapost.robustness import FiniteSampleInputs, optimal_alpha
 
 
@@ -158,6 +158,21 @@ class TestExperimentOutputs:
         assert columns == ["n", "h2_failure", "h2_control"]
         assert all(r[1] > 0.001 for r in rows)
         assert rows[-1][2] < rows[0][2]
+
+    @pytest.mark.parametrize(
+        "experiment", ["bvm-convergence", "vbvm-convergence", "assumption-checks", "surrogate-fidelity"]
+    )
+    def test_replication_rows_do_not_depend_on_the_run_shape(self, tmp_path, experiment):
+        # A replication's rows come from its own (seed, n, rep) stream, so they
+        # stay byte-identical when the stack is shorter or the grids reversed.
+        def rows(text):
+            cfg = ExperimentConfig.from_file(write_config(tmp_path, f"seed = 19\n{text}"))
+            return [[experiments._format_cell(v) for v in row] for row in run_experiment(cfg, experiment)[1]]
+
+        full = rows("replications = 5\nn_grid = 60,150\nalphas = 0.25,0.5,1.0\n")
+        short = rows("replications = 3\nn_grid = 150,60\nalphas = 1.0,0.5,0.25\n")
+        assert len(short) == len(full) * 3 // 5
+        assert short == [row for row in full if int(row[1]) < 3]
 
     def test_schema_stability(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, FAST_LOCATION))
@@ -348,6 +363,20 @@ class TestCLI:
         rc = self.run_cli(["robustness-curve", "--config", str(cfg_path), "--out", str(tmp_path / "nf")])
         assert rc == 3
 
+    def test_rank_deficient_replication_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # The second replication's design is all zeros, so its stacked rank check fails.
+        real_simulate = experiments.simulate
+        calls = iter(range(100))
+
+        def simulate(dgp, n, seed):
+            ds = real_simulate(dgp, n, seed)
+            return RegressionDataset(ds.Y, np.zeros_like(ds.W), ds.Z) if next(calls) == 1 else ds
+
+        monkeypatch.setattr(experiments, "simulate", simulate)
+        cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 3\n")
+        assert self.run_cli(["bvm-convergence", "--config", str(cfg_path), "--out", str(tmp_path / "rd")]) == 3
+        assert "design matrix is rank deficient" in capsys.readouterr().err
+
     def test_failed_rewrite_keeps_previous_outputs(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)
         out = tmp_path / "atomic"
@@ -367,21 +396,24 @@ class TestCLI:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_cli_import_defers_heavy_scipy_modules(self):
-        # Start-up loads numpy only; scipy waits for the TV, concentration and spline code.
+        # Start-up loads numpy only; scipy waits for the grid splines.
         code = "import sys, alphapost.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
     def test_closed_form_run_imports_no_scipy(self, tmp_path):
-        # A p = 1 surrogate-fidelity run needs only the KL closed forms.
+        # p = 1 surrogate-fidelity needs only the KL closed forms, and p = 1
+        # bvm-convergence the TV closed form in the normal CDF.
         cfg_path = write_config(tmp_path, FAST_REGRESSION)
-        code = (
-            "import sys; from alphapost.cli import main; "
-            f"code = main(['surrogate-fidelity', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'sf')!r}]); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert proc.stdout.strip().splitlines()[-1] == "0 []"
+        for experiment in ("surrogate-fidelity", "bvm-convergence"):
+            code = (
+                "import sys; from alphapost.cli import main; "
+                f"code = main([{experiment!r}, '--config', {str(cfg_path)!r}, "
+                f"'--out', {str(tmp_path / experiment)!r}]); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+            assert proc.stdout.strip().splitlines()[-1] == "0 []", experiment
 
     def test_library_never_imports_scipy_optimize_or_stats(self):
         banned = {"scipy.optimize", "scipy.stats"}

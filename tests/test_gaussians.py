@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from alphapost.gaussians import (
     GaussianDist,
+    _ndtr,
     GridDensity,
     hellinger_sq_gaussian,
     kl_gaussian,
@@ -297,6 +298,15 @@ class TestTVGaussian:
         g = GaussianDist(0.0, 1.0)
         with pytest.raises(ValueError, match="unknown method"):
             tv_gaussian(g, g, "quadrature", 101)
+
+    def test_normal_cdf_matches_scipy(self):
+        # The TV's numpy-only normal CDF against scipy's ndtr. Below about -37.5
+        # the CDF is subnormal, where scipy flushes to 0: hence the absolute floor.
+        from scipy.special import ndtr
+
+        x = np.concatenate([np.linspace(-38.0, 38.0, 100_001), [0.0, -0.0, np.inf, -np.inf]])
+        assert_allclose(_ndtr(x), ndtr(x), rtol=1e-12, atol=np.finfo(float).tiny)
+        assert np.isnan(_ndtr(np.nan))
 
     def test_monte_carlo_needs_rng(self):
         g = GaussianDist(0.0, 1.0)

@@ -156,13 +156,13 @@ class TestNumericProjection:
         )
         alpha = 0.5
         ds = simulate(dgp, 40, 3)
-        lik = regression_likelihood(ds, dgp.sigma_u)
+        lik = regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u)
 
         def log_prior(pts):
             z = np.atleast_2d(pts) - 0.5
             return np.sum(-z - 2.0 * np.log1p(np.exp(-z)), axis=1)
 
-        flat = conjugate_alpha_posterior(ds.W, ds.Y, ConjugatePrior.flat(2), dgp.sigma_u, alpha)
+        flat = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), ConjugatePrior.flat(2), dgp.sigma_u, alpha)
         sd = np.sqrt(np.diag(flat.cov))
         axes = [np.linspace(m - 16.0 * s, m + 16.0 * s, 401) for m, s in zip(flat.mean, sd)]
         projected = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, alpha, axes))
@@ -242,9 +242,9 @@ def conjugate_1d_setup(seed=5, n=200, alpha=1.0):
     )
     ds = simulate(dgp, n, seed)
     prior = ConjugatePrior([0.0], [[1.0]])
-    lik = regression_likelihood(ds, dgp.sigma_u)
+    lik = regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u)
     log_prior = prior.log_density_fn(dgp.sigma_u)
-    post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
+    post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
     return lik, log_prior, post
 
 

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from alphapost.gaussians import GaussianDist, GridDensity
 from alphapost.posteriors import (
     ConjugatePrior,
+    SufficientStats,
     LikelihoodEvaluator,
     conjugate_alpha_posterior,
     default_grid_axes,
@@ -49,7 +50,7 @@ class TestConjugateAlphaPosterior:
     def test_hand_normal_equations(self):
         # One prior pseudo-observation on top of three ones: mean 6/4, var 1/4.
         prior = ConjugatePrior([0.0], [[1.0]])
-        post = conjugate_alpha_posterior(np.ones(3), [1.0, 2.0, 3.0], prior, 1.0, 1.0)
+        post = conjugate_alpha_posterior(SufficientStats.of(np.ones(3), [1.0, 2.0, 3.0]), prior, 1.0, 1.0)
         assert_allclose(post.mean, [1.5], rtol=1e-12)
         assert_allclose(post.cov, [[0.25]], rtol=1e-12)
 
@@ -57,9 +58,9 @@ class TestConjugateAlphaPosterior:
         rng = np.random.default_rng(2)
         w = rng.standard_normal((40, 2))
         y = rng.standard_normal(40)
-        target = ols(w, y)
+        target = ols(SufficientStats.of(w, y))
         for alpha in (0.2, 1.0, 3.0):
-            post = conjugate_alpha_posterior(w, y, ConjugatePrior.flat(2), 1.0, alpha)
+            post = conjugate_alpha_posterior(SufficientStats.of(w, y), ConjugatePrior.flat(2), 1.0, alpha)
             assert_allclose(post.mean, target, rtol=1e-10)
 
     def test_flat_prior_alpha_scaling_is_exact(self):
@@ -67,20 +68,20 @@ class TestConjugateAlphaPosterior:
         w = rng.standard_normal((30, 2))
         y = rng.standard_normal(30)
         flat = ConjugatePrior.flat(2)
-        cov_1 = conjugate_alpha_posterior(w, y, flat, 1.0, 1.0).cov
-        cov_half = conjugate_alpha_posterior(w, y, flat, 1.0, 0.5).cov
+        cov_1 = conjugate_alpha_posterior(SufficientStats.of(w, y), flat, 1.0, 1.0).cov
+        cov_half = conjugate_alpha_posterior(SufficientStats.of(w, y), flat, 1.0, 0.5).cov
         assert_allclose(cov_half, 2.0 * cov_1, rtol=1e-14)
 
     def test_singular_design_rejected(self):
         w = np.zeros((5, 1))
         with pytest.raises(ValueError, match="singular"):
-            conjugate_alpha_posterior(w, np.ones(5), ConjugatePrior.flat(1), 1.0, 1.0)
+            conjugate_alpha_posterior(SufficientStats.of(w, np.ones(5)), ConjugatePrior.flat(1), 1.0, 1.0)
 
     def test_prior_dimension_mismatch_rejected(self):
         # A 1-d prior on a 2-column design would broadcast Sigma_pi onto every entry of W'W/n.
         w = np.random.default_rng(4).standard_normal((20, 2))
         with pytest.raises(ValueError, match="prior dimension"):
-            conjugate_alpha_posterior(w, np.ones(20), ConjugatePrior([0.0], [[1.0]]), 1.0, 1.0)
+            conjugate_alpha_posterior(SufficientStats.of(w, np.ones(20)), ConjugatePrior([0.0], [[1.0]]), 1.0, 1.0)
 
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -90,22 +91,23 @@ class TestConjugateAlphaPosterior:
         y = rng.standard_normal(60)
         prior = ConjugatePrior(np.full(dim, 0.2), np.eye(dim))
         alphas = [0.25, 1.0, 3.0]
-        stack = conjugate_alpha_posterior(w, y, prior, 1.3, alphas)
+        stack = conjugate_alpha_posterior(SufficientStats.of(w, y), prior, 1.3, alphas)
         assert stack.mean.shape == (3, dim) and stack.cov.shape == (3, dim, dim)
         for i, alpha in enumerate(alphas):
-            single = conjugate_alpha_posterior(w, y, prior, 1.3, alpha)
+            single = conjugate_alpha_posterior(SufficientStats.of(w, y), prior, 1.3, alpha)
             assert np.array_equal(stack.mean[i], single.mean)
             assert np.array_equal(stack.cov[i], single.cov)
 
     def test_ill_conditioned_design_gives_a_symmetric_covariance(self):
         w = collinear_design()
-        post = conjugate_alpha_posterior(w, np.ones(len(w)), ConjugatePrior.flat(3), 1.0, [0.5, 1.0])
+        stats = SufficientStats.of(w, np.ones(len(w)))
+        post = conjugate_alpha_posterior(stats, ConjugatePrior.flat(3), 1.0, [0.5, 1.0])
         assert np.array_equal(post.cov, np.swapaxes(post.cov, -1, -2))
 
     @pytest.mark.parametrize("alpha", [[0.5, 0.0], [0.5, np.nan], [[0.5]]])
     def test_bad_alpha_vector_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
-            conjugate_alpha_posterior(np.ones(3), np.ones(3), ConjugatePrior.flat(1), 1.0, alpha)
+            conjugate_alpha_posterior(SufficientStats.of(np.ones(3), np.ones(3)), ConjugatePrior.flat(1), 1.0, alpha)
 
 
 class TestGridAlphaPosterior:
@@ -127,11 +129,11 @@ class TestGridAlphaPosterior:
             alpha = float(rng.uniform(0.3, 2.0))
             prior = ConjugatePrior([float(rng.normal())], [[float(rng.uniform(0.2, 2.0))]])
             ds = simulate(dgp, int(rng.integers(50, 400)), int(rng.integers(10**6)))
-            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
+            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
             axes = [np.linspace(post.mean[0] - 10 * post.cov[0, 0] ** 0.5,
                                 post.mean[0] + 10 * post.cov[0, 0] ** 0.5, 2001)]
             grid = grid_alpha_posterior(
-                regression_likelihood(ds, dgp.sigma_u),
+                regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u),
                 prior.log_density_fn(dgp.sigma_u),
                 alpha,
                 axes,
@@ -221,8 +223,8 @@ class TestMeanDriftBound:
             gaps = []
             for rep in range(200):
                 ds = simulate(dgp, n, derived_seed(12, n, rep))
-                post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
-                gaps.append(n * float(np.linalg.norm(post.mean - ols(ds.W, ds.Y))))
+                post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
+                gaps.append(n * float(np.linalg.norm(post.mean - ols(ds.stats().first_columns(dgp.p)))))
             assert np.percentile(gaps, 95) < bound
 
 

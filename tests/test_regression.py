@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from alphapost import regression
+from alphapost.gaussians import mesh_points
 from alphapost.meanfield import gmf_project_gaussian
-from alphapost.posteriors import ConjugatePrior, conjugate_alpha_posterior
+from alphapost.posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior
 from alphapost.regression import (
     LAN_MESH_NODES,
     RegressionDGP,
@@ -26,6 +28,7 @@ from alphapost.regression import (
     true_posterior_theta,
     variational_conjugate_cov,
 )
+from alphapost.robustness import FiniteSampleInputs, a_n, optimal_alpha, r_star
 
 from oracles import normal_tail_two_sided
 
@@ -69,7 +72,7 @@ class TestSimulate:
         ests = []
         for rep in range(500):
             ds = simulate(dgp, 200, derived_seed(1, 200, rep))
-            ests.append(ols(ds.W, ds.Y)[0])
+            ests.append(ols(ds.stats().first_columns(dgp.p))[0])
         se = np.std(ests, ddof=1) / np.sqrt(len(ests))
         assert abs(np.mean(ests) - 1.0) < 3 * se
 
@@ -92,24 +95,24 @@ class TestSimulate:
 
 class TestOLS:
     def test_hand_arithmetic(self):
-        assert_allclose(ols(np.ones(3), [1.0, 2.0, 3.0]), [2.0], rtol=1e-14)
+        assert_allclose(ols(SufficientStats.of(np.ones(3), [1.0, 2.0, 3.0])), [2.0], rtol=1e-14)
 
     def test_exact_on_noiseless_data(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((30, 2))
         theta = np.array([1.5, -0.5])
-        assert_allclose(ols(w, w @ theta), theta, atol=1e-12)
+        assert_allclose(ols(SufficientStats.of(w, w @ theta)), theta, atol=1e-12)
 
     def test_matches_flat_prior_posterior_mean(self):
         dgp = toy_dgp()
         ds = simulate(dgp, 300, 5)
-        post = conjugate_alpha_posterior(ds.W, ds.Y, ConjugatePrior.flat(1), dgp.sigma_u, 0.7)
-        assert_allclose(ols(ds.W, ds.Y), post.mean, rtol=1e-10)
+        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), ConjugatePrior.flat(1), dgp.sigma_u, 0.7)
+        assert_allclose(ols(ds.stats().first_columns(dgp.p)), post.mean, rtol=1e-10)
 
     def test_rank_deficiency_rejected(self):
         w = np.ones((10, 2))
         with pytest.raises(ValueError, match="rank"):
-            ols(w, np.ones(10))
+            ols(SufficientStats.of(w, np.ones(10)))
 
 
 class TestPseudoTrue:
@@ -123,7 +126,7 @@ class TestPseudoTrue:
     def test_ols_is_consistent_for_pseudo_true(self):
         dgp = toy_dgp()
         ds = simulate(dgp, 10**5, 13)
-        theta_hat = ols(ds.W, ds.Y)
+        theta_hat = ols(ds.stats().first_columns(dgp.p))
         resid = ds.Y - ds.W @ theta_hat
         gram = ds.W.T @ ds.W
         robust_se = np.sqrt(((ds.W[:, 0] * resid) ** 2).sum()) / gram[0, 0]
@@ -152,7 +155,7 @@ class TestPopulationOmega:
     def test_matches_true_posterior_scale(self):
         dgp = toy_dgp()
         ds = simulate(dgp, 10**5, 23)
-        _, omega_hat = true_posterior_theta(ds, ConjugatePrior.flat(2), dgp.sigma_eps)
+        _, omega_hat = true_posterior_theta(ds.stats(), ConjugatePrior.flat(2), dgp.sigma_eps, dgp.p)
         assert np.linalg.norm(omega_hat - population_omega(dgp)) < 0.05
 
     def test_scenario_bundle(self):
@@ -165,7 +168,7 @@ class TestPopulationOmega:
 class TestLanResidual:
     def test_zero_at_origin(self):
         ds = simulate(toy_dgp(), 100, 3)
-        assert lan_residual(ds, toy_dgp(), [0.0]) == 0.0
+        assert lan_residual(ds.stats(), toy_dgp(), [0.0]) == 0.0
 
     def test_two_routes_agree(self):
         # Against the raw log-likelihood-ratio defect at theta_star + h / sqrt(n).
@@ -176,26 +179,36 @@ class TestLanResidual:
         for _ in range(10):
             ds = simulate(dgp, int(rng.integers(50, 500)), int(rng.integers(10**6)))
             h = rng.normal(scale=2.0, size=1)
-            delta = np.sqrt(ds.n) * (ols(ds.W, ds.Y) - theta_star)
-            ll = regression_likelihood(ds, dgp.sigma_u)(np.vstack([theta_star + h / np.sqrt(ds.n), theta_star]))
+            delta = np.sqrt(ds.n) * (ols(ds.stats().first_columns(dgp.p)) - theta_star)
+            lik = regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u)
+            ll = lik(np.vstack([theta_star + h / np.sqrt(ds.n), theta_star]))
             direct = float(ll[0] - ll[1] - h @ v @ delta + 0.5 * h @ v @ h)
-            assert abs(lan_residual(ds, dgp, h) - direct) < 1e-10
+            assert abs(lan_residual(ds.stats(), dgp, h) - direct) < 1e-10
 
     def test_batch_matches_single_perturbations(self):
         dgp = toy_dgp()
         ds = simulate(dgp, 200, 5)
         hs = np.linspace(-3.0, 3.0, LAN_MESH_NODES)[:, None]
-        batch = lan_residual(ds, dgp, hs)
+        batch = lan_residual(ds.stats(), dgp, hs)
         assert batch.shape == (LAN_MESH_NODES,)
-        assert_allclose(batch, [lan_residual(ds, dgp, h) for h in hs], rtol=1e-12, atol=1e-12)
-        assert lan_residual_sup(ds, dgp) == float(np.max(np.abs(batch)))
+        assert_allclose(batch, [lan_residual(ds.stats(), dgp, h) for h in hs], rtol=1e-12, atol=1e-12)
+        assert lan_residual_sup(ds.stats(), dgp) == float(np.max(np.abs(batch)))
+
+    def test_sup_over_mesh_blocks_is_the_sup_over_the_mesh(self, monkeypatch):
+        dgp = design(2)
+        stack = SufficientStats.stack([simulate(dgp, 80, rep).stats() for rep in range(3)])
+        axis = np.linspace(-3.0, 3.0, LAN_MESH_NODES)
+        whole = np.max(np.abs(lan_residual(stack, dgp, mesh_points([axis, axis]))), axis=-1)
+        # 3 samples x 169 mesh points in blocks of about 50 values.
+        monkeypatch.setattr(regression, "_LAN_BLOCK", 50)
+        assert np.array_equal(lan_residual_sup(stack, dgp), whole)
 
     def test_sup_decays_with_n(self):
         dgp = toy_dgp()
         medians = []
         for n in (100, 1000, 10000):
             sups = [
-                lan_residual_sup(simulate(dgp, n, derived_seed(31, n, rep)), dgp)
+                lan_residual_sup(simulate(dgp, n, derived_seed(31, n, rep)).stats(), dgp)
                 for rep in range(50)
             ]
             medians.append(np.median(sups))
@@ -206,16 +219,16 @@ class TestAssumption2Terms:
     def test_flat_prior_zeroes_prior_term(self):
         dgp = toy_dgp()
         ds = simulate(dgp, 200, 37)
-        post = conjugate_alpha_posterior(ds.W, ds.Y, ConjugatePrior.flat(1), dgp.sigma_u, 0.5)
-        prior_term, _ = assumption2_terms(post.mean, post.cov, dgp, ConjugatePrior.flat(1), ds)
+        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), ConjugatePrior.flat(1), dgp.sigma_u, 0.5)
+        prior_term, _ = assumption2_terms(post.mean, post.cov, dgp, ConjugatePrior.flat(1), ds.stats())
         assert prior_term == 0.0
 
     def test_prior_term_matches_mc_integration(self):
         dgp = toy_dgp()
         prior = ConjugatePrior([0.3], [[1.5]])
         ds = simulate(dgp, 500, 41)
-        post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 0.8)
-        prior_term, _ = assumption2_terms(post.mean, post.cov, dgp, prior, ds)
+        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.8)
+        prior_term, _ = assumption2_terms(post.mean, post.cov, dgp, prior, ds.stats())
         # Direct Monte Carlo of the prior log-ratio integral.
         theta_star = pseudo_true(dgp)
         mu_bar = np.sqrt(ds.n) * (post.mean - theta_star)
@@ -239,8 +252,8 @@ class TestAssumption2Terms:
             vals = []
             for rep in range(50):
                 ds = simulate(dgp, n, derived_seed(47, n, rep))
-                post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 0.5)
-                vals.append(np.abs(assumption2_terms(post.mean, post.cov, dgp, prior, ds)))
+                post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
+                vals.append(np.abs(assumption2_terms(post.mean, post.cov, dgp, prior, ds.stats())))
             med[n] = np.median(vals, axis=0)
         assert np.all(med[10000] < med[100])
 
@@ -262,8 +275,8 @@ class TestVariationalConjugateCov:
         w[:, 1] -= w[:, 0] * (w[:, 0] @ w[:, 1]) / (w[:, 0] @ w[:, 0])
         ds2 = RegressionDataset(ds.Y, w, ds.Z)
         prior = ConjugatePrior(np.zeros(2), np.diag([1.0, 2.0]))
-        post = conjugate_alpha_posterior(ds2.W, ds2.Y, prior, 1.0, 0.5)
-        vc = variational_conjugate_cov(ds2, prior, 1.0, 0.5)
+        post = conjugate_alpha_posterior(ds2.stats().first_columns(dgp.p), prior, 1.0, 0.5)
+        vc = variational_conjugate_cov(ds2.stats().first_columns(dgp.p), prior, 1.0, 0.5)
         assert_allclose(vc.var, np.diag(post.cov), rtol=1e-10)
 
     def test_matches_closed_form_projection(self):
@@ -271,8 +284,8 @@ class TestVariationalConjugateCov:
         ds = simulate(dgp, 300, 59)
         prior = ConjugatePrior([0.0], [[1.0]])
         for alpha in (0.25, 1.0):
-            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
-            vc = variational_conjugate_cov(ds, prior, dgp.sigma_u, alpha)
+            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
+            vc = variational_conjugate_cov(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
             proj = gmf_project_gaussian(post)
             assert_allclose(vc.mean, proj.mean, rtol=1e-12)
             assert_allclose(vc.var, proj.var, rtol=1e-12)
@@ -288,8 +301,8 @@ class TestVariationalConjugateCov:
         )
         ds = simulate(dgp, 500, 61)
         prior = ConjugatePrior(np.zeros(2), np.eye(2))
-        post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 0.5)
-        vc = variational_conjugate_cov(ds, prior, dgp.sigma_u, 0.5)
+        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
+        vc = variational_conjugate_cov(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
         assert np.all(vc.var <= np.diag(post.cov) + 1e-15)
 
 
@@ -297,8 +310,8 @@ class TestTruePosterior:
     def test_flat_prior_recovers_long_ols(self):
         dgp = toy_dgp()
         ds = simulate(dgp, 400, 67)
-        marginal, _ = true_posterior_theta(ds, ConjugatePrior.flat(2), dgp.sigma_eps)
-        full = ols(np.hstack([ds.W, ds.Z]), ds.Y)
+        marginal, _ = true_posterior_theta(ds.stats(), ConjugatePrior.flat(2), dgp.sigma_eps, dgp.p)
+        full = ols(ds.stats())
         assert_allclose(marginal.mean, full[:1], rtol=1e-10)
 
     def test_known_nuisance_collapse(self):
@@ -308,9 +321,9 @@ class TestTruePosterior:
         prior = ConjugatePrior(
             np.array([0.0, dgp.gamma0[0]]), np.diag([1.0, big])
         )
-        marginal, _ = true_posterior_theta(ds, prior, dgp.sigma_eps)
+        marginal, _ = true_posterior_theta(ds.stats(), prior, dgp.sigma_eps, dgp.p)
         adjusted = conjugate_alpha_posterior(
-            ds.W, ds.Y - ds.Z @ dgp.gamma0, ConjugatePrior([0.0], [[1.0]]), dgp.sigma_eps, 1.0
+            SufficientStats.of(ds.W, ds.Y - ds.Z @ dgp.gamma0), ConjugatePrior([0.0], [[1.0]]), dgp.sigma_eps, 1.0
         )
         assert_allclose(marginal.mean, adjusted.mean, atol=1e-6)
         assert_allclose(marginal.cov, adjusted.cov, rtol=1e-5)
@@ -320,7 +333,7 @@ class TestTruePosterior:
         omegas = {}
         for n in (1000, 10000):
             ds = simulate(dgp, n, derived_seed(73, n))
-            _, omega_hat = true_posterior_theta(ds, ConjugatePrior.flat(2), dgp.sigma_eps)
+            _, omega_hat = true_posterior_theta(ds.stats(), ConjugatePrior.flat(2), dgp.sigma_eps, dgp.p)
             omegas[n] = omega_hat
         rel = np.linalg.norm(omegas[10000] - omegas[1000]) / np.linalg.norm(omegas[1000])
         assert rel < 0.05
@@ -333,7 +346,7 @@ class TestConcentrationMarkovBound:
         theta_star = pseudo_true(dgp)
         for rep in range(20):
             ds = simulate(dgp, 500, derived_seed(79, rep))
-            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 0.5)
+            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
             r_n = np.log(ds.n)
             bound = concentration_markov_bound(post.mean, post.cov, theta_star, r_n, ds.n)
             sqrt_n = np.sqrt(ds.n)
@@ -374,8 +387,8 @@ class TestFailureCase:
         assert h2.shape == (2, 2)
         for row, n in zip(h2, (300, 100)):
             ds = simulate(dgp, n, derived_seed(5, n))
-            lim = gaussian_bvm_limit(ols(ds.W, ds.Y), curvature(dgp), n, 1.0)
-            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
+            lim = gaussian_bvm_limit(ols(ds.stats().first_columns(dgp.p)), curvature(dgp), n, 1.0)
+            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 1.0)
             assert row[1] == hellinger_sq_gaussian(post, lim)
             assert row[0] > row[1]
 
@@ -388,8 +401,8 @@ class TestFailureCase:
         vals = []
         for n in (100, 10**4):
             ds = simulate(dgp, n, derived_seed(83, n))
-            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 1.0)
-            lim = gaussian_bvm_limit(ols(ds.W, ds.Y), curvature(dgp), n, 1.0)
+            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 1.0)
+            lim = gaussian_bvm_limit(ols(ds.stats().first_columns(dgp.p)), curvature(dgp), n, 1.0)
             vals.append(hellinger_sq_gaussian(post, lim))
         assert vals[1] < vals[0]
         assert vals[1] < 1e-4
@@ -402,10 +415,10 @@ class TestFailureCase:
         n = 10**4
         ds = simulate(dgp, n, derived_seed(87, n))
         alpha_n = 1.0 / n
-        post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha_n)
+        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha_n)
         from alphapost.posteriors import gaussian_bvm_limit
 
-        lim = gaussian_bvm_limit(ols(ds.W, ds.Y), curvature(dgp), n, alpha_n)
+        lim = gaussian_bvm_limit(ols(ds.stats().first_columns(dgp.p)), curvature(dgp), n, alpha_n)
         mid = (post.cov + lim.cov) / 2.0
         ratio = (
             np.linalg.det(post.cov) ** 0.25
@@ -427,7 +440,7 @@ class TestPosteriorSequenceScaling:
             mean_norms, cov_norms = [], []
             for rep in range(200):
                 ds = simulate(dgp, n, derived_seed(101, n, rep))
-                post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, 0.5)
+                post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
                 mean_norms.append(np.sqrt(n) * np.linalg.norm(post.mean - theta_star))
                 cov_norms.append(n * np.linalg.norm(post.cov))
             mean_p95.append(np.percentile(mean_norms, 95))
@@ -444,7 +457,7 @@ class TestPosteriorSequenceScaling:
         errs = []
         for rep in range(100):
             ds = simulate(dgp, n, derived_seed(103, n, rep))
-            post = conjugate_alpha_posterior(ds.W, ds.Y, prior, dgp.sigma_u, alpha)
+            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
             errs.append(np.linalg.norm(n * post.cov - target) / np.linalg.norm(target))
         assert np.median(errs) < 0.02
 
@@ -453,7 +466,7 @@ class TestRegressionLikelihood:
     def test_matches_direct_evaluation(self):
         dgp = toy_dgp()
         ds = simulate(dgp, 60, 97)
-        lik = regression_likelihood(ds, dgp.sigma_u)
+        lik = regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u)
         rng = np.random.default_rng(0)
         for theta in rng.normal(size=(5, 1)):
             resid = ds.Y - ds.W @ theta
@@ -461,3 +474,110 @@ class TestRegressionLikelihood:
                 2 * dgp.sigma_u**2
             )
             assert_allclose(lik(theta[None, :])[0], direct, rtol=1e-12)
+
+
+def design(p):
+    # p observed controls, correlated with each other and with one omitted Z.
+    cov_ww = np.full((p, p), 0.3) + 0.7 * np.eye(p)
+    return RegressionDGP(
+        theta0=np.linspace(1.0, 0.5, p),
+        gamma0=[1.0],
+        sigma_eps=1.0,
+        cov_WW=cov_ww,
+        cov_WZ=np.full((p, 1), 0.3),
+        cov_ZZ=[[1.0]],
+    )
+
+
+class TestStacksMatchSingleSamples:
+    """A stack of R samples gives what R single-sample calls give: exactly at p = 1,
+    and within 1e-12 max(1, |v|) at p = 2 and 3."""
+
+    REPS, N = 5, 80
+
+    def setup_samples(self, p):
+        dgp = design(p)
+        singles = [simulate(dgp, self.N, derived_seed(211, self.N, rep)).stats() for rep in range(self.REPS)]
+        return dgp, singles, SufficientStats.stack(singles)
+
+    @staticmethod
+    def assert_members(stacked, singles, p):
+        stacked, singles = np.asarray(stacked), np.asarray(singles)
+        assert stacked.shape == singles.shape
+        if p == 1:
+            assert np.array_equal(stacked, singles)
+        else:
+            assert np.all(np.abs(stacked - singles) <= 1e-12 * np.maximum(1.0, np.abs(singles)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_estimators_and_posteriors(self, p):
+        dgp, singles, stack = self.setup_samples(p)
+        prior = ConjugatePrior(np.full(p, 0.2), np.eye(p))
+        full_prior = ConjugatePrior(np.zeros(p + 1), np.eye(p + 1))
+        alphas = [0.25, 0.5, 1.0]
+        short = [s.first_columns(p) for s in singles]
+        self.assert_members(ols(stack.first_columns(p)), [ols(s) for s in short], p)
+        self.assert_members(ols(stack), [ols(s) for s in singles], p)
+        # Replication-major: the alphas of replication 0, then those of replication 1, ...
+        post = conjugate_alpha_posterior(stack.first_columns(p), prior, dgp.sigma_u, alphas)
+        each = [conjugate_alpha_posterior(s, prior, dgp.sigma_u, alphas) for s in short]
+        self.assert_members(post.mean, np.concatenate([e.mean for e in each]), p)
+        self.assert_members(post.cov, np.concatenate([e.cov for e in each]), p)
+        vc = variational_conjugate_cov(stack.first_columns(p), prior, dgp.sigma_u, alphas)
+        each = [variational_conjugate_cov(s, prior, dgp.sigma_u, alphas) for s in short]
+        self.assert_members(vc.var, np.concatenate([e.var for e in each]), p)
+        true_post, omega = true_posterior_theta(stack, full_prior, dgp.sigma_eps, p)
+        each = [true_posterior_theta(s, full_prior, dgp.sigma_eps, p) for s in singles]
+        self.assert_members(true_post.mean, [e[0].mean for e in each], p)
+        self.assert_members(true_post.cov, [e[0].cov for e in each], p)
+        self.assert_members(omega, [e[1] for e in each], p)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_probes(self, p):
+        dgp, singles, stack = self.setup_samples(p)
+        prior = ConjugatePrior(np.full(p, 0.2), np.eye(p))
+        hs = np.random.default_rng(p).normal(size=(7, p))
+        self.assert_members(lan_residual(stack, dgp, hs[0]), [lan_residual(s, dgp, hs[0]) for s in singles], p)
+        self.assert_members(lan_residual(stack, dgp, hs), [lan_residual(s, dgp, hs) for s in singles], p)
+        self.assert_members(lan_residual_sup(stack, dgp), [lan_residual_sup(s, dgp) for s in singles], p)
+        post = conjugate_alpha_posterior(stack.first_columns(p), prior, dgp.sigma_u, 0.5)
+        each = [conjugate_alpha_posterior(s.first_columns(p), prior, dgp.sigma_u, 0.5) for s in singles]
+        terms = assumption2_terms(post.mean, post.cov, dgp, prior, stack)
+        single_terms = [assumption2_terms(e.mean, e.cov, dgp, prior, s) for e, s in zip(each, singles)]
+        self.assert_members(np.transpose(terms), single_terms, p)
+        theta_star = pseudo_true(dgp)
+        self.assert_members(
+            concentration_markov_bound(post.mean, post.cov, theta_star, np.log(self.N), self.N),
+            [concentration_markov_bound(e.mean, e.cov, theta_star, np.log(self.N), self.N) for e in each],
+            p,
+        )
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_surrogate_criteria(self, p):
+        dgp, singles, stack = self.setup_samples(p)
+        scenario = misspec_scenario(dgp, 1.0)
+        alphas = np.array([0.25, 0.5, 1.0])
+
+        def inputs(stats):
+            return FiniteSampleInputs(ols(stats.first_columns(p)), ols(stats)[..., :p], self.N, 1.0 / self.N)
+
+        fin = inputs(stack)
+        self.assert_members(a_n(scenario.V, scenario, fin), [a_n(scenario.V, scenario, inputs(s)) for s in singles], p)
+        self.assert_members(optimal_alpha(scenario, fin), [optimal_alpha(scenario, inputs(s)) for s in singles], p)
+        self.assert_members(
+            r_star(alphas, scenario, fin), np.concatenate([r_star(alphas, scenario, inputs(s)) for s in singles]), p
+        )
+
+    def test_one_rank_deficient_member_is_rejected(self):
+        dgp, singles, _ = self.setup_samples(2)
+        ds = simulate(dgp, self.N, 5)
+        # The second control copies the first in one replication.
+        broken = SufficientStats.of(np.column_stack([ds.W[:, 0], ds.W[:, 0]]), ds.Y)
+        stack = SufficientStats.stack([s.first_columns(2) for s in singles[:2]] + [broken])
+        with pytest.raises(ValueError, match="design matrix is rank deficient"):
+            ols(stack)
+
+    def test_stack_rejects_mixed_sample_sizes(self):
+        dgp = toy_dgp()
+        with pytest.raises(ValueError, match="one size n"):
+            SufficientStats.stack([simulate(dgp, 50, 1).stats(), simulate(dgp, 60, 2).stats()])
