@@ -42,7 +42,9 @@ c1 = conjugate_alpha_posterior(w, flat, dgp.sigma_u, 1.0)
 c2 = conjugate_alpha_posterior(w, flat, dgp.sigma_u, 0.5)
 print("flat-prior covariance ratio (alpha 0.5 vs 1):", c2.cov[0, 0] / c1.cov[0, 0])
 
-# The grid construction reproduces the conjugate closed form pointwise.
+# The grid construction reproduces the conjugate closed form pointwise.  Its
+# log-likelihood and log-prior are plain batched callables, from (N, p)
+# points to N values.
 alpha = 0.5
 post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
 axes = default_grid_axes(post.mean, dgp.cov_WW / dgp.sigma_u**2, ds.n, alpha)

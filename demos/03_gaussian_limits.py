@@ -13,14 +13,17 @@ from alphapost import (
     ConjugatePrior,
     GridDensity,
     RegressionDGP,
+    SufficientStats,
     derived_seed,
     failure_case_hellinger,
     default_grid_axes,
     gaussian_bvm_limit,
     grid_alpha_posterior,
+    ols,
+    regression_likelihood,
     tv_grid,
 )
-from alphapost.experiments import laplace_log_prior, location_likelihood
+from alphapost.experiments import laplace_log_prior
 
 alpha = 0.5
 print("      n   median TV(posterior, Gaussian limit)")
@@ -29,10 +32,12 @@ for n in (50, 200, 1000, 5000):
     for rep in range(30):
         rng = np.random.default_rng(derived_seed(2024, n, rep))
         x = rng.standard_normal(n)
-        theta_hat = float(np.mean(x))
-        axes = default_grid_axes([theta_hat], [[1.0]], n, alpha)
-        post = grid_alpha_posterior(location_likelihood(x), laplace_log_prior(), alpha, axes)
-        limit = GridDensity.from_gaussian(gaussian_bvm_limit([theta_hat], [[1.0]], n, alpha), axes)
+        # N(theta, 1) location data are a regression on one constant column.
+        stats = SufficientStats.of(np.ones(n), x)
+        theta_hat = ols(stats)
+        axes = default_grid_axes(theta_hat, [[1.0]], n, alpha)
+        post = grid_alpha_posterior(regression_likelihood(stats, 1.0), laplace_log_prior(), alpha, axes)
+        limit = GridDensity.from_gaussian(gaussian_bvm_limit(theta_hat, [[1.0]], n, alpha), axes)
         gaps.append(tv_grid(post, limit))
     print(f"{n:7d}   {np.median(gaps):.5f}")
 

@@ -53,6 +53,7 @@ dgp = RegressionDGP(
 w = simulate(dgp, 200, 3).stats().first_columns(dgp.p)
 prior = ConjugatePrior([0.0, 0.0], np.eye(2))
 alpha = 0.5
+# The objective takes the log-likelihood and log-prior as batched callables.
 lik = regression_likelihood(w, dgp.sigma_u)
 log_prior = prior.log_density_fn(dgp.sigma_u)
 best = gmf_project_gaussian(conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha))

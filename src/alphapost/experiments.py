@@ -27,7 +27,8 @@ experiment                columns
 The convergence experiments run either of two models, selected by the
 ``model`` key: ``laplace-location`` (1-d Gaussian location data, Laplace
 prior, tempered posterior on a grid) or ``regression`` (the omitted-variable
-example with its conjugate closed forms).
+example with its conjugate closed forms).  The location data are the
+regression on one constant column, so both models share its likelihood.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .gaussians import GridDensity, kl_gaussian, kl_grid, tv_gaussian, tv_grid
 from .meanfield import gmf_project_gaussian, gmf_project_numeric, variational_bvm_limit
 from .posteriors import (
     ConjugatePrior,
-    LikelihoodEvaluator,
     SufficientStats,
     conjugate_alpha_posterior,
     default_grid_axes,
@@ -68,6 +68,7 @@ from .regression import (
     misspec_scenario,
     ols,
     pseudo_true,
+    regression_likelihood,
     simulate,
     true_posterior_theta,
 )
@@ -89,13 +90,17 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "write_outputs",
-    "location_likelihood",
     "laplace_log_prior",
 ]
 
 # Grid box scale used whenever a Gauss-Hermite projection runs against the
 # grid: the outermost of 32 nodes reaches past 10 matched standard deviations.
 PROJECTION_BOX_SCALE = 14.0
+
+# grid_points nodes per Laplace posterior grid and per p = 2 outer TV rule:
+# 10^6 of them keep one cell to a few hundred MB.
+_GRID_POINTS_MIN = 101
+_GRID_POINTS_MAX = 10**6
 
 # assumption-checks takes the sup of the LAN defect over a
 # LAN_MESH_NODES^p mesh (regression.lan_residual_sup); this cap keeps it to a
@@ -221,8 +226,11 @@ class ExperimentConfig:
         return len(self.gamma0)
 
     def dgp(self) -> RegressionDGP:
-        # The covariance blocks are checked here, where their field names are
-        # known; RegressionDGP names sigma_eps and sigma_u itself.
+        # The coefficients and covariance blocks are checked here, where their
+        # field names are known; RegressionDGP names sigma_eps and sigma_u itself.
+        for name in ("theta0", "gamma0"):
+            if not getattr(self, name):
+                raise ConfigError(f"dgp/prior: {name}: must have at least one coefficient")
         p, d = self.p, self.d
         blocks = {}
         for name, rows, cols in (("cov_ww", p, p), ("cov_wz", p, d), ("cov_zz", d, d)):
@@ -314,8 +322,10 @@ class ExperimentConfig:
                 f"eps: must not exceed the smallest sample size n = {min(sizes)}, "
                 "since eps / n is a probability"
             )
-        if self.grid_points < 101:
-            raise ConfigError("grid_points: at least 101 nodes per axis are required")
+        if not _GRID_POINTS_MIN <= self.grid_points <= _GRID_POINTS_MAX:
+            raise ConfigError(
+                f"grid_points: must lie in [{_GRID_POINTS_MIN}, {_GRID_POINTS_MAX}], got {self.grid_points}"
+            )
         if self.model not in ("regression", "laplace-location"):
             raise ConfigError(f"model: unknown model {self.model!r}")
         laplace = experiment in ("bvm-convergence", "vbvm-convergence") and self.model == "laplace-location"
@@ -341,22 +351,7 @@ class ExperimentConfig:
             raise ConfigError("alpha0: must be positive")
 
 
-# -- location model helpers ----------------------------------------------
-
-
-def location_likelihood(x: np.ndarray, noise_sd: float = 1.0) -> LikelihoodEvaluator:
-    """Gaussian location log-likelihood via sufficient statistics."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    sx = float(x.sum())
-    sx2 = float(x @ x)
-    const = -0.5 * n * np.log(2.0 * np.pi * noise_sd**2)
-
-    def log_lik(thetas):
-        t = np.atleast_2d(thetas)[:, 0]
-        return const - (sx2 - 2.0 * t * sx + n * t**2) / (2.0 * noise_sd**2)
-
-    return LikelihoodEvaluator(log_lik, 1)
+# -- location model prior ------------------------------------------------
 
 
 def laplace_log_prior(loc: float = 0.0, scale: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
@@ -401,22 +396,24 @@ def _cell_rows(n: int, reps: int, alphas, *columns) -> list[list]:
 def _location_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> list[list]:
     rng = np.random.default_rng(derived_seed(cfg.seed, n, rep))
     x = cfg.theta_true + cfg.noise_sd * rng.standard_normal(n)
-    theta_hat = float(np.mean(x))
+    # The location model is the regression of x on one constant column.
+    stats = SufficientStats.of(np.ones(n), x)
+    theta_hat = ols(stats)
     v = np.array([[1.0 / cfg.noise_sd**2]])
-    lik = location_likelihood(x, cfg.noise_sd)
+    lik = regression_likelihood(stats, cfg.noise_sd)
     log_prior = laplace_log_prior(cfg.prior_loc, cfg.prior_scale)
     rows = []
     for alpha in cfg.alphas:
         if project:
-            axes = default_grid_axes([theta_hat], v, n, alpha, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
+            axes = default_grid_axes(theta_hat, v, n, alpha, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
             post = grid_alpha_posterior(lik, log_prior, alpha, axes)
             proj = gmf_project_numeric(post)
-            lim = variational_bvm_limit([theta_hat], v, n, alpha)
+            lim = variational_bvm_limit(theta_hat, v, n, alpha)
             rows.append([n, rep, float(alpha), kl_gaussian(proj.dist, lim.dist)])
         else:
-            axes = default_grid_axes([theta_hat], v, n, alpha, cfg.grid_points)
+            axes = default_grid_axes(theta_hat, v, n, alpha, cfg.grid_points)
             post = grid_alpha_posterior(lik, log_prior, alpha, axes)
-            glim = GridDensity.from_gaussian(gaussian_bvm_limit([theta_hat], v, n, alpha), axes)
+            glim = GridDensity.from_gaussian(gaussian_bvm_limit(theta_hat, v, n, alpha), axes)
             rows.append([n, rep, float(alpha), tv_grid(post, glim), kl_grid(post, glim)])
     return rows
 

@@ -211,28 +211,33 @@ class TVEstimate(NamedTuple):
     se: float
 
 
-def _positive_set(a, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """The set ``{y : a y^2 + b y + c > 0}``, elementwise over broadcast coefficients.
+def _ratio_set(mu, s, ell=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The set ``{y : ell + 2 log(p(y) / q(y)) > 0}`` for ``p = N(0, 1)`` and ``q = N(mu, s^2)``, elementwise.
 
-    Returns ``(lo, hi)``: the set is the interval ``(lo, hi)`` where ``a <= 0``
-    and its complement where ``a > 0``.  An empty interval is ``lo = hi = 0``
-    and a half-line has an infinite end.  The roots use the cancellation-free
-    form ``r1 = t / a``, ``r2 = c / t`` with ``t = -(b + sign(b) sqrt(disc)) / 2``.
+    Returns its bounds ``(lo_p, hi_p, lo_q, hi_q)`` in p's and in q's
+    standardized coordinate: the set is the interval between them where
+    ``s > 1``, else its complement.  An empty interval is ``lo = hi = 0``;
+    ``s = 1`` gives a half-line.  With ``d = s^2``, ``a = 1 - d`` and
+    ``Q = mu^2 - a (log d + ell)`` the bounds are ``(mu +- s sqrt(Q)) / a`` and
+    ``(mu s +- sqrt(Q)) / a``, each in the cancellation-free form ``t / a``,
+    ``c / t``.  A discriminant ``b^2/4 - ac`` would cancel once one standard
+    deviation is about 1e-10 of the other, and q's bounds taken from p's
+    would round onto q's mean.
     """
-    a, b, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)))
-    quarter_disc = b * b / 4.0 - a * c
+    d = s * s
+    a = 1.0 - d
+    log_d = 2.0 * np.log(s)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = -(b / 2.0 + np.copysign(np.sqrt(np.maximum(quarter_disc, 0.0)), b))
-        r1, r2 = t / a, c / t
-        root = -c / b
-    two_roots = (a != 0.0) & (quarter_disc > 0.0)
-    lo = np.where(two_roots, np.minimum(r1, r2), 0.0)
-    hi = np.where(two_roots, np.maximum(r1, r2), 0.0)
-    # a == 0: a half-line, the whole line (b == 0 < c), or empty (b == 0, c <= 0).
-    linear = (a == 0.0) & ~((b == 0.0) & (c <= 0.0))
-    lo = np.where(linear, np.where(b > 0.0, root, -np.inf), lo)
-    hi = np.where(linear, np.where(b < 0.0, root, np.inf), hi)
-    return lo, hi
+        quarter = mu * mu - a * (log_d + ell)
+        root = np.sqrt(np.maximum(quarter, 0.0))
+        bounds = []
+        for t, c in (
+            (mu + np.copysign(s * root, mu), mu * mu + d * (log_d + ell)),
+            (mu * s + np.copysign(root, mu), log_d + ell - mu * mu),
+        ):
+            r1, r2 = t / a, c / t
+            bounds += [np.where(quarter > 0.0, f(r1, r2), 0.0) for f in (np.minimum, np.maximum)]
+    return tuple(bounds)
 
 
 _SQRT1_2 = math.sqrt(0.5)
@@ -257,12 +262,11 @@ def _ndtr(a) -> np.ndarray:
     return out
 
 
-def _normal_mass(lo, hi, mean, sd) -> np.ndarray:
-    """P(lo < X < hi) for X ~ N(mean, sd^2), from the nearer tail so right-tail intervals keep precision."""
-    zl, zh = (lo - mean) / sd, (hi - mean) / sd
-    right = zl > 0.0
-    # Phi(-zl) - Phi(-zh) on the right of the mean, Phi(zh) - Phi(zl) elsewhere.
-    return _ndtr(np.where(right, -zl, zh)) - _ndtr(np.where(right, -zh, zl))
+def _normal_mass(lo, hi) -> np.ndarray:
+    """P(lo < Z < hi) for a standard normal Z, from the nearer tail so right-tail intervals keep precision."""
+    right = lo > 0.0
+    # Phi(-lo) - Phi(-hi) on the right of the mean, Phi(hi) - Phi(lo) elsewhere.
+    return _ndtr(np.where(right, -lo, hi)) - _ndtr(np.where(right, -hi, lo))
 
 
 def _tv_frame(p: GaussianDist, q: GaussianDist) -> tuple[np.ndarray, np.ndarray]:
@@ -273,56 +277,53 @@ def _tv_frame(p: GaussianDist, q: GaussianDist) -> tuple[np.ndarray, np.ndarray]
     return np.einsum("...ji,...j->...i", u, mu), s
 
 
-def _quadratics(mu, s) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # In the frame of _tv_frame, 2 d_j (log p - log q) splits into one
-    # quadratic a_j y^2 + b_j y + c_j per coordinate, with d = s^2.  TV =
-    # P_p(A) - P_q(A) with A = {p > q}.  Equal distributions give
-    # a = b = c = 0, so A is empty.
-    d = s * s
-    return d, 1.0 - d, -2.0 * mu, mu * mu + d * np.log(d)
-
-
 def _tv_1d(mu: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # Elementwise over the stack: A is an interval or its complement.
-    _, a, b, c = _quadratics(mu, s)
-    lo, hi = _positive_set(a, b, c)
-    diff = _normal_mass(lo, hi, 0.0, 1.0) - _normal_mass(lo, hi, mu, s)
-    return np.where(a <= 0.0, diff, -diff)
+    # Elementwise over the stack, in the frame of _tv_frame: TV = P_p(A) - P_q(A)
+    # for A = {p > q}, an interval or its complement.  Equal distributions
+    # give an empty interval, and 0.0 - 0.0 keeps their TV at +0.0.
+    lo_p, hi_p, lo_q, hi_q = _ratio_set(mu, s)
+    diff = _normal_mass(lo_p, hi_p) - _normal_mass(lo_q, hi_q)
+    return np.where(s > 1.0, diff, 0.0 - diff)
 
 
 def _tv_2d(mu: np.ndarray, s: np.ndarray, budget: int) -> float:
     # One pair: integrate the inner coordinate j in closed form, where p and q
     # differ more (a coordinate on which they agree would make A's section
     # jump between empty and the whole line), and the outer i numerically.
-    d, a, b, c = _quadratics(mu, s)
+    # With ell_i(x) = 2 log(p_i(x) / q_i(x)), A's section at x is
+    # _ratio_set(mu_j, s_j, ell_i(x)).
+    d = s * s
     j = int(np.argmax(d - 1.0 - np.log(d) + mu * mu))
     i = 1 - j
     width = 8.0 * max(1.0, s[i])
     box = (min(0.0, mu[i]) - width, max(0.0, mu[i]) + width)
-    # The section of A at x has a sqrt kink in x where the inner quadratic's
-    # discriminant b_j^2/4 - a_j (c_j + k (a_i x^2 + b_i x + c_i)) changes
-    # sign, with k = d_j / d_i.  Split the outer range there and map each
-    # piece by x = mid - half cos(theta): the kink becomes sin(theta), and the
-    # trapezoid rule in theta stays spectrally accurate.
-    k = d[j] / d[i]
-    kink_lo, kink_hi = _positive_set(
-        -a[j] * k * a[i], -a[j] * k * b[i], b[j] ** 2 / 4.0 - a[j] * (c[j] + k * c[i])
-    )
-    kinks = [float(x) for x in (kink_lo, kink_hi) if kink_lo < kink_hi and box[0] < x < box[1]]
+    # The section has a sqrt kink in x where its Q = mu_j^2 - a_j (log d_j +
+    # ell_i(x)) changes sign, with a_j = 1 - d_j: at the ends of the set
+    # {ell_i(x) + log d_j - mu_j^2 / a_j > 0}.  Q is constant where d_j = 1.
+    # Split the outer range there and map each piece by x = mid - half
+    # cos(theta): the kink becomes sin(theta), and the trapezoid rule in
+    # theta stays spectrally accurate.
+    kinks = []
+    if d[j] != 1.0:
+        with np.errstate(over="ignore"):
+            offset = np.log(d[j]) - mu[j] ** 2 / (1.0 - d[j])
+        kink_lo, kink_hi = _ratio_set(mu[i], s[i], offset)[:2]
+        kinks = [float(x) for x in (kink_lo, kink_hi) if kink_lo < kink_hi and box[0] < x < box[1]]
     ends = np.array([box[0], *kinks, box[1]])
     mid, half = (ends[1:] + ends[:-1]) / 2.0, (ends[1:] - ends[:-1]) / 2.0
     # The budget is shared among the pieces.
     theta = np.linspace(0.0, np.pi, max(budget // mid.size, 2))
     x = (mid[:, None] - half[:, None] * np.cos(theta)).ravel()
     w = (half[:, None] * np.sin(theta) * (theta[1] - theta[0])).ravel()
-    lo, hi = _positive_set(a[j], b[j], c[j] + k * (a[i] * x * x + b[i] * x + c[i]))
+    z = (x - mu[i]) / s[i]
+    lo_p, hi_p, lo_q, hi_q = _ratio_set(mu[j], s[j], z * z - x * x + np.log(d[i]))
     p_outer = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    q_outer = np.exp(-0.5 * ((x - mu[i]) / s[i]) ** 2) / (np.sqrt(2.0 * np.pi) * s[i])
-    # Where a_j > 0 the section is the complement of (lo, hi); the whole-line
-    # terms p_outer - q_outer integrate to 0, which leaves a sign flip.
-    g = p_outer * _normal_mass(lo, hi, 0.0, 1.0) - q_outer * _normal_mass(lo, hi, mu[j], s[j])
+    q_outer = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * s[i])
+    # Where s_j <= 1 the section is the complement of the interval; the
+    # whole-line terms p_outer - q_outer integrate to 0, which leaves a sign flip.
+    g = p_outer * _normal_mass(lo_p, hi_p) - q_outer * _normal_mass(lo_q, hi_q)
     tv = float(w @ g)
-    return tv if a[j] <= 0.0 else -tv
+    return tv if s[j] > 1.0 else 0.0 - tv
 
 
 def tv_gaussian(

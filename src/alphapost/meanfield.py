@@ -11,10 +11,11 @@ taken exactly through the quadrature nodes (:func:`gmf_project_numeric`).
 
 The closely related penalized objective
 ``E_q[log f_n] - (1/alpha) KL(q || prior)`` is exposed as
-:func:`penalized_objective`.  The objective is an evidence-style lower
-bound: it is *maximized*, not minimized, by the distribution closest in KL
-to the tempered posterior, so maximizing it is equivalent to that
-projection.
+:func:`penalized_objective`, which takes the log-likelihood ``log f_n``
+and the log prior as plain batched callables.  The objective is an
+evidence-style lower bound: it is *maximized*, not minimized, by the
+distribution closest in KL to the tempered posterior, so maximizing it is
+equivalent to that projection.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussians import GaussianDist, GridDensity, _require_single, _result, mesh_points
-from .posteriors import LikelihoodEvaluator, _per_alpha, _replication_major, _tempering
+from .posteriors import _per_alpha, _replication_major, _tempering
 
 __all__ = [
     "DiagonalGaussian",
@@ -207,25 +208,26 @@ def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = Non
 
 def penalized_objective(
     q: DiagonalGaussian,
-    lik: LikelihoodEvaluator,
+    log_lik: Callable[[np.ndarray], np.ndarray],
     log_prior: Callable[[np.ndarray], np.ndarray],
     alpha: float,
 ) -> float:
     """Evidence-style objective ``E_q[log f_n] - (1/alpha) KL(q || prior)``.
 
-    Both expectations are Gauss-Hermite quadratures under ``q`` (the entropy
-    part of the KL term is closed form).  Up to a constant not depending on
-    ``q``, maximizing this equals minimizing the KL divergence from ``q`` to
-    the tempered posterior with the same ``alpha``.
+    ``log_lik`` (``log f_n``) and ``log_prior`` map an (N, q.dim) array of
+    parameter points to the (N,) array of their values, as in
+    :func:`~alphapost.posteriors.grid_alpha_posterior`.  Both expectations
+    are Gauss-Hermite quadratures under ``q`` (the entropy part of the KL
+    term is closed form).  Up to a constant not depending on ``q``,
+    maximizing this equals minimizing the KL divergence from ``q`` to the
+    tempered posterior with the same ``alpha``.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _require_single(q)
-    if q.dim != lik.dim:
-        raise ValueError("variational dimension does not match likelihood")
     z, w = _gh_mesh(q.dim)
     pts = q.mean + np.sqrt(2.0) * np.sqrt(q.var) * z
-    ll = lik(pts)
+    ll = np.asarray(log_lik(pts), dtype=float)
     lp = np.asarray(log_prior(pts), dtype=float)
     if not (np.all(np.isfinite(ll)) and np.all(np.isfinite(lp))):
         raise ValueError("non-finite evaluator values under the quadrature")

@@ -5,7 +5,9 @@ multiplying by the prior.  Two constructions are provided:
 
 * closed form for the conjugate Gaussian linear regression model, from the
   sample's sufficient statistics (:class:`SufficientStats`),
-* tabulation on a rectangular grid for generic low-dimensional models.
+* tabulation on a rectangular grid for generic low-dimensional models,
+  whose log-likelihood and log-prior are plain batched callables from
+  (N, dim) parameter points to (N,) values.
 
 The Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))`` completes the
 module.
@@ -29,7 +31,6 @@ from .gaussians import GaussianDist, GridDensity, log_density, mesh_points
 __all__ = [
     "SufficientStats",
     "ConjugatePrior",
-    "LikelihoodEvaluator",
     "conjugate_alpha_posterior",
     "grid_alpha_posterior",
     "default_grid_axes",
@@ -152,25 +153,6 @@ class ConjugatePrior:
         return lambda pts: log_density(dist, pts)
 
 
-@dataclass(frozen=True)
-class LikelihoodEvaluator:
-    """Joint log-likelihood of the full sample as a function of the parameter.
-
-    ``log_lik`` maps an (N, dim) array of parameter points to the (N,) array
-    of log-likelihood values; it must be finite on any grid box it is asked
-    to fill and re-entrant (no shared mutable state).
-    """
-
-    log_lik: Callable[[np.ndarray], np.ndarray]
-    dim: int
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise ValueError("parameter dimension mismatch")
-        return np.asarray(self.log_lik(pts), dtype=float)
-
-
 def _per_alpha(x: np.ndarray, alpha: np.ndarray, core: int) -> np.ndarray:
     # Room for the alpha axis, if any, between the replication axis, if any,
     # and the last ``core`` axes that belong to one member.
@@ -252,30 +234,33 @@ def default_grid_axes(
 
 
 def grid_alpha_posterior(
-    lik: LikelihoodEvaluator,
+    log_lik: Callable[[np.ndarray], np.ndarray],
     log_prior: Callable[[np.ndarray], np.ndarray],
     alpha: float,
     axes: Sequence[np.ndarray],
 ) -> GridDensity:
-    """Tempered posterior tabulated on a grid, for dimension <= 2.
+    """Tempered posterior tabulated on a grid, for dimension ``len(axes)`` <= 2.
 
-    Node weights are proportional to ``exp(alpha * log_lik + log_prior)``;
-    normalization is stabilized by a log-sum-exp shift so that likelihood
-    magnitudes growing with the sample size never overflow.
+    ``log_lik`` (the joint log-likelihood of the full sample, such as
+    :func:`~alphapost.regression.regression_likelihood`) and ``log_prior``
+    map an (N, dim) array of parameter points to the (N,) array of their
+    values.  Both must be re-entrant (no shared mutable state), and the
+    log-likelihood must be finite on the whole grid box.  Node weights are
+    proportional to ``exp(alpha * log_lik + log_prior)``; normalization is
+    stabilized by a log-sum-exp shift so that likelihood magnitudes growing
+    with the sample size never overflow.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if lik.dim > 2:
-        raise ValueError("grid posteriors support dimension <= 2")
-    if len(axes) != lik.dim:
-        raise ValueError("axes count must match the likelihood dimension")
+    if not 1 <= len(axes) <= 2:
+        raise ValueError(f"grid posteriors support dimension 1 or 2, got {len(axes)} axes")
     for ax in axes:
         if len(ax) < 101:
             raise ValueError("each grid axis needs at least 101 nodes")
         if not np.all(np.isfinite(ax)):
             raise ValueError("grid axes must be finite")
     pts = mesh_points(axes)
-    ll = lik(pts)
+    ll = np.asarray(log_lik(pts), dtype=float)
     if not np.all(np.isfinite(ll)):
         raise ValueError("non-finite log-likelihood on a grid node")
     lw = (alpha * ll + np.asarray(log_prior(pts), dtype=float)).reshape([len(ax) for ax in axes])

@@ -12,6 +12,8 @@ A sample enters every estimator and probe through its sufficient
 statistics (:meth:`RegressionDataset.stats`: ``n`` and the Gram matrix of
 ``[W, Z, Y]``), one sample or a stack of replications of one size ``n``,
 and the stacked routines return one value per replication.
+:func:`regression_likelihood` is the library's one Gaussian log-likelihood;
+the location model is the regression on one constant column.
 
 The module also houses the verification probes used by the experiment
 harness: the local-asymptotic-normality residual (batched over
@@ -24,19 +26,13 @@ bounded away from the posterior, next to its constant-tempering control.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .gaussians import GaussianDist, _result, hellinger_sq_gaussian, mesh_points
 from .meanfield import DiagonalGaussian, gmf_project_gaussian
-from .posteriors import (
-    ConjugatePrior,
-    LikelihoodEvaluator,
-    SufficientStats,
-    conjugate_alpha_posterior,
-    gaussian_bvm_limit,
-)
+from .posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior, gaussian_bvm_limit
 from .robustness import MisspecScenario
 
 __all__ = [
@@ -225,23 +221,28 @@ def misspec_scenario(dgp: RegressionDGP, eps: float) -> MisspecScenario:
     )
 
 
-def regression_likelihood(stats: SufficientStats, sigma_u: float) -> LikelihoodEvaluator:
-    """Batched log-likelihood of the working model for one sample, regressing ``Y`` on every design column.
+def regression_likelihood(stats: SufficientStats, sigma_u: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched Gaussian log-likelihood of one sample: ``Y`` on every design column, error sd ``sigma_u``.
 
-    The covariate marginal does not involve theta and is dropped.
+    Maps an (N, k) array of coefficient points, k the design columns of
+    ``stats``, to the (N,) log-likelihoods, and rejects points of another
+    dimension.  The covariate marginal does not involve the coefficients
+    and is dropped.
     """
     if stats.stacked:
         raise ValueError("the likelihood takes one sample, not a stack")
-    n = stats.n
+    n, k = stats.n, stats.k
     yty, wty, wtw = float(stats.yty), stats.xty, stats.xtx
     const = -0.5 * n * np.log(2.0 * np.pi * sigma_u**2)
 
     def log_lik(thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(thetas)
+        if thetas.shape[-1] != k:
+            raise ValueError(f"points of dimension {thetas.shape[-1]}, but the likelihood has {k} design columns")
         quad = np.einsum("ni,ij,nj->n", thetas, wtw, thetas)
         return const - (yty - 2.0 * thetas @ wty + quad) / (2.0 * sigma_u**2)
 
-    return LikelihoodEvaluator(log_lik, stats.k)
+    return log_lik
 
 
 # lan_residual_sup holds at most this many (sample, mesh point) values at a

@@ -174,7 +174,7 @@ def maximize_penalized_objective(lik, log_prior, alpha, init, xatol=1e-9, max_it
     objective/projection equivalence the result coincides with the KL
     projection onto the tempered posterior.
     """
-    dim = lik.dim
+    dim = init.dim
 
     def neg_objective(x):
         q = DiagonalGaussian(x[:dim], np.exp(2.0 * x[dim:]))

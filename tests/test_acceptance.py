@@ -25,12 +25,13 @@ from alphapost.gaussians import (
 from alphapost.meanfield import gmf_project_gaussian, gmf_project_numeric, variational_bvm_limit
 from alphapost.posteriors import (
     ConjugatePrior,
+    SufficientStats,
     conjugate_alpha_posterior,
     default_grid_axes,
     gaussian_bvm_limit,
     grid_alpha_posterior,
 )
-from alphapost.experiments import laplace_log_prior, location_likelihood
+from alphapost.experiments import laplace_log_prior
 from alphapost.regression import (
     RegressionDGP,
     assumption2_terms,
@@ -42,6 +43,7 @@ from alphapost.regression import (
     misspec_scenario,
     ols,
     pseudo_true,
+    regression_likelihood,
     simulate,
     true_posterior_theta,
 )
@@ -136,7 +138,7 @@ def _laplace_grid_sweep(project: bool):
             x = rng.standard_normal(n)
             theta_hat = float(np.mean(x))
             v = np.array([[1.0]])
-            lik = location_likelihood(x)
+            lik = regression_likelihood(SufficientStats.of(np.ones(x.size), x), 1.0)
             log_prior = laplace_log_prior()
             for alpha in alphas:
                 if project:

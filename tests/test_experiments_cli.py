@@ -257,6 +257,12 @@ class TestCLI:
         assert self.run_cli(["assumption-checks", "--config", str(cfg_path), "--out", str(tmp_path / "lan")]) == 2
         assert "theta0:" in capsys.readouterr().err
 
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
+        # Laplace grids and p = 2 outer TV rules take grid_points nodes; 2e9 exhaust memory.
+        cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\ngrid_points = 1000001\n")
+        assert self.run_cli(["bvm-convergence", "--config", str(cfg_path), "--out", str(tmp_path / "gp")]) == 2
+        assert capsys.readouterr().err.startswith("config error: grid_points: ")
+
     def test_largest_lan_mesh_runs(self, tmp_path):
         eye = ";".join(",".join("1" if i == j else "0" for j in range(5)) for i in range(5))
         cfg_path = write_config(
@@ -326,6 +332,8 @@ class TestCLI:
             ),
             ("optimal-alpha", "cov_wz = 1.5", "dgp/prior: cov_ww, cov_wz, cov_zz: ", "positive definite"),
             ("bvm-convergence", "sigma_eps = 0\ngamma0 = 0", "dgp/prior: ", "sigma_eps"),
+            ("optimal-alpha", "theta0 =", "dgp/prior: theta0: ", "at least one"),
+            ("optimal-alpha", "gamma0 =", "dgp/prior: gamma0: ", "at least one"),
         ],
     )
     def test_builder_error_names_the_field(self, tmp_path, capsys, experiment, line, prefix, detail):
@@ -341,6 +349,7 @@ class TestCLI:
             ("optimal-alpha", "full_prior_sigma = 1,0,0;0,1,0;0,0,1"),
             ("bvm-convergence", "sigma_eps = 0"),
             ("bvm-convergence", "model = laplace-location\ngrid_points = 101\ncov_ww = 1;0.3,1"),
+            ("bvm-convergence", "model = laplace-location\ngrid_points = 101\ntheta0 ="),
         ],
     )
     def test_fields_the_experiment_never_reads_are_not_checked(self, tmp_path, experiment, line):

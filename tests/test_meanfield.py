@@ -175,12 +175,14 @@ class TestNumericProjection:
         rng = np.random.default_rng(31)
         n = 5000
         x = rng.standard_normal(n)
-        from alphapost.experiments import laplace_log_prior, location_likelihood
-        from alphapost.posteriors import default_grid_axes, grid_alpha_posterior
+        from alphapost.experiments import laplace_log_prior
+        from alphapost.posteriors import SufficientStats, default_grid_axes, grid_alpha_posterior
 
         theta_hat = float(np.mean(x))
         axes = default_grid_axes([theta_hat], [[1.0]], n, 1.0, 2001, scale=14.0)
-        post = grid_alpha_posterior(location_likelihood(x), laplace_log_prior(), 1.0, axes)
+        post = grid_alpha_posterior(
+            regression_likelihood(SufficientStats.of(np.ones(x.size), x), 1.0), laplace_log_prior(), 1.0, axes
+        )
         proj = gmf_project_numeric(post)
         limit = variational_bvm_limit([theta_hat], [[1.0]], n, 1.0)
         assert abs(proj.mean[0] - limit.mean[0]) < 1e-3

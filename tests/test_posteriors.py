@@ -8,7 +8,6 @@ from alphapost.gaussians import GaussianDist, GridDensity
 from alphapost.posteriors import (
     ConjugatePrior,
     SufficientStats,
-    LikelihoodEvaluator,
     conjugate_alpha_posterior,
     default_grid_axes,
     gaussian_bvm_limit,
@@ -113,9 +112,7 @@ class TestConjugateAlphaPosterior:
 class TestGridAlphaPosterior:
     def test_normal_normal_update(self):
         # One N(theta, 1) observation at 0.7 with a standard normal prior.
-        lik = LikelihoodEvaluator(
-            lambda t: -0.5 * np.log(2 * np.pi) - 0.5 * (0.7 - np.atleast_2d(t)[:, 0]) ** 2, 1
-        )
+        lik = lambda t: -0.5 * np.log(2 * np.pi) - 0.5 * (0.7 - np.atleast_2d(t)[:, 0]) ** 2
         log_prior = lambda pts: -0.5 * np.log(2 * np.pi) - 0.5 * np.atleast_2d(pts)[:, 0] ** 2
         axes = [np.linspace(-4, 4, 2001)]
         post = grid_alpha_posterior(lik, log_prior, 1.0, axes)
@@ -145,10 +142,8 @@ class TestGridAlphaPosterior:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(100)
         sx, sx2 = x.sum(), x @ x
-        lik = LikelihoodEvaluator(
-            lambda t: -50 * np.log(2 * np.pi)
-            - 0.5 * (sx2 - 2 * np.atleast_2d(t)[:, 0] * sx + 100 * np.atleast_2d(t)[:, 0] ** 2),
-            1,
+        lik = lambda t: -50 * np.log(2 * np.pi) - 0.5 * (
+            sx2 - 2 * np.atleast_2d(t)[:, 0] * sx + 100 * np.atleast_2d(t)[:, 0] ** 2
         )
         log_prior = lambda pts: -np.log(2.0) - np.abs(np.atleast_2d(pts)[:, 0])
         post = grid_alpha_posterior(lik, log_prior, 0.5, [np.linspace(-2, 2, 3001)])
@@ -159,17 +154,22 @@ class TestGridAlphaPosterior:
         assert np.all(np.diff(pdf[peak:]) <= 1e-12)
 
     def test_too_few_nodes_rejected(self):
-        lik = LikelihoodEvaluator(lambda t: np.zeros(np.atleast_2d(t).shape[0]), 1)
+        lik = lambda t: np.zeros(np.atleast_2d(t).shape[0])
         with pytest.raises(ValueError, match="101"):
             grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, [np.linspace(0, 1, 50)])
 
     def test_non_finite_log_likelihood_rejected(self):
-        lik = LikelihoodEvaluator(lambda t: np.full(np.atleast_2d(t).shape[0], np.nan), 1)
+        lik = lambda t: np.full(np.atleast_2d(t).shape[0], np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, [np.linspace(0, 1, 101)])
 
+    def test_axes_of_another_dimension_than_the_likelihood_rejected(self):
+        lik = regression_likelihood(SufficientStats.of(np.ones(50), np.arange(50.0)), 1.0)
+        with pytest.raises(ValueError, match="dimension 2.*1 design column"):
+            grid_alpha_posterior(lik, lambda p: np.zeros(len(p)), 1.0, [np.linspace(0, 1, 101)] * 2)
+
     def test_dimension_above_two_rejected(self):
-        lik = LikelihoodEvaluator(lambda t: np.zeros(np.atleast_2d(t).shape[0]), 3)
+        lik = lambda t: np.zeros(np.atleast_2d(t).shape[0])
         with pytest.raises(ValueError, match="dimension"):
             grid_alpha_posterior(lik, lambda p: 0.0, 1.0, [np.linspace(0, 1, 101)] * 3)
 

@@ -104,6 +104,28 @@ def test_le_cam_hellinger_bounds_on_tv(pair):
     assert tv <= np.sqrt(h2) * np.sqrt(2.0 - h2) + TV_SLACK
 
 
+@pytest.mark.parametrize("dim, step", [(1, 1), (2, 5)])
+@pytest.mark.parametrize("shift", [0.0, 0.3, 5.0])
+def test_le_cam_lower_bound_holds_for_nearly_disjoint_pairs(dim, step, shift):
+    # N(0, I) against a q whose first standard deviation is 10^k, k from -150
+    # to 150, in both argument orders: the exact TV's roots must neither
+    # cancel nor overflow (a RuntimeWarning fails the test).
+    k = np.arange(-150, 151, step)
+    mean = np.zeros((k.size, dim))
+    mean[:, 0] = shift
+    mean[:, 1:] = 0.1
+    eye = np.broadcast_to(np.eye(dim), (k.size, dim, dim))
+    cov = eye.copy()
+    cov[:, 0, 0] = 10.0 ** (2.0 * k)
+    p = GaussianDist(np.zeros((k.size, dim)), eye)
+    q = GaussianDist(mean, cov)
+    for a, b in ((p, q), (q, p)):
+        tv = tv_gaussian(a, b).value
+        h2 = hellinger_sq_gaussian(a, b)
+        assert np.all(h2 <= tv + TV_SLACK)
+        assert np.all(tv <= 1.0)
+
+
 def push_forward(g, a, b):
     cov = a @ g.cov @ a.T
     return GaussianDist(a @ g.mean + b, (cov + cov.T) / 2.0)

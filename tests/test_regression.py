@@ -466,14 +466,17 @@ class TestRegressionLikelihood:
     def test_matches_direct_evaluation(self):
         dgp = toy_dgp()
         ds = simulate(dgp, 60, 97)
-        lik = regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u)
+        x = np.random.default_rng(5).normal(0.4, 2.0, 80)
+        # The working model of the example, and the location model as a
+        # regression on one constant column.
+        inputs = [(ds.W, ds.Y, dgp.sigma_u), (np.ones((x.size, 1)), x, 2.0)]
         rng = np.random.default_rng(0)
-        for theta in rng.normal(size=(5, 1)):
-            resid = ds.Y - ds.W @ theta
-            direct = -0.5 * ds.n * np.log(2 * np.pi * dgp.sigma_u**2) - resid @ resid / (
-                2 * dgp.sigma_u**2
-            )
-            assert_allclose(lik(theta[None, :])[0], direct, rtol=1e-12)
+        for design, y, sd in inputs:
+            lik = regression_likelihood(SufficientStats.of(design, y), sd)
+            for theta in rng.normal(size=(5, 1)):
+                resid = y - design @ theta
+                direct = -0.5 * y.size * np.log(2 * np.pi * sd**2) - resid @ resid / (2 * sd**2)
+                assert_allclose(lik(theta[None, :])[0], direct, rtol=1e-12)
 
 
 def design(p):
