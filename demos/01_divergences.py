@@ -41,9 +41,9 @@ print("Pinsker check: TV <= sqrt(KL / 2):", tv.value <= np.sqrt(kl_gaussian(p, r
 
 # The same distances on tabulated densities.  Gridding a Gaussian and
 # comparing against the closed form is the library's basic consistency check.
-axes = [np.linspace(-10, 10, 4001)]
-gp = GridDensity.from_gaussian(p, axes)
-gq = GridDensity.from_gaussian(q, axes)
+x = np.linspace(-10, 10, 4001)
+gp = GridDensity.from_gaussian(p, x)
+gq = GridDensity.from_gaussian(q, x)
 print("grid KL vs closed form:", abs(kl_grid(gp, gq) - kl_gaussian(p, q)))
-gr = GridDensity.from_gaussian(r, axes)
+gr = GridDensity.from_gaussian(r, x)
 print("grid TV vs closed form:", abs(tv_grid(gp, gr) - tv.value))

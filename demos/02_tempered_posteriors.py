@@ -2,8 +2,8 @@
 
 A posterior tempered with exponent alpha raises the likelihood to that
 power before multiplying by the prior.  For the Gaussian linear model the
-result stays Gaussian; for anything else a tabulated grid does the job in
-one or two dimensions.
+result stays Gaussian; for any other model of one parameter a tabulated
+grid does the job.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from alphapost import (
     ConjugatePrior,
     GridDensity,
     conjugate_alpha_posterior,
-    default_grid_axes,
+    default_grid_axis,
     grid_alpha_posterior,
     regression_likelihood,
     simulate,
@@ -43,13 +43,13 @@ c2 = conjugate_alpha_posterior(w, flat, dgp.sigma_u, 0.5)
 print("flat-prior covariance ratio (alpha 0.5 vs 1):", c2.cov[0, 0] / c1.cov[0, 0])
 
 # The grid construction reproduces the conjugate closed form pointwise.  Its
-# log-likelihood and log-prior are plain batched callables, from (N, p)
+# log-likelihood and log-prior are plain batched callables, from (N, 1)
 # points to N values.
 alpha = 0.5
 post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
-axes = default_grid_axes(post.mean, dgp.cov_WW / dgp.sigma_u**2, ds.n, alpha)
+x = default_grid_axis(post.mean[0], dgp.cov_WW[0, 0] / dgp.sigma_u**2, ds.n, alpha)
 grid_post = grid_alpha_posterior(
-    regression_likelihood(w, dgp.sigma_u), prior.log_density_fn(dgp.sigma_u), alpha, axes
+    regression_likelihood(w, dgp.sigma_u), prior.log_density_fn(dgp.sigma_u), alpha, x
 )
-exact = GridDensity.from_gaussian(post, axes)
+exact = GridDensity.from_gaussian(post, x)
 print("grid vs conjugate sup-norm:", np.max(np.abs(grid_post.pdf() - exact.pdf())))

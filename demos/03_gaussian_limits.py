@@ -16,7 +16,7 @@ from alphapost import (
     SufficientStats,
     derived_seed,
     failure_case_hellinger,
-    default_grid_axes,
+    default_grid_axis,
     gaussian_bvm_limit,
     grid_alpha_posterior,
     ols,
@@ -35,9 +35,9 @@ for n in (50, 200, 1000, 5000):
         # N(theta, 1) location data are a regression on one constant column.
         stats = SufficientStats.of(np.ones(n), x)
         theta_hat = ols(stats)
-        axes = default_grid_axes(theta_hat, [[1.0]], n, alpha)
-        post = grid_alpha_posterior(regression_likelihood(stats, 1.0), laplace_log_prior(), alpha, axes)
-        limit = GridDensity.from_gaussian(gaussian_bvm_limit(theta_hat, [[1.0]], n, alpha), axes)
+        grid = default_grid_axis(theta_hat[0], 1.0, n, alpha)
+        post = grid_alpha_posterior(regression_likelihood(stats, 1.0), laplace_log_prior(), alpha, grid)
+        limit = GridDensity.from_gaussian(gaussian_bvm_limit(theta_hat, [[1.0]], n, alpha), grid)
         gaps.append(tv_grid(post, limit))
     print(f"{n:7d}   {np.median(gaps):.5f}")
 

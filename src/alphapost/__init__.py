@@ -3,13 +3,13 @@ misspecification-robust choice of the tempering level.
 
 The library covers these layers:
 
-* ``gaussians`` -- Gaussian and grid-density representations with KL,
-  squared-Hellinger, and total-variation divergences.
+* ``gaussians`` -- Gaussian and one-dimensional grid-density
+  representations with KL, squared-Hellinger, and total-variation
+  divergences.
 * ``posteriors`` -- likelihood-tempered posteriors (conjugate closed form
-  and grid construction) and their Gaussian large-sample limits.
+  and, for one parameter, a grid) and their Gaussian large-sample limits.
 * ``meanfield`` -- KL projection onto diagonal Gaussians, in closed form
-  for Gaussian targets and numerically for grid targets, plus the
-  penalized evidence-style objective.
+  for Gaussian targets and numerically for one-dimensional grid targets.
 * ``robustness`` -- expected-KL robustness criteria (the surrogate ones in
   closed form), the optimal tempering level and its large-sample limits.
 * ``regression`` -- the omitted-variable linear regression example with

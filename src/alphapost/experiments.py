@@ -52,7 +52,7 @@ from .posteriors import (
     ConjugatePrior,
     SufficientStats,
     conjugate_alpha_posterior,
-    default_grid_axes,
+    default_grid_axis,
     gaussian_bvm_limit,
     grid_alpha_posterior,
 )
@@ -405,15 +405,14 @@ def _location_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> lis
     rows = []
     for alpha in cfg.alphas:
         if project:
-            axes = default_grid_axes(theta_hat, v, n, alpha, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
-            post = grid_alpha_posterior(lik, log_prior, alpha, axes)
-            proj = gmf_project_numeric(post)
+            grid = default_grid_axis(theta_hat[0], v[0, 0], n, alpha, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
+            proj = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, alpha, grid))
             lim = variational_bvm_limit(theta_hat, v, n, alpha)
             rows.append([n, rep, float(alpha), kl_gaussian(proj.dist, lim.dist)])
         else:
-            axes = default_grid_axes(theta_hat, v, n, alpha, cfg.grid_points)
-            post = grid_alpha_posterior(lik, log_prior, alpha, axes)
-            glim = GridDensity.from_gaussian(gaussian_bvm_limit(theta_hat, v, n, alpha), axes)
+            grid = default_grid_axis(theta_hat[0], v[0, 0], n, alpha, cfg.grid_points)
+            post = grid_alpha_posterior(lik, log_prior, alpha, grid)
+            glim = GridDensity.from_gaussian(gaussian_bvm_limit(theta_hat, v, n, alpha), grid)
             rows.append([n, rep, float(alpha), tv_grid(post, glim), kl_grid(post, glim)])
     return rows
 

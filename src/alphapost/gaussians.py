@@ -8,8 +8,7 @@ representations:
   covariance, validated by Cholesky factorization at construction, or a
   stack of them along a leading axis.
 * :class:`GridDensity` -- a normalized density tabulated on a uniform
-  rectangular grid, the exact workhorse for non-conjugate posteriors in
-  dimension one or two.
+  axis, the exact workhorse for the non-conjugate one-dimensional posterior.
 
 Divergences provided: Kullback-Leibler, squared Hellinger, and total
 variation; the closed-form ones broadcast over stacks.  The squared
@@ -21,7 +20,7 @@ closed-form inner integral under a 1-d outer rule (Monte Carlo is the option
 in any dimension).
 
 The module needs only numpy: the normal CDF behind the total variation is
-built on :func:`math.erf`.  Grid splines alone load ``scipy.interpolate``,
+built on :func:`math.erf`.  The grid spline alone loads ``scipy.interpolate``,
 on first use.
 
 All functions are pure; Monte Carlo routines take an explicit
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "tv_gaussian",
     "kl_grid",
     "tv_grid",
-    "trapezoid_weights",
 ]
 
 # Symmetry tolerance (relative) for covariance inputs.
@@ -343,8 +341,10 @@ def tv_gaussian(
     coordinate is integrated in closed form and the outer one by ``budget``
     trapezoid nodes in a cosine map, split where ``A``'s section appears or
     vanishes, so 2001 nodes agree with 40001 to within 1e-12 even for
-    strongly elongated pairs; a stack runs one such rule per pair.  Two
-    single distributions give a float value, a stack the array of values.
+    strongly elongated pairs, as long as each of q's variances in that
+    frame (where p's are 1) is at least 1e-12; a stack runs one such rule
+    per pair.  Two single distributions give a float value, a stack the
+    array of values.
 
     method="monte_carlo" (one pair, not a stack): returns
     ``0.5 * mean_p |1 - q(X)/p(X)|`` over ``budget`` draws from ``p``, with
@@ -376,87 +376,63 @@ def tv_gaussian(
     raise ValueError(f"unknown method {method!r}")
 
 
-def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Every node of the tensor grid on ``axes`` as an (N, dim) array, in row-major mesh order.
-
-    Row ``k`` is the node at flat index ``k`` of an array of shape
-    ``(len(axes[0]), len(axes[1]), ...)``, so values computed on these points
-    reshape straight back onto the grid.
-    """
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def trapezoid_weights(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor-product trapezoid quadrature weights for uniform axes."""
-    weights = None
-    for ax in axes:
-        h = float(ax[1] - ax[0])
-        w = np.full(ax.shape, h)
-        w[0] = w[-1] = h / 2.0
-        weights = w if weights is None else np.multiply.outer(weights, w)
-    return weights
+def trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Trapezoid quadrature weights for a uniform axis."""
+    h = float(x[1] - x[0])
+    w = np.full(x.shape, h)
+    w[0] = w[-1] = h / 2.0
+    return w
 
 
 @dataclass(frozen=True)
 class GridDensity:
-    """A normalized density tabulated on a uniform rectangular grid.
+    """A normalized density tabulated on a uniform axis ``x``.
 
-    ``log_weights`` holds the log *unnormalized* density at every grid node
-    and ``normalizer`` the log of its trapezoid-rule integral, so the
+    ``log_weights`` holds the log *unnormalized* density at every node of
+    ``x`` and ``normalizer`` the log of its trapezoid-rule integral, so the
     normalized log density at a node is ``log_weights - normalizer``.
     Construction is stabilized by a log-sum-exp shift, and the normalized
     density integrates to 1 within 1e-8 by construction.
     """
 
-    axes: tuple[np.ndarray, ...]
+    x: np.ndarray
     log_weights: np.ndarray
     normalizer: float
 
     def __post_init__(self):
-        axes = tuple(np.asarray(ax, dtype=float) for ax in self.axes)
+        x = np.asarray(self.x, dtype=float)
         lw = np.asarray(self.log_weights, dtype=float)
-        if lw.shape != tuple(ax.size for ax in axes):
-            raise ValueError("log_weights shape does not match axes")
-        for ax in axes:
-            if ax.size < 2:
-                raise ValueError("each axis needs at least two nodes")
-            steps = np.diff(ax)
-            if np.any(steps <= 0):
-                raise ValueError("axes must be strictly increasing")
-            if not np.max(np.abs(steps - steps[0])) <= 1e-9 * abs(steps[0]):
-                raise ValueError("axes must be uniformly spaced")
+        if x.ndim != 1 or x.size < 2:
+            raise ValueError("the grid is one axis of at least two nodes")
+        if lw.shape != x.shape:
+            raise ValueError("log_weights shape does not match the axis")
+        steps = np.diff(x)
+        if np.any(steps <= 0):
+            raise ValueError("the axis must be strictly increasing")
+        if not np.max(np.abs(steps - steps[0])) <= 1e-9 * abs(steps[0]):
+            raise ValueError("the axis must be uniformly spaced")
         if not np.all(np.isfinite(lw)):
             raise ValueError("log_weights must be finite")
-        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "log_weights", lw)
         object.__setattr__(self, "normalizer", float(self.normalizer))
 
     @classmethod
-    def from_log_unnormalized(cls, axes: Sequence[np.ndarray], log_values: np.ndarray) -> "GridDensity":
-        """Normalize tabulated log values by their trapezoid-rule integral."""
+    def from_log_unnormalized(cls, x: np.ndarray, log_values: np.ndarray) -> "GridDensity":
+        """Normalize log values tabulated on ``x`` by their trapezoid-rule integral."""
         log_values = np.asarray(log_values, dtype=float)
         if not np.all(np.isfinite(log_values)):
             raise ValueError("log values must be finite on the grid")
         shift = float(np.max(log_values))
-        mass = float(np.sum(trapezoid_weights(axes) * np.exp(log_values - shift)))
+        mass = float(np.sum(trapezoid_weights(x) * np.exp(log_values - shift)))
         if not np.isfinite(mass) or mass <= 0.0:
             raise ValueError("grid weights underflow; the box is misplaced")
-        return cls(tuple(axes), log_values, shift + np.log(mass))
+        return cls(x, log_values, shift + np.log(mass))
 
     @classmethod
-    def from_log_fn(cls, axes: Sequence[np.ndarray], log_fn: Callable[[np.ndarray], np.ndarray]) -> "GridDensity":
-        """Tabulate ``log_fn`` (mapping (N, dim) points to (N,) values) on the grid."""
-        vals = np.asarray(log_fn(mesh_points(axes)), dtype=float).reshape([len(ax) for ax in axes])
-        return cls.from_log_unnormalized(axes, vals)
-
-    @classmethod
-    def from_gaussian(cls, g: GaussianDist, axes: Sequence[np.ndarray]) -> "GridDensity":
-        return cls.from_log_fn(axes, lambda pts: log_density(g, pts))
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
+    def from_gaussian(cls, g: GaussianDist, x: np.ndarray) -> "GridDensity":
+        """The one-dimensional Gaussian ``g`` tabulated on ``x``."""
+        return cls.from_log_unnormalized(x, log_density(g, np.asarray(x, dtype=float)[:, None]))
 
     def pdf(self) -> np.ndarray:
         """Normalized density values at the grid nodes."""
@@ -467,11 +443,7 @@ class GridDensity:
         return self.log_weights - self.normalizer
 
     def integral(self) -> float:
-        return float(np.sum(trapezoid_weights(self.axes) * self.pdf()))
-
-    def nodes(self) -> np.ndarray:
-        """All grid nodes as an (N, dim) array in row-major mesh order."""
-        return mesh_points(self.axes)
+        return float(np.sum(trapezoid_weights(self.x) * self.pdf()))
 
     def _spline(self):
         # Lazily built cubic interpolant of the normalized log density.
@@ -479,58 +451,35 @@ class GridDensity:
         # costs a large share of start-up and most runs never build a spline.
         cached = getattr(self, "_spline_cache", None)
         if cached is None:
-            from scipy.interpolate import CubicSpline, RectBivariateSpline
+            from scipy.interpolate import CubicSpline
 
-            if self.dim == 1:
-                cached = CubicSpline(self.axes[0], self.log_pdf())
-            else:
-                cached = RectBivariateSpline(self.axes[0], self.axes[1], self.log_pdf(), kx=3, ky=3, s=0)
+            cached = CubicSpline(self.x, self.log_pdf())
             object.__setattr__(self, "_spline_cache", cached)
         return cached
 
-    def _check_support(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise ValueError("point dimension does not match grid dimension")
-        for j, ax in enumerate(self.axes):
-            if np.any(pts[:, j] < ax[0]) or np.any(pts[:, j] > ax[-1]):
-                raise ValueError("points fall outside the tabulated support")
-        return pts
-
     def log_pdf_and_grad_at(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Interpolated log density with its gradient and Hessian at off-grid points.
+        """Interpolated log density with its first and second derivatives at off-grid points.
 
-        Returns arrays of shape (N,), (N, dim) and (N, dim, dim), all exact
-        derivatives of the same cubic interpolant.  Raises ``ValueError`` if
-        any point falls outside the grid box.
+        ``points`` is a vector of N locations; the three returned arrays have
+        shape (N,) and are exact derivatives of the same cubic interpolant.
+        Raises ``ValueError`` if any point falls outside the grid's range.
         """
-        pts = self._check_support(points)
+        x = np.asarray(points, dtype=float)
+        if np.any(x < self.x[0]) or np.any(x > self.x[-1]):
+            raise ValueError("points fall outside the tabulated support")
         sp = self._spline()
-        if self.dim == 1:
-            x = pts[:, 0]
-            return sp(x), sp(x, 1)[:, None], sp(x, 2)[:, None, None]
-        x, y = pts[:, 0], pts[:, 1]
-        grad = np.stack([sp.ev(x, y, dx=1), sp.ev(x, y, dy=1)], axis=-1)
-        hxy = sp.ev(x, y, dx=1, dy=1)
-        hess = np.stack([sp.ev(x, y, dx=2), hxy, hxy, sp.ev(x, y, dy=2)], axis=-1).reshape(-1, 2, 2)
-        return sp.ev(x, y), grad, hess
+        return sp(x), sp(x, 1), sp(x, 2)
 
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis mean and variance by trapezoid integration."""
-        w = trapezoid_weights(self.axes) * self.pdf()
-        pts = self.nodes()
-        wflat = w.ravel()
-        mean = pts.T @ wflat
-        var = ((pts - mean) ** 2).T @ wflat
-        return mean, var
+    def moments(self) -> tuple[float, float]:
+        """Mean and variance by trapezoid integration."""
+        w = trapezoid_weights(self.x) * self.pdf()
+        mean = float(self.x @ w)
+        return mean, float((self.x - mean) ** 2 @ w)
 
 
-def _check_same_axes(p: GridDensity, q: GridDensity):
-    if p.dim != q.dim or any(a.size != b.size for a, b in zip(p.axes, q.axes)):
+def _check_same_axis(p: GridDensity, q: GridDensity):
+    if p.x.size != q.x.size or (p.x is not q.x and not np.allclose(p.x, q.x, rtol=1e-12, atol=0.0)):
         raise ValueError("grid densities must share identical axes")
-    for a, b in zip(p.axes, q.axes):
-        if a is not b and not np.allclose(a, b, rtol=1e-12, atol=0.0):
-            raise ValueError("grid densities must share identical axes")
 
 
 def kl_grid(p: GridDensity, q: GridDensity) -> float:
@@ -538,16 +487,16 @@ def kl_grid(p: GridDensity, q: GridDensity) -> float:
 
     Nodes where the density of ``p`` is below 1e-300 contribute zero.
     """
-    _check_same_axes(p, q)
+    _check_same_axis(p, q)
     lp = p.log_pdf()
     lq = q.log_pdf()
     pd = np.exp(lp)
     integrand = np.where(pd < 1e-300, 0.0, pd * (lp - lq))
-    return float(np.sum(trapezoid_weights(p.axes) * integrand))
+    return float(np.sum(trapezoid_weights(p.x) * integrand))
 
 
 def tv_grid(p: GridDensity, q: GridDensity) -> float:
     """Trapezoid-rule total variation ``0.5 * integral |p - q|`` on a shared grid."""
-    _check_same_axes(p, q)
+    _check_same_axis(p, q)
     diff = np.abs(p.pdf() - q.pdf())
-    return 0.5 * float(np.sum(trapezoid_weights(p.axes) * diff))
+    return 0.5 * float(np.sum(trapezoid_weights(p.x) * diff))

@@ -3,30 +3,22 @@
 The Gaussian mean-field family consists of normal distributions with
 diagonal covariance.  Projecting a Gaussian target in KL divergence has a
 unique closed form: keep the mean, invert the diagonal of the precision
-(:func:`gmf_project_gaussian`).  Arbitrary grid targets are projected
+(:func:`gmf_project_gaussian`).  A one-dimensional grid target is projected
 numerically by deterministic damped Newton descent on (mean, log variance),
 with the KL evaluated by Gauss-Hermite quadrature against a cubic
 interpolant of the tabulated log density, and its gradient and Hessian
 taken exactly through the quadrature nodes (:func:`gmf_project_numeric`).
-
-The closely related penalized objective
-``E_q[log f_n] - (1/alpha) KL(q || prior)`` is exposed as
-:func:`penalized_objective`, which takes the log-likelihood ``log f_n``
-and the log prior as plain batched callables.  The objective is an
-evidence-style lower bound: it is *maximized*, not minimized, by the
-distribution closest in KL to the tempered posterior, so maximizing it is
-equivalent to that projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, GridDensity, _require_single, _result, mesh_points
+from .gaussians import GaussianDist, GridDensity, _require_single, _result
 from .posteriors import _per_alpha, _replication_major, _tempering
 
 __all__ = [
@@ -34,7 +26,6 @@ __all__ = [
     "gmf_project_gaussian",
     "gmf_project_numeric",
     "variational_bvm_limit",
-    "penalized_objective",
 ]
 
 GH_NODES = 32
@@ -109,15 +100,14 @@ def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float
 
 
 @lru_cache(maxsize=None)
-def _gh_mesh(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # Standardized Gauss-Hermite tensor nodes and probabilist-normalized
-    # weights, built once per dimension; callers must not write to them.
+def _gh_rule() -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Hermite nodes scaled to a standard normal, and their
+    # probabilist-normalized weights, built once; callers must not write to them.
     z, w = np.polynomial.hermite.hermgauss(GH_NODES)
-    w = w / np.sqrt(np.pi)
-    nodes, weights = (z[:, None], w) if dim == 1 else (mesh_points([z, z]), np.outer(w, w).ravel())
-    nodes.setflags(write=False)
+    offsets, weights = np.sqrt(2.0) * z, w / np.sqrt(np.pi)
+    offsets.setflags(write=False)
     weights.setflags(write=False)
-    return nodes, weights
+    return offsets, weights
 
 
 def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = None) -> DiagonalGaussian:
@@ -130,59 +120,51 @@ def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = Non
     locations).  Each iteration takes the Newton step when it is a descent
     direction and the negative gradient otherwise, halving it while the KL
     rises or quadrature nodes leave the tabulated support, and the
-    iteration terminates when every gradient component of (mean, log
-    variance) is below ``GRAD_TOL``.  The default starting point is
+    iteration terminates when both gradient components of (mean, log
+    variance) are below ``GRAD_TOL``.  The default starting point is
     moment-matched to the target, which makes the reported minimizer
     reproducible.  Raises ``ValueError`` when the starting point's
     quadrature nodes leave the support and ``RuntimeError`` on
     non-convergence within ``MAX_ITER`` iterations.
     """
-    if target.dim > 2:
-        raise ValueError("numeric projection supports dimension <= 2")
     if init is None:
-        mean, var = target.moments()
-        init = DiagonalGaussian(mean, var)
+        init = DiagonalGaussian(*target.moments())
     _require_single(init)
-    if init.dim != target.dim:
-        raise ValueError("init dimension does not match target")
+    if init.dim != 1:
+        raise ValueError(f"init of dimension {init.dim} for a one-dimensional target")
 
-    dim = target.dim
-    z, w = _gh_mesh(dim)
-    offsets = np.sqrt(2.0) * z
-    mu0 = init.mean
-    sd0 = np.sqrt(init.var)
-    # Each internal coordinate moves one axis of every quadrature node.
-    axis = np.tile(np.arange(dim), 2)
+    offsets, w = _gh_rule()
+    mu0 = float(init.mean[0])
+    sd0 = float(np.sqrt(init.var[0]))
 
     # Internal coordinates v = ((mu - mu0)/sd0, log(sd/sd0)) keep the descent
     # well-conditioned regardless of how concentrated the target is.
     def params(v):
-        return mu0 + sd0 * v[:dim], sd0 * np.exp(v[dim:])
+        return mu0 + sd0 * v[0], sd0 * np.exp(v[1])
 
     def kl_grad_hess(v):
         mu, sd = params(v)
-        vals, grads, hess = target.log_pdf_and_grad_at(mu + sd * offsets)
-        # KL(q||t) = -H(q) - E_q[log t]; d(-H)/d(log sd_j) = -1.
-        kl = -0.5 * dim * (1.0 + np.log(2.0 * np.pi)) - np.sum(np.log(sd)) - w @ vals
-        # d(node)/dv: sd0 for the mean coordinates, sd * offset for the log sd ones.
-        jac = np.concatenate([np.broadcast_to(sd0, offsets.shape), sd * offsets], axis=1)
-        wg = w[:, None] * grads[:, axis] * jac
-        grad = -wg.sum(axis=0)
-        grad[dim:] -= 1.0
-        h = -np.einsum("k,km,kn,kmn->mn", w, jac, jac, hess[:, axis][:, :, axis])
+        dx = sd * offsets
+        vals, d1, d2 = target.log_pdf_and_grad_at(mu + dx)
+        # KL(q||t) = -H(q) - E_q[log t]; d(-H)/d(log sd) = -1.
+        kl = -0.5 * (1.0 + np.log(2.0 * np.pi)) - np.log(sd) - w @ vals
+        # d(node)/dv is sd0 for the mean coordinate and dx for the log sd one.
+        g_mu, g_sd = sd0 * (w @ d1), w @ (d1 * dx)
+        h_cross = -sd0 * (w @ (d2 * dx))
+        grad = np.array([-g_mu, -g_sd - 1.0])
         # The nodes are exponential in log sd, which adds the curvature of that map.
-        h[dim:, dim:] -= np.diag(wg[:, dim:].sum(axis=0))
-        return kl, grad, h
+        hess = np.array([[-sd0 * sd0 * (w @ d2), h_cross], [h_cross, -(w @ (d2 * dx * dx)) - g_sd]])
+        return kl, grad, hess
 
     # The componentwise tolerances translate the (mean, log var) sup-norm
     # criterion into the standardized coordinates.
-    tol = np.concatenate([GRAD_TOL * sd0, np.full(dim, 2.0 * GRAD_TOL)])
-    v = np.zeros(2 * dim)
+    tol = np.array([GRAD_TOL * sd0, 2.0 * GRAD_TOL])
+    v = np.zeros(2)
     kl, grad, hess = kl_grad_hess(v)
     for _ in range(MAX_ITER):
         if np.all(np.abs(grad) < tol):
             mu, sd = params(v)
-            return DiagonalGaussian(mu, sd**2)
+            return DiagonalGaussian([mu], [sd**2])
         try:
             step = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -204,33 +186,3 @@ def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = Non
         v = v + step
         kl, grad, hess = trial
     raise RuntimeError(f"damped Newton descent failed to converge within {MAX_ITER} iterations")
-
-
-def penalized_objective(
-    q: DiagonalGaussian,
-    log_lik: Callable[[np.ndarray], np.ndarray],
-    log_prior: Callable[[np.ndarray], np.ndarray],
-    alpha: float,
-) -> float:
-    """Evidence-style objective ``E_q[log f_n] - (1/alpha) KL(q || prior)``.
-
-    ``log_lik`` (``log f_n``) and ``log_prior`` map an (N, q.dim) array of
-    parameter points to the (N,) array of their values, as in
-    :func:`~alphapost.posteriors.grid_alpha_posterior`.  Both expectations
-    are Gauss-Hermite quadratures under ``q`` (the entropy part of the KL
-    term is closed form).  Up to a constant not depending on ``q``,
-    maximizing this equals minimizing the KL divergence from ``q`` to the
-    tempered posterior with the same ``alpha``.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    _require_single(q)
-    z, w = _gh_mesh(q.dim)
-    pts = q.mean + np.sqrt(2.0) * np.sqrt(q.var) * z
-    ll = np.asarray(log_lik(pts), dtype=float)
-    lp = np.asarray(log_prior(pts), dtype=float)
-    if not (np.all(np.isfinite(ll)) and np.all(np.isfinite(lp))):
-        raise ValueError("non-finite evaluator values under the quadrature")
-    kl_q_prior = -q.entropy() - float(w @ lp)
-    return float(w @ ll) - kl_q_prior / alpha
-

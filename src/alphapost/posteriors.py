@@ -5,9 +5,9 @@ multiplying by the prior.  Two constructions are provided:
 
 * closed form for the conjugate Gaussian linear regression model, from the
   sample's sufficient statistics (:class:`SufficientStats`),
-* tabulation on a rectangular grid for generic low-dimensional models,
-  whose log-likelihood and log-prior are plain batched callables from
-  (N, dim) parameter points to (N,) values.
+* tabulation on a uniform axis for a one-dimensional parameter, whose
+  log-likelihood and log-prior are plain batched callables from (N, 1)
+  parameter points to (N,) values.
 
 The Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))`` completes the
 module.
@@ -26,14 +26,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, GridDensity, log_density, mesh_points
+from .gaussians import GaussianDist, GridDensity, log_density
 
 __all__ = [
     "SufficientStats",
     "ConjugatePrior",
     "conjugate_alpha_posterior",
     "grid_alpha_posterior",
-    "default_grid_axes",
+    "default_grid_axis",
     "gaussian_bvm_limit",
 ]
 
@@ -210,61 +210,57 @@ def conjugate_alpha_posterior(
     return GaussianDist(_replication_major(mean, 1), _replication_major(cov, 2))
 
 
-def default_grid_axes(
-    theta_hat_ml: np.ndarray,
-    V: np.ndarray,
+def default_grid_axis(
+    theta_hat_ml: float,
+    v: float,
     n: int,
     alpha: float,
     num: int = 2001,
     scale: float = 10.0,
-) -> list[np.ndarray]:
-    """Default grid box: ML estimate +- scale / sqrt(alpha n lambda_min(V)) per axis.
+) -> np.ndarray:
+    """Default grid axis: ML estimate +- scale / sqrt(alpha n v), for the curvature ``v``.
 
     The half-width tracks the tempering-dependent spread of the Gaussian
-    limit, so the box covers its support for any ``alpha``.  Callers that
+    limit, so the axis covers its support for any ``alpha``.  Callers that
     run 32-node Gauss-Hermite quadrature against the grid should widen the
     box (``scale`` around 14) since the outermost nodes of a matched
     Gaussian reach past 10 standard deviations.
     """
-    theta_hat_ml = np.atleast_1d(np.asarray(theta_hat_ml, dtype=float))
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    lam_min = float(np.min(np.linalg.eigvalsh(V)))
-    half_width = scale / np.sqrt(alpha * n * lam_min)
-    return [np.linspace(t - half_width, t + half_width, num) for t in theta_hat_ml]
+    half_width = scale / np.sqrt(alpha * n * v)
+    return np.linspace(theta_hat_ml - half_width, theta_hat_ml + half_width, num)
 
 
 def grid_alpha_posterior(
     log_lik: Callable[[np.ndarray], np.ndarray],
     log_prior: Callable[[np.ndarray], np.ndarray],
     alpha: float,
-    axes: Sequence[np.ndarray],
+    x: np.ndarray,
 ) -> GridDensity:
-    """Tempered posterior tabulated on a grid, for dimension ``len(axes)`` <= 2.
+    """Tempered posterior of a one-dimensional parameter, tabulated on the axis ``x``.
 
     ``log_lik`` (the joint log-likelihood of the full sample, such as
     :func:`~alphapost.regression.regression_likelihood`) and ``log_prior``
-    map an (N, dim) array of parameter points to the (N,) array of their
+    map an (N, 1) array of parameter points to the (N,) array of their
     values.  Both must be re-entrant (no shared mutable state), and the
-    log-likelihood must be finite on the whole grid box.  Node weights are
+    log-likelihood must be finite on the whole axis.  Node weights are
     proportional to ``exp(alpha * log_lik + log_prior)``; normalization is
     stabilized by a log-sum-exp shift so that likelihood magnitudes growing
     with the sample size never overflow.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if not 1 <= len(axes) <= 2:
-        raise ValueError(f"grid posteriors support dimension 1 or 2, got {len(axes)} axes")
-    for ax in axes:
-        if len(ax) < 101:
-            raise ValueError("each grid axis needs at least 101 nodes")
-        if not np.all(np.isfinite(ax)):
-            raise ValueError("grid axes must be finite")
-    pts = mesh_points(axes)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"grid posteriors take one axis, got an array of dimension {x.ndim}")
+    if x.size < 101:
+        raise ValueError("the grid axis needs at least 101 nodes")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the grid axis must be finite")
+    pts = x[:, None]
     ll = np.asarray(log_lik(pts), dtype=float)
     if not np.all(np.isfinite(ll)):
         raise ValueError("non-finite log-likelihood on a grid node")
-    lw = (alpha * ll + np.asarray(log_prior(pts), dtype=float)).reshape([len(ax) for ax in axes])
-    return GridDensity.from_log_unnormalized(axes, lw)
+    return GridDensity.from_log_unnormalized(x, alpha * ll + np.asarray(log_prior(pts), dtype=float))
 
 
 def gaussian_bvm_limit(

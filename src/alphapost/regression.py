@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, _result, hellinger_sq_gaussian, mesh_points
+from .gaussians import GaussianDist, _result, hellinger_sq_gaussian
 from .meanfield import DiagonalGaussian, gmf_project_gaussian
 from .posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior, gaussian_bvm_limit
 from .robustness import MisspecScenario
@@ -276,6 +276,17 @@ def lan_residual(stats: SufficientStats, dgp: RegressionDGP, h: np.ndarray) -> f
     h = np.asarray(h, dtype=float)
     vals = _lan_defect(*_lan_terms(stats, dgp), np.atleast_2d(h))
     return _result(vals[..., 0]) if h.ndim <= 1 else vals
+
+
+def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every node of the tensor grid on ``axes`` as an (N, dim) array, in row-major mesh order.
+
+    Row ``k`` is the node at flat index ``k`` of an array of shape
+    ``(len(axes[0]), len(axes[1]), ...)``, so values computed on these points
+    reshape straight back onto the grid.
+    """
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def lan_residual_sup(stats: SufficientStats, dgp: RegressionDGP) -> float | np.ndarray:

@@ -27,7 +27,7 @@ from alphapost.posteriors import (
     ConjugatePrior,
     SufficientStats,
     conjugate_alpha_posterior,
-    default_grid_axes,
+    default_grid_axis,
     gaussian_bvm_limit,
     grid_alpha_posterior,
 )
@@ -142,15 +142,15 @@ def _laplace_grid_sweep(project: bool):
             log_prior = laplace_log_prior()
             for alpha in alphas:
                 if project:
-                    axes = default_grid_axes([theta_hat], v, n, alpha, 2001, scale=14.0)
-                    post = grid_alpha_posterior(lik, log_prior, alpha, axes)
+                    grid = default_grid_axis(theta_hat, 1.0, n, alpha, 2001, scale=14.0)
+                    post = grid_alpha_posterior(lik, log_prior, alpha, grid)
                     proj = gmf_project_numeric(post)
                     lim = variational_bvm_limit([theta_hat], v, n, alpha)
                     acc[alpha].append(kl_gaussian(proj.dist, lim.dist))
                 else:
-                    axes = default_grid_axes([theta_hat], v, n, alpha, 2001)
-                    post = grid_alpha_posterior(lik, log_prior, alpha, axes)
-                    glim = GridDensity.from_gaussian(gaussian_bvm_limit([theta_hat], v, n, alpha), axes)
+                    grid = default_grid_axis(theta_hat, 1.0, n, alpha, 2001)
+                    post = grid_alpha_posterior(lik, log_prior, alpha, grid)
+                    glim = GridDensity.from_gaussian(gaussian_bvm_limit([theta_hat], v, n, alpha), grid)
                     acc[alpha].append(tv_grid(post, glim))
         for alpha in alphas:
             out[alpha].append(float(np.median(acc[alpha])))

@@ -42,3 +42,19 @@ def test_a_traced_run_counts_every_layer():
     # One stacked posterior and one stacked TV per sample size.
     assert metrics["posteriors.conjugate_alpha_posterior.calls"] == 2
     assert metrics["gaussians.tv_gaussian.calls"] == 2
+
+
+def test_a_traced_laplace_projection_counts_the_grid_work():
+    cfg = ExperimentConfig(
+        seed=3, replications=2, n_grid=[40, 80], alphas=[0.5, 1.0], model="laplace-location", grid_points=301
+    )
+    with Tracer() as tracer:
+        _, rows = run_experiment(cfg, "vbvm-convergence")
+    metrics = tracer.metrics()
+    assert len(rows) == 8
+    calls = metrics["posteriors.grid_alpha_posterior.calls"]
+    assert calls == 8
+    assert metrics["posteriors.grid_alpha_posterior.nodes"] == calls * cfg.grid_points
+    assert metrics["meanfield.gmf_project_numeric.calls"] == calls
+    assert metrics["meanfield.gmf_project_numeric.grad_evals"] >= calls
+    assert metrics["meanfield.gmf_project_numeric.failed"] == 0

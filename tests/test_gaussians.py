@@ -266,11 +266,16 @@ class TestTVGaussian:
         # The outer rule is split where the section of {p > q} appears or
         # vanishes, so even strongly elongated pairs need no large budget.
         rng = np.random.default_rng(9)
+        pairs = []
         for k in range(40):
             stretch = np.diag([1.0, (30.0, 1.0, 1.0 / 30.0)[k % 3]])
             a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 2)) @ stretch
             p = GaussianDist(rng.normal(scale=3.0, size=2), a @ a.T + 0.01 * np.eye(2))
             q = GaussianDist(rng.normal(size=2), b @ b.T + 0.01 * np.eye(2))
+            pairs.append((p, q))
+        # q's variances at the documented floor of 1e-12 of p's.
+        pairs.append((GaussianDist([0.0, 0.0], np.eye(2)), GaussianDist([0.3, 0.1], 1e-12 * np.eye(2))))
+        for p, q in pairs:
             coarse, fine = tv_gaussian(p, q, budget=2001).value, tv_gaussian(p, q, budget=40_001).value
             assert abs(coarse - fine) < 1e-12
 
@@ -316,66 +321,63 @@ class TestTVGaussian:
 
 class TestGridDensity:
     def test_normalization_invariant(self):
-        axes = [np.linspace(-8, 8, 1001)]
-        g = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), axes)
+        x = np.linspace(-8, 8, 1001)
+        g = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), x)
         assert abs(g.integral() - 1.0) < 1e-8
 
     def test_large_log_weights_are_stabilized(self):
-        axes = [np.linspace(-5, 5, 501)]
-        big = GridDensity.from_log_fn(axes, lambda pts: 5000.0 - 0.5 * pts[:, 0] ** 2)
+        x = np.linspace(-5, 5, 501)
+        big = GridDensity.from_log_unnormalized(x, 5000.0 - 0.5 * x**2)
         assert abs(big.integral() - 1.0) < 1e-8
 
     def test_rejects_non_finite_log_weights(self):
-        axes = [np.linspace(-1, 1, 11)]
+        x = np.linspace(-1, 1, 11)
         with pytest.raises(ValueError, match="finite"):
-            GridDensity.from_log_unnormalized(axes, np.full(11, -np.inf))
+            GridDensity.from_log_unnormalized(x, np.full(11, -np.inf))
 
     def test_rejects_non_uniform_axis(self):
-        ax = np.array([0.0, 0.1, 0.3, 0.6])
+        x = np.array([0.0, 0.1, 0.3, 0.6])
         with pytest.raises(ValueError, match="uniform"):
-            GridDensity(tuple([ax]), np.zeros(4), 0.0)
+            GridDensity(x, np.zeros(4), 0.0)
 
     def test_moments_match_source(self):
-        axes = [np.linspace(-9, 11, 2001)]
-        g = GridDensity.from_gaussian(GaussianDist(1.0, 2.0), axes)
+        x = np.linspace(-9, 11, 2001)
+        g = GridDensity.from_gaussian(GaussianDist(1.0, 2.0), x)
         mean, var = g.moments()
-        assert_allclose(mean, [1.0], atol=1e-9)
-        assert_allclose(var, [2.0], atol=1e-8)
+        assert_allclose(mean, 1.0, atol=1e-9)
+        assert_allclose(var, 2.0, atol=1e-8)
 
     def test_gaussian_log_density_derivatives(self):
-        # The log density of N(m, S) has gradient -S^{-1}(x - m) and Hessian -S^{-1}.
-        for target, num in ((GaussianDist(0.5, 2.0), 4001), (GaussianDist([0.5, -0.3], [[2.0, 1.0], [1.0, 2.0]]), 401)):
-            axes = [np.linspace(m - 12.0, m + 12.0, num) for m in target.mean]
-            grid = GridDensity.from_gaussian(target, axes)
-            pts = target.mean + np.random.default_rng(4).uniform(-3.0, 3.0, size=(20, target.dim))
-            vals, grads, hess = grid.log_pdf_and_grad_at(pts)
-            prec = np.linalg.inv(target.cov)
-            assert grads.shape == pts.shape and hess.shape == (20, target.dim, target.dim)
-            assert_allclose(vals, log_density(target, pts), atol=1e-6)
-            assert_allclose(grads, -(pts - target.mean) @ prec, atol=1e-5)
-            assert_allclose(hess, np.broadcast_to(-prec, hess.shape), atol=1e-4)
+        # The log density of N(m, s2) has derivative -(x - m)/s2 and second derivative -1/s2.
+        m, s2 = 0.5, 2.0
+        grid = GridDensity.from_gaussian(GaussianDist(m, s2), np.linspace(m - 12.0, m + 12.0, 4001))
+        pts = m + np.random.default_rng(4).uniform(-3.0, 3.0, size=20)
+        vals, grads, hess = grid.log_pdf_and_grad_at(pts)
+        assert grads.shape == hess.shape == pts.shape
+        assert_allclose(vals, log_density(GaussianDist(m, s2), pts[:, None]), atol=1e-6)
+        assert_allclose(grads, -(pts - m) / s2, atol=1e-5)
+        assert_allclose(hess, np.full(20, -1.0 / s2), atol=1e-4)
 
     def test_trapezoid_weights_sum_to_box_volume(self):
-        axes = [np.linspace(0, 1, 11), np.linspace(0, 2, 21)]
-        assert_allclose(trapezoid_weights(axes).sum(), 2.0, rtol=1e-12)
+        assert_allclose(trapezoid_weights(np.linspace(0, 2, 21)).sum(), 2.0, rtol=1e-12)
 
 
 class TestGridDivergences:
     def test_kl_grid_self_is_zero(self):
-        axes = [np.linspace(-10, 10, 1001)]
-        g = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), axes)
+        x = np.linspace(-10, 10, 1001)
+        g = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), x)
         assert abs(kl_grid(g, g)) < 1e-10
 
     def test_kl_grid_matches_analytic(self):
-        axes = [np.linspace(-10, 10, 4001)]
-        p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), axes)
-        q = GridDensity.from_gaussian(GaussianDist(0.0, 2.0), axes)
+        x = np.linspace(-10, 10, 4001)
+        p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), x)
+        q = GridDensity.from_gaussian(GaussianDist(0.0, 2.0), x)
         assert abs(kl_grid(p, q) - kl_gaussian(GaussianDist(0.0, 1.0), GaussianDist(0.0, 2.0))) < 1e-6
 
     def test_kl_grid_laplace_vs_gaussian_mc_oracle(self):
-        axes = [np.linspace(-14, 14, 8001)]
-        lap = GridDensity.from_log_fn(axes, lambda pts: -np.log(2.0) - np.abs(pts[:, 0]))
-        gau = GridDensity.from_gaussian(GaussianDist(0.0, 2.0), axes)
+        x = np.linspace(-14, 14, 8001)
+        lap = GridDensity.from_log_unnormalized(x, -np.log(2.0) - np.abs(x))
+        gau = GridDensity.from_gaussian(GaussianDist(0.0, 2.0), x)
         rng = np.random.default_rng(3)
         est, se = mc_kl(
             lambda r, num: r.laplace(size=(num, 1)),
@@ -387,13 +389,13 @@ class TestGridDivergences:
         assert abs(kl_grid(lap, gau) - est) < 3 * se
 
     def test_tv_grid_equal_variance_closed_form(self):
-        axes = [np.linspace(-10, 10, 8001)]
-        p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), axes)
-        q = GridDensity.from_gaussian(GaussianDist(1.0, 1.0), axes)
+        x = np.linspace(-10, 10, 8001)
+        p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), x)
+        q = GridDensity.from_gaussian(GaussianDist(1.0, 1.0), x)
         assert abs(tv_grid(p, q) - tv_equal_variance(0.0, 1.0, 1.0)) < 1e-6
 
     def test_tv_grid_mixture_vs_mc_oracle(self):
-        axes = [np.linspace(-12, 12, 8001)]
+        x = np.linspace(-12, 12, 8001)
 
         def log_mix(x):
             x = np.asarray(x)
@@ -401,8 +403,8 @@ class TestGridDivergences:
             b = -0.5 * np.log(2 * np.pi) - 0.5 * (x - 2.0) ** 2
             return np.logaddexp(a, b) - np.log(2.0)
 
-        p = GridDensity.from_log_fn(axes, lambda pts: log_mix(pts[:, 0]))
-        q = GridDensity.from_gaussian(GaussianDist(0.0, 5.0), axes)
+        p = GridDensity.from_log_unnormalized(x, log_mix(x))
+        q = GridDensity.from_gaussian(GaussianDist(0.0, 5.0), x)
 
         def sample_mix(rng, num):
             comp = rng.integers(0, 2, size=num)
@@ -419,8 +421,8 @@ class TestGridDivergences:
         assert abs(tv_grid(p, q) - est) < 3 * se
 
     def test_axis_mismatch_rejected(self):
-        p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), [np.linspace(-5, 5, 101)])
-        q = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), [np.linspace(-6, 6, 101)])
+        p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-5, 5, 101))
+        q = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-6, 6, 101))
         with pytest.raises(ValueError, match="axes"):
             kl_grid(p, q)
         with pytest.raises(ValueError, match="axes"):

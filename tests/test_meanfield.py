@@ -5,17 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphapost.gaussians import GaussianDist, GridDensity, kl_gaussian
-from alphapost.meanfield import (
-    DiagonalGaussian,
-    gmf_project_gaussian,
-    gmf_project_numeric,
-    penalized_objective,
-    variational_bvm_limit,
-)
+from alphapost.meanfield import DiagonalGaussian, gmf_project_gaussian, gmf_project_numeric, variational_bvm_limit
 from alphapost.posteriors import ConjugatePrior, conjugate_alpha_posterior, grid_alpha_posterior
-from alphapost.regression import RegressionDGP, regression_likelihood, simulate
+from alphapost.regression import RegressionDGP, derived_seed, regression_likelihood, simulate
 
-from oracles import coordinate_descent_diag_kl, maximize_penalized_objective
+from oracles import (
+    coordinate_descent_diag_kl,
+    laplace_location_objective,
+    maximize_penalized_objective,
+    minimize_laplace_location_objective,
+    penalized_objective,
+)
 
 
 def random_spd_target(rng, dim):
@@ -111,77 +111,31 @@ class TestClosedFormProjection:
 class TestNumericProjection:
     def test_gridded_gaussian_matches_closed_form_1d(self):
         target = GaussianDist(1.0, 2.0)
-        grid = GridDensity.from_gaussian(target, [np.linspace(-20, 22, 4001)])
+        grid = GridDensity.from_gaussian(target, np.linspace(-20, 22, 4001))
         proj = gmf_project_numeric(grid)
-        closed = gmf_project_gaussian(target)
-        assert_allclose(proj.mean, closed.mean, atol=1e-5)
-        assert_allclose(proj.var, closed.var, atol=1e-5)
-
-    def test_gridded_gaussian_matches_closed_form_2d(self):
-        target = GaussianDist([0.5, -0.3], [[2.0, 1.0], [1.0, 2.0]])
-        hw = 16.0 * np.sqrt(2.0)
-        axes = [
-            np.linspace(0.5 - hw, 0.5 + hw, 401),
-            np.linspace(-0.3 - hw, -0.3 + hw, 401),
-        ]
-        proj = gmf_project_numeric(GridDensity.from_gaussian(target, axes))
         closed = gmf_project_gaussian(target)
         assert_allclose(proj.mean, closed.mean, atol=1e-5)
         assert_allclose(proj.var, closed.var, atol=1e-5)
 
     def test_far_init_reaches_same_optimum(self):
         target = GaussianDist(1.0, 2.0)
-        grid = GridDensity.from_gaussian(target, [np.linspace(-30, 32, 6001)])
+        grid = GridDensity.from_gaussian(target, np.linspace(-30, 32, 6001))
         default = gmf_project_numeric(grid)
         far = gmf_project_numeric(grid, DiagonalGaussian([1.0 + 5.0 * np.sqrt(2.0)], [2.0]))
         assert_allclose(far.mean, default.mean, atol=1e-6)
         assert_allclose(far.var, default.var, atol=1e-6)
-        target = GaussianDist([0.5, -0.3], [[2.0, 1.0], [1.0, 2.0]])
-        axes = [np.linspace(m - 40.0, m + 40.0, 801) for m in target.mean]
-        grid = GridDensity.from_gaussian(target, axes)
-        default = gmf_project_numeric(grid)
-        far = gmf_project_numeric(grid, DiagonalGaussian([4.0, -3.0], [0.3, 5.0]))
-        assert_allclose(far.mean, default.mean, atol=1e-6)
-        assert_allclose(far.var, default.var, atol=1e-6)
-
-    def test_non_gaussian_2d_target_matches_penalized_objective(self):
-        # Correlated regression likelihood times an independent logistic prior.
-        dgp = RegressionDGP(
-            theta0=[1.0, -0.5],
-            gamma0=[1.0],
-            sigma_eps=1.0,
-            cov_WW=[[1.0, 0.6], [0.6, 1.0]],
-            cov_WZ=[[0.5], [0.3]],
-            cov_ZZ=[[1.0]],
-        )
-        alpha = 0.5
-        ds = simulate(dgp, 40, 3)
-        lik = regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u)
-
-        def log_prior(pts):
-            z = np.atleast_2d(pts) - 0.5
-            return np.sum(-z - 2.0 * np.log1p(np.exp(-z)), axis=1)
-
-        flat = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), ConjugatePrior.flat(2), dgp.sigma_u, alpha)
-        sd = np.sqrt(np.diag(flat.cov))
-        axes = [np.linspace(m - 16.0 * s, m + 16.0 * s, 401) for m, s in zip(flat.mean, sd)]
-        projected = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, alpha, axes))
-        init = DiagonalGaussian(projected.mean + 0.3 * np.sqrt(projected.var), 1.4 * projected.var)
-        maximized = maximize_penalized_objective(lik, log_prior, alpha, init)
-        assert_allclose(projected.mean, maximized.mean, atol=1e-6)
-        assert_allclose(projected.var, maximized.var, atol=1e-6)
 
     def test_laplace_posterior_near_limit_at_large_n(self):
         rng = np.random.default_rng(31)
         n = 5000
         x = rng.standard_normal(n)
         from alphapost.experiments import laplace_log_prior
-        from alphapost.posteriors import SufficientStats, default_grid_axes, grid_alpha_posterior
+        from alphapost.posteriors import SufficientStats, default_grid_axis, grid_alpha_posterior
 
         theta_hat = float(np.mean(x))
-        axes = default_grid_axes([theta_hat], [[1.0]], n, 1.0, 2001, scale=14.0)
+        grid = default_grid_axis(theta_hat, 1.0, n, 1.0, 2001, scale=14.0)
         post = grid_alpha_posterior(
-            regression_likelihood(SufficientStats.of(np.ones(x.size), x), 1.0), laplace_log_prior(), 1.0, axes
+            regression_likelihood(SufficientStats.of(np.ones(x.size), x), 1.0), laplace_log_prior(), 1.0, grid
         )
         proj = gmf_project_numeric(post)
         limit = variational_bvm_limit([theta_hat], [[1.0]], n, 1.0)
@@ -190,20 +144,41 @@ class TestNumericProjection:
 
     def test_nodes_outside_support_rejected(self):
         target = GaussianDist(0.0, 1.0)
-        grid = GridDensity.from_gaussian(target, [np.linspace(-6, 6, 1001)])
+        grid = GridDensity.from_gaussian(target, np.linspace(-6, 6, 1001))
         with pytest.raises(ValueError, match="support"):
             gmf_project_numeric(grid, DiagonalGaussian([5.0], [1.0]))
 
     def test_stacked_init_rejected(self):
-        grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), [np.linspace(-8, 8, 1001)])
+        grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-8, 8, 1001))
         with pytest.raises(ValueError, match="stack"):
             gmf_project_numeric(grid, DiagonalGaussian([[0.0], [0.1]], [[1.0], [1.0]]))
 
     def test_dimension_above_two_rejected(self):
-        target = GaussianDist(0.0, 1.0)
-        grid = GridDensity.from_gaussian(target, [np.linspace(-8, 8, 1001)])
-        with pytest.raises(ValueError, match="dimension"):
-            gmf_project_numeric(grid, DiagonalGaussian([0.0, 0.0], [1.0, 1.0]))
+        grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-8, 8, 1001))
+        with pytest.raises(ValueError, match="dimension 3"):
+            gmf_project_numeric(grid, DiagonalGaussian(np.zeros(3), np.ones(3)))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: Gauss-Hermite quadrature of the spline misses the Laplace prior's kink",
+    )
+    def test_laplace_projection_reaches_the_closed_form_minimum(self):
+        # KL(q || posterior) up to a constant is closed form for the Laplace
+        # location model; the projection should sit at its minimum.
+        from alphapost.experiments import laplace_log_prior
+        from alphapost.posteriors import SufficientStats, default_grid_axis
+
+        for n in (50, 1000):
+            for alpha in (0.25, 1.0):
+                x = np.random.default_rng(derived_seed(7, n, 0)).standard_normal(n)
+                xbar = float(np.mean(x))
+                lik = regression_likelihood(SufficientStats.of(np.ones(n), x), 1.0)
+                grid = default_grid_axis(xbar, 1.0, n, alpha, 2001, scale=14.0)
+                proj = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alpha, grid))
+                best = minimize_laplace_location_objective(xbar, n, alpha)
+                got = laplace_location_objective(proj.mean[0], np.sqrt(proj.var[0]), xbar, n, alpha)
+                assert got - best < 1e-9, (n, alpha, got - best)
 
 
 class TestVariationalBvmLimit:
@@ -257,8 +232,8 @@ class TestPenalizedObjective:
         for alpha in (0.25, 0.5, 1.0, 2.0):
             lik, log_prior, post = conjugate_1d_setup(alpha=alpha)
             sd = float(np.sqrt(post.cov[0, 0]))
-            axes = [np.linspace(post.mean[0] - 14 * sd, post.mean[0] + 14 * sd, 2001)]
-            grid_post = grid_alpha_posterior(lik, log_prior, alpha, axes)
+            grid = np.linspace(post.mean[0] - 14 * sd, post.mean[0] + 14 * sd, 2001)
+            grid_post = grid_alpha_posterior(lik, log_prior, alpha, grid)
             projected = gmf_project_numeric(grid_post)
             init = DiagonalGaussian(post.mean + 0.5 * sd, np.diag(post.cov) * 1.5)
             maximized = maximize_penalized_objective(lik, log_prior, alpha, init)

@@ -9,7 +9,7 @@ from alphapost.posteriors import (
     ConjugatePrior,
     SufficientStats,
     conjugate_alpha_posterior,
-    default_grid_axes,
+    default_grid_axis,
     gaussian_bvm_limit,
     grid_alpha_posterior,
 )
@@ -114,9 +114,9 @@ class TestGridAlphaPosterior:
         # One N(theta, 1) observation at 0.7 with a standard normal prior.
         lik = lambda t: -0.5 * np.log(2 * np.pi) - 0.5 * (0.7 - np.atleast_2d(t)[:, 0]) ** 2
         log_prior = lambda pts: -0.5 * np.log(2 * np.pi) - 0.5 * np.atleast_2d(pts)[:, 0] ** 2
-        axes = [np.linspace(-4, 4, 2001)]
-        post = grid_alpha_posterior(lik, log_prior, 1.0, axes)
-        exact = GridDensity.from_gaussian(GaussianDist(0.35, 0.5), axes)
+        x = np.linspace(-4, 4, 2001)
+        post = grid_alpha_posterior(lik, log_prior, 1.0, x)
+        exact = GridDensity.from_gaussian(GaussianDist(0.35, 0.5), x)
         assert np.max(np.abs(post.pdf() - exact.pdf())) < 1e-6
 
     def test_matches_conjugate_on_random_suite(self):
@@ -127,15 +127,14 @@ class TestGridAlphaPosterior:
             prior = ConjugatePrior([float(rng.normal())], [[float(rng.uniform(0.2, 2.0))]])
             ds = simulate(dgp, int(rng.integers(50, 400)), int(rng.integers(10**6)))
             post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
-            axes = [np.linspace(post.mean[0] - 10 * post.cov[0, 0] ** 0.5,
-                                post.mean[0] + 10 * post.cov[0, 0] ** 0.5, 2001)]
+            x = np.linspace(post.mean[0] - 10 * post.cov[0, 0] ** 0.5, post.mean[0] + 10 * post.cov[0, 0] ** 0.5, 2001)
             grid = grid_alpha_posterior(
                 regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u),
                 prior.log_density_fn(dgp.sigma_u),
                 alpha,
-                axes,
+                x,
             )
-            exact = GridDensity.from_gaussian(post, axes)
+            exact = GridDensity.from_gaussian(post, x)
             assert np.max(np.abs(grid.pdf() - exact.pdf())) < 1e-6
 
     def test_laplace_prior_posterior_normalized_and_unimodal(self):
@@ -146,7 +145,7 @@ class TestGridAlphaPosterior:
             sx2 - 2 * np.atleast_2d(t)[:, 0] * sx + 100 * np.atleast_2d(t)[:, 0] ** 2
         )
         log_prior = lambda pts: -np.log(2.0) - np.abs(np.atleast_2d(pts)[:, 0])
-        post = grid_alpha_posterior(lik, log_prior, 0.5, [np.linspace(-2, 2, 3001)])
+        post = grid_alpha_posterior(lik, log_prior, 0.5, np.linspace(-2, 2, 3001))
         assert abs(post.integral() - 1.0) < 1e-8
         pdf = post.pdf()
         peak = int(np.argmax(pdf))
@@ -156,22 +155,22 @@ class TestGridAlphaPosterior:
     def test_too_few_nodes_rejected(self):
         lik = lambda t: np.zeros(np.atleast_2d(t).shape[0])
         with pytest.raises(ValueError, match="101"):
-            grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, [np.linspace(0, 1, 50)])
+            grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, np.linspace(0, 1, 50))
 
     def test_non_finite_log_likelihood_rejected(self):
         lik = lambda t: np.full(np.atleast_2d(t).shape[0], np.nan)
         with pytest.raises(ValueError, match="non-finite"):
-            grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, [np.linspace(0, 1, 101)])
+            grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, np.linspace(0, 1, 101))
 
     def test_axes_of_another_dimension_than_the_likelihood_rejected(self):
-        lik = regression_likelihood(SufficientStats.of(np.ones(50), np.arange(50.0)), 1.0)
-        with pytest.raises(ValueError, match="dimension 2.*1 design column"):
-            grid_alpha_posterior(lik, lambda p: np.zeros(len(p)), 1.0, [np.linspace(0, 1, 101)] * 2)
+        lik = regression_likelihood(SufficientStats.of(np.ones((50, 2)), np.arange(50.0)), 1.0)
+        with pytest.raises(ValueError, match="dimension 1.*2 design columns"):
+            grid_alpha_posterior(lik, lambda p: np.zeros(len(p)), 1.0, np.linspace(0, 1, 101))
 
     def test_dimension_above_two_rejected(self):
         lik = lambda t: np.zeros(np.atleast_2d(t).shape[0])
-        with pytest.raises(ValueError, match="dimension"):
-            grid_alpha_posterior(lik, lambda p: 0.0, 1.0, [np.linspace(0, 1, 101)] * 3)
+        with pytest.raises(ValueError, match="one axis"):
+            grid_alpha_posterior(lik, lambda p: 0.0, 1.0, np.stack([np.linspace(0, 1, 101)] * 3))
 
 
 class TestGaussianBvmLimit:
@@ -230,7 +229,7 @@ class TestMeanDriftBound:
 
 class TestDefaultGridAxes:
     def test_half_width_tracks_alpha_n_and_curvature(self):
-        axes = default_grid_axes([0.0], [[4.0]], 100, 1.0, num=101)
-        assert_allclose(axes[0][-1], 10.0 / np.sqrt(400.0), rtol=1e-12)
-        wide = default_grid_axes([0.0], [[4.0]], 100, 0.25, num=101)
-        assert_allclose(wide[0][-1], 2.0 * axes[0][-1], rtol=1e-12)
+        x = default_grid_axis(0.0, 4.0, 100, 1.0, num=101)
+        assert_allclose(x[-1], 10.0 / np.sqrt(400.0), rtol=1e-12)
+        wide = default_grid_axis(0.0, 4.0, 100, 0.25, num=101)
+        assert_allclose(wide[-1], 2.0 * x[-1], rtol=1e-12)

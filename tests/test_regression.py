@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphapost import regression
-from alphapost.gaussians import mesh_points
 from alphapost.meanfield import gmf_project_gaussian
 from alphapost.posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior
 from alphapost.regression import (
@@ -19,6 +18,7 @@ from alphapost.regression import (
     failure_case_hellinger,
     lan_residual,
     lan_residual_sup,
+    mesh_points,
     misspec_scenario,
     ols,
     population_omega,
