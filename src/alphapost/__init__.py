@@ -4,12 +4,15 @@ misspecification-robust choice of the tempering level.
 The library covers these layers:
 
 * ``gaussians`` -- Gaussian and one-dimensional grid-density
-  representations with KL, squared-Hellinger, and total-variation
-  divergences.
+  representations, each also as a stack, with KL, squared-Hellinger, and
+  total-variation divergences.
 * ``posteriors`` -- likelihood-tempered posteriors (conjugate closed form
-  and, for one parameter, a grid) and their Gaussian large-sample limits.
+  and, for one parameter, a grid or a stack of grids), their Gaussian
+  large-sample limits, and the exact divergences between the two for the
+  Laplace-prior location model.
 * ``meanfield`` -- KL projection onto diagonal Gaussians, in closed form
-  for Gaussian targets and numerically for one-dimensional grid targets.
+  for Gaussian targets and numerically for one-dimensional grid targets
+  or stacks of them.
 * ``robustness`` -- expected-KL robustness criteria (the surrogate ones in
   closed form), the optimal tempering level and its large-sample limits.
 * ``regression`` -- the omitted-variable linear regression example with

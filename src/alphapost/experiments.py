@@ -6,7 +6,7 @@ documented computation, and writes ``<experiment>.csv`` plus
 output directory.  Reruns with the same seed produce byte-identical CSV
 bodies: every replication derives its own RNG stream from
 ``(master seed, n, rep)`` and rows are sorted deterministically before
-writing.  The regression experiments reduce each replication's sample to
+writing.  The replicated experiments reduce each replication's sample to
 its sufficient statistics as soon as it is drawn, and then run one stacked
 computation over every (replication, alpha) cell of each sample size.
 
@@ -26,9 +26,12 @@ experiment                columns
 
 The convergence experiments run either of two models, selected by the
 ``model`` key: ``laplace-location`` (1-d Gaussian location data, Laplace
-prior, tempered posterior on a grid) or ``regression`` (the omitted-variable
-example with its conjugate closed forms).  The location data are the
-regression on one constant column, so both models share its likelihood.
+prior) or ``regression`` (the omitted-variable example with its conjugate
+closed forms).  The location model's ``bvm-convergence`` divergences are
+closed forms too; its ``vbvm-convergence`` projects tempered posteriors
+tabulated on grids, one stack of grids per sample size.  The location data
+are the regression on one constant column, so both models share its
+likelihood.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import __version__
-from .gaussians import GridDensity, kl_gaussian, kl_grid, tv_gaussian, tv_grid
+from .gaussians import kl_gaussian, tv_gaussian
 from .meanfield import gmf_project_gaussian, gmf_project_numeric, variational_bvm_limit
 from .posteriors import (
     ConjugatePrior,
@@ -55,6 +58,7 @@ from .posteriors import (
     default_grid_axis,
     gaussian_bvm_limit,
     grid_alpha_posterior,
+    laplace_location_divergences,
 )
 from .regression import (
     LAN_MESH_NODES,
@@ -101,6 +105,11 @@ PROJECTION_BOX_SCALE = 14.0
 # 10^6 of them keep one cell to a few hundred MB.
 _GRID_POINTS_MIN = 101
 _GRID_POINTS_MAX = 10**6
+
+# The location projection tabulates at most this many (cell, node) values
+# at a time, in stacks of whole cells: 200 replications x 4 alphas at the
+# grid_points cap would otherwise take about 6 GB per array.
+_GRID_BLOCK = 2**20
 
 # assumption-checks takes the sup of the LAN defect over a
 # LAN_MESH_NODES^p mesh (regression.lan_residual_sup); this cap keeps it to a
@@ -355,10 +364,10 @@ class ExperimentConfig:
 
 
 def laplace_log_prior(loc: float = 0.0, scale: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched log density of the Laplace(loc, scale) prior."""
+    """Batched log density of the Laplace(loc, scale) prior: points of shape (..., 1) to values of shape (...)."""
 
     def log_prior(pts):
-        return -np.log(2.0 * scale) - np.abs(np.atleast_2d(pts)[:, 0] - loc) / scale
+        return -np.log(2.0 * scale) - np.abs(np.atleast_2d(pts)[..., 0] - loc) / scale
 
     return log_prior
 
@@ -393,28 +402,43 @@ def _cell_rows(n: int, reps: int, alphas, *columns) -> list[list]:
     return [[n, rep, float(alpha), *vals] for (rep, alpha), vals in zip(cells, zip(*columns))]
 
 
-def _location_rep(cfg: ExperimentConfig, n: int, rep: int, project: bool) -> list[list]:
-    rng = np.random.default_rng(derived_seed(cfg.seed, n, rep))
-    x = cfg.theta_true + cfg.noise_sd * rng.standard_normal(n)
-    # The location model is the regression of x on one constant column.
-    stats = SufficientStats.of(np.ones(n), x)
+def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
+    """The stacked statistics of the location samples of replications ``0 .. replications - 1`` at ``n``.
+
+    The location model is the regression of the data on one constant
+    column; each sample is drawn from its ``(seed, n, rep)`` stream.
+    """
+
+    def draw(rep: int) -> np.ndarray:
+        rng = np.random.default_rng(derived_seed(cfg.seed, n, rep))
+        return cfg.theta_true + cfg.noise_sd * rng.standard_normal(n)
+
+    return SufficientStats.stack([SufficientStats.of(np.ones(n), draw(rep)) for rep in range(cfg.replications)])
+
+
+def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[list]:
+    stats = _location_stats(cfg, n)
     theta_hat = ols(stats)
+    reps, alphas = cfg.replications, np.asarray(cfg.alphas, dtype=float)
+    if not project:
+        tv, kl = laplace_location_divergences(
+            theta_hat[:, 0], cfg.noise_sd, n, alphas, cfg.prior_loc, cfg.prior_scale
+        )
+        return _cell_rows(n, reps, cfg.alphas, tv, kl)
+    # A stack of grid posteriors, one per (rep, alpha) cell, replication-major,
+    # each with its replication's likelihood, and one projection per stack.
     v = np.array([[1.0 / cfg.noise_sd**2]])
-    lik = regression_likelihood(stats, cfg.noise_sd)
+    lim = variational_bvm_limit(theta_hat, v, n, alphas).dist
     log_prior = laplace_log_prior(cfg.prior_loc, cfg.prior_scale)
-    rows = []
-    for alpha in cfg.alphas:
-        if project:
-            grid = default_grid_axis(theta_hat[0], v[0, 0], n, alpha, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
-            proj = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, alpha, grid))
-            lim = variational_bvm_limit(theta_hat, v, n, alpha)
-            rows.append([n, rep, float(alpha), kl_gaussian(proj.dist, lim.dist)])
-        else:
-            grid = default_grid_axis(theta_hat[0], v[0, 0], n, alpha, cfg.grid_points)
-            post = grid_alpha_posterior(lik, log_prior, alpha, grid)
-            glim = GridDensity.from_gaussian(gaussian_bvm_limit(theta_hat, v, n, alpha), grid)
-            rows.append([n, rep, float(alpha), tv_grid(post, glim), kl_grid(post, glim)])
-    return rows
+    cells = reps * alphas.size
+    kl = []
+    for block in np.array_split(np.arange(cells), -(-cells * cfg.grid_points // _GRID_BLOCK)):
+        rep, alpha = block // alphas.size, alphas[block % alphas.size]
+        grid = default_grid_axis(theta_hat[rep, 0], v[0, 0], n, alpha, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
+        lik = regression_likelihood(SufficientStats(n, stats.gram[rep]), cfg.noise_sd)
+        proj = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, alpha, grid))
+        kl.append(kl_gaussian(proj.dist, lim[block]))
+    return _cell_rows(n, reps, cfg.alphas, np.concatenate(kl))
 
 
 def _regression_convergence(
@@ -435,8 +459,7 @@ def _regression_convergence(
 
 def _convergence_rows(cfg: ExperimentConfig, project: bool) -> list[list]:
     if cfg.model == "laplace-location":
-        reps = range(cfg.replications)
-        return _replicated_rows(cfg, lambda n: [row for rep in reps for row in _location_rep(cfg, n, rep, project)])
+        return _replicated_rows(cfg, lambda n: _location_convergence(cfg, n, project))
     dgp, prior = cfg.dgp(), cfg.prior()
     return _replicated_rows(cfg, lambda n: _regression_convergence(cfg, dgp, prior, n, project))
 

@@ -8,10 +8,11 @@ representations:
   covariance, validated by Cholesky factorization at construction, or a
   stack of them along a leading axis.
 * :class:`GridDensity` -- a normalized density tabulated on a uniform
-  axis, the exact workhorse for the non-conjugate one-dimensional posterior.
+  axis, the exact workhorse for the non-conjugate one-dimensional posterior,
+  or a stack of them, each on its own axis.
 
 Divergences provided: Kullback-Leibler, squared Hellinger, and total
-variation; the closed-form ones broadcast over stacks.  The squared
+variation; the closed-form and grid ones broadcast over stacks.  The squared
 Hellinger distance uses the standard Gaussian affinity, i.e. the quadratic
 form in the exponent is taken against the *inverse* of the averaged
 covariance ``((S1 + S2) / 2)^{-1}``.  Gaussian total variation is exact in
@@ -20,8 +21,7 @@ closed-form inner integral under a 1-d outer rule (Monte Carlo is the option
 in any dimension).
 
 The module needs only numpy: the normal CDF behind the total variation is
-built on :func:`math.erf`.  The grid spline alone loads ``scipy.interpolate``,
-on first use.
+built on :func:`math.erf`, and the grid's cubic spline is solved here.
 
 All functions are pure; Monte Carlo routines take an explicit
 ``numpy.random.Generator`` so concurrent callers own independent streams.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -260,6 +261,34 @@ def _ndtr(a) -> np.ndarray:
     return out
 
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Below -_CF_FROM the positive-part mean takes _CF_TERMS terms of Laplace's
+# continued fraction, accurate there to 2e-16 relative; a + phi(a) / Phi(a)
+# loses 5e-14 at a = -5 and 5e-13 at a = -10 to cancellation.
+_CF_FROM = 5.0
+_CF_TERMS = 30
+
+
+def _positive_part_mean(a) -> np.ndarray:
+    """``E[Y | Y > 0]`` for ``Y ~ N(a, 1)``, elementwise: ``a + phi(a) / Phi(a)``.
+
+    Far below zero the two terms cancel (the mean tends to ``-1 / a``), and
+    ``Phi(a)`` underflows below about -38, so for ``a < -5`` it is Laplace's
+    continued fraction ``1 / (x + 2 / (x + 3 / (x + ...)))`` with ``x = -a``.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.empty_like(a)
+    near = a >= -_CF_FROM
+    b = a[near]
+    out[near] = b + np.exp(-0.5 * b * b - _LOG_SQRT_2PI - np.log(_ndtr(b)))
+    x = -a[~near]
+    tail = np.zeros_like(x)
+    for k in range(_CF_TERMS, 1, -1):
+        tail = k / (x + tail)
+    out[~near] = 1.0 / (x + tail)
+    return out
+
+
 def _normal_mass(lo, hi) -> np.ndarray:
     """P(lo < Z < hi) for a standard normal Z, from the nearer tail so right-tail intervals keep precision."""
     right = lo > 0.0
@@ -377,55 +406,112 @@ def tv_gaussian(
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    """Trapezoid quadrature weights for a uniform axis."""
-    h = float(x[1] - x[0])
-    w = np.full(x.shape, h)
-    w[0] = w[-1] = h / 2.0
+    """Trapezoid quadrature weights for a uniform axis, or for each axis of a stack."""
+    w = np.repeat(x[..., 1:2] - x[..., :1], x.shape[-1], axis=-1)
+    w[..., [0, -1]] /= 2.0
     return w
+
+
+@lru_cache(maxsize=None)
+def _not_a_knot_factors(num: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    # The slopes of the not-a-knot cubic spline through num unit-spaced nodes
+    # solve one tridiagonal system whatever the values: rows (1, 2), then
+    # (1, 4, 1), then (2, 1).  Its forward elimination, as (sub-diagonal,
+    # inverse pivot, eliminated super-diagonal) per row.
+    sub = (0.0,) + (1.0,) * (num - 2) + (2.0,)
+    diag = (1.0,) + (4.0,) * (num - 2) + (1.0,)
+    sup = (2.0,) + (1.0,) * (num - 2) + (0.0,)
+    inv_pivot, upper = [], []
+    prev = 0.0
+    for a, b, c in zip(sub, diag, sup):
+        pivot = b - a * prev
+        prev = c / pivot
+        inv_pivot.append(1.0 / pivot)
+        upper.append(prev)
+    return sub, tuple(inv_pivot), tuple(upper)
+
+
+def _not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
+    """Node slopes, per unit node index, of the not-a-knot cubic spline through ``y`` (..., num).
+
+    Every row has the same matrix in index units, so one forward and one
+    backward sweep over the nodes solve all rows at once; this is the
+    interpolant ``scipy.interpolate.CubicSpline`` builds by default.
+    """
+    sub, inv_pivot, upper = _not_a_knot_factors(y.shape[-1])
+    delta = np.diff(y, axis=-1)
+    rhs = np.empty_like(y)
+    rhs[..., 0] = (5.0 * delta[..., 0] + delta[..., 1]) / 2.0
+    rhs[..., 1:-1] = 3.0 * (delta[..., :-1] + delta[..., 1:])
+    rhs[..., -1] = (delta[..., -2] + 5.0 * delta[..., -1]) / 2.0
+    # Node-major and two-dimensional, so each step of a sweep updates one
+    # contiguous row of members in place.
+    s = rhs.reshape(-1, rhs.shape[-1]).T.copy()
+    rows = list(s)
+    prev = rows[0]
+    prev *= inv_pivot[0]
+    for row, a, inv in zip(rows[1:], sub[1:], inv_pivot[1:]):
+        row -= a * prev
+        row *= inv
+        prev = row
+    for row, c in zip(rows[-2::-1], upper[-2::-1]):
+        row -= c * prev
+        prev = row
+    return np.ascontiguousarray(s.T).reshape(rhs.shape)
 
 
 @dataclass(frozen=True)
 class GridDensity:
-    """A normalized density tabulated on a uniform axis ``x``.
+    """A normalized density tabulated on a uniform axis ``x``, or a stack of them.
 
     ``log_weights`` holds the log *unnormalized* density at every node of
     ``x`` and ``normalizer`` the log of its trapezoid-rule integral, so the
-    normalized log density at a node is ``log_weights - normalizer``.
-    Construction is stabilized by a log-sum-exp shift, and the normalized
-    density integrates to 1 within 1e-8 by construction.
+    normalized log density at a node is ``log_weights - normalizer``.  A
+    stack has ``x`` and ``log_weights`` of shape (k, N) and ``normalizer`` of
+    shape (k,): member ``i`` lives on its own uniform axis ``x[i]``, and every
+    method returns one value (or row) per member.  Construction is
+    stabilized by a log-sum-exp shift, and the normalized density integrates
+    to 1 within 1e-8 by construction.
     """
 
     x: np.ndarray
     log_weights: np.ndarray
-    normalizer: float
+    normalizer: float | np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        lw = np.asarray(self.log_weights, dtype=float)
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("the grid is one axis of at least two nodes")
+        # Contiguous, so that interpolation gathers from the flat arrays.
+        x = np.ascontiguousarray(self.x, dtype=float)
+        lw = np.ascontiguousarray(self.log_weights, dtype=float)
+        normalizer = np.asarray(self.normalizer, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] < 4:
+            raise ValueError("the grid is one axis of at least four nodes, or a stack of such axes")
         if lw.shape != x.shape:
             raise ValueError("log_weights shape does not match the axis")
-        steps = np.diff(x)
+        if normalizer.shape != x.shape[:-1]:
+            raise ValueError("normalizer shape does not match the stack")
+        steps = np.diff(x, axis=-1)
         if np.any(steps <= 0):
             raise ValueError("the axis must be strictly increasing")
-        if not np.max(np.abs(steps - steps[0])) <= 1e-9 * abs(steps[0]):
+        if not np.all(np.abs(steps - steps[..., :1]) <= 1e-9 * np.abs(steps[..., :1])):
             raise ValueError("the axis must be uniformly spaced")
-        if not np.all(np.isfinite(lw)):
+        if not (np.all(np.isfinite(lw)) and np.all(np.isfinite(normalizer))):
             raise ValueError("log_weights must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "log_weights", lw)
-        object.__setattr__(self, "normalizer", float(self.normalizer))
+        object.__setattr__(self, "normalizer", _result(normalizer))
 
     @classmethod
     def from_log_unnormalized(cls, x: np.ndarray, log_values: np.ndarray) -> "GridDensity":
-        """Normalize log values tabulated on ``x`` by their trapezoid-rule integral."""
+        """Normalize log values tabulated on ``x`` (one axis, or a stack of them) by their trapezoid-rule integral."""
+        x = np.asarray(x, dtype=float)
         log_values = np.asarray(log_values, dtype=float)
+        if log_values.shape != x.shape:
+            raise ValueError(f"log values of shape {log_values.shape} for a grid of shape {x.shape}")
         if not np.all(np.isfinite(log_values)):
             raise ValueError("log values must be finite on the grid")
-        shift = float(np.max(log_values))
-        mass = float(np.sum(trapezoid_weights(x) * np.exp(log_values - shift)))
-        if not np.isfinite(mass) or mass <= 0.0:
+        shift = np.max(log_values, axis=-1)
+        mass = np.sum(trapezoid_weights(x) * np.exp(log_values - shift[..., None]), axis=-1)
+        if not np.all(np.isfinite(mass) & (mass > 0.0)):
             raise ValueError("grid weights underflow; the box is misplaced")
         return cls(x, log_values, shift + np.log(mass))
 
@@ -436,54 +522,72 @@ class GridDensity:
 
     def pdf(self) -> np.ndarray:
         """Normalized density values at the grid nodes."""
-        return np.exp(self.log_weights - self.normalizer)
+        return np.exp(self.log_pdf())
 
     def log_pdf(self) -> np.ndarray:
         """Normalized log density values at the grid nodes."""
-        return self.log_weights - self.normalizer
+        return self.log_weights - np.asarray(self.normalizer)[..., None]
 
-    def integral(self) -> float:
-        return float(np.sum(trapezoid_weights(self.x) * self.pdf()))
+    def integral(self) -> float | np.ndarray:
+        return _result(np.sum(trapezoid_weights(self.x) * self.pdf(), axis=-1))
 
-    def _spline(self):
-        # Lazily built cubic interpolant of the normalized log density.
-        # scipy.interpolate is imported here, not at module load, because it
-        # costs a large share of start-up and most runs never build a spline.
+    def _spline(self) -> tuple[np.ndarray, np.ndarray]:
+        # The normalized log density and the node slopes, per unit node index,
+        # of its cubic interpolant: solved on first use and kept.
         cached = getattr(self, "_spline_cache", None)
         if cached is None:
-            from scipy.interpolate import CubicSpline
-
-            cached = CubicSpline(self.x, self.log_pdf())
+            y = self.log_pdf()
+            cached = (y, _not_a_knot_slopes(y))
             object.__setattr__(self, "_spline_cache", cached)
         return cached
 
     def log_pdf_and_grad_at(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Interpolated log density with its first and second derivatives at off-grid points.
 
-        ``points`` is a vector of N locations; the three returned arrays have
-        shape (N,) and are exact derivatives of the same cubic interpolant.
-        Raises ``ValueError`` if any point falls outside the grid's range.
+        ``points`` is a vector of N locations, or for a stack of k members an
+        array of shape (k, N) holding N locations per member; the three
+        returned arrays have the shape of ``points`` and are exact
+        derivatives of the same not-a-knot cubic spline through the
+        normalized log density.  Raises ``ValueError`` if any point falls
+        outside its member's range.
         """
-        x = np.asarray(points, dtype=float)
-        if np.any(x < self.x[0]) or np.any(x > self.x[-1]):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != self.x.ndim or pts.shape[:-1] != self.x.shape[:-1]:
+            raise ValueError(f"points of shape {pts.shape} for a grid of shape {self.x.shape}")
+        lo, hi = self.x[..., :1], self.x[..., -1:]
+        if np.any(pts < lo) or np.any(pts > hi):
             raise ValueError("points fall outside the tabulated support")
-        sp = self._spline()
-        return sp(x), sp(x, 1), sp(x, 2)
+        num = self.x.shape[-1]
+        h = self.x[..., 1:2] - lo
+        # Flat indices of the left node of each point's interval.
+        i = np.minimum((pts - lo) // h, num - 2).astype(np.intp)
+        i += num * np.arange(i.size // i.shape[-1]).reshape(i.shape[:-1] + (1,))
+        u = (pts - np.take(self.x, i)) / h
+        y, slopes = self._spline()
+        y0, s0, y1, s1 = np.take(y, i), np.take(slopes, i), np.take(y, i + 1), np.take(slopes, i + 1)
+        # The cubic on [x_i, x_i+1] in u = (x - x_i) / h: y0 + u (s0 + u (c2 + u c3)).
+        c2 = 3.0 * (y1 - y0) - 2.0 * s0 - s1
+        c3 = s0 + s1 - 2.0 * (y1 - y0)
+        value = y0 + u * (s0 + u * (c2 + u * c3))
+        grad = (s0 + u * (2.0 * c2 + 3.0 * c3 * u)) / h
+        hess = (2.0 * c2 + 6.0 * c3 * u) / (h * h)
+        return value, grad, hess
 
-    def moments(self) -> tuple[float, float]:
+    def moments(self) -> tuple[float | np.ndarray, float | np.ndarray]:
         """Mean and variance by trapezoid integration."""
         w = trapezoid_weights(self.x) * self.pdf()
-        mean = float(self.x @ w)
-        return mean, float((self.x - mean) ** 2 @ w)
+        mean = np.sum(self.x * w, axis=-1)
+        var = np.sum((self.x - mean[..., None]) ** 2 * w, axis=-1)
+        return _result(mean), _result(var)
 
 
 def _check_same_axis(p: GridDensity, q: GridDensity):
-    if p.x.size != q.x.size or (p.x is not q.x and not np.allclose(p.x, q.x, rtol=1e-12, atol=0.0)):
+    if p.x.shape != q.x.shape or (p.x is not q.x and not np.allclose(p.x, q.x, rtol=1e-12, atol=0.0)):
         raise ValueError("grid densities must share identical axes")
 
 
-def kl_grid(p: GridDensity, q: GridDensity) -> float:
-    """Trapezoid-rule KL(p || q) on a shared grid.
+def kl_grid(p: GridDensity, q: GridDensity) -> float | np.ndarray:
+    """Trapezoid-rule KL(p || q) on a shared grid, per member of a stack.
 
     Nodes where the density of ``p`` is below 1e-300 contribute zero.
     """
@@ -492,11 +596,11 @@ def kl_grid(p: GridDensity, q: GridDensity) -> float:
     lq = q.log_pdf()
     pd = np.exp(lp)
     integrand = np.where(pd < 1e-300, 0.0, pd * (lp - lq))
-    return float(np.sum(trapezoid_weights(p.x) * integrand))
+    return _result(np.sum(trapezoid_weights(p.x) * integrand, axis=-1))
 
 
-def tv_grid(p: GridDensity, q: GridDensity) -> float:
-    """Trapezoid-rule total variation ``0.5 * integral |p - q|`` on a shared grid."""
+def tv_grid(p: GridDensity, q: GridDensity) -> float | np.ndarray:
+    """Trapezoid-rule total variation ``0.5 * integral |p - q|`` on a shared grid, per member of a stack."""
     _check_same_axis(p, q)
     diff = np.abs(p.pdf() - q.pdf())
-    return 0.5 * float(np.sum(trapezoid_weights(p.x) * diff))
+    return _result(0.5 * np.sum(trapezoid_weights(p.x) * diff, axis=-1))

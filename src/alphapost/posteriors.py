@@ -7,10 +7,13 @@ multiplying by the prior.  Two constructions are provided:
   sample's sufficient statistics (:class:`SufficientStats`),
 * tabulation on a uniform axis for a one-dimensional parameter, whose
   log-likelihood and log-prior are plain batched callables from (N, 1)
-  parameter points to (N,) values.
+  parameter points to (N,) values, or on a stack of axes, one per
+  (replication, ``alpha``) cell.
 
 The Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))`` completes the
-module.
+module, with the exact total variation and KL divergence between the
+Laplace-prior location model's tempered posterior and that limit
+(:func:`laplace_location_divergences`).
 
 The conjugate posterior and the Gaussian limit take one sample or a stack of
 replications, and either one ``alpha`` or a vector of them.  They return one
@@ -26,7 +29,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, GridDensity, log_density
+from .gaussians import (
+    _KL_SLACK,
+    _LOG_SQRT_2PI,
+    GaussianDist,
+    GridDensity,
+    _ndtr,
+    _positive_part_mean,
+    _result,
+    log_density,
+)
 
 __all__ = [
     "SufficientStats",
@@ -35,6 +47,7 @@ __all__ = [
     "grid_alpha_posterior",
     "default_grid_axis",
     "gaussian_bvm_limit",
+    "laplace_location_divergences",
 ]
 
 
@@ -211,10 +224,10 @@ def conjugate_alpha_posterior(
 
 
 def default_grid_axis(
-    theta_hat_ml: float,
+    theta_hat_ml: float | np.ndarray,
     v: float,
     n: int,
-    alpha: float,
+    alpha: float | np.ndarray,
     num: int = 2001,
     scale: float = 10.0,
 ) -> np.ndarray:
@@ -224,43 +237,48 @@ def default_grid_axis(
     limit, so the axis covers its support for any ``alpha``.  Callers that
     run 32-node Gauss-Hermite quadrature against the grid should widen the
     box (``scale`` around 14) since the outermost nodes of a matched
-    Gaussian reach past 10 standard deviations.
+    Gaussian reach past 10 standard deviations.  Estimates and ``alpha``
+    given as vectors of one value per cell give the stack of axes, of
+    shape (cells, num).
     """
     half_width = scale / np.sqrt(alpha * n * v)
-    return np.linspace(theta_hat_ml - half_width, theta_hat_ml + half_width, num)
+    return np.linspace(theta_hat_ml - half_width, theta_hat_ml + half_width, num, axis=-1)
 
 
 def grid_alpha_posterior(
     log_lik: Callable[[np.ndarray], np.ndarray],
     log_prior: Callable[[np.ndarray], np.ndarray],
-    alpha: float,
+    alpha: float | Sequence[float],
     x: np.ndarray,
 ) -> GridDensity:
-    """Tempered posterior of a one-dimensional parameter, tabulated on the axis ``x``.
+    """Tempered posterior of a one-dimensional parameter, tabulated on the axis ``x``, or a stack of them.
 
-    ``log_lik`` (the joint log-likelihood of the full sample, such as
+    ``x`` is one axis of N nodes, or a stack of k axes of shape (k, N) with
+    ``alpha`` one value or k of them, one per member.  ``log_lik`` (the
+    joint log-likelihood of the full sample, such as
     :func:`~alphapost.regression.regression_likelihood`) and ``log_prior``
-    map an (N, 1) array of parameter points to the (N,) array of their
-    values.  Both must be re-entrant (no shared mutable state), and the
-    log-likelihood must be finite on the whole axis.  Node weights are
+    map the parameter points ``x[..., None]`` (shape (N, 1), or (k, N, 1))
+    to their values (shape (N,), or (k, N)); for a stack, member ``i`` is
+    row ``i``, so a likelihood stacked over k samples gives each member its
+    own sample.  Both must be re-entrant (no shared mutable state), and the
+    log-likelihood must be finite on every axis.  Node weights are
     proportional to ``exp(alpha * log_lik + log_prior)``; normalization is
     stabilized by a log-sum-exp shift so that likelihood magnitudes growing
     with the sample size never overflow.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = _tempering(alpha)
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"grid posteriors take one axis, got an array of dimension {x.ndim}")
-    if x.size < 101:
+    if x.ndim not in (1, 2):
+        raise ValueError(f"grid posteriors take one axis or a stack of axes, got an array of dimension {x.ndim}")
+    if x.shape[-1] < 101:
         raise ValueError("the grid axis needs at least 101 nodes")
     if not np.all(np.isfinite(x)):
         raise ValueError("the grid axis must be finite")
-    pts = x[:, None]
+    pts = x[..., None]
     ll = np.asarray(log_lik(pts), dtype=float)
     if not np.all(np.isfinite(ll)):
         raise ValueError("non-finite log-likelihood on a grid node")
-    return GridDensity.from_log_unnormalized(x, alpha * ll + np.asarray(log_prior(pts), dtype=float))
+    return GridDensity.from_log_unnormalized(x, alpha[..., None] * ll + np.asarray(log_prior(pts), dtype=float))
 
 
 def gaussian_bvm_limit(
@@ -281,3 +299,67 @@ def gaussian_bvm_limit(
     cov = np.linalg.inv(V) / (alpha * n)[..., None, None]
     cov = np.broadcast_to((cov + np.swapaxes(cov, -1, -2)) / 2.0, cells + V.shape)
     return GaussianDist(_replication_major(mean, 1), _replication_major(cov, 2))
+
+
+def _log_tilted_mass(t: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    # log of the integral over v > 0 of phi(v - t) exp(-beta v), elementwise,
+    # for beta >= 0.  Completing the square gives exp(beta^2/2 - beta t)
+    # Phi(t - beta).  Where t < beta that is phi(t) / (x + m(-x)) with
+    # x = beta - t and m the positive-part mean, which keeps the log finite
+    # where Phi(t - beta) underflows and beta^2/2 would cancel against it.
+    t, beta = np.broadcast_arrays(t, beta)
+    x = beta - t
+    out = np.empty(x.shape)
+    right = x <= 0.0
+    b, tr = beta[right], t[right]
+    out[right] = 0.5 * b * b - b * tr + np.log(_ndtr(-x[right]))
+    xl, tl = x[~right], t[~right]
+    out[~right] = -0.5 * tl * tl - _LOG_SQRT_2PI - np.log(xl + _positive_part_mean(-xl))
+    return out
+
+
+def laplace_location_divergences(
+    theta_hat: float | np.ndarray,
+    sigma: float,
+    n: int,
+    alpha: float | Sequence[float],
+    loc: float = 0.0,
+    scale: float = 1.0,
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Exact ``(TV, KL(posterior || limit))`` for the Laplace-prior location model.
+
+    The data are ``n`` draws from ``N(theta, sigma^2)`` with mean
+    ``theta_hat``, and the prior is Laplace(``loc``, ``scale``).  With
+    ``tau^2 = sigma^2 / (alpha n)`` the tempered posterior is proportional to
+    ``phi((theta - theta_hat) / tau) exp(-|theta - loc| / scale)``: a
+    two-piece mixture of normals truncated at ``loc``, whose weights are
+    taken in log space.  Its Gaussian limit (:func:`gaussian_bvm_limit` with
+    ``V = 1 / sigma^2``) is ``N(theta_hat, tau^2)``, so
+    ``log(posterior / limit) = -|theta - loc| / scale - log Z`` with
+    ``Z = E_limit exp(-|theta - loc| / scale)``.  The posterior exceeds the
+    limit on the interval ``|theta - loc| < -scale log Z``, which gives
+    ``TV = P_limit(outside) - P_posterior(outside)``, and
+    ``KL = -E_posterior|theta - loc| / scale - log Z``.  Both stay finite
+    far off the kink and for a prior much narrower than ``tau``.
+
+    A vector of estimates (one per replication) or of ``alpha`` gives one
+    value per (replication, ``alpha``) cell, replication-major.
+    """
+    alpha = _tempering(alpha)
+    tau = sigma / np.sqrt(alpha * n)
+    # In units of tau: the estimate's offset from the kink, and the prior's rate.
+    offset = (_per_alpha(np.asarray(theta_hat, dtype=float), alpha, 0) - loc) / tau
+    s, beta = (_replication_major(a, 0) for a in np.broadcast_arrays(offset, tau / scale))
+    # Z times the posterior's mass on either side of the kink.
+    log_right, log_left = _log_tilted_mass(s, beta), _log_tilted_mass(-s, beta)
+    log_z = np.logaddexp(log_right, log_left)
+    # Beyond rho on either side the posterior has mass exp(_log_tilted_mass(t, beta))
+    # and the limit Phi(t), with t = +-s - rho.
+    rho = -log_z / beta
+    tv = sum(_ndtr(t) - np.exp(_log_tilted_mass(t, beta)) for t in (s - rho, -s - rho))
+    # Each side is a normal of mean +-s - beta truncated at the kink.
+    right, left = np.exp(log_right - log_z), np.exp(log_left - log_z)
+    mean_abs = right * _positive_part_mean(s - beta) + left * _positive_part_mean(-s - beta)
+    kl = -beta * mean_abs - log_z
+    kl = np.where((-_KL_SLACK < kl) & (kl < 0.0), 0.0, kl)
+    return _result(np.clip(tv, 0.0, 1.0)), _result(kl)

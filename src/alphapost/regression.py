@@ -58,6 +58,10 @@ __all__ = [
 # Nodes per axis of the mesh on which lan_residual_sup takes its sup.
 LAN_MESH_NODES = 13
 
+# ols's collinearity threshold on squared Cholesky pivots, relative to the
+# column's squared norm: rounding alone leaves up to about 1e-15 there.
+_COLLINEAR_RTOL = 1e-14
+
 
 def derived_seed(master_seed: int, *key: int) -> int:
     """Deterministic per-replication seed derived from a master seed and index key.
@@ -182,10 +186,18 @@ def ols(stats: SufficientStats) -> np.ndarray:
     """Least-squares coefficients ``(X'X)^{-1} X'Y`` on every design column of ``stats``.
 
     A stack of samples gives one row of coefficients per sample; a
-    rank-deficient design in any of them raises ``ValueError``.
+    rank-deficient design in any of them raises ``ValueError``.  A design
+    counts as rank deficient when ``X'X`` has no Cholesky factor, or when
+    some column's part that the earlier columns leave unexplained (its
+    squared Cholesky pivot) is below ``_COLLINEAR_RTOL`` of its own squared
+    norm.
     """
     xtx = stats.xtx
-    if np.any(np.linalg.matrix_rank(xtx) < stats.k):
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(xtx), axis1=-2, axis2=-1) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(xtx.shape[:-1])
+    if np.any(pivots <= _COLLINEAR_RTOL * np.diagonal(xtx, axis1=-2, axis2=-1)):
         raise ValueError("design matrix is rank deficient")
     return np.linalg.solve(xtx, stats.xty[..., None])[..., 0]
 
@@ -222,25 +234,26 @@ def misspec_scenario(dgp: RegressionDGP, eps: float) -> MisspecScenario:
 
 
 def regression_likelihood(stats: SufficientStats, sigma_u: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched Gaussian log-likelihood of one sample: ``Y`` on every design column, error sd ``sigma_u``.
+    """Batched Gaussian log-likelihood: ``Y`` on every design column, error sd ``sigma_u``.
 
-    Maps an (N, k) array of coefficient points, k the design columns of
-    ``stats``, to the (N,) log-likelihoods, and rejects points of another
-    dimension.  The covariate marginal does not involve the coefficients
-    and is dropped.
+    For one sample, maps an (N, k) array of coefficient points, k the
+    design columns of ``stats``, to the (N,) log-likelihoods.  For a stack
+    of S samples, maps an (S, N, k) array, N points per sample, to the
+    (S, N) log-likelihoods of each sample at its own points.  Points of
+    another dimension are rejected.  The covariate marginal does not
+    involve the coefficients and is dropped.
     """
-    if stats.stacked:
-        raise ValueError("the likelihood takes one sample, not a stack")
     n, k = stats.n, stats.k
-    yty, wty, wtw = float(stats.yty), stats.xty, stats.xtx
+    yty, xty, xtx = np.asarray(stats.yty), stats.xty, stats.xtx
     const = -0.5 * n * np.log(2.0 * np.pi * sigma_u**2)
 
     def log_lik(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
+        thetas = np.asarray(thetas, dtype=float) if stats.stacked else np.atleast_2d(thetas)
         if thetas.shape[-1] != k:
             raise ValueError(f"points of dimension {thetas.shape[-1]}, but the likelihood has {k} design columns")
-        quad = np.einsum("ni,ij,nj->n", thetas, wtw, thetas)
-        return const - (yty - 2.0 * thetas @ wty + quad) / (2.0 * sigma_u**2)
+        quad = np.einsum("...ni,...ij,...nj->...n", thetas, xtx, thetas)
+        linear = np.einsum("...ni,...i->...n", thetas, xty)
+        return const - (yty[..., None] - 2.0 * linear + quad) / (2.0 * sigma_u**2)
 
     return log_lik
 

@@ -52,9 +52,24 @@ def test_a_traced_laplace_projection_counts_the_grid_work():
         _, rows = run_experiment(cfg, "vbvm-convergence")
     metrics = tracer.metrics()
     assert len(rows) == 8
+    # One stacked grid posterior and one stacked projection per sample size,
+    # each over every (rep, alpha) cell.
     calls = metrics["posteriors.grid_alpha_posterior.calls"]
-    assert calls == 8
-    assert metrics["posteriors.grid_alpha_posterior.nodes"] == calls * cfg.grid_points
+    assert calls == len(cfg.n_grid)
+    assert metrics["posteriors.grid_alpha_posterior.nodes"] == len(rows) * cfg.grid_points
     assert metrics["meanfield.gmf_project_numeric.calls"] == calls
     assert metrics["meanfield.gmf_project_numeric.grad_evals"] >= calls
     assert metrics["meanfield.gmf_project_numeric.failed"] == 0
+
+
+def test_a_traced_laplace_bvm_run_tabulates_no_grid():
+    # The location model's TV and KL are closed forms.
+    cfg = ExperimentConfig(
+        seed=3, replications=2, n_grid=[40, 80], alphas=[0.5, 1.0], model="laplace-location", grid_points=301
+    )
+    with Tracer() as tracer:
+        _, rows = run_experiment(cfg, "bvm-convergence")
+    metrics = tracer.metrics()
+    assert len(rows) == 8
+    for name in ("posteriors.grid_alpha_posterior", "gaussians.kl_grid", "gaussians.tv_grid"):
+        assert metrics[f"{name}.calls"] == 0, name

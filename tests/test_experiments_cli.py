@@ -174,6 +174,22 @@ class TestExperimentOutputs:
         assert len(short) == len(full) * 3 // 5
         assert short == [row for row in full if int(row[1]) < 3]
 
+    @pytest.mark.parametrize("experiment", ["bvm-convergence", "vbvm-convergence"])
+    def test_location_rows_do_not_depend_on_the_run_shape(self, tmp_path, monkeypatch, experiment):
+        # The location model stacks every (rep, alpha) cell of a sample size,
+        # and the projection splits that stack into blocks that bound its
+        # memory: neither the run's shape nor the blocks change a row.
+        def rows(text):
+            cfg = ExperimentConfig.from_file(
+                write_config(tmp_path, f"seed = 19\nmodel = laplace-location\ngrid_points = 301\n{text}")
+            )
+            return [[experiments._format_cell(v) for v in row] for row in run_experiment(cfg, experiment)[1]]
+
+        full = rows("replications = 5\nn_grid = 60,150\nalphas = 0.25,0.5,1.0\n")
+        monkeypatch.setattr(experiments, "_GRID_BLOCK", 2 * 301)
+        short = rows("replications = 3\nn_grid = 150,60\nalphas = 1.0,0.5,0.25\n")
+        assert short == [row for row in full if int(row[1]) < 3]
+
     def test_schema_stability(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, FAST_LOCATION))
         columns, rows = run_experiment(cfg, "bvm-convergence")
@@ -405,27 +421,36 @@ class TestCLI:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_cli_import_defers_heavy_scipy_modules(self):
-        # Start-up loads numpy only; scipy waits for the grid splines.
+        # Start-up loads numpy only.
         code = "import sys, alphapost.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
     def test_closed_form_run_imports_no_scipy(self, tmp_path):
         # p = 1 surrogate-fidelity needs only the KL closed forms, and p = 1
-        # bvm-convergence the TV closed form in the normal CDF.
-        cfg_path = write_config(tmp_path, FAST_REGRESSION)
-        for experiment in ("surrogate-fidelity", "bvm-convergence"):
+        # bvm-convergence the TV closed form in the normal CDF.  The Laplace
+        # location model's divergences are closed forms too, and its
+        # projection's spline is solved in numpy.
+        regression = write_config(tmp_path, FAST_REGRESSION)
+        laplace = write_config(tmp_path, FAST_LOCATION, "laplace.cfg")
+        runs = [
+            ("surrogate-fidelity", regression),
+            ("bvm-convergence", regression),
+            ("bvm-convergence", laplace),
+            ("vbvm-convergence", laplace),
+        ]
+        for i, (experiment, cfg_path) in enumerate(runs):
             code = (
                 "import sys; from alphapost.cli import main; "
                 f"code = main([{experiment!r}, '--config', {str(cfg_path)!r}, "
-                f"'--out', {str(tmp_path / experiment)!r}]); "
+                f"'--out', {str(tmp_path / str(i))!r}]); "
                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
             )
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-            assert proc.stdout.strip().splitlines()[-1] == "0 []", experiment
+            assert proc.stdout.strip().splitlines()[-1] == "0 []", (experiment, cfg_path.name)
 
     def test_library_never_imports_scipy_optimize_or_stats(self):
-        banned = {"scipy.optimize", "scipy.stats"}
+        # Nor any other scipy module: scipy is a test-only dependency.
         src = Path(experiments.__file__).parent
         found = []
         for path in sorted(src.glob("*.py")):
@@ -436,7 +461,7 @@ class TestCLI:
                     names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
                 else:
                     continue
-                found += [f"{path.name}: {name}" for name in names if any(name.startswith(b) for b in banned)]
+                found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
         assert found == []
 
     def test_module_entry_point(self, tmp_path):

@@ -358,6 +358,54 @@ class TestGridDensity:
         assert_allclose(grads, -(pts - m) / s2, atol=1e-5)
         assert_allclose(hess, np.full(20, -1.0 / s2), atol=1e-4)
 
+    @pytest.mark.parametrize("rows", [5, 1])
+    def test_spline_matches_scipy_cubic_spline(self, rows):
+        # Random-walk rows on random axes plus one row with a kink, against
+        # scipy's default (not-a-knot) CubicSpline of each row's log density:
+        # value, first and second derivative within 1e-9 of the row's scale.
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(11)
+        centre, half = rng.normal(size=rows), rng.uniform(0.5, 3.0, size=rows)
+        x = np.linspace(centre - half, centre + half, 301, axis=-1)
+        y = 0.1 * np.cumsum(rng.normal(size=x.shape), axis=-1) - x**2
+        y[0] = -3.0 * np.abs(x[0] - centre[0] - 0.123) - x[0] ** 2
+        pts = rng.uniform(x[:, :1], x[:, -1:], size=(rows, 40))
+        pts[:, :3] = x[:, [0, -1, 17]]
+        grid = GridDensity.from_log_unnormalized(x, y)
+        if rows == 1:
+            grid, pts = GridDensity.from_log_unnormalized(x[0], y[0]), pts[0]
+        got = grid.log_pdf_and_grad_at(pts)
+        for i in range(rows):
+            spline = CubicSpline(x[i], np.atleast_2d(grid.log_pdf())[i])
+            for nu, values in enumerate(got):
+                want = spline(np.atleast_2d(pts)[i], nu)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(np.atleast_2d(values)[i] - want)) <= 1e-9 * scale, (i, nu)
+
+    def test_stack_members_match_single_densities(self):
+        x = np.linspace([-3.0, 0.0], [4.0, 1.0], 201, axis=-1)
+        stack = GridDensity.from_log_unnormalized(x, -np.abs(x - 0.4) - x**2)
+        assert stack.normalizer.shape == (2,)
+        pts = np.linspace(x[:, 3], x[:, -4], 9, axis=-1)
+        other = GridDensity.from_log_unnormalized(x, -0.5 * x**2)
+        for i in range(2):
+            single = GridDensity.from_log_unnormalized(x[i], -np.abs(x[i] - 0.4) - x[i] ** 2)
+            assert single.normalizer == stack.normalizer[i]
+            for got, want in zip(stack.log_pdf_and_grad_at(pts), single.log_pdf_and_grad_at(pts[i])):
+                assert np.array_equal(got[i], want)
+            assert [m[i] for m in stack.moments()] == list(single.moments())
+            single_other = GridDensity.from_log_unnormalized(x[i], -0.5 * x[i] ** 2)
+            assert kl_grid(stack, other)[i] == kl_grid(single, single_other)
+            assert tv_grid(stack, other)[i] == tv_grid(single, single_other)
+
+    def test_stacked_points_must_match_the_stack(self):
+        stack = GridDensity.from_log_unnormalized(np.linspace([0.0, 0.0], [1.0, 2.0], 11, axis=-1), np.zeros((2, 11)))
+        with pytest.raises(ValueError, match="shape"):
+            stack.log_pdf_and_grad_at(np.full(3, 0.5))
+        with pytest.raises(ValueError, match="support"):
+            stack.log_pdf_and_grad_at(np.array([[0.5], [2.5]]))
+
     def test_trapezoid_weights_sum_to_box_volume(self):
         assert_allclose(trapezoid_weights(np.linspace(0, 2, 21)).sum(), 2.0, rtol=1e-12)
 

@@ -142,6 +142,39 @@ class TestNumericProjection:
         assert abs(proj.mean[0] - limit.mean[0]) < 1e-3
         assert abs(proj.var[0] - limit.var[0]) < 1e-3
 
+    def test_stack_projects_each_member_as_alone(self):
+        # Laplace location posteriors at several (sample, alpha) cells, one
+        # stack: each member's projection is the one it gets alone, exactly.
+        from alphapost.experiments import laplace_log_prior
+        from alphapost.posteriors import SufficientStats, default_grid_axis
+
+        n, alphas = 200, np.array([0.25, 1.0, 0.5, 0.25, 1.0, 0.5])
+        samples = [np.random.default_rng(derived_seed(5, n, rep)).normal(0.05 * rep, 1.0, n) for rep in range(6)]
+        stats = [SufficientStats.of(np.ones(n), x) for x in samples]
+        axes = default_grid_axis(np.array([x.mean() for x in samples]), 1.0, n, alphas, 2001, scale=14.0)
+        lik = regression_likelihood(SufficientStats.stack(stats), 1.0)
+        stack = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alphas, axes))
+        assert stack.mean.shape == stack.var.shape == (6, 1)
+        for i in range(6):
+            post = grid_alpha_posterior(regression_likelihood(stats[i], 1.0), laplace_log_prior(), alphas[i], axes[i])
+            single = gmf_project_numeric(post)
+            assert np.array_equal(stack.mean[i], single.mean) and np.array_equal(stack.var[i], single.var)
+        start = DiagonalGaussian(stack.mean, stack.var)
+        again = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alphas, axes), start)
+        assert_allclose(again.mean, stack.mean, rtol=0.0, atol=1e-9)
+
+    def test_a_member_that_does_not_converge_fails_the_stack(self, monkeypatch):
+        # Two standard normal targets: one start at the target, one away from
+        # it that needs more than the one iteration allowed.
+        from alphapost import meanfield
+
+        x = np.linspace([-30.0, -30.0], [30.0, 30.0], 3001, axis=-1)
+        stack = GridDensity.from_log_unnormalized(x, -0.5 * x**2)
+        start = DiagonalGaussian([[0.0], [1.0]], [[1.0], [2.0]])
+        monkeypatch.setattr(meanfield, "MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="converge"):
+            gmf_project_numeric(stack, start)
+
     def test_nodes_outside_support_rejected(self):
         target = GaussianDist(0.0, 1.0)
         grid = GridDensity.from_gaussian(target, np.linspace(-6, 6, 1001))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from alphapost.gaussians import GaussianDist, GridDensity
+from alphapost.gaussians import GaussianDist, GridDensity, kl_grid, tv_grid
 from alphapost.posteriors import (
     ConjugatePrior,
     SufficientStats,
@@ -12,8 +12,11 @@ from alphapost.posteriors import (
     default_grid_axis,
     gaussian_bvm_limit,
     grid_alpha_posterior,
+    laplace_location_divergences,
 )
 from alphapost.regression import RegressionDGP, derived_seed, ols, regression_likelihood, simulate
+
+from oracles import tv_equal_variance
 
 
 def collinear_design(n=200):
@@ -170,7 +173,22 @@ class TestGridAlphaPosterior:
     def test_dimension_above_two_rejected(self):
         lik = lambda t: np.zeros(np.atleast_2d(t).shape[0])
         with pytest.raises(ValueError, match="one axis"):
-            grid_alpha_posterior(lik, lambda p: 0.0, 1.0, np.stack([np.linspace(0, 1, 101)] * 3))
+            grid_alpha_posterior(lik, lambda p: 0.0, 1.0, np.stack([np.stack([np.linspace(0, 1, 101)] * 3)] * 2))
+
+    def test_stack_of_axes_tabulates_each_cell(self):
+        # Member i of a stacked posterior is the posterior of sample i at alpha[i] on axis i.
+        rng = np.random.default_rng(9)
+        samples = [rng.normal(0.3, 1.0, 40) for _ in range(3)]
+        singles = [SufficientStats.of(np.ones(40), x) for x in samples]
+        alpha = np.array([0.25, 1.0, 0.5])
+        theta_hat = np.array([ols(s)[0] for s in singles])
+        axes = default_grid_axis(theta_hat, 1.0, 40, alpha, 301)
+        log_prior = lambda pts: -np.abs(np.atleast_2d(pts)[..., 0])
+        stack = grid_alpha_posterior(regression_likelihood(SufficientStats.stack(singles), 1.0), log_prior, alpha, axes)
+        for i, stats in enumerate(singles):
+            single = grid_alpha_posterior(regression_likelihood(stats, 1.0), log_prior, alpha[i], axes[i])
+            assert np.array_equal(stack.log_weights[i], single.log_weights)
+            assert stack.normalizer[i] == single.normalizer
 
 
 class TestGaussianBvmLimit:
@@ -233,3 +251,66 @@ class TestDefaultGridAxes:
         assert_allclose(x[-1], 10.0 / np.sqrt(400.0), rtol=1e-12)
         wide = default_grid_axis(0.0, 4.0, 100, 0.25, num=101)
         assert_allclose(wide[-1], 2.0 * x[-1], rtol=1e-12)
+
+
+class TestLaplaceLocationDivergences:
+    """The closed-form TV and KL of the Laplace location model against its 40001-node grid.
+
+    On the grid of :func:`default_grid_axis` (+- 10 limit sds) the two agree
+    within 1e-8 + 5e-7 |grid value|: about 1e-9 where the prior is wider
+    than the limit, and 2e-7 relative where it is 5 times narrower.
+    """
+
+    @staticmethod
+    def grid_divergences(theta_hat, sigma, n, alpha, loc, scale):
+        x = default_grid_axis(theta_hat, 1.0 / sigma**2, n, alpha, 40001)
+        lik = lambda pts: -n * (np.atleast_2d(pts)[:, 0] - theta_hat) ** 2 / (2.0 * sigma**2)
+        log_prior = lambda pts: -np.abs(np.atleast_2d(pts)[:, 0] - loc) / scale
+        post = grid_alpha_posterior(lik, log_prior, alpha, x)
+        limit = GridDensity.from_gaussian(gaussian_bvm_limit([theta_hat], [[1.0 / sigma**2]], n, alpha), x)
+        return tv_grid(post, limit), kl_grid(post, limit)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "theta_hat, sigma, n, alpha, loc, scale",
+        [
+            (0.0, 1.0, 50, 1.0, 0.0, 1.0),  # on the kink
+            (0.5, 1.0, 50, 1.0, 0.0, 1.0),  # 3.5 limit sds off it
+            (0.7, 2.0, 200, 0.5, 1.0, 0.5),  # left of the kink, other scales
+            (0.2, 1.0, 5, 0.25, 0.0, 1.0),  # small alpha n
+            (0.1, 1.0, 5, 0.25, 0.0, 0.2),  # a prior 4.5 times narrower than the limit
+            (40.0 / np.sqrt(1000.0), 1.0, 1000, 1.0, 0.0, 1.0),  # 40 limit sds off the kink
+        ],
+    )
+    def test_matches_the_grid(self, theta_hat, sigma, n, alpha, loc, scale):
+        tv, kl = laplace_location_divergences(theta_hat, sigma, n, alpha, loc, scale)
+        grid_tv, grid_kl = self.grid_divergences(theta_hat, sigma, n, alpha, loc, scale)
+        assert abs(tv - grid_tv) <= 1e-8 + 5e-7 * grid_tv
+        assert abs(kl - grid_kl) <= 1e-8 + 5e-7 * grid_kl
+
+    @pytest.mark.filterwarnings("error")
+    def test_limits_far_off_the_kink_and_for_a_narrow_prior(self):
+        # Far off the kink the posterior is the limit shifted by tau^2 / b:
+        # TV = 2 Phi(beta / 2) - 1 and KL = beta^2 / 2 with beta = tau / b.
+        for s in (50.0, 1e4, -1e6):
+            tv, kl = laplace_location_divergences(s, 1.0, 1, 1.0, 0.0, 2.0)
+            assert_allclose(tv, tv_equal_variance(0.0, 0.5, 1.0), rtol=1e-6)
+            assert_allclose(kl, 0.125, rtol=1e-6)
+        # A prior much narrower than the limit: the posterior is nearly the
+        # prior, so KL -> log(beta sqrt(2 pi) / 2) - 1, and TV -> 1 as the
+        # limit's mass on the prior's width, about log(beta) / beta, vanishes.
+        for beta in (1e3, 1e8):
+            tv, kl = laplace_location_divergences(0.0, 1.0, 1, 1.0, 0.0, 1.0 / beta)
+            assert_allclose(kl, np.log(beta * np.sqrt(2.0 * np.pi) / 2.0) - 1.0, rtol=1e-5)
+            assert 1.0 - 2.0 * np.log(beta) / beta < tv <= 1.0
+        tv, kl = laplace_location_divergences([-1e4, 1e4, 0.0], 1.0, 1, [1e-8, 1.0], 0.0, 1e-4)
+        assert np.all(np.isfinite(tv)) and np.all(np.isfinite(kl))
+        assert np.all((0.0 <= tv) & (tv <= 1.0)) and np.all(kl >= 0.0)
+
+    def test_stack_is_replication_major(self):
+        theta_hat, alphas = np.array([0.05, -0.1, 0.3]), [0.25, 1.0]
+        tv, kl = laplace_location_divergences(theta_hat, 1.5, 80, alphas, 0.1, 0.5)
+        assert tv.shape == kl.shape == (6,)
+        for r, a in np.ndindex(3, 2):
+            single = laplace_location_divergences(theta_hat[r], 1.5, 80, alphas[a], 0.1, 0.5)
+            assert (tv[2 * r + a], kl[2 * r + a]) == single

@@ -114,6 +114,16 @@ class TestOLS:
         with pytest.raises(ValueError, match="rank"):
             ols(SufficientStats.of(w, np.ones(10)))
 
+    def test_near_collinear_design_rejected(self):
+        # The second column is the first plus 3e-8 of another: X'X still has
+        # a Cholesky factor, but its second pivot is rounding noise.
+        rng = np.random.default_rng(8)
+        w, z = rng.standard_normal(50), rng.standard_normal(50)
+        stats = SufficientStats.of(np.column_stack([w, w + 3e-8 * z]), w)
+        np.linalg.cholesky(stats.xtx)
+        with pytest.raises(ValueError, match="design matrix is rank deficient"):
+            ols(stats)
+
 
 class TestPseudoTrue:
     def test_uncorrelated_omitted_regressor(self):
@@ -539,6 +549,13 @@ class TestStacksMatchSingleSamples:
     def test_probes(self, p):
         dgp, singles, stack = self.setup_samples(p)
         prior = ConjugatePrior(np.full(p, 0.2), np.eye(p))
+        # A stacked likelihood takes its own points for each sample.
+        pts = np.random.default_rng(p + 10).normal(size=(self.REPS, 6, p))
+        self.assert_members(
+            regression_likelihood(stack.first_columns(p), dgp.sigma_u)(pts),
+            [regression_likelihood(s.first_columns(p), dgp.sigma_u)(x) for s, x in zip(singles, pts)],
+            p,
+        )
         hs = np.random.default_rng(p).normal(size=(7, p))
         self.assert_members(lan_residual(stack, dgp, hs[0]), [lan_residual(s, dgp, hs[0]) for s in singles], p)
         self.assert_members(lan_residual(stack, dgp, hs), [lan_residual(s, dgp, hs) for s in singles], p)
