@@ -73,7 +73,7 @@ from .regression import (
     ols,
     pseudo_true,
     regression_likelihood,
-    simulate,
+    simulate_stats,
     true_posterior_theta,
 )
 from .robustness import (
@@ -390,10 +390,10 @@ def _replicated_rows(cfg: ExperimentConfig, rows_at: Callable[[int], list[list]]
 def _replications(cfg: ExperimentConfig, dgp: RegressionDGP, n: int, reps: int) -> SufficientStats:
     """The stacked statistics of replications ``0 .. reps - 1`` at ``n``.
 
-    Each sample is drawn from its ``(seed, n, rep)`` stream and reduced at
-    once, so one raw sample is alive at a time.
+    Each sample is drawn from its ``(seed, n, rep)`` stream straight into
+    its statistics.
     """
-    return SufficientStats.stack([simulate(dgp, n, derived_seed(cfg.seed, n, rep)).stats() for rep in range(reps)])
+    return simulate_stats(dgp, n, [derived_seed(cfg.seed, n, rep) for rep in range(reps)])
 
 
 def _cell_rows(n: int, reps: int, alphas, *columns) -> list[list]:

@@ -9,9 +9,12 @@ analysis needs is then available in closed form: the pseudo-true parameter
 scale, and the conjugate tempered posterior itself.
 
 A sample enters every estimator and probe through its sufficient
-statistics (:meth:`RegressionDataset.stats`: ``n`` and the Gram matrix of
-``[W, Z, Y]``), one sample or a stack of replications of one size ``n``,
-and the stacked routines return one value per replication.
+statistics (``n`` and the Gram matrix of ``[W, Z, Y]``), one sample or a
+stack of replications of one size ``n``, and the stacked routines return
+one value per replication.  :func:`simulate_stats` draws a stack of them
+straight from the replications' seeds without forming any sample;
+:func:`simulate` draws the same rows (and :meth:`RegressionDataset.stats`
+reduces them) where the sample itself is wanted.
 :func:`regression_likelihood` is the library's one Gaussian log-likelihood;
 the location model is the regression on one constant column.
 
@@ -40,6 +43,7 @@ __all__ = [
     "RegressionDataset",
     "derived_seed",
     "simulate",
+    "simulate_stats",
     "ols",
     "pseudo_true",
     "curvature",
@@ -58,8 +62,9 @@ __all__ = [
 # Nodes per axis of the mesh on which lan_residual_sup takes its sup.
 LAN_MESH_NODES = 13
 
-# ols's collinearity threshold on squared Cholesky pivots, relative to the
-# column's squared norm: rounding alone leaves up to about 1e-15 there.
+# The collinearity threshold of ols and true_posterior_theta on squared
+# Cholesky pivots, relative to the column's squared norm: rounding alone
+# leaves up to about 1e-15 there.
 _COLLINEAR_RTOL = 1e-14
 
 
@@ -116,6 +121,15 @@ class RegressionDGP:
         object.__setattr__(self, "cov_ZZ", cov_zz)
         # Kept for simulate, which draws the covariates through it.
         object.__setattr__(self, "_stacked_chol", chol)
+        # Kept for simulate_stats: a sample's rows are [W, Z, Y] = [N, e] M for
+        # its standard normal covariates N and errors e, with L = chol,
+        # b = (theta0, gamma0) and M = [[L', L'b], [0, sigma_eps]].
+        k = p + d
+        stats_map = np.zeros((k + 1, k + 1))
+        stats_map[:k, :k] = chol.T
+        stats_map[:k, k] = chol.T @ np.concatenate([theta0, gamma0])
+        stats_map[k, k] = self.sigma_eps
+        object.__setattr__(self, "_stats_map", stats_map)
         if self.sigma_u is None:
             resid_cov = cov_zz - cov_wz.T @ np.linalg.solve(cov_ww, cov_wz)
             sigma_u = float(np.sqrt(self.sigma_eps**2 + gamma0 @ resid_cov @ gamma0))
@@ -171,34 +185,75 @@ class RegressionDataset:
         return SufficientStats.of(np.hstack([self.W, self.Z]), self.Y)
 
 
-def simulate(dgp: RegressionDGP, n: int, seed: int) -> RegressionDataset:
-    """Draw an i.i.d. sample of size ``n``; bit-reproducible given the seed."""
+def _standard_block(dgp: RegressionDGP, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # The seed's stream read once: an (n, p + d) array of standard normal
+    # covariates, row-major, then n standard normal errors.
     if n < dgp.p + dgp.d:
         raise ValueError("n must be at least p + d")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, dgp.p + dgp.d)) @ dgp._stacked_chol.T
+    kn = (dgp.p + dgp.d) * n
+    block = np.random.default_rng(seed).standard_normal(kn + n)
+    return block[:kn].reshape(n, dgp.p + dgp.d), block[kn:]
+
+
+def simulate(dgp: RegressionDGP, n: int, seed: int) -> RegressionDataset:
+    """Draw an i.i.d. sample of size ``n``; bit-reproducible given the seed."""
+    normals, errors = _standard_block(dgp, n, seed)
+    x = normals @ dgp._stacked_chol.T
     w, z = x[:, : dgp.p], x[:, dgp.p :]
-    y = w @ dgp.theta0 + z @ dgp.gamma0 + dgp.sigma_eps * rng.standard_normal(n)
+    y = w @ dgp.theta0 + z @ dgp.gamma0 + dgp.sigma_eps * errors
     return RegressionDataset(y, w, z)
+
+
+def _standard_gram(dgp: RegressionDGP, n: int, seed: int) -> np.ndarray:
+    # Gram matrix of [N, e] for the seed's standard block, so that only one
+    # block is alive at a time.
+    normals, errors = _standard_block(dgp, n, seed)
+    k = dgp.p + dgp.d
+    gram = np.empty((k + 1, k + 1))
+    gram[:k, :k] = normals.T @ normals
+    gram[k, :k] = gram[:k, k] = errors @ normals
+    gram[k, k] = errors @ errors
+    return gram
+
+
+def simulate_stats(dgp: RegressionDGP, n: int, seeds: Sequence[int]) -> SufficientStats:
+    """The stacked statistics of one sample of size ``n`` per seed, without forming the samples.
+
+    Member ``i`` is, up to rounding, ``simulate(dgp, n, seeds[i]).stats()``:
+    it reads the same numbers from the same stream.  Each seed's standard
+    normals ``[N, e]`` are reduced to their Gram matrix ``G`` at once, and the
+    stack maps to ``M' G M`` by one congruence, since ``[W, Z, Y] = [N, e] M``.
+    """
+    if len(seeds) == 0:
+        raise ValueError("seeds must name at least one sample")
+    grams = np.stack([_standard_gram(dgp, n, seed) for seed in seeds])
+    m = dgp._stats_map
+    gram = m.T @ grams @ m
+    # The congruence is symmetric only up to rounding; a Gram matrix is exactly so.
+    return SufficientStats(n, (gram + np.swapaxes(gram, -1, -2)) / 2.0)
+
+
+def _require_full_rank(gram: np.ndarray, message: str) -> None:
+    # Raise ValueError(message) unless every matrix of the stack is of full
+    # rank: it must have a Cholesky factor, and no column's part that the
+    # earlier columns leave unexplained (its squared Cholesky pivot) may be
+    # below _COLLINEAR_RTOL of the column's own squared norm.
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram), axis1=-2, axis2=-1) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(gram.shape[:-1])
+    if np.any(pivots <= _COLLINEAR_RTOL * np.diagonal(gram, axis1=-2, axis2=-1)):
+        raise ValueError(message)
 
 
 def ols(stats: SufficientStats) -> np.ndarray:
     """Least-squares coefficients ``(X'X)^{-1} X'Y`` on every design column of ``stats``.
 
     A stack of samples gives one row of coefficients per sample; a
-    rank-deficient design in any of them raises ``ValueError``.  A design
-    counts as rank deficient when ``X'X`` has no Cholesky factor, or when
-    some column's part that the earlier columns leave unexplained (its
-    squared Cholesky pivot) is below ``_COLLINEAR_RTOL`` of its own squared
-    norm.
+    rank-deficient design in any of them raises ``ValueError``.
     """
     xtx = stats.xtx
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(xtx), axis1=-2, axis2=-1) ** 2
-    except np.linalg.LinAlgError:
-        pivots = np.zeros(xtx.shape[:-1])
-    if np.any(pivots <= _COLLINEAR_RTOL * np.diagonal(xtx, axis1=-2, axis2=-1)):
-        raise ValueError("design matrix is rank deficient")
+    _require_full_rank(xtx, "design matrix is rank deficient")
     return np.linalg.solve(xtx, stats.xty[..., None])[..., 0]
 
 
@@ -374,7 +429,7 @@ def true_posterior_theta(
 ) -> tuple[GaussianDist, np.ndarray]:
     """Posterior for theta under the correctly specified long model.
 
-    ``stats`` are the statistics of ``[W, Z, Y]`` (:meth:`RegressionDataset.stats`)
+    ``stats`` are the statistics of ``[W, Z, Y]`` (:func:`simulate_stats`)
     for one sample or a stack, and ``theta`` is the coefficient of the first
     ``p`` design columns.  ``full_prior`` is a Gaussian prior over the
     stacked coefficient ``(theta, gamma)`` in precision-scale form
@@ -386,8 +441,7 @@ def true_posterior_theta(
     """
     if full_prior.dim != stats.k:
         raise ValueError("full prior dimension must be p + d")
-    if np.any(np.linalg.matrix_rank(stats.xtx + full_prior.Sigma_pi) < stats.k):
-        raise ValueError("stacked design is rank deficient given the prior")
+    _require_full_rank(stats.xtx + full_prior.Sigma_pi, "stacked design is rank deficient given the prior")
     # The correctly specified posterior is the untempered conjugate one.
     joint = conjugate_alpha_posterior(stats, full_prior, sigma_eps, 1.0)
     marginal = GaussianDist(joint.mean[..., :p], joint.cov[..., :p, :p])
@@ -440,7 +494,7 @@ def failure_case_hellinger(
     out = np.empty((len(n_grid), 2))
     for i, n in enumerate(n_grid):
         n = int(n)
-        w = simulate(dgp, n, derived_seed(seed, n)).stats().first_columns(dgp.p)
+        w = simulate_stats(dgp, n, [derived_seed(seed, n)]).first_columns(dgp.p)
         alphas = [alpha0 / n, 1.0]
         post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alphas)
         out[i] = hellinger_sq_gaussian(post, gaussian_bvm_limit(ols(w), v, n, alphas))

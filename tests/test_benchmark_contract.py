@@ -38,7 +38,8 @@ def test_a_traced_run_counts_every_layer():
         _, rows = run_experiment(cfg, "bvm-convergence")
     metrics = tracer.metrics()
     assert len(rows) == 8
-    assert metrics["regression.simulate.calls"] == 4
+    # The replications are drawn straight into their statistics.
+    assert metrics["regression.simulate.calls"] == 0
     # One stacked posterior and one stacked TV per sample size.
     assert metrics["posteriors.conjugate_alpha_posterior.calls"] == 2
     assert metrics["gaussians.tv_gaussian.calls"] == 2

@@ -18,7 +18,8 @@ from alphapost.experiments import (
     ExperimentConfig,
     run_experiment,
 )
-from alphapost.regression import RegressionDataset, misspec_scenario
+from alphapost.posteriors import SufficientStats
+from alphapost.regression import misspec_scenario
 from alphapost.robustness import FiniteSampleInputs, optimal_alpha
 
 
@@ -389,15 +390,15 @@ class TestCLI:
         assert rc == 3
 
     def test_rank_deficient_replication_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
-        # The second replication's design is all zeros, so its stacked rank check fails.
-        real_simulate = experiments.simulate
-        calls = iter(range(100))
+        # The second replication's W is all zeros, so its stacked rank check fails.
+        real_simulate_stats = experiments.simulate_stats
 
-        def simulate(dgp, n, seed):
-            ds = real_simulate(dgp, n, seed)
-            return RegressionDataset(ds.Y, np.zeros_like(ds.W), ds.Z) if next(calls) == 1 else ds
+        def simulate_stats(dgp, n, seeds):
+            gram = real_simulate_stats(dgp, n, seeds).gram.copy()
+            gram[1, : dgp.p, :] = gram[1, :, : dgp.p] = 0.0
+            return SufficientStats(n, gram)
 
-        monkeypatch.setattr(experiments, "simulate", simulate)
+        monkeypatch.setattr(experiments, "simulate_stats", simulate_stats)
         cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 3\n")
         assert self.run_cli(["bvm-convergence", "--config", str(cfg_path), "--out", str(tmp_path / "rd")]) == 3
         assert "design matrix is rank deficient" in capsys.readouterr().err

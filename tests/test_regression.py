@@ -25,6 +25,7 @@ from alphapost.regression import (
     pseudo_true,
     regression_likelihood,
     simulate,
+    simulate_stats,
     true_posterior_theta,
     variational_conjugate_cov,
 )
@@ -91,6 +92,77 @@ class TestSimulate:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError, match="at least"):
             simulate(toy_dgp(), 1, 0)
+
+
+def two_call_simulate(dgp, n, seed):
+    # The sample as simulate drew it from two calls on the seed's stream.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dgp.p + dgp.d)) @ dgp._stacked_chol.T
+    w, z = x[:, : dgp.p], x[:, dgp.p :]
+    y = w @ dgp.theta0 + z @ dgp.gamma0 + dgp.sigma_eps * rng.standard_normal(n)
+    return RegressionDataset(y, w, z)
+
+
+def equicorrelated_dgp(p, d, sigma_eps):
+    k = p + d
+    cov = 0.3 * np.ones((k, k)) + 0.7 * np.eye(k)
+    return RegressionDGP(
+        theta0=np.linspace(1.0, -0.5, p),
+        gamma0=np.linspace(0.8, 0.2, d),
+        sigma_eps=sigma_eps,
+        cov_WW=cov[:p, :p],
+        cov_WZ=cov[:p, p:],
+        cov_ZZ=cov[p:, p:],
+    )
+
+
+class TestSimulateStats:
+    @pytest.mark.parametrize("p, d", [(1, 1), (2, 1), (1, 3)])
+    @pytest.mark.parametrize("sigma_eps", [1.0, 0.0])
+    def test_matches_the_statistics_of_the_sample(self, p, d, sigma_eps):
+        dgp = equicorrelated_dgp(p, d, sigma_eps)
+        for n in (p + d, 50, 10**4):
+            for seed in (3, derived_seed(17, n, 1)):
+                drawn = simulate_stats(dgp, n, [seed])
+                assert drawn.n == n and drawn.gram.shape == (1, p + d + 1, p + d + 1)
+                exact = simulate(dgp, n, seed).stats().gram
+                assert np.max(np.abs(drawn.gram[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
+                assert np.array_equal(drawn.gram[0], drawn.gram[0].T)
+
+    def test_a_stack_equals_its_members(self):
+        dgp = equicorrelated_dgp(2, 1, 1.0)
+        seeds = [derived_seed(5, 200, rep) for rep in range(6)]
+        stack = simulate_stats(dgp, 200, seeds)
+        assert stack.gram.shape == (6, 4, 4)
+        for member, seed in zip(stack.gram, seeds):
+            assert np.array_equal(member, simulate_stats(dgp, 200, [seed]).gram[0])
+
+    @pytest.mark.parametrize("p, d", [(1, 1), (2, 1), (1, 3)])
+    def test_simulate_draws_the_two_call_rows(self, p, d):
+        dgp = equicorrelated_dgp(p, d, 1.0)
+        for n in (p + d, 333):
+            new, old = simulate(dgp, n, 41), two_call_simulate(dgp, n, 41)
+            assert np.array_equal(new.Y, old.Y) and np.array_equal(new.W, old.W) and np.array_equal(new.Z, old.Z)
+
+    def test_keeps_one_raw_block_alive(self):
+        import tracemalloc
+
+        dgp, n = toy_dgp(), 10**4
+        seeds = [derived_seed(9, n, rep) for rep in range(100)]
+        block_bytes = (dgp.p + dgp.d + 1) * n * 8
+        tracemalloc.start()
+        try:
+            simulate_stats(dgp, n, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block_bytes
+
+    def test_rejects_a_tiny_sample_and_no_seeds(self):
+        with pytest.raises(ValueError, match="at least"):
+            simulate_stats(toy_dgp(), 1, [0])
+        with pytest.raises(ValueError, match="at least one sample"):
+            simulate_stats(toy_dgp(), 10, [])
 
 
 class TestOLS:
@@ -338,6 +410,16 @@ class TestTruePosterior:
         assert_allclose(marginal.mean, adjusted.mean, atol=1e-6)
         assert_allclose(marginal.cov, adjusted.cov, rtol=1e-5)
 
+    def test_near_collinear_design_rejected(self):
+        # Z is W plus 3e-8 of noise: under the flat prior X'X still has a
+        # Cholesky factor, but its second pivot is rounding noise.
+        rng = np.random.default_rng(8)
+        w, z = rng.standard_normal(50), rng.standard_normal(50)
+        stats = SufficientStats.of(np.column_stack([w, w + 3e-8 * z]), w)
+        np.linalg.cholesky(stats.xtx)
+        with pytest.raises(ValueError, match="stacked design is rank deficient given the prior"):
+            true_posterior_theta(stats, ConjugatePrior.flat(2), 1.0, 1)
+
     def test_scaled_covariance_stabilizes(self):
         dgp = toy_dgp()
         omegas = {}
@@ -396,10 +478,10 @@ class TestFailureCase:
         h2 = failure_case_hellinger(dgp, prior, 2.0, [300, 100], seed=5)
         assert h2.shape == (2, 2)
         for row, n in zip(h2, (300, 100)):
-            ds = simulate(dgp, n, derived_seed(5, n))
-            lim = gaussian_bvm_limit(ols(ds.stats().first_columns(dgp.p)), curvature(dgp), n, 1.0)
-            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 1.0)
-            assert row[1] == hellinger_sq_gaussian(post, lim)
+            w = simulate_stats(dgp, n, [derived_seed(5, n)]).first_columns(dgp.p)
+            lim = gaussian_bvm_limit(ols(w), curvature(dgp), n, 1.0)
+            post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
+            assert row[1] == hellinger_sq_gaussian(post, lim)[0]
             assert row[0] > row[1]
 
     def test_constant_tempering_gap_vanishes(self):
