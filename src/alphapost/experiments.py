@@ -107,8 +107,9 @@ _GRID_POINTS_MIN = 101
 _GRID_POINTS_MAX = 10**6
 
 # The location projection tabulates at most this many (cell, node) values
-# at a time, in stacks of whole cells: 200 replications x 4 alphas at the
-# grid_points cap would otherwise take about 6 GB per array.
+# at a time, in stacks of whole cells (one cell when grid_points alone
+# exceeds it): 200 replications x 4 alphas at the grid_points cap would
+# otherwise take about 6 GB per array.
 _GRID_BLOCK = 2**20
 
 # assumption-checks takes the sup of the LAN defect over a
@@ -367,7 +368,11 @@ def laplace_log_prior(loc: float = 0.0, scale: float = 1.0) -> Callable[[np.ndar
     """Batched log density of the Laplace(loc, scale) prior: points of shape (..., 1) to values of shape (...)."""
 
     def log_prior(pts):
-        return -np.log(2.0 * scale) - np.abs(np.atleast_2d(pts)[..., 0] - loc) / scale
+        # -log(2 scale) - |pts - loc| / scale, in place on one array.
+        out = np.subtract(np.atleast_2d(pts)[..., 0], loc, dtype=float)
+        np.abs(out, out=out)
+        out /= scale
+        return np.subtract(-np.log(2.0 * scale), out, out=out)
 
     return log_prior
 
@@ -430,9 +435,10 @@ def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[
     v = np.array([[1.0 / cfg.noise_sd**2]])
     lim = variational_bvm_limit(theta_hat, v, n, alphas).dist
     log_prior = laplace_log_prior(cfg.prior_loc, cfg.prior_scale)
-    cells = reps * alphas.size
+    cells = np.arange(reps * alphas.size)
+    per_block = max(1, _GRID_BLOCK // cfg.grid_points)
     kl = []
-    for block in np.array_split(np.arange(cells), -(-cells * cfg.grid_points // _GRID_BLOCK)):
+    for block in np.split(cells, range(per_block, cells.size, per_block)):
         rep, alpha = block // alphas.size, alphas[block % alphas.size]
         grid = default_grid_axis(theta_hat[rep, 0], v[0, 0], n, alpha, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
         lik = regression_likelihood(SufficientStats(n, stats.gram[rep]), cfg.noise_sd)

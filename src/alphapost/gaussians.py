@@ -20,8 +20,10 @@ dimension one and two: a closed form in the normal CDF in 1-d, and in 2-d a
 closed-form inner integral under a 1-d outer rule (Monte Carlo is the option
 in any dimension).
 
-The module needs only numpy: the normal CDF behind the total variation is
-built on :func:`math.erf`, and the grid's cubic spline is solved here.
+The module needs only numpy: the normal CDF behind the total variation
+evaluates Cephes' rational approximations to erf and erfc over whole arrays,
+a stack of 2-d pairs runs its outer rules as (pairs x nodes) arrays, and the
+grid's cubic spline is solved here.
 
 All functions are pure; Monte Carlo routines take an explicit
 ``numpy.random.Generator`` so concurrent callers own independent streams.
@@ -242,22 +244,80 @@ def _ratio_set(mu, s, ell=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 _SQRT1_2 = math.sqrt(0.5)
 
 
+def _rational_coefficients(num, den) -> np.ndarray:
+    # A rational function's numerator and denominator coefficients, highest
+    # degree first, as one (degree + 1, 2, 1) array: the shorter one is padded
+    # with leading zeros, which Horner's rule passes through exactly.
+    size = max(len(num), len(den))
+    rows = [(0.0,) * (size - len(c)) + tuple(c) for c in (num, den)]
+    return np.array(rows).T[:, :, None]
+
+
+# Cephes' rational approximations to erf and erfc (after Cody 1969, Math.
+# Comp. 23:631): erf(x) = x T(x^2) / U(x^2) for |x| < 1, and erfc(x) =
+# exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x) from 8 on.  U, Q
+# and S have a leading coefficient of 1.
+_ERF_TU = _rational_coefficients(
+    (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+     5.55923013010394962768e4),
+    (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+     4.92673942608635921086e4),
+)
+_ERFC_PQ = _rational_coefficients(
+    (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+     1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+     5.57535335369399327526e2),
+    (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+     1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2),
+)
+_ERFC_RS = _rational_coefficients(
+    (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+     7.40974269950448939160e0, 2.97886665372100240670e0),
+    (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
+     9.60896809063285878198e0, 3.36907645100081516050e0),
+)
+# Cephes' MAXLOG: erfc is 0 where x^2 exceeds it, as exp(-x^2) underflows.
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    # Numerator and denominator of a rational function at every element of
+    # x, as a (2,) + x.shape array, by Horner's rule over the whole array.
+    out = coefs[0] * x
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
 def _ndtr(a) -> np.ndarray:
     """Standard normal CDF, elementwise, in the form of Cephes' ndtr.
 
-    ``math.erf`` near the centre, ``math.erfc`` of ``|x|`` in the tails,
-    reflected for positive ``x``.  ``map`` over a list calls the two C
-    builtins without a Python frame per element, about twice as fast as a
-    ``np.frompyfunc`` ufunc.
+    With ``x = a / sqrt(2)``: ``(1 + erf(x)) / 2`` where ``|x| < 1``, else
+    ``erfc(|x|) / 2`` reflected for positive ``x``.  Each of the three
+    rational approximations runs once over the elements in its range, so no
+    Python call is made per element.
     """
     x = np.asarray(a, dtype=float) * _SQRT1_2
     z = np.abs(x)
-    centre = z < _SQRT1_2
-    tail = ~centre
+    centre = z < 1.0
+    far = z >= 8.0
     out = np.empty_like(x)
-    out[centre] = 0.5 + 0.5 * np.fromiter(map(math.erf, x[centre].tolist()), float)
-    lower = 0.5 * np.fromiter(map(math.erfc, z[tail].tolist()), float)
-    out[tail] = np.where(x[tail] > 0.0, 1.0 - lower, lower)
+    t = x[centre]
+    if t.size:
+        num, den = _horner(t * t, _ERF_TU)
+        out[centre] = 0.5 + 0.5 * (t * num / den)
+    # NaN falls in neither centre nor far, and stays NaN.
+    for part, coefs in ((~(centre | far), _ERFC_PQ), (far, _ERFC_RS)):
+        t = x[part]
+        if not t.size:
+            continue
+        # Capped so the rational stays finite; erfc there is 0 anyway.
+        u = np.minimum(np.abs(t), 27.0)
+        num, den = _horner(u, coefs)
+        lower = 0.5 * np.where(u * u > _MAXLOG, 0.0, np.exp(-u * u) * num / den)
+        out[part] = np.where(t > 0.0, 1.0 - lower, lower)
     return out
 
 
@@ -313,44 +373,76 @@ def _tv_1d(mu: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.where(s > 1.0, diff, 0.0 - diff)
 
 
-def _tv_2d(mu: np.ndarray, s: np.ndarray, budget: int) -> float:
-    # One pair: integrate the inner coordinate j in closed form, where p and q
-    # differ more (a coordinate on which they agree would make A's section
-    # jump between empty and the whole line), and the outer i numerically.
-    # With ell_i(x) = 2 log(p_i(x) / q_i(x)), A's section at x is
-    # _ratio_set(mu_j, s_j, ell_i(x)).
+def _outer_pieces(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split of each pair's 2-D rule, for a stack of pairs in the frame of :func:`_tv_frame`.
+
+    ``mu`` and ``s`` have shape (k, 2).  Returns the inner coordinate ``j``
+    of every pair as a (k, 1) column, the ends of the outer coordinate's
+    pieces as a (k, 4) array ``[box start, kink, kink, box end]``, and the
+    (k, 4) mask of the ends in use: each pair's outer rule has one, two or
+    three pieces.
+    """
+    # The inner coordinate is the one where p and q differ more: one on
+    # which they agree would make A's section jump between empty and the
+    # whole line.  With ell_i(x) = 2 log(p_i(x) / q_i(x)) for the outer
+    # coordinate i, A's section at x is _ratio_set(mu_j, s_j, ell_i(x)).
     d = s * s
-    j = int(np.argmax(d - 1.0 - np.log(d) + mu * mu))
-    i = 1 - j
-    width = 8.0 * max(1.0, s[i])
-    box = (min(0.0, mu[i]) - width, max(0.0, mu[i]) + width)
+    j = np.argmax(d - 1.0 - np.log(d) + mu * mu, axis=-1)[:, None]
+    mu_i, s_i = (np.take_along_axis(a, 1 - j, axis=-1) for a in (mu, s))
+    mu_j, d_j = (np.take_along_axis(a, j, axis=-1) for a in (mu, d))
+    width = 8.0 * np.maximum(1.0, s_i)
+    box_lo, box_hi = np.minimum(0.0, mu_i) - width, np.maximum(0.0, mu_i) + width
     # The section has a sqrt kink in x where its Q = mu_j^2 - a_j (log d_j +
     # ell_i(x)) changes sign, with a_j = 1 - d_j: at the ends of the set
     # {ell_i(x) + log d_j - mu_j^2 / a_j > 0}.  Q is constant where d_j = 1.
-    # Split the outer range there and map each piece by x = mid - half
-    # cos(theta): the kink becomes sin(theta), and the trapezoid rule in
-    # theta stays spectrally accurate.
-    kinks = []
-    if d[j] != 1.0:
-        with np.errstate(over="ignore"):
-            offset = np.log(d[j]) - mu[j] ** 2 / (1.0 - d[j])
-        kink_lo, kink_hi = _ratio_set(mu[i], s[i], offset)[:2]
-        kinks = [float(x) for x in (kink_lo, kink_hi) if kink_lo < kink_hi and box[0] < x < box[1]]
-    ends = np.array([box[0], *kinks, box[1]])
-    mid, half = (ends[1:] + ends[:-1]) / 2.0, (ends[1:] - ends[:-1]) / 2.0
-    # The budget is shared among the pieces.
-    theta = np.linspace(0.0, np.pi, max(budget // mid.size, 2))
-    x = (mid[:, None] - half[:, None] * np.cos(theta)).ravel()
-    w = (half[:, None] * np.sin(theta) * (theta[1] - theta[0])).ravel()
-    z = (x - mu[i]) / s[i]
-    lo_p, hi_p, lo_q, hi_q = _ratio_set(mu[j], s[j], z * z - x * x + np.log(d[i]))
-    p_outer = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    q_outer = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * s[i])
+    bent = d_j != 1.0
+    with np.errstate(over="ignore"):
+        offset = np.log(d_j) - mu_j**2 / np.where(bent, 1.0 - d_j, 1.0)
+    kink_lo, kink_hi = _ratio_set(mu_i, s_i, offset)[:2]
+    ends = np.concatenate([box_lo, kink_lo, kink_hi, box_hi], axis=-1)
+    used = np.ones(ends.shape, dtype=bool)
+    used[:, 1:3] = bent & (kink_lo < kink_hi) & (box_lo < ends[:, 1:3]) & (ends[:, 1:3] < box_hi)
+    return j, ends, used
+
+
+# The 2-D outer rules take at most this many (pair, node) values at a time,
+# in stacks of whole pairs (one pair whose rule alone is larger): bigger
+# blocks were no faster and raise the peak memory.
+_TV_BLOCK = 2**15
+
+
+def _tv_2d(mu: np.ndarray, s: np.ndarray, budget: int) -> np.ndarray:
+    # A stack of pairs, mu and s of shape (k, 2): the inner coordinate j in
+    # closed form, the outer i by a trapezoid rule.  Each piece of the outer
+    # range is mapped by x = mid - half cos(theta): a kink at its ends becomes
+    # sin(theta), and the rule in theta stays spectrally accurate.
+    j, ends, used = _outer_pieces(mu, s)
+    mu_i, s_i = (np.take_along_axis(a, 1 - j, axis=-1) for a in (mu, s))
+    mu_j, s_j = (np.take_along_axis(a, j, axis=-1) for a in (mu, s))
+    pieces = np.sum(used, axis=-1) - 1
+    tv = np.empty(len(mu))
+    # The budget is shared among a pair's pieces, so pairs with as many
+    # pieces share one node layout and one (pairs x nodes) evaluation.
+    for count in (1, 2, 3):
+        members = np.flatnonzero(pieces == count)
+        theta = np.linspace(0.0, np.pi, max(budget // count, 2))
+        size = max(1, _TV_BLOCK // (count * theta.size))
+        for start in range(0, members.size, size):
+            block = members[start : start + size]
+            e = ends[block][used[block]].reshape(block.size, count + 1)
+            mid, half = (e[:, 1:] + e[:, :-1]) / 2.0, (e[:, 1:] - e[:, :-1]) / 2.0
+            x = (mid[..., None] - half[..., None] * np.cos(theta)).reshape(block.size, -1)
+            w = (half[..., None] * np.sin(theta) * (theta[1] - theta[0])).reshape(block.size, -1)
+            m_i, sd_i = mu_i[block], s_i[block]
+            z = (x - m_i) / sd_i
+            lo_p, hi_p, lo_q, hi_q = _ratio_set(mu_j[block], s_j[block], z * z - x * x + np.log(sd_i * sd_i))
+            p_outer = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+            q_outer = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sd_i)
+            g = p_outer * _normal_mass(lo_p, hi_p) - q_outer * _normal_mass(lo_q, hi_q)
+            tv[block] = np.einsum("kn,kn->k", w, g)
     # Where s_j <= 1 the section is the complement of the interval; the
     # whole-line terms p_outer - q_outer integrate to 0, which leaves a sign flip.
-    g = p_outer * _normal_mass(lo_p, hi_p) - q_outer * _normal_mass(lo_q, hi_q)
-    tv = float(w @ g)
-    return tv if s[j] > 1.0 else 0.0 - tv
+    return np.where(s_j[:, 0] > 1.0, tv, 0.0 - tv)
 
 
 def tv_gaussian(
@@ -371,8 +463,10 @@ def tv_gaussian(
     trapezoid nodes in a cosine map, split where ``A``'s section appears or
     vanishes, so 2001 nodes agree with 40001 to within 1e-12 even for
     strongly elongated pairs, as long as each of q's variances in that
-    frame (where p's are 1) is at least 1e-12; a stack runs one such rule
-    per pair.  Two single distributions give a float value, a stack the
+    frame (where p's are 1) is at least 1e-12.  A stack evaluates its pairs'
+    rules together, grouped by their number of pieces, as (pairs x nodes)
+    arrays in blocks of whole pairs; each pair keeps the nodes it would
+    have alone.  Two single distributions give a float value, a stack the
     array of values.
 
     method="monte_carlo" (one pair, not a stack): returns
@@ -392,8 +486,7 @@ def tv_gaussian(
         if p.dim == 1:
             tv = _tv_1d(mu[..., 0], s[..., 0])
         else:
-            pairs = zip(mu.reshape(-1, 2), s.reshape(-1, 2))
-            tv = np.reshape([_tv_2d(m, sd, budget) for m, sd in pairs], mu.shape[:-1])
+            tv = _tv_2d(mu.reshape(-1, 2), s.reshape(-1, 2), budget).reshape(mu.shape[:-1])
         return TVEstimate(_result(np.clip(tv, 0.0, 1.0)), 0.0)
     if method == "monte_carlo":
         _require_single(p, q)
@@ -405,11 +498,31 @@ def tv_gaussian(
     raise ValueError(f"unknown method {method!r}")
 
 
-def trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    """Trapezoid quadrature weights for a uniform axis, or for each axis of a stack."""
-    w = np.repeat(x[..., 1:2] - x[..., :1], x.shape[-1], axis=-1)
-    w[..., [0, -1]] /= 2.0
-    return w
+def _trapezoid(values: np.ndarray, step) -> np.ndarray:
+    """Trapezoid rule along the last axis on a uniform axis of spacing ``step``: ``h (sum v - (v_0 + v_N) / 2)``."""
+    return step * (np.sum(values, axis=-1) - (values[..., 0] + values[..., -1]) / 2.0)
+
+
+def _axis_step(x: np.ndarray) -> np.ndarray:
+    """The first step of an axis with at least four nodes, or of each axis of a stack of them.
+
+    Only the shape is checked here; :func:`_check_spacing` checks the steps.
+    """
+    if x.ndim not in (1, 2) or x.shape[-1] < 4:
+        raise ValueError("the grid is one axis of at least four nodes, or a stack of such axes")
+    return x[..., 1] - x[..., 0]
+
+
+def _check_spacing(x: np.ndarray, step: np.ndarray):
+    # Every step positive and within 1e-9 relative of the first, read off the
+    # extreme steps.
+    steps = np.diff(x, axis=-1)
+    tol = 1e-9 * np.abs(step)
+    uniform = np.all(np.max(steps, axis=-1) - step <= tol) and np.all(step - np.min(steps, axis=-1) <= tol)
+    if np.any(step <= 0) or (not uniform and np.any(steps <= 0)):
+        raise ValueError("the axis must be strictly increasing")
+    if not uniform:
+        raise ValueError("the axis must be uniformly spaced")
 
 
 @lru_cache(maxsize=None)
@@ -483,37 +596,43 @@ class GridDensity:
         x = np.ascontiguousarray(self.x, dtype=float)
         lw = np.ascontiguousarray(self.log_weights, dtype=float)
         normalizer = np.asarray(self.normalizer, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] < 4:
-            raise ValueError("the grid is one axis of at least four nodes, or a stack of such axes")
+        step = _axis_step(x)
         if lw.shape != x.shape:
             raise ValueError("log_weights shape does not match the axis")
         if normalizer.shape != x.shape[:-1]:
             raise ValueError("normalizer shape does not match the stack")
-        steps = np.diff(x, axis=-1)
-        if np.any(steps <= 0):
-            raise ValueError("the axis must be strictly increasing")
-        if not np.all(np.abs(steps - steps[..., :1]) <= 1e-9 * np.abs(steps[..., :1])):
-            raise ValueError("the axis must be uniformly spaced")
+        _check_spacing(x, step)
         if not (np.all(np.isfinite(lw)) and np.all(np.isfinite(normalizer))):
             raise ValueError("log_weights must be finite")
+        self._set(x, lw, normalizer, step)
+
+    def _set(self, x, log_weights, normalizer, step):
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "log_weights", lw)
+        object.__setattr__(self, "log_weights", log_weights)
         object.__setattr__(self, "normalizer", _result(normalizer))
+        object.__setattr__(self, "_step", step)
 
     @classmethod
     def from_log_unnormalized(cls, x: np.ndarray, log_values: np.ndarray) -> "GridDensity":
         """Normalize log values tabulated on ``x`` (one axis, or a stack of them) by their trapezoid-rule integral."""
-        x = np.asarray(x, dtype=float)
-        log_values = np.asarray(log_values, dtype=float)
+        x = np.ascontiguousarray(x, dtype=float)
+        log_values = np.ascontiguousarray(log_values, dtype=float)
         if log_values.shape != x.shape:
             raise ValueError(f"log values of shape {log_values.shape} for a grid of shape {x.shape}")
         if not np.all(np.isfinite(log_values)):
             raise ValueError("log values must be finite on the grid")
+        step = _axis_step(x)
         shift = np.max(log_values, axis=-1)
-        mass = np.sum(trapezoid_weights(x) * np.exp(log_values - shift[..., None]), axis=-1)
+        weights = log_values - shift[..., None]
+        mass = _trapezoid(np.exp(weights, out=weights), step)
         if not np.all(np.isfinite(mass) & (mass > 0.0)):
             raise ValueError("grid weights underflow; the box is misplaced")
-        return cls(x, log_values, shift + np.log(mass))
+        _check_spacing(x, step)
+        # That is every check of __post_init__, each made once: finite log
+        # values and a positive finite mass give a finite normalizer.
+        grid = object.__new__(cls)
+        grid._set(x, log_values, shift + np.log(mass), step)
+        return grid
 
     @classmethod
     def from_gaussian(cls, g: GaussianDist, x: np.ndarray) -> "GridDensity":
@@ -522,14 +641,15 @@ class GridDensity:
 
     def pdf(self) -> np.ndarray:
         """Normalized density values at the grid nodes."""
-        return np.exp(self.log_pdf())
+        values = self.log_pdf()
+        return np.exp(values, out=values)
 
     def log_pdf(self) -> np.ndarray:
         """Normalized log density values at the grid nodes."""
         return self.log_weights - np.asarray(self.normalizer)[..., None]
 
     def integral(self) -> float | np.ndarray:
-        return _result(np.sum(trapezoid_weights(self.x) * self.pdf(), axis=-1))
+        return _result(_trapezoid(self.pdf(), self._step))
 
     def _spline(self) -> tuple[np.ndarray, np.ndarray]:
         # The normalized log density and the node slopes, per unit node index,
@@ -575,10 +695,14 @@ class GridDensity:
 
     def moments(self) -> tuple[float | np.ndarray, float | np.ndarray]:
         """Mean and variance by trapezoid integration."""
-        w = trapezoid_weights(self.x) * self.pdf()
-        mean = np.sum(self.x * w, axis=-1)
-        var = np.sum((self.x - mean[..., None]) ** 2 * w, axis=-1)
-        return _result(mean), _result(var)
+        pdf = self.pdf()
+        values = self.x * pdf
+        mean = _trapezoid(values, self._step)
+        # The squared deviations times the density, in the same buffer.
+        spread = np.subtract(self.x, mean[..., None], out=values)
+        spread *= spread
+        spread *= pdf
+        return _result(mean), _result(_trapezoid(spread, self._step))
 
 
 def _check_same_axis(p: GridDensity, q: GridDensity):
@@ -596,11 +720,11 @@ def kl_grid(p: GridDensity, q: GridDensity) -> float | np.ndarray:
     lq = q.log_pdf()
     pd = np.exp(lp)
     integrand = np.where(pd < 1e-300, 0.0, pd * (lp - lq))
-    return _result(np.sum(trapezoid_weights(p.x) * integrand, axis=-1))
+    return _result(_trapezoid(integrand, p._step))
 
 
 def tv_grid(p: GridDensity, q: GridDensity) -> float | np.ndarray:
     """Trapezoid-rule total variation ``0.5 * integral |p - q|`` on a shared grid, per member of a stack."""
     _check_same_axis(p, q)
     diff = np.abs(p.pdf() - q.pdf())
-    return _result(0.5 * np.sum(trapezoid_weights(p.x) * diff, axis=-1))
+    return _result(0.5 * _trapezoid(diff, p._step))

@@ -100,11 +100,33 @@ def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float
     return DiagonalGaussian(_replication_major(mean, 1), _replication_major(var, 1))
 
 
+def _orthonormal_hermite(x: np.ndarray, degree: int) -> np.ndarray:
+    # The Hermite polynomial of the given degree >= 1, orthonormal under the
+    # weight exp(-x^2), at x: Clenshaw's backward pass of the three-term recurrence.
+    c0, c1 = 0.0, np.pi**-0.25
+    for k in range(degree, 1, -1):
+        c0, c1 = -c1 * np.sqrt((k - 1) / k), c0 + c1 * x * np.sqrt(2.0 / k)
+    return c0 + c1 * x * np.sqrt(2.0)
+
+
 @lru_cache(maxsize=None)
 def _gh_rule() -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Hermite nodes scaled to a standard normal, and their
     # probabilist-normalized weights, built once; callers must not write to them.
-    z, w = np.polynomial.hermite.hermgauss(GH_NODES)
+    # The nodes of the weight exp(-z^2) are the eigenvalues of the recurrence's
+    # symmetric Jacobi matrix, polished by one Newton step; each weight is
+    # 1 / h_{n-1}(z)^2 up to a common factor, set so the weights sum to sqrt(pi).
+    n = GH_NODES
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    z = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+    z -= _orthonormal_hermite(z, n) / (_orthonormal_hermite(z, n - 1) * np.sqrt(2.0 * n))
+    lower = _orthonormal_hermite(z, n - 1)
+    lower /= np.abs(lower).max()
+    w = 1.0 / (lower * lower)
+    # The rule is symmetric about 0.
+    w = (w + w[::-1]) / 2.0
+    z = (z - z[::-1]) / 2.0
+    w *= np.sqrt(np.pi) / w.sum()
     offsets, weights = np.sqrt(2.0) * z, w / np.sqrt(np.pi)
     offsets.setflags(write=False)
     weights.setflags(write=False)

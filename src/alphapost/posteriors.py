@@ -242,7 +242,12 @@ def default_grid_axis(
     shape (cells, num).
     """
     half_width = scale / np.sqrt(alpha * n * v)
-    return np.linspace(theta_hat_ml - half_width, theta_hat_ml + half_width, num, axis=-1)
+    lo, hi = np.asarray(theta_hat_ml - half_width), np.asarray(theta_hat_ml + half_width)
+    # np.linspace(lo, hi, num, axis=-1) node for node, but each axis
+    # contiguous, as the tabulation wants it.
+    x = np.arange(num) * ((hi - lo) / (num - 1))[..., None] + lo[..., None]
+    x[..., -1] = hi
+    return x
 
 
 def grid_alpha_posterior(
@@ -267,7 +272,7 @@ def grid_alpha_posterior(
     with the sample size never overflow.
     """
     alpha = _tempering(alpha)
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(f"grid posteriors take one axis or a stack of axes, got an array of dimension {x.ndim}")
     if x.shape[-1] < 101:
@@ -278,7 +283,9 @@ def grid_alpha_posterior(
     ll = np.asarray(log_lik(pts), dtype=float)
     if not np.all(np.isfinite(ll)):
         raise ValueError("non-finite log-likelihood on a grid node")
-    return GridDensity.from_log_unnormalized(x, alpha[..., None] * ll + np.asarray(log_prior(pts), dtype=float))
+    log_values = alpha[..., None] * ll
+    log_values += np.asarray(log_prior(pts), dtype=float)
+    return GridDensity.from_log_unnormalized(x, log_values)
 
 
 def gaussian_bvm_limit(
@@ -350,16 +357,18 @@ def laplace_location_divergences(
     # In units of tau: the estimate's offset from the kink, and the prior's rate.
     offset = (_per_alpha(np.asarray(theta_hat, dtype=float), alpha, 0) - loc) / tau
     s, beta = (_replication_major(a, 0) for a in np.broadcast_arrays(offset, tau / scale))
-    # Z times the posterior's mass on either side of the kink.
-    log_right, log_left = _log_tilted_mass(s, beta), _log_tilted_mass(-s, beta)
+    # Each pair of sides is one (2, cells) stack, so each normal CDF call
+    # covers both.  Z times the posterior's mass on either side of the kink:
+    log_right, log_left = _log_tilted_mass(np.stack([s, -s]), beta)
     log_z = np.logaddexp(log_right, log_left)
     # Beyond rho on either side the posterior has mass exp(_log_tilted_mass(t, beta))
     # and the limit Phi(t), with t = +-s - rho.
     rho = -log_z / beta
-    tv = sum(_ndtr(t) - np.exp(_log_tilted_mass(t, beta)) for t in (s - rho, -s - rho))
+    t = np.stack([s - rho, -s - rho])
+    tv = np.sum(_ndtr(t) - np.exp(_log_tilted_mass(t, beta)), axis=0)
     # Each side is a normal of mean +-s - beta truncated at the kink.
-    right, left = np.exp(log_right - log_z), np.exp(log_left - log_z)
-    mean_abs = right * _positive_part_mean(s - beta) + left * _positive_part_mean(-s - beta)
+    sides = np.exp(np.stack([log_right, log_left]) - log_z)
+    mean_abs = np.sum(sides * _positive_part_mean(np.stack([s - beta, -s - beta])), axis=0)
     kl = -beta * mean_abs - log_z
     kl = np.where((-_KL_SLACK < kl) & (kl < 0.0), 0.0, kl)
     return _result(np.clip(tv, 0.0, 1.0)), _result(kl)

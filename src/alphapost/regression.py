@@ -307,8 +307,14 @@ def regression_likelihood(stats: SufficientStats, sigma_u: float) -> Callable[[n
         if thetas.shape[-1] != k:
             raise ValueError(f"points of dimension {thetas.shape[-1]}, but the likelihood has {k} design columns")
         quad = np.einsum("...ni,...ij,...nj->...n", thetas, xtx, thetas)
-        linear = np.einsum("...ni,...i->...n", thetas, xty)
-        return const - (yty[..., None] - 2.0 * linear + quad) / (2.0 * sigma_u**2)
+        # const - (yty - 2 linear + quad) / (2 sigma_u^2), in place on one
+        # array: every step is that expression's own rounding.
+        out = np.einsum("...ni,...i->...n", thetas, xty)
+        out *= -2.0
+        out += yty[..., None]
+        out += quad
+        out /= 2.0 * sigma_u**2
+        return np.subtract(const, out, out=out)
 
     return log_lik
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import norm
 
-from alphapost.gaussians import GaussianDist, kl_gaussian, log_density, trapezoid_weights
+from alphapost.gaussians import GaussianDist, kl_gaussian, log_density
 from alphapost.meanfield import DiagonalGaussian
 from alphapost.regression import mesh_points
 
@@ -49,6 +49,13 @@ def quadrature_kl_1d(log_p, log_q, lo, hi, num=200_001):
     x = np.linspace(lo, hi, num)
     p = np.exp(log_p(x))
     return float(np.trapezoid(p * (log_p(x) - log_q(x)), x))
+
+
+def trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Trapezoid quadrature weights for a uniform axis, or for each axis of a stack."""
+    w = np.repeat(x[..., 1:2] - x[..., :1], x.shape[-1], axis=-1)
+    w[..., [0, -1]] /= 2.0
+    return w
 
 
 def tv_tensor_quadrature(p, q, nodes_per_axis):

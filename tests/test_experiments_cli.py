@@ -191,6 +191,31 @@ class TestExperimentOutputs:
         short = rows("replications = 3\nn_grid = 150,60\nalphas = 1.0,0.5,0.25\n")
         assert short == [row for row in full if int(row[1]) < 3]
 
+    @pytest.mark.parametrize("block", [400, 900])
+    def test_location_projection_blocks_hold_at_most_the_grid_block(self, tmp_path, monkeypatch, block):
+        # Ten (rep, alpha) cells of 301 nodes per n: blocks of one cell (400)
+        # and of two (900), never more values than _GRID_BLOCK, and the same CSV.
+        cfg = write_config(
+            tmp_path,
+            "seed = 19\nmodel = laplace-location\ngrid_points = 301\n"
+            "replications = 5\nn_grid = 60,150\nalphas = 0.25,0.5\n",
+        )
+        assert main(["vbvm-convergence", "--config", str(cfg), "--out", str(tmp_path / "whole")]) == 0
+        sizes = []
+        tabulate = experiments.grid_alpha_posterior
+
+        def spy(log_lik, log_prior, alpha, x):
+            sizes.append(np.size(x))
+            return tabulate(log_lik, log_prior, alpha, x)
+
+        monkeypatch.setattr(experiments, "grid_alpha_posterior", spy)
+        monkeypatch.setattr(experiments, "_GRID_BLOCK", block)
+        assert main(["vbvm-convergence", "--config", str(cfg), "--out", str(tmp_path / "blocks")]) == 0
+        assert max(sizes) <= block and sum(sizes) == 2 * 10 * 301
+        assert len(sizes) == 2 * 10 // (block // 301)
+        csv = "vbvm-convergence.csv"
+        assert (tmp_path / "blocks" / csv).read_bytes() == (tmp_path / "whole" / csv).read_bytes()
+
     def test_schema_stability(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, FAST_LOCATION))
         columns, rows = run_experiment(cfg, "bvm-convergence")
@@ -449,6 +474,17 @@ class TestCLI:
             )
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
             assert proc.stdout.strip().splitlines()[-1] == "0 []", (experiment, cfg_path.name)
+
+    def test_laplace_projection_run_imports_neither_scipy_nor_numpy_polynomial(self, tmp_path):
+        # The projection's Gauss-Hermite rule is built in numpy alone.
+        laplace = write_config(tmp_path, FAST_LOCATION, "laplace.cfg")
+        code = (
+            "import sys; from alphapost.cli import main; "
+            f"code = main(['vbvm-convergence', '--config', {str(laplace)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.polynomial'))))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
     def test_library_never_imports_scipy_optimize_or_stats(self):
         # Nor any other scipy module: scipy is a test-only dependency.

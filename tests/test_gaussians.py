@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from alphapost import gaussians
 from alphapost.gaussians import (
     GaussianDist,
     _ndtr,
+    _outer_pieces,
+    _tv_frame,
     GridDensity,
     hellinger_sq_gaussian,
     kl_gaussian,
     kl_grid,
     log_density,
-    trapezoid_weights,
     tv_gaussian,
     tv_grid,
 )
@@ -22,6 +24,7 @@ from oracles import (
     mc_tv,
     perturbed_pair,
     quadrature_hellinger_sq,
+    trapezoid_weights,
     tv_equal_variance,
     tv_tensor_quadrature,
 )
@@ -312,6 +315,32 @@ class TestTVGaussian:
         x = np.concatenate([np.linspace(-38.0, 38.0, 100_001), [0.0, -0.0, np.inf, -np.inf]])
         assert_allclose(_ndtr(x), ndtr(x), rtol=1e-12, atol=np.finfo(float).tiny)
         assert np.isnan(_ndtr(np.nan))
+
+    def test_normal_cdf_keeps_the_shape(self):
+        assert _ndtr(0.5).shape == ()
+        x = np.array([[-40.0, -9.0, -1.2], [0.3, 2.0, 40.0]])
+        assert_allclose(_ndtr(x), [[_ndtr(v) for v in row] for row in x], rtol=0.0, atol=0.0)
+
+    @pytest.mark.parametrize("block", [None, 5000])
+    def test_stacked_2d_rule_matches_each_pair(self, monkeypatch, block):
+        # A stack whose outer rules have one, two and three pieces, and one pair
+        # whose inner coordinate has no kink (q's variance equals p's there):
+        # each member is its pair's TV computed alone, also when the stack
+        # runs in blocks of two pairs.
+        if block is not None:
+            monkeypatch.setattr(gaussians, "_TV_BLOCK", block)
+        rng = np.random.default_rng(5)
+        mean = np.vstack([rng.normal(scale=1.5, size=(40, 2)), [2.0, 0.0]])
+        var = np.vstack([np.exp(rng.uniform(-3.0, 3.0, size=(40, 2))), [1.0, 0.25]])
+        p = GaussianDist(np.zeros_like(mean), np.broadcast_to(np.eye(2), (len(mean), 2, 2)))
+        q = GaussianDist(mean, var[:, :, None] * np.eye(2))
+        mu, s = _tv_frame(p, q)
+        j, _, used = _outer_pieces(mu, s)
+        assert set(np.sum(used, axis=-1) - 1) == {1, 2, 3}
+        assert np.take_along_axis(s, j, axis=-1)[-1, 0] == 1.0
+        stacked = tv_gaussian(p, q, budget=2001).value
+        alone = [tv_gaussian(p[i], q[i], budget=2001).value for i in range(len(mean))]
+        assert np.max(np.abs(stacked - alone)) <= 1e-15
 
     def test_monte_carlo_needs_rng(self):
         g = GaussianDist(0.0, 1.0)

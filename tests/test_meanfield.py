@@ -5,7 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphapost.gaussians import GaussianDist, GridDensity, kl_gaussian
-from alphapost.meanfield import DiagonalGaussian, gmf_project_gaussian, gmf_project_numeric, variational_bvm_limit
+from alphapost.meanfield import (
+    GH_NODES,
+    DiagonalGaussian,
+    _gh_rule,
+    gmf_project_gaussian,
+    gmf_project_numeric,
+    variational_bvm_limit,
+)
 from alphapost.posteriors import ConjugatePrior, conjugate_alpha_posterior, grid_alpha_posterior
 from alphapost.regression import RegressionDGP, derived_seed, regression_likelihood, simulate
 
@@ -109,6 +116,14 @@ class TestClosedFormProjection:
 
 
 class TestNumericProjection:
+    def test_gauss_hermite_rule_matches_numpy(self):
+        # The rule is built without numpy.polynomial: nodes within 1e-14
+        # absolute and weights within 1e-14 relative of hermgauss.
+        z, w = np.polynomial.hermite.hermgauss(GH_NODES)
+        offsets, weights = _gh_rule()
+        assert_allclose(offsets, np.sqrt(2.0) * z, rtol=0.0, atol=1e-14)
+        assert_allclose(weights, w / np.sqrt(np.pi), rtol=1e-14, atol=0.0)
+
     def test_gridded_gaussian_matches_closed_form_1d(self):
         target = GaussianDist(1.0, 2.0)
         grid = GridDensity.from_gaussian(target, np.linspace(-20, 22, 4001))

@@ -190,6 +190,47 @@ class TestGridAlphaPosterior:
             assert np.array_equal(stack.log_weights[i], single.log_weights)
             assert stack.normalizer[i] == single.normalizer
 
+    def test_default_axes_are_linspace_nodes_each_contiguous(self):
+        theta_hat, alpha = np.array([0.3, -1.2, 4.0]), np.array([0.25, 1.0, 0.5])
+        axes = default_grid_axis(theta_hat, 2.0, 50, alpha, 301, scale=14.0)
+        half = 14.0 / np.sqrt(alpha * 50 * 2.0)
+        assert np.array_equal(axes, np.linspace(theta_hat - half, theta_hat + half, 301, axis=-1))
+        assert axes.flags.c_contiguous
+        half = 10.0 / np.sqrt(0.25 * 50 * 2.0)
+        assert np.array_equal(default_grid_axis(0.3, 2.0, 50, 0.25, 301), np.linspace(0.3 - half, 0.3 + half, 301))
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("non-finite axis", "the grid axis must be finite"),
+            ("too few nodes", "the grid axis needs at least 101 nodes"),
+            ("non-finite log-likelihood", "non-finite log-likelihood on a grid node"),
+            ("non-uniform axis", "the axis must be uniformly spaced"),
+            ("decreasing axis", "grid weights underflow; the box is misplaced"),
+        ],
+    )
+    def test_one_bad_member_rejects_the_stack(self, fault, message):
+        # Each rejection of the tabulation, raised with its message when only
+        # member 1 of three is at fault (the node count is the whole stack's).
+        rng = np.random.default_rng(9)
+        samples = [SufficientStats.of(np.ones(40), rng.normal(0.3, 1.0, 40)) for _ in range(3)]
+        alpha = np.array([0.25, 1.0, 0.5])
+        axes = default_grid_axis(np.array([ols(s)[0] for s in samples]), 1.0, 40, alpha, 301)
+        stacked = regression_likelihood(SufficientStats.stack(samples), 1.0)
+        log_lik = stacked
+        if fault == "non-finite axis":
+            axes[1, 7] = np.inf
+        elif fault == "too few nodes":
+            axes = axes[:, :100]
+        elif fault == "non-finite log-likelihood":
+            log_lik = lambda pts: stacked(pts) * np.array([[1.0], [np.nan], [1.0]])
+        elif fault == "non-uniform axis":
+            axes[1, 150] += 0.25 * (axes[1, 1] - axes[1, 0])
+        else:
+            axes[1] = axes[1, ::-1]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid_alpha_posterior(log_lik, lambda pts: -np.abs(pts[..., 0]), alpha, axes)
+
 
 class TestGaussianBvmLimit:
     def test_alpha_one_is_standard_limit(self):
