@@ -54,6 +54,8 @@ from .meanfield import gmf_project_gaussian, gmf_project_numeric, variational_bv
 from .posteriors import (
     ConjugatePrior,
     SufficientStats,
+    _require_finite,
+    _require_positive,
     conjugate_alpha_posterior,
     default_grid_axis,
     gaussian_bvm_limit,
@@ -365,7 +367,12 @@ class ExperimentConfig:
 
 
 def laplace_log_prior(loc: float = 0.0, scale: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched log density of the Laplace(loc, scale) prior: points of shape (..., 1) to values of shape (...)."""
+    """Batched log density of the Laplace(loc, scale) prior: points of shape (..., 1) to values of shape (...).
+
+    A non-finite ``loc``, or a ``scale`` that is not positive and finite, raises ``ValueError``.
+    """
+    _require_finite(loc=loc)
+    _require_positive(scale=scale)
 
     def log_prior(pts):
         # -log(2 scale) - |pts - loc| / scale, in place on one array.
@@ -459,7 +466,7 @@ def _regression_convergence(
         lim = variational_bvm_limit(theta_hat, v, n, cfg.alphas)
         return _cell_rows(n, cfg.replications, cfg.alphas, kl_gaussian(gmf_project_gaussian(post).dist, lim.dist))
     lim = gaussian_bvm_limit(theta_hat, v, n, cfg.alphas)
-    tv = tv_gaussian(post, lim, budget=cfg.grid_points).value
+    tv = tv_gaussian(post, lim, budget=cfg.grid_points)
     return _cell_rows(n, cfg.replications, cfg.alphas, tv, kl_gaussian(post, lim))
 
 

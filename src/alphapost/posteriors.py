@@ -190,6 +190,20 @@ def _tempering(alpha) -> np.ndarray:
     return alpha
 
 
+def _require_finite(**values):
+    # Each named number, or array of numbers, finite.
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
+def _require_positive(**values):
+    # Each named number positive and finite.
+    for name, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite")
+
+
 def conjugate_alpha_posterior(
     stats: SufficientStats,
     prior: ConjugatePrior,
@@ -350,8 +364,15 @@ def laplace_location_divergences(
     far off the kink and for a prior much narrower than ``tau``.
 
     A vector of estimates (one per replication) or of ``alpha`` gives one
-    value per (replication, ``alpha``) cell, replication-major.
+    value per (replication, ``alpha``) cell, replication-major.  A
+    non-finite ``theta_hat`` or ``loc``, a ``sigma`` or ``scale`` that is not
+    positive and finite, or an ``n`` that is not a positive integer raises
+    ``ValueError`` naming it.
     """
+    _require_finite(theta_hat=theta_hat, loc=loc)
+    _require_positive(sigma=sigma, scale=scale)
+    if not (0 < n < np.inf and int(n) == n):
+        raise ValueError("n must be a positive integer")
     alpha = _tempering(alpha)
     tau = sigma / np.sqrt(alpha * n)
     # In units of tau: the estimate's offset from the kink, and the prior's rate.

@@ -108,13 +108,11 @@ class TestStacks:
             stack.sample(rng, 10)
         with pytest.raises(ValueError, match="stack"):
             log_density(stack, [0.0])
-        with pytest.raises(ValueError, match="stack"):
-            tv_gaussian(stack, stack, "monte_carlo", 100, rng=rng)
 
     def test_single_pairs_give_floats_and_stacks_broadcast(self):
         p = GaussianDist(0.0, 1.0)
         stack = GaussianDist([[0.0], [1.0], [0.5]], [[[1.0]], [[2.0]], [[0.5]]])
-        for divergence in (kl_gaussian, hellinger_sq_gaussian, lambda a, b: tv_gaussian(a, b).value):
+        for divergence in (kl_gaussian, hellinger_sq_gaussian, tv_gaussian):
             assert type(divergence(p, stack[2])) is float
             both_ways = divergence(p, stack), divergence(stack, p)
             for values, pairs in zip(both_ways, ([(p, stack[i]) for i in range(3)], [(stack[i], p) for i in range(3)])):
@@ -219,17 +217,16 @@ class TestHellinger:
 class TestTVGaussian:
     def test_identical_is_zero(self):
         for g in (GaussianDist(0.3, 2.0), GaussianDist([0.3, -1.0], [[2.0, 0.4], [0.4, 0.5]])):
-            assert tv_gaussian(g, g, "exact", 2001).value == 0.0
+            assert tv_gaussian(g, g, "exact", 2001) == 0.0
 
     def test_equal_variance_closed_form(self):
         p, q = GaussianDist(0.0, 1.0), GaussianDist(1.0, 1.0)
         got = tv_gaussian(p, q, "exact", 8001)
-        assert got.se == 0.0
-        assert_allclose(got.value, tv_equal_variance(0.0, 1.0, 1.0), atol=1e-12)
+        assert_allclose(got, tv_equal_variance(0.0, 1.0, 1.0), atol=1e-12)
         rng = np.random.default_rng(5)
         for _ in range(50):
             mu1, mu2, sigma = rng.normal(scale=3.0), rng.normal(scale=3.0), rng.uniform(0.1, 5.0)
-            got = tv_gaussian(GaussianDist(mu1, sigma**2), GaussianDist(mu2, sigma**2)).value
+            got = tv_gaussian(GaussianDist(mu1, sigma**2), GaussianDist(mu2, sigma**2))
             assert_allclose(got, tv_equal_variance(mu1, mu2, sigma), atol=1e-12)
 
     def test_equal_covariance_2d_is_mahalanobis_closed_form(self):
@@ -240,7 +237,7 @@ class TestTVGaussian:
             p = random_gaussian(rng, 2)
             q = GaussianDist(rng.normal(size=2), p.cov)
             delta = np.sqrt((q.mean - p.mean) @ np.linalg.solve(p.cov, q.mean - p.mean))
-            assert_allclose(tv_gaussian(p, q).value, tv_equal_variance(0.0, delta, 1.0), atol=1e-12)
+            assert_allclose(tv_gaussian(p, q), tv_equal_variance(0.0, delta, 1.0), atol=1e-12)
 
     def test_2d_pair_agreeing_on_one_axis_reduces_to_1d(self):
         p = GaussianDist([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]])
@@ -249,21 +246,21 @@ class TestTVGaussian:
             axis = 1 if q_var[0] == 1.0 else 0
             marginal = tv_gaussian(
                 GaussianDist(0.0, p.cov[axis, axis]), GaussianDist(q_mean[axis], q_var[axis])
-            ).value
-            assert_allclose(tv_gaussian(p, q).value, marginal, atol=1e-12)
+            )
+            assert_allclose(tv_gaussian(p, q), marginal, atol=1e-12)
 
     def test_1d_matches_dense_trapezoid(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = GaussianDist(rng.normal(scale=2.0), rng.uniform(0.05, 4.0))
             q = GaussianDist(rng.normal(scale=2.0), rng.uniform(0.05, 4.0))
-            assert abs(tv_gaussian(p, q).value - tv_tensor_quadrature(p, q, 200_001)) < 1e-9
+            assert abs(tv_gaussian(p, q) - tv_tensor_quadrature(p, q, 200_001)) < 1e-9
 
     def test_2d_matches_tensor_quadrature(self):
         rng = np.random.default_rng(8)
         for _ in range(3):
             p, q = random_gaussian(rng, 2), random_gaussian(rng, 2)
-            assert abs(tv_gaussian(p, q).value - tv_tensor_quadrature(p, q, 4001)) < 1e-7
+            assert abs(tv_gaussian(p, q) - tv_tensor_quadrature(p, q, 4001)) < 1e-7
 
     def test_2d_converges_in_the_budget(self):
         # The outer rule is split where the section of {p > q} appears or
@@ -279,12 +276,12 @@ class TestTVGaussian:
         # q's variances at the documented floor of 1e-12 of p's.
         pairs.append((GaussianDist([0.0, 0.0], np.eye(2)), GaussianDist([0.3, 0.1], 1e-12 * np.eye(2))))
         for p, q in pairs:
-            coarse, fine = tv_gaussian(p, q, budget=2001).value, tv_gaussian(p, q, budget=40_001).value
+            coarse, fine = tv_gaussian(p, q, budget=2001), tv_gaussian(p, q, budget=40_001)
             assert abs(coarse - fine) < 1e-12
 
     def test_pinsker_specific_pair(self):
         p, q = GaussianDist(0.0, 1.0), GaussianDist(0.3, 1.1)
-        tv = tv_gaussian(p, q, "exact", 4001).value
+        tv = tv_gaussian(p, q, "exact", 4001)
         assert tv <= np.sqrt(kl_gaussian(p, q) / 2.0)
 
     def test_exact_vs_monte_carlo(self):
@@ -294,18 +291,19 @@ class TestTVGaussian:
                 (m1, c1), (m2, c2) = perturbed_pair(rng, dim)
                 p, q = GaussianDist(m1, c1), GaussianDist(m2, c2)
                 exact = tv_gaussian(p, q, "exact", 2001)
-                mc = tv_gaussian(p, q, "monte_carlo", 40_000, rng=rng)
-                assert abs(exact.value - mc.value) < 3 * mc.se + 1e-4
+                mc, se = mc_tv(p.sample, lambda x: log_density(p, x), lambda x: log_density(q, x), 40_000, rng)
+                assert abs(exact - mc) < 3 * se + 1e-4
 
     def test_exact_rejects_high_dim(self):
         g = GaussianDist(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError, match="dimension 3"):
             tv_gaussian(g, g, "exact", 101)
 
-    def test_quadrature_method_is_gone(self):
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    def test_quadrature_method_is_gone(self, method):
         g = GaussianDist(0.0, 1.0)
         with pytest.raises(ValueError, match="unknown method"):
-            tv_gaussian(g, g, "quadrature", 101)
+            tv_gaussian(g, g, method, 101)
 
     def test_normal_cdf_matches_scipy(self):
         # The TV's numpy-only normal CDF against scipy's ndtr. Below about -37.5
@@ -338,14 +336,9 @@ class TestTVGaussian:
         j, _, used = _outer_pieces(mu, s)
         assert set(np.sum(used, axis=-1) - 1) == {1, 2, 3}
         assert np.take_along_axis(s, j, axis=-1)[-1, 0] == 1.0
-        stacked = tv_gaussian(p, q, budget=2001).value
-        alone = [tv_gaussian(p[i], q[i], budget=2001).value for i in range(len(mean))]
+        stacked = tv_gaussian(p, q, budget=2001)
+        alone = [tv_gaussian(p[i], q[i], budget=2001) for i in range(len(mean))]
         assert np.max(np.abs(stacked - alone)) <= 1e-15
-
-    def test_monte_carlo_needs_rng(self):
-        g = GaussianDist(0.0, 1.0)
-        with pytest.raises(ValueError, match="rng"):
-            tv_gaussian(g, g, "monte_carlo", 100)
 
 
 class TestGridDensity:
@@ -367,7 +360,18 @@ class TestGridDensity:
     def test_rejects_non_uniform_axis(self):
         x = np.array([0.0, 0.1, 0.3, 0.6])
         with pytest.raises(ValueError, match="uniform"):
-            GridDensity(x, np.zeros(4), 0.0)
+            GridDensity(x, np.zeros(4))
+
+    def test_constructor_and_classmethod_agree(self):
+        # One construction path: the normalizer is computed, never passed.
+        for x in (np.linspace(-4.0, 5.0, 101), np.linspace([-4.0, 0.0], [5.0, 1.0], 101, axis=-1)):
+            lw = -np.abs(x - 0.4) - x**2
+            built, normalized = GridDensity(x, lw), GridDensity.from_log_unnormalized(x, lw)
+            assert np.array_equal(built.normalizer, normalized.normalizer)
+            assert np.array_equal(built.log_pdf(), normalized.log_pdf())
+            assert np.array_equal(built.moments(), normalized.moments())
+        with pytest.raises(TypeError):
+            GridDensity(x, lw, 0.0)
 
     def test_moments_match_source(self):
         x = np.linspace(-9, 11, 2001)

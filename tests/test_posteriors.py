@@ -355,3 +355,27 @@ class TestLaplaceLocationDivergences:
         for r, a in np.ndindex(3, 2):
             single = laplace_location_divergences(theta_hat[r], 1.5, 80, alphas[a], 0.1, 0.5)
             assert (tv[2 * r + a], kl[2 * r + a]) == single
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((0.1, 1.0, 50, 1.0, 0.0, 0.0), "scale"),
+            ((0.1, 1.0, 50, 1.0, 0.0, -1.0), "scale"),
+            ((0.1, 0.0, 50, 1.0, 0.0, 1.0), "sigma"),
+            ((0.1, -1.0, 50, 1.0, 0.0, 1.0), "sigma"),
+            ((0.1, np.inf, 50, 1.0, 0.0, 1.0), "sigma"),
+            ((0.1, 1.0, 0, 1.0, 0.0, 1.0), "n"),
+            ((0.1, 1.0, 2.5, 1.0, 0.0, 1.0), "n"),
+            (([0.1, np.nan], 1.0, 50, 1.0, 0.0, 1.0), "theta_hat"),
+            ((0.1, 1.0, 50, 1.0, np.nan, 1.0), "loc"),
+        ],
+    )
+    def test_rejects_bad_input(self, args, name):
+        # A bad argument is named, never a NaN or a plausible-looking divergence.
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            laplace_location_divergences(*args)
+        if name in ("scale", "loc"):
+            from alphapost.experiments import laplace_log_prior
+
+            with pytest.raises(ValueError, match=rf"^{name} must"):
+                laplace_log_prior(args[4], args[5])
