@@ -418,14 +418,18 @@ def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
     """The stacked statistics of the location samples of replications ``0 .. replications - 1`` at ``n``.
 
     The location model is the regression of the data on one constant
-    column; each sample is drawn from its ``(seed, n, rep)`` stream.
+    column; each sample is drawn from its ``(seed, n, rep)`` stream into one
+    reused ``[1, x]`` buffer, which its Gram matrix reduces.
     """
-
-    def draw(rep: int) -> np.ndarray:
-        rng = np.random.default_rng(derived_seed(cfg.seed, n, rep))
-        return cfg.theta_true + cfg.noise_sd * rng.standard_normal(n)
-
-    return SufficientStats.stack([SufficientStats.of(np.ones(n), draw(rep)) for rep in range(cfg.replications)])
+    cols = np.ones((n, 2))
+    normals = np.empty(n)
+    gram = np.empty((cfg.replications, 2, 2))
+    for rep in range(cfg.replications):
+        np.random.default_rng(derived_seed(cfg.seed, n, rep)).standard_normal(out=normals)
+        sample = np.multiply(cfg.noise_sd, normals, out=cols[:, 1])
+        sample += cfg.theta_true
+        gram[rep] = cols.T @ cols
+    return SufficientStats(n, gram)
 
 
 def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[list]:
@@ -439,7 +443,10 @@ def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[
         return _cell_rows(n, reps, cfg.alphas, tv, kl)
     # A stack of grid posteriors, one per (rep, alpha) cell, replication-major,
     # each with its replication's likelihood, and one projection per stack.
-    v = np.array([[1.0 / cfg.noise_sd**2]])
+    with np.errstate(over="ignore", divide="ignore"):
+        v = np.array([[1.0 / np.float64(cfg.noise_sd) ** 2]])
+    if not np.isfinite(v[0, 0]):
+        raise ConfigError(f"noise_sd: {cfg.noise_sd!r} is too small: the curvature 1 / noise_sd^2 is not finite")
     lim = variational_bvm_limit(theta_hat, v, n, alphas).dist
     log_prior = laplace_log_prior(cfg.prior_loc, cfg.prior_scale)
     cells = np.arange(reps * alphas.size)

@@ -402,9 +402,11 @@ def _outer_pieces(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 # The 2-D outer rules take at most this many (pair, node) values at a time,
-# in stacks of whole pairs (one pair whose rule alone is larger): bigger
-# blocks were no faster and raise the peak memory.
-_TV_BLOCK = 2**15
+# in stacks of whole pairs (one pair whose rule alone is larger).  The normal
+# CDF slows past about 16k values per call: on stacks of 24 to 200 pairs at
+# budget 2001 (in process, one thread of a 2-vCPU machine), 2^15 took 11-20%
+# longer than 2^14, and 2^13 and 2^16 were slower too.
+_TV_BLOCK = 2**14
 
 
 def _tv_2d(mu: np.ndarray, s: np.ndarray, budget: int) -> np.ndarray:
@@ -524,32 +526,37 @@ def _not_a_knot_factors(num: int) -> tuple[tuple[float, ...], tuple[float, ...],
 
 
 def _not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
-    """Node slopes, per unit node index, of the not-a-knot cubic spline through ``y`` (..., num).
+    """Node slopes, per unit node index, of the not-a-knot cubic spline through each column of ``y`` (num, members).
 
-    Every row has the same matrix in index units, so one forward and one
-    backward sweep over the nodes solve all rows at once; this is the
-    interpolant ``scipy.interpolate.CubicSpline`` builds by default.
+    Every column has the same matrix in index units, so one forward and one
+    backward sweep over the node rows solve all columns at once, each step
+    updating one contiguous row of members in place.  The result is
+    node-major like ``y``; this is the interpolant
+    ``scipy.interpolate.CubicSpline`` builds by default.
     """
-    sub, inv_pivot, upper = _not_a_knot_factors(y.shape[-1])
-    delta = np.diff(y, axis=-1)
-    rhs = np.empty_like(y)
-    rhs[..., 0] = (5.0 * delta[..., 0] + delta[..., 1]) / 2.0
-    rhs[..., 1:-1] = 3.0 * (delta[..., :-1] + delta[..., 1:])
-    rhs[..., -1] = (delta[..., -2] + 5.0 * delta[..., -1]) / 2.0
-    # Node-major and two-dimensional, so each step of a sweep updates one
-    # contiguous row of members in place.
-    s = rhs.reshape(-1, rhs.shape[-1]).T.copy()
+    sub, inv_pivot, upper = _not_a_knot_factors(len(y))
+    delta = np.diff(y, axis=0)
+    # The right-hand side, formed in the slopes' own buffer.
+    s = np.empty_like(y)
+    s[0] = (5.0 * delta[0] + delta[1]) / 2.0
+    np.add(delta[:-1], delta[1:], out=s[1:-1])
+    s[1:-1] *= 3.0
+    s[-1] = (delta[-2] + 5.0 * delta[-1]) / 2.0
+    del delta
+    # Multiplying by 1.0 is exact, so unit coefficients subtract directly;
+    # the others go through one reused row.
+    scaled = np.empty_like(s[0])
     rows = list(s)
     prev = rows[0]
     prev *= inv_pivot[0]
     for row, a, inv in zip(rows[1:], sub[1:], inv_pivot[1:]):
-        row -= a * prev
+        row -= prev if a == 1.0 else np.multiply(a, prev, out=scaled)
         row *= inv
         prev = row
     for row, c in zip(rows[-2::-1], upper[-2::-1]):
-        row -= c * prev
+        row -= np.multiply(c, prev, out=scaled)
         prev = row
-    return np.ascontiguousarray(s.T).reshape(rhs.shape)
+    return s
 
 
 @dataclass(frozen=True)
@@ -582,6 +589,7 @@ class GridDensity:
         shift = np.max(lw, axis=-1)
         weights = lw - shift[..., None]
         mass = _trapezoid(np.exp(weights, out=weights), step)
+        del weights
         if not np.all(np.isfinite(mass) & (mass > 0.0)):
             raise ValueError("grid weights underflow; the box is misplaced")
         _check_spacing(x, step)
@@ -614,45 +622,66 @@ class GridDensity:
 
     def _spline(self) -> tuple[np.ndarray, np.ndarray]:
         # The normalized log density and the node slopes, per unit node index,
-        # of its cubic interpolant: solved on first use and kept.
+        # of its cubic interpolant, node-major (nodes, members) with one
+        # member for a single density: solved on first use and kept.
         cached = getattr(self, "_spline_cache", None)
         if cached is None:
-            y = self.log_pdf()
+            lw = self.log_weights.reshape(-1, self.x.shape[-1]).T
+            y = np.subtract(lw, np.atleast_1d(self.normalizer), out=np.empty(lw.shape))
             cached = (y, _not_a_knot_slopes(y))
             object.__setattr__(self, "_spline_cache", cached)
         return cached
 
-    def log_pdf_and_grad_at(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def log_pdf_and_grad_at(
+        self, points: np.ndarray, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Interpolated log density with its first and second derivatives at off-grid points.
 
         ``points`` is a vector of N locations, or for a stack of k members an
         array of shape (k, N) holding N locations per member; the three
         returned arrays have the shape of ``points`` and are exact
         derivatives of the same not-a-knot cubic spline through the
-        normalized log density.  Raises ``ValueError`` if any point falls
+        normalized log density.  ``rows``, a vector of m member indices,
+        evaluates those members only: ``points`` then has shape (m, N), row
+        ``j`` for member ``rows[j]``, and each result row equals that
+        member's row of a full evaluation bit for bit.  A single density is
+        a stack of one, member 0.  Raises ``ValueError`` if any point falls
         outside its member's range.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != self.x.ndim or pts.shape[:-1] != self.x.shape[:-1]:
-            raise ValueError(f"points of shape {pts.shape} for a grid of shape {self.x.shape}")
-        lo, hi = self.x[..., :1], self.x[..., -1:]
-        if np.any(pts < lo) or np.any(pts > hi):
+        x = self.x.reshape(-1, self.x.shape[-1])
+        num = x.shape[-1]
+        if rows is None:
+            if pts.ndim != self.x.ndim or pts.shape[:-1] != self.x.shape[:-1]:
+                raise ValueError(f"points of shape {pts.shape} for a grid of shape {self.x.shape}")
+            members = np.arange(len(x))[:, None]
+        else:
+            members = np.asarray(rows, dtype=np.intp)[:, None]
+            if pts.ndim != 2 or len(pts) != len(members):
+                raise ValueError(f"points of shape {pts.shape} for {len(members)} members")
+        # Only the columns that place the points, read for these members.
+        lo, hi = x[members, 0], x[members, -1]
+        h = x[members, 1] - lo
+        pts2 = pts.reshape(len(members), -1)
+        if np.any(pts2 < lo) or np.any(pts2 > hi):
             raise ValueError("points fall outside the tabulated support")
-        num = self.x.shape[-1]
-        h = self.x[..., 1:2] - lo
-        # Flat indices of the left node of each point's interval.
-        i = np.minimum((pts - lo) // h, num - 2).astype(np.intp)
-        i += num * np.arange(i.size // i.shape[-1]).reshape(i.shape[:-1] + (1,))
-        u = (pts - np.take(self.x, i)) / h
+        # The left node of each point's interval, and its flat index in the
+        # member-major axes.
+        i = np.minimum((pts2 - lo) // h, num - 2).astype(np.intp)
+        u = (pts2 - np.take(x, i + num * members)) / h
         y, slopes = self._spline()
-        y0, s0, y1, s1 = np.take(y, i), np.take(slopes, i), np.take(y, i + 1), np.take(slopes, i + 1)
+        # Its flat index in the node-major spline, and the right node's.
+        i *= y.shape[1]
+        i += members
+        right = i + y.shape[1]
+        y0, s0, y1, s1 = np.take(y, i), np.take(slopes, i), np.take(y, right), np.take(slopes, right)
         # The cubic on [x_i, x_i+1] in u = (x - x_i) / h: y0 + u (s0 + u (c2 + u c3)).
         c2 = 3.0 * (y1 - y0) - 2.0 * s0 - s1
         c3 = s0 + s1 - 2.0 * (y1 - y0)
         value = y0 + u * (s0 + u * (c2 + u * c3))
         grad = (s0 + u * (2.0 * c2 + 3.0 * c3 * u)) / h
         hess = (2.0 * c2 + 6.0 * c3 * u) / (h * h)
-        return value, grad, hess
+        return value.reshape(pts.shape), grad.reshape(pts.shape), hess.reshape(pts.shape)
 
     def moments(self) -> tuple[float | np.ndarray, float | np.ndarray]:
         """Mean and variance by trapezoid integration."""

@@ -163,10 +163,13 @@ def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = Non
     A stack of k targets (``init`` then ``None`` or a stack of k
     one-dimensional Gaussians) runs all k descents in one loop: each member
     chooses, halves and stops its own steps and stays fixed once it has
-    converged, so it ends where it would alone.  The result is a stack of k
-    projections.  Raises ``ValueError`` when a starting point's quadrature
-    nodes leave the support and ``RuntimeError`` when any member has not
-    converged within ``MAX_ITER`` iterations.
+    converged, so it ends where it would alone.  After the starting points,
+    each trial evaluates only the members still searching for a step whose
+    nodes stay inside the support; converged members are not evaluated
+    again.  A single target runs as a stack of one.  The result is a stack
+    of k projections.  Raises ``ValueError`` when a starting point's
+    quadrature nodes leave the support and ``RuntimeError`` when any member
+    has not converged within ``MAX_ITER`` iterations.
     """
     if init is None:
         init = DiagonalGaussian(*(np.asarray(m)[..., None] for m in target.moments()))
@@ -176,64 +179,69 @@ def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = Non
         raise ValueError("init must be one distribution for one target, or a stack of one per target member")
 
     offsets, w = _gh_rule()
-    mu0 = init.mean[..., 0]
-    sd0 = np.sqrt(init.var[..., 0])
-    lo, hi = target.x[..., :1], target.x[..., -1:]
+    mu0 = init.mean.reshape(-1)
+    sd0 = np.sqrt(init.var.reshape(-1))
+    axes = target.x.reshape(-1, target.x.shape[-1])
+    lo, hi = axes[:, :1], axes[:, -1:]
 
     # Internal coordinates v = ((mu - mu0)/sd0, log(sd/sd0)) keep the descent
     # well-conditioned regardless of how concentrated the target is.
-    def params(v):
-        return mu0 + sd0 * v[..., 0], sd0 * np.exp(v[..., 1])
+    def params(members, v):
+        return mu0[members] + sd0[members] * v[:, 0], sd0[members] * np.exp(v[:, 1])
 
-    def nodes(v):
-        # The quadrature nodes, their offsets from the mean, and the sd.
-        mu, sd = params(v)
-        dx = sd[..., None] * offsets
-        return mu[..., None] + dx, dx, sd
+    def nodes(members, v):
+        # The quadrature nodes of the listed members at v (one row each), their
+        # offsets from the mean, and the sd.
+        mu, sd = params(members, v)
+        dx = sd[:, None] * offsets
+        return mu[:, None] + dx, dx, sd
 
     def expect(f):
         # The Gauss-Hermite expectation of node values, per member.
         return np.sum(w * f, axis=-1)
 
-    def kl_grad_hess(v):
-        x, dx, sd = nodes(v)
-        vals, d1, d2 = target.log_pdf_and_grad_at(x)
+    def kl_grad_hess(members, x, dx, sd):
+        vals, d1, d2 = target.log_pdf_and_grad_at(x, members)
         # KL(q||t) = -H(q) - E_q[log t]; d(-H)/d(log sd) = -1.
         kl = -0.5 * (1.0 + np.log(2.0 * np.pi)) - np.log(sd) - expect(vals)
         # d(node)/dv is sd0 for the mean coordinate and dx for the log sd one.
-        g_mu, g_sd = sd0 * expect(d1), expect(d1 * dx)
-        h_cross = -sd0 * expect(d2 * dx)
+        scale = sd0[members]
+        g_mu, g_sd = scale * expect(d1), expect(d1 * dx)
+        h_cross = -scale * expect(d2 * dx)
         grad = np.stack([-g_mu, -g_sd - 1.0], axis=-1)
         # The nodes are exponential in log sd, which adds the curvature of that map.
-        hess = np.stack([-sd0 * sd0 * expect(d2), h_cross, h_cross, -expect(d2 * dx * dx) - g_sd], axis=-1)
+        hess = np.stack([-scale * scale * expect(d2), h_cross, h_cross, -expect(d2 * dx * dx) - g_sd], axis=-1)
         return kl, grad, hess.reshape(hess.shape[:-1] + (2, 2))
 
     # The componentwise tolerances translate the (mean, log var) sup-norm
     # criterion into the standardized coordinates.
     tol = np.stack([GRAD_TOL * sd0, np.full_like(sd0, 2.0 * GRAD_TOL)], axis=-1)
+    everyone = np.arange(mu0.size)
     v = np.zeros(mu0.shape + (2,))
-    kl, grad, hess = kl_grad_hess(v)
+    kl, grad, hess = kl_grad_hess(everyone, *nodes(everyone, v))
     for _ in range(MAX_ITER):
-        pending = ~np.all(np.abs(grad) < tol, axis=-1)
-        if not np.any(pending):
-            mu, sd = params(v)
-            return DiagonalGaussian(mu[..., None], (sd**2)[..., None])
-        step = np.where(pending[..., None], _descent_step(grad, hess), 0.0)
+        pending = np.flatnonzero(~np.all(np.abs(grad) < tol, axis=-1))
+        if not pending.size:
+            mu, sd = params(everyone, v)
+            return DiagonalGaussian(mu.reshape(init.mean.shape), (sd**2).reshape(init.var.shape))
+        step = _descent_step(grad[pending], hess[pending])
         # Accept rounding-level rises: near the optimum the KL no longer
         # resolves the progress the gradient still shows.
-        slack = 1e-12 * np.maximum(1.0, np.abs(kl))
-        while np.any(pending):
-            trial = v + step
-            x = nodes(trial)[0]
-            # A member whose nodes would leave the support is evaluated where
-            # it stands and rejected; a shorter step stays inside.
-            inside = np.all((x >= lo) & (x <= hi), axis=-1)
-            t_kl, t_grad, t_hess = kl_grad_hess(np.where(inside[..., None], trial, v))
-            accept = pending & inside & (t_kl <= kl + slack)
-            v = np.where(accept[..., None], trial, v)
-            kl = np.where(accept, t_kl, kl)
-            grad = np.where(accept[..., None], t_grad, grad)
-            hess = np.where(accept[..., None, None], t_hess, hess)
-            pending = pending & ~accept
-            step = np.where(pending[..., None], step / 2.0, 0.0)
+        slack = 1e-12 * np.maximum(1.0, np.abs(kl[pending]))
+        while pending.size:
+            trial = v[pending] + step
+            x, dx, sd = nodes(pending, trial)
+            # A member whose nodes would leave the support is rejected
+            # unevaluated; a shorter step stays inside.
+            inside = np.all((x >= lo[pending]) & (x <= hi[pending]), axis=-1)
+            reject = ~inside
+            if np.any(inside):
+                members = pending[inside]
+                t_kl, t_grad, t_hess = kl_grad_hess(members, x[inside], dx[inside], sd[inside])
+                better = t_kl <= kl[members] + slack[inside]
+                accepted = members[better]
+                v[accepted] = trial[inside][better]
+                kl[accepted], grad[accepted], hess[accepted] = t_kl[better], t_grad[better], t_hess[better]
+                reject[inside] = ~better
+            pending, step, slack = pending[reject], step[reject] / 2.0, slack[reject]
     raise RuntimeError(f"damped Newton descent failed to converge within {MAX_ITER} iterations")

@@ -259,7 +259,8 @@ def default_grid_axis(
     lo, hi = np.asarray(theta_hat_ml - half_width), np.asarray(theta_hat_ml + half_width)
     # np.linspace(lo, hi, num, axis=-1) node for node, but each axis
     # contiguous, as the tabulation wants it.
-    x = np.arange(num) * ((hi - lo) / (num - 1))[..., None] + lo[..., None]
+    x = np.arange(num) * ((hi - lo) / (num - 1))[..., None]
+    x += lo[..., None]
     x[..., -1] = hi
     return x
 
@@ -279,7 +280,8 @@ def grid_alpha_posterior(
     map the parameter points ``x[..., None]`` (shape (N, 1), or (k, N, 1))
     to their values (shape (N,), or (k, N)); for a stack, member ``i`` is
     row ``i``, so a likelihood stacked over k samples gives each member its
-    own sample.  Both must be re-entrant (no shared mutable state), and the
+    own sample.  Both must be re-entrant (no shared mutable state) and
+    return a fresh array, which the tabulation overwrites; the
     log-likelihood must be finite on every axis.  Node weights are
     proportional to ``exp(alpha * log_lik + log_prior)``; normalization is
     stabilized by a log-sum-exp shift so that likelihood magnitudes growing
@@ -297,9 +299,10 @@ def grid_alpha_posterior(
     ll = np.asarray(log_lik(pts), dtype=float)
     if not np.all(np.isfinite(ll)):
         raise ValueError("non-finite log-likelihood on a grid node")
-    log_values = alpha[..., None] * ll
-    log_values += np.asarray(log_prior(pts), dtype=float)
-    return GridDensity.from_log_unnormalized(x, log_values)
+    # alpha * log_lik + log_prior, in the log-likelihood's own array.
+    ll *= alpha[..., None]
+    ll += np.asarray(log_prior(pts), dtype=float)
+    return GridDensity.from_log_unnormalized(x, ll)
 
 
 def gaussian_bvm_limit(

@@ -87,7 +87,8 @@ class RegressionDGP:
     population residual standard deviation of that projection,
     ``sqrt(sigma_eps^2 + gamma0' (cov_ZZ - cov_WZ' cov_WW^{-1} cov_WZ) gamma0)``,
     so that the omitted variable is the only misspecification; a derived
-    value of 0 raises ``ValueError``.
+    value of 0 or inf, or a ``sigma_eps`` whose square overflows, raises
+    ``ValueError``.
     """
 
     theta0: np.ndarray
@@ -114,6 +115,11 @@ class RegressionDGP:
             raise ValueError("stacked covariate covariance must be positive definite") from err
         if self.sigma_eps < 0:
             raise ValueError("sigma_eps must be nonnegative")
+        # The error variance, in numpy so that an overflow gives inf, not OverflowError.
+        with np.errstate(over="ignore"):
+            var_eps = np.float64(self.sigma_eps) ** 2
+        if not np.isfinite(var_eps):
+            raise ValueError(f"sigma_eps: {self.sigma_eps!r} is too large: the error variance sigma_eps^2 is not finite")
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "gamma0", gamma0)
         object.__setattr__(self, "cov_WW", cov_ww)
@@ -132,7 +138,10 @@ class RegressionDGP:
         object.__setattr__(self, "_stats_map", stats_map)
         if self.sigma_u is None:
             resid_cov = cov_zz - cov_wz.T @ np.linalg.solve(cov_ww, cov_wz)
-            sigma_u = float(np.sqrt(self.sigma_eps**2 + gamma0 @ resid_cov @ gamma0))
+            with np.errstate(over="ignore"):
+                sigma_u = float(np.sqrt(var_eps + gamma0 @ resid_cov @ gamma0))
+            if not np.isfinite(sigma_u):
+                raise ValueError("sigma_eps, gamma0: the derived sigma_u is not finite; give sigma_u explicitly")
             if sigma_u == 0:
                 raise ValueError(
                     "sigma_eps, gamma0: the derived sigma_u is 0 (no noise, and no part of gamma0'Z "

@@ -376,6 +376,12 @@ class TestCLI:
             ("bvm-convergence", "sigma_eps = 0\ngamma0 = 0", "dgp/prior: ", "sigma_eps"),
             ("optimal-alpha", "theta0 =", "dgp/prior: theta0: ", "at least one"),
             ("optimal-alpha", "gamma0 =", "dgp/prior: gamma0: ", "at least one"),
+            # sigma_eps^2 and the projection's curvature 1 / noise_sd^2 overflow.
+            *[(e, "sigma_eps = 1e200", "dgp/prior: sigma_eps: ", "not finite") for e in EXPERIMENTS],
+            *[
+                ("vbvm-convergence", f"model = laplace-location\nnoise_sd = {sd}", "noise_sd: ", "not finite")
+                for sd in ("1e-300", "1e-200")
+            ],
         ],
     )
     def test_builder_error_names_the_field(self, tmp_path, capsys, experiment, line, prefix, detail):

@@ -432,6 +432,27 @@ class TestGridDensity:
             assert kl_grid(stack, other)[i] == kl_grid(single, single_other)
             assert tv_grid(stack, other)[i] == tv_grid(single, single_other)
 
+    def test_listed_members_match_the_full_evaluation(self):
+        # Any subset of members, in any order, gives those rows of a full
+        # evaluation bit for bit; a single density is member 0 of a stack of one.
+        rng = np.random.default_rng(12)
+        centre = rng.normal(size=5)
+        x = np.linspace(centre - 2.0, centre + 3.0, 301, axis=-1)
+        y = -np.abs(x - 0.3) - x**2
+        stack = GridDensity.from_log_unnormalized(x, y)
+        pts = rng.uniform(x[:, :1], x[:, -1:], size=(5, 40))
+        full = stack.log_pdf_and_grad_at(pts)
+        rows = np.array([3, 0, 4])
+        for got, want in zip(stack.log_pdf_and_grad_at(pts[rows], rows), full):
+            assert got.shape == (3, 40) and np.array_equal(got, want[rows])
+        single = GridDensity.from_log_unnormalized(x[2], y[2])
+        for got, want in zip(single.log_pdf_and_grad_at(pts[2:3], [0]), single.log_pdf_and_grad_at(pts[2])):
+            assert np.array_equal(got[0], want)
+        with pytest.raises(ValueError, match="shape"):
+            stack.log_pdf_and_grad_at(pts[:2], rows)
+        with pytest.raises(ValueError, match="support"):
+            stack.log_pdf_and_grad_at(pts[[1]] + 6.0, [1])
+
     def test_stacked_points_must_match_the_stack(self):
         stack = GridDensity.from_log_unnormalized(np.linspace([0.0, 0.0], [1.0, 2.0], 11, axis=-1), np.zeros((2, 11)))
         with pytest.raises(ValueError, match="shape"):

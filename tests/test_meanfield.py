@@ -14,7 +14,7 @@ from alphapost.meanfield import (
     variational_bvm_limit,
 )
 from alphapost.posteriors import ConjugatePrior, conjugate_alpha_posterior, grid_alpha_posterior
-from alphapost.regression import RegressionDGP, derived_seed, regression_likelihood, simulate
+from alphapost.regression import RegressionDGP, derived_seed, ols, regression_likelihood, simulate
 
 from oracles import (
     coordinate_descent_diag_kl,
@@ -177,6 +177,62 @@ class TestNumericProjection:
         start = DiagonalGaussian(stack.mean, stack.var)
         again = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alphas, axes), start)
         assert_allclose(again.mean, stack.mean, rtol=0.0, atol=1e-9)
+
+    def test_converged_members_are_not_evaluated_again(self, monkeypatch):
+        # Member 1 starts at its own projection, so it has converged before the
+        # first step: every evaluation after the starting points lists only
+        # members still searching, and each member ends where it did before.
+        from alphapost.experiments import laplace_log_prior
+        from alphapost.posteriors import SufficientStats, default_grid_axis
+
+        n, alphas = 200, np.array([0.25, 1.0, 0.5])
+        samples = [np.random.default_rng(derived_seed(5, n, rep)).normal(0.05 * rep, 1.0, n) for rep in range(3)]
+        stats = SufficientStats.stack([SufficientStats.of(np.ones(n), x) for x in samples])
+        axes = default_grid_axis(np.array([x.mean() for x in samples]), 1.0, n, alphas, 2001, scale=14.0)
+        target = grid_alpha_posterior(regression_likelihood(stats, 1.0), laplace_log_prior(), alphas, axes)
+        before = gmf_project_numeric(target)
+        mean, var = target.moments()
+        mean[1], var[1] = before.mean[1, 0], before.var[1, 0]
+
+        calls = []
+        evaluate = GridDensity.log_pdf_and_grad_at
+
+        def recording(self, points, rows=None):
+            calls.append(list(rows))
+            return evaluate(self, points, rows)
+
+        monkeypatch.setattr(GridDensity, "log_pdf_and_grad_at", recording)
+        after = gmf_project_numeric(target, DiagonalGaussian(mean[:, None], var[:, None]))
+        assert calls[0] == [0, 1, 2] and len(calls) > 2
+        assert all(1 not in rows and 0 < len(rows) <= 2 for rows in calls[1:])
+        assert sum(map(len, calls)) < 3 * len(calls)
+        assert np.array_equal(after.mean, before.mean)
+        assert np.array_equal(after.var[[0, 2]], before.var[[0, 2]])
+        assert_allclose(after.var[1], before.var[1], rtol=1e-15)
+
+    def test_one_laplace_stack_keeps_few_stack_sized_arrays(self):
+        # Tabulating and projecting one stack of (rep x alpha) cells holds at
+        # most five (cells x nodes) arrays at once: the axes, the log weights,
+        # and the spline's values, slopes and node differences.
+        import tracemalloc
+
+        from alphapost.experiments import laplace_log_prior
+        from alphapost.posteriors import SufficientStats, default_grid_axis
+
+        n, reps, alphas, nodes = 200, 20, np.array([0.25, 0.5, 0.75, 1.0]), 2001
+        samples = [np.random.default_rng(derived_seed(3, n, rep)).standard_normal(n) for rep in range(reps)]
+        stats = SufficientStats.stack([SufficientStats.of(np.ones(n), x) for x in samples])
+        rep = np.repeat(np.arange(reps), alphas.size)
+        lik = regression_likelihood(SufficientStats(n, stats.gram[rep]), 1.0)
+        stack_bytes = 8 * rep.size * nodes
+        tracemalloc.start()
+        try:
+            axes = default_grid_axis(ols(stats)[rep, 0], 1.0, n, np.tile(alphas, reps), nodes, scale=14.0)
+            gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), np.tile(alphas, reps), axes))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * stack_bytes
 
     def test_a_member_that_does_not_converge_fails_the_stack(self, monkeypatch):
         # Two standard normal targets: one start at the target, one away from

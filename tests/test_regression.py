@@ -56,6 +56,15 @@ class TestRegressionDGP:
             toy_dgp(gamma0=[0.0], sigma_eps=0.0)
         assert toy_dgp(gamma0=[0.0], sigma_eps=0.0, sigma_u=1.0).sigma_u == 1.0
 
+    def test_rejects_an_error_variance_that_overflows(self):
+        # sigma_eps^2 overflows a float; given sigma_u, it is still the model's error variance.
+        for sigma_u in (None, 1.0):
+            with pytest.raises(ValueError, match="^sigma_eps: 1e[+]200 is too large"):
+                toy_dgp(sigma_eps=1e200, sigma_u=sigma_u)
+        with pytest.raises(ValueError, match="^sigma_eps, gamma0: the derived sigma_u is not finite"):
+            toy_dgp(sigma_eps=1.2e154, gamma0=[1.2e154])
+        assert toy_dgp(sigma_eps=1e150).sigma_u > 0.0
+
     def test_rejects_nonpositive_sigma_u(self):
         with pytest.raises(ValueError, match="sigma_u"):
             toy_dgp(sigma_u=0.0)
