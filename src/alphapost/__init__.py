@@ -12,7 +12,8 @@ The library covers these layers:
   Laplace-prior location model.
 * ``meanfield`` -- KL projection onto diagonal Gaussians, in closed form
   for Gaussian targets and numerically for one-dimensional grid targets
-  or stacks of them.
+  or stacks of them; each result is a ``GaussianDist`` with diagonal
+  covariance.
 * ``robustness`` -- expected-KL robustness criteria (the surrogate ones in
   closed form), the optimal tempering level and its large-sample limits.
 * ``regression`` -- the omitted-variable linear regression example with

@@ -447,7 +447,7 @@ def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[
         v = np.array([[1.0 / np.float64(cfg.noise_sd) ** 2]])
     if not np.isfinite(v[0, 0]):
         raise ConfigError(f"noise_sd: {cfg.noise_sd!r} is too small: the curvature 1 / noise_sd^2 is not finite")
-    lim = variational_bvm_limit(theta_hat, v, n, alphas).dist
+    lim = variational_bvm_limit(theta_hat, v, n, alphas)
     log_prior = laplace_log_prior(cfg.prior_loc, cfg.prior_scale)
     cells = np.arange(reps * alphas.size)
     per_block = max(1, _GRID_BLOCK // cfg.grid_points)
@@ -457,7 +457,7 @@ def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[
         grid = default_grid_axis(theta_hat[rep, 0], v[0, 0], n, alpha, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
         lik = regression_likelihood(SufficientStats(n, stats.gram[rep]), cfg.noise_sd)
         proj = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, alpha, grid))
-        kl.append(kl_gaussian(proj.dist, lim[block]))
+        kl.append(kl_gaussian(proj, lim[block]))
     return _cell_rows(n, reps, cfg.alphas, np.concatenate(kl))
 
 
@@ -471,7 +471,7 @@ def _regression_convergence(
     post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, cfg.alphas)
     if project:
         lim = variational_bvm_limit(theta_hat, v, n, cfg.alphas)
-        return _cell_rows(n, cfg.replications, cfg.alphas, kl_gaussian(gmf_project_gaussian(post).dist, lim.dist))
+        return _cell_rows(n, cfg.replications, cfg.alphas, kl_gaussian(gmf_project_gaussian(post), lim))
     lim = gaussian_bvm_limit(theta_hat, v, n, cfg.alphas)
     tv = tv_gaussian(post, lim, budget=cfg.grid_points)
     return _cell_rows(n, cfg.replications, cfg.alphas, tv, kl_gaussian(post, lim))

@@ -8,22 +8,23 @@ of them, is projected numerically by deterministic damped Newton descent on
 (mean, log variance), with the KL evaluated by Gauss-Hermite quadrature
 against a cubic interpolant of the tabulated log density, and its gradient
 and Hessian taken exactly through the quadrature nodes
-(:func:`gmf_project_numeric`).
+(:func:`gmf_project_numeric`).  Every result, the limits of
+:func:`variational_bvm_limit` included, is a :class:`GaussianDist` (or a
+stack) with covariance ``diag(var)``, so it enters the divergences and the
+robustness criteria as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, GridDensity, _result
+from .gaussians import GaussianDist, GridDensity
 from .posteriors import _per_alpha, _replication_major, _tempering
 
 __all__ = [
-    "DiagonalGaussian",
     "gmf_project_gaussian",
     "gmf_project_numeric",
     "variational_bvm_limit",
@@ -34,61 +35,27 @@ GRAD_TOL = 1e-8
 MAX_ITER = 500
 
 
-@dataclass(frozen=True)
-class DiagonalGaussian:
-    """A Gaussian with independent coordinates: mean vector + per-coordinate variances.
-
-    Like :class:`GaussianDist` it may be a stack: ``mean`` and ``var`` of
-    shape (k, p) hold k distributions.
-    """
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        var = np.atleast_1d(np.asarray(self.var, dtype=float))
-        if mean.shape != var.shape:
-            raise ValueError("mean and var must have the same shape")
-        if np.any(var <= 0) or not np.all(np.isfinite(var)):
-            raise ValueError("variances must be positive and finite")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1]
-
-    @property
-    def stacked(self) -> bool:
-        """Whether this is a stack of distributions rather than one."""
-        return self.mean.ndim == 2
-
-    @property
-    def dist(self) -> GaussianDist:
-        """The same distribution (or stack) as a full-covariance :class:`GaussianDist`."""
-        return GaussianDist(self.mean, self.var[..., None] * np.eye(self.dim))
-
-    def entropy(self) -> float | np.ndarray:
-        return _result(0.5 * np.sum(1.0 + np.log(2.0 * np.pi * self.var), axis=-1))
+def _diagonal(mean, var) -> GaussianDist:
+    # The Gaussian, or stack, with independent coordinates of variances ``var``.
+    var = np.asarray(var, dtype=float)
+    return GaussianDist(mean, var[..., None] * np.eye(var.shape[-1]))
 
 
-def gmf_project_gaussian(target: GaussianDist) -> DiagonalGaussian:
+def gmf_project_gaussian(target: GaussianDist) -> GaussianDist:
     """Closed-form KL projection of a Gaussian onto the mean-field family.
 
     The unique minimizer of ``KL(q || target)`` over diagonal Gaussians keeps
-    the target mean and sets ``var_j = 1 / precision_jj``.  Each projected
+    the target mean and sets ``var_j = 1 / precision_jj``: the result is the
+    :class:`GaussianDist` with covariance ``diag(var)``.  Each projected
     variance understates the corresponding marginal variance of the target.
     A stacked target gives the stack of projections.
     """
     precision = np.linalg.inv(target.cov)
-    return DiagonalGaussian(target.mean.copy(), 1.0 / np.diagonal(precision, axis1=-2, axis2=-1))
+    return _diagonal(target.mean.copy(), 1.0 / np.diagonal(precision, axis1=-2, axis2=-1))
 
 
-def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float]) -> DiagonalGaussian:
-    """Mean-field limit: mean at the ML estimator, ``var_j = 1 / (alpha n V_jj)``.
+def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float]) -> GaussianDist:
+    """Mean-field limit: mean at the ML estimator, covariance ``diag(var)`` with ``var_j = 1 / (alpha n V_jj)``.
 
     A stack of estimates (shape (R, p), one per replication) or a vector of
     ``alpha`` gives the stack of limits, replication-major.
@@ -97,7 +64,7 @@ def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float
     V = np.atleast_2d(np.asarray(V, dtype=float))
     mean = np.atleast_1d(np.asarray(theta_hat_ml, dtype=float))
     mean, var = np.broadcast_arrays(_per_alpha(mean, alpha, 1), 1.0 / (alpha[..., None] * n * np.diag(V)))
-    return DiagonalGaussian(_replication_major(mean, 1), _replication_major(var, 1))
+    return _diagonal(_replication_major(mean, 1), _replication_major(var, 1))
 
 
 def _orthonormal_hermite(x: np.ndarray, degree: int) -> np.ndarray:
@@ -145,7 +112,7 @@ def _descent_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     return np.where(descent[..., None], newton, -grad)
 
 
-def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = None) -> DiagonalGaussian:
+def gmf_project_numeric(target: GridDensity, init: GaussianDist | None = None) -> GaussianDist:
     """Numerical KL projection of a grid density, or of each member of a stack, onto the mean-field family.
 
     Minimizes ``KL(q || target)`` by damped Newton iteration on (mean, log sd):
@@ -172,7 +139,7 @@ def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = Non
     has not converged within ``MAX_ITER`` iterations.
     """
     if init is None:
-        init = DiagonalGaussian(*(np.asarray(m)[..., None] for m in target.moments()))
+        init = _diagonal(*(np.asarray(m)[..., None] for m in target.moments()))
     if init.dim != 1:
         raise ValueError(f"init of dimension {init.dim} for a one-dimensional target")
     if init.mean.shape[:-1] != target.x.shape[:-1]:
@@ -180,7 +147,7 @@ def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = Non
 
     offsets, w = _gh_rule()
     mu0 = init.mean.reshape(-1)
-    sd0 = np.sqrt(init.var.reshape(-1))
+    sd0 = np.sqrt(init.cov.reshape(-1))
     axes = target.x.reshape(-1, target.x.shape[-1])
     lo, hi = axes[:, :1], axes[:, -1:]
 
@@ -223,7 +190,7 @@ def gmf_project_numeric(target: GridDensity, init: DiagonalGaussian | None = Non
         pending = np.flatnonzero(~np.all(np.abs(grad) < tol, axis=-1))
         if not pending.size:
             mu, sd = params(everyone, v)
-            return DiagonalGaussian(mu.reshape(init.mean.shape), (sd**2).reshape(init.var.shape))
+            return _diagonal(mu.reshape(init.mean.shape), (sd**2).reshape(init.mean.shape))
         step = _descent_step(grad[pending], hess[pending])
         # Accept rounding-level rises: near the optimum the KL no longer
         # resolves the progress the gradient still shows.

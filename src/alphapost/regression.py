@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussians import GaussianDist, _result, hellinger_sq_gaussian
-from .meanfield import DiagonalGaussian, gmf_project_gaussian
+from .meanfield import gmf_project_gaussian
 from .posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior, gaussian_bvm_limit
 from .robustness import MisspecScenario
 
@@ -424,7 +424,7 @@ def variational_conjugate_cov(
     prior: ConjugatePrior,
     sigma_u: float,
     alpha: float | Sequence[float],
-) -> DiagonalGaussian:
+) -> GaussianDist:
     """Closed-form mean-field approximation of the conjugate tempered posterior.
 
     The KL projection (:func:`gmf_project_gaussian`) of

@@ -277,7 +277,9 @@ def exact_expected_kl(
 
     ``eps_n * KL(true_post || alpha_post) + (1 - eps_n) * KL(std_post || alpha_post)``.
     The same call evaluates the variational criterion when ``alpha_post`` is
-    the diagonal approximation.  Stacked inputs broadcast, as in
+    the mean-field approximation, such as
+    ``gmf_project_gaussian(alpha_post)``, which is a :class:`GaussianDist`
+    with diagonal covariance.  Stacked inputs broadcast, as in
     :func:`~alphapost.gaussians.kl_gaussian`.
     """
     if not 0.0 <= eps_n <= 1.0:

@@ -14,7 +14,6 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 from alphapost.gaussians import GaussianDist, kl_gaussian, log_density
-from alphapost.meanfield import DiagonalGaussian
 from alphapost.regression import mesh_points
 
 
@@ -174,8 +173,15 @@ def perturbed_pair(rng, dim):
     return (mean, cov), (mean + shift, cov_q)
 
 
+def variances(q):
+    """The diagonal of ``q``'s covariance, per member of a stack: a mean-field result's variances."""
+    return np.diagonal(q.cov, axis1=-2, axis2=-1)
+
+
 def penalized_objective(q, log_lik, log_prior, alpha):
     """Evidence-style objective ``E_q[log f_n] - (1/alpha) KL(q || prior)`` for a mean-field ``q``.
+
+    ``q`` is a :class:`GaussianDist` with diagonal covariance.
 
     ``log_lik`` (``log f_n``) and ``log_prior`` map an (N, q.dim) array of
     parameter points to the (N,) array of their values.  Both expectations
@@ -191,12 +197,14 @@ def penalized_objective(q, log_lik, log_prior, alpha):
     w = w / np.sqrt(np.pi)
     mesh = mesh_points([z] * q.dim)
     weights = np.prod(mesh_points([w] * q.dim), axis=1)
-    pts = q.mean + np.sqrt(2.0) * np.sqrt(q.var) * mesh
+    var = variances(q)
+    pts = q.mean + np.sqrt(2.0) * np.sqrt(var) * mesh
     ll = np.asarray(log_lik(pts), dtype=float)
     lp = np.asarray(log_prior(pts), dtype=float)
     if not (np.all(np.isfinite(ll)) and np.all(np.isfinite(lp))):
         raise ValueError("non-finite evaluator values under the quadrature")
-    kl_q_prior = -q.entropy() - float(weights @ lp)
+    entropy = 0.5 * np.sum(1.0 + np.log(2.0 * np.pi * var))
+    kl_q_prior = -entropy - float(weights @ lp)
     return float(weights @ ll) - kl_q_prior / alpha
 
 
@@ -204,7 +212,7 @@ def maximize_penalized_objective(lik, log_prior, alpha, init, xatol=1e-9, max_it
     """Maximizer of ``penalized_objective`` over the Gaussian mean-field family.
 
     Deterministic Nelder-Mead simplex search on (mean, log sd) from the
-    ``DiagonalGaussian`` ``init``; it needs objective values only, so it
+    diagonal :class:`GaussianDist` ``init``; it needs objective values only, so it
     shares nothing with the library's Newton projection.  By the
     objective/projection equivalence the result coincides with the KL
     projection onto the tempered posterior.
@@ -212,10 +220,10 @@ def maximize_penalized_objective(lik, log_prior, alpha, init, xatol=1e-9, max_it
     dim = init.dim
 
     def neg_objective(x):
-        q = DiagonalGaussian(x[:dim], np.exp(2.0 * x[dim:]))
+        q = GaussianDist(x[:dim], np.diag(np.exp(2.0 * x[dim:])))
         return -penalized_objective(q, lik, log_prior, alpha)
 
-    x0 = np.concatenate([init.mean, 0.5 * np.log(init.var)])
+    x0 = np.concatenate([init.mean, 0.5 * np.log(variances(init))])
     res = minimize(
         neg_objective,
         x0,
@@ -224,7 +232,7 @@ def maximize_penalized_objective(lik, log_prior, alpha, init, xatol=1e-9, max_it
     )
     if not res.success:
         raise RuntimeError(f"simplex ascent failed to converge: {res.message}")
-    return DiagonalGaussian(res.x[:dim], np.exp(2.0 * res.x[dim:]))
+    return GaussianDist(res.x[:dim], np.diag(np.exp(2.0 * res.x[dim:])))
 
 
 def laplace_location_objective(mu, s, xbar, n, alpha):

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from alphapost.gaussians import GaussianDist, GridDensity, kl_gaussian
 from alphapost.meanfield import (
     GH_NODES,
-    DiagonalGaussian,
     _gh_rule,
     gmf_project_gaussian,
     gmf_project_numeric,
@@ -22,6 +21,7 @@ from oracles import (
     maximize_penalized_objective,
     minimize_laplace_location_objective,
     penalized_objective,
+    variances,
 )
 
 
@@ -31,36 +31,19 @@ def random_spd_target(rng, dim):
     return GaussianDist(rng.uniform(0.5, 1.5, size=dim), cov)
 
 
-class TestDiagonalGaussian:
-    def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError, match="positive"):
-            DiagonalGaussian([0.0], [0.0])
-
-    def test_rejects_nan_mean(self):
-        with pytest.raises(ValueError, match="finite"):
-            DiagonalGaussian([np.nan], [1.0])
-
-    def test_dist_round_trip(self):
-        q = DiagonalGaussian([1.0, -1.0], [2.0, 0.5])
-        assert_allclose(q.dist.cov, np.diag([2.0, 0.5]))
-        stack = DiagonalGaussian([[1.0, -1.0], [0.0, 0.5]], [[2.0, 0.5], [1.0, 3.0]])
-        assert_allclose(stack.dist.cov, [np.diag([2.0, 0.5]), np.diag([1.0, 3.0])])
-        assert_allclose(stack.entropy(), [q.entropy(), DiagonalGaussian([0.0, 0.5], [1.0, 3.0]).entropy()])
-
-
 class TestClosedFormProjection:
     def test_diagonal_target_unchanged(self):
         target = GaussianDist([1.0, 2.0], np.diag([0.5, 3.0]))
         proj = gmf_project_gaussian(target)
         assert_allclose(proj.mean, target.mean)
-        assert_allclose(proj.var, [0.5, 3.0], rtol=1e-12)
+        assert_allclose(proj.cov, np.diag([0.5, 3.0]), rtol=1e-12)
 
     def test_correlated_example_against_coordinate_descent(self):
         # Precision of [[2,1],[1,2]] is (1/3)[[2,-1],[-1,2]], so both
         # projected variances are 3/2; the numerical oracle agrees.
         target = GaussianDist([0.7, -0.4], [[2.0, 1.0], [1.0, 2.0]])
         proj = gmf_project_gaussian(target)
-        assert_allclose(proj.var, [1.5, 1.5], rtol=1e-12)
+        assert_allclose(proj.cov, np.diag([1.5, 1.5]), rtol=1e-12)
         mean, var = coordinate_descent_diag_kl(
             lambda m, v: kl_gaussian(GaussianDist(m, np.diag(v)), target),
             target.mean,
@@ -68,7 +51,7 @@ class TestClosedFormProjection:
             sweeps=40,
         )
         assert_allclose(mean, proj.mean, atol=1e-7)
-        assert_allclose(var, proj.var, atol=1e-6)
+        assert_allclose(var, variances(proj), atol=1e-6)
 
     def test_stacked_target_projects_each_member(self):
         rng = np.random.default_rng(6)
@@ -78,7 +61,7 @@ class TestClosedFormProjection:
         for i, target in enumerate(targets):
             single = gmf_project_gaussian(target)
             assert np.array_equal(projected.mean[i], single.mean)
-            assert np.array_equal(projected.var[i], single.var)
+            assert np.array_equal(projected.cov[i], single.cov)
 
     def test_variance_understatement(self):
         rng = np.random.default_rng(21)
@@ -86,7 +69,7 @@ class TestClosedFormProjection:
             dim = int(rng.integers(2, 6))
             target = random_spd_target(rng, dim)
             proj = gmf_project_gaussian(target)
-            assert np.all(proj.var <= np.diag(target.cov) + 1e-12)
+            assert np.all(variances(proj) <= np.diag(target.cov) + 1e-12)
 
     def test_perturbing_solution_increases_kl(self):
         rng = np.random.default_rng(22)
@@ -94,13 +77,13 @@ class TestClosedFormProjection:
             dim = int(rng.integers(2, 6))
             target = random_spd_target(rng, dim)
             proj = gmf_project_gaussian(target)
-            base = kl_gaussian(proj.dist, target)
+            base = kl_gaussian(proj, target)
             for j in range(dim):
                 for factor in (0.99, 1.01):
                     mean = proj.mean.copy()
                     mean[j] *= factor
-                    assert kl_gaussian(GaussianDist(mean, np.diag(proj.var)), target) > base
-                    var = proj.var.copy()
+                    assert kl_gaussian(GaussianDist(mean, proj.cov), target) > base
+                    var = variances(proj).copy()
                     var[j] *= factor
                     assert kl_gaussian(GaussianDist(proj.mean, np.diag(var)), target) > base
 
@@ -130,15 +113,15 @@ class TestNumericProjection:
         proj = gmf_project_numeric(grid)
         closed = gmf_project_gaussian(target)
         assert_allclose(proj.mean, closed.mean, atol=1e-5)
-        assert_allclose(proj.var, closed.var, atol=1e-5)
+        assert_allclose(proj.cov, closed.cov, atol=1e-5)
 
     def test_far_init_reaches_same_optimum(self):
         target = GaussianDist(1.0, 2.0)
         grid = GridDensity.from_gaussian(target, np.linspace(-30, 32, 6001))
         default = gmf_project_numeric(grid)
-        far = gmf_project_numeric(grid, DiagonalGaussian([1.0 + 5.0 * np.sqrt(2.0)], [2.0]))
+        far = gmf_project_numeric(grid, GaussianDist(1.0 + 5.0 * np.sqrt(2.0), 2.0))
         assert_allclose(far.mean, default.mean, atol=1e-6)
-        assert_allclose(far.var, default.var, atol=1e-6)
+        assert_allclose(far.cov, default.cov, atol=1e-6)
 
     def test_laplace_posterior_near_limit_at_large_n(self):
         rng = np.random.default_rng(31)
@@ -155,7 +138,7 @@ class TestNumericProjection:
         proj = gmf_project_numeric(post)
         limit = variational_bvm_limit([theta_hat], [[1.0]], n, 1.0)
         assert abs(proj.mean[0] - limit.mean[0]) < 1e-3
-        assert abs(proj.var[0] - limit.var[0]) < 1e-3
+        assert abs(proj.cov[0, 0] - limit.cov[0, 0]) < 1e-3
 
     def test_stack_projects_each_member_as_alone(self):
         # Laplace location posteriors at several (sample, alpha) cells, one
@@ -169,13 +152,12 @@ class TestNumericProjection:
         axes = default_grid_axis(np.array([x.mean() for x in samples]), 1.0, n, alphas, 2001, scale=14.0)
         lik = regression_likelihood(SufficientStats.stack(stats), 1.0)
         stack = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alphas, axes))
-        assert stack.mean.shape == stack.var.shape == (6, 1)
+        assert stack.mean.shape == (6, 1) and stack.cov.shape == (6, 1, 1)
         for i in range(6):
             post = grid_alpha_posterior(regression_likelihood(stats[i], 1.0), laplace_log_prior(), alphas[i], axes[i])
             single = gmf_project_numeric(post)
-            assert np.array_equal(stack.mean[i], single.mean) and np.array_equal(stack.var[i], single.var)
-        start = DiagonalGaussian(stack.mean, stack.var)
-        again = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alphas, axes), start)
+            assert np.array_equal(stack.mean[i], single.mean) and np.array_equal(stack.cov[i], single.cov)
+        again = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alphas, axes), stack)
         assert_allclose(again.mean, stack.mean, rtol=0.0, atol=1e-9)
 
     def test_converged_members_are_not_evaluated_again(self, monkeypatch):
@@ -192,7 +174,7 @@ class TestNumericProjection:
         target = grid_alpha_posterior(regression_likelihood(stats, 1.0), laplace_log_prior(), alphas, axes)
         before = gmf_project_numeric(target)
         mean, var = target.moments()
-        mean[1], var[1] = before.mean[1, 0], before.var[1, 0]
+        mean[1], var[1] = before.mean[1, 0], before.cov[1, 0, 0]
 
         calls = []
         evaluate = GridDensity.log_pdf_and_grad_at
@@ -202,13 +184,13 @@ class TestNumericProjection:
             return evaluate(self, points, rows)
 
         monkeypatch.setattr(GridDensity, "log_pdf_and_grad_at", recording)
-        after = gmf_project_numeric(target, DiagonalGaussian(mean[:, None], var[:, None]))
+        after = gmf_project_numeric(target, GaussianDist(mean[:, None], var[:, None, None]))
         assert calls[0] == [0, 1, 2] and len(calls) > 2
         assert all(1 not in rows and 0 < len(rows) <= 2 for rows in calls[1:])
         assert sum(map(len, calls)) < 3 * len(calls)
         assert np.array_equal(after.mean, before.mean)
-        assert np.array_equal(after.var[[0, 2]], before.var[[0, 2]])
-        assert_allclose(after.var[1], before.var[1], rtol=1e-15)
+        assert np.array_equal(after.cov[[0, 2]], before.cov[[0, 2]])
+        assert_allclose(after.cov[1], before.cov[1], rtol=1e-15)
 
     def test_one_laplace_stack_keeps_few_stack_sized_arrays(self):
         # Tabulating and projecting one stack of (rep x alpha) cells holds at
@@ -241,7 +223,7 @@ class TestNumericProjection:
 
         x = np.linspace([-30.0, -30.0], [30.0, 30.0], 3001, axis=-1)
         stack = GridDensity.from_log_unnormalized(x, -0.5 * x**2)
-        start = DiagonalGaussian([[0.0], [1.0]], [[1.0], [2.0]])
+        start = GaussianDist([[0.0], [1.0]], [[[1.0]], [[2.0]]])
         monkeypatch.setattr(meanfield, "MAX_ITER", 1)
         with pytest.raises(RuntimeError, match="converge"):
             gmf_project_numeric(stack, start)
@@ -250,17 +232,17 @@ class TestNumericProjection:
         target = GaussianDist(0.0, 1.0)
         grid = GridDensity.from_gaussian(target, np.linspace(-6, 6, 1001))
         with pytest.raises(ValueError, match="support"):
-            gmf_project_numeric(grid, DiagonalGaussian([5.0], [1.0]))
+            gmf_project_numeric(grid, GaussianDist(5.0, 1.0))
 
     def test_stacked_init_rejected(self):
         grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-8, 8, 1001))
         with pytest.raises(ValueError, match="stack"):
-            gmf_project_numeric(grid, DiagonalGaussian([[0.0], [0.1]], [[1.0], [1.0]]))
+            gmf_project_numeric(grid, GaussianDist([[0.0], [0.1]], [[[1.0]], [[1.0]]]))
 
     def test_dimension_above_two_rejected(self):
         grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-8, 8, 1001))
         with pytest.raises(ValueError, match="dimension 3"):
-            gmf_project_numeric(grid, DiagonalGaussian(np.zeros(3), np.ones(3)))
+            gmf_project_numeric(grid, GaussianDist(np.zeros(3), np.eye(3)))
 
     @pytest.mark.xfail(
         strict=True,
@@ -281,7 +263,7 @@ class TestNumericProjection:
                 grid = default_grid_axis(xbar, 1.0, n, alpha, 2001, scale=14.0)
                 proj = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alpha, grid))
                 best = minimize_laplace_location_objective(xbar, n, alpha)
-                got = laplace_location_objective(proj.mean[0], np.sqrt(proj.var[0]), xbar, n, alpha)
+                got = laplace_location_objective(proj.mean[0], np.sqrt(proj.cov[0, 0]), xbar, n, alpha)
                 assert got - best < 1e-9, (n, alpha, got - best)
 
 
@@ -293,17 +275,17 @@ class TestVariationalBvmLimit:
         lim = variational_bvm_limit([0.1, 0.2], v, 50, 0.5)
         projected = gmf_project_gaussian(gaussian_bvm_limit([0.1, 0.2], v, 50, 0.5))
         assert_allclose(lim.mean, projected.mean)
-        assert_allclose(lim.var, projected.var, rtol=1e-12)
+        assert_allclose(lim.cov, projected.cov, rtol=1e-12)
 
     def test_correlated_curvature_value(self):
         lim = variational_bvm_limit([0.0, 0.0], [[2.0, 1.0], [1.0, 2.0]], 100, 1.0)
-        assert_allclose(lim.var, [1.0 / 200.0, 1.0 / 200.0], rtol=1e-12)
+        assert_allclose(lim.cov, np.eye(2) / 200.0, rtol=1e-12)
 
     def test_half_alpha_doubles_variances(self):
         v = [[2.0, 1.0], [1.0, 2.0]]
         assert_allclose(
-            variational_bvm_limit([0.0, 0.0], v, 100, 0.5).var,
-            2.0 * variational_bvm_limit([0.0, 0.0], v, 100, 1.0).var,
+            variational_bvm_limit([0.0, 0.0], v, 100, 0.5).cov,
+            2.0 * variational_bvm_limit([0.0, 0.0], v, 100, 1.0).cov,
             rtol=1e-12,
         )
 
@@ -314,7 +296,7 @@ class TestVariationalBvmLimit:
         for i, alpha in enumerate((0.5, 1.0)):
             single = variational_bvm_limit([0.1, 0.2], v, 100, alpha)
             assert np.array_equal(stack.mean[i], single.mean)
-            assert np.array_equal(stack.var[i], single.var)
+            assert np.array_equal(stack.cov[i], single.cov)
 
 
 def conjugate_1d_setup(seed=5, n=200, alpha=1.0):
@@ -339,22 +321,22 @@ class TestPenalizedObjective:
             grid = np.linspace(post.mean[0] - 14 * sd, post.mean[0] + 14 * sd, 2001)
             grid_post = grid_alpha_posterior(lik, log_prior, alpha, grid)
             projected = gmf_project_numeric(grid_post)
-            init = DiagonalGaussian(post.mean + 0.5 * sd, np.diag(post.cov) * 1.5)
+            init = GaussianDist(post.mean + 0.5 * sd, post.cov * 1.5)
             maximized = maximize_penalized_objective(lik, log_prior, alpha, init)
             assert_allclose(maximized.mean, projected.mean, atol=1e-5)
-            assert_allclose(maximized.var, projected.var, atol=1e-5)
+            assert_allclose(maximized.cov, projected.cov, atol=1e-5)
 
     def test_objective_gap_equals_scaled_kl_gap(self):
         # Obj(q1) - Obj(q2) = -(1/alpha) (KL(q1||post) - KL(q2||post)); the
         # conjugate posterior is Gaussian so the right side is exact.
         alpha = 0.5
         lik, log_prior, post = conjugate_1d_setup(alpha=alpha)
-        q1 = DiagonalGaussian(post.mean, np.diag(post.cov))
-        q2 = DiagonalGaussian(post.mean + 0.03, np.diag(post.cov) * 1.3)
+        q1 = GaussianDist(post.mean, post.cov)
+        q2 = GaussianDist(post.mean + 0.03, post.cov * 1.3)
         gap = penalized_objective(q1, lik, log_prior, alpha) - penalized_objective(
             q2, lik, log_prior, alpha
         )
-        kl_gap = kl_gaussian(q1.dist, post) - kl_gaussian(q2.dist, post)
+        kl_gap = kl_gaussian(q1, post) - kl_gaussian(q2, post)
         assert abs(gap + kl_gap / alpha) < 1e-6
 
     def test_large_alpha_tracks_likelihood_argmax(self):
@@ -363,18 +345,18 @@ class TestPenalizedObjective:
         sd = float(np.sqrt(post.cov[0, 0]))
         axes = np.linspace(post.mean[0] - 10 * sd, post.mean[0] + 10 * sd, 2001)
         lik_argmax = axes[int(np.argmax(lik(axes[:, None])))]
-        init = DiagonalGaussian(post.mean, np.diag(post.cov))
+        init = GaussianDist(post.mean, post.cov)
         maximized = maximize_penalized_objective(lik, log_prior, alpha, init)
         assert abs(maximized.mean[0] - lik_argmax) <= axes[1] - axes[0]
 
     def test_rejects_nonpositive_alpha(self):
         lik, log_prior, _ = conjugate_1d_setup()
-        q = DiagonalGaussian([1.0], [0.01])
+        q = GaussianDist(1.0, 0.01)
         with pytest.raises(ValueError, match="alpha"):
             penalized_objective(q, lik, log_prior, 0.0)
 
     def test_rejects_dimension_mismatch(self):
         lik, log_prior, _ = conjugate_1d_setup()
-        q = DiagonalGaussian([1.0, 0.0], [0.01, 0.01])
+        q = GaussianDist([1.0, 0.0], np.diag([0.01, 0.01]))
         with pytest.raises(ValueError, match="dimension"):
             penalized_objective(q, lik, log_prior, 1.0)

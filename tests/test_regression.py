@@ -368,7 +368,7 @@ class TestVariationalConjugateCov:
         prior = ConjugatePrior(np.zeros(2), np.diag([1.0, 2.0]))
         post = conjugate_alpha_posterior(ds2.stats().first_columns(dgp.p), prior, 1.0, 0.5)
         vc = variational_conjugate_cov(ds2.stats().first_columns(dgp.p), prior, 1.0, 0.5)
-        assert_allclose(vc.var, np.diag(post.cov), rtol=1e-10)
+        assert_allclose(vc.cov, np.diag(np.diag(post.cov)), rtol=1e-10)
 
     def test_matches_closed_form_projection(self):
         dgp = toy_dgp()
@@ -379,7 +379,7 @@ class TestVariationalConjugateCov:
             vc = variational_conjugate_cov(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
             proj = gmf_project_gaussian(post)
             assert_allclose(vc.mean, proj.mean, rtol=1e-12)
-            assert_allclose(vc.var, proj.var, rtol=1e-12)
+            assert_allclose(vc.cov, proj.cov, rtol=1e-12)
 
     def test_understates_marginal_variances(self):
         dgp = RegressionDGP(
@@ -394,7 +394,7 @@ class TestVariationalConjugateCov:
         prior = ConjugatePrior(np.zeros(2), np.eye(2))
         post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
         vc = variational_conjugate_cov(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
-        assert np.all(vc.var <= np.diag(post.cov) + 1e-15)
+        assert np.all(np.diag(vc.cov) <= np.diag(post.cov) + 1e-15)
 
 
 class TestTruePosterior:
@@ -629,7 +629,7 @@ class TestStacksMatchSingleSamples:
         self.assert_members(post.cov, np.concatenate([e.cov for e in each]), p)
         vc = variational_conjugate_cov(stack.first_columns(p), prior, dgp.sigma_u, alphas)
         each = [variational_conjugate_cov(s, prior, dgp.sigma_u, alphas) for s in short]
-        self.assert_members(vc.var, np.concatenate([e.var for e in each]), p)
+        self.assert_members(vc.cov, np.concatenate([e.cov for e in each]), p)
         true_post, omega = true_posterior_theta(stack, full_prior, dgp.sigma_eps, p)
         each = [true_posterior_theta(s, full_prior, dgp.sigma_eps, p) for s in singles]
         self.assert_members(true_post.mean, [e[0].mean for e in each], p)
