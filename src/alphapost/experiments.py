@@ -594,9 +594,18 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig], tuple[list[str], list[list]]
 
 
 def run_experiment(cfg: ExperimentConfig, experiment: str) -> tuple[list[str], list[list]]:
-    """Validate the config and produce the experiment's column names and rows."""
+    """Validate the config and produce the experiment's column names and rows.
+
+    A NaN or infinite cell raises ``ValueError`` naming its column, so no
+    output is written from it.
+    """
     cfg.validate(experiment)
-    return EXPERIMENTS[experiment](cfg)
+    columns, rows = EXPERIMENTS[experiment](cfg)
+    finite = np.isfinite(np.array(rows, dtype=float).reshape(len(rows), len(columns))).all(axis=0)
+    if not finite.all():
+        bad = ", ".join(name for name, ok in zip(columns, finite) if not ok)
+        raise ValueError(f"{bad}: not every result is finite")
+    return columns, rows
 
 
 def _format_cell(value) -> str:

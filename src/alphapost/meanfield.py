@@ -55,9 +55,10 @@ def gmf_project_gaussian(target: GaussianDist) -> GaussianDist:
 
 
 def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float]) -> GaussianDist:
-    """Mean-field limit: mean at the ML estimator, covariance ``diag(var)`` with ``var_j = 1 / (alpha n V_jj)``.
+    """Mean-field limit: mean at the ML estimator, ``var_j = 1 / (alpha n V_jj)``.
 
-    A stack of estimates (shape (R, p), one per replication) or a vector of
+    The limit is the :class:`GaussianDist` with covariance ``diag(var)``.  A
+    stack of estimates (shape (R, p), one per replication) or a vector of
     ``alpha`` gives the stack of limits, replication-major.
     """
     alpha = _tempering(alpha)
@@ -122,10 +123,12 @@ def gmf_project_numeric(target: GridDensity, init: GaussianDist | None = None) -
     locations).  Each iteration takes the Newton step when it is a descent
     direction and the negative gradient otherwise, halving it while the KL
     rises or quadrature nodes leave the tabulated support, and the
-    iteration terminates when both gradient components of (mean, log
-    variance) are below ``GRAD_TOL``.  The default starting point is
-    moment-matched to the target, which makes the reported minimizer
-    reproducible.
+    iteration terminates when the mean's gradient standardized by the
+    starting sd, ``sd0 dKL/dmu``, and the log variance's gradient are both
+    below ``GRAD_TOL``: the rule does not depend on the target's scale, so
+    it stays within floating point resolution for a narrow posterior.  The
+    default starting point is moment-matched to the target, which makes the
+    reported minimizer reproducible.
 
     A stack of k targets (``init`` then ``None`` or a stack of k
     one-dimensional Gaussians) runs all k descents in one loop: each member
@@ -180,9 +183,9 @@ def gmf_project_numeric(target: GridDensity, init: GaussianDist | None = None) -
         hess = np.stack([-scale * scale * expect(d2), h_cross, h_cross, -expect(d2 * dx * dx) - g_sd], axis=-1)
         return kl, grad, hess.reshape(hess.shape[:-1] + (2, 2))
 
-    # The componentwise tolerances translate the (mean, log var) sup-norm
-    # criterion into the standardized coordinates.
-    tol = np.stack([GRAD_TOL * sd0, np.full_like(sd0, 2.0 * GRAD_TOL)], axis=-1)
+    # The mean's gradient in v is sd0 dKL/dmu, free of the target's scale, and
+    # the log sd one is twice the log var one.
+    tol = np.array([GRAD_TOL, 2.0 * GRAD_TOL])
     everyone = np.arange(mu0.size)
     v = np.zeros(mu0.shape + (2,))
     kl, grad, hess = kl_grad_hess(everyone, *nodes(everyone, v))

@@ -338,7 +338,9 @@ def _log_tilted_mass(t: np.ndarray, beta: np.ndarray) -> np.ndarray:
     b, tr = beta[right], t[right]
     out[right] = 0.5 * b * b - b * tr + np.log(_ndtr(-x[right]))
     xl, tl = x[~right], t[~right]
-    out[~right] = -0.5 * tl * tl - _LOG_SQRT_2PI - np.log(xl + _positive_part_mean(-xl))
+    # A t whose square overflows gives -inf: the log of a vanishing mass.
+    with np.errstate(over="ignore"):
+        out[~right] = -0.5 * tl * tl - _LOG_SQRT_2PI - np.log(xl + _positive_part_mean(-xl))
     return out
 
 

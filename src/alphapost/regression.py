@@ -78,6 +78,16 @@ def derived_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _finite_square(name: str, value: float) -> np.float64:
+    # value^2 in numpy, so that an overflow gives inf, not OverflowError, and
+    # is rejected naming the field.
+    with np.errstate(over="ignore"):
+        square = np.float64(value) ** 2
+    if not np.isfinite(square):
+        raise ValueError(f"{name}: {value!r} is too large: {name}^2 is not finite")
+    return square
+
+
 @dataclass(frozen=True)
 class RegressionDGP:
     """True data-generating process and the analyst's working model.
@@ -87,8 +97,8 @@ class RegressionDGP:
     population residual standard deviation of that projection,
     ``sqrt(sigma_eps^2 + gamma0' (cov_ZZ - cov_WZ' cov_WW^{-1} cov_WZ) gamma0)``,
     so that the omitted variable is the only misspecification; a derived
-    value of 0 or inf, or a ``sigma_eps`` whose square overflows, raises
-    ``ValueError``.
+    value of 0 or inf, or a ``sigma_eps`` or ``sigma_u`` whose square
+    overflows, raises ``ValueError``.
     """
 
     theta0: np.ndarray
@@ -115,11 +125,7 @@ class RegressionDGP:
             raise ValueError("stacked covariate covariance must be positive definite") from err
         if self.sigma_eps < 0:
             raise ValueError("sigma_eps must be nonnegative")
-        # The error variance, in numpy so that an overflow gives inf, not OverflowError.
-        with np.errstate(over="ignore"):
-            var_eps = np.float64(self.sigma_eps) ** 2
-        if not np.isfinite(var_eps):
-            raise ValueError(f"sigma_eps: {self.sigma_eps!r} is too large: the error variance sigma_eps^2 is not finite")
+        var_eps = _finite_square("sigma_eps", self.sigma_eps)
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "gamma0", gamma0)
         object.__setattr__(self, "cov_WW", cov_ww)
@@ -150,6 +156,8 @@ class RegressionDGP:
             object.__setattr__(self, "sigma_u", sigma_u)
         elif self.sigma_u <= 0:
             raise ValueError("sigma_u must be positive")
+        else:
+            _finite_square("sigma_u", self.sigma_u)
 
     @property
     def p(self) -> int:
@@ -428,8 +436,9 @@ def variational_conjugate_cov(
     """Closed-form mean-field approximation of the conjugate tempered posterior.
 
     The KL projection (:func:`gmf_project_gaussian`) of
-    :func:`conjugate_alpha_posterior`, stacked as it is: same mean as the
-    tempered posterior; the variances invert the diagonal of its precision,
+    :func:`conjugate_alpha_posterior`, stacked as it is: a
+    :class:`GaussianDist` with the mean of the tempered posterior and a
+    diagonal covariance whose variances invert the diagonal of its precision,
     so each coordinate's variance is never above the corresponding
     tempered-posterior marginal variance.
     """

@@ -376,8 +376,9 @@ class TestCLI:
             ("bvm-convergence", "sigma_eps = 0\ngamma0 = 0", "dgp/prior: ", "sigma_eps"),
             ("optimal-alpha", "theta0 =", "dgp/prior: theta0: ", "at least one"),
             ("optimal-alpha", "gamma0 =", "dgp/prior: gamma0: ", "at least one"),
-            # sigma_eps^2 and the projection's curvature 1 / noise_sd^2 overflow.
+            # sigma_eps^2, sigma_u^2 and the projection's curvature 1 / noise_sd^2 overflow.
             *[(e, "sigma_eps = 1e200", "dgp/prior: sigma_eps: ", "not finite") for e in EXPERIMENTS],
+            *[(e, "sigma_u = 1e300", "dgp/prior: sigma_u: ", "not finite") for e in EXPERIMENTS],
             *[
                 ("vbvm-convergence", f"model = laplace-location\nnoise_sd = {sd}", "noise_sd: ", "not finite")
                 for sd in ("1e-300", "1e-200")
@@ -419,6 +420,39 @@ class TestCLI:
         )
         rc = self.run_cli(["robustness-curve", "--config", str(cfg_path), "--out", str(tmp_path / "nf")])
         assert rc == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "experiment, line, column",
+        [
+            ("bvm-convergence", "mu_pi = 1e300", "tv, kl"),
+            ("vbvm-convergence", "mu_pi = 1e300", "kl"),
+            ("robustness-curve", "full_prior_mu = 1e300,0", "r_exact"),
+        ],
+    )
+    def test_non_finite_results_are_a_numerical_failure(self, tmp_path, capsys, experiment, line, column):
+        cfg_path = write_config(tmp_path, f"seed = 1\nn_grid = 50\nn = 50\nreplications = 1\n{line}\n")
+        out = tmp_path / "nf"
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"numerical failure: {column}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, noise_sd",
+        [
+            *[("vbvm-convergence", sd) for sd in ("1e-8", "1e-10", "1e-15", "1e-20", "1e-50", "1e-150")],
+            ("bvm-convergence", "1e-300"),
+        ],
+    )
+    def test_narrow_laplace_posteriors_run(self, tmp_path, experiment, noise_sd):
+        # The projection's stopping rule is scale free, and the exact
+        # divergences stay quiet where the posterior is narrower than any float.
+        cfg_path = write_config(
+            tmp_path,
+            "seed = 1\nn_grid = 50\nreplications = 1\nmodel = laplace-location\ngrid_points = 401\n"
+            f"noise_sd = {noise_sd}\n",
+        )
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "narrow")]) == 0
 
     def test_rank_deficient_replication_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
         # The second replication's W is all zeros, so its stacked rank check fails.

@@ -64,6 +64,8 @@ class TestRegressionDGP:
         with pytest.raises(ValueError, match="^sigma_eps, gamma0: the derived sigma_u is not finite"):
             toy_dgp(sigma_eps=1.2e154, gamma0=[1.2e154])
         assert toy_dgp(sigma_eps=1e150).sigma_u > 0.0
+        with pytest.raises(ValueError, match="^sigma_u: 1e[+]300 is too large"):
+            toy_dgp(sigma_u=1e300)
 
     def test_rejects_nonpositive_sigma_u(self):
         with pytest.raises(ValueError, match="sigma_u"):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from alphapost.gaussians import GaussianDist, kl_gaussian
+from alphapost.meanfield import gmf_project_gaussian
 from alphapost.robustness import (
     FiniteSampleInputs,
     MisspecScenario,
@@ -259,6 +260,13 @@ class TestExactExpectedKL:
         k2 = kl_gaussian(std_post, alpha_post)
         got = exact_expected_kl(true_post, alpha_post, std_post, 0.3)
         assert_allclose(got, 0.3 * k1 + 0.7 * k2, rtol=1e-14)
+
+    def test_mean_field_report_goes_in_as_it_is(self):
+        true_post = GaussianDist([0.3, -0.1], [[0.02, 0.004], [0.004, 0.03]])
+        std_post = GaussianDist([0.05, 0.0], [[0.01, 0.003], [0.003, 0.02]])
+        q = gmf_project_gaussian(GaussianDist([0.1, 0.05], [[0.04, 0.01], [0.01, 0.05]]))
+        got = exact_expected_kl(true_post, q, std_post, 0.3)
+        assert_allclose(got, 0.3 * kl_gaussian(true_post, q) + 0.7 * kl_gaussian(std_post, q), rtol=1e-14)
 
     def test_stacked_report_broadcasts(self):
         true_post, std_post = GaussianDist(0.3, 0.02), GaussianDist(0.05, 0.01)
