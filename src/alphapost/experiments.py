@@ -601,7 +601,7 @@ def run_experiment(cfg: ExperimentConfig, experiment: str) -> tuple[list[str], l
     """
     cfg.validate(experiment)
     columns, rows = EXPERIMENTS[experiment](cfg)
-    finite = np.isfinite(np.array(rows, dtype=float).reshape(len(rows), len(columns))).all(axis=0)
+    finite = np.isfinite(np.array(rows, dtype=float)).all(axis=0)
     if not finite.all():
         bad = ", ".join(name for name, ok in zip(columns, finite) if not ok)
         raise ValueError(f"{bad}: not every result is finite")
