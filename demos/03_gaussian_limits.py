@@ -44,7 +44,7 @@ for n in (50, 200, 1000, 5000):
 # Vanishing tempering alpha_n = 1/n: the posterior no longer matches the
 # would-be limit, and the squared Hellinger gap settles above zero.
 dgp = RegressionDGP(
-    theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_WW=[[1.0]], cov_WZ=[[0.5]], cov_ZZ=[[1.0]],
+    theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_ww=[[1.0]], cov_wz=[[0.5]], cov_zz=[[1.0]],
     sigma_u=1.0,
 )
 prior = ConjugatePrior([0.0], [[1.0]])

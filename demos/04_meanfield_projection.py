@@ -43,9 +43,9 @@ dgp = RegressionDGP(
     theta0=[1.0, 0.5],
     gamma0=[1.0],
     sigma_eps=1.0,
-    cov_WW=[[1.0, 0.6], [0.6, 1.0]],
-    cov_WZ=[[0.5], [0.3]],
-    cov_ZZ=[[1.0]],
+    cov_ww=[[1.0, 0.6], [0.6, 1.0]],
+    cov_wz=[[0.5], [0.3]],
+    cov_zz=[[1.0]],
 )
 w = simulate(dgp, 200, 3).stats().first_columns(dgp.p)
 prior = ConjugatePrior([0.0, 0.0], np.eye(2))

@@ -29,7 +29,7 @@ from alphapost import (
 )
 
 dgp = RegressionDGP(
-    theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_WW=[[1.0]], cov_WZ=[[0.5]], cov_ZZ=[[1.0]]
+    theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_ww=[[1.0]], cov_wz=[[0.5]], cov_zz=[[1.0]]
 )
 print("pseudo-true parameter:", pseudo_true(dgp), " (true 1.0 + bias 0.5)")
 print("likelihood curvature: ", curvature(dgp))

@@ -238,43 +238,9 @@ class ExperimentConfig:
         return len(self.gamma0)
 
     def dgp(self) -> RegressionDGP:
-        # The coefficients and covariance blocks are checked here, where their
-        # field names are known; RegressionDGP names sigma_eps and sigma_u itself.
-        for name in ("theta0", "gamma0"):
-            if not getattr(self, name):
-                raise ConfigError(f"dgp/prior: {name}: must have at least one coefficient")
-        p, d = self.p, self.d
-        blocks = {}
-        for name, rows, cols in (("cov_ww", p, p), ("cov_wz", p, d), ("cov_zz", d, d)):
-            try:
-                block = np.array(getattr(self, name), dtype=float)
-            except ValueError as err:
-                raise ConfigError(f"dgp/prior: {name}: every row must have the same length") from err
-            # cov_wz is reshaped to p x d, so a single row or column also serves.
-            if block.size != rows * cols or (name != "cov_wz" and block.shape != (rows, cols)):
-                raise ConfigError(
-                    f"dgp/prior: {name}: must be a {rows} x {cols} matrix since p = {p} and d = {d}, "
-                    f"got shape {block.shape}"
-                )
-            blocks[name] = block.reshape(rows, cols)
-        ww, wz, zz = blocks["cov_ww"], blocks["cov_wz"], blocks["cov_zz"]
+        # RegressionDGP's fields are the config's, and its errors name them.
         try:
-            np.linalg.cholesky(np.block([[ww, wz], [wz.T, zz]]))
-        except np.linalg.LinAlgError as err:
-            raise ConfigError(
-                "dgp/prior: cov_ww, cov_wz, cov_zz: the covariance [[cov_ww, cov_wz], [cov_wz', cov_zz]] "
-                "of (W, Z) must be positive definite"
-            ) from err
-        try:
-            return RegressionDGP(
-                theta0=np.array(self.theta0),
-                gamma0=np.array(self.gamma0),
-                sigma_eps=self.sigma_eps,
-                cov_WW=ww,
-                cov_WZ=wz,
-                cov_ZZ=zz,
-                sigma_u=self.sigma_u,
-            )
+            return RegressionDGP(**{f.name: getattr(self, f.name) for f in fields(RegressionDGP)})
         except ValueError as err:
             raise ConfigError(f"dgp/prior: {err}") from err
 
@@ -288,10 +254,11 @@ class ExperimentConfig:
         return _conjugate_prior("full_prior_mu", mu, "full_prior_sigma", sig, "p + d", k)
 
     def scenario(self) -> MisspecScenario:
-        if self.sigma_eps <= 0:
+        # The float square, which may underflow; one that overflows is the DGP's to reject.
+        if not (self.sigma_eps > 0 and self.sigma_eps * self.sigma_eps > 0):
             raise ConfigError(
-                "sigma_eps: must be positive, since the correctly specified posterior's covariance scale "
-                "Omega is zero at sigma_eps = 0"
+                f"sigma_eps: must be positive with a positive square, got {self.sigma_eps!r}, since Omega, "
+                "the correctly specified posterior's covariance scale, is sigma_eps^2 times a positive definite matrix"
             )
         return misspec_scenario(self.dgp(), self.eps)
 

@@ -68,6 +68,29 @@ def _result(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _symmetric(mat: np.ndarray, name: str) -> np.ndarray:
+    """``(M + M') / 2`` for ``M`` (or each of a stack) finite and symmetric within ``_SYM_RTOL`` of its largest entry.
+
+    Otherwise raises ``ValueError``: ``<name> must be finite``, or ``symmetric``.
+    """
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} must be finite")
+    mat_t = np.swapaxes(mat, -1, -2)
+    scale = np.maximum(np.max(np.abs(mat), axis=(-2, -1)), 1e-300)
+    if np.any(np.max(np.abs(mat - mat_t), axis=(-2, -1)) > _SYM_RTOL * scale):
+        raise ValueError(f"{name} must be symmetric")
+    return (mat + mat_t) / 2.0
+
+
+def _spd_cholesky(mat: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_symmetric`'s matrix and its Cholesky factor, or ``ValueError``: ``<name> must be positive definite``."""
+    sym = _symmetric(mat, name)
+    try:
+        return sym, np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"{name} must be positive definite") from err
+
+
 @dataclass(frozen=True)
 class GaussianDist:
     """A multivariate normal distribution N(mean, cov), or a stack of them.
@@ -91,17 +114,9 @@ class GaussianDist:
             raise ValueError("mean must be a vector or a stack of vectors")
         if cov.shape != mean.shape + mean.shape[-1:]:
             raise ValueError(f"covariance shape {cov.shape} does not match mean shape {mean.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and covariance must be finite")
-        cov_t = np.swapaxes(cov, -1, -2)
-        scale = np.maximum(np.max(np.abs(cov), axis=(-2, -1)), 1e-300)
-        if np.any(np.max(np.abs(cov - cov_t), axis=(-2, -1)) > _SYM_RTOL * scale):
-            raise ValueError("covariance must be symmetric")
-        cov = (cov + cov_t) / 2.0
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as err:
-            raise ValueError("covariance is not positive definite") from err
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
+        cov, chol = _spd_cholesky(cov, "covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", chol)
@@ -175,7 +190,9 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float | np.ndarray:
     a = np.linalg.solve(q.chol, p.chol)
     trace = np.sum(a * a, axis=(-2, -1))
     y = _solve_lower(q.chol, q.mean - p.mean)
-    quad = np.sum(y * y, axis=-1)
+    # An offset whose square overflows gives KL = inf, its limit.
+    with np.errstate(over="ignore"):
+        quad = np.sum(y * y, axis=-1)
     log_det_ratio = 2.0 * (_half_log_det(q.chol) - _half_log_det(p.chol))
     val = 0.5 * (log_det_ratio + trace + quad - p.dim)
     return _result(np.where((-_KL_SLACK < val) & (val < 0.0), 0.0, val))
@@ -194,12 +211,10 @@ def hellinger_sq_gaussian(p: GaussianDist, q: GaussianDist) -> float | np.ndarra
     mid_cov = (p.cov + q.cov) / 2.0
     mid = GaussianDist(np.broadcast_to(p.mean, mid_cov.shape[:-1]), mid_cov)
     y = _solve_lower(mid.chol, p.mean - q.mean)
-    log_affinity = (
-        0.5 * _half_log_det(p.chol)
-        + 0.5 * _half_log_det(q.chol)
-        - _half_log_det(mid.chol)
-        - np.sum(y * y, axis=-1) / 8.0
-    )
+    # An offset whose square overflows gives affinity 0, its limit.
+    with np.errstate(over="ignore"):
+        quad = np.sum(y * y, axis=-1)
+    log_affinity = 0.5 * _half_log_det(p.chol) + 0.5 * _half_log_det(q.chol) - _half_log_det(mid.chol) - quad / 8.0
     return _result(np.clip(-np.expm1(log_affinity), 0.0, 1.0))
 
 
@@ -331,7 +346,9 @@ def _positive_part_mean(a) -> np.ndarray:
     out = np.empty_like(a)
     near = a >= -_CF_FROM
     b = a[near]
-    out[near] = b + np.exp(-0.5 * b * b - _LOG_SQRT_2PI - np.log(_ndtr(b)))
+    # Where b^2 overflows, phi(b) is 0, its limit.
+    with np.errstate(over="ignore"):
+        out[near] = b + np.exp(-0.5 * b * b - _LOG_SQRT_2PI - np.log(_ndtr(b)))
     x = -a[~near]
     tail = np.zeros_like(x)
     for k in range(_CF_TERMS, 1, -1):
@@ -366,7 +383,10 @@ def _tv_1d(mu: np.ndarray, s: np.ndarray) -> np.ndarray:
     lo_p, hi_p, lo_q, hi_q = _ratio_set(mu, s)
     mass_p, mass_q = _normal_mass(np.stack([lo_p, lo_q]), np.stack([hi_p, hi_q]))
     diff = mass_p - mass_q
-    return np.where(s > 1.0, diff, 0.0 - diff)
+    # Where mu^2 overflows the bounds are NaN, and the overlap is below any float.
+    with np.errstate(over="ignore"):
+        apart = np.isinf(mu * mu)
+    return np.where(apart, 1.0, np.where(s > 1.0, diff, 0.0 - diff))
 
 
 def _outer_pieces(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

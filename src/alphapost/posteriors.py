@@ -37,6 +37,7 @@ from .gaussians import (
     _ndtr,
     _positive_part_mean,
     _result,
+    _symmetric,
     log_density,
 )
 
@@ -129,9 +130,11 @@ class SufficientStats:
 class ConjugatePrior:
     """Gaussian prior ``N(mu_pi, sigma_u^2 * Sigma_pi^{-1})`` in precision-scale form.
 
-    ``Sigma_pi`` is the precision-scale matrix: it must be symmetric positive
-    semidefinite, and the all-zeros matrix encodes the flat-prior limit (the
-    posterior then collapses to pure least squares for every ``alpha``).
+    ``mu_pi`` must be finite.  ``Sigma_pi`` is the precision-scale matrix: it
+    must be finite, symmetric within 1e-12 of its largest entry (it is stored
+    symmetrized) and positive semidefinite, and the all-zeros matrix encodes
+    the flat-prior limit (the posterior then collapses to pure least squares
+    for every ``alpha``).  Violations raise ``ValueError`` naming the field.
     """
 
     mu_pi: np.ndarray
@@ -142,10 +145,8 @@ class ConjugatePrior:
         sig = np.atleast_2d(np.asarray(self.Sigma_pi, dtype=float))
         if sig.shape != (mu.size, mu.size):
             raise ValueError("Sigma_pi shape does not match mu_pi")
-        scale = max(float(np.max(np.abs(sig))), 1.0)
-        if np.max(np.abs(sig - sig.T)) > 1e-12 * scale:
-            raise ValueError("Sigma_pi must be symmetric")
-        sig = (sig + sig.T) / 2.0
+        _require_finite(mu_pi=mu)
+        sig = _symmetric(sig, "Sigma_pi")
         if np.min(np.linalg.eigvalsh(sig)) < -1e-12:
             raise ValueError("Sigma_pi must be positive semidefinite")
         object.__setattr__(self, "mu_pi", mu)

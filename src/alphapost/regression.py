@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, _result, hellinger_sq_gaussian
+from .gaussians import GaussianDist, _result, _spd_cholesky, hellinger_sq_gaussian
 from .meanfield import gmf_project_gaussian
 from .posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior, gaussian_bvm_limit
 from .robustness import MisspecScenario
@@ -88,49 +88,67 @@ def _finite_square(name: str, value: float) -> np.float64:
     return square
 
 
+def _covariance_block(name: str, value, rows: int, cols: int, p: int, d: int) -> np.ndarray:
+    # A rows x cols block of (W, Z)'s covariance, its errors naming the field.
+    try:
+        block = np.atleast_2d(np.asarray(value, dtype=float))
+    except ValueError as err:
+        raise ValueError(f"{name}: every row must have the same length") from err
+    # cov_wz is reshaped to p x d, so a single row or column also serves.
+    if block.size != rows * cols or (name != "cov_wz" and block.shape != (rows, cols)):
+        raise ValueError(
+            f"{name}: must be a {rows} x {cols} matrix since p = {p} and d = {d}, got shape {block.shape}"
+        )
+    return block.reshape(rows, cols)
+
+
 @dataclass(frozen=True)
 class RegressionDGP:
     """True data-generating process and the analyst's working model.
 
-    ``sigma_u`` is the error standard deviation the analyst presumes for the
-    short regression of ``Y`` on ``W``.  When omitted it defaults to the
-    population residual standard deviation of that projection,
-    ``sqrt(sigma_eps^2 + gamma0' (cov_ZZ - cov_WZ' cov_WW^{-1} cov_WZ) gamma0)``,
-    so that the omitted variable is the only misspecification; a derived
-    value of 0 or inf, or a ``sigma_eps`` or ``sigma_u`` whose square
-    overflows, raises ``ValueError``.
+    ``theta0`` and ``gamma0`` are nonempty and finite; ``cov_ww`` (p x p),
+    ``cov_wz`` (p x d, or its entries as one row or column) and ``cov_zz``
+    (d x d) are the blocks of the covariance of ``(W, Z)``, which must be
+    finite, symmetric within 1e-12 of its largest entry and positive
+    definite, and is stored symmetrized.  ``sigma_u`` is the error standard
+    deviation the analyst presumes for the short regression of ``Y`` on ``W``;
+    when omitted it is that projection's population residual standard
+    deviation, ``sqrt(sigma_eps^2 + gamma0' (cov_zz - cov_wz' cov_ww^{-1} cov_wz) gamma0)``,
+    so that the omitted variable is the only misspecification.  Each
+    violation, a derived ``sigma_u`` of 0 or inf, or a ``sigma_eps`` or
+    ``sigma_u`` whose square overflows raises ``ValueError`` naming the fields.
     """
 
     theta0: np.ndarray
     gamma0: np.ndarray
     sigma_eps: float
-    cov_WW: np.ndarray
-    cov_WZ: np.ndarray
-    cov_ZZ: np.ndarray
+    cov_ww: np.ndarray
+    cov_wz: np.ndarray
+    cov_zz: np.ndarray
     sigma_u: float | None = None
 
     def __post_init__(self):
-        theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
-        gamma0 = np.atleast_1d(np.asarray(self.gamma0, dtype=float))
+        for name in ("theta0", "gamma0"):
+            coefs = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if coefs.size == 0 or not np.all(np.isfinite(coefs)):
+                raise ValueError(f"{name}: must have at least one coefficient, each finite")
+            object.__setattr__(self, name, coefs)
+        theta0, gamma0 = self.theta0, self.gamma0
         p, d = theta0.size, gamma0.size
-        cov_ww = np.atleast_2d(np.asarray(self.cov_WW, dtype=float))
-        cov_zz = np.atleast_2d(np.asarray(self.cov_ZZ, dtype=float))
-        cov_wz = np.asarray(self.cov_WZ, dtype=float).reshape(p, d)
-        if cov_ww.shape != (p, p) or cov_zz.shape != (d, d):
-            raise ValueError("covariance block shapes disagree with theta0/gamma0")
-        stacked = np.block([[cov_ww, cov_wz], [cov_wz.T, cov_zz]])
-        try:
-            chol = np.linalg.cholesky(stacked)
-        except np.linalg.LinAlgError as err:
-            raise ValueError("stacked covariate covariance must be positive definite") from err
+        ww, wz, zz = (
+            _covariance_block(name, getattr(self, name), rows, cols, p, d)
+            for name, rows, cols in (("cov_ww", p, p), ("cov_wz", p, d), ("cov_zz", d, d))
+        )
+        cov, chol = _spd_cholesky(
+            np.block([[ww, wz], [wz.T, zz]]),
+            "cov_ww, cov_wz, cov_zz: the covariance [[cov_ww, cov_wz], [cov_wz', cov_zz]] of (W, Z)",
+        )
         if self.sigma_eps < 0:
-            raise ValueError("sigma_eps must be nonnegative")
+            raise ValueError("sigma_eps: must be nonnegative")
         var_eps = _finite_square("sigma_eps", self.sigma_eps)
-        object.__setattr__(self, "theta0", theta0)
-        object.__setattr__(self, "gamma0", gamma0)
-        object.__setattr__(self, "cov_WW", cov_ww)
-        object.__setattr__(self, "cov_WZ", cov_wz)
-        object.__setattr__(self, "cov_ZZ", cov_zz)
+        # The blocks of the symmetrized covariance, each contiguous.
+        for name, block in (("cov_ww", cov[:p, :p]), ("cov_wz", cov[:p, p:]), ("cov_zz", cov[p:, p:])):
+            object.__setattr__(self, name, np.ascontiguousarray(block))
         # Kept for simulate, which draws the covariates through it.
         object.__setattr__(self, "_stacked_chol", chol)
         # Kept for simulate_stats: a sample's rows are [W, Z, Y] = [N, e] M for
@@ -143,7 +161,7 @@ class RegressionDGP:
         stats_map[k, k] = self.sigma_eps
         object.__setattr__(self, "_stats_map", stats_map)
         if self.sigma_u is None:
-            resid_cov = cov_zz - cov_wz.T @ np.linalg.solve(cov_ww, cov_wz)
+            resid_cov = self.cov_zz - self.cov_wz.T @ np.linalg.solve(self.cov_ww, self.cov_wz)
             with np.errstate(over="ignore"):
                 sigma_u = float(np.sqrt(var_eps + gamma0 @ resid_cov @ gamma0))
             if not np.isfinite(sigma_u):
@@ -155,7 +173,7 @@ class RegressionDGP:
                 )
             object.__setattr__(self, "sigma_u", sigma_u)
         elif self.sigma_u <= 0:
-            raise ValueError("sigma_u must be positive")
+            raise ValueError("sigma_u: must be positive")
         else:
             _finite_square("sigma_u", self.sigma_u)
 
@@ -166,9 +184,6 @@ class RegressionDGP:
     @property
     def d(self) -> int:
         return self.gamma0.size
-
-    def stacked_cov(self) -> np.ndarray:
-        return np.block([[self.cov_WW, self.cov_WZ], [self.cov_WZ.T, self.cov_ZZ]])
 
 
 @dataclass(frozen=True)
@@ -275,22 +290,22 @@ def ols(stats: SufficientStats) -> np.ndarray:
 
 
 def pseudo_true(dgp: RegressionDGP) -> np.ndarray:
-    """Probability limit of the short regression: ``theta0 + cov_WW^{-1} cov_WZ gamma0``."""
-    return dgp.theta0 + np.linalg.solve(dgp.cov_WW, dgp.cov_WZ @ dgp.gamma0)
+    """Probability limit of the short regression: ``theta0 + cov_ww^{-1} cov_wz gamma0``."""
+    return dgp.theta0 + np.linalg.solve(dgp.cov_ww, dgp.cov_wz @ dgp.gamma0)
 
 
 def curvature(dgp: RegressionDGP) -> np.ndarray:
-    """Likelihood curvature of the working model: ``cov_WW / sigma_u^2``."""
-    return dgp.cov_WW / dgp.sigma_u**2
+    """Likelihood curvature of the working model: ``cov_ww / sigma_u^2``."""
+    return dgp.cov_ww / dgp.sigma_u**2
 
 
 def population_omega(dgp: RegressionDGP) -> np.ndarray:
     """Covariance scale of the correctly specified posterior for theta.
 
     The long-model information for theta is the inverse Schur complement:
-    ``Omega = sigma_eps^2 (cov_WW - cov_WZ cov_ZZ^{-1} cov_WZ')^{-1}``.
+    ``Omega = sigma_eps^2 (cov_ww - cov_wz cov_zz^{-1} cov_wz')^{-1}``.
     """
-    schur = dgp.cov_WW - dgp.cov_WZ @ np.linalg.solve(dgp.cov_ZZ, dgp.cov_WZ.T)
+    schur = dgp.cov_ww - dgp.cov_wz @ np.linalg.solve(dgp.cov_zz, dgp.cov_wz.T)
     return dgp.sigma_eps**2 * np.linalg.inv(schur)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import GaussianDist, _result, kl_gaussian
+from .gaussians import GaussianDist, _result, _spd_cholesky, kl_gaussian
 from .posteriors import _replication_major, _tempering
 
 __all__ = [
@@ -46,17 +46,6 @@ __all__ = [
 ]
 
 
-def _spd(mat, name: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} must be finite")
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"{name} must be symmetric positive definite") from err
-    return mat
-
-
 @dataclass(frozen=True)
 class MisspecScenario:
     """Population-level ingredients of the robustness analysis.
@@ -65,7 +54,9 @@ class MisspecScenario:
     the likelihood curvature at ``theta_star``, ``Omega`` the asymptotic
     covariance scale of the correctly specified posterior (an input here;
     the regression example computes it), and ``eps`` the limit of
-    ``n * eps_n``.
+    ``n * eps_n``.  Each of ``V`` and ``Omega`` must be finite, symmetric to
+    within 1e-12 of its largest entry and positive definite; both are kept
+    as given, and a violation raises ``ValueError`` naming the matrix.
     """
 
     theta0: np.ndarray
@@ -77,13 +68,14 @@ class MisspecScenario:
     def __post_init__(self):
         theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
         theta_star = np.atleast_1d(np.asarray(self.theta_star, dtype=float))
-        V = _spd(self.V, "V")
-        Omega = _spd(self.Omega, "Omega")
+        V, Omega = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (self.V, self.Omega))
         p = theta0.size
         if theta_star.size != p or V.shape != (p, p) or Omega.shape != (p, p):
             raise ValueError("scenario dimensions disagree")
         if not (np.all(np.isfinite(theta0)) and np.all(np.isfinite(theta_star))):
             raise ValueError("theta0 and theta_star must be finite")
+        _spd_cholesky(V, "V")
+        _spd_cholesky(Omega, "Omega")
         if not 0 < self.eps < np.inf:
             raise ValueError("eps must be positive and finite")
         object.__setattr__(self, "theta0", theta0)

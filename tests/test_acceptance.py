@@ -89,7 +89,7 @@ def criterion(ident, label, capsys=None):
 
 def worked_example_dgp():
     return RegressionDGP(
-        theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_WW=[[1.0]], cov_WZ=[[0.5]], cov_ZZ=[[1.0]]
+        theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_ww=[[1.0]], cov_wz=[[0.5]], cov_zz=[[1.0]]
     )
 
 

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script runs to completion against the library in ``src``, under the suite's warning gate."""
 
 import os
 import subprocess
@@ -14,6 +14,10 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr

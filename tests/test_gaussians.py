@@ -228,6 +228,10 @@ class TestTVGaussian:
             mu1, mu2, sigma = rng.normal(scale=3.0), rng.normal(scale=3.0), rng.uniform(0.1, 5.0)
             got = tv_gaussian(GaussianDist(mu1, sigma**2), GaussianDist(mu2, sigma**2))
             assert_allclose(got, tv_equal_variance(mu1, mu2, sigma), atol=1e-12)
+        # Offsets whose square overflows a float.
+        for mu2, var in ((1e300, 1.0), (1e160, 1e-4)):
+            got = tv_gaussian(GaussianDist(0.0, var), GaussianDist(mu2, var))
+            assert got == tv_equal_variance(0.0, mu2, np.sqrt(var)) == 1.0
 
     def test_equal_covariance_2d_is_mahalanobis_closed_form(self):
         # Equal covariances make log p - log q linear (d = 1 in the whitened

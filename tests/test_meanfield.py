@@ -301,7 +301,7 @@ class TestVariationalBvmLimit:
 
 def conjugate_1d_setup(seed=5, n=200, alpha=1.0):
     dgp = RegressionDGP(
-        theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_WW=[[1.0]], cov_WZ=[[0.5]], cov_ZZ=[[1.0]]
+        theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_ww=[[1.0]], cov_wz=[[0.5]], cov_zz=[[1.0]]
     )
     ds = simulate(dgp, n, seed)
     prior = ConjugatePrior([0.0], [[1.0]])

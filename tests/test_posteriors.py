@@ -28,7 +28,7 @@ def collinear_design(n=200):
 
 def toy_dgp(**kw):
     base = dict(
-        theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_WW=[[1.0]], cov_WZ=[[0.5]], cov_ZZ=[[1.0]]
+        theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_ww=[[1.0]], cov_wz=[[0.5]], cov_zz=[[1.0]]
     )
     base.update(kw)
     return RegressionDGP(**base)
@@ -46,6 +46,19 @@ class TestConjugatePrior:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             ConjugatePrior([0.0, 0.0], [[1.0]])
+
+    @pytest.mark.parametrize(
+        "mu_pi, Sigma_pi, name",
+        [
+            ([0.0], [[np.nan]], "Sigma_pi"),
+            ([0.0], [[np.inf]], "Sigma_pi"),
+            ([np.nan], [[1.0]], "mu_pi"),
+            ([-np.inf], [[1.0]], "mu_pi"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, mu_pi, Sigma_pi, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ConjugatePrior(mu_pi, Sigma_pi)
 
 
 class TestConjugateAlphaPosterior:

@@ -36,7 +36,7 @@ from oracles import normal_tail_two_sided
 
 def toy_dgp(**kw):
     base = dict(
-        theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_WW=[[1.0]], cov_WZ=[[0.5]], cov_ZZ=[[1.0]]
+        theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_ww=[[1.0]], cov_wz=[[0.5]], cov_zz=[[1.0]]
     )
     base.update(kw)
     return RegressionDGP(**base)
@@ -47,9 +47,9 @@ class TestRegressionDGP:
         dgp = toy_dgp()
         assert_allclose(dgp.sigma_u, np.sqrt(1.0 + (1.0 - 0.25)), rtol=1e-14)
 
-    def test_rejects_non_spd_stacked_covariance(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            toy_dgp(cov_WZ=[[1.5]])
+    def test_rejects_non_spd_covariance_of_w_and_z(self):
+        with pytest.raises(ValueError, match="^cov_ww, cov_wz, cov_zz: .* must be positive definite$"):
+            toy_dgp(cov_wz=[[1.5]])
 
     def test_rejects_a_derived_sigma_u_of_zero(self):
         with pytest.raises(ValueError, match="sigma_eps, gamma0"):
@@ -93,7 +93,7 @@ class TestSimulate:
         ds = simulate(dgp, 10**5, 3)
         x = np.hstack([ds.W, ds.Z])
         emp = x.T @ x / ds.n
-        assert np.linalg.norm(emp - dgp.stacked_cov()) < 0.02
+        assert np.linalg.norm(emp - np.block([[dgp.cov_ww, dgp.cov_wz], [dgp.cov_wz.T, dgp.cov_zz]])) < 0.02
 
     def test_noiseless_is_exact(self):
         dgp = toy_dgp(gamma0=[0.0], sigma_eps=0.0, sigma_u=1.0)
@@ -121,9 +121,9 @@ def equicorrelated_dgp(p, d, sigma_eps):
         theta0=np.linspace(1.0, -0.5, p),
         gamma0=np.linspace(0.8, 0.2, d),
         sigma_eps=sigma_eps,
-        cov_WW=cov[:p, :p],
-        cov_WZ=cov[:p, p:],
-        cov_ZZ=cov[p:, p:],
+        cov_ww=cov[:p, :p],
+        cov_wz=cov[:p, p:],
+        cov_zz=cov[p:, p:],
     )
 
 
@@ -210,10 +210,10 @@ class TestOLS:
 
 class TestPseudoTrue:
     def test_uncorrelated_omitted_regressor(self):
-        assert_allclose(pseudo_true(toy_dgp(cov_WZ=[[0.0]])), [1.0])
+        assert_allclose(pseudo_true(toy_dgp(cov_wz=[[0.0]])), [1.0])
 
     def test_scalar_arithmetic(self):
-        dgp = toy_dgp(cov_WZ=[[0.5]], gamma0=[2.0])
+        dgp = toy_dgp(cov_wz=[[0.5]], gamma0=[2.0])
         assert_allclose(pseudo_true(dgp), [2.0], rtol=1e-14)
 
     def test_ols_is_consistent_for_pseudo_true(self):
@@ -242,7 +242,7 @@ class TestCurvature:
 
 class TestPopulationOmega:
     def test_schur_complement_value(self):
-        # cov_WW - cov_WZ cov_ZZ^{-1} cov_WZ' = 0.75 here.
+        # cov_ww - cov_wz cov_zz^{-1} cov_wz' = 0.75 here.
         assert_allclose(population_omega(toy_dgp()), [[1.0 / 0.75]], rtol=1e-14)
 
     def test_matches_true_posterior_scale(self):
@@ -357,9 +357,9 @@ class TestVariationalConjugateCov:
             theta0=[1.0, -1.0],
             gamma0=[0.0],
             sigma_eps=1.0,
-            cov_WW=np.eye(2),
-            cov_WZ=np.zeros((2, 1)),
-            cov_ZZ=[[1.0]],
+            cov_ww=np.eye(2),
+            cov_wz=np.zeros((2, 1)),
+            cov_zz=[[1.0]],
             sigma_u=1.0,
         )
         ds = simulate(dgp, 400, 53)
@@ -388,9 +388,9 @@ class TestVariationalConjugateCov:
             theta0=[1.0, -1.0],
             gamma0=[1.0],
             sigma_eps=1.0,
-            cov_WW=[[1.0, 0.4], [0.4, 1.0]],
-            cov_WZ=[[0.5], [0.1]],
-            cov_ZZ=[[1.0]],
+            cov_ww=[[1.0, 0.4], [0.4, 1.0]],
+            cov_wz=[[0.5], [0.1]],
+            cov_zz=[[1.0]],
         )
         ds = simulate(dgp, 500, 61)
         prior = ConjugatePrior(np.zeros(2), np.eye(2))
@@ -474,7 +474,7 @@ class TestConcentrationMarkovBound:
 
 class TestFailureCase:
     def test_vanishing_tempering_keeps_gap_positive(self):
-        dgp = toy_dgp(cov_WW=[[1.0]], sigma_u=1.0)
+        dgp = toy_dgp(cov_ww=[[1.0]], sigma_u=1.0)
         prior = ConjugatePrior([0.0], [[1.0]])
         h2 = failure_case_hellinger(dgp, prior, 1.0, [10**4, 10**5], seed=3)[:, 0]
         assert np.all(h2 > 0.001)
@@ -513,7 +513,7 @@ class TestFailureCase:
     def test_affinity_strictly_below_one_in_failure_case(self):
         # The posterior and would-be limit keep different covariances, so the
         # determinant ratio stays strictly below one.
-        dgp = toy_dgp(cov_WW=[[1.0]], sigma_u=1.0)
+        dgp = toy_dgp(cov_ww=[[1.0]], sigma_u=1.0)
         prior = ConjugatePrior([0.0], [[1.0]])
         n = 10**4
         ds = simulate(dgp, n, derived_seed(87, n))
@@ -589,9 +589,9 @@ def design(p):
         theta0=np.linspace(1.0, 0.5, p),
         gamma0=[1.0],
         sigma_eps=1.0,
-        cov_WW=cov_ww,
-        cov_WZ=np.full((p, 1), 0.3),
-        cov_ZZ=[[1.0]],
+        cov_ww=cov_ww,
+        cov_wz=np.full((p, 1), 0.3),
+        cov_zz=[[1.0]],
     )
 
 

@@ -52,6 +52,12 @@ class TestValidation:
     def test_scenario_requires_spd_curvature(self):
         with pytest.raises(ValueError, match="V"):
             MisspecScenario([0.0], [0.0], [[-1.0]], [[1.0]], 1.0)
+        # Asymmetric V or Omega, whose lower triangle alone is positive definite.
+        asymmetric = [[1.0, 5.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="^V must be symmetric$"):
+            MisspecScenario([0.0, 0.0], [0.0, 0.0], asymmetric, np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="^Omega must be symmetric$"):
+            MisspecScenario([0.0, 0.0], [0.0, 0.0], np.eye(2), asymmetric, 1.0)
 
     def test_scenario_requires_positive_eps(self):
         with pytest.raises(ValueError, match="eps"):
