@@ -385,18 +385,12 @@ def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
     """The stacked statistics of the location samples of replications ``0 .. replications - 1`` at ``n``.
 
     The location model is the regression of the data on one constant
-    column; each sample is drawn from its ``(seed, n, rep)`` stream into one
-    reused ``[1, x]`` buffer, which its Gram matrix reduces.
+    column; each sample is drawn from its ``(seed, n, rep)`` stream and
+    reduced to its statistics at once.
     """
-    cols = np.ones((n, 2))
-    normals = np.empty(n)
-    gram = np.empty((cfg.replications, 2, 2))
-    for rep in range(cfg.replications):
-        np.random.default_rng(derived_seed(cfg.seed, n, rep)).standard_normal(out=normals)
-        sample = np.multiply(cfg.noise_sd, normals, out=cols[:, 1])
-        sample += cfg.theta_true
-        gram[rep] = cols.T @ cols
-    return SufficientStats(n, gram)
+    ones, reps = np.ones(n), range(cfg.replications)
+    draws = (np.random.default_rng(derived_seed(cfg.seed, n, rep)).standard_normal(n) for rep in reps)
+    return SufficientStats.stack([SufficientStats.of(ones, cfg.theta_true + cfg.noise_sd * x) for x in draws])
 
 
 def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[list]:

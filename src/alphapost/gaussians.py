@@ -50,8 +50,12 @@ __all__ = [
 
 # Symmetry tolerance (relative) for covariance inputs.
 _SYM_RTOL = 1e-12
-# KL values in [-_KL_SLACK, 0) are floating-point cancellation; clamp to 0.
+# KL values in [-_KL_SLACK, 0) are floating-point cancellation, which _clamp_kl sets to 0.
 _KL_SLACK = 1e-12
+
+
+def _clamp_kl(kl: np.ndarray) -> np.ndarray:
+    return np.where((-_KL_SLACK < kl) & (kl < 0.0), 0.0, kl)
 
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,8 +198,7 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float | np.ndarray:
     with np.errstate(over="ignore"):
         quad = np.sum(y * y, axis=-1)
     log_det_ratio = 2.0 * (_half_log_det(q.chol) - _half_log_det(p.chol))
-    val = 0.5 * (log_det_ratio + trace + quad - p.dim)
-    return _result(np.where((-_KL_SLACK < val) & (val < 0.0), 0.0, val))
+    return _result(_clamp_kl(0.5 * (log_det_ratio + trace + quad - p.dim)))
 
 
 def hellinger_sq_gaussian(p: GaussianDist, q: GaussianDist) -> float | np.ndarray:
@@ -231,10 +234,10 @@ def _ratio_set(mu, s, ell=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     deviation is about 1e-10 of the other, and q's bounds taken from p's
     would round onto q's mean.
     """
-    d = s * s
-    a = 1.0 - d
     log_d = 2.0 * np.log(s)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = s * s
+        a = 1.0 - d
         quarter = mu * mu - a * (log_d + ell)
         root = np.sqrt(np.maximum(quarter, 0.0))
         bounds = []
@@ -383,9 +386,9 @@ def _tv_1d(mu: np.ndarray, s: np.ndarray) -> np.ndarray:
     lo_p, hi_p, lo_q, hi_q = _ratio_set(mu, s)
     mass_p, mass_q = _normal_mass(np.stack([lo_p, lo_q]), np.stack([hi_p, hi_q]))
     diff = mass_p - mass_q
-    # Where mu^2 overflows the bounds are NaN, and the overlap is below any float.
+    # Where mu^2 or s^2 overflows the bounds are NaN, and the overlap is below any float.
     with np.errstate(over="ignore"):
-        apart = np.isinf(mu * mu)
+        apart = np.isinf(mu * mu) | np.isinf(s * s)
     return np.where(apart, 1.0, np.where(s > 1.0, diff, 0.0 - diff))
 
 

@@ -8,10 +8,10 @@ of them, is projected numerically by deterministic damped Newton descent on
 (mean, log variance), with the KL evaluated by Gauss-Hermite quadrature
 against a cubic interpolant of the tabulated log density, and its gradient
 and Hessian taken exactly through the quadrature nodes
-(:func:`gmf_project_numeric`).  Every result, the limits of
-:func:`variational_bvm_limit` included, is a :class:`GaussianDist` (or a
-stack) with covariance ``diag(var)``, so it enters the divergences and the
-robustness criteria as it is.
+(:func:`gmf_project_numeric`).  Every result, the projected Gaussian
+limits of :func:`variational_bvm_limit` included, is a :class:`GaussianDist`
+(or a stack) with covariance ``diag(var)``, so it enters the divergences
+and the robustness criteria as it is.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .gaussians import GaussianDist, GridDensity
-from .posteriors import _per_alpha, _replication_major, _tempering
+from .posteriors import gaussian_bvm_limit
 
 __all__ = [
     "gmf_project_gaussian",
@@ -55,17 +55,13 @@ def gmf_project_gaussian(target: GaussianDist) -> GaussianDist:
 
 
 def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float]) -> GaussianDist:
-    """Mean-field limit: mean at the ML estimator, ``var_j = 1 / (alpha n V_jj)``.
+    """Mean-field limit: the projection of :func:`~alphapost.posteriors.gaussian_bvm_limit`.
 
-    The limit is the :class:`GaussianDist` with covariance ``diag(var)``.  A
-    stack of estimates (shape (R, p), one per replication) or a vector of
+    It keeps the mean at the ML estimator and sets ``var_j = 1 / (alpha n V_jj)``.
+    A stack of estimates (shape (R, p), one per replication) or a vector of
     ``alpha`` gives the stack of limits, replication-major.
     """
-    alpha = _tempering(alpha)
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    mean = np.atleast_1d(np.asarray(theta_hat_ml, dtype=float))
-    mean, var = np.broadcast_arrays(_per_alpha(mean, alpha, 1), 1.0 / (alpha[..., None] * n * np.diag(V)))
-    return _diagonal(_replication_major(mean, 1), _replication_major(var, 1))
+    return gmf_project_gaussian(gaussian_bvm_limit(theta_hat_ml, V, n, alpha))
 
 
 def _orthonormal_hermite(x: np.ndarray, degree: int) -> np.ndarray:

@@ -4,7 +4,7 @@ A tempered posterior raises the likelihood to a power ``alpha > 0`` before
 multiplying by the prior.  Two constructions are provided:
 
 * closed form for the conjugate Gaussian linear regression model, from the
-  sample's sufficient statistics (:class:`SufficientStats`),
+  sample's sufficient statistics (:class:`SufficientStats`, one Gram routine),
 * tabulation on a uniform axis for a one-dimensional parameter, whose
   log-likelihood and log-prior are plain batched callables from (N, 1)
   parameter points to (N,) values, or on a stack of axes, one per
@@ -30,10 +30,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussians import (
-    _KL_SLACK,
     _LOG_SQRT_2PI,
     GaussianDist,
     GridDensity,
+    _clamp_kl,
     _ndtr,
     _positive_part_mean,
     _result,
@@ -50,6 +50,25 @@ __all__ = [
     "gaussian_bvm_limit",
     "laplace_location_divergences",
 ]
+
+
+def _block_gram(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # The library's one Gram matrix of [X, y], for a design X of shape (n, k)
+    # and a response y of shape (n,): X'X, y'X and y'y by blocks, never
+    # copying the sample into one [X, y] array.
+    k = X.shape[1]
+    gram = np.empty((k + 1, k + 1))
+    gram[:k, :k] = X.T @ X
+    gram[k, :k] = gram[:k, k] = y @ X
+    gram[k, k] = y @ y
+    return gram
+
+
+def _sample_size(n) -> int:
+    # n as an int, if it is a positive integer of any number type.
+    if not (0 < n < np.inf and int(n) == n):
+        raise ValueError("n must be a positive integer")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -72,9 +91,7 @@ class SufficientStats:
             raise ValueError(f"gram must be a (k + 1) x (k + 1) matrix or a stack of them, got shape {gram.shape}")
         if not np.all(np.isfinite(gram)):
             raise ValueError("gram must be finite")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _sample_size(self.n))
         object.__setattr__(self, "gram", gram)
 
     @classmethod
@@ -86,8 +103,7 @@ class SufficientStats:
         Y = np.asarray(Y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != Y.size:
             raise ValueError("design and response row counts disagree")
-        cols = np.column_stack([X, Y])
-        return cls(Y.size, cols.T @ cols)
+        return cls(Y.size, _block_gram(X, Y))
 
     @classmethod
     def stack(cls, members: Sequence["SufficientStats"]) -> "SufficientStats":
@@ -377,8 +393,7 @@ def laplace_location_divergences(
     """
     _require_finite(theta_hat=theta_hat, loc=loc)
     _require_positive(sigma=sigma, scale=scale)
-    if not (0 < n < np.inf and int(n) == n):
-        raise ValueError("n must be a positive integer")
+    n = _sample_size(n)
     alpha = _tempering(alpha)
     tau = sigma / np.sqrt(alpha * n)
     # In units of tau: the estimate's offset from the kink, and the prior's rate.
@@ -396,6 +411,4 @@ def laplace_location_divergences(
     # Each side is a normal of mean +-s - beta truncated at the kink.
     sides = np.exp(np.stack([log_right, log_left]) - log_z)
     mean_abs = np.sum(sides * _positive_part_mean(np.stack([s - beta, -s - beta])), axis=0)
-    kl = -beta * mean_abs - log_z
-    kl = np.where((-_KL_SLACK < kl) & (kl < 0.0), 0.0, kl)
-    return _result(np.clip(tv, 0.0, 1.0)), _result(kl)
+    return _result(np.clip(tv, 0.0, 1.0)), _result(_clamp_kl(-beta * mean_abs - log_z))

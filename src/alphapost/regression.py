@@ -12,9 +12,9 @@ A sample enters every estimator and probe through its sufficient
 statistics (``n`` and the Gram matrix of ``[W, Z, Y]``), one sample or a
 stack of replications of one size ``n``, and the stacked routines return
 one value per replication.  :func:`simulate_stats` draws a stack of them
-straight from the replications' seeds without forming any sample;
-:func:`simulate` draws the same rows (and :meth:`RegressionDataset.stats`
-reduces them) where the sample itself is wanted.
+straight from the replications' seeds through the one Gram routine, without
+forming any sample; :func:`simulate` draws the same rows (and
+:meth:`RegressionDataset.stats` reduces them) where the sample is wanted.
 :func:`regression_likelihood` is the library's one Gaussian log-likelihood;
 the location model is the regression on one constant column.
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from .gaussians import GaussianDist, _result, _spd_cholesky, hellinger_sq_gaussian
 from .meanfield import gmf_project_gaussian
-from .posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior, gaussian_bvm_limit
+from .posteriors import ConjugatePrior, SufficientStats, _block_gram, conjugate_alpha_posterior, gaussian_bvm_limit
 from .robustness import MisspecScenario
 
 __all__ = [
@@ -80,7 +80,9 @@ def derived_seed(master_seed: int, *key: int) -> int:
 
 def _finite_square(name: str, value: float) -> np.float64:
     # value^2 in numpy, so that an overflow gives inf, not OverflowError, and
-    # is rejected naming the field.
+    # is rejected naming the field, as is a NaN.
+    if np.isnan(value):
+        raise ValueError(f"{name}: must be finite")
     with np.errstate(over="ignore"):
         square = np.float64(value) ** 2
     if not np.isfinite(square):
@@ -236,29 +238,19 @@ def simulate(dgp: RegressionDGP, n: int, seed: int) -> RegressionDataset:
     return RegressionDataset(y, w, z)
 
 
-def _standard_gram(dgp: RegressionDGP, n: int, seed: int) -> np.ndarray:
-    # Gram matrix of [N, e] for the seed's standard block, so that only one
-    # block is alive at a time.
-    normals, errors = _standard_block(dgp, n, seed)
-    k = dgp.p + dgp.d
-    gram = np.empty((k + 1, k + 1))
-    gram[:k, :k] = normals.T @ normals
-    gram[k, :k] = gram[:k, k] = errors @ normals
-    gram[k, k] = errors @ errors
-    return gram
-
-
 def simulate_stats(dgp: RegressionDGP, n: int, seeds: Sequence[int]) -> SufficientStats:
     """The stacked statistics of one sample of size ``n`` per seed, without forming the samples.
 
     Member ``i`` is, up to rounding, ``simulate(dgp, n, seeds[i]).stats()``:
     it reads the same numbers from the same stream.  Each seed's standard
-    normals ``[N, e]`` are reduced to their Gram matrix ``G`` at once, and the
-    stack maps to ``M' G M`` by one congruence, since ``[W, Z, Y] = [N, e] M``.
+    normals ``[N, e]`` are reduced to their Gram matrix ``G`` as soon as they
+    are drawn, by the blockwise Gram routine of :meth:`SufficientStats.of`,
+    so one seed's block at a time is alive; the stack maps to ``M' G M`` by
+    one congruence, since ``[W, Z, Y] = [N, e] M``.
     """
     if len(seeds) == 0:
         raise ValueError("seeds must name at least one sample")
-    grams = np.stack([_standard_gram(dgp, n, seed) for seed in seeds])
+    grams = np.stack([_block_gram(*_standard_block(dgp, n, seed)) for seed in seeds])
     m = dgp._stats_map
     gram = m.T @ grams @ m
     # The congruence is symmetric only up to rounding; a Gram matrix is exactly so.

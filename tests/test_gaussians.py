@@ -228,10 +228,11 @@ class TestTVGaussian:
             mu1, mu2, sigma = rng.normal(scale=3.0), rng.normal(scale=3.0), rng.uniform(0.1, 5.0)
             got = tv_gaussian(GaussianDist(mu1, sigma**2), GaussianDist(mu2, sigma**2))
             assert_allclose(got, tv_equal_variance(mu1, mu2, sigma), atol=1e-12)
-        # Offsets whose square overflows a float.
-        for mu2, var in ((1e300, 1.0), (1e160, 1e-4)):
-            got = tv_gaussian(GaussianDist(0.0, var), GaussianDist(mu2, var))
-            assert got == tv_equal_variance(0.0, mu2, np.sqrt(var)) == 1.0
+        # Offsets, or ratios of standard deviations, whose square overflows a float.
+        for var_p, mu2, var_q in ((1.0, 1e300, 1.0), (1e-4, 1e160, 1e-4), (1e-10, 0.0, 1e300), (1e300, 0.0, 1e-10)):
+            got = tv_gaussian(GaussianDist(0.0, var_p), GaussianDist(mu2, var_q))
+            want = tv_equal_variance(0.0, mu2, np.sqrt(var_p)) if var_p == var_q else 1.0
+            assert got == want == 1.0
 
     def test_equal_covariance_2d_is_mahalanobis_closed_form(self):
         # Equal covariances make log p - log q linear (d = 1 in the whitened

@@ -280,6 +280,14 @@ class TestVariationalBvmLimit:
     def test_correlated_curvature_value(self):
         lim = variational_bvm_limit([0.0, 0.0], [[2.0, 1.0], [1.0, 2.0]], 100, 1.0)
         assert_allclose(lim.cov, np.eye(2) / 200.0, rtol=1e-12)
+        # A stack of replications and alphas at p = 3: var_j = 1 / (alpha n V_jj), written out.
+        v = np.array([[2.0, 0.8, -0.5], [0.8, 1.5, 0.6], [-0.5, 0.6, 1.0]])
+        theta_hat, alphas = np.array([[0.1, -0.2, 0.3], [1.0, 2.0, -3.0]]), np.array([0.25, 1.0])
+        lim = variational_bvm_limit(theta_hat, v, 40, alphas)
+        assert lim.cov.shape == (4, 3, 3)
+        for r, a in np.ndindex(2, 2):
+            assert_allclose(lim.mean[2 * r + a], theta_hat[r], rtol=1e-15)
+            assert_allclose(lim.cov[2 * r + a], np.diag(1.0 / (alphas[a] * 40 * np.diag(v))), rtol=1e-12, atol=0.0)
 
     def test_half_alpha_doubles_variances(self):
         v = [[2.0, 1.0], [1.0, 2.0]]

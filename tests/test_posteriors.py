@@ -34,6 +34,25 @@ def toy_dgp(**kw):
     return RegressionDGP(**base)
 
 
+class TestSufficientStats:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_of_matches_the_column_stacked_gram(self, k):
+        rng = np.random.default_rng(k)
+        X, Y = rng.normal(size=(60, k)), rng.normal(size=60)
+        designs = (X, X[:, 0]) if k == 1 else (X,)
+        for design in designs:
+            cols = np.column_stack([design, Y])
+            stats, exact = SufficientStats.of(design, Y), cols.T @ cols
+            assert stats.n == 60 and stats.k == k
+            assert np.max(np.abs(stats.gram - exact)) <= 1e-12 * np.max(np.abs(exact))
+            assert np.array_equal(stats.gram, stats.gram.T)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, np.inf, np.nan])
+    def test_rejects_a_size_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be a positive integer$"):
+            SufficientStats(n, np.eye(2))
+
+
 class TestConjugatePrior:
     def test_flat_prior(self):
         prior = ConjugatePrior.flat(2)
@@ -379,6 +398,8 @@ class TestLaplaceLocationDivergences:
             ((0.1, np.inf, 50, 1.0, 0.0, 1.0), "sigma"),
             ((0.1, 1.0, 0, 1.0, 0.0, 1.0), "n"),
             ((0.1, 1.0, 2.5, 1.0, 0.0, 1.0), "n"),
+            ((0.1, 1.0, np.inf, 1.0, 0.0, 1.0), "n"),
+            ((0.1, 1.0, np.nan, 1.0, 0.0, 1.0), "n"),
             (([0.1, np.nan], 1.0, 50, 1.0, 0.0, 1.0), "theta_hat"),
             ((0.1, 1.0, 50, 1.0, np.nan, 1.0), "loc"),
         ],

@@ -66,6 +66,9 @@ class TestRegressionDGP:
         assert toy_dgp(sigma_eps=1e150).sigma_u > 0.0
         with pytest.raises(ValueError, match="^sigma_u: 1e[+]300 is too large"):
             toy_dgp(sigma_u=1e300)
+        for name in ("sigma_eps", "sigma_u"):
+            with pytest.raises(ValueError, match=f"^{name}: must be finite"):
+                toy_dgp(**{name: float("nan")})
 
     def test_rejects_nonpositive_sigma_u(self):
         with pytest.raises(ValueError, match="sigma_u"):
