@@ -37,7 +37,6 @@ likelihood.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -375,10 +374,17 @@ def _replications(cfg: ExperimentConfig, dgp: RegressionDGP, n: int, reps: int) 
     return simulate_stats(dgp, n, [derived_seed(cfg.seed, n, rep) for rep in range(reps)])
 
 
-def _cell_rows(n: int, reps: int, alphas, *columns) -> list[list]:
-    # One row per (rep, alpha) cell of replication-major stacked columns.
-    cells = itertools.product(range(reps), alphas)
-    return [[n, rep, float(alpha), *vals] for (rep, alpha), vals in zip(cells, zip(*columns))]
+def _cells(reps: int, alphas) -> tuple[np.ndarray, np.ndarray]:
+    # Each (replication, alpha) cell's replication and alpha, replication-major:
+    # the CSV's row order.  The library pairs stacked members elementwise, so
+    # inputs gathered per cell with [rep], at these alphas, give one member per cell.
+    alphas = np.asarray(alphas, dtype=float)
+    return np.repeat(np.arange(reps), alphas.size), np.tile(alphas, reps)
+
+
+def _cell_rows(n: int, rep: np.ndarray, alpha: np.ndarray, *columns) -> list[list]:
+    # One row per cell of _cells, from columns stacked in the same order.
+    return [[n, r, a, *vals] for r, a, vals in zip(rep.tolist(), alpha.tolist(), zip(*columns))]
 
 
 def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
@@ -396,30 +402,27 @@ def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
 def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[list]:
     stats = _location_stats(cfg, n)
     theta_hat = ols(stats)
-    reps, alphas = cfg.replications, np.asarray(cfg.alphas, dtype=float)
+    rep, alpha = _cells(cfg.replications, cfg.alphas)
     if not project:
-        tv, kl = laplace_location_divergences(
-            theta_hat[:, 0], cfg.noise_sd, n, alphas, cfg.prior_loc, cfg.prior_scale
-        )
-        return _cell_rows(n, reps, cfg.alphas, tv, kl)
-    # A stack of grid posteriors, one per (rep, alpha) cell, replication-major,
-    # each with its replication's likelihood, and one projection per stack.
+        tv, kl = laplace_location_divergences(theta_hat[rep, 0], cfg.noise_sd, n, alpha, cfg.prior_loc, cfg.prior_scale)
+        return _cell_rows(n, rep, alpha, tv, kl)
+    # A stack of grid posteriors, one per cell, each with its replication's
+    # likelihood, and one projection per stack.
     with np.errstate(over="ignore", divide="ignore"):
         v = np.array([[1.0 / np.float64(cfg.noise_sd) ** 2]])
     if not np.isfinite(v[0, 0]):
         raise ConfigError(f"noise_sd: {cfg.noise_sd!r} is too small: the curvature 1 / noise_sd^2 is not finite")
-    lim = variational_bvm_limit(theta_hat, v, n, alphas)
+    lim = variational_bvm_limit(theta_hat[rep], v, n, alpha)
     log_prior = laplace_log_prior(cfg.prior_loc, cfg.prior_scale)
-    cells = np.arange(reps * alphas.size)
     per_block = max(1, _GRID_BLOCK // cfg.grid_points)
     kl = []
-    for block in np.split(cells, range(per_block, cells.size, per_block)):
-        rep, alpha = block // alphas.size, alphas[block % alphas.size]
-        grid = default_grid_axis(theta_hat[rep, 0], v[0, 0], n, alpha, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
-        lik = regression_likelihood(SufficientStats(n, stats.gram[rep]), cfg.noise_sd)
-        proj = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, alpha, grid))
+    for block in np.split(np.arange(rep.size), range(per_block, rep.size, per_block)):
+        r, a = rep[block], alpha[block]
+        grid = default_grid_axis(theta_hat[r, 0], v[0, 0], n, a, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
+        lik = regression_likelihood(stats[r], cfg.noise_sd)
+        proj = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, a, grid))
         kl.append(kl_gaussian(proj, lim[block]))
-    return _cell_rows(n, reps, cfg.alphas, np.concatenate(kl))
+    return _cell_rows(n, rep, alpha, np.concatenate(kl))
 
 
 def _regression_convergence(
@@ -429,13 +432,14 @@ def _regression_convergence(
     theta_hat = ols(w)
     v = curvature(dgp)
     # One stack over every (rep, alpha) cell: posteriors, limits and divergences.
-    post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, cfg.alphas)
+    rep, alpha = _cells(cfg.replications, cfg.alphas)
+    post = conjugate_alpha_posterior(w[rep], prior, dgp.sigma_u, alpha)
     if project:
-        lim = variational_bvm_limit(theta_hat, v, n, cfg.alphas)
-        return _cell_rows(n, cfg.replications, cfg.alphas, kl_gaussian(gmf_project_gaussian(post), lim))
-    lim = gaussian_bvm_limit(theta_hat, v, n, cfg.alphas)
+        lim = variational_bvm_limit(theta_hat[rep], v, n, alpha)
+        return _cell_rows(n, rep, alpha, kl_gaussian(gmf_project_gaussian(post), lim))
+    lim = gaussian_bvm_limit(theta_hat[rep], v, n, alpha)
     tv = tv_gaussian(post, lim, budget=cfg.grid_points)
-    return _cell_rows(n, cfg.replications, cfg.alphas, tv, kl_gaussian(post, lim))
+    return _cell_rows(n, rep, alpha, tv, kl_gaussian(post, lim))
 
 
 def _convergence_rows(cfg: ExperimentConfig, project: bool) -> list[list]:
@@ -451,25 +455,23 @@ def _exact_robustness(
     prior: ConjugatePrior,
     full_prior: ConjugatePrior,
     stats: SufficientStats,
-) -> tuple[FiniteSampleInputs, np.ndarray, np.ndarray]:
-    """The stacked samples' finite-sample inputs, the sorted alphas and ``r_exact`` at each cell.
+) -> tuple[np.ndarray, np.ndarray, FiniteSampleInputs, np.ndarray]:
+    """The cells of the stacked samples at the sorted alphas, their finite-sample inputs and ``r_exact``.
 
-    ``r_exact`` is the expected KL of the tempered posterior against the
-    correctly specified (``true_posterior_theta``) and the standard
-    (``alpha = 1``) posteriors, with misspecification probability ``eps / n``,
-    one value per (rep, alpha) cell, replication-major.
+    The cells are :func:`_cells`'; ``r_exact`` is the expected KL of the
+    tempered posterior against the correctly specified
+    (``true_posterior_theta``) and the standard (``alpha = 1``) posteriors,
+    with misspecification probability ``eps / n``, one value per cell.
     """
     n = stats.n
     eps_n = cfg.eps / n
+    rep, alpha = _cells(len(stats.gram), np.sort(cfg.alphas))
     w = stats.first_columns(dgp.p)
-    fin = FiniteSampleInputs(ols(w), ols(stats)[..., : dgp.p], n, eps_n)
+    fin = FiniteSampleInputs(ols(w)[rep], ols(stats)[rep, : dgp.p], n, eps_n)
     true_post, _ = true_posterior_theta(stats, full_prior, dgp.sigma_eps, dgp.p)
-    alphas = np.sort(cfg.alphas)
-    posts = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alphas)
+    post = conjugate_alpha_posterior(w[rep], prior, dgp.sigma_u, alpha)
     std_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
-    # Each replication's true and standard posteriors, once per alpha.
-    rep_of_cell = np.repeat(np.arange(len(std_post.mean)), alphas.size)
-    return fin, alphas, exact_expected_kl(true_post[rep_of_cell], posts, std_post[rep_of_cell], eps_n)
+    return rep, alpha, fin, exact_expected_kl(true_post[rep], post, std_post[rep], eps_n)
 
 
 def exp_bvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
@@ -484,8 +486,8 @@ def exp_robustness_curve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     scenario = cfg.scenario()
     dgp = cfg.dgp()
     stats = _replications(cfg, dgp, cfg.single_n(), 1)
-    fin, alphas, r_exact = _exact_robustness(cfg, dgp, cfg.prior(), cfg.full_prior(), stats)
-    curves = zip(alphas, r_star(alphas, scenario, fin), r_tilde_star(alphas, scenario, fin), r_exact)
+    _, alpha, fin, r_exact = _exact_robustness(cfg, dgp, cfg.prior(), cfg.full_prior(), stats)
+    curves = zip(alpha, r_star(alpha, scenario, fin), r_tilde_star(alpha, scenario, fin), r_exact)
     rows = [list(row) for row in curves]
     return ["alpha", "r_star", "r_tilde_star", "r_exact"], rows
 
@@ -535,9 +537,9 @@ def exp_surrogate_fidelity(cfg: ExperimentConfig) -> tuple[list[str], list[list]
 
     def rows_at(n: int) -> list[list]:
         stats = _replications(cfg, dgp, n, cfg.replications)
-        fin, alphas, r_exact = _exact_robustness(cfg, dgp, prior, full_prior, stats)
-        r_surr = r_star(alphas, scenario, fin)
-        return _cell_rows(n, cfg.replications, alphas, r_exact, r_surr, np.abs(r_exact - r_surr))
+        rep, alpha, fin, r_exact = _exact_robustness(cfg, dgp, prior, full_prior, stats)
+        r_surr = r_star(alpha, scenario, fin)
+        return _cell_rows(n, rep, alpha, r_exact, r_surr, np.abs(r_exact - r_surr))
 
     rows = _replicated_rows(cfg, rows_at)
     return ["n", "rep", "alpha", "r_exact", "r_star", "abs_diff"], rows

@@ -73,17 +73,19 @@ def _result(value):
 
 
 def _symmetric(mat: np.ndarray, name: str) -> np.ndarray:
-    """``(M + M') / 2`` for ``M`` (or each of a stack) finite and symmetric within ``_SYM_RTOL`` of its largest entry.
+    """``M / 2 + M' / 2`` for ``M`` (or each of a stack) finite and symmetric within ``_SYM_RTOL`` of its largest entry.
 
     Otherwise raises ``ValueError``: ``<name> must be finite``, or ``symmetric``.
+    Halving first keeps the sums finite, and equals ``(M + M') / 2`` for normal floats.
     """
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} must be finite")
-    mat_t = np.swapaxes(mat, -1, -2)
-    scale = np.maximum(np.max(np.abs(mat), axis=(-2, -1)), 1e-300)
-    if np.any(np.max(np.abs(mat - mat_t), axis=(-2, -1)) > _SYM_RTOL * scale):
+    half = mat / 2.0
+    half_t = np.swapaxes(half, -1, -2)
+    scale = np.maximum(np.max(np.abs(half), axis=(-2, -1)), 1e-300)
+    if np.any(np.max(np.abs(half - half_t), axis=(-2, -1)) > _SYM_RTOL * scale):
         raise ValueError(f"{name} must be symmetric")
-    return (mat + mat_t) / 2.0
+    return half + half_t
 
 
 def _spd_cholesky(mat: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -386,10 +388,7 @@ def _tv_1d(mu: np.ndarray, s: np.ndarray) -> np.ndarray:
     lo_p, hi_p, lo_q, hi_q = _ratio_set(mu, s)
     mass_p, mass_q = _normal_mass(np.stack([lo_p, lo_q]), np.stack([hi_p, hi_q]))
     diff = mass_p - mass_q
-    # Where mu^2 or s^2 overflows the bounds are NaN, and the overlap is below any float.
-    with np.errstate(over="ignore"):
-        apart = np.isinf(mu * mu) | np.isinf(s * s)
-    return np.where(apart, 1.0, np.where(s > 1.0, diff, 0.0 - diff))
+    return np.where(s > 1.0, diff, 0.0 - diff)
 
 
 def _outer_pieces(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -495,10 +494,15 @@ def tv_gaussian(p: GaussianDist, q: GaussianDist, method: str = "exact", budget:
     if p.dim > 2:
         raise ValueError(f"exact total variation is only supported in dimension <= 2, got dimension {p.dim}")
     mu, s = _tv_frame(p, q)
+    # Where some mu^2 or s^2 overflows, the overlap is below any float: such
+    # pairs get TV 1 and never reach the rules, whose bounds would be NaN.
+    with np.errstate(over="ignore"):
+        near = ~np.any(np.isinf(mu * mu) | np.isinf(s * s), axis=-1)
+    tv = np.ones(near.shape)
     if p.dim == 1:
-        tv = _tv_1d(mu[..., 0], s[..., 0])
+        tv[near] = _tv_1d(mu[near][:, 0], s[near][:, 0])
     else:
-        tv = _tv_2d(mu.reshape(-1, 2), s.reshape(-1, 2), budget).reshape(mu.shape[:-1])
+        tv[near] = _tv_2d(mu[near], s[near], budget)
     return _result(np.clip(tv, 0.0, 1.0))
 
 

@@ -10,8 +10,8 @@ against a cubic interpolant of the tabulated log density, and its gradient
 and Hessian taken exactly through the quadrature nodes
 (:func:`gmf_project_numeric`).  Every result, the projected Gaussian
 limits of :func:`variational_bvm_limit` included, is a :class:`GaussianDist`
-(or a stack) with covariance ``diag(var)``, so it enters the divergences
-and the robustness criteria as it is.
+(or a stack, which pairs its members as the posteriors do) with covariance
+``diag(var)``, so it enters the divergences and the robustness criteria as is.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def variational_bvm_limit(theta_hat_ml, V, n: int, alpha: float | Sequence[float
     """Mean-field limit: the projection of :func:`~alphapost.posteriors.gaussian_bvm_limit`.
 
     It keeps the mean at the ML estimator and sets ``var_j = 1 / (alpha n V_jj)``.
-    A stack of estimates (shape (R, p), one per replication) or a vector of
-    ``alpha`` gives the stack of limits, replication-major.
+    A stack of estimates (shape (k, p)), a vector of ``alpha`` or both (one
+    per estimate) give the stack of limits.
     """
     return gmf_project_gaussian(gaussian_bvm_limit(theta_hat_ml, V, n, alpha))
 

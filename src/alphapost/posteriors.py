@@ -7,19 +7,19 @@ multiplying by the prior.  Two constructions are provided:
   sample's sufficient statistics (:class:`SufficientStats`, one Gram routine),
 * tabulation on a uniform axis for a one-dimensional parameter, whose
   log-likelihood and log-prior are plain batched callables from (N, 1)
-  parameter points to (N,) values, or on a stack of axes, one per
-  (replication, ``alpha``) cell.
+  parameter points to (N,) values, or on a stack of axes, one per member.
 
 The Gaussian limit ``N(theta_hat_ml, V^{-1} / (alpha n))`` completes the
 module, with the exact total variation and KL divergence between the
 Laplace-prior location model's tempered posterior and that limit
 (:func:`laplace_location_divergences`).
 
-The conjugate posterior and the Gaussian limit take one sample or a stack of
-replications, and either one ``alpha`` or a vector of them.  They return one
-:class:`GaussianDist` with a member per (replication, ``alpha``) cell,
-replication-major: member ``r * len(alpha) + a`` is replication ``r`` at
-``alpha[a]``.
+Every routine here stacks by one rule, numpy broadcasting over one leading
+member axis: a sample or a stack of samples, an estimate or a stack of
+estimates, and one ``alpha`` for all members or a vector of one per member.
+Member ``i`` of the result is member ``i`` of each stacked input at
+``alpha[i]``, so a caller that wants every (replication, ``alpha``) cell
+lays the cells out itself and gathers each input per cell.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class SufficientStats:
     (k + 1, k + 1) for one sample with k design columns, or (R, k + 1, k + 1)
     for a stack of R samples that share ``n`` (replications).  Every routine
     that takes these broadcasts over the stack, so one sample runs the same
-    code as a stack.  ``gram`` must be finite; ``n`` at least 1.
+    code as a stack; ``stack[i]`` and ``stack[index]`` select members, as for
+    :class:`GaussianDist`.  ``gram`` must be finite; ``n`` at least 1.
     """
 
     n: int
@@ -111,6 +112,11 @@ class SufficientStats:
         if not members or any(m.stacked or m.n != members[0].n for m in members):
             raise ValueError("a stack takes one or more single samples of one size n")
         return cls(members[0].n, np.stack([m.gram for m in members]))
+
+    def __getitem__(self, index) -> "SufficientStats":
+        if not self.stacked:
+            raise ValueError("only a stack of samples can be indexed")
+        return SufficientStats(self.n, self.gram[index])
 
     @property
     def k(self) -> int:
@@ -183,22 +189,8 @@ class ConjugatePrior:
         return lambda pts: log_density(dist, pts)
 
 
-def _per_alpha(x: np.ndarray, alpha: np.ndarray, core: int) -> np.ndarray:
-    # Room for the alpha axis, if any, between the replication axis, if any,
-    # and the last ``core`` axes that belong to one member.
-    cut = x.ndim - core
-    return x.reshape(x.shape[:cut] + (1,) * alpha.ndim + x.shape[cut:])
-
-
-def _replication_major(x: np.ndarray, core: int) -> np.ndarray:
-    # Merge the leading (replication, alpha) axes of an array whose last
-    # ``core`` axes belong to one member into one stack axis, replication-major.
-    lead = x.shape[: x.ndim - core]
-    return x.reshape((-1,) + x.shape[x.ndim - core :]) if len(lead) > 1 else x
-
-
 def _tempering(alpha) -> np.ndarray:
-    # One alpha or a vector of them, each positive.
+    # One alpha or a vector of them, one per member, each positive.
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim > 1:
         raise ValueError("alpha must be a number or a vector")
@@ -232,16 +224,16 @@ def conjugate_alpha_posterior(
     With ``S = X'X/n + Sigma_pi/(alpha n)`` the posterior is Gaussian with
     mean ``S^{-1} (Sigma_pi mu_pi / (alpha n) + X'Y/n)`` and covariance
     ``sigma_u^2 / (alpha n) * S^{-1}``, where ``X`` is every design column of
-    ``stats``.  A stack of samples or a vector of ``alpha`` gives the stack
-    of these posteriors, replication-major, from one stacked solve.
+    ``stats``.  A stack of samples, a vector of ``alpha`` or both (one per
+    sample) give the stack of these posteriors from one stacked solve.
     """
     alpha = _tempering(alpha)
     if prior.dim != stats.k:
         raise ValueError(f"prior dimension {prior.dim} does not match the {stats.k} design columns")
     n = stats.n
     scale = alpha * n
-    s = _per_alpha(stats.xtx, alpha, 2) / n + prior.Sigma_pi / scale[..., None, None]
-    b = prior.Sigma_pi @ prior.mu_pi / scale[..., None] + _per_alpha(stats.xty, alpha, 1) / n
+    s = stats.xtx / n + prior.Sigma_pi / scale[..., None, None]
+    b = prior.Sigma_pi @ prior.mu_pi / scale[..., None] + stats.xty / n
     try:
         mean = np.linalg.solve(s, b[..., None])[..., 0]
         cov = (sigma_u**2 / scale)[..., None, None] * np.linalg.inv(s)
@@ -251,7 +243,7 @@ def conjugate_alpha_posterior(
     # GaussianDist's 1e-12 symmetry tolerance once p >= 3 and the design is
     # ill-conditioned; averaging with the transpose first keeps such inputs.
     cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
-    return GaussianDist(_replication_major(mean, 1), _replication_major(cov, 2))
+    return GaussianDist(mean, cov)
 
 
 def default_grid_axis(
@@ -329,17 +321,16 @@ def gaussian_bvm_limit(
 
     Tempering only rescales the covariance: ``alpha < 1`` inflates it, the
     location stays at the maximum likelihood estimator.  A stack of
-    estimates (shape (R, p), one per replication) or a vector of ``alpha``
-    gives the stack of limits, replication-major.
+    estimates (shape (k, p)), a vector of ``alpha`` or both (one per
+    estimate) give the stack of limits.
     """
-    alpha = _tempering(alpha)
     V = np.atleast_2d(np.asarray(V, dtype=float))
     mean = np.atleast_1d(np.asarray(theta_hat_ml, dtype=float))
-    cells = mean.shape[:-1] + alpha.shape
-    mean = np.broadcast_to(_per_alpha(mean, alpha, 1), cells + mean.shape[-1:])
+    alpha = _tempering(alpha)
+    members = np.broadcast_shapes(mean.shape[:-1], alpha.shape)
     cov = np.linalg.inv(V) / (alpha * n)[..., None, None]
-    cov = np.broadcast_to((cov + np.swapaxes(cov, -1, -2)) / 2.0, cells + V.shape)
-    return GaussianDist(_replication_major(mean, 1), _replication_major(cov, 2))
+    cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    return GaussianDist(np.broadcast_to(mean, members + V.shape[-1:]), np.broadcast_to(cov, members + V.shape))
 
 
 def _log_tilted_mass(t: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -385,11 +376,10 @@ def laplace_location_divergences(
     ``KL = -E_posterior|theta - loc| / scale - log Z``.  Both stay finite
     far off the kink and for a prior much narrower than ``tau``.
 
-    A vector of estimates (one per replication) or of ``alpha`` gives one
-    value per (replication, ``alpha``) cell, replication-major.  A
-    non-finite ``theta_hat`` or ``loc``, a ``sigma`` or ``scale`` that is not
-    positive and finite, or an ``n`` that is not a positive integer raises
-    ``ValueError`` naming it.
+    A vector of estimates, of ``alpha`` or of both (one per estimate) gives
+    one value per member.  A non-finite ``theta_hat`` or ``loc``, a
+    ``sigma`` or ``scale`` that is not positive and finite, or an ``n`` that
+    is not a positive integer raises ``ValueError`` naming it.
     """
     _require_finite(theta_hat=theta_hat, loc=loc)
     _require_positive(sigma=sigma, scale=scale)
@@ -397,8 +387,7 @@ def laplace_location_divergences(
     alpha = _tempering(alpha)
     tau = sigma / np.sqrt(alpha * n)
     # In units of tau: the estimate's offset from the kink, and the prior's rate.
-    offset = (_per_alpha(np.asarray(theta_hat, dtype=float), alpha, 0) - loc) / tau
-    s, beta = (_replication_major(a, 0) for a in np.broadcast_arrays(offset, tau / scale))
+    s, beta = np.broadcast_arrays((np.asarray(theta_hat, dtype=float) - loc) / tau, tau / scale)
     # Each pair of sides is one (2, cells) stack, so each normal CDF call
     # covers both.  Z times the posterior's mass on either side of the kink:
     log_right, log_left = _log_tilted_mass(np.stack([s, -s]), beta)

@@ -35,7 +35,9 @@ import numpy as np
 
 from .gaussians import GaussianDist, _result, _spd_cholesky, hellinger_sq_gaussian
 from .meanfield import gmf_project_gaussian
-from .posteriors import ConjugatePrior, SufficientStats, _block_gram, conjugate_alpha_posterior, gaussian_bvm_limit
+from .posteriors import (
+    ConjugatePrior, SufficientStats, _block_gram, _require_positive, conjugate_alpha_posterior, gaussian_bvm_limit
+)
 from .robustness import MisspecScenario
 
 __all__ = [
@@ -492,8 +494,7 @@ def concentration_markov_bound(
     exits the ball of radius ``r_n``.  A stack of posteriors (means (R, p),
     covariances (R, p, p)) gives one bound per member.
     """
-    if r_n <= 0:
-        raise ValueError("r_n must be positive")
+    _require_positive(r_n=r_n)
     post_mean = np.atleast_1d(np.asarray(post_mean, dtype=float))
     post_cov = np.atleast_2d(np.asarray(post_cov, dtype=float))
     gap = post_mean - np.atleast_1d(np.asarray(theta_star, dtype=float))
@@ -519,8 +520,7 @@ def failure_case_hellinger(
     Returns an array of shape ``(len(n_grid), 2)`` whose rows are
     ``[h2_failure, h2_control]`` in the order of ``n_grid``.
     """
-    if alpha0 <= 0:
-        raise ValueError("alpha0 must be positive")
+    _require_positive(alpha0=alpha0)
     v = curvature(dgp)
     out = np.empty((len(n_grid), 2))
     for i, n in enumerate(n_grid):

@@ -17,6 +17,10 @@ parameters differ.  The limiting criterion ``r_infinity``
 and the optimized limits complete the picture: the regular posterior's
 expected KL grows linearly in the squared misspecification while the
 optimally tempered one grows only logarithmically.
+
+The finite-sample routines stack like the posteriors: a stacked
+:class:`FiniteSampleInputs` holds one pair of estimates per member, and the
+criteria take one ``alpha`` for all members or one per member.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import GaussianDist, _result, _spd_cholesky, kl_gaussian
-from .posteriors import _replication_major, _tempering
+from .posteriors import _require_finite, _require_positive, _sample_size, _tempering
 
 __all__ = [
     "MisspecScenario",
@@ -103,8 +107,9 @@ class FiniteSampleInputs:
     """Sample-size-n ingredients: the two ML estimates, n, and the misspecification probability.
 
     Like :class:`~alphapost.gaussians.GaussianDist` the estimates may be a
-    stack: shape (R, p) holds one pair per replication, and the routines
-    below give one value per replication.
+    stack: shape (k, p) holds one pair per member, and the routines below
+    give one value per member.  ``n`` must be a positive integer and
+    ``eps_n`` lie in [0, 1].
     """
 
     theta_hat_ml_F: np.ndarray
@@ -121,8 +126,7 @@ class FiniteSampleInputs:
             raise ValueError("ML estimates must be finite")
         if not 0.0 <= self.eps_n <= 1.0:
             raise ValueError("eps_n must lie in [0, 1]")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        object.__setattr__(self, "n", _sample_size(self.n))
         object.__setattr__(self, "theta_hat_ml_F", f)
         object.__setattr__(self, "theta_hat_ml_G", g)
 
@@ -137,15 +141,16 @@ def a_n(Sigma: np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float |
 
     ``eps_n tr(Sigma Omega) + (1 - eps_n) tr(Sigma V^{-1})
     + n eps_n (theta_F - theta_G)' Sigma (theta_F - theta_G)``, one value
-    per replication of a stacked ``f``.
+    per member of a stacked ``f``.
     """
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    delta = f.theta_hat_ml_F - f.theta_hat_ml_G
+    # Each member's delta as a (1, p) row: a stack then runs a single f's product per member, bit for bit.
+    delta = (f.theta_hat_ml_F - f.theta_hat_ml_G)[..., None, :]
     v_inv = np.linalg.inv(s.V)
     return _result(
         f.eps_n * np.trace(Sigma @ s.Omega)
         + (1.0 - f.eps_n) * np.trace(Sigma @ v_inv)
-        + f.n * f.eps_n * np.sum((delta @ Sigma) * delta, axis=-1)
+        + f.n * f.eps_n * np.sum((delta @ Sigma) * delta, axis=(-2, -1))
     )
 
 
@@ -166,8 +171,7 @@ def b_n(Sigma: np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float:
 
 def _surrogate(alpha, s: MisspecScenario, f: FiniteSampleInputs, curv: np.ndarray) -> float | np.ndarray:
     alpha = _tempering(alpha)
-    val = 0.5 * (np.multiply.outer(a_n(curv, s, f), alpha) - s.p * np.log(alpha) + b_n(curv, s, f))
-    return _result(_replication_major(val, 0))
+    return _result(0.5 * (a_n(curv, s, f) * alpha - s.p * np.log(alpha) + b_n(curv, s, f)))
 
 
 def r_star(alpha: float | np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float | np.ndarray:
@@ -176,8 +180,8 @@ def r_star(alpha: float | np.ndarray, s: MisspecScenario, f: FiniteSampleInputs)
     It equals ``eps_n KL(N(theta_G, Omega/n) || R) + (1 - eps_n) KL(N(theta_F, V^{-1}/n) || R)``
     for the reported ``R = N(theta_F, V^{-1}/(alpha n))``.  An array of
     ``alpha`` gives the array of values, with ``A_n`` and ``B_n`` computed once;
-    a stacked ``f`` gives one value per (replication, ``alpha``) cell,
-    replication-major.
+    a stacked ``f`` gives one value per member, at one ``alpha`` for all or
+    at its own.
     """
     return _surrogate(alpha, s, f, s.V)
 
@@ -188,7 +192,7 @@ def r_tilde_star(alpha: float | np.ndarray, s: MisspecScenario, f: FiniteSampleI
 
 
 def optimal_alpha(s: MisspecScenario, f: FiniteSampleInputs) -> float | np.ndarray:
-    """Unique minimizer ``p / A_n(V)`` of the surrogate criterion, per replication of a stacked ``f``.
+    """Unique minimizer ``p / A_n(V)`` of the surrogate criterion, per member of a stacked ``f``.
 
     ``A_n`` is positive, a convex combination of traces of products of SPD
     matrices plus a nonnegative quadratic form, and ``alpha -> alpha A -
@@ -228,8 +232,8 @@ def r_infinity(alpha: float, p: int, eps: float, d_quad: float) -> float:
     At ``alpha = 1`` this is ``eps * d_quad / 2``: the regular posterior's
     expected KL grows linearly in the squared misspecification.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _require_positive(alpha=alpha)
+    _require_finite(eps=eps, d_quad=d_quad)
     if d_quad < 0:
         raise ValueError("d_quad must be nonnegative")
     return 0.5 * (alpha * p + alpha * eps * d_quad - p * np.log(alpha) - p)

@@ -9,12 +9,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# The suite's filterwarnings gate, as interpreter flags.
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", "-W", "error::FutureWarning")
+
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
+        [sys.executable, *WARNINGS_AS_ERRORS, str(ROOT / "demos" / demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

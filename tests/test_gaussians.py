@@ -74,6 +74,15 @@ class TestGaussianDist:
         g = GaussianDist([0.0, 0.0], cov)
         assert_allclose(g.cov, g.cov.T)
 
+    def test_covariances_near_the_float_maximum_are_kept(self):
+        # Symmetrizing halves before it adds, and the asymmetry test halves
+        # before it subtracts, so neither overflows (a RuntimeWarning fails the test).
+        assert GaussianDist(0.0, 1e308).cov[0, 0] == 1e308
+        cov = np.array([[1e308, -9e307], [-9e307, 1e308]])
+        assert np.array_equal(GaussianDist([0.0, 0.0], cov).cov, cov)
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianDist([0.0, 0.0], [[1e308, 1e308], [-1e308, 1e308]])
+
 
 class TestStacks:
     def test_members_and_indexing(self):
@@ -233,6 +242,18 @@ class TestTVGaussian:
             got = tv_gaussian(GaussianDist(0.0, var_p), GaussianDist(mu2, var_q))
             want = tv_equal_variance(0.0, mu2, np.sqrt(var_p)) if var_p == var_q else 1.0
             assert got == want == 1.0
+
+    def test_2d_pairs_whose_variance_ratio_overflows_are_apart(self):
+        # In p's whitened frame q's first variance is 1e310, past the float
+        # range, in one argument order; the TV is 1 to float precision.
+        p = GaussianDist([0.0, 0.0], np.diag([1e-10, 1.0]))
+        q = GaussianDist([0.0, 0.0], np.diag([1e300, 1.0]))
+        assert tv_gaussian(p, q) == 1.0
+        assert tv_gaussian(q, p) == pytest.approx(1.0, abs=1e-12)
+        # In a stack, the other pairs keep their values.
+        near_p, near_q = GaussianDist([0.0, 0.0], np.eye(2)), GaussianDist([0.3, 0.1], np.diag([2.0, 0.5]))
+        stack = lambda a, b: GaussianDist(np.stack([a.mean, b.mean]), np.stack([a.cov, b.cov]))
+        assert np.array_equal(tv_gaussian(stack(p, near_p), stack(q, near_q)), [1.0, tv_gaussian(near_p, near_q)])
 
     def test_equal_covariance_2d_is_mahalanobis_closed_form(self):
         # Equal covariances make log p - log q linear (d = 1 in the whitened

@@ -376,17 +376,24 @@ class TestLaplaceLocationDivergences:
             tv, kl = laplace_location_divergences(0.0, 1.0, 1, 1.0, 0.0, 1.0 / beta)
             assert_allclose(kl, np.log(beta * np.sqrt(2.0 * np.pi) / 2.0) - 1.0, rtol=1e-5)
             assert 1.0 - 2.0 * np.log(beta) / beta < tv <= 1.0
-        tv, kl = laplace_location_divergences([-1e4, 1e4, 0.0], 1.0, 1, [1e-8, 1.0], 0.0, 1e-4)
+        theta_hat, alpha = np.repeat([-1e4, 1e4, 0.0], 2), np.tile([1e-8, 1.0], 3)
+        tv, kl = laplace_location_divergences(theta_hat, 1.0, 1, alpha, 0.0, 1e-4)
         assert np.all(np.isfinite(tv)) and np.all(np.isfinite(kl))
         assert np.all((0.0 <= tv) & (tv <= 1.0)) and np.all(kl >= 0.0)
 
-    def test_stack_is_replication_major(self):
-        theta_hat, alphas = np.array([0.05, -0.1, 0.3]), [0.25, 1.0]
+    def test_stack_pairs_each_estimate_with_its_alpha(self):
+        # Member i is estimate i at alpha i; one alpha, or one estimate, serves every member.
+        theta_hat, alphas = np.array([0.05, -0.1, 0.3, 0.05]), np.array([0.25, 1.0, 1.0, 1.0])
         tv, kl = laplace_location_divergences(theta_hat, 1.5, 80, alphas, 0.1, 0.5)
-        assert tv.shape == kl.shape == (6,)
-        for r, a in np.ndindex(3, 2):
-            single = laplace_location_divergences(theta_hat[r], 1.5, 80, alphas[a], 0.1, 0.5)
-            assert (tv[2 * r + a], kl[2 * r + a]) == single
+        assert tv.shape == kl.shape == (4,)
+        for i in range(4):
+            assert (tv[i], kl[i]) == laplace_location_divergences(theta_hat[i], 1.5, 80, alphas[i], 0.1, 0.5)
+        assert np.array_equal(laplace_location_divergences(theta_hat[1:], 1.5, 80, 1.0, 0.1, 0.5), (tv[1:], kl[1:]))
+        same_estimate = [0, 3]
+        divergences = laplace_location_divergences(0.05, 1.5, 80, alphas[same_estimate], 0.1, 0.5)
+        assert np.array_equal(divergences, (tv[same_estimate], kl[same_estimate]))
+        with pytest.raises(ValueError):
+            laplace_location_divergences(theta_hat, 1.5, 80, alphas[:2], 0.1, 0.5)
 
     @pytest.mark.parametrize(
         "args, name",

@@ -12,7 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alphapost.gaussians import GaussianDist, hellinger_sq_gaussian, kl_gaussian, tv_gaussian
-from alphapost.meanfield import gmf_project_gaussian
+from alphapost.meanfield import gmf_project_gaussian, variational_bvm_limit
+from alphapost.posteriors import (
+    ConjugatePrior,
+    SufficientStats,
+    conjugate_alpha_posterior,
+    gaussian_bvm_limit,
+    laplace_location_divergences,
+)
 from alphapost.robustness import FiniteSampleInputs, MisspecScenario, r_star, r_tilde_star
 
 from oracles import surrogate_via_kl
@@ -191,3 +198,46 @@ def test_surrogate_criteria_equal_their_kl_form(scenario, alpha):
     s, f = scenario
     assert abs(r_star(alpha, s, f) - surrogate_via_kl(alpha, s, f, s.V)) < 1e-10
     assert abs(r_tilde_star(alpha, s, f) - surrogate_via_kl(alpha, s, f, s.V_tilde)) < 1e-10
+
+
+@st.composite
+def member_stacks(draw):
+    # A scenario and two to five members, each with its own sample, estimates and alpha.
+    s, _ = draw(scenarios())
+    members = draw(st.integers(2, 5))
+    n = draw(st.integers(s.p + 2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = [SufficientStats.of(rng.normal(size=(n, s.p)), rng.normal(size=n)) for _ in range(members)]
+    theta_f = s.theta_star + rng.uniform(-0.1, 0.1, size=(members, s.p))
+    theta_g = s.theta0 + rng.uniform(-0.1, 0.1, size=(members, s.p))
+    alphas = np.array([draw(st.floats(0.05, 5.0)) for _ in range(members)])
+    return s, n, samples, theta_f, theta_g, alphas
+
+
+def assert_same_members(stacked, singles):
+    assert np.array_equal(stacked, np.array(singles))
+
+
+@PROPERTY
+@given(member_stacks())
+def test_stacked_routines_equal_their_single_cell_calls(stack):
+    # One stacked call on per-cell inputs is the single-cell calls, bit for bit.
+    s, n, samples, theta_f, theta_g, alphas = stack
+    cells = list(zip(samples, theta_f, theta_g, alphas))
+    prior = ConjugatePrior(np.full(s.p, 0.25), np.eye(s.p))
+    post = conjugate_alpha_posterior(SufficientStats.stack(samples), prior, 1.5, alphas)
+    singles = [conjugate_alpha_posterior(x, prior, 1.5, a) for x, _, _, a in cells]
+    assert_same_members(post.mean, [g.mean for g in singles])
+    assert_same_members(post.cov, [g.cov for g in singles])
+    for limit in (gaussian_bvm_limit, variational_bvm_limit):
+        lim = limit(theta_f, s.V, n, alphas)
+        singles = [limit(t, s.V, n, a) for _, t, _, a in cells]
+        assert_same_members(lim.mean, [g.mean for g in singles])
+        assert_same_members(lim.cov, [g.cov for g in singles])
+    fin = FiniteSampleInputs(theta_f, theta_g, n, s.eps / n)
+    for criterion in (r_star, r_tilde_star):
+        singles = [criterion(a, s, FiniteSampleInputs(f, g, n, s.eps / n)) for _, f, g, a in cells]
+        assert_same_members(criterion(alphas, s, fin), singles)
+    divergences = laplace_location_divergences(theta_f[:, 0], 1.5, n, alphas, 0.1, 0.5)
+    singles = [laplace_location_divergences(t[0], 1.5, n, a, 0.1, 0.5) for _, t, _, a in cells]
+    assert_same_members(np.transpose(divergences), singles)

@@ -29,7 +29,7 @@ from alphapost.regression import (
     true_posterior_theta,
     variational_conjugate_cov,
 )
-from alphapost.robustness import FiniteSampleInputs, a_n, optimal_alpha, r_star
+from alphapost.robustness import FiniteSampleInputs, a_n, optimal_alpha, r_infinity, r_star
 
 from oracles import normal_tail_two_sided
 
@@ -475,6 +475,23 @@ class TestConcentrationMarkovBound:
             concentration_markov_bound([0.0], [[1.0]], [0.0], 0.0, 10)
 
 
+@pytest.mark.parametrize(
+    "routine, args, name",
+    [
+        (FiniteSampleInputs, ([1.0], [0.5], np.nan, 0.01), "n"),
+        (FiniteSampleInputs, ([1.0], [0.5], np.inf, 0.01), "n"),
+        (FiniteSampleInputs, ([1.0], [0.5], 2.5, 0.01), "n"),
+        (r_infinity, (np.nan, 1, 1.0, 1.0), "alpha"),
+        (concentration_markov_bound, ([0.0], [[1.0]], [0.0], np.nan, 10), "r_n"),
+        (failure_case_hellinger, (toy_dgp(), ConjugatePrior([0.0], [[1.0]]), np.nan, [50]), "alpha0"),
+    ],
+)
+def test_nan_and_fractional_scalars_are_rejected_by_name(routine, args, name):
+    # Each is caught where it enters, under its own name, never passed on as a NaN.
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        routine(*args)
+
+
 class TestFailureCase:
     def test_vanishing_tempering_keeps_gap_positive(self):
         dgp = toy_dgp(cov_ww=[[1.0]], sigma_u=1.0)
@@ -609,6 +626,10 @@ class TestStacksMatchSingleSamples:
         singles = [simulate(dgp, self.N, derived_seed(211, self.N, rep)).stats() for rep in range(self.REPS)]
         return dgp, singles, SufficientStats.stack(singles)
 
+    def cells(self, alphas):
+        # Each (rep, alpha) cell's replication and alpha, replication-major.
+        return np.repeat(np.arange(self.REPS), len(alphas)), np.tile(alphas, self.REPS)
+
     @staticmethod
     def assert_members(stacked, singles, p):
         stacked, singles = np.asarray(stacked), np.asarray(singles)
@@ -623,18 +644,19 @@ class TestStacksMatchSingleSamples:
         dgp, singles, stack = self.setup_samples(p)
         prior = ConjugatePrior(np.full(p, 0.2), np.eye(p))
         full_prior = ConjugatePrior(np.zeros(p + 1), np.eye(p + 1))
-        alphas = [0.25, 0.5, 1.0]
         short = [s.first_columns(p) for s in singles]
         self.assert_members(ols(stack.first_columns(p)), [ols(s) for s in short], p)
         self.assert_members(ols(stack), [ols(s) for s in singles], p)
-        # Replication-major: the alphas of replication 0, then those of replication 1, ...
-        post = conjugate_alpha_posterior(stack.first_columns(p), prior, dgp.sigma_u, alphas)
-        each = [conjugate_alpha_posterior(s, prior, dgp.sigma_u, alphas) for s in short]
-        self.assert_members(post.mean, np.concatenate([e.mean for e in each]), p)
-        self.assert_members(post.cov, np.concatenate([e.cov for e in each]), p)
-        vc = variational_conjugate_cov(stack.first_columns(p), prior, dgp.sigma_u, alphas)
-        each = [variational_conjugate_cov(s, prior, dgp.sigma_u, alphas) for s in short]
-        self.assert_members(vc.cov, np.concatenate([e.cov for e in each]), p)
+        # One member per (rep, alpha) cell: each sample gathered per cell, at its cell's alpha.
+        rep, alpha = self.cells([0.25, 0.5, 1.0])
+        cells = stack.first_columns(p)[rep]
+        post = conjugate_alpha_posterior(cells, prior, dgp.sigma_u, alpha)
+        each = [conjugate_alpha_posterior(short[r], prior, dgp.sigma_u, a) for r, a in zip(rep, alpha)]
+        self.assert_members(post.mean, [e.mean for e in each], p)
+        self.assert_members(post.cov, [e.cov for e in each], p)
+        vc = variational_conjugate_cov(cells, prior, dgp.sigma_u, alpha)
+        each = [variational_conjugate_cov(short[r], prior, dgp.sigma_u, a) for r, a in zip(rep, alpha)]
+        self.assert_members(vc.cov, [e.cov for e in each], p)
         true_post, omega = true_posterior_theta(stack, full_prior, dgp.sigma_eps, p)
         each = [true_posterior_theta(s, full_prior, dgp.sigma_eps, p) for s in singles]
         self.assert_members(true_post.mean, [e[0].mean for e in each], p)
@@ -672,7 +694,6 @@ class TestStacksMatchSingleSamples:
     def test_surrogate_criteria(self, p):
         dgp, singles, stack = self.setup_samples(p)
         scenario = misspec_scenario(dgp, 1.0)
-        alphas = np.array([0.25, 0.5, 1.0])
 
         def inputs(stats):
             return FiniteSampleInputs(ols(stats.first_columns(p)), ols(stats)[..., :p], self.N, 1.0 / self.N)
@@ -680,8 +701,11 @@ class TestStacksMatchSingleSamples:
         fin = inputs(stack)
         self.assert_members(a_n(scenario.V, scenario, fin), [a_n(scenario.V, scenario, inputs(s)) for s in singles], p)
         self.assert_members(optimal_alpha(scenario, fin), [optimal_alpha(scenario, inputs(s)) for s in singles], p)
+        rep, alpha = self.cells([0.25, 0.5, 1.0])
         self.assert_members(
-            r_star(alphas, scenario, fin), np.concatenate([r_star(alphas, scenario, inputs(s)) for s in singles]), p
+            r_star(alpha, scenario, inputs(stack[rep])),
+            [r_star(a, scenario, inputs(singles[r])) for r, a in zip(rep, alpha)],
+            p,
         )
 
     def test_one_rank_deficient_member_is_rejected(self):
