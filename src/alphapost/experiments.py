@@ -53,6 +53,7 @@ from .meanfield import gmf_project_gaussian, gmf_project_numeric, variational_bv
 from .posteriors import (
     ConjugatePrior,
     SufficientStats,
+    _block_gram,
     _require_finite,
     _require_positive,
     conjugate_alpha_posterior,
@@ -109,8 +110,10 @@ _GRID_POINTS_MAX = 10**6
 
 # The location projection tabulates at most this many (cell, node) values
 # at a time, in stacks of whole cells (one cell when grid_points alone
-# exceeds it): 200 replications x 4 alphas at the grid_points cap would
-# otherwise take about 6 GB per array.
+# exceeds it).  A block keeps three arrays of its size alive, 8 MB each at
+# most: the axes, the log weights and the spline's slopes (the log prior's
+# values in place of the slopes while it tabulates).  200 replications x 4
+# alphas at the grid_points cap would otherwise take about 6 GB per array.
 _GRID_BLOCK = 2**20
 
 # assumption-checks takes the sup of the LAN defect over a
@@ -392,11 +395,13 @@ def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
 
     The location model is the regression of the data on one constant
     column; each sample is drawn from its ``(seed, n, rep)`` stream and
-    reduced to its statistics at once.
+    reduced at once to its member of one stacked Gram matrix.
     """
-    ones, reps = np.ones(n), range(cfg.replications)
-    draws = (np.random.default_rng(derived_seed(cfg.seed, n, rep)).standard_normal(n) for rep in reps)
-    return SufficientStats.stack([SufficientStats.of(ones, cfg.theta_true + cfg.noise_sd * x) for x in draws])
+    ones, gram = np.ones((n, 1)), np.empty((cfg.replications, 2, 2))
+    for rep in range(cfg.replications):
+        x = np.random.default_rng(derived_seed(cfg.seed, n, rep)).standard_normal(n)
+        gram[rep] = _block_gram(ones, cfg.theta_true + cfg.noise_sd * x)
+    return SufficientStats(n, gram)
 
 
 def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[list]:
@@ -571,14 +576,6 @@ def run_experiment(cfg: ExperimentConfig, experiment: str) -> tuple[list[str], l
     return columns, rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _replace_atomically(path: Path, write: Callable[[TextIO], object]):
     # Write through a temporary file in the same directory, then rename it
     # over ``path``: an interrupted run leaves the earlier file intact.
@@ -607,10 +604,11 @@ def write_outputs(
     out_dir = Path(cfg.out)
 
     def write_csv(fh):
+        # csv writes each cell's str(), which for a float, Python's or
+        # numpy's, is its shortest round-tripping repr.
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(rows)
 
     sidecar = {
         "config": cfg.to_dict(),

@@ -235,19 +235,28 @@ def _ratio_set(mu, s, ell=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     ``c / t``.  A discriminant ``b^2/4 - ac`` would cancel once one standard
     deviation is about 1e-10 of the other, and q's bounds taken from p's
     would round onto q's mean.
+
+    Every term is formed divided by ``h``, or ``Q`` by ``h^2``, where ``h``
+    is the largest power of two not above ``max(1, s)``.  Dividing by a power
+    of two is exact, so the bounds are those of the unscaled terms wherever
+    these are finite, and they stay finite where ``a (log d + ell)`` or
+    ``d (log d + ell)`` alone would overflow.
     """
     log_d = 2.0 * np.log(s)
+    h = np.ldexp(1.0, np.frexp(np.maximum(s, 1.0))[1] - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = s * s
-        a = 1.0 - d
-        quarter = mu * mu - a * (log_d + ell)
+        level = log_d + ell
+        mu_h, s_h = mu / h, s / h
+        a_h2 = 1.0 / h / h - s_h * s_h
+        quarter = mu_h * mu_h - a_h2 * level
         root = np.sqrt(np.maximum(quarter, 0.0))
+        a_h = a_h2 * h
         bounds = []
         for t, c in (
-            (mu + np.copysign(s * root, mu), mu * mu + d * (log_d + ell)),
-            (mu * s + np.copysign(root, mu), log_d + ell - mu * mu),
+            (mu_h + np.copysign(s * root, mu), mu_h * mu + s_h * s * level),
+            (mu * s_h + np.copysign(root, mu), level / h - mu_h * mu),
         ):
-            r1, r2 = t / a, c / t
+            r1, r2 = t / a_h, c / t
             bounds += [np.where(quarter > 0.0, f(r1, r2), 0.0) for f in (np.minimum, np.maximum)]
     return tuple(bounds)
 
@@ -521,13 +530,29 @@ def _axis_step(x: np.ndarray) -> np.ndarray:
     return x[..., 1] - x[..., 0]
 
 
+# Row-wise passes over a stack of grids (the spacing check, the moments, the
+# likelihood) take at most this many (member, node) values at a time, so
+# their temporaries stay small beside the stack's own arrays.
+_ROW_CHUNK = 2**14
+
+
+def _row_chunks(rows: int, cols: int) -> list[slice]:
+    """Slices of whole rows of a (rows, cols) array, each of at most ``_ROW_CHUNK`` values (one row if a row is longer)."""
+    size = max(1, _ROW_CHUNK // cols)
+    return [slice(start, start + size) for start in range(0, rows, size)]
+
+
 def _check_spacing(x: np.ndarray, step: np.ndarray):
-    # Every step positive and within 1e-9 relative of the first, read off the
-    # extreme steps.
-    steps = np.diff(x, axis=-1)
+    # Every step positive and within 1e-9 relative of the first, read off
+    # each axis's extreme steps, a chunk of axes at a time.
+    x = x.reshape(-1, x.shape[-1])
+    least, most = np.empty(len(x)), np.empty(len(x))
+    for rows in _row_chunks(*x.shape):
+        steps = np.diff(x[rows], axis=-1)
+        least[rows], most[rows] = np.min(steps, axis=-1), np.max(steps, axis=-1)
     tol = 1e-9 * np.abs(step)
-    uniform = np.all(np.max(steps, axis=-1) - step <= tol) and np.all(step - np.min(steps, axis=-1) <= tol)
-    if np.any(step <= 0) or (not uniform and np.any(steps <= 0)):
+    uniform = np.all(most - step <= tol) and np.all(step - least <= tol)
+    if np.any(step <= 0) or (not uniform and np.any(least <= 0)):
         raise ValueError("the axis must be strictly increasing")
     if not uniform:
         raise ValueError("the axis must be uniformly spaced")
@@ -553,36 +578,37 @@ def _not_a_knot_factors(num: int) -> tuple[tuple[float, ...], tuple[float, ...],
 
 
 def _not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
-    """Node slopes, per unit node index, of the not-a-knot cubic spline through each column of ``y`` (num, members).
+    """Node slopes, per unit node index, of the not-a-knot cubic spline through each row of ``y`` (members, num).
 
-    Every column has the same matrix in index units, so one forward and one
-    backward sweep over the node rows solve all columns at once, each step
-    updating one contiguous row of members in place.  The result is
-    node-major like ``y``; this is the interpolant
+    Every row has the same matrix in index units, so one forward and one
+    backward sweep over the node columns solve all rows at once, each step
+    updating one column of members in place.  The right-hand side is formed
+    from ``y`` straight into the slopes' own array, which is the only array
+    of ``y``'s size made; this is the interpolant
     ``scipy.interpolate.CubicSpline`` builds by default.
     """
-    sub, inv_pivot, upper = _not_a_knot_factors(len(y))
-    delta = np.diff(y, axis=0)
-    # The right-hand side, formed in the slopes' own buffer.
+    sub, inv_pivot, upper = _not_a_knot_factors(y.shape[-1])
     s = np.empty_like(y)
-    s[0] = (5.0 * delta[0] + delta[1]) / 2.0
-    np.add(delta[:-1], delta[1:], out=s[1:-1])
-    s[1:-1] *= 3.0
-    s[-1] = (delta[-2] + 5.0 * delta[-1]) / 2.0
-    del delta
+    # Row j of the system has 3 (y[j + 1] - y[j - 1]) on the right, and the
+    # end rows (5 (y1 - y0) + (y2 - y1)) / 2 and its mirror image.
+    np.subtract(y[:, 2:], y[:, :-2], out=s[:, 1:-1])
+    s[:, 1:-1] *= 3.0
+    s[:, 0] = (5.0 * (y[:, 1] - y[:, 0]) + (y[:, 2] - y[:, 1])) / 2.0
+    s[:, -1] = ((y[:, -2] - y[:, -3]) + 5.0 * (y[:, -1] - y[:, -2])) / 2.0
     # Multiplying by 1.0 is exact, so unit coefficients subtract directly;
-    # the others go through one reused row.
-    scaled = np.empty_like(s[0])
-    rows = list(s)
-    prev = rows[0]
+    # the others go through one reused column.
+    scaled = np.empty(len(s))
+    prev = s[:, 0]
     prev *= inv_pivot[0]
-    for row, a, inv in zip(rows[1:], sub[1:], inv_pivot[1:]):
-        row -= prev if a == 1.0 else np.multiply(a, prev, out=scaled)
-        row *= inv
-        prev = row
-    for row, c in zip(rows[-2::-1], upper[-2::-1]):
-        row -= np.multiply(c, prev, out=scaled)
-        prev = row
+    for j in range(1, len(sub)):
+        col = s[:, j]
+        col -= prev if sub[j] == 1.0 else np.multiply(sub[j], prev, out=scaled)
+        col *= inv_pivot[j]
+        prev = col
+    for j in range(len(sub) - 2, -1, -1):
+        col = s[:, j]
+        col -= np.multiply(upper[j], prev, out=scaled)
+        prev = col
     return s
 
 
@@ -647,17 +673,16 @@ class GridDensity:
     def integral(self) -> float | np.ndarray:
         return _result(_trapezoid(self.pdf(), self._step))
 
-    def _spline(self) -> tuple[np.ndarray, np.ndarray]:
-        # The normalized log density and the node slopes, per unit node index,
-        # of its cubic interpolant, node-major (nodes, members) with one
-        # member for a single density: solved on first use and kept.
-        cached = getattr(self, "_spline_cache", None)
-        if cached is None:
-            lw = self.log_weights.reshape(-1, self.x.shape[-1]).T
-            y = np.subtract(lw, np.atleast_1d(self.normalizer), out=np.empty(lw.shape))
-            cached = (y, _not_a_knot_slopes(y))
-            object.__setattr__(self, "_spline_cache", cached)
-        return cached
+    def _spline(self) -> np.ndarray:
+        # The node slopes, per unit node index, of the cubic interpolant of
+        # the log weights, member-major (members, nodes) with one member for a
+        # single density: solved on first use and kept.  The normalizer only
+        # shifts the values, so these are the normalized log density's slopes.
+        slopes = getattr(self, "_slopes", None)
+        if slopes is None:
+            slopes = _not_a_knot_slopes(self.log_weights.reshape(-1, self.x.shape[-1]))
+            object.__setattr__(self, "_slopes", slopes)
+        return slopes
 
     def log_pdf_and_grad_at(
         self, points: np.ndarray, rows: np.ndarray | None = None
@@ -692,16 +717,16 @@ class GridDensity:
         pts2 = pts.reshape(len(members), -1)
         if np.any(pts2 < lo) or np.any(pts2 > hi):
             raise ValueError("points fall outside the tabulated support")
-        # The left node of each point's interval, and its flat index in the
-        # member-major axes.
+        # The left node of each point's interval, as its flat index in the
+        # member-major axes, log weights and slopes.
         i = np.minimum((pts2 - lo) // h, num - 2).astype(np.intp)
-        u = (pts2 - np.take(x, i + num * members)) / h
-        y, slopes = self._spline()
-        # Its flat index in the node-major spline, and the right node's.
-        i *= y.shape[1]
-        i += members
-        right = i + y.shape[1]
-        y0, s0, y1, s1 = np.take(y, i), np.take(slopes, i), np.take(y, right), np.take(slopes, right)
+        i += num * members
+        u = (pts2 - np.take(x, i)) / h
+        slopes = self._spline()
+        # The normalized log density at both nodes, and the slopes.
+        norm = np.atleast_1d(self.normalizer)[members]
+        y0, y1 = np.take(self.log_weights, i) - norm, np.take(self.log_weights, i + 1) - norm
+        s0, s1 = np.take(slopes, i), np.take(slopes, i + 1)
         # The cubic on [x_i, x_i+1] in u = (x - x_i) / h: y0 + u (s0 + u (c2 + u c3)).
         c2 = 3.0 * (y1 - y0) - 2.0 * s0 - s1
         c3 = s0 + s1 - 2.0 * (y1 - y0)
@@ -711,15 +736,23 @@ class GridDensity:
         return value.reshape(pts.shape), grad.reshape(pts.shape), hess.reshape(pts.shape)
 
     def moments(self) -> tuple[float | np.ndarray, float | np.ndarray]:
-        """Mean and variance by trapezoid integration."""
-        pdf = self.pdf()
-        values = self.x * pdf
-        mean = _trapezoid(values, self._step)
-        # The squared deviations times the density, in the same buffer.
-        spread = np.subtract(self.x, mean[..., None], out=values)
-        spread *= spread
-        spread *= pdf
-        return _result(mean), _result(_trapezoid(spread, self._step))
+        """Mean and variance by trapezoid integration, a chunk of members at a time."""
+        num = self.x.shape[-1]
+        x, lw = self.x.reshape(-1, num), self.log_weights.reshape(-1, num)
+        norm, step = (np.broadcast_to(v, len(x)) for v in (self.normalizer, self._step))
+        mean, var = np.empty(len(x)), np.empty(len(x))
+        for rows in _row_chunks(*x.shape):
+            pdf = np.subtract(lw[rows], norm[rows, None])
+            np.exp(pdf, out=pdf)
+            values = x[rows] * pdf
+            mean[rows] = _trapezoid(values, step[rows])
+            # The squared deviations times the density, in the same buffer.
+            spread = np.subtract(x[rows], mean[rows, None], out=values)
+            spread *= spread
+            spread *= pdf
+            var[rows] = _trapezoid(spread, step[rows])
+        shape = self.x.shape[:-1]
+        return _result(mean.reshape(shape)), _result(var.reshape(shape))
 
 
 def _check_same_axis(p: GridDensity, q: GridDensity):

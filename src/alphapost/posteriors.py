@@ -189,11 +189,15 @@ class ConjugatePrior:
         return lambda pts: log_density(dist, pts)
 
 
-def _tempering(alpha) -> np.ndarray:
-    # One alpha or a vector of them, one per member, each positive.
+def _tempering(alpha, members: int) -> np.ndarray:
+    # One alpha or a vector of them, each positive, for an input of this many
+    # members (1 for a single one): one value, or one per member.  An input
+    # of one member pairs with every alpha of a vector, as numpy broadcasts.
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim > 1:
         raise ValueError("alpha must be a number or a vector")
+    if members > 1 and alpha.size not in (1, members):
+        raise ValueError(f"alpha: one value, or one per member ({members}), got {alpha.size}")
     if not np.all(alpha > 0):
         raise ValueError("alpha must be positive")
     return alpha
@@ -227,7 +231,7 @@ def conjugate_alpha_posterior(
     ``stats``.  A stack of samples, a vector of ``alpha`` or both (one per
     sample) give the stack of these posteriors from one stacked solve.
     """
-    alpha = _tempering(alpha)
+    alpha = _tempering(alpha, len(stats.gram) if stats.stacked else 1)
     if prior.dim != stats.k:
         raise ValueError(f"prior dimension {prior.dim} does not match the {stats.k} design columns")
     n = stats.n
@@ -296,10 +300,10 @@ def grid_alpha_posterior(
     stabilized by a log-sum-exp shift so that likelihood magnitudes growing
     with the sample size never overflow.
     """
-    alpha = _tempering(alpha)
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(f"grid posteriors take one axis or a stack of axes, got an array of dimension {x.ndim}")
+    alpha = _tempering(alpha, len(x) if x.ndim == 2 else 1)
     if x.shape[-1] < 101:
         raise ValueError("the grid axis needs at least 101 nodes")
     if not np.all(np.isfinite(x)):
@@ -326,7 +330,7 @@ def gaussian_bvm_limit(
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     mean = np.atleast_1d(np.asarray(theta_hat_ml, dtype=float))
-    alpha = _tempering(alpha)
+    alpha = _tempering(alpha, len(mean) if mean.ndim == 2 else 1)
     members = np.broadcast_shapes(mean.shape[:-1], alpha.shape)
     cov = np.linalg.inv(V) / (alpha * n)[..., None, None]
     cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
@@ -384,7 +388,7 @@ def laplace_location_divergences(
     _require_finite(theta_hat=theta_hat, loc=loc)
     _require_positive(sigma=sigma, scale=scale)
     n = _sample_size(n)
-    alpha = _tempering(alpha)
+    alpha = _tempering(alpha, np.size(theta_hat))
     tau = sigma / np.sqrt(alpha * n)
     # In units of tau: the estimate's offset from the kink, and the prior's rate.
     s, beta = np.broadcast_arrays((np.asarray(theta_hat, dtype=float) - loc) / tau, tau / scale)

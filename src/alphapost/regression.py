@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gaussians import GaussianDist, _result, _spd_cholesky, hellinger_sq_gaussian
+from .gaussians import GaussianDist, _result, _row_chunks, _spd_cholesky, hellinger_sq_gaussian
 from .meanfield import gmf_project_gaussian
 from .posteriors import (
     ConjugatePrior, SufficientStats, _block_gram, _require_positive, conjugate_alpha_posterior, gaussian_bvm_limit
@@ -322,25 +322,38 @@ def regression_likelihood(stats: SufficientStats, sigma_u: float) -> Callable[[n
     of S samples, maps an (S, N, k) array, N points per sample, to the
     (S, N) log-likelihoods of each sample at its own points.  Points of
     another dimension are rejected.  The covariate marginal does not
-    involve the coefficients and is dropped.
+    involve the coefficients and is dropped.  The values are written into
+    the one array returned, a chunk of samples at a time, so the only other
+    arrays made are a chunk's size.
     """
     n, k = stats.n, stats.k
-    yty, xty, xtx = np.asarray(stats.yty), stats.xty, stats.xtx
+    # One sample is a stack of one.
+    gram = stats.gram.reshape(-1, k + 1, k + 1)
+    xtx, xty, yty = gram[:, :k, :k], gram[:, :k, k], gram[:, k, k]
     const = -0.5 * n * np.log(2.0 * np.pi * sigma_u**2)
 
     def log_lik(thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float) if stats.stacked else np.atleast_2d(thetas)
         if thetas.shape[-1] != k:
             raise ValueError(f"points of dimension {thetas.shape[-1]}, but the likelihood has {k} design columns")
-        quad = np.einsum("...ni,...ij,...nj->...n", thetas, xtx, thetas)
-        # const - (yty - 2 linear + quad) / (2 sigma_u^2), in place on one
-        # array: every step is that expression's own rounding.
-        out = np.einsum("...ni,...i->...n", thetas, xty)
-        out *= -2.0
-        out += yty[..., None]
-        out += quad
-        out /= 2.0 * sigma_u**2
-        return np.subtract(const, out, out=out)
+        # Each sample's points in one row of a (samples, points, k) array.
+        if stats.stacked:
+            pts = np.broadcast_to(thetas, (len(gram),) + thetas.shape[-2:])
+        else:
+            pts = thetas.reshape(1, -1, k)
+        out = np.empty(pts.shape[:-1])
+        for rows in _row_chunks(*out.shape):
+            t, block = pts[rows], out[rows]
+            quad = np.einsum("sni,sij,snj->sn", t, xtx[rows], t)
+            # const - (yty - 2 linear + quad) / (2 sigma_u^2), in place on the
+            # block: every step is that expression's own rounding.
+            np.einsum("sni,si->sn", t, xty[rows], out=block)
+            block *= -2.0
+            block += yty[rows, None]
+            block += quad
+            block /= 2.0 * sigma_u**2
+            np.subtract(const, block, out=block)
+        return out if stats.stacked else out.reshape(thetas.shape[:-1])
 
     return log_lik
 

@@ -170,7 +170,7 @@ def b_n(Sigma: np.ndarray, s: MisspecScenario, f: FiniteSampleInputs) -> float:
 
 
 def _surrogate(alpha, s: MisspecScenario, f: FiniteSampleInputs, curv: np.ndarray) -> float | np.ndarray:
-    alpha = _tempering(alpha)
+    alpha = _tempering(alpha, len(f.theta_hat_ml_F) if f.theta_hat_ml_F.ndim == 2 else 1)
     return _result(0.5 * (a_n(curv, s, f) * alpha - s.p * np.log(alpha) + b_n(curv, s, f)))
 
 

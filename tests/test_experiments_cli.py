@@ -168,7 +168,7 @@ class TestExperimentOutputs:
         # stay byte-identical when the stack is shorter or the grids reversed.
         def rows(text):
             cfg = ExperimentConfig.from_file(write_config(tmp_path, f"seed = 19\n{text}"))
-            return [[experiments._format_cell(v) for v in row] for row in run_experiment(cfg, experiment)[1]]
+            return [[str(v) for v in row] for row in run_experiment(cfg, experiment)[1]]
 
         full = rows("replications = 5\nn_grid = 60,150\nalphas = 0.25,0.5,1.0\n")
         short = rows("replications = 3\nn_grid = 150,60\nalphas = 1.0,0.5,0.25\n")
@@ -184,7 +184,7 @@ class TestExperimentOutputs:
             cfg = ExperimentConfig.from_file(
                 write_config(tmp_path, f"seed = 19\nmodel = laplace-location\ngrid_points = 301\n{text}")
             )
-            return [[experiments._format_cell(v) for v in row] for row in run_experiment(cfg, experiment)[1]]
+            return [[str(v) for v in row] for row in run_experiment(cfg, experiment)[1]]
 
         full = rows("replications = 5\nn_grid = 60,150\nalphas = 0.25,0.5,1.0\n")
         monkeypatch.setattr(experiments, "_GRID_BLOCK", 2 * 301)
@@ -499,15 +499,18 @@ class TestCLI:
         out = tmp_path / "atomic"
         assert self.run_cli(["surrogate-fidelity", "--config", str(cfg_path), "--out", str(out)]) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        cells = iter(range(40))
-        real_format_cell = experiments._format_cell
+        real_run = experiments.run_experiment
 
-        def failing_format_cell(value):
-            if next(cells, None) is None:
+        class Interrupting:
+            # A cell whose text fails, as an interruption would, part way through the CSV.
+            def __str__(self):
                 raise RuntimeError("interrupted")
-            return real_format_cell(value)
 
-        monkeypatch.setattr(experiments, "_format_cell", failing_format_cell)
+        def interrupted_run(cfg, experiment):
+            columns, rows = real_run(cfg, experiment)
+            return columns, rows[:10] + [[Interrupting()] * len(columns)] + rows[10:]
+
+        monkeypatch.setattr(experiments, "run_experiment", interrupted_run)
         with pytest.raises(RuntimeError, match="interrupted"):
             experiments.run_and_write(ExperimentConfig.from_file(cfg_path), "surrogate-fidelity")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before

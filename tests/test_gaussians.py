@@ -255,6 +255,16 @@ class TestTVGaussian:
         stack = lambda a, b: GaussianDist(np.stack([a.mean, b.mean]), np.stack([a.cov, b.cov]))
         assert np.array_equal(tv_gaussian(stack(p, near_p), stack(q, near_q)), [1.0, tv_gaussian(near_p, near_q)])
 
+    @pytest.mark.filterwarnings("error")
+    def test_2d_pairs_whose_discriminant_would_overflow_are_apart(self):
+        # q's offset squares to 1.69e308 and its first variance is 1e306, both
+        # finite, but a (log d + ell) in the inner section is about 7e308; in
+        # its scaled form the rule stays finite, and the TV is 1 either way round.
+        p = GaussianDist([0.0, 0.0], np.eye(2))
+        q = GaussianDist([1.3e154, 0.0], np.diag([1e306, 1.0]))
+        for a, b in ((p, q), (q, p)):
+            assert tv_gaussian(a, b) == pytest.approx(1.0, abs=1e-12)
+
     def test_equal_covariance_2d_is_mahalanobis_closed_form(self):
         # Equal covariances make log p - log q linear (d = 1 in the whitened
         # frame): TV = 2 Phi(delta / 2) - 1 with delta the Mahalanobis distance.
@@ -441,6 +451,38 @@ class TestGridDensity:
                 want = spline(np.atleast_2d(pts)[i], nu)
                 scale = max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(np.atleast_2d(values)[i] - want)) <= 1e-9 * scale, (i, nu)
+
+    @pytest.mark.parametrize("num", [4, 5, 6, 301])
+    def test_member_major_slopes_match_scipy_node_slopes(self, num):
+        # Each row's slopes per unit node index are scipy's not-a-knot
+        # CubicSpline derivatives at the nodes times the step.
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(num)
+        x = np.linspace(-1.0, 2.0, num)
+        y = np.cumsum(rng.normal(size=(7, num)), axis=-1) - x**2
+        slopes = gaussians._not_a_knot_slopes(y)
+        assert slopes.shape == y.shape
+        for row, got in zip(y, slopes):
+            want = CubicSpline(x, row)(x, 1) * (x[1] - x[0])
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_moments_of_a_stack_hold_one_chunk_at_a_time(self):
+        # Beside the stack's own arrays, its moments take at most one
+        # stack-sized array plus one chunk.
+        import tracemalloc
+
+        x = np.linspace(np.linspace(-5.0, -4.0, 64), np.linspace(5.0, 6.0, 64), 2001, axis=-1)
+        stack = GridDensity.from_log_unnormalized(x, -0.5 * x**2)
+        stack_bytes, chunk_bytes = x.nbytes, 8 * gaussians._ROW_CHUNK
+        assert chunk_bytes < stack_bytes / 4
+        tracemalloc.start()
+        try:
+            stack.moments()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes + chunk_bytes
 
     def test_stack_members_match_single_densities(self):
         x = np.linspace([-3.0, 0.0], [4.0, 1.0], 201, axis=-1)

@@ -194,8 +194,8 @@ class TestNumericProjection:
 
     def test_one_laplace_stack_keeps_few_stack_sized_arrays(self):
         # Tabulating and projecting one stack of (rep x alpha) cells holds at
-        # most five (cells x nodes) arrays at once: the axes, the log weights,
-        # and the spline's values, slopes and node differences.
+        # most three (cells x nodes) arrays at once: the axes, the log weights
+        # and the spline's slopes (the log prior's values, while tabulating).
         import tracemalloc
 
         from alphapost.experiments import laplace_log_prior
@@ -214,7 +214,7 @@ class TestNumericProjection:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * stack_bytes
+        assert peak < 3.5 * stack_bytes
 
     def test_a_member_that_does_not_converge_fails_the_stack(self, monkeypatch):
         # Two standard normal targets: one start at the target, one away from

@@ -143,6 +143,16 @@ class TestConjugateAlphaPosterior:
         with pytest.raises(ValueError, match="alpha"):
             conjugate_alpha_posterior(SufficientStats.of(np.ones(3), np.ones(3)), ConjugatePrior.flat(1), 1.0, alpha)
 
+    def test_alpha_of_another_length_than_the_stack_rejected(self):
+        # A stack of three samples takes one alpha or three; one sample pairs with any number.
+        rng = np.random.default_rng(6)
+        singles = [SufficientStats.of(rng.standard_normal((20, 2)), rng.standard_normal(20)) for _ in range(3)]
+        stack, prior = SufficientStats.stack(singles), ConjugatePrior.flat(2)
+        with pytest.raises(ValueError, match=r"^alpha: one value, or one per member \(3\), got 2$"):
+            conjugate_alpha_posterior(stack, prior, 1.0, [0.5, 1.0])
+        assert conjugate_alpha_posterior(stack, prior, 1.0, [0.5]).mean.shape == (3, 2)
+        assert conjugate_alpha_posterior(stack[:1], prior, 1.0, [0.5, 1.0]).mean.shape == (2, 2)
+
 
 class TestGridAlphaPosterior:
     def test_normal_normal_update(self):

@@ -139,6 +139,14 @@ class TestSurrogateCriteria:
         with pytest.raises(ValueError, match="alpha"):
             r_star(0.0, s, f)
 
+    def test_rejects_alpha_of_another_length_than_the_stack(self):
+        s = unit_scenario()
+        f = FiniteSampleInputs(np.zeros((3, 1)), np.ones((3, 1)), 10, 0.1)
+        for criterion in (r_star, r_tilde_star):
+            with pytest.raises(ValueError, match=r"^alpha: one value, or one per member \(3\), got 2$"):
+                criterion([0.5, 1.0], s, f)
+            assert criterion([0.5, 1.0, 2.0], s, f).shape == (3,)
+
     def test_convexity_second_differences(self):
         rng = np.random.default_rng(16)
         grid = np.linspace(0.05, 4.0, 60)
