@@ -1,7 +1,7 @@
 """Command line entry point: ``alphapost <experiment> --config <path> [options]``.
 
 Exit status: 0 on success, 2 on configuration errors (the message names the
-offending field), 3 on numerical failure.
+offending field), 3 on numerical failure, running out of memory included.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError, ValueError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     print(f"wrote {csv_path} and {json_path}")
     return 0

@@ -63,7 +63,6 @@ from .posteriors import (
     laplace_location_divergences,
 )
 from .regression import (
-    LAN_MESH_NODES,
     RegressionDGP,
     assumption2_terms,
     concentration_markov_bound,
@@ -116,10 +115,9 @@ _GRID_POINTS_MAX = 10**6
 # alphas at the grid_points cap would otherwise take about 6 GB per array.
 _GRID_BLOCK = 2**20
 
-# assumption-checks takes the sup of the LAN defect over a
-# LAN_MESH_NODES^p mesh (regression.lan_residual_sup); this cap keeps it to a
-# few hundred thousand points.
-_LAN_MESH_MAX_DIM = 5
+# assumption-checks takes the sup of the LAN defect over the 3^p faces of a
+# box (regression.lan_residual_sup); this cap keeps it to 6,561 faces.
+_LAN_MAX_DIM = 8
 
 
 class ConfigError(ValueError):
@@ -319,10 +317,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"theta0: exact Gaussian TV is available in dimension <= 2 only, got dimension {self.p}"
             )
-        if experiment == "assumption-checks" and self.p > _LAN_MESH_MAX_DIM:
+        if experiment == "assumption-checks" and self.p > _LAN_MAX_DIM:
             raise ConfigError(
-                f"theta0: the LAN defect is evaluated on a {LAN_MESH_NODES}^p mesh, so dimension must be "
-                f"<= {_LAN_MESH_MAX_DIM}, got dimension {self.p}"
+                f"theta0: the LAN defect's sup enumerates the 3^p faces of a box, so dimension must be "
+                f"<= {_LAN_MAX_DIM}, got dimension {self.p}"
             )
         # Every experiment but optimal-alpha and the location model simulates
         # regression samples.

@@ -303,7 +303,11 @@ def grid_alpha_posterior(
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError(f"grid posteriors take one axis or a stack of axes, got an array of dimension {x.ndim}")
-    alpha = _tempering(alpha, len(x) if x.ndim == 2 else 1)
+    members = len(x) if x.ndim == 2 else 1
+    alpha = _tempering(alpha, members)
+    # The axes fix the members, so one axis takes one alpha.
+    if alpha.size not in (1, members):
+        raise ValueError(f"alpha: one value, or one per axis ({members}), got {alpha.size}")
     if x.shape[-1] < 101:
         raise ValueError("the grid axis needs at least 101 nodes")
     if not np.all(np.isfinite(x)):
@@ -313,7 +317,7 @@ def grid_alpha_posterior(
     if not np.all(np.isfinite(ll)):
         raise ValueError("non-finite log-likelihood on a grid node")
     # alpha * log_lik + log_prior, in the log-likelihood's own array.
-    ll *= alpha[..., None]
+    ll *= alpha[..., None] if x.ndim == 2 else alpha
     ll += np.asarray(log_prior(pts), dtype=float)
     return GridDensity.from_log_unnormalized(x, ll)
 

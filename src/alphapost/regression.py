@@ -18,16 +18,17 @@ forming any sample; :func:`simulate` draws the same rows (and
 :func:`regression_likelihood` is the library's one Gaussian log-likelihood;
 the location model is the regression on one constant column.
 
-The module also houses the verification probes used by the experiment
-harness: the local-asymptotic-normality residual (batched over
-perturbations), the prior/remainder integrals that the mean-field limit needs
-to vanish, a Markov bound on posterior concentration, and the
-vanishing-tempering failure case, where the Gaussian approximation stays
-bounded away from the posterior, next to its constant-tempering control.
+The module also houses the experiment harness's verification probes: the
+exact sup of the local-asymptotic-normality defect over a box, the
+prior/remainder integrals that the mean-field limit needs to vanish, a
+Markov bound on posterior concentration, and the vanishing-tempering
+failure case (the Gaussian approximation stays bounded away from the
+posterior) next to its constant-tempering control.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,7 +53,6 @@ __all__ = [
     "population_omega",
     "misspec_scenario",
     "regression_likelihood",
-    "lan_residual",
     "lan_residual_sup",
     "assumption2_terms",
     "variational_conjugate_cov",
@@ -61,13 +61,12 @@ __all__ = [
     "failure_case_hellinger",
 ]
 
-# Nodes per axis of the mesh on which lan_residual_sup takes its sup.
-LAN_MESH_NODES = 13
-
 # The collinearity threshold of ols and true_posterior_theta on squared
 # Cholesky pivots, relative to the column's squared norm: rounding alone
 # leaves up to about 1e-15 there.
 _COLLINEAR_RTOL = 1e-14
+
+_LAN_BOX = 3.0  # lan_residual_sup's box is [-_LAN_BOX, _LAN_BOX]^p
 
 
 def derived_seed(master_seed: int, *key: int) -> int:
@@ -358,11 +357,6 @@ def regression_likelihood(stats: SufficientStats, sigma_u: float) -> Callable[[n
     return log_lik
 
 
-# lan_residual_sup holds at most this many (sample, mesh point) values at a
-# time: 200 samples on the 13^5-point mesh would otherwise take about 2 GB.
-_LAN_BLOCK = 2**18
-
-
 def _lan_terms(stats: SufficientStats, dgp: RegressionDGP) -> tuple[np.ndarray, np.ndarray]:
     # Q_n = W'W/(n sigma_u^2) - V and Delta_n = sqrt(n)(theta_hat - theta_star), per sample.
     w = stats.first_columns(dgp.p)
@@ -375,40 +369,45 @@ def _lan_defect(q: np.ndarray, delta: np.ndarray, pts: np.ndarray) -> np.ndarray
     return linear - 0.5 * np.einsum("ni,...ij,nj->...n", pts, q, pts)
 
 
-def lan_residual(stats: SufficientStats, dgp: RegressionDGP, h: np.ndarray) -> float | np.ndarray:
-    """Local-asymptotic-normality defect ``h'Q_n Delta_n - h'Q_n h / 2`` at perturbation ``h``.
-
-    ``Q_n = W'W/(n sigma_u^2) - V`` and ``Delta_n = sqrt(n)(theta_hat - theta_star)``;
-    this is the log-likelihood ratio at ``theta_star + h/sqrt(n)`` minus its
-    quadratic LAN expansion.  ``stats`` are a sample's (or a stack's)
-    statistics whose first ``p`` design columns are ``W``.  ``h`` is one
-    perturbation of shape (p,), giving a float per sample, or a batch of
-    shape (N, p), giving N values per sample; a stack puts its sample axis
-    first.
-    """
-    h = np.asarray(h, dtype=float)
-    vals = _lan_defect(*_lan_terms(stats, dgp), np.atleast_2d(h))
-    return _result(vals[..., 0]) if h.ndim <= 1 else vals
-
-
-def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Every node of the tensor grid on ``axes`` as an (N, dim) array, in row-major mesh order.
-
-    Row ``k`` is the node at flat index ``k`` of an array of shape
-    ``(len(axes[0]), len(axes[1]), ...)``, so values computed on these points
-    reshape straight back onto the grid.
-    """
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def _lan_box_sup(q: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    # sup over the box of |h'q delta - h'qh/2|, per member of q (..., p, p) and
+    # delta (..., p).  A quadratic's extremes over a box lie at a vertex or at
+    # a face's stationary point (coordinates F free, the others X at a vertex's
+    # values): q_FF h_F = b_F - q_FX h_X with b = q delta.  A point outside the
+    # box gives no candidate, nor does a singular q_FF (a zero pivot): along its
+    # null direction the restriction is linear, its extreme on a smaller face.
+    p = delta.shape[-1]
+    vertices = np.array(list(itertools.product((-_LAN_BOX, _LAN_BOX), repeat=p)), dtype=float)
+    sup = np.max(np.abs(_lan_defect(q, delta, vertices)), axis=-1)
+    b = np.einsum("...ij,...j->...i", q, delta)
+    for free in (list(f) for k in range(1, p + 1) for f in itertools.combinations(range(p), k)):
+        fixed = [j for j in range(p) if j not in free]
+        # The first 2^m vertices run through every vertex of the last m coordinates.
+        corners, q_ff = vertices[: 2 ** len(fixed), len(free) :], q[..., free, :][..., free]
+        with np.errstate(divide="ignore"):  # subnormal LU pivots raise it; solve ignores it too
+            regular = np.linalg.slogdet(q_ff)[0] != 0
+        rhs = b[..., free, None] - q[..., free, :][..., fixed] @ corners.T
+        h_free = np.linalg.solve(np.where(regular[..., None, None], q_ff, np.eye(len(free))), rhs)
+        # A point that gives no candidate moves to the origin, where the defect is 0.
+        keep = (regular[..., None] & np.all(np.abs(h_free) <= _LAN_BOX, axis=-2))[..., None]
+        h = np.empty(keep.shape[:-1] + (p,))
+        h[..., free] = np.where(keep, np.swapaxes(h_free, -1, -2), 0.0)
+        h[..., fixed] = np.where(keep, corners, 0.0)
+        values = np.einsum("...mi,...i->...m", h, b) - 0.5 * np.einsum("...mi,...ij,...mj->...m", h, q, h)
+        sup = np.maximum(sup, np.max(np.abs(values), axis=-1))
+    return sup
 
 
 def lan_residual_sup(stats: SufficientStats, dgp: RegressionDGP) -> float | np.ndarray:
-    """sup of |LAN defect| over ``[-3, 3]^p``, on a mesh of ``LAN_MESH_NODES`` nodes per axis, per sample."""
-    q, delta = _lan_terms(stats, dgp)
-    pts = mesh_points([np.linspace(-3.0, 3.0, LAN_MESH_NODES)] * dgp.p)
-    values = delta.size // dgp.p * len(pts)  # samples x mesh points
-    blocks = np.array_split(pts, -(-values // _LAN_BLOCK))
-    return _result(np.max([np.max(np.abs(_lan_defect(q, delta, b)), axis=-1) for b in blocks], axis=0))
+    """Exact sup over ``h`` in ``[-3, 3]^p`` of the LAN defect's magnitude, per sample.
+
+    The defect ``h'Q_n Delta_n - h'Q_n h / 2``, with ``Q_n = W'W/(n sigma_u^2) - V``
+    and ``Delta_n = sqrt(n)(theta_hat - theta_star)``, is the log-likelihood
+    ratio at ``theta_star + h/sqrt(n)`` minus its quadratic expansion; ``stats``
+    have ``W`` as their first ``p`` design columns.  The sup is taken over the
+    box's vertices and the stationary points within its ``3^p`` faces.
+    """
+    return _result(_lan_box_sup(*_lan_terms(stats, dgp)))
 
 
 def assumption2_terms(

@@ -5,8 +5,10 @@ estimates of divergences, brute-force quadrature on dense grids, textbook
 closed forms for special cases, the surrogate robustness criteria as the
 explicit Gaussian KL terms they abbreviate, a locally written
 golden-section minimizer for argmin cross-checks, the penalized variational
-objective with a derivative-free maximizer, and the closed-form mean-field
-objective of the Laplace-prior location model.
+objective with a derivative-free maximizer, the closed-form mean-field
+objective of the Laplace-prior location model, and the
+local-asymptotic-normality defect on a mesh, whose largest magnitude there
+bounds its sup from below.
 """
 
 import numpy as np
@@ -14,7 +16,52 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 from alphapost.gaussians import GaussianDist, kl_gaussian, log_density
-from alphapost.regression import mesh_points
+from alphapost.regression import curvature, ols, pseudo_true
+
+
+def mesh_points(axes):
+    """Every node of the tensor grid on ``axes`` as an (N, dim) array, in row-major mesh order.
+
+    Row ``k`` is the node at flat index ``k`` of an array of shape
+    ``(len(axes[0]), len(axes[1]), ...)``, so values computed on these points
+    reshape straight back onto the grid.
+    """
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def lan_terms(stats, dgp):
+    """``Q_n = W'W/(n sigma_u^2) - V`` and ``Delta_n = sqrt(n)(theta_hat - theta_star)``, from the public estimators."""
+    w = stats.first_columns(dgp.p)
+    return w.xtx / (w.n * dgp.sigma_u**2) - curvature(dgp), np.sqrt(w.n) * (ols(w) - pseudo_true(dgp))
+
+
+def lan_residual(stats, dgp, h):
+    """Local-asymptotic-normality defect ``h'Q_n Delta_n - h'Q_n h / 2`` at perturbation ``h``.
+
+    ``Q_n`` and ``Delta_n`` are :func:`lan_terms`; ``stats`` are a sample's
+    (or a stack's) statistics whose first ``p`` design columns are ``W``.
+    ``h`` is one perturbation of shape (p,), giving a float per sample, or a
+    batch of shape (N, p), giving N values per sample; a stack puts its
+    sample axis first.
+    """
+    q, delta = lan_terms(stats, dgp)
+    h = np.asarray(h, dtype=float)
+    pts = np.atleast_2d(h)
+    vals = np.einsum("ni,...ij,...j->...n", pts, q, delta) - 0.5 * np.einsum("ni,...ij,nj->...n", pts, q, pts)
+    if h.ndim > 1:
+        return vals
+    return float(vals[0]) if vals.ndim == 1 else vals[..., 0]
+
+
+def lan_mesh_sup(stats, dgp, nodes):
+    """Largest |LAN defect| over the mesh of ``nodes`` nodes per axis on ``[-3, 3]^p``, per sample.
+
+    The mesh is visited 2^16 points at a time, so memory stays small.
+    """
+    pts = mesh_points([np.linspace(-3.0, 3.0, nodes)] * dgp.p)
+    blocks = [np.max(np.abs(lan_residual(stats, dgp, pts[i : i + 2**16])), axis=-1) for i in range(0, len(pts), 2**16)]
+    return np.max(blocks, axis=0)
 
 
 def mc_kl(sample_p, log_p, log_q, num, rng):

@@ -293,9 +293,9 @@ class TestCLI:
         assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "nf")]) == 2
         assert f"{field}:" in capsys.readouterr().err
 
-    def test_oversized_lan_mesh_is_a_config_error(self, tmp_path, capsys):
-        # 13^8 (about 815M) mesh points would be requested before any check.
-        cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\ntheta0 = 1,1,1,1,1,1,1,1\n")
+    def test_lan_sup_above_the_dimension_cap_is_a_config_error(self, tmp_path, capsys):
+        # 3^9 faces of the box are beyond the cap of 8 coordinates.
+        cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\ntheta0 = 1,1,1,1,1,1,1,1,1\n")
         assert self.run_cli(["assumption-checks", "--config", str(cfg_path), "--out", str(tmp_path / "lan")]) == 2
         assert "theta0:" in capsys.readouterr().err
 
@@ -305,14 +305,14 @@ class TestCLI:
         assert self.run_cli(["bvm-convergence", "--config", str(cfg_path), "--out", str(tmp_path / "gp")]) == 2
         assert capsys.readouterr().err.startswith("config error: grid_points: ")
 
-    def test_largest_lan_mesh_runs(self, tmp_path):
-        eye = ";".join(",".join("1" if i == j else "0" for j in range(5)) for i in range(5))
+    def test_lan_sup_at_the_dimension_cap_runs(self, tmp_path):
+        eye = ";".join(",".join("1" if i == j else "0" for j in range(8)) for i in range(8))
         cfg_path = write_config(
             tmp_path,
-            "seed = 1\nn_grid = 50\nreplications = 1\ntheta0 = 1,1,1,1,1\n"
-            f"cov_ww = {eye}\ncov_wz = 0.5;0;0;0;0\nmu_pi = 0,0,0,0,0\nsigma_pi = {eye}\n",
+            "seed = 1\nn_grid = 50\nreplications = 2\ntheta0 = 1,1,1,1,1,1,1,1\n"
+            f"cov_ww = {eye}\ncov_wz = 0.5;0;0;0;0;0;0;0\nmu_pi = 0,0,0,0,0,0,0,0\nsigma_pi = {eye}\n",
         )
-        assert self.run_cli(["assumption-checks", "--config", str(cfg_path), "--out", str(tmp_path / "lan5")]) == 0
+        assert self.run_cli(["assumption-checks", "--config", str(cfg_path), "--out", str(tmp_path / "lan8")]) == 0
 
     def test_three_dimensional_bvm_convergence_is_a_config_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\ntheta0 = 1,1,1\n")
@@ -493,6 +493,17 @@ class TestCLI:
         cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 3\n")
         assert self.run_cli(["bvm-convergence", "--config", str(cfg_path), "--out", str(tmp_path / "rd")]) == 3
         assert "design matrix is rank deficient" in capsys.readouterr().err
+
+    def test_out_of_memory_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def exhausting(cfg):
+            raise MemoryError("Unable to allocate 6.00 GiB")
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "optimal-alpha", exhausting)
+        cfg_path = write_config(tmp_path, FAST_REGRESSION)
+        out = tmp_path / "oom"
+        assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: out of memory: Unable to allocate 6.00 GiB\n"
+        assert not out.exists()
 
     def test_failed_rewrite_keeps_previous_outputs(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)

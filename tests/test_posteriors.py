@@ -217,6 +217,19 @@ class TestGridAlphaPosterior:
         with pytest.raises(ValueError, match="one axis"):
             grid_alpha_posterior(lik, lambda p: 0.0, 1.0, np.stack([np.stack([np.linspace(0, 1, 101)] * 3)] * 2))
 
+    @pytest.mark.parametrize("axes", [np.linspace(0, 1, 101), np.linspace(0, 1, 101)[None]])
+    def test_several_alphas_on_one_axis_rejected(self, axes):
+        # The axes fix the members, so one axis takes one alpha.
+        lik = lambda t: np.zeros(t.shape[:-1])
+        with pytest.raises(ValueError, match=r"alpha: one value, or one per axis \(1\), got 2"):
+            grid_alpha_posterior(lik, lik, [0.5, 1.0], axes)
+
+    def test_one_alpha_in_a_vector_on_one_axis(self):
+        x = np.linspace(-2, 2, 101)
+        lik = lambda t: -0.5 * t[..., 0] ** 2
+        single = grid_alpha_posterior(lik, lik, [0.5], x)
+        assert np.array_equal(single.log_weights, grid_alpha_posterior(lik, lik, 0.5, x).log_weights)
+
     def test_stack_of_axes_tabulates_each_cell(self):
         # Member i of a stacked posterior is the posterior of sample i at alpha[i] on axis i.
         rng = np.random.default_rng(9)

@@ -1,4 +1,4 @@
-"""Property-based checks of the divergence inequalities and the surrogate criteria.
+"""Property-based checks of the divergence inequalities, the surrogate criteria and the LAN defect's sup.
 
 Gaussians are drawn on a coarse lattice (means in steps of 1/4, Cholesky
 factors with entries in steps of 1/4 and diagonals in [1/4, 2]), so two draws
@@ -20,6 +20,7 @@ from alphapost.posteriors import (
     gaussian_bvm_limit,
     laplace_location_divergences,
 )
+from alphapost.regression import _lan_box_sup
 from alphapost.robustness import FiniteSampleInputs, MisspecScenario, r_star, r_tilde_star
 
 from oracles import surrogate_via_kl
@@ -241,3 +242,26 @@ def test_stacked_routines_equal_their_single_cell_calls(stack):
     divergences = laplace_location_divergences(theta_f[:, 0], 1.5, n, alphas, 0.1, 0.5)
     singles = [laplace_location_divergences(t[0], 1.5, n, a, 0.1, 0.5) for _, t, _, a in cells]
     assert_same_members(np.transpose(divergences), singles)
+
+
+@st.composite
+def lan_quadratics(draw):
+    # A symmetric q, often indefinite as Q_n is, a delta, and points of the box [-3, 3]^p.
+    p = draw(st.integers(1, 3))
+    a = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=p * p, max_size=p * p))).reshape(p, p)
+    delta = vector(draw, p, 100.0)
+    hs = np.array(draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p), min_size=1, max_size=20)))
+    return (a + a.T) / 2.0, delta, hs
+
+
+@PROPERTY
+@given(lan_quadratics())
+def test_lan_box_sup_bounds_the_defect_on_the_box(quadratic):
+    q, delta, hs = quadratic
+    sup = _lan_box_sup(q, delta)
+    defect = hs @ q @ delta - 0.5 * np.einsum("ni,ij,nj->n", hs, q, hs)
+    assert np.all(np.abs(defect) <= sup * (1.0 + 1e-12))
+    if len(delta) == 1:
+        # A quadratic in one coordinate is largest in magnitude at an end of the interval.
+        h = np.array([-3.0, 3.0])
+        assert sup == np.max(np.abs(h * q[0, 0] * delta[0] - 0.5 * (h * q[0, 0] * h)))

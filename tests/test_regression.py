@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from alphapost import regression
 from alphapost.meanfield import gmf_project_gaussian
 from alphapost.posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior
 from alphapost.regression import (
-    LAN_MESH_NODES,
     RegressionDGP,
     RegressionDataset,
     assumption2_terms,
@@ -16,9 +14,7 @@ from alphapost.regression import (
     curvature,
     derived_seed,
     failure_case_hellinger,
-    lan_residual,
     lan_residual_sup,
-    mesh_points,
     misspec_scenario,
     ols,
     population_omega,
@@ -31,7 +27,7 @@ from alphapost.regression import (
 )
 from alphapost.robustness import FiniteSampleInputs, a_n, optimal_alpha, r_infinity, r_star
 
-from oracles import normal_tail_two_sided
+from oracles import lan_mesh_sup, lan_residual, lan_terms, normal_tail_two_sided
 
 
 def toy_dgp(**kw):
@@ -262,11 +258,11 @@ class TestPopulationOmega:
 
 
 class TestLanResidual:
-    def test_zero_at_origin(self):
+    def test_oracle_is_zero_at_origin(self):
         ds = simulate(toy_dgp(), 100, 3)
         assert lan_residual(ds.stats(), toy_dgp(), [0.0]) == 0.0
 
-    def test_two_routes_agree(self):
+    def test_oracle_is_the_log_likelihood_ratio_defect(self):
         # Against the raw log-likelihood-ratio defect at theta_star + h / sqrt(n).
         dgp = toy_dgp()
         v = curvature(dgp)
@@ -281,23 +277,54 @@ class TestLanResidual:
             direct = float(ll[0] - ll[1] - h @ v @ delta + 0.5 * h @ v @ h)
             assert abs(lan_residual(ds.stats(), dgp, h) - direct) < 1e-10
 
-    def test_batch_matches_single_perturbations(self):
+    def test_sup_at_one_coordinate_is_the_13_node_mesh_sup_bit_for_bit(self):
+        # At p = 1 the sup sits at a vertex, which the mesh contains.
         dgp = toy_dgp()
-        ds = simulate(dgp, 200, 5)
-        hs = np.linspace(-3.0, 3.0, LAN_MESH_NODES)[:, None]
-        batch = lan_residual(ds.stats(), dgp, hs)
-        assert batch.shape == (LAN_MESH_NODES,)
-        assert_allclose(batch, [lan_residual(ds.stats(), dgp, h) for h in hs], rtol=1e-12, atol=1e-12)
-        assert lan_residual_sup(ds.stats(), dgp) == float(np.max(np.abs(batch)))
+        stack = simulate_stats(dgp, 200, [derived_seed(5, rep) for rep in range(40)])
+        hs = np.linspace(-3.0, 3.0, 13)[:, None]
+        batch = lan_residual(stack, dgp, hs)
+        assert_allclose(batch, np.transpose([lan_residual(stack, dgp, h) for h in hs]), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(lan_residual_sup(stack, dgp), np.max(np.abs(batch), axis=-1))
+        assert lan_residual_sup(stack[3], dgp) == float(np.max(np.abs(batch[3])))
 
-    def test_sup_over_mesh_blocks_is_the_sup_over_the_mesh(self, monkeypatch):
-        dgp = design(2)
-        stack = SufficientStats.stack([simulate(dgp, 80, rep).stats() for rep in range(3)])
-        axis = np.linspace(-3.0, 3.0, LAN_MESH_NODES)
-        whole = np.max(np.abs(lan_residual(stack, dgp, mesh_points([axis, axis]))), axis=-1)
-        # 3 samples x 169 mesh points in blocks of about 50 values.
-        monkeypatch.setattr(regression, "_LAN_BLOCK", 50)
-        assert np.array_equal(lan_residual_sup(stack, dgp), whole)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_sup_is_never_below_the_13_node_mesh(self, p):
+        dgp = design(p)
+        for n in (50, 1000, 10**4):
+            stack = simulate_stats(dgp, n, [derived_seed(41, n, rep) for rep in range(8 if p == 5 else 30)])
+            sup, mesh = lan_residual_sup(stack, dgp), lan_mesh_sup(stack, dgp, 13)
+            assert np.all(sup >= mesh)
+            # The mesh misses interior extrema by a fraction of a percent.
+            assert np.all(sup <= mesh * 1.01)
+
+    @pytest.mark.parametrize("p, nodes", [(1, 200_001), (2, 801)])
+    def test_sup_agrees_with_a_dense_mesh(self, p, nodes):
+        # |f(x) - f(y)| <= max |grad f|_1 |x - y|_inf, and every point of the box
+        # lies within half a spacing of a node; grad f = Q (Delta - h).
+        dgp = design(p)
+        stack = simulate_stats(dgp, 400, [derived_seed(43, rep) for rep in range(10)])
+        q, delta = lan_terms(stack, dgp)
+        grad = np.sum(np.abs(np.einsum("sij,sj->si", q, delta)), axis=-1) + 3.0 * np.sum(np.abs(q), axis=(-2, -1))
+        mesh = lan_mesh_sup(stack, dgp, nodes)
+        sup = lan_residual_sup(stack, dgp)
+        assert np.all(sup >= mesh)
+        assert np.all(sup - mesh <= grad * 3.0 / (nodes - 1))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_sup_is_zero_where_the_sample_curvature_is_the_population_one(self, p):
+        # W'W / n = cov_ww exactly in binary and sigma_u = 1, so Q_n = 0: every q_FF is singular.
+        cov_ww = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.0]])[:p, :p]
+        dgp = RegressionDGP(
+            theta0=np.ones(p), gamma0=[1.0], sigma_eps=1.0, cov_ww=cov_ww, cov_wz=np.zeros(p), cov_zz=[[1.0]], sigma_u=1.0
+        )
+        n = 8
+        gram = np.stack([32.0 * np.eye(p + 2)] * 2)  # of [W, Z, Y]
+        gram[:, :p, :p] = n * cov_ww
+        gram[0, :p, -1] = gram[0, -1, :p] = 1.0
+        gram[1, :p, -1] = gram[1, -1, :p] = -2.0
+        stack = SufficientStats(n, gram)
+        assert np.array_equal(stack.first_columns(p).xtx / n, np.stack([curvature(dgp)] * 2))
+        assert np.array_equal(lan_residual_sup(stack, dgp), [0.0, 0.0])
 
     def test_sup_decays_with_n(self):
         dgp = toy_dgp()
@@ -674,9 +701,6 @@ class TestStacksMatchSingleSamples:
             [regression_likelihood(s.first_columns(p), dgp.sigma_u)(x) for s, x in zip(singles, pts)],
             p,
         )
-        hs = np.random.default_rng(p).normal(size=(7, p))
-        self.assert_members(lan_residual(stack, dgp, hs[0]), [lan_residual(s, dgp, hs[0]) for s in singles], p)
-        self.assert_members(lan_residual(stack, dgp, hs), [lan_residual(s, dgp, hs) for s in singles], p)
         self.assert_members(lan_residual_sup(stack, dgp), [lan_residual_sup(s, dgp) for s in singles], p)
         post = conjugate_alpha_posterior(stack.first_columns(p), prior, dgp.sigma_u, 0.5)
         each = [conjugate_alpha_posterior(s.first_columns(p), prior, dgp.sigma_u, 0.5) for s in singles]
