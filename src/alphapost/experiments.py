@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -102,11 +103,6 @@ __all__ = [
 # grid: the outermost of 32 nodes reaches past 10 matched standard deviations.
 PROJECTION_BOX_SCALE = 14.0
 
-# grid_points nodes per Laplace posterior grid and per p = 2 outer TV rule:
-# 10^6 of them keep one cell to a few hundred MB.
-_GRID_POINTS_MIN = 101
-_GRID_POINTS_MAX = 10**6
-
 # The location projection tabulates at most this many (cell, node) values
 # at a time, in stacks of whole cells (one cell when grid_points alone
 # exceeds it).  A block keeps three arrays of its size alive, 8 MB each at
@@ -143,6 +139,19 @@ def _flatten(value) -> list:
     return [value]
 
 
+def _within(value, interval: str) -> bool:
+    # Whether value lies in an interval written as in mathematics, "[1, inf)"
+    # or "(0, inf)"; NaN lies in none.
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (lo <= value if interval[0] == "[" else lo < value) and (value <= hi if interval[-1] == "]" else value < hi)
+
+
+def _location_curvature(noise_sd: float) -> float:
+    # The location model's curvature 1 / noise_sd^2, inf where it overflows.
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / np.float64(noise_sd) ** 2
+
+
 def _conjugate_prior(mu_field: str, mu, sigma_field: str, sigma, dims: str, k: int) -> ConjugatePrior:
     # A prior of dimension k (``dims`` names it) whose errors name its fields.
     if len(mu) != k:
@@ -162,22 +171,26 @@ class ExperimentConfig:
 
     The master ``seed`` is mandatory.  Each field is parsed by its
     annotation: vector values are comma separated, matrices use ``;``
-    between rows (``"1,0.5;0.5,1"``).  :meth:`validate` checks each field on
-    its own; the builders (:meth:`dgp`, :meth:`prior`, :meth:`full_prior`,
-    :meth:`scenario`) check the objects an experiment builds from several
-    fields, so fields an experiment never reads are not checked further.
+    between rows (``"1,0.5;0.5,1"``).  A field's ``range`` metadata is the
+    interval its numbers lie in, ``(-inf, inf)`` if none is declared, and
+    :meth:`validate` checks every field against it in every run.  The
+    builders (:meth:`dgp`, :meth:`prior`, :meth:`full_prior`,
+    :meth:`scenario`) check the shapes and fits of what an experiment builds
+    from several fields, so only the experiments that build it check them.
     """
 
     experiment: str = ""
-    seed: int | None = None
+    seed: int | None = field(default=None, metadata={"range": "[0, inf)"})
     out: str = "."
-    replications: int = 200
-    n_grid: list[int] = field(default_factory=lambda: [50, 200, 1000, 5000, 10000])
-    n: int | None = None
-    alphas: list[float] = field(default_factory=lambda: [0.25, 0.5, 0.75, 1.0])
-    alpha: float = 0.5
-    eps: float = 1.0
-    grid_points: int = 2001
+    replications: int = field(default=200, metadata={"range": "[1, inf)"})
+    n_grid: list[int] = field(default_factory=lambda: [50, 200, 1000, 5000, 10000], metadata={"range": "[1, inf)"})
+    n: int | None = field(default=None, metadata={"range": "[1, inf)"})
+    alphas: list[float] = field(default_factory=lambda: [0.25, 0.5, 0.75, 1.0], metadata={"range": "(0, inf)"})
+    alpha: float = field(default=0.5, metadata={"range": "(0, inf)"})
+    eps: float = field(default=1.0, metadata={"range": "(0, inf)"})
+    # nodes per Laplace posterior grid and per p = 2 outer TV rule: 10^6 of
+    # them keep one cell to a few hundred MB.
+    grid_points: int = field(default=2001, metadata={"range": "[101, 1000000]"})
     model: str = "regression"
     # regression data-generating process (defaults: p = d = 1 worked example)
     theta0: list[float] = field(default_factory=lambda: [1.0])
@@ -193,16 +206,16 @@ class ExperimentConfig:
     full_prior_sigma: list[list[float]] | None = None
     # location model (bvm/vbvm convergence with a non-conjugate prior)
     theta_true: float = 0.0
-    noise_sd: float = 1.0
+    noise_sd: float = field(default=1.0, metadata={"range": "(0, inf)"})
     prior_loc: float = 0.0
-    prior_scale: float = 1.0
+    prior_scale: float = field(default=1.0, metadata={"range": "(0, inf)"})
     # failure case
-    alpha0: float = 1.0
+    alpha0: float = field(default=1.0, metadata={"range": "(0, inf)"})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         annotations = {f.name: f.type for f in fields(cls)}
-        cfg = cls()
+        cfg, seen = cls(), {}
         try:
             text = Path(path).read_text()
         except OSError as err:
@@ -218,6 +231,9 @@ class ExperimentConfig:
             value = value.strip()
             if key not in annotations:
                 raise ConfigError(f"{key}: unknown configuration field")
+            if key in seen:
+                raise ConfigError(f"{key}: set on line {seen[key]} and again on line {lineno}")
+            seen[key] = lineno
             try:
                 setattr(cfg, key, _parse(annotations[key], value))
             except (TypeError, ValueError) as err:
@@ -266,7 +282,7 @@ class ExperimentConfig:
         return self.n if self.n is not None else max(self.n_grid)
 
     def validate(self, experiment: str):
-        """Check each field on its own; the builders check what they build."""
+        """Check every field against its declared range, then the rules that depend on ``experiment``."""
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: unknown experiment {experiment!r}")
         if self.experiment and self.experiment != experiment:
@@ -276,23 +292,14 @@ class ExperimentConfig:
         self.experiment = experiment
         if self.seed is None:
             raise ConfigError("seed: a master seed is mandatory")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be a non-negative integer, got {self.seed}")
         for f in fields(self):
-            if any(isinstance(v, float) and not math.isfinite(v) for v in _flatten(getattr(self, f.name))):
-                raise ConfigError(f"{f.name}: every value must be finite")
-        if self.replications < 1:
-            raise ConfigError("replications: must be at least 1")
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
-            raise ConfigError("n_grid: must be a nonempty list of positive sizes")
-        if self.n is not None and self.n < 1:
-            raise ConfigError("n: must be a positive sample size")
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise ConfigError("alphas: must be a nonempty list of positive reals")
-        if self.alpha <= 0:
-            raise ConfigError("alpha: must be positive")
-        if self.eps <= 0:
-            raise ConfigError("eps: must be positive")
+            interval = f.metadata.get("range", "(-inf, inf)")
+            for v in _flatten(getattr(self, f.name)):
+                if isinstance(v, numbers.Real) and not _within(v, interval):
+                    raise ConfigError(f"{f.name}: must lie in {interval}, got {v!r}")
+        for name in ("n_grid", "alphas"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: must not be empty")
         single = experiment in ("robustness-curve", "optimal-alpha")
         sizes = [self.single_n()] if single else self.n_grid
         size_field = "n" if single and self.n is not None else "n_grid"
@@ -301,18 +308,13 @@ class ExperimentConfig:
                 f"eps: must not exceed the smallest sample size n = {min(sizes)}, "
                 "since eps / n is a probability"
             )
-        if not _GRID_POINTS_MIN <= self.grid_points <= _GRID_POINTS_MAX:
-            raise ConfigError(
-                f"grid_points: must lie in [{_GRID_POINTS_MIN}, {_GRID_POINTS_MAX}], got {self.grid_points}"
-            )
         if self.model not in ("regression", "laplace-location"):
             raise ConfigError(f"model: unknown model {self.model!r}")
         laplace = experiment in ("bvm-convergence", "vbvm-convergence") and self.model == "laplace-location"
-        if laplace:
-            if self.noise_sd <= 0:
-                raise ConfigError("noise_sd: must be positive")
-            if self.prior_scale <= 0:
-                raise ConfigError("prior_scale: must be positive")
+        if laplace and experiment == "vbvm-convergence" and not math.isfinite(_location_curvature(self.noise_sd)):
+            raise ConfigError(
+                f"noise_sd: {self.noise_sd!r} is too small: the curvature 1 / noise_sd^2 is not finite"
+            )
         if experiment == "bvm-convergence" and not laplace and self.p > 2:
             raise ConfigError(
                 f"theta0: exact Gaussian TV is available in dimension <= 2 only, got dimension {self.p}"
@@ -326,8 +328,6 @@ class ExperimentConfig:
         # regression samples.
         if experiment != "optimal-alpha" and not laplace and min(sizes) < self.p + self.d:
             raise ConfigError(f"{size_field}: every sample size must be at least p + d = {self.p + self.d}")
-        if self.alpha0 <= 0:
-            raise ConfigError("alpha0: must be positive")
 
 
 # -- location model prior ------------------------------------------------
@@ -411,10 +411,7 @@ def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[
         return _cell_rows(n, rep, alpha, tv, kl)
     # A stack of grid posteriors, one per cell, each with its replication's
     # likelihood, and one projection per stack.
-    with np.errstate(over="ignore", divide="ignore"):
-        v = np.array([[1.0 / np.float64(cfg.noise_sd) ** 2]])
-    if not np.isfinite(v[0, 0]):
-        raise ConfigError(f"noise_sd: {cfg.noise_sd!r} is too small: the curvature 1 / noise_sd^2 is not finite")
+    v = np.array([[_location_curvature(cfg.noise_sd)]])
     lim = variational_bvm_limit(theta_hat[rep], v, n, alpha)
     log_prior = laplace_log_prior(cfg.prior_loc, cfg.prior_scale)
     per_block = max(1, _GRID_BLOCK // cfg.grid_points)

@@ -559,11 +559,11 @@ def _check_spacing(x: np.ndarray, step: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _not_a_knot_factors(num: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+def _not_a_knot_factors(num: int) -> np.ndarray:
     # The slopes of the not-a-knot cubic spline through num unit-spaced nodes
     # solve one tridiagonal system whatever the values: rows (1, 2), then
-    # (1, 4, 1), then (2, 1).  Its forward elimination, as (sub-diagonal,
-    # inverse pivot, eliminated super-diagonal) per row.
+    # (1, 4, 1), then (2, 1).  Its forward elimination, as one shared, read-only
+    # (3, num) array of rows (sub-diagonal, inverse pivot, eliminated super-diagonal).
     sub = (0.0,) + (1.0,) * (num - 2) + (2.0,)
     diag = (1.0,) + (4.0,) * (num - 2) + (1.0,)
     sup = (2.0,) + (1.0,) * (num - 2) + (0.0,)
@@ -574,7 +574,9 @@ def _not_a_knot_factors(num: int) -> tuple[tuple[float, ...], tuple[float, ...],
         prev = c / pivot
         inv_pivot.append(1.0 / pivot)
         upper.append(prev)
-    return sub, tuple(inv_pivot), tuple(upper)
+    factors = np.array([sub, inv_pivot, upper])
+    factors.flags.writeable = False
+    return factors
 
 
 def _not_a_knot_slopes(y: np.ndarray) -> np.ndarray:

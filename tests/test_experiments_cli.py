@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -84,6 +85,17 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="^seed: "):
                 cfg.validate("optimal-alpha")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("seed = 1\nalphas = 0.5\n# again\nalphas = 1.0\n", "alphas"),
+            ("seed = 1\nn_grid = 50\n\nn-grid = 60\n", "n_grid"),
+        ],
+    )
+    def test_repeated_key_names_both_lines(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=f"^{key}: set on line 2 and again on line 4$"):
+            ExperimentConfig.from_file(write_config(tmp_path, text))
+
     def test_experiment_name_mismatch_rejected(self, tmp_path):
         cfg = ExperimentConfig.from_file(
             write_config(tmp_path, "seed = 1\nexperiment = failure-case\n")
@@ -114,6 +126,56 @@ class TestConfigParsing:
 
         text = "".join(f"{name} = {render(value)}\n" for name, value in config.items())
         assert ExperimentConfig.from_file(write_config(tmp_path, text)).to_dict() == config
+
+
+def range_edges(f):
+    # (inside, outside) at each finite end of a field's declared range: the
+    # extreme int or float that lies in it, and the next one beyond it.
+    interval = f.metadata["range"]
+    cast = int if "int" in f.type else float
+
+    def step(v, toward):
+        return v + int(math.copysign(1, toward)) if cast is int else math.nextafter(v, toward)
+
+    ends = zip(interval[1:-1].split(","), (-math.inf, math.inf), (interval[0] == "[", interval[-1] == "]"))
+    for text, outward, closed in ends:
+        if math.isfinite(end := float(text)):
+            end = cast(end)
+            yield (end, step(end, outward)) if closed else (step(end, -outward), end)
+
+
+def config_with(name, value):
+    # The default config with value in field name, as the one entry of a list field.
+    cfg = ExperimentConfig(seed=0)
+    setattr(cfg, name, [value] if isinstance(getattr(cfg, name), list) else value)
+    return cfg
+
+
+RANGE_EDGES = [(f.name, *edge) for f in fields(ExperimentConfig) if "range" in f.metadata for edge in range_edges(f)]
+
+
+class TestDeclaredRanges:
+    # validate alone, in process: optimal-alpha with the regression model
+    # fits every edge value, so only the declared range decides.
+
+    @pytest.mark.parametrize("name, inside, outside", RANGE_EDGES)
+    def test_range_edges(self, name, inside, outside):
+        config_with(name, inside).validate("optimal-alpha")
+        with pytest.raises(ConfigError, match=f"^{name}: must lie in "):
+            config_with(name, outside).validate("optimal-alpha")
+
+    def test_every_field_with_a_range_has_an_edge(self):
+        assert {name for name, *_ in RANGE_EDGES} == {f.name for f in fields(ExperimentConfig) if "range" in f.metadata}
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_default_config_is_valid(self, experiment):
+        ExperimentConfig(seed=0).validate(experiment)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig) if "float" in f.type])
+    def test_every_float_field_rejects_non_finite_values(self, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^{name}: must lie in "):
+                config_with(name, value).validate("optimal-alpha")
 
 
 class TestExperimentOutputs:
@@ -292,6 +354,18 @@ class TestCLI:
         cfg_path = write_config(tmp_path, f"seed = 1\nn_grid = 50\nreplications = 1\n{line}\n")
         assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "nf")]) == 2
         assert f"{field}:" in capsys.readouterr().err
+
+    def test_location_curvature_is_checked_before_any_sample(self, tmp_path, monkeypatch, capsys):
+        def sample(cfg, n):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(experiments, "_location_stats", sample)
+        cfg_path = write_config(
+            tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\nmodel = laplace-location\nnoise_sd = 1e-300\n"
+        )
+        assert self.run_cli(["vbvm-convergence", "--config", str(cfg_path), "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise_sd: ") and "1 / noise_sd^2 is not finite" in err
 
     def test_lan_sup_above_the_dimension_cap_is_a_config_error(self, tmp_path, capsys):
         # 3^9 faces of the box are beyond the cap of 8 coordinates.
@@ -579,6 +653,22 @@ class TestCLI:
                 else:
                     continue
                 found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+        assert found == []
+
+    def test_only_the_config_and_the_writer_raise_config_errors(self):
+        # The config and its builders check every field before any sample is
+        # drawn, so an experiment's body never raises one.
+        allowed = {"ExperimentConfig", "_conjugate_prior", "write_outputs"}
+        src = Path(experiments.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                raises = any(
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"
+                    for node in ast.walk(top)
+                )
+                if raises and getattr(top, "name", None) not in allowed:
+                    found.append(f"{path.name}: {getattr(top, 'name', 'module level')}")
         assert found == []
 
     def test_module_entry_point(self, tmp_path):
