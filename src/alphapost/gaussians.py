@@ -194,13 +194,12 @@ def kl_gaussian(p: GaussianDist, q: GaussianDist) -> float | np.ndarray:
     if p.dim != q.dim:
         raise ValueError("distributions must have equal dimension")
     a = np.linalg.solve(q.chol, p.chol)
-    trace = np.sum(a * a, axis=(-2, -1))
     y = _solve_lower(q.chol, q.mean - p.mean)
-    # An offset whose square overflows gives KL = inf, its limit.
-    with np.errstate(over="ignore"):
-        quad = np.sum(y * y, axis=-1)
     log_det_ratio = 2.0 * (_half_log_det(q.chol) - _half_log_det(p.chol))
-    return _result(_clamp_kl(0.5 * (log_det_ratio + trace + quad - p.dim)))
+    # A trace or an offset whose square overflows gives KL = inf, its limit.
+    with np.errstate(over="ignore"):
+        trace, quad = np.sum(a * a, axis=(-2, -1)), np.sum(y * y, axis=-1)
+        return _result(_clamp_kl(0.5 * (log_det_ratio + trace + quad - p.dim)))
 
 
 def hellinger_sq_gaussian(p: GaussianDist, q: GaussianDist) -> float | np.ndarray:
@@ -432,14 +431,6 @@ def _outer_pieces(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return j, ends, used
 
 
-# The 2-D outer rules take at most this many (pair, node) values at a time,
-# in stacks of whole pairs (one pair whose rule alone is larger).  The normal
-# CDF slows past about 16k values per call: on stacks of 24 to 200 pairs at
-# budget 2001 (in process, one thread of a 2-vCPU machine), 2^15 took 11-20%
-# longer than 2^14, and 2^13 and 2^16 were slower too.
-_TV_BLOCK = 2**14
-
-
 def _tv_2d(mu: np.ndarray, s: np.ndarray, budget: int) -> np.ndarray:
     # A stack of pairs, mu and s of shape (k, 2): the inner coordinate j in
     # closed form, the outer i by a trapezoid rule.  Each piece of the outer
@@ -455,9 +446,8 @@ def _tv_2d(mu: np.ndarray, s: np.ndarray, budget: int) -> np.ndarray:
     for count in (1, 2, 3):
         members = np.flatnonzero(pieces == count)
         theta = np.linspace(0.0, np.pi, max(budget // count, 2))
-        size = max(1, _TV_BLOCK // (count * theta.size))
-        for start in range(0, members.size, size):
-            block = members[start : start + size]
+        for rows in _row_chunks(members.size, count * theta.size):
+            block = members[rows]
             e = ends[block][used[block]].reshape(block.size, count + 1)
             mid, half = (e[:, 1:] + e[:, :-1]) / 2.0, (e[:, 1:] - e[:, :-1]) / 2.0
             x = (mid[..., None] - half[..., None] * np.cos(theta)).reshape(block.size, -1)
@@ -474,7 +464,7 @@ def _tv_2d(mu: np.ndarray, s: np.ndarray, budget: int) -> np.ndarray:
     return np.where(s_j[:, 0] > 1.0, tv, 0.0 - tv)
 
 
-def tv_gaussian(p: GaussianDist, q: GaussianDist, method: str = "exact", budget: int = 4001) -> float | np.ndarray:
+def tv_gaussian(p: GaussianDist, q: GaussianDist, method: str = "exact", budget: int = 2001) -> float | np.ndarray:
     """Exact total variation distance between Gaussians of dimension <= 2, broadcast over stacks.
 
     ``P_p(A) - P_q(A)`` for the set ``A = {p > q}``, in the frame where
@@ -483,8 +473,8 @@ def tv_gaussian(p: GaussianDist, q: GaussianDist, method: str = "exact", budget:
     the normal CDF (``budget`` is unused).  In dimension 2 the inner
     coordinate is integrated in closed form and the outer one by ``budget``
     trapezoid nodes in a cosine map, split where ``A``'s section appears or
-    vanishes, so 2001 nodes agree with 40001 to within 1e-12 even for
-    strongly elongated pairs, as long as each of q's variances in that
+    vanishes.  The default 2001 nodes agree with 40001 to within 1e-12 even
+    for strongly elongated pairs, as long as each of q's variances in that
     frame (where p's are 1) is at least 1e-12.  A stack evaluates its pairs'
     rules together, grouped by their number of pieces, as (pairs x nodes)
     arrays in blocks of whole pairs; each pair keeps the nodes it would
@@ -530,15 +520,17 @@ def _axis_step(x: np.ndarray) -> np.ndarray:
     return x[..., 1] - x[..., 0]
 
 
-# Row-wise passes over a stack of grids (the spacing check, the moments, the
-# likelihood) take at most this many (member, node) values at a time, so
-# their temporaries stay small beside the stack's own arrays.
+# Row-wise passes over a stack (the 2-D TV's outer rules, the spacing check,
+# the moments, the likelihood) take at most this many (member, node) values at
+# a time, so their temporaries stay small.  The normal CDF slows past about 16k
+# values per call: on stacks of 24 to 200 TV pairs at budget 2001 (in process,
+# one thread of a 2-vCPU machine), 2^13, 2^15 and 2^16 were slower than 2^14.
 _ROW_CHUNK = 2**14
 
 
-def _row_chunks(rows: int, cols: int) -> list[slice]:
-    """Slices of whole rows of a (rows, cols) array, each of at most ``_ROW_CHUNK`` values (one row if a row is longer)."""
-    size = max(1, _ROW_CHUNK // cols)
+def _row_chunks(rows: int, cols: int, limit: int | None = None) -> list[slice]:
+    """Slices of whole rows of a (rows, cols) array, each of at most ``limit`` (else ``_ROW_CHUNK``) values, or one row."""
+    size = max(1, (limit or _ROW_CHUNK) // cols)
     return [slice(start, start + size) for start in range(0, rows, size)]
 
 

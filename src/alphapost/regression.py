@@ -118,8 +118,10 @@ class RegressionDGP:
     when omitted it is that projection's population residual standard
     deviation, ``sqrt(sigma_eps^2 + gamma0' (cov_zz - cov_wz' cov_ww^{-1} cov_wz) gamma0)``,
     so that the omitted variable is the only misspecification.  Each
-    violation, a derived ``sigma_u`` of 0 or inf, or a ``sigma_eps`` or
-    ``sigma_u`` whose square overflows raises ``ValueError`` naming the fields.
+    violation, a derived ``sigma_u`` of inf, a ``sigma_eps`` or ``sigma_u``
+    whose square overflows, or a given or derived ``sigma_u`` (0 included)
+    whose curvature ``1 / sigma_u^2`` overflows raises ``ValueError`` naming
+    the fields.
     """
 
     theta0: np.ndarray
@@ -163,22 +165,21 @@ class RegressionDGP:
         stats_map[:k, k] = chol.T @ np.concatenate([theta0, gamma0])
         stats_map[k, k] = self.sigma_eps
         object.__setattr__(self, "_stats_map", stats_map)
+        where = "sigma_u:" if self.sigma_u is not None else "sigma_eps, gamma0: the derived sigma_u"
         if self.sigma_u is None:
             resid_cov = self.cov_zz - self.cov_wz.T @ np.linalg.solve(self.cov_ww, self.cov_wz)
             with np.errstate(over="ignore"):
                 sigma_u = float(np.sqrt(var_eps + gamma0 @ resid_cov @ gamma0))
             if not np.isfinite(sigma_u):
                 raise ValueError("sigma_eps, gamma0: the derived sigma_u is not finite; give sigma_u explicitly")
-            if sigma_u == 0:
-                raise ValueError(
-                    "sigma_eps, gamma0: the derived sigma_u is 0 (no noise, and no part of gamma0'Z "
-                    "outside W); give sigma_u explicitly"
-                )
             object.__setattr__(self, "sigma_u", sigma_u)
         elif self.sigma_u <= 0:
             raise ValueError("sigma_u: must be positive")
         else:
             _finite_square("sigma_u", self.sigma_u)
+        with np.errstate(over="ignore", divide="ignore"):
+            if not np.isfinite(1.0 / np.float64(self.sigma_u) ** 2):
+                raise ValueError(f"{where} {self.sigma_u!r} is too small: 1 / sigma_u^2 is not finite")
 
     @property
     def p(self) -> int:
@@ -253,9 +254,13 @@ def simulate_stats(dgp: RegressionDGP, n: int, seeds: Sequence[int]) -> Sufficie
         raise ValueError("seeds must name at least one sample")
     grams = np.stack([_block_gram(*_standard_block(dgp, n, seed)) for seed in seeds])
     m = dgp._stats_map
-    gram = m.T @ grams @ m
-    # The congruence is symmetric only up to rounding; a Gram matrix is exactly so.
-    return SufficientStats(n, (gram + np.swapaxes(gram, -1, -2)) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.T @ grams @ m
+        # The congruence is symmetric only up to rounding; a Gram matrix is exactly so.
+        gram = (gram + np.swapaxes(gram, -1, -2)) / 2.0
+    if not np.all(np.isfinite(gram)):
+        raise ValueError(f"theta0, gamma0, sigma_eps: the Gram matrix of a sample of n = {n} is not finite")
+    return SufficientStats(n, gram)
 
 
 def _require_full_rank(gram: np.ndarray, message: str) -> None:
@@ -434,17 +439,19 @@ def assumption2_terms(
     mu_bar = np.sqrt(n) * (mu_n - theta_star)
     n_sigma = n * Sigma_n
     prec = prior.Sigma_pi / dgp.sigma_u**2
-    prior_term = (
-        -0.5 / n * np.einsum("...i,ij,...j->...", mu_bar, prec, mu_bar)
-        - 0.5 / n * np.trace(n_sigma @ prec, axis1=-2, axis2=-1)
-        + mu_bar @ prec @ (prior.mu_pi - theta_star) / np.sqrt(n)
-    )
     q, delta = _lan_terms(w, dgp)
-    lan_term = (
-        np.einsum("...i,...ij,...j->...", mu_bar, q, delta)
-        - 0.5 * np.einsum("...i,...ij,...j->...", mu_bar, q, mu_bar)
-        - 0.5 * np.trace(q @ n_sigma, axis1=-2, axis2=-1)
-    )
+    # A far prior mean or posterior overflows the terms to inf or NaN, for the caller to name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prior_term = (
+            -0.5 / n * np.einsum("...i,ij,...j->...", mu_bar, prec, mu_bar)
+            - 0.5 / n * np.trace(n_sigma @ prec, axis1=-2, axis2=-1)
+            + mu_bar @ prec @ (prior.mu_pi - theta_star) / np.sqrt(n)
+        )
+        lan_term = (
+            np.einsum("...i,...ij,...j->...", mu_bar, q, delta)
+            - 0.5 * np.einsum("...i,...ij,...j->...", mu_bar, q, mu_bar)
+            - 0.5 * np.trace(q @ n_sigma, axis1=-2, axis2=-1)
+        )
     return _result(prior_term), _result(lan_term)
 
 
@@ -510,7 +517,9 @@ def concentration_markov_bound(
     post_mean = np.atleast_1d(np.asarray(post_mean, dtype=float))
     post_cov = np.atleast_2d(np.asarray(post_cov, dtype=float))
     gap = post_mean - np.atleast_1d(np.asarray(theta_star, dtype=float))
-    return _result(n / r_n**2 * (np.sum(gap * gap, axis=-1) + np.trace(post_cov, axis1=-2, axis2=-1)))
+    # A gap whose square overflows gives the bound inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(n / r_n**2 * (np.sum(gap * gap, axis=-1) + np.trace(post_cov, axis1=-2, axis2=-1)))
 
 
 def failure_case_hellinger(

@@ -96,12 +96,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{key}: set on line 2 and again on line 4$"):
             ExperimentConfig.from_file(write_config(tmp_path, text))
 
-    def test_experiment_name_mismatch_rejected(self, tmp_path):
-        cfg = ExperimentConfig.from_file(
-            write_config(tmp_path, "seed = 1\nexperiment = failure-case\n")
-        )
-        with pytest.raises(ConfigError, match="experiment"):
-            cfg.validate("optimal-alpha")
+    def test_experiment_line_is_an_unknown_field(self, tmp_path):
+        # The subcommand names the experiment; a config names none.
+        with pytest.raises(ConfigError, match="^experiment: unknown configuration field$"):
+            ExperimentConfig.from_file(write_config(tmp_path, "seed = 1\nexperiment = failure-case\n"))
 
     def test_every_field_parses_back_from_its_rendering(self, tmp_path):
         # One non-default value per annotation, so every parser runs.
@@ -278,6 +276,33 @@ class TestExperimentOutputs:
         csv = "vbvm-convergence.csv"
         assert (tmp_path / "blocks" / csv).read_bytes() == (tmp_path / "whole" / csv).read_bytes()
 
+    def test_one_config_runs_every_experiment_in_either_order(self, tmp_path):
+        # validate only checks, so a config run once gives the next experiment
+        # the rows a fresh config would.
+        text = "seed = 23\nreplications = 2\nn_grid = 50,100\nn = 100\nalphas = 0.5,1.0\n"
+
+        def fresh(experiment):
+            return run_experiment(ExperimentConfig.from_file(write_config(tmp_path, text)), experiment)
+
+        want = {experiment: fresh(experiment) for experiment in EXPERIMENTS}
+        shared = ExperimentConfig.from_file(write_config(tmp_path, text))
+        for experiment in [*EXPERIMENTS, *reversed(list(EXPERIMENTS))]:
+            assert run_experiment(shared, experiment) == want[experiment], experiment
+
+    def test_grid_points_leaves_the_2d_tv_alone(self, tmp_path):
+        # grid_points sizes the Laplace grid only; the p = 2 TV is exact.
+        def tv(grid_points):
+            cfg = ExperimentConfig.from_file(
+                write_config(
+                    tmp_path,
+                    f"seed = 3\nreplications = 2\nn_grid = 50,200\ngrid_points = {grid_points}\ntheta0 = 1,0.5\n"
+                    "cov_ww = 1,0.3;0.3,1\ncov_wz = 0.5;0.2\nmu_pi = 0,0\nsigma_pi = 1,0;0,1\n",
+                )
+            )
+            return [row[3] for row in run_experiment(cfg, "bvm-convergence")[1]]
+
+        assert tv(101) == tv(2001)
+
     def test_schema_stability(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, FAST_LOCATION))
         columns, rows = run_experiment(cfg, "bvm-convergence")
@@ -374,7 +399,7 @@ class TestCLI:
         assert "theta0:" in capsys.readouterr().err
 
     def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
-        # Laplace grids and p = 2 outer TV rules take grid_points nodes; 2e9 exhaust memory.
+        # Laplace grids take grid_points nodes, and the field's range holds in every run.
         cfg_path = write_config(tmp_path, "seed = 1\nn_grid = 50\nreplications = 1\ngrid_points = 1000001\n")
         assert self.run_cli(["bvm-convergence", "--config", str(cfg_path), "--out", str(tmp_path / "gp")]) == 2
         assert capsys.readouterr().err.startswith("config error: grid_points: ")
@@ -465,6 +490,12 @@ class TestCLI:
             # sigma_eps^2, sigma_u^2 and the projection's curvature 1 / noise_sd^2 overflow.
             *[(e, "sigma_eps = 1e200", "dgp/prior: sigma_eps: ", "not finite") for e in EXPERIMENTS],
             *[(e, "sigma_u = 1e300", "dgp/prior: sigma_u: ", "not finite") for e in EXPERIMENTS],
+            # The curvature 1 / sigma_u^2 divides by zero, or overflows.
+            *[
+                (e, f"sigma_u = {su}", "dgp/prior: sigma_u: ", "1 / sigma_u^2 is not finite")
+                for e in EXPERIMENTS
+                for su in ("1e-300", "1e-160")
+            ],
             *[
                 ("vbvm-convergence", f"model = laplace-location\nnoise_sd = {sd}", "noise_sd: ", "not finite")
                 for sd in ("1e-300", "1e-200")
@@ -497,12 +528,12 @@ class TestCLI:
         blocked.write_text("a file, not a directory")
         assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(blocked)]) == 2
 
-    @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_numerical_failure_exit_code(self, tmp_path):
-        # sigma_u underflows, so the posterior covariance collapses to zero.
+        # The curvature 1 / sigma_u^2 is finite, but the tempered posterior's
+        # KL to the correctly specified one overflows.
         cfg_path = write_config(
             tmp_path,
-            "seed = 1\nn_grid = 50\nn = 50\nreplications = 1\nsigma_u = 1e-300\n",
+            "seed = 1\nn_grid = 50\nn = 50\nreplications = 1\nsigma_u = 1e-154\n",
         )
         rc = self.run_cli(["robustness-curve", "--config", str(cfg_path), "--out", str(tmp_path / "nf")])
         assert rc == 3
@@ -513,6 +544,10 @@ class TestCLI:
             ("bvm-convergence", "mu_pi = 1e300", "kl"),
             ("vbvm-convergence", "mu_pi = 1e300", "kl"),
             ("robustness-curve", "full_prior_mu = 1e300,0", "r_exact"),
+            *[
+                ("assumption-checks", f"mu_pi = {mu}", "prior_term, lan_term, markov_bound, kl_limit")
+                for mu in ("1e300", "-1e300")
+            ],
         ],
     )
     def test_non_finite_results_are_a_numerical_failure(self, tmp_path, capsys, experiment, line, column):
@@ -520,6 +555,31 @@ class TestCLI:
         out = tmp_path / "nf"
         assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(f"numerical failure: {column}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, line, names",
+        [
+            *[
+                (e, f"theta0 = {theta}", "theta0, gamma0, sigma_eps")
+                for e in ("bvm-convergence", "assumption-checks", "failure-case")
+                for theta in ("1e300", "-1e300")
+            ],
+            *[
+                (e, f"model = laplace-location\ngrid_points = 401\n{value}", "theta_true, noise_sd")
+                for e in ("bvm-convergence", "vbvm-convergence")
+                for value in ("theta_true = 1e300", "theta_true = -1e300", "noise_sd = 1e300")
+            ],
+        ],
+    )
+    def test_overflowing_sample_names_its_fields(self, tmp_path, capsys, experiment, line, names):
+        # The sample's Gram matrix overflows: a numerical failure naming the
+        # fields that set the sample, and its size.
+        cfg_path = write_config(tmp_path, f"seed = 1\nn_grid = 50\nreplications = 1\n{line}\n")
+        out = tmp_path / "gram"
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {names}: ") and "n = 50" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -362,7 +362,7 @@ class TestTVGaussian:
         # each member is its pair's TV computed alone, also when the stack
         # runs in blocks of two pairs.
         if block is not None:
-            monkeypatch.setattr(gaussians, "_TV_BLOCK", block)
+            monkeypatch.setattr(gaussians, "_ROW_CHUNK", block)
         rng = np.random.default_rng(5)
         mean = np.vstack([rng.normal(scale=1.5, size=(40, 2)), [2.0, 0.0]])
         var = np.vstack([np.exp(rng.uniform(-3.0, 3.0, size=(40, 2))), [1.0, 0.25]])

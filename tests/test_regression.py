@@ -70,6 +70,15 @@ class TestRegressionDGP:
         with pytest.raises(ValueError, match="sigma_u"):
             toy_dgp(sigma_u=0.0)
 
+    def test_rejects_a_sigma_u_whose_curvature_overflows(self):
+        # 1 / sigma_u^2 divides by zero at 1e-300 and overflows at 1e-160; at 1e-154 it is finite.
+        for sigma_u in (1e-300, 1e-160):
+            with pytest.raises(ValueError, match=f"^sigma_u: {sigma_u!r} is too small: 1 / sigma_u\\^2 is not finite$"):
+                toy_dgp(sigma_u=sigma_u)
+        assert toy_dgp(sigma_u=1e-154).sigma_u == 1e-154
+        with pytest.raises(ValueError, match="^sigma_eps, gamma0: the derived sigma_u .* is too small"):
+            toy_dgp(gamma0=[0.0], sigma_eps=1e-160)
+
 
 class TestSimulate:
     def test_bit_reproducible(self):
