@@ -22,10 +22,9 @@ from alphapost import (
 dgp = RegressionDGP(
     theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_ww=[[1.0]], cov_wz=[[0.5]], cov_zz=[[1.0]]
 )
-ds = simulate(dgp, n=500, seed=11)
-# The posterior reads the sample through its sufficient statistics; the
-# analyst regresses Y on W, the first p columns.
-w = ds.stats().first_columns(dgp.p)
+# A sample is drawn as its sufficient statistics, which the posterior reads;
+# the analyst regresses Y on W, the first p columns.
+w = simulate(dgp, n=500, seed=11).first_columns(dgp.p)
 prior = ConjugatePrior([0.0], [[1.0]])
 
 # Tempering rescales the conjugate posterior's covariance like 1/alpha (the
@@ -47,7 +46,7 @@ print("flat-prior covariance ratio (alpha 0.5 vs 1):", c2.cov[0, 0] / c1.cov[0, 
 # points to N values.
 alpha = 0.5
 post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
-x = default_grid_axis(post.mean[0], dgp.cov_ww[0, 0] / dgp.sigma_u**2, ds.n, alpha)
+x = default_grid_axis(post.mean[0], dgp.cov_ww[0, 0] / dgp.sigma_u**2, w.n, alpha)
 grid_post = grid_alpha_posterior(
     regression_likelihood(w, dgp.sigma_u), prior.log_density_fn(dgp.sigma_u), alpha, x
 )

@@ -47,7 +47,7 @@ dgp = RegressionDGP(
     cov_wz=[[0.5], [0.3]],
     cov_zz=[[1.0]],
 )
-w = simulate(dgp, 200, 3).stats().first_columns(dgp.p)
+w = simulate(dgp, 200, 3).first_columns(dgp.p)
 prior = ConjugatePrior([0.0, 0.0], np.eye(2))
 post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha=0.5)
 best = gmf_project_gaussian(post)

@@ -41,7 +41,7 @@ print("limit optimal tempering:", limit_alpha_star(scenario))
 
 n = 5000
 eps_n = eps / n
-stats = simulate(dgp, n, seed=29).stats()  # n and the Gram matrix of [W, Z, Y]
+stats = simulate(dgp, n, seed=29)  # n and the Gram matrix of [W, Z, Y]
 w = stats.first_columns(dgp.p)  # the analyst's short regression on W
 prior = ConjugatePrior([0.0], [[1.0]])
 full_prior = ConjugatePrior(np.zeros(2), np.eye(2))

@@ -49,7 +49,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import __version__
-from .gaussians import _row_chunks, kl_gaussian, tv_gaussian
+from .gaussians import GaussianDist, _row_chunks, kl_gaussian, tv_gaussian
 from .meanfield import gmf_project_gaussian, gmf_project_numeric, variational_bvm_limit
 from .posteriors import (
     ConjugatePrior,
@@ -398,6 +398,21 @@ def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
     return SufficientStats(n, gram)
 
 
+def _mean_field_limit(theta_hat: np.ndarray, v: np.ndarray, n: int, alpha: np.ndarray, names: str) -> GaussianDist:
+    """``variational_bvm_limit`` at every cell, or ``ValueError`` naming ``names`` and n.
+
+    ``names`` are the fields that set ``alpha`` and ``V``.  The covariance
+    ``V^{-1} / (alpha n)`` and its projection are formed with floating-point
+    warnings off, so one that overflows or underflows reaches
+    ``GaussianDist``, whose message follows the names.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            return variational_bvm_limit(theta_hat, v, n, alpha)
+        except ValueError as err:
+            raise ValueError(f"{names}: the mean-field limit of a sample of n = {n} is degenerate: {err}") from err
+
+
 def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[list]:
     stats = _location_stats(cfg, n)
     theta_hat = ols(stats)
@@ -408,14 +423,20 @@ def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[
     # A stack of grid posteriors, one per cell, each with its replication's
     # likelihood, and one projection per stack.
     v = np.array([[_location_curvature(cfg.noise_sd)]])
-    lim = variational_bvm_limit(theta_hat[rep], v, n, alpha)
+    lim = _mean_field_limit(theta_hat[rep], v, n, alpha, "noise_sd, alphas")
     log_prior = laplace_log_prior(cfg.prior_loc, cfg.prior_scale)
     kl = []
     for block in _row_chunks(rep.size, cfg.grid_points, _GRID_BLOCK):
         r, a = rep[block], alpha[block]
         grid = default_grid_axis(theta_hat[r, 0], v[0, 0], n, a, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
         lik = regression_likelihood(stats[r], cfg.noise_sd)
-        proj = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, a, grid))
+        try:
+            proj = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, a, grid))
+        except (ValueError, RuntimeError) as err:
+            raise ValueError(
+                f"noise_sd, alphas, prior_scale, prior_loc, theta_true: the tempered grid posterior of a sample "
+                f"of n = {n} has no mean-field projection: {err}"
+            ) from err
         kl.append(kl_gaussian(proj, lim[block]))
     return _cell_rows(n, rep, alpha, np.concatenate(kl))
 
@@ -430,7 +451,7 @@ def _regression_convergence(
     rep, alpha = _cells(cfg.replications, cfg.alphas)
     post = conjugate_alpha_posterior(w[rep], prior, dgp.sigma_u, alpha)
     if project:
-        lim = variational_bvm_limit(theta_hat[rep], v, n, alpha)
+        lim = _mean_field_limit(theta_hat[rep], v, n, alpha, "sigma_u, cov_ww, alphas")
         return _cell_rows(n, rep, alpha, kl_gaussian(gmf_project_gaussian(post), lim))
     lim = gaussian_bvm_limit(theta_hat[rep], v, n, alpha)
     return _cell_rows(n, rep, alpha, tv_gaussian(post, lim), kl_gaussian(post, lim))

@@ -740,11 +740,13 @@ class GridDensity:
             np.exp(pdf, out=pdf)
             values = x[rows] * pdf
             mean[rows] = _trapezoid(values, step[rows])
-            # The squared deviations times the density, in the same buffer.
+            # The squared deviations times the density, in the same buffer; a
+            # variance that overflows is returned as it is, for the caller to reject.
             spread = np.subtract(x[rows], mean[rows, None], out=values)
-            spread *= spread
-            spread *= pdf
-            var[rows] = _trapezoid(spread, step[rows])
+            with np.errstate(over="ignore", invalid="ignore"):
+                spread *= spread
+                spread *= pdf
+                var[rows] = _trapezoid(spread, step[rows])
         shape = self.x.shape[:-1]
         return _result(mean.reshape(shape)), _result(var.reshape(shape))
 

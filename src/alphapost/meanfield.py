@@ -168,8 +168,10 @@ def gmf_project_numeric(target: GridDensity, init: GaussianDist | None = None) -
 
     def kl_grad_hess(members, x, dx, sd):
         vals, d1, d2 = target.log_pdf_and_grad_at(x, members)
-        # KL(q||t) = -H(q) - E_q[log t]; d(-H)/d(log sd) = -1.
-        kl = -0.5 * (1.0 + np.log(2.0 * np.pi)) - np.log(sd) - expect(vals)
+        # KL(q||t) = -H(q) - E_q[log t]; d(-H)/d(log sd) = -1.  An sd that
+        # underflows to 0 gives a KL of inf, which no step accepts.
+        with np.errstate(divide="ignore"):
+            kl = -0.5 * (1.0 + np.log(2.0 * np.pi)) - np.log(sd) - expect(vals)
         # d(node)/dv is sd0 for the mean coordinate and dx for the log sd one.
         scale = sd0[members]
         g_mu, g_sd = scale * expect(d1), expect(d1 * dx)

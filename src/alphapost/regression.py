@@ -12,9 +12,8 @@ A sample enters every estimator and probe through its sufficient
 statistics (``n`` and the Gram matrix of ``[W, Z, Y]``), one sample or a
 stack of replications of one size ``n``, and the stacked routines return
 one value per replication.  :func:`simulate_stats` draws a stack of them
-straight from the replications' seeds through the one Gram routine, without
-forming any sample; :func:`simulate` draws the same rows (and
-:meth:`RegressionDataset.stats` reduces them) where the sample is wanted.
+straight from the replications' seeds through the one Gram routine, and
+:func:`simulate` draws one seed's; no sample is ever formed.
 :func:`regression_likelihood` is the library's one Gaussian log-likelihood;
 the location model is the regression on one constant column.
 
@@ -43,7 +42,6 @@ from .robustness import MisspecScenario
 
 __all__ = [
     "RegressionDGP",
-    "RegressionDataset",
     "derived_seed",
     "simulate",
     "simulate_stats",
@@ -154,8 +152,6 @@ class RegressionDGP:
         # The blocks of the symmetrized covariance, each contiguous.
         for name, block in (("cov_ww", cov[:p, :p]), ("cov_wz", cov[:p, p:]), ("cov_zz", cov[p:, p:])):
             object.__setattr__(self, name, np.ascontiguousarray(block))
-        # Kept for simulate, which draws the covariates through it.
-        object.__setattr__(self, "_stacked_chol", chol)
         # Kept for simulate_stats: a sample's rows are [W, Z, Y] = [N, e] M for
         # its standard normal covariates N and errors e, with L = chol,
         # b = (theta0, gamma0) and M = [[L', L'b], [0, sigma_eps]].
@@ -190,37 +186,6 @@ class RegressionDGP:
         return self.gamma0.size
 
 
-@dataclass(frozen=True)
-class RegressionDataset:
-    """One simulated sample: outcomes, observed controls, omitted controls."""
-
-    Y: np.ndarray
-    W: np.ndarray
-    Z: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.Y, dtype=float).ravel()
-        w = np.atleast_2d(np.asarray(self.W, dtype=float))
-        z = np.atleast_2d(np.asarray(self.Z, dtype=float))
-        if w.shape[0] != y.size or z.shape[0] != y.size:
-            raise ValueError("row counts of Y, W, Z disagree")
-        object.__setattr__(self, "Y", y)
-        object.__setattr__(self, "W", w)
-        object.__setattr__(self, "Z", z)
-
-    @property
-    def n(self) -> int:
-        return self.Y.size
-
-    def stats(self) -> SufficientStats:
-        """Sufficient statistics of the sample: ``n`` and the Gram matrix of ``[W, Z, Y]``.
-
-        Its first ``p`` design columns are ``W``: ``stats().first_columns(p)``
-        are the statistics of the analyst's short regression.
-        """
-        return SufficientStats.of(np.hstack([self.W, self.Z]), self.Y)
-
-
 def _standard_block(dgp: RegressionDGP, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     # The seed's stream read once: an (n, p + d) array of standard normal
     # covariates, row-major, then n standard normal errors.
@@ -231,24 +196,27 @@ def _standard_block(dgp: RegressionDGP, n: int, seed: int) -> tuple[np.ndarray, 
     return block[:kn].reshape(n, dgp.p + dgp.d), block[kn:]
 
 
-def simulate(dgp: RegressionDGP, n: int, seed: int) -> RegressionDataset:
-    """Draw an i.i.d. sample of size ``n``; bit-reproducible given the seed."""
-    normals, errors = _standard_block(dgp, n, seed)
-    x = normals @ dgp._stacked_chol.T
-    w, z = x[:, : dgp.p], x[:, dgp.p :]
-    y = w @ dgp.theta0 + z @ dgp.gamma0 + dgp.sigma_eps * errors
-    return RegressionDataset(y, w, z)
+def simulate(dgp: RegressionDGP, n: int, seed: int) -> SufficientStats:
+    """The statistics of one sample of size ``n``: member 0 of :func:`simulate_stats` on ``[seed]``.
+
+    They are ``n`` and the Gram matrix of ``[W, Z, Y]``, bit-reproducible
+    given the seed; ``first_columns(p)`` are those of the analyst's short
+    regression of ``Y`` on ``W``.
+    """
+    return simulate_stats(dgp, n, [seed])[0]
 
 
 def simulate_stats(dgp: RegressionDGP, n: int, seeds: Sequence[int]) -> SufficientStats:
     """The stacked statistics of one sample of size ``n`` per seed, without forming the samples.
 
-    Member ``i`` is, up to rounding, ``simulate(dgp, n, seeds[i]).stats()``:
-    it reads the same numbers from the same stream.  Each seed's standard
-    normals ``[N, e]`` are reduced to their Gram matrix ``G`` as soon as they
-    are drawn, by the blockwise Gram routine of :meth:`SufficientStats.of`,
-    so one seed's block at a time is alive; the stack maps to ``M' G M`` by
-    one congruence, since ``[W, Z, Y] = [N, e] M``.
+    Member ``i`` is ``simulate(dgp, n, seeds[i])``: up to rounding, the
+    Gram matrix of the rows ``[W, Z, Y]`` that the seed's stream gives, its
+    ``n (p + d)`` standard normal covariates first, row-major, then its ``n``
+    standard normal errors.  Each seed's standard normals ``[N, e]`` are
+    reduced to their Gram matrix ``G`` as soon as they are drawn, by the
+    blockwise Gram routine of :meth:`SufficientStats.of`, so one seed's block
+    at a time is alive; the stack maps to ``M' G M`` by one congruence, since
+    ``[W, Z, Y] = [N, e] M``.
     """
     if len(seeds) == 0:
         raise ValueError("seeds must name at least one sample")

@@ -6,9 +6,10 @@ closed forms for special cases, the surrogate robustness criteria as the
 explicit Gaussian KL terms they abbreviate, a locally written
 golden-section minimizer for argmin cross-checks, the penalized variational
 objective with a derivative-free maximizer, the closed-form mean-field
-objective of the Laplace-prior location model, and the
+objective of the Laplace-prior location model, the
 local-asymptotic-normality defect on a mesh, whose largest magnitude there
-bounds its sup from below.
+bounds its sup from below, and the regression sample as rows, which the
+library never forms.
 """
 
 import numpy as np
@@ -28,6 +29,20 @@ def mesh_points(axes):
     """
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def simulate_rows(dgp, n, seed):
+    """The rows ``(w, z, y)`` of the sample that ``simulate(dgp, n, seed)`` summarizes.
+
+    Two calls on the seed's stream: the ``n (p + d)`` standard normal
+    covariates, row-major, mapped through the Cholesky factor of the
+    covariance of ``(W, Z)``, then ``n`` standard normal errors.
+    """
+    rng = np.random.default_rng(seed)
+    chol = np.linalg.cholesky(np.block([[dgp.cov_ww, dgp.cov_wz], [dgp.cov_wz.T, dgp.cov_zz]]))
+    x = rng.standard_normal((n, dgp.p + dgp.d)) @ chol.T
+    w, z = x[:, : dgp.p], x[:, dgp.p :]
+    return w, z, w @ dgp.theta0 + z @ dgp.gamma0 + dgp.sigma_eps * rng.standard_normal(n)
 
 
 def lan_terms(stats, dgp):

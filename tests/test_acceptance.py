@@ -271,7 +271,7 @@ def test_criterion_7_regression_verification_suite(capsys):
         for n in (100, 1000, 10**4, 10**5):
             vals = []
             for rep in range(reps):
-                w = simulate(dgp, n, derived_seed(710, n, rep)).stats().first_columns(dgp.p)
+                w = simulate(dgp, n, derived_seed(710, n, rep)).first_columns(dgp.p)
                 post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
                 vals.append(
                     concentration_markov_bound(post.mean, post.cov, theta_star, np.log(n), n)
@@ -286,7 +286,7 @@ def test_criterion_7_regression_verification_suite(capsys):
         for n in (50, 200, 1000, 5000):
             vals = []
             for rep in range(reps):
-                w = simulate(dgp, n, derived_seed(720, n, rep)).stats().first_columns(dgp.p)
+                w = simulate(dgp, n, derived_seed(720, n, rep)).first_columns(dgp.p)
                 post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
                 lim = gaussian_bvm_limit(ols(w), v, n, alpha)
                 vals.append(kl_gaussian(post, lim))
@@ -301,7 +301,7 @@ def test_criterion_7_regression_verification_suite(capsys):
         assert abs(h2[1] - h2[0]) / h2[0] < 0.10, h2
         control = []
         for n in (10**4, 10**5):
-            w = simulate(dgp, n, derived_seed(731, n)).stats().first_columns(dgp.p)
+            w = simulate(dgp, n, derived_seed(731, n)).first_columns(dgp.p)
             post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
             lim = gaussian_bvm_limit(ols(w), v, n, 1.0)
             control.append(hellinger_sq_gaussian(post, lim))
@@ -312,7 +312,7 @@ def test_criterion_7_regression_verification_suite(capsys):
         for n in (100, 1000, 10**4):
             rows = []
             for rep in range(reps):
-                w = simulate(dgp, n, derived_seed(740, n, rep)).stats().first_columns(dgp.p)
+                w = simulate(dgp, n, derived_seed(740, n, rep)).first_columns(dgp.p)
                 post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
                 prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, w)
                 rows.append([abs(prior_term), abs(lan_term), lan_residual_sup(w, dgp)])
@@ -331,7 +331,7 @@ def test_criterion_7_regression_verification_suite(capsys):
         exact_curves = []
         full_prior = ConjugatePrior(np.zeros(2), np.eye(2))
         for rep in range(reps):
-            stats = simulate(dgp, n, derived_seed(760, n, rep)).stats()
+            stats = simulate(dgp, n, derived_seed(760, n, rep))
             w = stats.first_columns(dgp.p)
             fin = FiniteSampleInputs(ols(w), ols(stats)[:1], n, eps_n)
             true_post, _ = true_posterior_theta(stats, full_prior, dgp.sigma_eps, dgp.p)

@@ -101,6 +101,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^experiment: unknown configuration field$"):
             ExperimentConfig.from_file(write_config(tmp_path, "seed = 1\nexperiment = failure-case\n"))
 
+    def test_unknown_experiment_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^experiment: unknown experiment 'no-such-experiment'$"):
+            run_experiment(ExperimentConfig(seed=1), "no-such-experiment")
+
     def test_every_field_parses_back_from_its_rendering(self, tmp_path):
         # One non-default value per annotation, so every parser runs.
         samples = {
@@ -487,6 +491,7 @@ class TestCLI:
             ("bvm-convergence", "sigma_eps = 0\ngamma0 = 0", "dgp/prior: ", "sigma_eps"),
             ("optimal-alpha", "theta0 =", "dgp/prior: theta0: ", "at least one"),
             ("optimal-alpha", "gamma0 =", "dgp/prior: gamma0: ", "at least one"),
+            ("bvm-convergence", "sigma_eps = -1", "dgp/prior: sigma_eps: ", "must be nonnegative"),
             # sigma_eps^2, sigma_u^2 and the projection's curvature 1 / noise_sd^2 overflow.
             *[(e, "sigma_eps = 1e200", "dgp/prior: sigma_eps: ", "not finite") for e in EXPERIMENTS],
             *[(e, "sigma_u = 1e300", "dgp/prior: sigma_u: ", "not finite") for e in EXPERIMENTS],
@@ -508,6 +513,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {prefix}")
         assert detail in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_grid 50", "config line 3: expected 'key = value', got 'n_grid 50'"),
+            ("n_grid =", "n_grid: must not be empty"),
+            ("alphas =", "alphas: must not be empty"),
+            ("model = probit", "model: unknown model 'probit'"),
+        ],
+    )
+    def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, line, message):
+        cfg_path = write_config(tmp_path, f"seed = 1\nreplications = 1\n{line}\n")
+        assert self.run_cli(["bvm-convergence", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
         "experiment, line",
@@ -580,6 +599,34 @@ class TestCLI:
         assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: {names}: ") and "n = 50" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, names, n",
+        [
+            # The curvature is finite, but the mean-field limit's precision alpha n V overflows.
+            ("n_grid = 50\nreplications = 1\nsigma_u = 1e-154", "sigma_u, cov_ww, alphas", 50),
+            *[
+                (f"n_grid = 50\nreplications = 1\nmodel = laplace-location\n{line}", "noise_sd, alphas", 50)
+                for line in ("noise_sd = 1e-154", "alphas = 1e307", "noise_sd = 1e150\nalphas = 1e-300")
+            ],
+            # The Laplace prior is narrower than the grid's step: the grid posterior is a spike.
+            *[
+                (
+                    f"n_grid = 30,60\nreplications = 2\nmodel = laplace-location\n{line}",
+                    "noise_sd, alphas, prior_scale, prior_loc, theta_true",
+                    30,
+                )
+                for line in ("noise_sd = 1e150", "prior_scale = 1e-300", "alphas = 1e-150")
+            ],
+        ],
+    )
+    def test_unresolvable_mean_field_run_names_its_fields(self, tmp_path, capsys, text, names, n):
+        cfg_path = write_config(tmp_path, f"seed = 1\n{text}\n")
+        out = tmp_path / "mf"
+        assert self.run_cli(["vbvm-convergence", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {names}: ") and f"n = {n}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

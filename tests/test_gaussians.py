@@ -104,6 +104,8 @@ class TestStacks:
             ([[0.0, 0.0], [0.0, 0.0]], [np.eye(2), [[1.0, 2.0], [2.0, 1.0]]], "positive definite"),
             ([[0.0, 0.0], [0.0, 0.0]], [np.eye(2), [[1.0, 0.5], [0.2, 1.0]]], "symmetric"),
             ([[0.0], [0.0]], [[[1.0]], [[1.0]], [[1.0]]], "does not match"),
+            # A stack of stacks is not a stack.
+            (np.zeros((2, 2, 1)), np.ones((2, 2, 1, 1)), "^mean must be a vector or a stack of vectors$"),
         ],
     )
     def test_one_bad_member_rejects_the_stack(self, mean, cov, message):
@@ -335,6 +337,16 @@ class TestTVGaussian:
         with pytest.raises(ValueError, match="dimension 3"):
             tv_gaussian(g, g, "exact", 101)
 
+    @pytest.mark.parametrize("divergence", [hellinger_sq_gaussian, tv_gaussian])
+    def test_rejects_unequal_dimensions(self, divergence):
+        with pytest.raises(ValueError, match="^distributions must have equal dimension$"):
+            divergence(GaussianDist(0.0, 1.0), GaussianDist([0.0, 0.0], np.eye(2)))
+
+    def test_rejects_a_budget_below_two(self):
+        g = GaussianDist([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="^budget must be a positive integer >= 2$"):
+            tv_gaussian(g, g, budget=1)
+
     @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
     def test_quadrature_method_is_gone(self, method):
         g = GaussianDist(0.0, 1.0)
@@ -397,6 +409,20 @@ class TestGridDensity:
         x = np.array([0.0, 0.1, 0.3, 0.6])
         with pytest.raises(ValueError, match="uniform"):
             GridDensity(x, np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "x, log_weights, message",
+        [
+            (np.linspace(0.0, 1.0, 11), np.zeros(10), r"^log values of shape \(10,\) for a grid of shape \(11,\)$"),
+            (np.linspace(0.0, 1.0, 3), np.zeros(3), "^the grid is one axis of at least four nodes"),
+            (np.zeros((2, 2, 5)), np.zeros((2, 2, 5)), "^the grid is one axis of at least four nodes"),
+            # The first step is positive, a later one negative.
+            (np.array([0.0, 1.0, 2.0, 1.5, 3.0]), np.zeros(5), "^the axis must be strictly increasing$"),
+        ],
+    )
+    def test_rejects_a_malformed_grid(self, x, log_weights, message):
+        with pytest.raises(ValueError, match=message):
+            GridDensity(x, log_weights)
 
     def test_constructor_and_classmethod_agree(self):
         # One construction path: the normalizer is computed, never passed.

@@ -312,11 +312,11 @@ def conjugate_1d_setup(seed=5, n=200, alpha=1.0):
     dgp = RegressionDGP(
         theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_ww=[[1.0]], cov_wz=[[0.5]], cov_zz=[[1.0]]
     )
-    ds = simulate(dgp, n, seed)
+    w = simulate(dgp, n, seed).first_columns(dgp.p)
     prior = ConjugatePrior([0.0], [[1.0]])
-    lik = regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u)
+    lik = regression_likelihood(w, dgp.sigma_u)
     log_prior = prior.log_density_fn(dgp.sigma_u)
-    post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
+    post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
     return lik, log_prior, post
 
 

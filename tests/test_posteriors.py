@@ -52,6 +52,22 @@ class TestSufficientStats:
         with pytest.raises(ValueError, match="^n must be a positive integer$"):
             SufficientStats(n, np.eye(2))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: SufficientStats(10, np.ones((3, 2))), r"^gram must be a \(k \+ 1\) x \(k \+ 1\) .*\(3, 2\)$"),
+            (lambda: SufficientStats(10, [[1.0]]), r"^gram must be a \(k \+ 1\) x \(k \+ 1\) .*\(1, 1\)$"),
+            (lambda: SufficientStats(10, [[1.0, np.nan], [np.nan, 1.0]]), "^gram must be finite$"),
+            (lambda: SufficientStats.of(np.ones((5, 2)), np.ones(4)), "^design and response row counts disagree$"),
+            (lambda: SufficientStats(10, np.eye(2))[0], "^only a stack of samples can be indexed$"),
+            (lambda: SufficientStats(10, np.eye(3)).first_columns(0), r"^k must lie in \[1, 2\]$"),
+            (lambda: SufficientStats(10, np.eye(3)).first_columns(3), r"^k must lie in \[1, 2\]$"),
+        ],
+    )
+    def test_rejects_a_malformed_sample(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestConjugatePrior:
     def test_flat_prior(self):
@@ -170,11 +186,11 @@ class TestGridAlphaPosterior:
         for _ in range(10):
             alpha = float(rng.uniform(0.3, 2.0))
             prior = ConjugatePrior([float(rng.normal())], [[float(rng.uniform(0.2, 2.0))]])
-            ds = simulate(dgp, int(rng.integers(50, 400)), int(rng.integers(10**6)))
-            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
+            w = simulate(dgp, int(rng.integers(50, 400)), int(rng.integers(10**6))).first_columns(dgp.p)
+            post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
             x = np.linspace(post.mean[0] - 10 * post.cov[0, 0] ** 0.5, post.mean[0] + 10 * post.cov[0, 0] ** 0.5, 2001)
             grid = grid_alpha_posterior(
-                regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u),
+                regression_likelihood(w, dgp.sigma_u),
                 prior.log_density_fn(dgp.sigma_u),
                 alpha,
                 x,
@@ -335,9 +351,9 @@ class TestMeanDriftBound:
         for n in (100, 1000, 10000):
             gaps = []
             for rep in range(200):
-                ds = simulate(dgp, n, derived_seed(12, n, rep))
-                post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
-                gaps.append(n * float(np.linalg.norm(post.mean - ols(ds.stats().first_columns(dgp.p)))))
+                w = simulate(dgp, n, derived_seed(12, n, rep)).first_columns(dgp.p)
+                post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
+                gaps.append(n * float(np.linalg.norm(post.mean - ols(w))))
             assert np.percentile(gaps, 95) < bound
 
 

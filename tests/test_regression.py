@@ -1,4 +1,4 @@
-"""The omitted-variable regression example: estimators, probes, and exports."""
+"""The omitted-variable regression example: its draws, estimators and probes."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from alphapost.meanfield import gmf_project_gaussian
 from alphapost.posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior
 from alphapost.regression import (
     RegressionDGP,
-    RegressionDataset,
     assumption2_terms,
     concentration_markov_bound,
     curvature,
@@ -27,7 +26,7 @@ from alphapost.regression import (
 )
 from alphapost.robustness import FiniteSampleInputs, a_n, optimal_alpha, r_infinity, r_star
 
-from oracles import lan_mesh_sup, lan_residual, lan_terms, normal_tail_two_sided
+from oracles import lan_mesh_sup, lan_residual, lan_terms, normal_tail_two_sided, simulate_rows
 
 
 def toy_dgp(**kw):
@@ -85,41 +84,41 @@ class TestSimulate:
         dgp = toy_dgp()
         a = simulate(dgp, 100, 7)
         b = simulate(dgp, 100, 7)
-        assert np.array_equal(a.Y, b.Y) and np.array_equal(a.W, b.W) and np.array_equal(a.Z, b.Z)
+        assert a.n == b.n == 100 and np.array_equal(a.gram, b.gram)
+
+    @pytest.mark.parametrize("p, d", [(1, 1), (2, 1), (1, 3)])
+    def test_is_member_zero_of_the_one_seed_stack(self, p, d):
+        dgp = equicorrelated_dgp(p, d, 1.0)
+        for n in (p + d, 333):
+            stats, stack = simulate(dgp, n, 41), simulate_stats(dgp, n, [41])
+            assert not stats.stacked and stats.n == stack.n == n
+            assert np.array_equal(stats.gram, stack.gram[0])
 
     def test_no_omitted_variable_means_unbiased_ols(self):
         dgp = toy_dgp(gamma0=[0.0])
         ests = []
         for rep in range(500):
-            ds = simulate(dgp, 200, derived_seed(1, 200, rep))
-            ests.append(ols(ds.stats().first_columns(dgp.p))[0])
+            stats = simulate(dgp, 200, derived_seed(1, 200, rep))
+            ests.append(ols(stats.first_columns(dgp.p))[0])
         se = np.std(ests, ddof=1) / np.sqrt(len(ests))
         assert abs(np.mean(ests) - 1.0) < 3 * se
 
     def test_empirical_covariance_matches_population(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 10**5, 3)
-        x = np.hstack([ds.W, ds.Z])
-        emp = x.T @ x / ds.n
+        stats = simulate(dgp, 10**5, 3)
+        emp = stats.xtx / stats.n
         assert np.linalg.norm(emp - np.block([[dgp.cov_ww, dgp.cov_wz], [dgp.cov_wz.T, dgp.cov_zz]])) < 0.02
 
     def test_noiseless_is_exact(self):
         dgp = toy_dgp(gamma0=[0.0], sigma_eps=0.0, sigma_u=1.0)
-        ds = simulate(dgp, 50, 11)
-        assert_allclose(ds.Y, ds.W @ dgp.theta0, atol=1e-12)
+        w = simulate(dgp, 50, 11).first_columns(dgp.p)
+        # Y = W theta0 exactly: the coefficients, and a residual sum of squares of 0 up to rounding.
+        assert_allclose(ols(w), dgp.theta0, atol=1e-12)
+        assert abs(w.yty - w.xty @ dgp.theta0) <= 1e-12 * w.yty
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError, match="at least"):
             simulate(toy_dgp(), 1, 0)
-
-
-def two_call_simulate(dgp, n, seed):
-    # The sample as simulate drew it from two calls on the seed's stream.
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, dgp.p + dgp.d)) @ dgp._stacked_chol.T
-    w, z = x[:, : dgp.p], x[:, dgp.p :]
-    y = w @ dgp.theta0 + z @ dgp.gamma0 + dgp.sigma_eps * rng.standard_normal(n)
-    return RegressionDataset(y, w, z)
 
 
 def equicorrelated_dgp(p, d, sigma_eps):
@@ -144,7 +143,8 @@ class TestSimulateStats:
             for seed in (3, derived_seed(17, n, 1)):
                 drawn = simulate_stats(dgp, n, [seed])
                 assert drawn.n == n and drawn.gram.shape == (1, p + d + 1, p + d + 1)
-                exact = simulate(dgp, n, seed).stats().gram
+                w, z, y = simulate_rows(dgp, n, seed)
+                exact = SufficientStats.of(np.hstack([w, z]), y).gram
                 assert np.max(np.abs(drawn.gram[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
                 assert np.array_equal(drawn.gram[0], drawn.gram[0].T)
 
@@ -155,13 +155,6 @@ class TestSimulateStats:
         assert stack.gram.shape == (6, 4, 4)
         for member, seed in zip(stack.gram, seeds):
             assert np.array_equal(member, simulate_stats(dgp, 200, [seed]).gram[0])
-
-    @pytest.mark.parametrize("p, d", [(1, 1), (2, 1), (1, 3)])
-    def test_simulate_draws_the_two_call_rows(self, p, d):
-        dgp = equicorrelated_dgp(p, d, 1.0)
-        for n in (p + d, 333):
-            new, old = simulate(dgp, n, 41), two_call_simulate(dgp, n, 41)
-            assert np.array_equal(new.Y, old.Y) and np.array_equal(new.W, old.W) and np.array_equal(new.Z, old.Z)
 
     def test_keeps_one_raw_block_alive(self):
         import tracemalloc
@@ -196,9 +189,9 @@ class TestOLS:
 
     def test_matches_flat_prior_posterior_mean(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 300, 5)
-        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), ConjugatePrior.flat(1), dgp.sigma_u, 0.7)
-        assert_allclose(ols(ds.stats().first_columns(dgp.p)), post.mean, rtol=1e-10)
+        stats = simulate(dgp, 300, 5)
+        post = conjugate_alpha_posterior(stats.first_columns(dgp.p), ConjugatePrior.flat(1), dgp.sigma_u, 0.7)
+        assert_allclose(ols(stats.first_columns(dgp.p)), post.mean, rtol=1e-10)
 
     def test_rank_deficiency_rejected(self):
         w = np.ones((10, 2))
@@ -226,11 +219,10 @@ class TestPseudoTrue:
 
     def test_ols_is_consistent_for_pseudo_true(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 10**5, 13)
-        theta_hat = ols(ds.stats().first_columns(dgp.p))
-        resid = ds.Y - ds.W @ theta_hat
-        gram = ds.W.T @ ds.W
-        robust_se = np.sqrt(((ds.W[:, 0] * resid) ** 2).sum()) / gram[0, 0]
+        w, _, y = simulate_rows(dgp, 10**5, 13)
+        theta_hat = ols(SufficientStats.of(w, y))
+        resid = y - w @ theta_hat
+        robust_se = np.sqrt(((w[:, 0] * resid) ** 2).sum()) / (w[:, 0] @ w[:, 0])
         assert abs(theta_hat[0] - pseudo_true(dgp)[0]) < 3 * robust_se
 
 
@@ -243,8 +235,8 @@ class TestCurvature:
 
     def test_empirical_gram_matches(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 10**5, 17)
-        emp = ds.W.T @ ds.W / (ds.n * dgp.sigma_u**2)
+        stats = simulate(dgp, 10**5, 17)
+        emp = stats.first_columns(dgp.p).xtx / (stats.n * dgp.sigma_u**2)
         assert np.linalg.norm(emp - curvature(dgp)) < 0.02
 
 
@@ -255,8 +247,8 @@ class TestPopulationOmega:
 
     def test_matches_true_posterior_scale(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 10**5, 23)
-        _, omega_hat = true_posterior_theta(ds.stats(), ConjugatePrior.flat(2), dgp.sigma_eps, dgp.p)
+        stats = simulate(dgp, 10**5, 23)
+        _, omega_hat = true_posterior_theta(stats, ConjugatePrior.flat(2), dgp.sigma_eps, dgp.p)
         assert np.linalg.norm(omega_hat - population_omega(dgp)) < 0.05
 
     def test_scenario_bundle(self):
@@ -268,8 +260,8 @@ class TestPopulationOmega:
 
 class TestLanResidual:
     def test_oracle_is_zero_at_origin(self):
-        ds = simulate(toy_dgp(), 100, 3)
-        assert lan_residual(ds.stats(), toy_dgp(), [0.0]) == 0.0
+        stats = simulate(toy_dgp(), 100, 3)
+        assert lan_residual(stats, toy_dgp(), [0.0]) == 0.0
 
     def test_oracle_is_the_log_likelihood_ratio_defect(self):
         # Against the raw log-likelihood-ratio defect at theta_star + h / sqrt(n).
@@ -278,13 +270,13 @@ class TestLanResidual:
         theta_star = pseudo_true(dgp)
         rng = np.random.default_rng(29)
         for _ in range(10):
-            ds = simulate(dgp, int(rng.integers(50, 500)), int(rng.integers(10**6)))
+            stats = simulate(dgp, int(rng.integers(50, 500)), int(rng.integers(10**6)))
             h = rng.normal(scale=2.0, size=1)
-            delta = np.sqrt(ds.n) * (ols(ds.stats().first_columns(dgp.p)) - theta_star)
-            lik = regression_likelihood(ds.stats().first_columns(dgp.p), dgp.sigma_u)
-            ll = lik(np.vstack([theta_star + h / np.sqrt(ds.n), theta_star]))
+            delta = np.sqrt(stats.n) * (ols(stats.first_columns(dgp.p)) - theta_star)
+            lik = regression_likelihood(stats.first_columns(dgp.p), dgp.sigma_u)
+            ll = lik(np.vstack([theta_star + h / np.sqrt(stats.n), theta_star]))
             direct = float(ll[0] - ll[1] - h @ v @ delta + 0.5 * h @ v @ h)
-            assert abs(lan_residual(ds.stats(), dgp, h) - direct) < 1e-10
+            assert abs(lan_residual(stats, dgp, h) - direct) < 1e-10
 
     def test_sup_at_one_coordinate_is_the_13_node_mesh_sup_bit_for_bit(self):
         # At p = 1 the sup sits at a vertex, which the mesh contains.
@@ -340,7 +332,7 @@ class TestLanResidual:
         medians = []
         for n in (100, 1000, 10000):
             sups = [
-                lan_residual_sup(simulate(dgp, n, derived_seed(31, n, rep)).stats(), dgp)
+                lan_residual_sup(simulate(dgp, n, derived_seed(31, n, rep)), dgp)
                 for rep in range(50)
             ]
             medians.append(np.median(sups))
@@ -350,29 +342,29 @@ class TestLanResidual:
 class TestAssumption2Terms:
     def test_flat_prior_zeroes_prior_term(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 200, 37)
-        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), ConjugatePrior.flat(1), dgp.sigma_u, 0.5)
-        prior_term, _ = assumption2_terms(post.mean, post.cov, dgp, ConjugatePrior.flat(1), ds.stats())
+        stats = simulate(dgp, 200, 37)
+        post = conjugate_alpha_posterior(stats.first_columns(dgp.p), ConjugatePrior.flat(1), dgp.sigma_u, 0.5)
+        prior_term, _ = assumption2_terms(post.mean, post.cov, dgp, ConjugatePrior.flat(1), stats)
         assert prior_term == 0.0
 
     def test_prior_term_matches_mc_integration(self):
         dgp = toy_dgp()
         prior = ConjugatePrior([0.3], [[1.5]])
-        ds = simulate(dgp, 500, 41)
-        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.8)
-        prior_term, _ = assumption2_terms(post.mean, post.cov, dgp, prior, ds.stats())
+        stats = simulate(dgp, 500, 41)
+        post = conjugate_alpha_posterior(stats.first_columns(dgp.p), prior, dgp.sigma_u, 0.8)
+        prior_term, _ = assumption2_terms(post.mean, post.cov, dgp, prior, stats)
         # Direct Monte Carlo of the prior log-ratio integral.
         theta_star = pseudo_true(dgp)
-        mu_bar = np.sqrt(ds.n) * (post.mean - theta_star)
+        mu_bar = np.sqrt(stats.n) * (post.mean - theta_star)
         rng = np.random.default_rng(43)
-        h = rng.multivariate_normal(mu_bar, ds.n * post.cov, size=10**6)
+        h = rng.multivariate_normal(mu_bar, stats.n * post.cov, size=10**6)
         prec = prior.Sigma_pi / dgp.sigma_u**2
 
         def log_prior_raw(theta):
             gap = theta - prior.mu_pi
             return -0.5 * np.einsum("ni,ij,nj->n", gap, prec, gap)
 
-        vals = log_prior_raw(theta_star + h / np.sqrt(ds.n)) - log_prior_raw(theta_star[None, :])
+        vals = log_prior_raw(theta_star + h / np.sqrt(stats.n)) - log_prior_raw(theta_star[None, :])
         se = np.std(vals, ddof=1) / np.sqrt(vals.size)
         assert abs(prior_term - np.mean(vals)) < 3 * se
 
@@ -383,9 +375,9 @@ class TestAssumption2Terms:
         for n in (100, 10000):
             vals = []
             for rep in range(50):
-                ds = simulate(dgp, n, derived_seed(47, n, rep))
-                post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
-                vals.append(np.abs(assumption2_terms(post.mean, post.cov, dgp, prior, ds.stats())))
+                stats = simulate(dgp, n, derived_seed(47, n, rep))
+                post = conjugate_alpha_posterior(stats.first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
+                vals.append(np.abs(assumption2_terms(post.mean, post.cov, dgp, prior, stats)))
             med[n] = np.median(vals, axis=0)
         assert np.all(med[10000] < med[100])
 
@@ -401,23 +393,22 @@ class TestVariationalConjugateCov:
             cov_zz=[[1.0]],
             sigma_u=1.0,
         )
-        ds = simulate(dgp, 400, 53)
+        w, _, y = simulate_rows(dgp, 400, 53)
         # Make the gram matrix exactly diagonal to hit the coincidence case.
-        w = ds.W.copy()
         w[:, 1] -= w[:, 0] * (w[:, 0] @ w[:, 1]) / (w[:, 0] @ w[:, 0])
-        ds2 = RegressionDataset(ds.Y, w, ds.Z)
+        stats = SufficientStats.of(w, y)
         prior = ConjugatePrior(np.zeros(2), np.diag([1.0, 2.0]))
-        post = conjugate_alpha_posterior(ds2.stats().first_columns(dgp.p), prior, 1.0, 0.5)
-        vc = variational_conjugate_cov(ds2.stats().first_columns(dgp.p), prior, 1.0, 0.5)
+        post = conjugate_alpha_posterior(stats, prior, 1.0, 0.5)
+        vc = variational_conjugate_cov(stats, prior, 1.0, 0.5)
         assert_allclose(vc.cov, np.diag(np.diag(post.cov)), rtol=1e-10)
 
     def test_matches_closed_form_projection(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 300, 59)
+        stats = simulate(dgp, 300, 59)
         prior = ConjugatePrior([0.0], [[1.0]])
         for alpha in (0.25, 1.0):
-            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
-            vc = variational_conjugate_cov(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
+            post = conjugate_alpha_posterior(stats.first_columns(dgp.p), prior, dgp.sigma_u, alpha)
+            vc = variational_conjugate_cov(stats.first_columns(dgp.p), prior, dgp.sigma_u, alpha)
             proj = gmf_project_gaussian(post)
             assert_allclose(vc.mean, proj.mean, rtol=1e-12)
             assert_allclose(vc.cov, proj.cov, rtol=1e-12)
@@ -431,31 +422,35 @@ class TestVariationalConjugateCov:
             cov_wz=[[0.5], [0.1]],
             cov_zz=[[1.0]],
         )
-        ds = simulate(dgp, 500, 61)
+        stats = simulate(dgp, 500, 61)
         prior = ConjugatePrior(np.zeros(2), np.eye(2))
-        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
-        vc = variational_conjugate_cov(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
+        post = conjugate_alpha_posterior(stats.first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
+        vc = variational_conjugate_cov(stats.first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
         assert np.all(np.diag(vc.cov) <= np.diag(post.cov) + 1e-15)
 
 
 class TestTruePosterior:
     def test_flat_prior_recovers_long_ols(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 400, 67)
-        marginal, _ = true_posterior_theta(ds.stats(), ConjugatePrior.flat(2), dgp.sigma_eps, dgp.p)
-        full = ols(ds.stats())
+        stats = simulate(dgp, 400, 67)
+        marginal, _ = true_posterior_theta(stats, ConjugatePrior.flat(2), dgp.sigma_eps, dgp.p)
+        full = ols(stats)
         assert_allclose(marginal.mean, full[:1], rtol=1e-10)
+
+    def test_rejects_a_full_prior_of_another_dimension(self):
+        with pytest.raises(ValueError, match="^full prior dimension must be p [+] d$"):
+            true_posterior_theta(simulate(toy_dgp(), 50, 1), ConjugatePrior.flat(1), 1.0, 1)
 
     def test_known_nuisance_collapse(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 400, 71)
+        w, z, y = simulate_rows(dgp, 400, 71)
         big = 1e12
         prior = ConjugatePrior(
             np.array([0.0, dgp.gamma0[0]]), np.diag([1.0, big])
         )
-        marginal, _ = true_posterior_theta(ds.stats(), prior, dgp.sigma_eps, dgp.p)
+        marginal, _ = true_posterior_theta(SufficientStats.of(np.hstack([w, z]), y), prior, dgp.sigma_eps, dgp.p)
         adjusted = conjugate_alpha_posterior(
-            SufficientStats.of(ds.W, ds.Y - ds.Z @ dgp.gamma0), ConjugatePrior([0.0], [[1.0]]), dgp.sigma_eps, 1.0
+            SufficientStats.of(w, y - z @ dgp.gamma0), ConjugatePrior([0.0], [[1.0]]), dgp.sigma_eps, 1.0
         )
         assert_allclose(marginal.mean, adjusted.mean, atol=1e-6)
         assert_allclose(marginal.cov, adjusted.cov, rtol=1e-5)
@@ -474,8 +469,8 @@ class TestTruePosterior:
         dgp = toy_dgp()
         omegas = {}
         for n in (1000, 10000):
-            ds = simulate(dgp, n, derived_seed(73, n))
-            _, omega_hat = true_posterior_theta(ds.stats(), ConjugatePrior.flat(2), dgp.sigma_eps, dgp.p)
+            stats = simulate(dgp, n, derived_seed(73, n))
+            _, omega_hat = true_posterior_theta(stats, ConjugatePrior.flat(2), dgp.sigma_eps, dgp.p)
             omegas[n] = omega_hat
         rel = np.linalg.norm(omegas[10000] - omegas[1000]) / np.linalg.norm(omegas[1000])
         assert rel < 0.05
@@ -487,11 +482,11 @@ class TestConcentrationMarkovBound:
         prior = ConjugatePrior([0.0], [[1.0]])
         theta_star = pseudo_true(dgp)
         for rep in range(20):
-            ds = simulate(dgp, 500, derived_seed(79, rep))
-            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
-            r_n = np.log(ds.n)
-            bound = concentration_markov_bound(post.mean, post.cov, theta_star, r_n, ds.n)
-            sqrt_n = np.sqrt(ds.n)
+            stats = simulate(dgp, 500, derived_seed(79, rep))
+            post = conjugate_alpha_posterior(stats.first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
+            r_n = np.log(stats.n)
+            bound = concentration_markov_bound(post.mean, post.cov, theta_star, r_n, stats.n)
+            sqrt_n = np.sqrt(stats.n)
             exact = normal_tail_two_sided(
                 r_n, sqrt_n * float(post.mean[0] - theta_star[0]), sqrt_n * np.sqrt(post.cov[0, 0])
             )
@@ -559,9 +554,9 @@ class TestFailureCase:
 
         vals = []
         for n in (100, 10**4):
-            ds = simulate(dgp, n, derived_seed(83, n))
-            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 1.0)
-            lim = gaussian_bvm_limit(ols(ds.stats().first_columns(dgp.p)), curvature(dgp), n, 1.0)
+            stats = simulate(dgp, n, derived_seed(83, n))
+            post = conjugate_alpha_posterior(stats.first_columns(dgp.p), prior, dgp.sigma_u, 1.0)
+            lim = gaussian_bvm_limit(ols(stats.first_columns(dgp.p)), curvature(dgp), n, 1.0)
             vals.append(hellinger_sq_gaussian(post, lim))
         assert vals[1] < vals[0]
         assert vals[1] < 1e-4
@@ -572,12 +567,12 @@ class TestFailureCase:
         dgp = toy_dgp(cov_ww=[[1.0]], sigma_u=1.0)
         prior = ConjugatePrior([0.0], [[1.0]])
         n = 10**4
-        ds = simulate(dgp, n, derived_seed(87, n))
+        stats = simulate(dgp, n, derived_seed(87, n))
         alpha_n = 1.0 / n
-        post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha_n)
+        post = conjugate_alpha_posterior(stats.first_columns(dgp.p), prior, dgp.sigma_u, alpha_n)
         from alphapost.posteriors import gaussian_bvm_limit
 
-        lim = gaussian_bvm_limit(ols(ds.stats().first_columns(dgp.p)), curvature(dgp), n, alpha_n)
+        lim = gaussian_bvm_limit(ols(stats.first_columns(dgp.p)), curvature(dgp), n, alpha_n)
         mid = (post.cov + lim.cov) / 2.0
         ratio = (
             np.linalg.det(post.cov) ** 0.25
@@ -598,8 +593,8 @@ class TestPosteriorSequenceScaling:
         for n in (100, 1000, 10000):
             mean_norms, cov_norms = [], []
             for rep in range(200):
-                ds = simulate(dgp, n, derived_seed(101, n, rep))
-                post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
+                stats = simulate(dgp, n, derived_seed(101, n, rep))
+                post = conjugate_alpha_posterior(stats.first_columns(dgp.p), prior, dgp.sigma_u, 0.5)
                 mean_norms.append(np.sqrt(n) * np.linalg.norm(post.mean - theta_star))
                 cov_norms.append(n * np.linalg.norm(post.cov))
             mean_p95.append(np.percentile(mean_norms, 95))
@@ -615,8 +610,8 @@ class TestPosteriorSequenceScaling:
         n = 10**4
         errs = []
         for rep in range(100):
-            ds = simulate(dgp, n, derived_seed(103, n, rep))
-            post = conjugate_alpha_posterior(ds.stats().first_columns(dgp.p), prior, dgp.sigma_u, alpha)
+            stats = simulate(dgp, n, derived_seed(103, n, rep))
+            post = conjugate_alpha_posterior(stats.first_columns(dgp.p), prior, dgp.sigma_u, alpha)
             errs.append(np.linalg.norm(n * post.cov - target) / np.linalg.norm(target))
         assert np.median(errs) < 0.02
 
@@ -624,11 +619,11 @@ class TestPosteriorSequenceScaling:
 class TestRegressionLikelihood:
     def test_matches_direct_evaluation(self):
         dgp = toy_dgp()
-        ds = simulate(dgp, 60, 97)
+        w, _, y = simulate_rows(dgp, 60, 97)
         x = np.random.default_rng(5).normal(0.4, 2.0, 80)
         # The working model of the example, and the location model as a
         # regression on one constant column.
-        inputs = [(ds.W, ds.Y, dgp.sigma_u), (np.ones((x.size, 1)), x, 2.0)]
+        inputs = [(w, y, dgp.sigma_u), (np.ones((x.size, 1)), x, 2.0)]
         rng = np.random.default_rng(0)
         for design, y, sd in inputs:
             lik = regression_likelihood(SufficientStats.of(design, y), sd)
@@ -659,7 +654,7 @@ class TestStacksMatchSingleSamples:
 
     def setup_samples(self, p):
         dgp = design(p)
-        singles = [simulate(dgp, self.N, derived_seed(211, self.N, rep)).stats() for rep in range(self.REPS)]
+        singles = [simulate(dgp, self.N, derived_seed(211, self.N, rep)) for rep in range(self.REPS)]
         return dgp, singles, SufficientStats.stack(singles)
 
     def cells(self, alphas):
@@ -743,9 +738,9 @@ class TestStacksMatchSingleSamples:
 
     def test_one_rank_deficient_member_is_rejected(self):
         dgp, singles, _ = self.setup_samples(2)
-        ds = simulate(dgp, self.N, 5)
+        w, _, y = simulate_rows(dgp, self.N, 5)
         # The second control copies the first in one replication.
-        broken = SufficientStats.of(np.column_stack([ds.W[:, 0], ds.W[:, 0]]), ds.Y)
+        broken = SufficientStats.of(np.column_stack([w[:, 0], w[:, 0]]), y)
         stack = SufficientStats.stack([s.first_columns(2) for s in singles[:2]] + [broken])
         with pytest.raises(ValueError, match="design matrix is rank deficient"):
             ols(stack)
@@ -753,4 +748,4 @@ class TestStacksMatchSingleSamples:
     def test_stack_rejects_mixed_sample_sizes(self):
         dgp = toy_dgp()
         with pytest.raises(ValueError, match="one size n"):
-            SufficientStats.stack([simulate(dgp, 50, 1).stats(), simulate(dgp, 60, 2).stats()])
+            SufficientStats.stack([simulate(dgp, 50, 1), simulate(dgp, 60, 2)])

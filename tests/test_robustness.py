@@ -10,6 +10,7 @@ from alphapost.robustness import (
     FiniteSampleInputs,
     MisspecScenario,
     a_n,
+    b_n,
     exact_expected_kl,
     limit_alpha_star,
     limit_alpha_tilde,
@@ -77,9 +78,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             MisspecScenario(*args)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([0.0, 0.0], [0.0], [[1.0]], [[1.0]], 1.0),
+            ([0.0], [0.0], np.eye(2), [[1.0]], 1.0),
+            ([0.0], [0.0], [[1.0]], np.eye(2), 1.0),
+        ],
+    )
+    def test_scenario_rejects_disagreeing_dimensions(self, args):
+        with pytest.raises(ValueError, match="^scenario dimensions disagree$"):
+            MisspecScenario(*args)
+
     @pytest.mark.parametrize("f, g", [([np.nan], [0.0]), ([0.0], [np.nan])])
     def test_inputs_reject_nan_estimates(self, f, g):
         with pytest.raises(ValueError, match="finite"):
+            FiniteSampleInputs(f, g, 10, 0.1)
+
+    @pytest.mark.parametrize("f, g", [([0.0], [0.0, 0.0]), (np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))])
+    def test_inputs_reject_estimates_of_another_shape(self, f, g):
+        with pytest.raises(ValueError, match=r"^ML estimates must share one shape, \(p,\) or \(R, p\)$"):
             FiniteSampleInputs(f, g, 10, 0.1)
 
     def test_inputs_require_probability_eps_n(self):
@@ -106,6 +124,13 @@ class TestAn:
         s = MisspecScenario(np.zeros(3), rng.normal(size=3), v, np.eye(3), 1.0)
         f = FiniteSampleInputs(rng.normal(size=3), rng.normal(size=3), 50, 0.02)
         assert_allclose(a_n(np.diag(np.diag(v)), s, f), a_n(v, s, f), rtol=1e-14)
+
+
+class TestBn:
+    @pytest.mark.parametrize("sigma", [[[0.0]], [[-1.0]]])
+    def test_rejects_a_curvature_without_positive_determinant(self, sigma):
+        with pytest.raises(ValueError, match="^Sigma must have positive determinant$"):
+            b_n(sigma, unit_scenario(), FiniteSampleInputs([0.0], [0.0], 100, 0.01))
 
 
 class TestSurrogateCriteria:
@@ -225,6 +250,10 @@ class TestRInfinity:
 
     def test_zero_without_misspecification(self):
         assert r_infinity(1.0, 3, 1.0, 0.0) == 0.0
+
+    def test_rejects_a_negative_squared_misspecification(self):
+        with pytest.raises(ValueError, match="^d_quad must be nonnegative$"):
+            r_infinity(1.0, 1, 1.0, -1e-3)
 
     def test_argmin_matches_limit_alpha(self):
         s = unit_scenario(eps=2.0)
