@@ -34,7 +34,7 @@ print("TV(N(0,1), N(1,1))   =", tv)
 # The exact value against a Monte Carlo estimate, 0.5 E_p |1 - q(X) / p(X)|
 # over draws from p, with its standard error.
 rng = np.random.default_rng(7)
-draws = p.sample(rng, 200_000)
+draws = rng.multivariate_normal(p.mean, p.cov, 200_000)
 g = 0.5 * np.abs(1.0 - np.exp(log_density(r, draws) - log_density(p, draws)))
 print("TV by Monte Carlo    =", g.mean(), "+-", g.std(ddof=1) / np.sqrt(g.size))
 

@@ -32,8 +32,9 @@ for n in (50, 200, 1000, 5000):
     for rep in range(30):
         rng = np.random.default_rng(derived_seed(2024, n, rep))
         x = rng.standard_normal(n)
-        # N(theta, 1) location data are a regression on one constant column.
-        stats = SufficientStats.of(np.ones(n), x)
+        # N(theta, 1) location data are a regression on one constant column,
+        # whose statistics are n, the sum and the sum of squares.
+        stats = SufficientStats(n, [[n, x.sum()], [x.sum(), x @ x]])
         theta_hat = ols(stats)
         grid = default_grid_axis(theta_hat[0], 1.0, n, alpha)
         post = grid_alpha_posterior(regression_likelihood(stats, 1.0), laplace_log_prior(), alpha, grid)

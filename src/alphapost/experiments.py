@@ -65,6 +65,7 @@ from .posteriors import (
 )
 from .regression import (
     RegressionDGP,
+    _gram_stack,
     assumption2_terms,
     concentration_markov_bound,
     curvature,
@@ -386,13 +387,18 @@ def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
 
     The location model is the regression of the data on one constant
     column; each sample is drawn from its ``(seed, n, rep)`` stream and
-    reduced at once to its member of one stacked Gram matrix.
+    reduced at once to its member of one stacked Gram matrix, on the same
+    worker threads as :func:`simulate_stats`.
     """
-    ones, gram = np.ones((n, 1)), np.empty((cfg.replications, 2, 2))
+    ones = np.ones((n, 1))
+
+    def gram_of(seed: int) -> np.ndarray:
+        x = np.random.default_rng(seed).standard_normal(n)
+        return _block_gram(ones, cfg.theta_true + cfg.noise_sd * x)
+
+    seeds = [derived_seed(cfg.seed, n, rep) for rep in range(cfg.replications)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for rep in range(cfg.replications):
-            x = np.random.default_rng(derived_seed(cfg.seed, n, rep)).standard_normal(n)
-            gram[rep] = _block_gram(ones, cfg.theta_true + cfg.noise_sd * x)
+        gram = _gram_stack(seeds, 2, n, gram_of)
     if not np.all(np.isfinite(gram)):
         raise ValueError(f"theta_true, noise_sd: the Gram matrix of a sample of n = {n} is not finite")
     return SufficientStats(n, gram)
@@ -411,6 +417,21 @@ def _mean_field_limit(theta_hat: np.ndarray, v: np.ndarray, n: int, alpha: np.nd
             return variational_bvm_limit(theta_hat, v, n, alpha)
         except ValueError as err:
             raise ValueError(f"{names}: the mean-field limit of a sample of n = {n} is degenerate: {err}") from err
+
+
+def _tempered_posterior(
+    w: SufficientStats, prior: ConjugatePrior, sigma_u: float, alpha, names: str
+) -> GaussianDist:
+    """``conjugate_alpha_posterior`` at every cell, or its ``ValueError`` led by ``names``.
+
+    ``names`` are the fields that set ``sigma_u`` and ``alpha``, whose
+    scales ``1 / (alpha n)`` and ``sigma_u^2 / (alpha n)`` may overflow or
+    underflow.
+    """
+    try:
+        return conjugate_alpha_posterior(w, prior, sigma_u, alpha)
+    except ValueError as err:
+        raise ValueError(f"{names}: {err}") from err
 
 
 def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[list]:
@@ -449,7 +470,7 @@ def _regression_convergence(
     v = curvature(dgp)
     # One stack over every (rep, alpha) cell: posteriors, limits and divergences.
     rep, alpha = _cells(cfg.replications, cfg.alphas)
-    post = conjugate_alpha_posterior(w[rep], prior, dgp.sigma_u, alpha)
+    post = _tempered_posterior(w[rep], prior, dgp.sigma_u, alpha, "sigma_u, alphas")
     if project:
         lim = _mean_field_limit(theta_hat[rep], v, n, alpha, "sigma_u, cov_ww, alphas")
         return _cell_rows(n, rep, alpha, kl_gaussian(gmf_project_gaussian(post), lim))
@@ -484,7 +505,7 @@ def _exact_robustness(
     w = stats.first_columns(dgp.p)
     fin = FiniteSampleInputs(ols(w)[rep], ols(stats)[rep, : dgp.p], n, eps_n)
     true_post, _ = true_posterior_theta(stats, full_prior, dgp.sigma_eps, dgp.p)
-    post = conjugate_alpha_posterior(w[rep], prior, dgp.sigma_u, alpha)
+    post = _tempered_posterior(w[rep], prior, dgp.sigma_u, alpha, "sigma_u, alphas")
     std_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
     return rep, alpha, fin, exact_expected_kl(true_post[rep], post, std_post[rep], eps_n)
 
@@ -533,7 +554,7 @@ def exp_assumption_checks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]
 
     def rows_at(n: int) -> list[list]:
         w = _replications(cfg, dgp, n, cfg.replications).first_columns(dgp.p)
-        post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, cfg.alpha)
+        post = _tempered_posterior(w, prior, dgp.sigma_u, cfg.alpha, "sigma_u, alpha")
         prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, w)
         markov = concentration_markov_bound(post.mean, post.cov, theta_star, np.log(n), n)
         kl_limit = kl_gaussian(post, gaussian_bvm_limit(ols(w), v, n, cfg.alpha))

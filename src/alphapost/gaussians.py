@@ -25,8 +25,7 @@ evaluates Cephes' rational approximations to erf and erfc over whole arrays,
 a stack of 2-d pairs runs its outer rules as (pairs x nodes) arrays, and the
 grid's cubic spline is solved here.
 
-All functions are pure; :meth:`GaussianDist.sample` takes an explicit
-``numpy.random.Generator`` so concurrent callers own independent streams.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -149,12 +148,6 @@ class GaussianDist:
     def half_log_det(self) -> float | np.ndarray:
         """log |cov| / 2, from the Cholesky diagonal."""
         return _result(_half_log_det(self._chol))
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` samples, returned with shape (size, dim)."""
-        _require_single(self)
-        z = rng.standard_normal((size, self.dim))
-        return self.mean + z @ self._chol.T
 
 
 def _require_single(*dists):

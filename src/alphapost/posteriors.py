@@ -95,24 +95,6 @@ class SufficientStats:
         object.__setattr__(self, "n", _sample_size(self.n))
         object.__setattr__(self, "gram", gram)
 
-    @classmethod
-    def of(cls, X: np.ndarray, Y: np.ndarray) -> "SufficientStats":
-        """The statistics of one sample: design ``X`` of shape (n, k) or (n,), response ``Y``."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        Y = np.asarray(Y, dtype=float).ravel()
-        if X.ndim != 2 or X.shape[0] != Y.size:
-            raise ValueError("design and response row counts disagree")
-        return cls(Y.size, _block_gram(X, Y))
-
-    @classmethod
-    def stack(cls, members: Sequence["SufficientStats"]) -> "SufficientStats":
-        """One stack of single-sample statistics that share ``n`` and the design columns."""
-        if not members or any(m.stacked or m.n != members[0].n for m in members):
-            raise ValueError("a stack takes one or more single samples of one size n")
-        return cls(members[0].n, np.stack([m.gram for m in members]))
-
     def __getitem__(self, index) -> "SufficientStats":
         if not self.stacked:
             raise ValueError("only a stack of samples can be indexed")
@@ -229,18 +211,29 @@ def conjugate_alpha_posterior(
     mean ``S^{-1} (Sigma_pi mu_pi / (alpha n) + X'Y/n)`` and covariance
     ``sigma_u^2 / (alpha n) * S^{-1}``, where ``X`` is every design column of
     ``stats``.  A stack of samples, a vector of ``alpha`` or both (one per
-    sample) give the stack of these posteriors from one stacked solve.
+    sample) give the stack of these posteriors from one stacked solve.  A
+    ``Sigma_pi / (alpha n)`` or ``sigma_u^2 / (alpha n)`` that is not
+    finite, or a ``sigma_u^2 / (alpha n)`` that underflows to 0, raises
+    ``ValueError``.
     """
     alpha = _tempering(alpha, len(stats.gram) if stats.stacked else 1)
     if prior.dim != stats.k:
         raise ValueError(f"prior dimension {prior.dim} does not match the {stats.k} design columns")
     n = stats.n
-    scale = alpha * n
-    s = stats.xtx / n + prior.Sigma_pi / scale[..., None, None]
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = alpha * n
+        prior_weight = prior.Sigma_pi / scale[..., None, None]
+        cov_scale = np.float64(sigma_u) ** 2 / scale
+    if not (np.all(np.isfinite(prior_weight)) and np.all((0.0 < cov_scale) & (cov_scale < np.inf))):
+        raise ValueError(
+            f"the tempered posterior's scales 1 / (alpha n) and sigma_u^2 / (alpha n) at n = {n} "
+            "are not positive and finite"
+        )
+    s = stats.xtx / n + prior_weight
     b = prior.Sigma_pi @ prior.mu_pi / scale[..., None] + stats.xty / n
     try:
         mean = np.linalg.solve(s, b[..., None])[..., 0]
-        cov = (sigma_u**2 / scale)[..., None, None] * np.linalg.inv(s)
+        cov = cov_scale[..., None, None] * np.linalg.inv(s)
     except np.linalg.LinAlgError as err:
         raise ValueError("singular normal-equations matrix") from err
     # A computed inverse is symmetric only up to rounding, which can exceed

@@ -27,7 +27,10 @@ posterior) next to its constant-tempering control.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,6 +68,12 @@ __all__ = [
 _COLLINEAR_RTOL = 1e-14
 
 _LAN_BOX = 3.0  # lan_residual_sup's box is [-_LAN_BOX, _LAN_BOX]^p
+
+# Samples of fewer standard normals per seed are drawn on the calling thread
+# alone: below this block size starting the worker threads costs more than
+# they save.  On 2 vCPUs with one BLAS thread, 100 seeds of 3 x 500 normals
+# took 3.7 ms serially and 4.5 ms on two threads, 3 x 683 took 4.7 and 4.2 ms.
+_THREAD_MIN_NORMALS = 2048
 
 
 def derived_seed(master_seed: int, *key: int) -> int:
@@ -189,11 +198,61 @@ class RegressionDGP:
 def _standard_block(dgp: RegressionDGP, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     # The seed's stream read once: an (n, p + d) array of standard normal
     # covariates, row-major, then n standard normal errors.
-    if n < dgp.p + dgp.d:
-        raise ValueError("n must be at least p + d")
     kn = (dgp.p + dgp.d) * n
     block = np.random.default_rng(seed).standard_normal(kn + n)
     return block[:kn].reshape(n, dgp.p + dgp.d), block[kn:]
+
+
+def _draw_workers(normals: int) -> int:
+    # Threads that draw samples of this many standard normals each: one per
+    # CPU the process may run on, or 1 below _THREAD_MIN_NORMALS.
+    if normals < _THREAD_MIN_NORMALS:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _gram_stack(seeds: Sequence[int], size: int, normals: int, gram_of: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The (R, size, size) stack whose member ``i`` is ``gram_of(seeds[i])``.
+
+    ``gram_of`` draws ``normals`` standard normals from a seed's stream and
+    reduces them to their Gram matrix, in numpy calls that release the
+    interpreter lock.  The seeds are split into ``_draw_workers(normals)``
+    contiguous slices, at most one per seed: the caller fills the first and
+    one thread each of the others, so one raw block per thread is alive and
+    every member comes from the same code for any thread count.  Each thread
+    runs in a copy of the caller's context, where the caller's
+    ``np.errstate`` holds.  Once every thread has joined, the exception of
+    the first slice that failed is raised.
+    """
+    grams = np.empty((len(seeds), size, size))
+    workers = min(_draw_workers(normals), len(seeds))
+    bounds = [len(seeds) * w // workers for w in range(workers + 1)]
+    errors: list[Exception | None] = [None] * workers
+
+    def fill(w: int) -> None:
+        try:
+            for i in range(bounds[w], bounds[w + 1]):
+                grams[i] = gram_of(seeds[i])
+        except Exception as err:  # MemoryError included; the caller raises it
+            errors[w] = err
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(fill, w)) for w in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        fill(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return grams
 
 
 def simulate(dgp: RegressionDGP, n: int, seed: int) -> SufficientStats:
@@ -214,13 +273,18 @@ def simulate_stats(dgp: RegressionDGP, n: int, seeds: Sequence[int]) -> Sufficie
     ``n (p + d)`` standard normal covariates first, row-major, then its ``n``
     standard normal errors.  Each seed's standard normals ``[N, e]`` are
     reduced to their Gram matrix ``G`` as soon as they are drawn, by the
-    blockwise Gram routine of :meth:`SufficientStats.of`, so one seed's block
-    at a time is alive; the stack maps to ``M' G M`` by one congruence, since
-    ``[W, Z, Y] = [N, e] M``.
+    library's one blockwise Gram routine; the stack maps to ``M' G M`` by one
+    congruence, since ``[W, Z, Y] = [N, e] M``.  The seeds are drawn on
+    every CPU in the process's affinity once a sample has 2,048 standard
+    normals, with one raw block per thread alive; the result is bit-identical
+    for any thread count.
     """
     if len(seeds) == 0:
         raise ValueError("seeds must name at least one sample")
-    grams = np.stack([_block_gram(*_standard_block(dgp, n, seed)) for seed in seeds])
+    k = dgp.p + dgp.d
+    if n < k:
+        raise ValueError("n must be at least p + d")
+    grams = _gram_stack(seeds, k + 1, (k + 1) * n, lambda seed: _block_gram(*_standard_block(dgp, n, seed)))
     m = dgp._stats_map
     with np.errstate(over="ignore", invalid="ignore"):
         gram = m.T @ grams @ m

@@ -8,8 +8,9 @@ golden-section minimizer for argmin cross-checks, the penalized variational
 objective with a derivative-free maximizer, the closed-form mean-field
 objective of the Laplace-prior location model, the
 local-asymptotic-normality defect on a mesh, whose largest magnitude there
-bounds its sup from below, and the regression sample as rows, which the
-library never forms.
+bounds its sup from below, the regression sample as rows, which the
+library never forms, and the statistics of a sample or a stack of them
+from rows, and draws from a Gaussian, which only the tests need.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.optimize import minimize
 from scipy.stats import norm
 
 from alphapost.gaussians import GaussianDist, kl_gaussian, log_density
+from alphapost.posteriors import SufficientStats
 from alphapost.regression import curvature, ols, pseudo_true
 
 
@@ -43,6 +45,29 @@ def simulate_rows(dgp, n, seed):
     x = rng.standard_normal((n, dgp.p + dgp.d)) @ chol.T
     w, z = x[:, : dgp.p], x[:, dgp.p :]
     return w, z, w @ dgp.theta0 + z @ dgp.gamma0 + dgp.sigma_eps * rng.standard_normal(n)
+
+
+def sample_stats(X, Y):
+    """The :class:`SufficientStats` of one sample: design ``X`` of shape (n, k) or (n,), response ``Y``.
+
+    The Gram matrix of the column-stacked ``[X, Y]``, symmetrized.
+    """
+    X = np.asarray(X, dtype=float)
+    cols = np.column_stack([X[:, None] if X.ndim == 1 else X, np.ravel(Y)])
+    gram = cols.T @ cols
+    return SufficientStats(len(cols), (gram + gram.T) / 2.0)
+
+
+def stack_stats(members):
+    """One stack of single-sample statistics of one size ``n``."""
+    assert len({m.n for m in members}) == 1 and not any(m.stacked for m in members)
+    return SufficientStats(members[0].n, np.stack([m.gram for m in members]))
+
+
+def gaussian_draws(g, rng, size):
+    """``size`` draws from the single Gaussian ``g``, with shape (size, dim)."""
+    assert not g.stacked
+    return g.mean + rng.standard_normal((size, g.dim)) @ np.linalg.cholesky(g.cov).T
 
 
 def lan_terms(stats, dgp):

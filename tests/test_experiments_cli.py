@@ -5,13 +5,14 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alphapost import experiments
+from alphapost import experiments, regression
 from alphapost.cli import main
 from alphapost.experiments import (
     EXPERIMENTS,
@@ -589,11 +590,17 @@ class TestCLI:
                 for e in ("bvm-convergence", "vbvm-convergence")
                 for value in ("theta_true = 1e300", "theta_true = -1e300", "noise_sd = 1e300")
             ],
+            *[
+                (e, line, "sigma_u, alphas")
+                for e in ("bvm-convergence", "vbvm-convergence")
+                for line in ("alphas = 1e307", "sigma_u = 1e150\nalphas = 1e-300")
+            ],
         ],
     )
     def test_overflowing_sample_names_its_fields(self, tmp_path, capsys, experiment, line, names):
-        # The sample's Gram matrix overflows: a numerical failure naming the
-        # fields that set the sample, and its size.
+        # The sample's Gram matrix, or the tempered posterior's scales
+        # 1 / (alpha n) and sigma_u^2 / (alpha n), overflow: a numerical
+        # failure naming the fields that set them, and the sample's size.
         cfg_path = write_config(tmp_path, f"seed = 1\nn_grid = 50\nreplications = 1\n{line}\n")
         out = tmp_path / "gram"
         assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(out)]) == 3
@@ -686,6 +693,22 @@ class TestCLI:
         assert capsys.readouterr().err == "numerical failure: out of memory: Unable to allocate 6.00 GiB\n"
         assert not out.exists()
 
+    def test_out_of_memory_in_a_draw_worker_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        real_block = regression._standard_block
+
+        def block(dgp, n, seed):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("Unable to allocate 6.00 GiB")
+            return real_block(dgp, n, seed)
+
+        monkeypatch.setattr(regression, "_standard_block", block)
+        monkeypatch.setattr(regression, "_draw_workers", lambda normals: 2)
+        cfg_path = write_config(tmp_path, FAST_REGRESSION)
+        out = tmp_path / "oom"
+        assert self.run_cli(["bvm-convergence", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: out of memory: Unable to allocate 6.00 GiB\n"
+        assert not out.exists()
+
     def test_failed_rewrite_keeps_previous_outputs(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)
         out = tmp_path / "atomic"
@@ -717,12 +740,16 @@ class TestCLI:
         # p = 1 surrogate-fidelity needs only the KL closed forms, and p = 1
         # bvm-convergence the TV closed form in the normal CDF.  The Laplace
         # location model's divergences are closed forms too, and its
-        # projection's spline is solved in numpy.
+        # projection's spline is solved in numpy.  The draws' worker threads
+        # (n = 1000 has 3,000 normals per sample) import neither
+        # concurrent.futures nor logging, which would add to every launch.
         regression = write_config(tmp_path, FAST_REGRESSION)
+        threaded = write_config(tmp_path, "seed = 7\nreplications = 3\nn_grid = 1000\n", "threaded.cfg")
         laplace = write_config(tmp_path, FAST_LOCATION, "laplace.cfg")
         runs = [
             ("surrogate-fidelity", regression),
             ("bvm-convergence", regression),
+            ("bvm-convergence", threaded),
             ("bvm-convergence", laplace),
             ("vbvm-convergence", laplace),
         ]
@@ -731,7 +758,8 @@ class TestCLI:
                 "import sys; from alphapost.cli import main; "
                 f"code = main([{experiment!r}, '--config', {str(cfg_path)!r}, "
                 f"'--out', {str(tmp_path / str(i))!r}]); "
-                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'logging') "
+                "or m.startswith('concurrent.futures')))"
             )
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
             assert proc.stdout.strip().splitlines()[-1] == "0 []", (experiment, cfg_path.name)

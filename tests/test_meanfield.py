@@ -21,6 +21,8 @@ from oracles import (
     maximize_penalized_objective,
     minimize_laplace_location_objective,
     penalized_objective,
+    sample_stats,
+    stack_stats,
     variances,
 )
 
@@ -128,12 +130,12 @@ class TestNumericProjection:
         n = 5000
         x = rng.standard_normal(n)
         from alphapost.experiments import laplace_log_prior
-        from alphapost.posteriors import SufficientStats, default_grid_axis, grid_alpha_posterior
+        from alphapost.posteriors import default_grid_axis, grid_alpha_posterior
 
         theta_hat = float(np.mean(x))
         grid = default_grid_axis(theta_hat, 1.0, n, 1.0, 2001, scale=14.0)
         post = grid_alpha_posterior(
-            regression_likelihood(SufficientStats.of(np.ones(x.size), x), 1.0), laplace_log_prior(), 1.0, grid
+            regression_likelihood(sample_stats(np.ones(x.size), x), 1.0), laplace_log_prior(), 1.0, grid
         )
         proj = gmf_project_numeric(post)
         limit = variational_bvm_limit([theta_hat], [[1.0]], n, 1.0)
@@ -144,13 +146,13 @@ class TestNumericProjection:
         # Laplace location posteriors at several (sample, alpha) cells, one
         # stack: each member's projection is the one it gets alone, exactly.
         from alphapost.experiments import laplace_log_prior
-        from alphapost.posteriors import SufficientStats, default_grid_axis
+        from alphapost.posteriors import default_grid_axis
 
         n, alphas = 200, np.array([0.25, 1.0, 0.5, 0.25, 1.0, 0.5])
         samples = [np.random.default_rng(derived_seed(5, n, rep)).normal(0.05 * rep, 1.0, n) for rep in range(6)]
-        stats = [SufficientStats.of(np.ones(n), x) for x in samples]
+        stats = [sample_stats(np.ones(n), x) for x in samples]
         axes = default_grid_axis(np.array([x.mean() for x in samples]), 1.0, n, alphas, 2001, scale=14.0)
-        lik = regression_likelihood(SufficientStats.stack(stats), 1.0)
+        lik = regression_likelihood(stack_stats(stats), 1.0)
         stack = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alphas, axes))
         assert stack.mean.shape == (6, 1) and stack.cov.shape == (6, 1, 1)
         for i in range(6):
@@ -165,11 +167,11 @@ class TestNumericProjection:
         # first step: every evaluation after the starting points lists only
         # members still searching, and each member ends where it did before.
         from alphapost.experiments import laplace_log_prior
-        from alphapost.posteriors import SufficientStats, default_grid_axis
+        from alphapost.posteriors import default_grid_axis
 
         n, alphas = 200, np.array([0.25, 1.0, 0.5])
         samples = [np.random.default_rng(derived_seed(5, n, rep)).normal(0.05 * rep, 1.0, n) for rep in range(3)]
-        stats = SufficientStats.stack([SufficientStats.of(np.ones(n), x) for x in samples])
+        stats = stack_stats([sample_stats(np.ones(n), x) for x in samples])
         axes = default_grid_axis(np.array([x.mean() for x in samples]), 1.0, n, alphas, 2001, scale=14.0)
         target = grid_alpha_posterior(regression_likelihood(stats, 1.0), laplace_log_prior(), alphas, axes)
         before = gmf_project_numeric(target)
@@ -203,7 +205,7 @@ class TestNumericProjection:
 
         n, reps, alphas, nodes = 200, 20, np.array([0.25, 0.5, 0.75, 1.0]), 2001
         samples = [np.random.default_rng(derived_seed(3, n, rep)).standard_normal(n) for rep in range(reps)]
-        stats = SufficientStats.stack([SufficientStats.of(np.ones(n), x) for x in samples])
+        stats = stack_stats([sample_stats(np.ones(n), x) for x in samples])
         rep = np.repeat(np.arange(reps), alphas.size)
         lik = regression_likelihood(SufficientStats(n, stats.gram[rep]), 1.0)
         stack_bytes = 8 * rep.size * nodes
@@ -253,13 +255,13 @@ class TestNumericProjection:
         # KL(q || posterior) up to a constant is closed form for the Laplace
         # location model; the projection should sit at its minimum.
         from alphapost.experiments import laplace_log_prior
-        from alphapost.posteriors import SufficientStats, default_grid_axis
+        from alphapost.posteriors import default_grid_axis
 
         for n in (50, 1000):
             for alpha in (0.25, 1.0):
                 x = np.random.default_rng(derived_seed(7, n, 0)).standard_normal(n)
                 xbar = float(np.mean(x))
-                lik = regression_likelihood(SufficientStats.of(np.ones(n), x), 1.0)
+                lik = regression_likelihood(sample_stats(np.ones(n), x), 1.0)
                 grid = default_grid_axis(xbar, 1.0, n, alpha, 2001, scale=14.0)
                 proj = gmf_project_numeric(grid_alpha_posterior(lik, laplace_log_prior(), alpha, grid))
                 best = minimize_laplace_location_objective(xbar, n, alpha)

@@ -15,7 +15,6 @@ from alphapost.gaussians import GaussianDist, hellinger_sq_gaussian, kl_gaussian
 from alphapost.meanfield import gmf_project_gaussian, variational_bvm_limit
 from alphapost.posteriors import (
     ConjugatePrior,
-    SufficientStats,
     conjugate_alpha_posterior,
     gaussian_bvm_limit,
     laplace_location_divergences,
@@ -23,7 +22,7 @@ from alphapost.posteriors import (
 from alphapost.regression import _lan_box_sup
 from alphapost.robustness import FiniteSampleInputs, MisspecScenario, r_star, r_tilde_star
 
-from oracles import surrogate_via_kl
+from oracles import sample_stats, stack_stats, surrogate_via_kl
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -208,7 +207,7 @@ def member_stacks(draw):
     members = draw(st.integers(2, 5))
     n = draw(st.integers(s.p + 2, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    samples = [SufficientStats.of(rng.normal(size=(n, s.p)), rng.normal(size=n)) for _ in range(members)]
+    samples = [sample_stats(rng.normal(size=(n, s.p)), rng.normal(size=n)) for _ in range(members)]
     theta_f = s.theta_star + rng.uniform(-0.1, 0.1, size=(members, s.p))
     theta_g = s.theta0 + rng.uniform(-0.1, 0.1, size=(members, s.p))
     alphas = np.array([draw(st.floats(0.05, 5.0)) for _ in range(members)])
@@ -226,7 +225,7 @@ def test_stacked_routines_equal_their_single_cell_calls(stack):
     s, n, samples, theta_f, theta_g, alphas = stack
     cells = list(zip(samples, theta_f, theta_g, alphas))
     prior = ConjugatePrior(np.full(s.p, 0.25), np.eye(s.p))
-    post = conjugate_alpha_posterior(SufficientStats.stack(samples), prior, 1.5, alphas)
+    post = conjugate_alpha_posterior(stack_stats(samples), prior, 1.5, alphas)
     singles = [conjugate_alpha_posterior(x, prior, 1.5, a) for x, _, _, a in cells]
     assert_same_members(post.mean, [g.mean for g in singles])
     assert_same_members(post.cov, [g.cov for g in singles])

@@ -1,9 +1,14 @@
 """The omitted-variable regression example: its draws, estimators and probes."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from alphapost import regression
+from alphapost.experiments import ExperimentConfig, _location_stats
 from alphapost.meanfield import gmf_project_gaussian
 from alphapost.posteriors import ConjugatePrior, SufficientStats, conjugate_alpha_posterior
 from alphapost.regression import (
@@ -26,7 +31,15 @@ from alphapost.regression import (
 )
 from alphapost.robustness import FiniteSampleInputs, a_n, optimal_alpha, r_infinity, r_star
 
-from oracles import lan_mesh_sup, lan_residual, lan_terms, normal_tail_two_sided, simulate_rows
+from oracles import (
+    lan_mesh_sup,
+    lan_residual,
+    lan_terms,
+    normal_tail_two_sided,
+    sample_stats,
+    simulate_rows,
+    stack_stats,
+)
 
 
 def toy_dgp(**kw):
@@ -144,7 +157,7 @@ class TestSimulateStats:
                 drawn = simulate_stats(dgp, n, [seed])
                 assert drawn.n == n and drawn.gram.shape == (1, p + d + 1, p + d + 1)
                 w, z, y = simulate_rows(dgp, n, seed)
-                exact = SufficientStats.of(np.hstack([w, z]), y).gram
+                exact = sample_stats(np.hstack([w, z]), y).gram
                 assert np.max(np.abs(drawn.gram[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
                 assert np.array_equal(drawn.gram[0], drawn.gram[0].T)
 
@@ -156,36 +169,81 @@ class TestSimulateStats:
         for member, seed in zip(stack.gram, seeds):
             assert np.array_equal(member, simulate_stats(dgp, 200, [seed]).gram[0])
 
-    def test_keeps_one_raw_block_alive(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_any_worker_count_gives_the_same_stack(self, monkeypatch, workers):
+        real_block, threads = regression._standard_block, set()
+
+        def block(dgp, n, seed):
+            threads.add(threading.current_thread())
+            return real_block(dgp, n, seed)
+
+        cases = [(p, d, n) for p, d in ((1, 1), (2, 1)) for n in (p + d, 1000, 10**4)]
+        seeds = [derived_seed(12, rep) for rep in range(7)]
+        default = [simulate_stats(equicorrelated_dgp(p, d, 1.0), n, seeds).gram for p, d, n in cases]
+        monkeypatch.setattr(regression, "_standard_block", block)
+        monkeypatch.setattr(regression, "_draw_workers", lambda normals: workers)
+        # Frequent thread switches, so that a slot written twice or lost would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for (p, d, n), expected in zip(cases, default):
+                threads.clear()
+                assert np.array_equal(simulate_stats(equicorrelated_dgp(p, d, 1.0), n, seeds).gram, expected)
+                assert len(threads) == workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_any_worker_count_gives_the_same_location_stack(self, monkeypatch, workers):
+        cfg = ExperimentConfig(seed=5, replications=7, model="laplace-location", theta_true=0.3, noise_sd=2.0)
+        default = [_location_stats(cfg, n).gram for n in (1, 1000, 10**4)]
+        monkeypatch.setattr(regression, "_draw_workers", lambda normals: workers)
+        for n, expected in zip((1, 1000, 10**4), default):
+            assert np.array_equal(_location_stats(cfg, n).gram, expected)
+        # The caller's np.errstate holds in every worker: an overflowing sample is named, not warned of.
+        cfg.noise_sd = 1e300
+        with pytest.raises(ValueError, match="^theta_true, noise_sd: .* n = 10000 is not finite$"):
+            _location_stats(cfg, 10**4)
+
+    @pytest.mark.parametrize("serial", [True, False], ids=["one-worker", "default-workers"])
+    def test_keeps_one_raw_block_alive(self, monkeypatch, serial):
         import tracemalloc
 
         dgp, n = toy_dgp(), 10**4
         seeds = [derived_seed(9, n, rep) for rep in range(100)]
         block_bytes = (dgp.p + dgp.d + 1) * n * 8
+        if serial:
+            monkeypatch.setattr(regression, "_draw_workers", lambda normals: 1)
+        workers = regression._draw_workers(block_bytes // 8)
         tracemalloc.start()
         try:
             simulate_stats(dgp, n, seeds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * block_bytes
+        # One raw block per worker, the caller's thread among them.
+        assert peak < (workers + 2) * block_bytes
 
-    def test_rejects_a_tiny_sample_and_no_seeds(self):
-        with pytest.raises(ValueError, match="at least"):
-            simulate_stats(toy_dgp(), 1, [0])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_rejects_a_tiny_sample_and_no_seeds(self, monkeypatch, workers):
+        # Before any draw: no thread starts.
+        monkeypatch.setattr(regression, "_draw_workers", lambda normals: workers)
+        monkeypatch.setattr(regression, "_standard_block", None)
+        with pytest.raises(ValueError, match=r"^n must be at least p \+ d$"):
+            simulate_stats(toy_dgp(), 1, [0, 1, 2])
         with pytest.raises(ValueError, match="at least one sample"):
             simulate_stats(toy_dgp(), 10, [])
 
 
 class TestOLS:
     def test_hand_arithmetic(self):
-        assert_allclose(ols(SufficientStats.of(np.ones(3), [1.0, 2.0, 3.0])), [2.0], rtol=1e-14)
+        assert_allclose(ols(sample_stats(np.ones(3), [1.0, 2.0, 3.0])), [2.0], rtol=1e-14)
 
     def test_exact_on_noiseless_data(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((30, 2))
         theta = np.array([1.5, -0.5])
-        assert_allclose(ols(SufficientStats.of(w, w @ theta)), theta, atol=1e-12)
+        assert_allclose(ols(sample_stats(w, w @ theta)), theta, atol=1e-12)
 
     def test_matches_flat_prior_posterior_mean(self):
         dgp = toy_dgp()
@@ -196,14 +254,14 @@ class TestOLS:
     def test_rank_deficiency_rejected(self):
         w = np.ones((10, 2))
         with pytest.raises(ValueError, match="rank"):
-            ols(SufficientStats.of(w, np.ones(10)))
+            ols(sample_stats(w, np.ones(10)))
 
     def test_near_collinear_design_rejected(self):
         # The second column is the first plus 3e-8 of another: X'X still has
         # a Cholesky factor, but its second pivot is rounding noise.
         rng = np.random.default_rng(8)
         w, z = rng.standard_normal(50), rng.standard_normal(50)
-        stats = SufficientStats.of(np.column_stack([w, w + 3e-8 * z]), w)
+        stats = sample_stats(np.column_stack([w, w + 3e-8 * z]), w)
         np.linalg.cholesky(stats.xtx)
         with pytest.raises(ValueError, match="design matrix is rank deficient"):
             ols(stats)
@@ -220,7 +278,7 @@ class TestPseudoTrue:
     def test_ols_is_consistent_for_pseudo_true(self):
         dgp = toy_dgp()
         w, _, y = simulate_rows(dgp, 10**5, 13)
-        theta_hat = ols(SufficientStats.of(w, y))
+        theta_hat = ols(sample_stats(w, y))
         resid = y - w @ theta_hat
         robust_se = np.sqrt(((w[:, 0] * resid) ** 2).sum()) / (w[:, 0] @ w[:, 0])
         assert abs(theta_hat[0] - pseudo_true(dgp)[0]) < 3 * robust_se
@@ -396,7 +454,7 @@ class TestVariationalConjugateCov:
         w, _, y = simulate_rows(dgp, 400, 53)
         # Make the gram matrix exactly diagonal to hit the coincidence case.
         w[:, 1] -= w[:, 0] * (w[:, 0] @ w[:, 1]) / (w[:, 0] @ w[:, 0])
-        stats = SufficientStats.of(w, y)
+        stats = sample_stats(w, y)
         prior = ConjugatePrior(np.zeros(2), np.diag([1.0, 2.0]))
         post = conjugate_alpha_posterior(stats, prior, 1.0, 0.5)
         vc = variational_conjugate_cov(stats, prior, 1.0, 0.5)
@@ -448,9 +506,9 @@ class TestTruePosterior:
         prior = ConjugatePrior(
             np.array([0.0, dgp.gamma0[0]]), np.diag([1.0, big])
         )
-        marginal, _ = true_posterior_theta(SufficientStats.of(np.hstack([w, z]), y), prior, dgp.sigma_eps, dgp.p)
+        marginal, _ = true_posterior_theta(sample_stats(np.hstack([w, z]), y), prior, dgp.sigma_eps, dgp.p)
         adjusted = conjugate_alpha_posterior(
-            SufficientStats.of(w, y - z @ dgp.gamma0), ConjugatePrior([0.0], [[1.0]]), dgp.sigma_eps, 1.0
+            sample_stats(w, y - z @ dgp.gamma0), ConjugatePrior([0.0], [[1.0]]), dgp.sigma_eps, 1.0
         )
         assert_allclose(marginal.mean, adjusted.mean, atol=1e-6)
         assert_allclose(marginal.cov, adjusted.cov, rtol=1e-5)
@@ -460,7 +518,7 @@ class TestTruePosterior:
         # Cholesky factor, but its second pivot is rounding noise.
         rng = np.random.default_rng(8)
         w, z = rng.standard_normal(50), rng.standard_normal(50)
-        stats = SufficientStats.of(np.column_stack([w, w + 3e-8 * z]), w)
+        stats = sample_stats(np.column_stack([w, w + 3e-8 * z]), w)
         np.linalg.cholesky(stats.xtx)
         with pytest.raises(ValueError, match="stacked design is rank deficient given the prior"):
             true_posterior_theta(stats, ConjugatePrior.flat(2), 1.0, 1)
@@ -626,7 +684,7 @@ class TestRegressionLikelihood:
         inputs = [(w, y, dgp.sigma_u), (np.ones((x.size, 1)), x, 2.0)]
         rng = np.random.default_rng(0)
         for design, y, sd in inputs:
-            lik = regression_likelihood(SufficientStats.of(design, y), sd)
+            lik = regression_likelihood(sample_stats(design, y), sd)
             for theta in rng.normal(size=(5, 1)):
                 resid = y - design @ theta
                 direct = -0.5 * y.size * np.log(2 * np.pi * sd**2) - resid @ resid / (2 * sd**2)
@@ -655,7 +713,7 @@ class TestStacksMatchSingleSamples:
     def setup_samples(self, p):
         dgp = design(p)
         singles = [simulate(dgp, self.N, derived_seed(211, self.N, rep)) for rep in range(self.REPS)]
-        return dgp, singles, SufficientStats.stack(singles)
+        return dgp, singles, stack_stats(singles)
 
     def cells(self, alphas):
         # Each (rep, alpha) cell's replication and alpha, replication-major.
@@ -740,12 +798,7 @@ class TestStacksMatchSingleSamples:
         dgp, singles, _ = self.setup_samples(2)
         w, _, y = simulate_rows(dgp, self.N, 5)
         # The second control copies the first in one replication.
-        broken = SufficientStats.of(np.column_stack([w[:, 0], w[:, 0]]), y)
-        stack = SufficientStats.stack([s.first_columns(2) for s in singles[:2]] + [broken])
+        broken = sample_stats(np.column_stack([w[:, 0], w[:, 0]]), y)
+        stack = stack_stats([s.first_columns(2) for s in singles[:2]] + [broken])
         with pytest.raises(ValueError, match="design matrix is rank deficient"):
             ols(stack)
-
-    def test_stack_rejects_mixed_sample_sizes(self):
-        dgp = toy_dgp()
-        with pytest.raises(ValueError, match="one size n"):
-            SufficientStats.stack([simulate(dgp, 50, 1), simulate(dgp, 60, 2)])
