@@ -377,9 +377,14 @@ def _cells(reps: int, alphas) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(reps), alphas.size), np.tile(alphas, reps)
 
 
+def _floats(*columns) -> list[list]:
+    # Result columns as lists of Python floats, which csv formats faster than numpy's.
+    return [np.asarray(column, dtype=float).tolist() for column in columns]
+
+
 def _cell_rows(n: int, rep: np.ndarray, alpha: np.ndarray, *columns) -> list[list]:
     # One row per cell of _cells, from columns stacked in the same order.
-    return [[n, r, a, *vals] for r, a, vals in zip(rep.tolist(), alpha.tolist(), zip(*columns))]
+    return [[n, r, a, *vals] for r, a, vals in zip(rep.tolist(), alpha.tolist(), zip(*_floats(*columns)))]
 
 
 def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
@@ -523,7 +528,7 @@ def exp_robustness_curve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     dgp = cfg.dgp()
     stats = _replications(cfg, dgp, cfg.single_n(), 1)
     _, alpha, fin, r_exact = _exact_robustness(cfg, dgp, cfg.prior(), cfg.full_prior(), stats)
-    curves = zip(alpha, r_star(alpha, scenario, fin), r_tilde_star(alpha, scenario, fin), r_exact)
+    curves = zip(*_floats(alpha, r_star(alpha, scenario, fin), r_tilde_star(alpha, scenario, fin), r_exact))
     rows = [list(row) for row in curves]
     return ["alpha", "r_star", "r_tilde_star", "r_exact"], rows
 
@@ -532,10 +537,10 @@ def exp_optimal_alpha(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     scenario = cfg.scenario()
     fin = FiniteSampleInputs.at_population_limits(scenario, cfg.single_n())
     row = [
-        limit_alpha_star(scenario),
-        limit_alpha_tilde(scenario),
-        optimal_alpha(scenario, fin),
-        optimal_alpha_tilde(scenario, fin),
+        float(limit_alpha_star(scenario)),
+        float(limit_alpha_tilde(scenario)),
+        float(optimal_alpha(scenario, fin)),
+        float(optimal_alpha_tilde(scenario, fin)),
     ]
     return ["alpha_star_limit", "alpha_tilde_star_limit", "alpha_star_n", "alpha_tilde_star_n"], [row]
 
@@ -558,7 +563,7 @@ def exp_assumption_checks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]
         prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, w)
         markov = concentration_markov_bound(post.mean, post.cov, theta_star, np.log(n), n)
         kl_limit = kl_gaussian(post, gaussian_bvm_limit(ols(w), v, n, cfg.alpha))
-        columns = zip(lan_residual_sup(w, dgp), prior_term, lan_term, markov, kl_limit)
+        columns = zip(*_floats(lan_residual_sup(w, dgp), prior_term, lan_term, markov, kl_limit))
         return [[n, rep, *vals] for rep, vals in enumerate(columns)]
 
     rows = _replicated_rows(cfg, rows_at)

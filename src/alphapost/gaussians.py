@@ -544,23 +544,55 @@ def _check_spacing(x: np.ndarray, step: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _not_a_knot_factors(num: int) -> np.ndarray:
+def _not_a_knot_factors(num: int) -> tuple[np.ndarray, ...]:
     # The slopes of the not-a-knot cubic spline through num unit-spaced nodes
     # solve one tridiagonal system whatever the values: rows (1, 2), then
-    # (1, 4, 1), then (2, 1).  Its forward elimination, as one shared, read-only
-    # (3, num) array of rows (sub-diagonal, inverse pivot, eliminated super-diagonal).
-    sub = (0.0,) + (1.0,) * (num - 2) + (2.0,)
-    diag = (1.0,) + (4.0,) * (num - 2) + (1.0,)
-    sup = (2.0,) + (1.0,) * (num - 2) + (0.0,)
-    inv_pivot, upper = [], []
-    prev = 0.0
-    for a, b, c in zip(sub, diag, sup):
-        pivot = b - a * prev
-        prev = c / pivot
-        inv_pivot.append(1.0 / pivot)
-        upper.append(prev)
-    factors = np.array([sub, inv_pivot, upper])
-    factors.flags.writeable = False
+    # (1, 4, 1), then (2, 1).  Its LU factors make each substitution a
+    # recurrence y_j = a_j y_(j-1) + b_j: forward, b_j is the right-hand side
+    # over the pivot and a_j = -sub_j / pivot_j; backward, b_j is the forward
+    # result and a_j = -upper_j, with y_(j+1) in place of y_(j-1).  The sweeps
+    # run in blocks of about sqrt(num / 2) nodes, and the factors come with
+    # each coefficient laid out per (step in the block, block), and with its
+    # cumulative products from the block's start (forward) or to its end
+    # (backward), which carry a block's true start into every node of it.
+    # Products below the smallest normal float are set to 0: what they carry
+    # is far below rounding, and subnormal operands are slow.  All arrays are
+    # shared and read-only.
+
+    # Elimination gives pivot_j = diag_j - sub_j upper_(j-1) and upper_j =
+    # sup_j / pivot_j.  The interior rows repeat one map, which reaches its
+    # fixed point 2 + sqrt(3) within a few dozen rows, so their factors are
+    # found until they repeat and then filled in.
+    sub = np.ones(num)
+    sub[0], sub[-1] = 0.0, 2.0
+    pivot, upper = np.empty(num), np.empty(num)
+    pivot[0], upper[0] = 1.0, 2.0
+    for j in range(1, num - 1):
+        pivot[j] = 4.0 - upper[j - 1]
+        upper[j] = 1.0 / pivot[j]
+        if upper[j] == upper[j - 1]:
+            pivot[j + 1 : -1], upper[j + 1 : -1] = pivot[j], upper[j]
+            break
+    pivot[-1], upper[-1] = 1.0 - 2.0 * upper[-2], 0.0
+    inv_pivot = 1.0 / pivot
+    # Row j of the system has 3 (y[j + 1] - y[j - 1]) on the right, and the
+    # end rows (5 (y1 - y0) + (y2 - y1)) / 2 and its mirror image; the factor
+    # 3, or 1/2, comes multiplied by the inverse pivot.
+    rhs = 3.0 * inv_pivot
+    rhs[[0, -1]] = inv_pivot[[0, -1]] / 2.0
+    forward, backward = -sub * inv_pivot, -upper
+    block = max(1, round(math.sqrt(num / 2)))
+    head = num - num % block
+    steps, carries = [], []
+    for coef, order in ((forward, slice(None)), (backward, slice(None, None, -1))):
+        per_block = coef[:head].reshape(-1, block)
+        steps.append(np.ascontiguousarray(per_block.T)[..., None])
+        carry = np.cumprod(per_block[:, order], axis=1)[:, order]
+        carry[np.abs(carry) < np.finfo(float).tiny] = 0.0
+        carries.append(carry[..., None])
+    factors = (rhs, forward, backward, *steps, *carries)
+    for array in factors:
+        array.flags.writeable = False
     return factors
 
 
@@ -568,35 +600,53 @@ def _not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
     """Node slopes, per unit node index, of the not-a-knot cubic spline through each row of ``y`` (members, num).
 
     Every row has the same matrix in index units, so one forward and one
-    backward sweep over the node columns solve all rows at once, each step
-    updating one column of members in place.  The right-hand side is formed
-    from ``y`` straight into the slopes' own array, which is the only array
-    of ``y``'s size made; this is the interpolant
-    ``scipy.interpolate.CubicSpline`` builds by default.
+    backward sweep over the nodes solve all rows at once; this is the
+    interpolant ``scipy.interpolate.CubicSpline`` builds by default.  Each
+    sweep splits the nodes into blocks of about sqrt(num / 2) (Wang's
+    partition method): it runs inside every block at once from a zero
+    start, then carries each block's true start into it, block after
+    block, and finishes the nodes past the last whole block one by one.
+    So a sweep takes a few sqrt(num) steps, each on a (blocks, members) or
+    (block, members) array, where a node-by-node sweep takes num steps on
+    one column of members.  The work is node-major, so every step touches
+    whole rows: the right-hand side is formed from ``y`` straight into one
+    (num, members) array, which is the only array of ``y``'s size made and
+    is returned transposed, a (members, num) view whose transpose is
+    contiguous.
     """
-    sub, inv_pivot, upper = _not_a_knot_factors(y.shape[-1])
-    s = np.empty_like(y)
-    # Row j of the system has 3 (y[j + 1] - y[j - 1]) on the right, and the
-    # end rows (5 (y1 - y0) + (y2 - y1)) / 2 and its mirror image.
-    np.subtract(y[:, 2:], y[:, :-2], out=s[:, 1:-1])
-    s[:, 1:-1] *= 3.0
-    s[:, 0] = (5.0 * (y[:, 1] - y[:, 0]) + (y[:, 2] - y[:, 1])) / 2.0
-    s[:, -1] = ((y[:, -2] - y[:, -3]) + 5.0 * (y[:, -1] - y[:, -2])) / 2.0
-    # Multiplying by 1.0 is exact, so unit coefficients subtract directly;
-    # the others go through one reused column.
-    scaled = np.empty(len(s))
-    prev = s[:, 0]
-    prev *= inv_pivot[0]
-    for j in range(1, len(sub)):
-        col = s[:, j]
-        col -= prev if sub[j] == 1.0 else np.multiply(sub[j], prev, out=scaled)
-        col *= inv_pivot[j]
-        prev = col
-    for j in range(len(sub) - 2, -1, -1):
-        col = s[:, j]
-        col -= np.multiply(upper[j], prev, out=scaled)
-        prev = col
-    return s
+    members, num = y.shape
+    rhs, forward, backward, forward_steps, backward_steps, forward_carry, backward_carry = _not_a_knot_factors(num)
+    block = len(forward_steps)
+    head = block * len(forward_carry)
+    s = np.empty((num, members))
+    np.subtract(y[:, 2:].T, y[:, :-2].T, out=s[1:-1])
+    s[1:-1] *= rhs[1:-1, None]
+    s[0] = (5.0 * (y[:, 1] - y[:, 0]) + (y[:, 2] - y[:, 1])) * rhs[0]
+    s[-1] = ((y[:, -2] - y[:, -3]) + 5.0 * (y[:, -1] - y[:, -2])) * rhs[-1]
+    blocks = s[:head].reshape(len(forward_carry), block, members)
+    across, within = np.empty(blocks[:, 0].shape), np.empty(blocks[0].shape)
+    single = across[0]
+    # Forward: every block from a zero start, then each block's start carried
+    # in from the last node of the block before it, then the tail.
+    for j in range(1, block):
+        blocks[:, j] += np.multiply(forward_steps[j], blocks[:, j - 1], out=across)
+    for k in range(1, len(blocks)):
+        blocks[k] += np.multiply(forward_carry[k], blocks[k - 1, -1], out=within)
+    for j in range(head, num):
+        s[j] += np.multiply(forward[j], s[j - 1], out=single)
+    # Backward, mirrored: the tail first (the last node is already final),
+    # then every block from a zero end, then each block's end carried in from
+    # the first node after it.
+    for j in range(num - 2, head - 1, -1):
+        s[j] += np.multiply(backward[j], s[j + 1], out=single)
+    for j in range(block - 2, -1, -1):
+        blocks[:, j] += np.multiply(backward_steps[j], blocks[:, j + 1], out=across)
+    after = s[head] if head < num else None
+    for k in range(len(blocks) - 1, -1, -1):
+        if after is not None:
+            blocks[k] += np.multiply(backward_carry[k], after, out=within)
+        after = blocks[k, 0]
+    return s.T
 
 
 @dataclass(frozen=True)
@@ -623,19 +673,25 @@ class GridDensity:
         lw = np.ascontiguousarray(self.log_weights, dtype=float)
         if lw.shape != x.shape:
             raise ValueError(f"log values of shape {lw.shape} for a grid of shape {x.shape}")
-        if not np.all(np.isfinite(lw)):
-            raise ValueError("log values must be finite on the grid")
         step = _axis_step(x)
-        shift = np.max(lw, axis=-1)
-        weights = lw - shift[..., None]
-        mass = _trapezoid(np.exp(weights, out=weights), step)
-        del weights
+        # The log-sum-exp shift and the trapezoid mass of the shifted weights,
+        # a chunk of members at a time, so no array of the stack's size is made.
+        rows_lw = lw.reshape(-1, lw.shape[-1])
+        steps = np.broadcast_to(step, len(rows_lw))
+        shift, mass = np.empty(len(rows_lw)), np.empty(len(rows_lw))
+        for rows in _row_chunks(*rows_lw.shape):
+            chunk = rows_lw[rows]
+            if not np.all(np.isfinite(chunk)):
+                raise ValueError("log values must be finite on the grid")
+            shift[rows] = np.max(chunk, axis=-1)
+            weights = np.subtract(chunk, shift[rows, None])
+            mass[rows] = _trapezoid(np.exp(weights, out=weights), steps[rows])
         if not np.all(np.isfinite(mass) & (mass > 0.0)):
             raise ValueError("grid weights underflow; the box is misplaced")
         _check_spacing(x, step)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "log_weights", lw)
-        object.__setattr__(self, "normalizer", _result(shift + np.log(mass)))
+        object.__setattr__(self, "normalizer", _result((shift + np.log(mass)).reshape(x.shape[:-1])))
         object.__setattr__(self, "_step", step)
 
     @classmethod
@@ -662,12 +718,12 @@ class GridDensity:
 
     def _spline(self) -> np.ndarray:
         # The node slopes, per unit node index, of the cubic interpolant of
-        # the log weights, member-major (members, nodes) with one member for a
+        # the log weights, node-major (nodes, members) with one member for a
         # single density: solved on first use and kept.  The normalizer only
         # shifts the values, so these are the normalized log density's slopes.
         slopes = getattr(self, "_slopes", None)
         if slopes is None:
-            slopes = _not_a_knot_slopes(self.log_weights.reshape(-1, self.x.shape[-1]))
+            slopes = _not_a_knot_slopes(self.log_weights.reshape(-1, self.x.shape[-1])).T
             object.__setattr__(self, "_slopes", slopes)
         return slopes
 
@@ -689,37 +745,65 @@ class GridDensity:
         """
         pts = np.asarray(points, dtype=float)
         x = self.x.reshape(-1, self.x.shape[-1])
-        num = x.shape[-1]
+        total, num = x.shape
         if rows is None:
             if pts.ndim != self.x.ndim or pts.shape[:-1] != self.x.shape[:-1]:
                 raise ValueError(f"points of shape {pts.shape} for a grid of shape {self.x.shape}")
-            members = np.arange(len(x))[:, None]
+            members = np.arange(total)[:, None]
         else:
             members = np.asarray(rows, dtype=np.intp)[:, None]
             if pts.ndim != 2 or len(pts) != len(members):
                 raise ValueError(f"points of shape {pts.shape} for {len(members)} members")
-        # Only the columns that place the points, read for these members.
-        lo, hi = x[members, 0], x[members, -1]
-        h = x[members, 1] - lo
+        # Only the columns that place the points, read for these members at once.
+        box = x[members, (0, 1, -1)]
+        lo, hi = box[:, :1], box[:, 2:]
+        h = box[:, 1:2] - lo
         pts2 = pts.reshape(len(members), -1)
-        if np.any(pts2 < lo) or np.any(pts2 > hi):
+        if (pts2 < lo).any() or (pts2 > hi).any():
             raise ValueError("points fall outside the tabulated support")
-        # The left node of each point's interval, as its flat index in the
-        # member-major axes, log weights and slopes.
-        i = np.minimum((pts2 - lo) // h, num - 2).astype(np.intp)
-        i += num * members
-        u = (pts2 - np.take(x, i)) / h
+        # The left node of each point's interval (its offset in steps, which
+        # is not negative, truncated), and its flat index in the member-major
+        # axes and log weights and in the node-major slopes.
+        node = pts2 - lo
+        node /= h
+        node = np.minimum(node.astype(np.intp), num - 2)
+        i = node + num * members
+        node *= total
+        node += members
+        u = pts2 - np.take(x, i)
+        u /= h
         slopes = self._spline()
-        # The normalized log density at both nodes, and the slopes.
-        norm = np.atleast_1d(self.normalizer)[members]
-        y0, y1 = np.take(self.log_weights, i) - norm, np.take(self.log_weights, i + 1) - norm
-        s0, s1 = np.take(slopes, i), np.take(slopes, i + 1)
-        # The cubic on [x_i, x_i+1] in u = (x - x_i) / h: y0 + u (s0 + u (c2 + u c3)).
-        c2 = 3.0 * (y1 - y0) - 2.0 * s0 - s1
-        c3 = s0 + s1 - 2.0 * (y1 - y0)
-        value = y0 + u * (s0 + u * (c2 + u * c3))
-        grad = (s0 + u * (2.0 * c2 + 3.0 * c3 * u)) / h
-        hess = (2.0 * c2 + 6.0 * c3 * u) / (h * h)
+        # The log weights at the left node and their rise to the right one,
+        # and the slopes at both.
+        y0 = np.take(self.log_weights, i)
+        i += 1
+        rise = np.take(self.log_weights, i) - y0
+        s0 = np.take(slopes, node)
+        node += total
+        s1 = np.take(slopes, node)
+        # The cubic on [x_i, x_i+1] in u = (x - x_i) / h: y0 + u (s0 + u (c2 + u c3)),
+        # with c3 = s0 + s1 - 2 rise and c2 = 3 rise - 2 s0 - s1 = rise - s0 - c3.
+        c3 = s0 + s1
+        c3 -= rise + rise
+        c2 = rise - s0
+        c2 -= c3
+        # With cubic = u c3 and q = c2 + cubic, the value is y0 + u (s0 + u q),
+        # the gradient (s0 + u (2 q + cubic)) / h and the curvature 2 (q + 2 cubic) / h^2.
+        cubic = u * c3
+        q = c2 + cubic
+        value = u * q
+        value += s0
+        value *= u
+        value += y0
+        value -= np.atleast_1d(self.normalizer)[members]
+        grad = q + q
+        grad += cubic
+        grad *= u
+        grad += s0
+        grad /= h
+        hess = cubic + cubic
+        hess += q
+        hess *= 2.0 / (h * h)
         return value.reshape(pts.shape), grad.reshape(pts.shape), hess.reshape(pts.shape)
 
     def moments(self) -> tuple[float | np.ndarray, float | np.ndarray]:

@@ -16,6 +16,7 @@ limits of :func:`variational_bvm_limit` included, is a :class:`GaussianDist`
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -33,6 +34,11 @@ __all__ = [
 GH_NODES = 32
 GRAD_TOL = 1e-8
 MAX_ITER = 500
+
+# -H(N(m, 1)), which -log(sd) turns into the negative entropy of N(m, sd^2).
+_NEG_ENTROPY_OF_UNIT_NORMAL = -0.5 * (1.0 + math.log(2.0 * math.pi))
+# The flattened 2 x 2 Hessian's entry (r, c) is E[d2 z^moment] J_r J_c.
+_HESSIAN_MOMENT, _HESSIAN_ROW, _HESSIAN_COLUMN = np.array([[0, 1, 1, 2], [0, 0, 1, 1], [0, 1, 0, 1]])
 
 
 def _diagonal(mean, var) -> GaussianDist:
@@ -98,15 +104,18 @@ def _gh_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _descent_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    # Per member: the Newton step where it is finite and a descent direction,
-    # else the negative gradient.
-    (h00, h01), (h10, h11) = np.moveaxis(hess, (-2, -1), (0, 1))
-    g0, g1 = np.moveaxis(grad, -1, 0)
+    # Per member, from its gradient (g0, g1) and its Hessian flattened to
+    # (h00, h01, h10, h11): the Newton step where it is finite and a descent
+    # direction, else the negative gradient.
+    g0, g1 = grad.T
+    h00, h01, h10, h11 = hess.T
+    newton = np.empty_like(grad)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = h00 * h11 - h01 * h10
-        newton = np.stack([h01 * g1 - h11 * g0, h10 * g0 - h00 * g1], axis=-1) / det[..., None]
-        descent = np.all(np.isfinite(newton), axis=-1) & (np.sum(grad * newton, axis=-1) < 0.0)
-    return np.where(descent[..., None], newton, -grad)
+        np.subtract(h01 * g1, h11 * g0, out=newton[:, 0])
+        np.subtract(h10 * g0, h00 * g1, out=newton[:, 1])
+        newton /= (h00 * h11 - h01 * h10)[:, None]
+        descent = np.isfinite(newton).all(axis=-1) & ((grad * newton).sum(axis=-1) < 0.0)
+    return np.where(descent[:, None], newton, -grad)
 
 
 def gmf_project_numeric(target: GridDensity, init: GaussianDist | None = None) -> GaussianDist:
@@ -134,82 +143,101 @@ def gmf_project_numeric(target: GridDensity, init: GaussianDist | None = None) -
     nodes stay inside the support; converged members are not evaluated
     again.  A single target runs as a stack of one.  The result is a stack
     of k projections.  Raises ``ValueError`` when a starting point's
-    quadrature nodes leave the support and ``RuntimeError`` when any member
-    has not converged within ``MAX_ITER`` iterations.
+    quadrature nodes leave the support, or before any descent when a member's
+    moment-matched sd (the default start's) is below one grid step, which
+    the grid does not resolve, and ``RuntimeError`` when any member has not
+    converged within ``MAX_ITER`` iterations.
     """
     if init is None:
-        init = _diagonal(*(np.asarray(m)[..., None] for m in target.moments()))
+        mean, var = target.moments()
+        # A target narrower than one grid step is a spike that the spline does
+        # not resolve, and the descent on it would overflow.
+        sd_in_steps = np.sqrt(np.ravel(var)) / np.ravel(target._step)
+        narrow = sd_in_steps < 1.0
+        if np.any(narrow):
+            raise ValueError(
+                f"the target's moment-matched sd is {np.min(sd_in_steps[narrow]):.3g} grid steps in "
+                f"{np.count_nonzero(narrow)} of {sd_in_steps.size} members: the grid does not resolve it"
+            )
+        init = _diagonal(np.asarray(mean)[..., None], np.asarray(var)[..., None])
     if init.dim != 1:
         raise ValueError(f"init of dimension {init.dim} for a one-dimensional target")
     if init.mean.shape[:-1] != target.x.shape[:-1]:
         raise ValueError("init must be one distribution for one target, or a stack of one per target member")
 
     offsets, w = _gh_rule()
+    # The rule's weights times the standard offsets z to the powers 0, 1 and 2.
+    weights = w * offsets ** np.arange(3)[:, None]
     mu0 = init.mean.reshape(-1)
     sd0 = np.sqrt(init.cov.reshape(-1))
     axes = target.x.reshape(-1, target.x.shape[-1])
-    lo, hi = axes[:, :1], axes[:, -1:]
+    lo, hi = axes[:, 0], axes[:, -1]
 
     # Internal coordinates v = ((mu - mu0)/sd0, log(sd/sd0)) keep the descent
     # well-conditioned regardless of how concentrated the target is.
     def params(members, v):
-        return mu0[members] + sd0[members] * v[:, 0], sd0[members] * np.exp(v[:, 1])
+        scale = sd0[members]
+        return mu0[members] + scale * v[:, 0], scale * np.exp(v[:, 1])
 
-    def nodes(members, v):
-        # The quadrature nodes of the listed members at v (one row each), their
-        # offsets from the mean, and the sd.
-        mu, sd = params(members, v)
-        dx = sd[:, None] * offsets
-        return mu[:, None] + dx, dx, sd
-
-    def expect(f):
-        # The Gauss-Hermite expectation of node values, per member.
-        return np.sum(w * f, axis=-1)
-
-    def kl_grad_hess(members, x, dx, sd):
-        vals, d1, d2 = target.log_pdf_and_grad_at(x, members)
+    def kl_grad_hess(members, mu, sd):
+        # The listed members' KL at (mu, sd), then its gradient and its
+        # Hessian, flattened, in v: one row of seven per member.
+        vals, d1, d2 = target.log_pdf_and_grad_at(mu[:, None] + sd[:, None] * offsets, members)
+        out = np.empty((len(members), 7))
         # KL(q||t) = -H(q) - E_q[log t]; d(-H)/d(log sd) = -1.  An sd that
         # underflows to 0 gives a KL of inf, which no step accepts.
         with np.errstate(divide="ignore"):
-            kl = -0.5 * (1.0 + np.log(2.0 * np.pi)) - np.log(sd) - expect(vals)
-        # d(node)/dv is sd0 for the mean coordinate and dx for the log sd one.
-        scale = sd0[members]
-        g_mu, g_sd = scale * expect(d1), expect(d1 * dx)
-        h_cross = -scale * expect(d2 * dx)
-        grad = np.stack([-g_mu, -g_sd - 1.0], axis=-1)
-        # The nodes are exponential in log sd, which adds the curvature of that map.
-        hess = np.stack([-scale * scale * expect(d2), h_cross, h_cross, -expect(d2 * dx * dx) - g_sd], axis=-1)
-        return kl, grad, hess.reshape(hess.shape[:-1] + (2, 2))
+            np.log(sd, out=out[:, 0])
+        np.subtract(_NEG_ENTROPY_OF_UNIT_NORMAL, out[:, 0], out=out[:, 0])
+        # The expectations are einsum's sums of products, row by row; a BLAS
+        # product may sum a row differently for another number of rows.
+        out[:, 0] -= np.einsum("mk,k->m", vals, w)
+        # d(node)/dv is J = (sd0, sd z), so the gradient of E_q[log t] is
+        # E[d1 J] and its Hessian E[d2 J J'], plus E[d1 sd z] on the log sd
+        # diagonal because the nodes are exponential in log sd.
+        jac = np.empty((len(members), 2))
+        jac[:, 0], jac[:, 1] = sd0[members], sd
+        np.multiply(np.einsum("mk,jk->mj", d1, weights[:2]), jac, out=out[:, 1:3])
+        e2 = np.einsum("mk,jk->mj", d2, weights)
+        np.multiply(e2[:, _HESSIAN_MOMENT], jac[:, _HESSIAN_ROW] * jac[:, _HESSIAN_COLUMN], out=out[:, 3:])
+        out[:, 6] += out[:, 2]
+        np.negative(out[:, 1:], out=out[:, 1:])
+        out[:, 2] -= 1.0
+        return out
 
     # The mean's gradient in v is sd0 dKL/dmu, free of the target's scale, and
     # the log sd one is twice the log var one.
     tol = np.array([GRAD_TOL, 2.0 * GRAD_TOL])
     everyone = np.arange(mu0.size)
     v = np.zeros(mu0.shape + (2,))
-    kl, grad, hess = kl_grad_hess(everyone, *nodes(everyone, v))
+    state = kl_grad_hess(everyone, *params(everyone, v))
+    grad = state[:, 1:3]
     for _ in range(MAX_ITER):
-        pending = np.flatnonzero(~np.all(np.abs(grad) < tol, axis=-1))
+        pending = np.flatnonzero(~(np.abs(grad) < tol).all(axis=-1))
         if not pending.size:
             mu, sd = params(everyone, v)
             return _diagonal(mu.reshape(init.mean.shape), (sd**2).reshape(init.mean.shape))
-        step = _descent_step(grad[pending], hess[pending])
+        rows = state[pending]
+        step = _descent_step(rows[:, 1:3], rows[:, 3:])
         # Accept rounding-level rises: near the optimum the KL no longer
         # resolves the progress the gradient still shows.
-        slack = 1e-12 * np.maximum(1.0, np.abs(kl[pending]))
+        bound = rows[:, 0] + 1e-12 * np.maximum(1.0, np.abs(rows[:, 0]))
         while pending.size:
             trial = v[pending] + step
-            x, dx, sd = nodes(pending, trial)
+            mu, sd = params(pending, trial)
             # A member whose nodes would leave the support is rejected
-            # unevaluated; a shorter step stays inside.
-            inside = np.all((x >= lo[pending]) & (x <= hi[pending]), axis=-1)
+            # unevaluated; a shorter step stays inside.  The rule is symmetric,
+            # so its outermost nodes mu -+ sd z_max bound the rest.
+            reach = sd * offsets[-1]
+            inside = (mu - reach >= lo[pending]) & (mu + reach <= hi[pending])
             reject = ~inside
-            if np.any(inside):
+            if inside.any():
                 members = pending[inside]
-                t_kl, t_grad, t_hess = kl_grad_hess(members, x[inside], dx[inside], sd[inside])
-                better = t_kl <= kl[members] + slack[inside]
+                trial_state = kl_grad_hess(members, mu[inside], sd[inside])
+                better = trial_state[:, 0] <= bound[inside]
                 accepted = members[better]
                 v[accepted] = trial[inside][better]
-                kl[accepted], grad[accepted], hess[accepted] = t_kl[better], t_grad[better], t_hess[better]
+                state[accepted] = trial_state[better]
                 reject[inside] = ~better
-            pending, step, slack = pending[reject], step[reject] / 2.0, slack[reject]
+            pending, step, bound = pending[reject], step[reject] / 2.0, bound[reject]
     raise RuntimeError(f"damped Newton descent failed to converge within {MAX_ITER} iterations")

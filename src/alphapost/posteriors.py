@@ -37,6 +37,7 @@ from .gaussians import (
     _ndtr,
     _positive_part_mean,
     _result,
+    _row_chunks,
     _symmetric,
     log_density,
 )
@@ -286,9 +287,12 @@ def grid_alpha_posterior(
     map the parameter points ``x[..., None]`` (shape (N, 1), or (k, N, 1))
     to their values (shape (N,), or (k, N)); for a stack, member ``i`` is
     row ``i``, so a likelihood stacked over k samples gives each member its
-    own sample.  Both must be re-entrant (no shared mutable state) and
-    return a fresh array, which the tabulation overwrites; the
-    log-likelihood must be finite on every axis.  Node weights are
+    own sample.  The prior is one density for every member: a stack passes
+    it a chunk of consecutive members' points at a time, shape (m, N, 1)
+    to values (m, N), so that no other array of the stack's size is made.
+    Both must be re-entrant (no shared mutable state) and return a fresh
+    array; the log-likelihood's is overwritten by the tabulation and must
+    be finite on every axis.  Node weights are
     proportional to ``exp(alpha * log_lik + log_prior)``; normalization is
     stabilized by a log-sum-exp shift so that likelihood magnitudes growing
     with the sample size never overflow.
@@ -306,12 +310,19 @@ def grid_alpha_posterior(
     if not np.all(np.isfinite(x)):
         raise ValueError("the grid axis must be finite")
     pts = x[..., None]
-    ll = np.asarray(log_lik(pts), dtype=float)
-    if not np.all(np.isfinite(ll)):
-        raise ValueError("non-finite log-likelihood on a grid node")
-    # alpha * log_lik + log_prior, in the log-likelihood's own array.
-    ll *= alpha[..., None] if x.ndim == 2 else alpha
-    ll += np.asarray(log_prior(pts), dtype=float)
+    ll = np.ascontiguousarray(log_lik(pts), dtype=float)
+    if ll.shape != x.shape:
+        raise ValueError(f"log-likelihood values of shape {ll.shape} for a grid of shape {x.shape}")
+    # alpha * log_lik + log_prior, in the log-likelihood's own array, a chunk
+    # of members at a time, so no other array of the stack's size is made.
+    rows_ll = ll.reshape(members, -1)
+    alpha = np.broadcast_to(alpha, members)
+    for rows in _row_chunks(*rows_ll.shape):
+        block = rows_ll[rows]
+        if not np.isfinite(block).all():
+            raise ValueError("non-finite log-likelihood on a grid node")
+        block *= alpha[rows, None]
+        block += np.asarray(log_prior(pts[rows] if x.ndim == 2 else pts), dtype=float)
     return GridDensity.from_log_unnormalized(x, ll)
 
 

@@ -571,7 +571,9 @@ def failure_case_hellinger(
     stabilizes at a strictly positive value; the control's gap goes to zero.
 
     Returns an array of shape ``(len(n_grid), 2)`` whose rows are
-    ``[h2_failure, h2_control]`` in the order of ``n_grid``.
+    ``[h2_failure, h2_control]`` in the order of ``n_grid``.  A tempering
+    ``alpha0 / n`` that underflows, or whose posterior's scales do not stay
+    positive and finite, raises ``ValueError`` naming ``alpha0, sigma_u`` and ``n``.
     """
     _require_positive(alpha0=alpha0)
     v = curvature(dgp)
@@ -580,6 +582,12 @@ def failure_case_hellinger(
         n = int(n)
         w = simulate_stats(dgp, n, [derived_seed(seed, n)]).first_columns(dgp.p)
         alphas = [alpha0 / n, 1.0]
-        post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alphas)
+        try:
+            post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alphas)
+        except ValueError as err:
+            raise ValueError(
+                f"alpha0, sigma_u: the tempered posteriors at alpha0 / n = {alphas[0]!r} and 1 of a sample "
+                f"of n = {n}: {err}"
+            ) from err
         out[i] = hellinger_sq_gaussian(post, gaussian_bvm_limit(ols(w), v, n, alphas))
     return out

@@ -10,7 +10,9 @@ objective of the Laplace-prior location model, the
 local-asymptotic-normality defect on a mesh, whose largest magnitude there
 bounds its sup from below, the regression sample as rows, which the
 library never forms, and the statistics of a sample or a stack of them
-from rows, and draws from a Gaussian, which only the tests need.
+from rows, draws from a Gaussian, which only the tests need, and the
+grid spline's slopes by a node-by-node sweep, against which the library's
+blocked sweep is checked.
 """
 
 import numpy as np
@@ -68,6 +70,34 @@ def gaussian_draws(g, rng, size):
     """``size`` draws from the single Gaussian ``g``, with shape (size, dim)."""
     assert not g.stacked
     return g.mean + rng.standard_normal((size, g.dim)) @ np.linalg.cholesky(g.cov).T
+
+
+def column_sweep_slopes(y):
+    """Node slopes, per unit node index, of the not-a-knot cubic spline through each row of ``y`` (members, num).
+
+    The plain Thomas algorithm on the spline's tridiagonal system: forward
+    elimination, then back substitution, one node column of members per
+    step.  Rows (1, 2), then (1, 4, 1), then (2, 1), with 3 (y[j + 1] -
+    y[j - 1]) on the right and the end rows (5 (y1 - y0) + (y2 - y1)) / 2
+    and its mirror image.
+    """
+    num = y.shape[-1]
+    sub = [0.0] + [1.0] * (num - 2) + [2.0]
+    diag = [1.0] + [4.0] * (num - 2) + [1.0]
+    sup = [2.0] + [1.0] * (num - 2) + [0.0]
+    s = np.empty_like(y)
+    s[:, 1:-1] = 3.0 * (y[:, 2:] - y[:, :-2])
+    s[:, 0] = (5.0 * (y[:, 1] - y[:, 0]) + (y[:, 2] - y[:, 1])) / 2.0
+    s[:, -1] = ((y[:, -2] - y[:, -3]) + 5.0 * (y[:, -1] - y[:, -2])) / 2.0
+    upper = np.empty(num)
+    prev = 0.0
+    for j in range(num):
+        pivot = diag[j] - sub[j] * prev
+        prev = upper[j] = sup[j] / pivot
+        s[:, j] = (s[:, j] - sub[j] * (s[:, j - 1] if j else 0.0)) / pivot
+    for j in range(num - 2, -1, -1):
+        s[:, j] -= upper[j] * s[:, j + 1]
+    return s
 
 
 def lan_terms(stats, dgp):

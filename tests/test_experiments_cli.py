@@ -294,6 +294,21 @@ class TestExperimentOutputs:
         for experiment in [*EXPERIMENTS, *reversed(list(EXPERIMENTS))]:
             assert run_experiment(shared, experiment) == want[experiment], experiment
 
+    @pytest.mark.parametrize(
+        "experiment, model",
+        [
+            *((e, "regression") for e in EXPERIMENTS),
+            ("bvm-convergence", "laplace-location"),
+            ("vbvm-convergence", "laplace-location"),
+        ],
+    )
+    def test_every_cell_is_a_python_number(self, tmp_path, experiment, model):
+        # Rows leave the experiments as Python ints and floats, never numpy
+        # scalars, so the CSV writer formats plain numbers.
+        text = f"seed = 23\nreplications = 2\nn_grid = 50,100\nn = 100\nalphas = 0.5,1.0\nmodel = {model}\n"
+        _, rows = run_experiment(ExperimentConfig.from_file(write_config(tmp_path, text)), experiment)
+        assert rows and all(type(cell) in (int, float) for row in rows for cell in row)
+
     def test_grid_points_leaves_the_2d_tv_alone(self, tmp_path):
         # grid_points sizes the Laplace grid only; the p = 2 TV is exact.
         def tv(grid_points):
@@ -595,6 +610,8 @@ class TestCLI:
                 for e in ("bvm-convergence", "vbvm-convergence")
                 for line in ("alphas = 1e307", "sigma_u = 1e150\nalphas = 1e-300")
             ],
+            # alpha0 / n is subnormal, or underflows to 0.
+            *[("failure-case", f"alpha0 = {alpha0}", "alpha0, sigma_u") for alpha0 in ("1e-320", "5e-324")],
         ],
     )
     def test_overflowing_sample_names_its_fields(self, tmp_path, capsys, experiment, line, names):
@@ -624,7 +641,14 @@ class TestCLI:
                     "noise_sd, alphas, prior_scale, prior_loc, theta_true",
                     30,
                 )
-                for line in ("noise_sd = 1e150", "prior_scale = 1e-300", "alphas = 1e-150")
+                for line in (
+                    "noise_sd = 1e150",
+                    "prior_scale = 1e-300",
+                    "alphas = 1e-150",
+                    # Narrower than one grid step, but the grid posterior is finite.
+                    "prior_scale = 1e-4",
+                    "noise_sd = 1e10",
+                )
             ],
         ],
     )

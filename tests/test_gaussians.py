@@ -22,6 +22,7 @@ from alphapost.gaussians import (
 )
 
 from oracles import (
+    column_sweep_slopes,
     gaussian_draws,
     mc_kl,
     mc_tv,
@@ -494,6 +495,19 @@ class TestGridDensity:
         for row, got in zip(y, slopes):
             want = CubicSpline(x, row)(x, 1) * (x[1] - x[0])
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("members", [1, 7, 160])
+    @pytest.mark.parametrize("num", [4, 5, 6, 7, 101, 2001, 2003, 10007])
+    def test_blocked_sweep_matches_the_column_sweep(self, num, members):
+        # Node counts with and without a ragged tail, blocks of one node up to
+        # 71, within 64 rounding units of the largest slope.
+        rng = np.random.default_rng(num * members)
+        x = np.linspace(-1.0, 2.0, num)
+        y = np.cumsum(rng.normal(size=(members, num)), axis=-1) - 3.0 * np.abs(x - 0.3)
+        want = column_sweep_slopes(y)
+        got = gaussians._not_a_knot_slopes(y)
+        assert got.shape == y.shape and got.T.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.max(np.abs(want))
 
     def test_moments_of_a_stack_hold_one_chunk_at_a_time(self):
         # Beside the stack's own arrays, its moments take at most one
