@@ -21,12 +21,12 @@ from alphapost import (
     limit_alpha_star,
     misspec_scenario,
     ols,
-    population_omega,
     pseudo_true,
     r_star,
     simulate,
     true_posterior_theta,
 )
+from alphapost.regression import population_omega
 
 dgp = RegressionDGP(
     theta0=[1.0], gamma0=[1.0], sigma_eps=1.0, cov_ww=[[1.0]], cov_wz=[[0.5]], cov_zz=[[1.0]]

@@ -454,9 +454,9 @@ def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[
     kl = []
     for block in _row_chunks(rep.size, cfg.grid_points, _GRID_BLOCK):
         r, a = rep[block], alpha[block]
-        grid = default_grid_axis(theta_hat[r, 0], v[0, 0], n, a, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
         lik = regression_likelihood(stats[r], cfg.noise_sd)
         try:
+            grid = default_grid_axis(theta_hat[r, 0], v[0, 0], n, a, cfg.grid_points, scale=PROJECTION_BOX_SCALE)
             proj = gmf_project_numeric(grid_alpha_posterior(lik, log_prior, a, grid))
         except (ValueError, RuntimeError) as err:
             raise ValueError(

@@ -8,8 +8,8 @@ representations:
   covariance, validated by Cholesky factorization at construction, or a
   stack of them along a leading axis.
 * :class:`GridDensity` -- a normalized density tabulated on a uniform
-  axis, the exact workhorse for the non-conjugate one-dimensional posterior,
-  or a stack of them, each on its own axis.
+  :class:`GridAxis` (its end points), the workhorse for the non-conjugate
+  one-dimensional posterior, or a stack of them, each on its own axis.
 
 Divergences provided: Kullback-Leibler, squared Hellinger, and total
 variation; the Gaussian ones have one exact path each, and they and the grid
@@ -38,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "GaussianDist",
+    "GridAxis",
     "GridDensity",
     "log_density",
     "kl_gaussian",
@@ -503,18 +504,8 @@ def _trapezoid(values: np.ndarray, step) -> np.ndarray:
     return step * (np.sum(values, axis=-1) - (values[..., 0] + values[..., -1]) / 2.0)
 
 
-def _axis_step(x: np.ndarray) -> np.ndarray:
-    """The first step of an axis with at least four nodes, or of each axis of a stack of them.
-
-    Only the shape is checked here; :func:`_check_spacing` checks the steps.
-    """
-    if x.ndim not in (1, 2) or x.shape[-1] < 4:
-        raise ValueError("the grid is one axis of at least four nodes, or a stack of such axes")
-    return x[..., 1] - x[..., 0]
-
-
-# Row-wise passes over a stack (the 2-D TV's outer rules, the spacing check,
-# the moments, the likelihood) take at most this many (member, node) values at
+# Row-wise passes over a stack (the 2-D TV's outer rules, the grid tabulation,
+# the likelihood) take at most this many (member, node) values at
 # a time, so their temporaries stay small.  The normal CDF slows past about 16k
 # values per call: on stacks of 24 to 200 TV pairs at budget 2001 (in process,
 # one thread of a 2-vCPU machine), 2^13, 2^15 and 2^16 were slower than 2^14.
@@ -525,22 +516,6 @@ def _row_chunks(rows: int, cols: int, limit: int | None = None) -> list[slice]:
     """Slices of whole rows of a (rows, cols) array, each of at most ``limit`` (else ``_ROW_CHUNK``) values, or one row."""
     size = max(1, (limit or _ROW_CHUNK) // cols)
     return [slice(start, start + size) for start in range(0, rows, size)]
-
-
-def _check_spacing(x: np.ndarray, step: np.ndarray):
-    # Every step positive and within 1e-9 relative of the first, read off
-    # each axis's extreme steps, a chunk of axes at a time.
-    x = x.reshape(-1, x.shape[-1])
-    least, most = np.empty(len(x)), np.empty(len(x))
-    for rows in _row_chunks(*x.shape):
-        steps = np.diff(x[rows], axis=-1)
-        least[rows], most[rows] = np.min(steps, axis=-1), np.max(steps, axis=-1)
-    tol = 1e-9 * np.abs(step)
-    uniform = np.all(most - step <= tol) and np.all(step - least <= tol)
-    if np.any(step <= 0) or (not uniform and np.any(least <= 0)):
-        raise ValueError("the axis must be strictly increasing")
-    if not uniform:
-        raise ValueError("the axis must be uniformly spaced")
 
 
 @lru_cache(maxsize=None)
@@ -649,60 +624,127 @@ def _not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
     return s.T
 
 
-@dataclass(frozen=True)
-class GridDensity:
-    """A normalized density tabulated on a uniform axis ``x``, or a stack of them.
+class GridAxis:
+    """A uniform axis of ``num`` nodes from ``lo`` to ``hi``, or a stack of them (``lo``, ``hi`` of shape (k,)).
 
-    ``log_weights`` holds the log *unnormalized* density at every node of
-    ``x``; construction computes ``normalizer``, the log of its
-    trapezoid-rule integral, so the normalized log density at a node is
-    ``log_weights - normalizer``.  A stack has ``x`` and ``log_weights`` of
-    shape (k, N) and ``normalizer`` of shape (k,): member ``i`` lives on its
-    own uniform axis ``x[i]``, and every method returns one value (or row)
-    per member.  The normalizer is stabilized by a log-sum-exp shift, and the
-    normalized density integrates to 1 within 1e-8 by construction.
+    Only the end points are stored; :meth:`nodes` places the nodes as ``np.linspace`` does, bit for bit.  Ends
+    not finite, a step ``(hi - lo) / (num - 1)`` not positive and finite, or under 4 nodes raise ``ValueError``.
     """
 
-    x: np.ndarray
+    def __init__(self, lo: float | np.ndarray, hi: float | np.ndarray, num: int):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.ndim > 1 or lo.shape != hi.shape or num < 4:
+            raise ValueError("the grid is one axis of at least four nodes, or a stack of such axes")
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (hi - lo) / (num - 1)
+        if not np.all(np.isfinite(step)):
+            raise ValueError("the grid axis must be finite")
+        if not np.all(step > 0.0):
+            raise ValueError("the axis must be strictly increasing")
+        self.lo, self.hi, self.num, self.step = lo, hi, int(num), step
+
+    @classmethod
+    def of(cls, x) -> "GridAxis":
+        """``x`` if it is an axis, else the axis of the nodes ``x``: finite, increasing, steps within 1e-9 relative."""
+        if isinstance(x, cls):
+            return x
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        axis = cls(x[..., 0], x[..., -1], x.shape[-1])
+        if not np.all(np.isfinite(x)):
+            raise ValueError("the grid axis must be finite")
+        steps = np.diff(x, axis=-1)
+        if not np.all(steps > 0.0):
+            raise ValueError("the axis must be strictly increasing")
+        if not np.all(np.abs(steps - steps[..., :1]) <= 1e-9 * steps[..., :1]):
+            raise ValueError("the axis must be uniformly spaced")
+        return axis
+
+    def __getitem__(self, index) -> "GridAxis":
+        return GridAxis(self.lo[index], self.hi[index], self.num)
+
+    def nodes(self, rows: slice = slice(None)) -> np.ndarray:
+        """The nodes, each axis contiguous; ``rows`` selects consecutive members of a stack."""
+        lo, hi, step = (np.reshape(v, -1)[rows, None] for v in (self.lo, self.hi, self.step))
+        x = np.arange(self.num) * step
+        x += lo
+        x[:, -1:] = hi
+        return x if self.lo.ndim else x[0]
+
+
+@dataclass(frozen=True)
+class GridDensity:
+    """A normalized density tabulated on a uniform axis, or a stack of them.
+
+    ``axis`` is a :class:`GridAxis` (or its nodes, checked once) and
+    ``log_weights`` the log unnormalized density at its nodes: an array, or
+    a function ``log_weights(rows, nodes, out)`` writing the members ``rows``
+    (a slice) at their (m, N) ``nodes`` into ``out``.  One pass over chunks
+    of members fills them and takes the moments and ``normalizer``, the log
+    trapezoid-rule integral, stabilized by a log-sum-exp shift: the density
+    ``exp(log_weights - normalizer)`` integrates to 1 within 1e-8, and a
+    normalizer of 2^26 or more in magnitude, not resolved to 1e-8, raises
+    ``ValueError``.  A stack has ``log_weights`` of shape (k, N), member ``i``
+    on ``axis[i]``, and every method returns one value (or row) per member.
+    """
+
+    axis: GridAxis
     log_weights: np.ndarray
     normalizer: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # Contiguous, so that interpolation gathers from the flat arrays.
-        x = np.ascontiguousarray(self.x, dtype=float)
-        lw = np.ascontiguousarray(self.log_weights, dtype=float)
-        if lw.shape != x.shape:
-            raise ValueError(f"log values of shape {lw.shape} for a grid of shape {x.shape}")
-        step = _axis_step(x)
-        # The log-sum-exp shift and the trapezoid mass of the shifted weights,
-        # a chunk of members at a time, so no array of the stack's size is made.
-        rows_lw = lw.reshape(-1, lw.shape[-1])
-        steps = np.broadcast_to(step, len(rows_lw))
-        shift, mass = np.empty(len(rows_lw)), np.empty(len(rows_lw))
+        axis, fill = GridAxis.of(self.axis), self.log_weights if callable(self.log_weights) else None
+        shape = axis.lo.shape + (axis.num,)
+        lw = np.empty(shape) if fill is not None else np.ascontiguousarray(self.log_weights, dtype=float)
+        if lw.shape != shape:
+            raise ValueError(f"log values of shape {lw.shape} for a grid of shape {shape}")
+        # A chunk of members at a time: the log weights (filled at their nodes, if a function) and their
+        # check, the shift, and the trapezoid sums, row by row, of the shifted weights times 1, the node
+        # index j and (j - k)^2, k the node nearest the row's mean, about which the variance does not
+        # cancel.  squares[k] holds (j - k)^2 for every j, a window of one shared array of squares.
+        rows_lw, j = lw.reshape(-1, axis.num), np.arange(axis.num, dtype=float)
+        squares = np.lib.stride_tricks.sliding_window_view(np.arange(1.0 - axis.num, axis.num) ** 2, axis.num)[::-1]
+        shift, total, mean, var = np.empty((4, len(rows_lw)))
         for rows in _row_chunks(*rows_lw.shape):
             chunk = rows_lw[rows]
+            if fill is not None:
+                fill(rows, axis.nodes(rows).reshape(chunk.shape), chunk)
             if not np.all(np.isfinite(chunk)):
                 raise ValueError("log values must be finite on the grid")
             shift[rows] = np.max(chunk, axis=-1)
             weights = np.subtract(chunk, shift[rows, None])
-            mass[rows] = _trapezoid(np.exp(weights, out=weights), steps[rows])
-        if not np.all(np.isfinite(mass) & (mass > 0.0)):
-            raise ValueError("grid weights underflow; the box is misplaced")
-        _check_spacing(x, step)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "log_weights", lw)
-        object.__setattr__(self, "normalizer", _result((shift + np.log(mass)).reshape(x.shape[:-1])))
-        object.__setattr__(self, "_step", step)
+            np.exp(weights, out=weights)
+            weights[:, :: axis.num - 1] /= 2.0
+            total[rows] = np.sum(weights, axis=-1)
+            mean[rows] = np.einsum("ij,j->i", weights, j) / total[rows]
+            k = np.rint(mean[rows]).astype(np.intp)
+            var[rows] = np.einsum("ij,ij->i", squares[k], weights) / total[rows] - (mean[rows] - k) ** 2
+        step = np.reshape(axis.step, -1)
+        with np.errstate(over="ignore"):  # an overflowing variance is the caller's to reject
+            var *= step**2
+        mean = np.reshape(axis.lo, -1) + step * mean
+        normalizer = shift + np.log(total * step)
+        if not np.all(np.abs(normalizer) < 2.0**26):
+            raise ValueError(f"log values reach {np.max(np.abs(shift)):.3g} in magnitude: past 2^26, float64 "
+                             "does not resolve the log normalizer to the 1e-8 the density is normalized to")
+        members = axis.lo.shape
+        for name, value in (("axis", axis), ("log_weights", lw), ("normalizer", _result(normalizer.reshape(members))),
+                            ("_mean", mean.reshape(members)), ("_var", var.reshape(members))):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def from_log_unnormalized(cls, x: np.ndarray, log_values: np.ndarray) -> "GridDensity":
-        """Normalize log values tabulated on ``x`` (one axis, or a stack of them) by their trapezoid-rule integral."""
+    def from_log_unnormalized(cls, x, log_values) -> "GridDensity":
+        """Normalize log values (an array, or a function as ``log_weights``) on ``x``, an axis or its nodes."""
         return cls(x, log_values)
 
     @classmethod
-    def from_gaussian(cls, g: GaussianDist, x: np.ndarray) -> "GridDensity":
-        """The one-dimensional Gaussian ``g`` tabulated on ``x``."""
-        return cls.from_log_unnormalized(x, log_density(g, np.asarray(x, dtype=float)[:, None]))
+    def from_gaussian(cls, g: GaussianDist, x) -> "GridDensity":
+        """The one-dimensional Gaussian ``g`` tabulated on ``x`` (one axis or its nodes)."""
+        return cls(x, log_density(g, GridAxis.of(x).nodes()[:, None]))
+
+    @property
+    def x(self) -> np.ndarray:
+        """The nodes, rebuilt from the axis's end points: a read-only view."""
+        return np.lib.stride_tricks.as_strided(self.axis.nodes(), writeable=False)
 
     def pdf(self) -> np.ndarray:
         """Normalized density values at the grid nodes."""
@@ -714,7 +756,7 @@ class GridDensity:
         return self.log_weights - np.asarray(self.normalizer)[..., None]
 
     def integral(self) -> float | np.ndarray:
-        return _result(_trapezoid(self.pdf(), self._step))
+        return _result(_trapezoid(self.pdf(), self.axis.step))
 
     def _spline(self) -> np.ndarray:
         # The node slopes, per unit node index, of the cubic interpolant of
@@ -723,7 +765,7 @@ class GridDensity:
         # shifts the values, so these are the normalized log density's slopes.
         slopes = getattr(self, "_slopes", None)
         if slopes is None:
-            slopes = _not_a_knot_slopes(self.log_weights.reshape(-1, self.x.shape[-1])).T
+            slopes = _not_a_knot_slopes(self.log_weights.reshape(-1, self.axis.num)).T
             object.__setattr__(self, "_slopes", slopes)
         return slopes
 
@@ -744,34 +786,28 @@ class GridDensity:
         outside its member's range.
         """
         pts = np.asarray(points, dtype=float)
-        x = self.x.reshape(-1, self.x.shape[-1])
-        total, num = x.shape
+        shape, num, total = self.log_weights.shape, self.axis.num, self.axis.lo.size
         if rows is None:
-            if pts.ndim != self.x.ndim or pts.shape[:-1] != self.x.shape[:-1]:
-                raise ValueError(f"points of shape {pts.shape} for a grid of shape {self.x.shape}")
+            if pts.ndim != len(shape) or pts.shape[:-1] != shape[:-1]:
+                raise ValueError(f"points of shape {pts.shape} for a grid of shape {shape}")
             members = np.arange(total)[:, None]
         else:
             members = np.asarray(rows, dtype=np.intp)[:, None]
             if pts.ndim != 2 or len(pts) != len(members):
                 raise ValueError(f"points of shape {pts.shape} for {len(members)} members")
-        # Only the columns that place the points, read for these members at once.
-        box = x[members, (0, 1, -1)]
-        lo, hi = box[:, :1], box[:, 2:]
-        h = box[:, 1:2] - lo
+        lo, hi, h = (np.reshape(v, -1)[members] for v in (self.axis.lo, self.axis.hi, self.axis.step))
         pts2 = pts.reshape(len(members), -1)
         if (pts2 < lo).any() or (pts2 > hi).any():
             raise ValueError("points fall outside the tabulated support")
-        # The left node of each point's interval (its offset in steps, which
-        # is not negative, truncated), and its flat index in the member-major
-        # axes and log weights and in the node-major slopes.
+        # Each point's left node (its offset in steps, not negative, truncated), its offset from that node,
+        # placed as the axis places it, and the node's flat index in the log weights and the slopes.
         node = pts2 - lo
         node /= h
         node = np.minimum(node.astype(np.intp), num - 2)
+        u = (pts2 - (node * h + lo)) / h
         i = node + num * members
         node *= total
         node += members
-        u = pts2 - np.take(x, i)
-        u /= h
         slopes = self._spline()
         # The log weights at the left node and their rise to the right one,
         # and the slopes at both.
@@ -807,29 +843,12 @@ class GridDensity:
         return value.reshape(pts.shape), grad.reshape(pts.shape), hess.reshape(pts.shape)
 
     def moments(self) -> tuple[float | np.ndarray, float | np.ndarray]:
-        """Mean and variance by trapezoid integration, a chunk of members at a time."""
-        num = self.x.shape[-1]
-        x, lw = self.x.reshape(-1, num), self.log_weights.reshape(-1, num)
-        norm, step = (np.broadcast_to(v, len(x)) for v in (self.normalizer, self._step))
-        mean, var = np.empty(len(x)), np.empty(len(x))
-        for rows in _row_chunks(*x.shape):
-            pdf = np.subtract(lw[rows], norm[rows, None])
-            np.exp(pdf, out=pdf)
-            values = x[rows] * pdf
-            mean[rows] = _trapezoid(values, step[rows])
-            # The squared deviations times the density, in the same buffer; a
-            # variance that overflows is returned as it is, for the caller to reject.
-            spread = np.subtract(x[rows], mean[rows, None], out=values)
-            with np.errstate(over="ignore", invalid="ignore"):
-                spread *= spread
-                spread *= pdf
-                var[rows] = _trapezoid(spread, step[rows])
-        shape = self.x.shape[:-1]
-        return _result(mean.reshape(shape)), _result(var.reshape(shape))
+        """Mean and variance by trapezoid integration, taken in construction's pass."""
+        return _result(self._mean.copy()), _result(self._var.copy())
 
 
 def _check_same_axis(p: GridDensity, q: GridDensity):
-    if p.x.shape != q.x.shape or (p.x is not q.x and not np.allclose(p.x, q.x, rtol=1e-12, atol=0.0)):
+    if p.axis is not q.axis and (p.x.shape != q.x.shape or not np.allclose(p.x, q.x, rtol=1e-12, atol=0.0)):
         raise ValueError("grid densities must share identical axes")
 
 
@@ -843,11 +862,11 @@ def kl_grid(p: GridDensity, q: GridDensity) -> float | np.ndarray:
     lq = q.log_pdf()
     pd = np.exp(lp)
     integrand = np.where(pd < 1e-300, 0.0, pd * (lp - lq))
-    return _result(_trapezoid(integrand, p._step))
+    return _result(_trapezoid(integrand, p.axis.step))
 
 
 def tv_grid(p: GridDensity, q: GridDensity) -> float | np.ndarray:
     """Trapezoid-rule total variation ``0.5 * integral |p - q|`` on a shared grid, per member of a stack."""
     _check_same_axis(p, q)
     diff = np.abs(p.pdf() - q.pdf())
-    return _result(0.5 * _trapezoid(diff, p._step))
+    return _result(0.5 * _trapezoid(diff, p.axis.step))

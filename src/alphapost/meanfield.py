@@ -152,7 +152,7 @@ def gmf_project_numeric(target: GridDensity, init: GaussianDist | None = None) -
         mean, var = target.moments()
         # A target narrower than one grid step is a spike that the spline does
         # not resolve, and the descent on it would overflow.
-        sd_in_steps = np.sqrt(np.ravel(var)) / np.ravel(target._step)
+        sd_in_steps = np.sqrt(np.ravel(var)) / np.ravel(target.axis.step)
         narrow = sd_in_steps < 1.0
         if np.any(narrow):
             raise ValueError(
@@ -162,7 +162,7 @@ def gmf_project_numeric(target: GridDensity, init: GaussianDist | None = None) -
         init = _diagonal(np.asarray(mean)[..., None], np.asarray(var)[..., None])
     if init.dim != 1:
         raise ValueError(f"init of dimension {init.dim} for a one-dimensional target")
-    if init.mean.shape[:-1] != target.x.shape[:-1]:
+    if init.mean.shape[:-1] != target.axis.lo.shape:
         raise ValueError("init must be one distribution for one target, or a stack of one per target member")
 
     offsets, w = _gh_rule()
@@ -170,8 +170,7 @@ def gmf_project_numeric(target: GridDensity, init: GaussianDist | None = None) -
     weights = w * offsets ** np.arange(3)[:, None]
     mu0 = init.mean.reshape(-1)
     sd0 = np.sqrt(init.cov.reshape(-1))
-    axes = target.x.reshape(-1, target.x.shape[-1])
-    lo, hi = axes[:, 0], axes[:, -1]
+    lo, hi = np.ravel(target.axis.lo), np.ravel(target.axis.hi)
 
     # Internal coordinates v = ((mu - mu0)/sd0, log(sd/sd0)) keep the descent
     # well-conditioned regardless of how concentrated the target is.

@@ -32,12 +32,12 @@ import numpy as np
 from .gaussians import (
     _LOG_SQRT_2PI,
     GaussianDist,
+    GridAxis,
     GridDensity,
     _clamp_kl,
     _ndtr,
     _positive_part_mean,
     _result,
-    _row_chunks,
     _symmetric,
     log_density,
 )
@@ -251,79 +251,63 @@ def default_grid_axis(
     alpha: float | np.ndarray,
     num: int = 2001,
     scale: float = 10.0,
-) -> np.ndarray:
-    """Default grid axis: ML estimate +- scale / sqrt(alpha n v), for the curvature ``v``.
+) -> GridAxis:
+    """Default grid axis of ``num`` nodes: ML estimate +- scale / sqrt(alpha n v), for the curvature ``v``.
 
     The half-width tracks the tempering-dependent spread of the Gaussian
     limit, so the axis covers its support for any ``alpha``.  Callers that
     run 32-node Gauss-Hermite quadrature against the grid should widen the
     box (``scale`` around 14) since the outermost nodes of a matched
     Gaussian reach past 10 standard deviations.  Estimates and ``alpha``
-    given as vectors of one value per cell give the stack of axes, of
-    shape (cells, num).
+    given as vectors of one value per cell give the stack of axes.
     """
     half_width = scale / np.sqrt(alpha * n * v)
-    lo, hi = np.asarray(theta_hat_ml - half_width), np.asarray(theta_hat_ml + half_width)
-    # np.linspace(lo, hi, num, axis=-1) node for node, but each axis
-    # contiguous, as the tabulation wants it.
-    x = np.arange(num) * ((hi - lo) / (num - 1))[..., None]
-    x += lo[..., None]
-    x[..., -1] = hi
-    return x
+    return GridAxis(theta_hat_ml - half_width, theta_hat_ml + half_width, num)
 
 
 def grid_alpha_posterior(
-    log_lik: Callable[[np.ndarray], np.ndarray],
+    log_lik: Callable[..., np.ndarray],
     log_prior: Callable[[np.ndarray], np.ndarray],
     alpha: float | Sequence[float],
-    x: np.ndarray,
+    x: GridAxis | np.ndarray,
 ) -> GridDensity:
     """Tempered posterior of a one-dimensional parameter, tabulated on the axis ``x``, or a stack of them.
 
-    ``x`` is one axis of N nodes, or a stack of k axes of shape (k, N) with
-    ``alpha`` one value or k of them, one per member.  ``log_lik`` (the
-    joint log-likelihood of the full sample, such as
-    :func:`~alphapost.regression.regression_likelihood`) and ``log_prior``
-    map the parameter points ``x[..., None]`` (shape (N, 1), or (k, N, 1))
-    to their values (shape (N,), or (k, N)); for a stack, member ``i`` is
-    row ``i``, so a likelihood stacked over k samples gives each member its
-    own sample.  The prior is one density for every member: a stack passes
-    it a chunk of consecutive members' points at a time, shape (m, N, 1)
-    to values (m, N), so that no other array of the stack's size is made.
-    Both must be re-entrant (no shared mutable state) and return a fresh
-    array; the log-likelihood's is overwritten by the tabulation and must
-    be finite on every axis.  Node weights are
-    proportional to ``exp(alpha * log_lik + log_prior)``; normalization is
-    stabilized by a log-sum-exp shift so that likelihood magnitudes growing
-    with the sample size never overflow.
+    ``x`` is a :class:`~alphapost.gaussians.GridAxis` or its nodes: one axis
+    of N nodes, or a stack of k axes with ``alpha`` one value or k of them.
+    One axis passes ``log_lik`` (the joint log-likelihood of the full
+    sample, such as :func:`~alphapost.regression.regression_likelihood`)
+    and ``log_prior`` its (N, 1) points for (N,) values.  A stack is
+    tabulated in one pass, m consecutive members at a time:
+    ``log_lik(points, rows)`` maps the (m, N, 1) points of the members
+    ``rows`` (a slice) to (m, N) values, member ``i``'s from its own sample,
+    and ``log_prior``, one density for all, maps them too.  The
+    log-likelihood must be finite.  Node weights are proportional to
+    ``exp(alpha * log_lik + log_prior)``, normalized with a log-sum-exp
+    shift, so likelihoods growing with the sample size never overflow.
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"grid posteriors take one axis or a stack of axes, got an array of dimension {x.ndim}")
-    members = len(x) if x.ndim == 2 else 1
+    axis = GridAxis.of(x)
+    members = axis.lo.size
     alpha = _tempering(alpha, members)
     # The axes fix the members, so one axis takes one alpha.
     if alpha.size not in (1, members):
         raise ValueError(f"alpha: one value, or one per axis ({members}), got {alpha.size}")
-    if x.shape[-1] < 101:
+    if axis.num < 101:
         raise ValueError("the grid axis needs at least 101 nodes")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("the grid axis must be finite")
-    pts = x[..., None]
-    ll = np.ascontiguousarray(log_lik(pts), dtype=float)
-    if ll.shape != x.shape:
-        raise ValueError(f"log-likelihood values of shape {ll.shape} for a grid of shape {x.shape}")
-    # alpha * log_lik + log_prior, in the log-likelihood's own array, a chunk
-    # of members at a time, so no other array of the stack's size is made.
-    rows_ll = ll.reshape(members, -1)
-    alpha = np.broadcast_to(alpha, members)
-    for rows in _row_chunks(*rows_ll.shape):
-        block = rows_ll[rows]
-        if not np.isfinite(block).all():
+    alpha = np.broadcast_to(alpha, members)[:, None]
+
+    def log_values(rows: slice, nodes: np.ndarray, out: np.ndarray):
+        # alpha * log_lik + log_prior, into the log weights' rows.
+        pts = nodes[..., None] if axis.lo.ndim else nodes[0, :, None]
+        ll = np.asarray(log_lik(pts, rows) if axis.lo.ndim else log_lik(pts), dtype=float)
+        if ll.shape != pts.shape[:-1]:
+            raise ValueError(f"log-likelihood values of shape {ll.shape} for a grid of shape {pts.shape[:-1]}")
+        if not np.isfinite(ll).all():
             raise ValueError("non-finite log-likelihood on a grid node")
-        block *= alpha[rows, None]
-        block += np.asarray(log_prior(pts[rows] if x.ndim == 2 else pts), dtype=float)
-    return GridDensity.from_log_unnormalized(x, ll)
+        np.multiply(ll, alpha[rows], out=out)
+        out += log_prior(pts)
+
+    return GridDensity.from_log_unnormalized(axis, log_values)
 
 
 def gaussian_bvm_limit(

@@ -51,7 +51,6 @@ __all__ = [
     "ols",
     "pseudo_true",
     "curvature",
-    "population_omega",
     "misspec_scenario",
     "regression_likelihood",
     "lan_residual_sup",
@@ -350,45 +349,45 @@ def misspec_scenario(dgp: RegressionDGP, eps: float) -> MisspecScenario:
     )
 
 
-def regression_likelihood(stats: SufficientStats, sigma_u: float) -> Callable[[np.ndarray], np.ndarray]:
+def regression_likelihood(stats: SufficientStats, sigma_u: float) -> Callable[..., np.ndarray]:
     """Batched Gaussian log-likelihood: ``Y`` on every design column, error sd ``sigma_u``.
 
     For one sample, maps an (N, k) array of coefficient points, k the
     design columns of ``stats``, to the (N,) log-likelihoods.  For a stack
-    of S samples, maps an (S, N, k) array, N points per sample, to the
-    (S, N) log-likelihoods of each sample at its own points.  Points of
-    another dimension are rejected.  The covariate marginal does not
-    involve the coefficients and is dropped.  The values are written into
-    the one array returned, a chunk of samples at a time, so the only other
-    arrays made are a chunk's size.
+    of S samples, maps (S, N, k) points, N per sample, to the (S, N) values
+    of each sample at its own points, or, given a slice ``rows`` of m
+    samples, (m, N, k) points to theirs.  Points of another dimension are
+    rejected.  The covariate marginal does not involve the coefficients and
+    is dropped.  The values are plain products written into the one array
+    returned, a chunk of samples at a time.
     """
     n, k = stats.n, stats.k
-    # One sample is a stack of one.
-    gram = stats.gram.reshape(-1, k + 1, k + 1)
-    xtx, xty, yty = gram[:, :k, :k], gram[:, :k, k], gram[:, k, k]
-    const = -0.5 * n * np.log(2.0 * np.pi * sigma_u**2)
+    # One sample is a stack of one.  The log-likelihood at t is t'(A t + b) + c, with A = -X'X / (2 sigma_u^2),
+    # b = X'y / sigma_u^2 and c = -n log(2 pi sigma_u^2) / 2 - y'y / (2 sigma_u^2).
+    gram, scale = stats.gram.reshape(-1, k + 1, k + 1), 2.0 * sigma_u**2
+    quad, lin = gram[:, :k, :k] / -scale, gram[:, :k, k] / (scale / 2.0)
+    const = -0.5 * n * np.log(2.0 * np.pi * sigma_u**2) - gram[:, k, k] / scale
 
-    def log_lik(thetas: np.ndarray) -> np.ndarray:
+    def log_lik(thetas: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float) if stats.stacked else np.atleast_2d(thetas)
         if thetas.shape[-1] != k:
             raise ValueError(f"points of dimension {thetas.shape[-1]}, but the likelihood has {k} design columns")
+        a, b, c = quad[rows], lin[rows], const[rows]
         # Each sample's points in one row of a (samples, points, k) array.
-        if stats.stacked:
-            pts = np.broadcast_to(thetas, (len(gram),) + thetas.shape[-2:])
-        else:
-            pts = thetas.reshape(1, -1, k)
+        pts = np.broadcast_to(thetas, (len(c),) + thetas.shape[-2:]) if stats.stacked else thetas.reshape(1, -1, k)
         out = np.empty(pts.shape[:-1])
-        for rows in _row_chunks(*out.shape):
-            t, block = pts[rows], out[rows]
-            quad = np.einsum("sni,sij,snj->sn", t, xtx[rows], t)
-            # const - (yty - 2 linear + quad) / (2 sigma_u^2), in place on the
-            # block: every step is that expression's own rounding.
-            np.einsum("sni,si->sn", t, xty[rows], out=block)
-            block *= -2.0
-            block += yty[rows, None]
-            block += quad
-            block /= 2.0 * sigma_u**2
-            np.subtract(const, block, out=block)
+        for chunk in _row_chunks(*out.shape):
+            t, block = pts[chunk], out[chunk]
+            # The sum over i of t_i ((A t)_i + b_i), its first term written into the block.
+            for i in range(k):
+                term = np.multiply(t[..., 0], a[chunk, i, :1], out=None if i else block)
+                for j in range(1, k):
+                    term += t[..., j] * a[chunk, i, j : j + 1]
+                term += b[chunk, i : i + 1]
+                term *= t[..., i]
+                if i:
+                    block += term
+            block += c[chunk, None]
         return out if stats.stacked else out.reshape(thetas.shape[:-1])
 
     return log_lik

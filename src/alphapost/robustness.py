@@ -35,8 +35,6 @@ from .posteriors import _require_finite, _require_positive, _sample_size, _tempe
 __all__ = [
     "MisspecScenario",
     "FiniteSampleInputs",
-    "a_n",
-    "b_n",
     "r_star",
     "r_tilde_star",
     "optimal_alpha",

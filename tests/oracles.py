@@ -10,16 +10,18 @@ objective of the Laplace-prior location model, the
 local-asymptotic-normality defect on a mesh, whose largest magnitude there
 bounds its sup from below, the regression sample as rows, which the
 library never forms, and the statistics of a sample or a stack of them
-from rows, draws from a Gaussian, which only the tests need, and the
+from rows, draws from a Gaussian, which only the tests need, the
 grid spline's slopes by a node-by-node sweep, against which the library's
-blocked sweep is checked.
+blocked sweep is checked, and three grid references: the default axis
+as an array of nodes, a grid density's moments in two passes, and the
+Gaussian log-likelihood by ``einsum``.
 """
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import norm
 
-from alphapost.gaussians import GaussianDist, kl_gaussian, log_density
+from alphapost.gaussians import GaussianDist, kl_gaussian
 from alphapost.posteriors import SufficientStats
 from alphapost.regression import curvature, ols, pseudo_true
 
@@ -98,6 +100,61 @@ def column_sweep_slopes(y):
     for j in range(num - 2, -1, -1):
         s[:, j] -= upper[j] * s[:, j + 1]
     return s
+
+
+def default_grid_nodes(theta_hat_ml, v, n, alpha, num=2001, scale=10.0):
+    """The nodes of ``default_grid_axis``'s axes, formed as an array from the estimates.
+
+    ``np.linspace(lo, hi, num, axis=-1)`` node for node, with ``lo``, ``hi``
+    the estimate -+ scale / sqrt(alpha n v): one axis, or a stack of shape
+    (cells, num), each axis contiguous.
+    """
+    half_width = scale / np.sqrt(alpha * n * v)
+    lo, hi = np.asarray(theta_hat_ml - half_width), np.asarray(theta_hat_ml + half_width)
+    x = np.arange(num) * ((hi - lo) / (num - 1))[..., None]
+    x += lo[..., None]
+    x[..., -1] = hi
+    return x
+
+
+def two_pass_moments(density):
+    """Mean and variance of a grid density, or of each member of a stack, in two trapezoid passes.
+
+    The normalized density ``exp(log_weights - normalizer)`` times ``x``,
+    then times the squared deviations from that mean, each integrated with
+    the axis's first step ``x[1] - x[0]``.
+    """
+    x = density.x
+    step = x[..., 1] - x[..., 0]
+    pdf = np.exp(density.log_weights - np.asarray(density.normalizer)[..., None])
+
+    def trapezoid(values):
+        return step * (np.sum(values, axis=-1) - (values[..., 0] + values[..., -1]) / 2.0)
+
+    mean = trapezoid(x * pdf)
+    return mean, trapezoid((x - mean[..., None]) ** 2 * pdf)
+
+
+def einsum_likelihood(stats, sigma_u):
+    """The Gaussian log-likelihood of ``regression_likelihood`` by ``np.einsum``, from the sufficient statistics.
+
+    ``const - (y'y - 2 t'X'y + t'X'X t) / (2 sigma_u^2)`` for every point
+    ``t``: one sample maps (N, k) points to (N,) values, a stack of S maps
+    (S, N, k) points to (S, N) values.
+    """
+    k = stats.k
+    gram = stats.gram.reshape(-1, k + 1, k + 1)
+    xtx, xty, yty = gram[:, :k, :k], gram[:, :k, k], gram[:, k, k]
+    const = -0.5 * stats.n * np.log(2.0 * np.pi * sigma_u**2)
+
+    def log_lik(thetas):
+        t = np.asarray(thetas, dtype=float) if stats.stacked else np.atleast_2d(thetas).reshape(1, -1, k)
+        t = np.broadcast_to(t, (len(gram),) + t.shape[-2:])
+        quad = np.einsum("sni,sij,snj->sn", t, xtx, t)
+        values = const - (yty[:, None] - 2.0 * np.einsum("sni,si->sn", t, xty) + quad) / (2.0 * sigma_u**2)
+        return values if stats.stacked else values.reshape(np.atleast_2d(thetas).shape[:-1])
+
+    return log_lik
 
 
 def lan_terms(stats, dgp):
@@ -179,23 +236,36 @@ def tv_tensor_quadrature(p, q, nodes_per_axis):
 
     Integrates ``0.5 |p - q|`` over a box of +-8 pooled standard deviations
     with ``nodes_per_axis`` nodes per axis (``nodes_per_axis^dim`` in all);
-    the tail mass outside the box is below 1e-14.  The mesh is visited 200
-    first-axis nodes at a time, so memory stays small.
+    the tail mass outside the box is below 1e-14.  Each log density is its
+    quadratic form in the offsets of the axis values from its mean, so no
+    mesh of points is formed, and the mesh is visited a block of first-axis
+    nodes (2^18 values) at a time, so memory stays small.
     """
     sd = np.sqrt(np.maximum(np.diag(p.cov), np.diag(q.cov)))
     lo = np.minimum(p.mean, q.mean) - 8.0 * sd
     hi = np.maximum(p.mean, q.mean) + 8.0 * sd
     axes = [np.linspace(lo[j], hi[j], nodes_per_axis) for j in range(p.dim)]
     weights = [trapezoid_weights(ax) for ax in axes]
+
+    def block_density(g, first):
+        # g's density on the mesh of the first axis's nodes ``first`` and the
+        # other axis, if any: exp(norm - (u, v) Sigma^-1 (u, v)' / 2).
+        prec = np.linalg.inv(g.cov)
+        norm = -0.5 * (g.dim * np.log(2.0 * np.pi) + np.linalg.slogdet(g.cov)[1])
+        u = (first - g.mean[0])[:, None]
+        if g.dim == 1:
+            quad = prec[0, 0] * u[:, 0] ** 2
+        else:
+            v = axes[1] - g.mean[1]
+            quad = (prec[0, 0] * u + 2.0 * prec[0, 1] * v) * u + prec[1, 1] * v**2
+        return np.exp(norm - 0.5 * quad)
+
     total = 0.0
-    for start in range(0, nodes_per_axis, 200):
-        rows = slice(start, start + 200)
-        mesh = mesh_points([axes[0][rows], *axes[1:]])
-        w = weights[0][rows]
-        for wk in weights[1:]:
-            w = np.multiply.outer(w, wk)
-        diff = np.abs(np.exp(log_density(p, mesh)) - np.exp(log_density(q, mesh)))
-        total += float(w.ravel() @ diff)
+    size = max(1, 2**18 // nodes_per_axis ** (p.dim - 1))
+    for start in range(0, nodes_per_axis, size):
+        rows = slice(start, start + size)
+        diff = np.abs(block_density(p, axes[0][rows]) - block_density(q, axes[0][rows]))
+        total += float(weights[0][rows] @ (diff @ weights[1] if p.dim == 2 else diff))
     return 0.5 * total
 
 

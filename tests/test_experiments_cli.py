@@ -270,7 +270,7 @@ class TestExperimentOutputs:
         tabulate = experiments.grid_alpha_posterior
 
         def spy(log_lik, log_prior, alpha, x):
-            sizes.append(np.size(x))
+            sizes.append(x.lo.size * x.num)
             return tabulate(log_lik, log_prior, alpha, x)
 
         monkeypatch.setattr(experiments, "grid_alpha_posterior", spy)
@@ -648,6 +648,9 @@ class TestCLI:
                     # Narrower than one grid step, but the grid posterior is finite.
                     "prior_scale = 1e-4",
                     "noise_sd = 1e10",
+                    # The log prior reaches 1e48 on the box, beyond what the
+                    # grid's normalizer resolves.
+                    "noise_sd = 1e50",
                 )
             ],
         ],

@@ -12,6 +12,7 @@ from alphapost.gaussians import (
     _ndtr,
     _outer_pieces,
     _tv_frame,
+    GridAxis,
     GridDensity,
     hellinger_sq_gaussian,
     kl_gaussian,
@@ -31,6 +32,7 @@ from oracles import (
     trapezoid_weights,
     tv_equal_variance,
     tv_tensor_quadrature,
+    two_pass_moments,
 )
 
 
@@ -510,21 +512,74 @@ class TestGridDensity:
         assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * np.max(np.abs(want))
 
     def test_moments_of_a_stack_hold_one_chunk_at_a_time(self):
-        # Beside the stack's own arrays, its moments take at most one
-        # stack-sized array plus one chunk.
+        # The moments are taken in the pass that normalizes the log weights:
+        # beside them, that pass holds a few chunk-sized arrays (the shifted
+        # weights, the squared offsets from each member's mean node, numpy's
+        # ufunc buffers), never one of the stack's size, and the moments cost
+        # nothing afterwards.
         import tracemalloc
 
-        x = np.linspace(np.linspace(-5.0, -4.0, 64), np.linspace(5.0, 6.0, 64), 2001, axis=-1)
-        stack = GridDensity.from_log_unnormalized(x, -0.5 * x**2)
-        stack_bytes, chunk_bytes = x.nbytes, 8 * gaussians._ROW_CHUNK
-        assert chunk_bytes < stack_bytes / 4
+        axis = GridAxis(np.linspace(-5.0, -4.0, 160), np.linspace(5.0, 6.0, 160), 2001)
+        log_weights = -0.5 * axis.nodes() ** 2
+        stack_bytes, chunk_bytes = log_weights.nbytes, 8 * gaussians._ROW_CHUNK
+        assert 4 * chunk_bytes < stack_bytes / 2
         tracemalloc.start()
         try:
-            stack.moments()
+            stack = GridDensity(axis, log_weights)
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            stack.moments()
+            _, moments_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < stack_bytes + chunk_bytes
+        # The moments are two copies of 160 values.
+        assert peak < 4 * chunk_bytes and moments_peak - held < 4096
+
+    @pytest.mark.parametrize("members", [1, 3, 40])
+    def test_one_pass_moments_match_the_two_pass_oracle(self, members):
+        # Random-walk log densities with a kink on random axes, a single
+        # density among them: mean and variance within 1e-12 relative.
+        rng = np.random.default_rng(members)
+        centre = rng.choice([-1.0, 1.0], size=members) * rng.uniform(1.0, 3.0, size=members)
+        half = rng.uniform(2.0, 5.0, size=(2, members))
+        axis = GridAxis(centre - half[0], centre + half[1], 301)
+        x = axis.nodes()
+        y = 0.05 * np.cumsum(rng.normal(size=x.shape), axis=-1) - np.abs(x - centre[:, None]) - 0.5 * x**2
+        densities = [GridDensity(axis, y)] + ([GridDensity(axis[0], y[0])] if members == 1 else [])
+        for density in densities:
+            want_mean, want_var = two_pass_moments(density)
+            mean, var = density.moments()
+            assert_allclose(mean, want_mean, rtol=1e-12, atol=0.0)
+            assert_allclose(var, want_var, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("offset", [1e20, -1e20, 2.0**27])
+    def test_log_weights_the_normalizer_cannot_resolve_are_rejected(self, offset):
+        # Past 2^26 in magnitude float64's spacing exceeds 1e-8, so the log
+        # normalizer would not hold the integral to 1 within 1e-8; at 1e20 it
+        # would not even register log(mass).
+        x = np.linspace(-5.0, 5.0, 501)
+        message = r"reach .* in magnitude: past 2\^26, float64 does not resolve the log normalizer"
+        with pytest.raises(ValueError, match=message):
+            GridDensity.from_log_unnormalized(x, offset - 0.5 * x**2)
+        just_inside = GridDensity.from_log_unnormalized(x, 2.0**25 - 0.5 * x**2)
+        assert abs(just_inside.integral() - 1.0) < 1e-8
+
+    @pytest.mark.parametrize(
+        "lo, hi, num, message",
+        [
+            (0.0, np.inf, 11, "^the grid axis must be finite$"),
+            (np.nan, 1.0, 11, "^the grid axis must be finite$"),
+            (-1e308, 1e308, 11, "^the grid axis must be finite$"),
+            (1.0, 1.0, 11, "^the axis must be strictly increasing$"),
+            ([0.0, 2.0], [1.0, 1.0], 11, "^the axis must be strictly increasing$"),
+            (0.0, 1.0, 3, "^the grid is one axis of at least four nodes"),
+            ([0.0, 1.0], [1.0], 11, "^the grid is one axis of at least four nodes"),
+        ],
+    )
+    def test_axis_end_points_are_checked(self, lo, hi, num, message):
+        with pytest.raises(ValueError, match=message):
+            GridAxis(lo, hi, num)
 
     def test_stack_members_match_single_densities(self):
         x = np.linspace([-3.0, 0.0], [4.0, 1.0], 201, axis=-1)

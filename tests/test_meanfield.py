@@ -196,8 +196,9 @@ class TestNumericProjection:
 
     def test_one_laplace_stack_keeps_few_stack_sized_arrays(self):
         # Tabulating and projecting one stack of (rep x alpha) cells holds at
-        # most three (cells x nodes) arrays at once: the axes, the log weights
-        # and the spline's slopes (the log prior's values, while tabulating).
+        # most two (cells x nodes) arrays at once: the log weights and the
+        # spline's slopes.  The axes keep only their end points, and the
+        # tabulation's nodes, likelihood and prior values are a chunk's size.
         import tracemalloc
 
         from alphapost.experiments import laplace_log_prior
@@ -216,7 +217,7 @@ class TestNumericProjection:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * stack_bytes
+        assert peak < 2.5 * stack_bytes
 
     def test_a_member_that_does_not_converge_fails_the_stack(self, monkeypatch):
         # Two standard normal targets: one start at the target, one away from

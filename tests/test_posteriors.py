@@ -17,7 +17,7 @@ from alphapost.posteriors import (
 )
 from alphapost.regression import RegressionDGP, derived_seed, ols, regression_likelihood, simulate
 
-from oracles import sample_stats, stack_stats, tv_equal_variance
+from oracles import default_grid_nodes, sample_stats, stack_stats, tv_equal_variance
 
 
 def collinear_design(n=200):
@@ -260,13 +260,35 @@ class TestGridAlphaPosterior:
             assert stack.normalizer[i] == single.normalizer
 
     def test_default_axes_are_linspace_nodes_each_contiguous(self):
+        # The axes keep only their end points; the nodes rebuilt from them are
+        # np.linspace's and the oracle's array of nodes, bit for bit.
         theta_hat, alpha = np.array([0.3, -1.2, 4.0]), np.array([0.25, 1.0, 0.5])
         axes = default_grid_axis(theta_hat, 2.0, 50, alpha, 301, scale=14.0)
         half = 14.0 / np.sqrt(alpha * 50 * 2.0)
-        assert np.array_equal(axes, np.linspace(theta_hat - half, theta_hat + half, 301, axis=-1))
-        assert axes.flags.c_contiguous
+        nodes = axes.nodes()
+        assert np.array_equal(nodes, np.linspace(theta_hat - half, theta_hat + half, 301, axis=-1))
+        assert np.array_equal(nodes, default_grid_nodes(theta_hat, 2.0, 50, alpha, 301, scale=14.0))
+        assert nodes.flags.c_contiguous
+        assert np.array_equal(axes.nodes(slice(1, 3)), nodes[1:3]) and np.array_equal(axes[2].nodes(), nodes[2])
         half = 10.0 / np.sqrt(0.25 * 50 * 2.0)
-        assert np.array_equal(default_grid_axis(0.3, 2.0, 50, 0.25, 301), np.linspace(0.3 - half, 0.3 + half, 301))
+        single = default_grid_axis(0.3, 2.0, 50, 0.25, 301)
+        assert np.array_equal(single.nodes(), np.linspace(0.3 - half, 0.3 + half, 301))
+        assert np.array_equal(single.nodes(), default_grid_nodes(0.3, 2.0, 50, 0.25, 301))
+
+    @pytest.mark.parametrize("num", [101, 2001, 40001])
+    def test_rebuilt_nodes_match_the_array_oracle_bit_for_bit(self, num):
+        # Random estimates, curvatures, sample sizes and alphas: the nodes a
+        # grid posterior rebuilds from (lo, hi, num) are the oracle's array
+        # of nodes, bit for bit.
+        rng = np.random.default_rng(num)
+        theta_hat, alpha = rng.normal(scale=5.0, size=40), rng.uniform(0.01, 2.0, size=40)
+        v, n = float(rng.uniform(0.1, 10.0)), int(rng.integers(5, 10**5))
+        want = default_grid_nodes(theta_hat, v, n, alpha, num, scale=14.0)
+        axes = default_grid_axis(theta_hat, v, n, alpha, num, scale=14.0)
+        assert np.array_equal(axes.nodes(), want)
+        flat = lambda pts: 0.0 * pts[..., 0]
+        post = grid_alpha_posterior(lambda pts, rows: -0.5 * pts[..., 0] ** 2, flat, alpha, axes)
+        assert np.array_equal(post.x, want) and not post.x.flags.writeable
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -275,7 +297,7 @@ class TestGridAlphaPosterior:
             ("too few nodes", "the grid axis needs at least 101 nodes"),
             ("non-finite log-likelihood", "non-finite log-likelihood on a grid node"),
             ("non-uniform axis", "the axis must be uniformly spaced"),
-            ("decreasing axis", "grid weights underflow; the box is misplaced"),
+            ("decreasing axis", "the axis must be strictly increasing"),
         ],
     )
     def test_one_bad_member_rejects_the_stack(self, fault, message):
@@ -284,7 +306,7 @@ class TestGridAlphaPosterior:
         rng = np.random.default_rng(9)
         samples = [sample_stats(np.ones(40), rng.normal(0.3, 1.0, 40)) for _ in range(3)]
         alpha = np.array([0.25, 1.0, 0.5])
-        axes = default_grid_axis(np.array([ols(s)[0] for s in samples]), 1.0, 40, alpha, 301)
+        axes = default_grid_axis(np.array([ols(s)[0] for s in samples]), 1.0, 40, alpha, 301).nodes()
         stacked = regression_likelihood(stack_stats(samples), 1.0)
         log_lik = stacked
         if fault == "non-finite axis":
@@ -292,7 +314,7 @@ class TestGridAlphaPosterior:
         elif fault == "too few nodes":
             axes = axes[:, :100]
         elif fault == "non-finite log-likelihood":
-            log_lik = lambda pts: stacked(pts) * np.array([[1.0], [np.nan], [1.0]])
+            log_lik = lambda pts, rows: stacked(pts, rows) * np.array([[1.0], [np.nan], [1.0]])[rows]
         elif fault == "non-uniform axis":
             axes[1, 150] += 0.25 * (axes[1, 1] - axes[1, 0])
         else:
@@ -358,9 +380,9 @@ class TestMeanDriftBound:
 class TestDefaultGridAxes:
     def test_half_width_tracks_alpha_n_and_curvature(self):
         x = default_grid_axis(0.0, 4.0, 100, 1.0, num=101)
-        assert_allclose(x[-1], 10.0 / np.sqrt(400.0), rtol=1e-12)
+        assert_allclose(x.hi, 10.0 / np.sqrt(400.0), rtol=1e-12)
         wide = default_grid_axis(0.0, 4.0, 100, 0.25, num=101)
-        assert_allclose(wide[-1], 2.0 * x[-1], rtol=1e-12)
+        assert_allclose(wide.hi, 2.0 * x.hi, rtol=1e-12)
 
 
 class TestLaplaceLocationDivergences:

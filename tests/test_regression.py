@@ -32,6 +32,7 @@ from alphapost.regression import (
 from alphapost.robustness import FiniteSampleInputs, a_n, optimal_alpha, r_infinity, r_star
 
 from oracles import (
+    einsum_likelihood,
     lan_mesh_sup,
     lan_residual,
     lan_terms,
@@ -689,6 +690,31 @@ class TestRegressionLikelihood:
                 resid = y - design @ theta
                 direct = -0.5 * y.size * np.log(2 * np.pi * sd**2) - resid @ resid / (2 * sd**2)
                 assert_allclose(lik(theta[None, :])[0], direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_products_match_the_einsum_oracle(self, k):
+        # One sample and a stack of five, at points around each sample's
+        # estimate: the plain products within 1e-12 relative of einsum's.
+        rng = np.random.default_rng(k)
+        singles = [sample_stats(rng.normal(size=(80, k)), rng.normal(2.0, 3.0, size=80)) for _ in range(5)]
+        stack = stack_stats(singles)
+        pts = ols(stack)[:, None, :] + rng.normal(scale=0.5, size=(5, 300, k))
+        for sd in (1.0, 3.5):
+            assert_allclose(regression_likelihood(stack, sd)(pts), einsum_likelihood(stack, sd)(pts), rtol=1e-12)
+            single = regression_likelihood(singles[2], sd)
+            assert_allclose(single(pts[2]), einsum_likelihood(singles[2], sd)(pts[2]), rtol=1e-12)
+            assert_allclose(single(pts[2, 0]), einsum_likelihood(singles[2], sd)(pts[2, 0]), rtol=1e-12)
+
+    def test_rows_of_a_stack_are_the_rows_of_its_full_evaluation(self):
+        # A slice of samples, at their own points, gives those rows of a full
+        # evaluation bit for bit; points shared by every sample broadcast.
+        rng = np.random.default_rng(8)
+        stack = stack_stats([sample_stats(np.ones(50), rng.normal(size=50)) for _ in range(6)])
+        pts = rng.normal(size=(6, 40, 1))
+        lik = regression_likelihood(stack, 1.0)
+        full = lik(pts)
+        assert np.array_equal(lik(pts[1:4], slice(1, 4)), full[1:4])
+        assert np.array_equal(lik(pts[0], slice(2, 5)), lik(np.broadcast_to(pts[0], (6, 40, 1)))[2:5])
 
 
 def design(p):
