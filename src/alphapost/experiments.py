@@ -69,7 +69,7 @@ from .regression import (
     assumption2_terms,
     concentration_markov_bound,
     curvature,
-    derived_seed,
+    derived_seeds,
     failure_case_hellinger,
     lan_residual_sup,
     misspec_scenario,
@@ -364,9 +364,9 @@ def _replications(cfg: ExperimentConfig, dgp: RegressionDGP, n: int, reps: int) 
     """The stacked statistics of replications ``0 .. reps - 1`` at ``n``.
 
     Each sample is drawn from its ``(seed, n, rep)`` stream straight into
-    its statistics.
+    its statistics; the streams' seeds are derived in one pass.
     """
-    return simulate_stats(dgp, n, [derived_seed(cfg.seed, n, rep) for rep in range(reps)])
+    return simulate_stats(dgp, n, derived_seeds(cfg.seed, n, replications=reps))
 
 
 def _cells(reps: int, alphas) -> tuple[np.ndarray, np.ndarray]:
@@ -397,13 +397,11 @@ def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
     """
     ones = np.ones((n, 1))
 
-    def gram_of(seed: int) -> np.ndarray:
-        x = np.random.default_rng(seed).standard_normal(n)
-        return _block_gram(ones, cfg.theta_true + cfg.noise_sd * x)
+    def gram_of(rng: np.random.Generator) -> np.ndarray:
+        return _block_gram(ones, cfg.theta_true + cfg.noise_sd * rng.standard_normal(n))
 
-    seeds = [derived_seed(cfg.seed, n, rep) for rep in range(cfg.replications)]
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = _gram_stack(seeds, 2, n, gram_of)
+        gram = _gram_stack(derived_seeds(cfg.seed, n, replications=cfg.replications), 2, n, gram_of)
     if not np.all(np.isfinite(gram)):
         raise ValueError(f"theta_true, noise_sd: the Gram matrix of a sample of n = {n} is not finite")
     return SufficientStats(n, gram)

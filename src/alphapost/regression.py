@@ -14,6 +14,9 @@ stack of replications of one size ``n``, and the stacked routines return
 one value per replication.  :func:`simulate_stats` draws a stack of them
 straight from the replications' seeds through the one Gram routine, and
 :func:`simulate` draws one seed's; no sample is ever formed.
+:func:`derived_seeds` derives a stack's seeds from a master seed and key,
+and numpy's ``SeedSequence`` hash runs on arrays, one pass for every
+member, so each stream is numpy's own.
 :func:`regression_likelihood` is the library's one Gaussian log-likelihood;
 the location model is the regression on one constant column.
 
@@ -28,7 +31,9 @@ posterior) next to its constant-tempering control.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -46,6 +51,7 @@ from .robustness import MisspecScenario
 __all__ = [
     "RegressionDGP",
     "derived_seed",
+    "derived_seeds",
     "simulate",
     "simulate_stats",
     "ols",
@@ -70,19 +76,155 @@ _LAN_BOX = 3.0  # lan_residual_sup's box is [-_LAN_BOX, _LAN_BOX]^p
 
 # Samples of fewer standard normals per seed are drawn on the calling thread
 # alone: below this block size starting the worker threads costs more than
-# they save.  On 2 vCPUs with one BLAS thread, 100 seeds of 3 x 500 normals
-# took 3.7 ms serially and 4.5 ms on two threads, 3 x 683 took 4.7 and 4.2 ms.
-_THREAD_MIN_NORMALS = 2048
+# they save.  On 2 vCPUs with one BLAS thread, simulate_stats on 100 seeds
+# (medians of 41 calls, three runs) took 3.2-3.6 ms serially and 3.2-3.5 ms
+# on two threads at 3 x 525 normals, 3.4-4.3 and 3.2-3.7 ms at 3 x 575.
+_THREAD_MIN_NORMALS = 1600
+
+
+# numpy's SeedSequence (numpy.random.bit_generator), which derives every
+# stream here, on arrays of 32-bit words: its pool size, its two hash
+# constants and multipliers, and its mix multipliers and shift.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+_WORD = 2**32
+
+
+def _words(value: int) -> list[int]:
+    # A nonnegative integer's 32-bit words, least significant first (0 is one word).
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value % _WORD]
+    while value >= _WORD:
+        value //= _WORD
+        words.append(value % _WORD)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    # The hash constant before each of count hashes and after the last, as a (count + 1, 1) column.
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult % _WORD)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    # SeedSequence's hash of values (R,) or (m, R) under consts[:-1] and consts[1:],
+    # one row per constant: uint32 arrays wrap around without a warning.
+    out = values ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # SeedSequence's mix of pool words x with hashed words y, elementwise.
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence`` of each column of ``entropy`` (L, R) ``uint32`` words: its ``generate_state(n_words)``.
+
+    Column ``r`` is the entropy a ``SeedSequence`` assembles from its
+    arguments, and row ``i`` of the (n_words, R) result is word ``i`` of that
+    sequence's state.  The pool is filled, mixed and hashed out for every
+    member at once.
+    """
+    length, members = entropy.shape
+    extra = max(length - _POOL, 0)
+    hashes = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + extra))
+    first = np.zeros((_POOL, members), dtype=np.uint32)
+    first[: min(length, _POOL)] = entropy[:_POOL]
+    pool = _hash(first, hashes[: _POOL + 1])
+    k = _POOL
+    # Each word mixed into every other, so that late words reach early ones,
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], hashes[k : k + _POOL]))
+        k += _POOL - 1
+    # then each remaining entropy word into every pool word.
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hash(word, hashes[k : k + _POOL + 1]))
+        k += _POOL
+    return _hash(pool[np.arange(n_words) % _POOL], _hash_constants(_INIT_B, _MULT_B, n_words))
+
+
+def _derived(master_seed: int, key: Sequence[int], reps: int | None) -> np.ndarray:
+    # The uint32 seeds SeedSequence(entropy=master_seed, spawn_key=key + (rep,)).generate_state(1)
+    # for rep < reps, or, with reps None, the one of spawn_key=key.
+    rows = _words(master_seed)
+    if key or reps is not None:
+        rows += [0] * (_POOL - len(rows))  # a spawn key pads the entropy to the pool size
+    for part in key:
+        rows += _words(part)
+    entropy = np.array(rows, dtype=np.uint32)[:, None]
+    if reps is not None:
+        entropy = np.vstack([np.repeat(entropy, reps, axis=1), np.arange(reps, dtype=np.uint32)[None]])
+    return _seed_state(entropy, 1)[0]
 
 
 def derived_seed(master_seed: int, *key: int) -> int:
     """Deterministic per-replication seed derived from a master seed and index key.
 
     Replications seeded this way are independent streams, and results do not
-    depend on the order in which they run.
+    depend on the order in which they run.  It is numpy's
+    ``SeedSequence(entropy=master_seed, spawn_key=key).generate_state(1)[0]``;
+    a negative master seed or key raises ``ValueError``.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1)[0])
+    return int(_derived(master_seed, key, None)[0])
+
+
+def derived_seeds(master_seed: int, *key: int, replications: int) -> np.ndarray:
+    """The ``uint32`` seeds ``derived_seed(master_seed, *key, rep)`` for ``rep < replications``, in one pass.
+
+    More than ``2^32 - 1`` replications raises ``ValueError`` naming
+    ``replications``.
+    """
+    if not 0 <= replications < _WORD:
+        raise ValueError(f"replications: must lie in [0, {_WORD - 1}], got {replications}")
+    return _derived(master_seed, key, replications)
+
+
+def _stream_words(seeds: Sequence[int]) -> np.ndarray:
+    """PCG64's seed words for ``np.random.default_rng(seed)`` of every seed, as an (R, 4) ``uint64`` array.
+
+    A seed's entropy is its 32-bit words alone; the seeds of one word count
+    are hashed in one pass.
+    """
+    state = np.empty((8, len(seeds)), dtype=np.uint32)
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32:
+        state[:] = _seed_state(seeds[None], 8)
+    else:
+        words = [_words(seed) for seed in seeds]
+        for length in set(map(len, words)):
+            members = [i for i, w in enumerate(words) if len(w) == length]
+            state[:, members] = _seed_state(np.array([words[i] for i in members], dtype=np.uint32).T, 8)
+    # Word pairs read little-endian, as numpy reads them.
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _generator_of() -> Callable[[np.ndarray], np.random.Generator]:
+    # A stream's Generator built from its PCG64 seed words: PCG64 asks its
+    # seed sequence for four uint64 words, and gets the derived ones unhashed.
+    # Built at the first draw: numpy.random is not imported with the package.
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
 
 
 def _finite_square(name: str, value: float) -> np.float64:
@@ -194,11 +336,11 @@ class RegressionDGP:
         return self.gamma0.size
 
 
-def _standard_block(dgp: RegressionDGP, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    # The seed's stream read once: an (n, p + d) array of standard normal
+def _standard_block(dgp: RegressionDGP, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    # A seed's stream read once: an (n, p + d) array of standard normal
     # covariates, row-major, then n standard normal errors.
     kn = (dgp.p + dgp.d) * n
-    block = np.random.default_rng(seed).standard_normal(kn + n)
+    block = rng.standard_normal(kn + n)
     return block[:kn].reshape(n, dgp.p + dgp.d), block[kn:]
 
 
@@ -213,19 +355,24 @@ def _draw_workers(normals: int) -> int:
         return os.cpu_count() or 1
 
 
-def _gram_stack(seeds: Sequence[int], size: int, normals: int, gram_of: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The (R, size, size) stack whose member ``i`` is ``gram_of(seeds[i])``.
+def _gram_stack(
+    seeds: Sequence[int], size: int, normals: int, gram_of: Callable[[np.random.Generator], np.ndarray]
+) -> np.ndarray:
+    """The (R, size, size) stack whose member ``i`` is ``gram_of(np.random.default_rng(seeds[i]))``.
 
     ``gram_of`` draws ``normals`` standard normals from a seed's stream and
     reduces them to their Gram matrix, in numpy calls that release the
-    interpreter lock.  The seeds are split into ``_draw_workers(normals)``
-    contiguous slices, at most one per seed: the caller fills the first and
-    one thread each of the others, so one raw block per thread is alive and
-    every member comes from the same code for any thread count.  Each thread
-    runs in a copy of the caller's context, where the caller's
-    ``np.errstate`` holds.  Once every thread has joined, the exception of
-    the first slice that failed is raised.
+    interpreter lock.  Every seed's PCG64 seed words are derived in one pass
+    first, and each member's ``Generator`` is built from its words.  The
+    seeds are split into ``_draw_workers(normals)`` contiguous slices, at
+    most one per seed: the caller fills the first and one thread each of
+    the others, so one raw block per thread is alive and every member comes
+    from the same code for any thread count.  Each thread runs in a copy of
+    the caller's context, where the caller's ``np.errstate`` holds.  Once
+    every thread has joined, the exception of the first slice that failed is
+    raised.
     """
+    streams, generator = _stream_words(seeds), _generator_of()
     grams = np.empty((len(seeds), size, size))
     workers = min(_draw_workers(normals), len(seeds))
     bounds = [len(seeds) * w // workers for w in range(workers + 1)]
@@ -234,7 +381,7 @@ def _gram_stack(seeds: Sequence[int], size: int, normals: int, gram_of: Callable
     def fill(w: int) -> None:
         try:
             for i in range(bounds[w], bounds[w + 1]):
-                grams[i] = gram_of(seeds[i])
+                grams[i] = gram_of(generator(streams[i]))
         except Exception as err:  # MemoryError included; the caller raises it
             errors[w] = err
 
@@ -268,22 +415,25 @@ def simulate_stats(dgp: RegressionDGP, n: int, seeds: Sequence[int]) -> Sufficie
     """The stacked statistics of one sample of size ``n`` per seed, without forming the samples.
 
     Member ``i`` is ``simulate(dgp, n, seeds[i])``: up to rounding, the
-    Gram matrix of the rows ``[W, Z, Y]`` that the seed's stream gives, its
-    ``n (p + d)`` standard normal covariates first, row-major, then its ``n``
-    standard normal errors.  Each seed's standard normals ``[N, e]`` are
-    reduced to their Gram matrix ``G`` as soon as they are drawn, by the
-    library's one blockwise Gram routine; the stack maps to ``M' G M`` by one
-    congruence, since ``[W, Z, Y] = [N, e] M``.  The seeds are drawn on
-    every CPU in the process's affinity once a sample has 2,048 standard
-    normals, with one raw block per thread alive; the result is bit-identical
-    for any thread count.
+    Gram matrix of the rows ``[W, Z, Y]`` that the stream of
+    ``np.random.default_rng(seeds[i])`` gives, its ``n (p + d)`` standard
+    normal covariates first, row-major, then its ``n`` standard normal
+    errors.  The seeds, nonnegative integers such as those of
+    :func:`derived_seeds`, are hashed into their streams in one pass.  Each
+    seed's standard normals ``[N, e]`` are reduced to their Gram matrix ``G``
+    as soon as they are drawn, by the library's one blockwise Gram routine;
+    the stack maps to ``M' G M`` by one congruence, since
+    ``[W, Z, Y] = [N, e] M``.  The seeds are drawn on every CPU in the
+    process's affinity once a sample has 1,600 standard normals, with one
+    raw block per thread alive; the result is bit-identical for any thread
+    count.
     """
     if len(seeds) == 0:
         raise ValueError("seeds must name at least one sample")
     k = dgp.p + dgp.d
     if n < k:
         raise ValueError("n must be at least p + d")
-    grams = _gram_stack(seeds, k + 1, (k + 1) * n, lambda seed: _block_gram(*_standard_block(dgp, n, seed)))
+    grams = _gram_stack(seeds, k + 1, (k + 1) * n, lambda rng: _block_gram(*_standard_block(dgp, n, rng)))
     m = dgp._stats_map
     with np.errstate(over="ignore", invalid="ignore"):
         gram = m.T @ grams @ m

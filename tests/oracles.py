@@ -14,7 +14,8 @@ from rows, draws from a Gaussian, which only the tests need, the
 grid spline's slopes by a node-by-node sweep, against which the library's
 blocked sweep is checked, and three grid references: the default axis
 as an array of nodes, a grid density's moments in two passes, and the
-Gaussian log-likelihood by ``einsum``.
+Gaussian log-likelihood by ``einsum``, and numpy's own ``SeedSequence``,
+which the library's seed derivation reproduces on arrays.
 """
 
 import numpy as np
@@ -35,6 +36,11 @@ def mesh_points(axes):
     """
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def seed_sequence_seed(master_seed, *key):
+    """``derived_seed(master_seed, *key)`` by numpy: the first word of the spawned ``SeedSequence``'s state."""
+    return int(np.random.SeedSequence(entropy=master_seed, spawn_key=key).generate_state(1)[0])
 
 
 def simulate_rows(dgp, n, seed):

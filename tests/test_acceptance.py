@@ -38,6 +38,7 @@ from alphapost.regression import (
     concentration_markov_bound,
     curvature,
     derived_seed,
+    derived_seeds,
     failure_case_hellinger,
     lan_residual_sup,
     misspec_scenario,
@@ -45,6 +46,7 @@ from alphapost.regression import (
     pseudo_true,
     regression_likelihood,
     simulate,
+    simulate_stats,
     true_posterior_theta,
 )
 from alphapost.robustness import (
@@ -277,16 +279,12 @@ def test_criterion_7_regression_verification_suite(capsys):
 
         # Concentration: the second-moment bound with radius log(n) decays
         # like 1/log(n)^2, so medians fall monotonically and shrink several
-        # fold across three decades of n.
+        # fold across three decades of n.  Each n's replications are one stack.
         markov_medians = []
         for n in (100, 1000, 10**4, 10**5):
-            vals = []
-            for rep in range(reps):
-                w = simulate(dgp, n, derived_seed(710, n, rep)).first_columns(dgp.p)
-                post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
-                vals.append(
-                    concentration_markov_bound(post.mean, post.cov, theta_star, np.log(n), n)
-                )
+            w = simulate_stats(dgp, n, derived_seeds(710, n, replications=reps)).first_columns(dgp.p)
+            post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
+            vals = concentration_markov_bound(post.mean, post.cov, theta_star, np.log(n), n)
             markov_medians.append(float(np.median(vals)))
         assert all(a > b for a, b in zip(markov_medians, markov_medians[1:])), markov_medians
         assert markov_medians[-1] < markov_medians[0] / 4.0, markov_medians
@@ -295,13 +293,10 @@ def test_criterion_7_regression_verification_suite(capsys):
         # Gaussian limit has median below 0.01 by n = 5000.
         kl_medians = []
         for n in (50, 200, 1000, 5000):
-            vals = []
-            for rep in range(reps):
-                w = simulate(dgp, n, derived_seed(720, n, rep)).first_columns(dgp.p)
-                post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
-                lim = gaussian_bvm_limit(ols(w), v, n, alpha)
-                vals.append(kl_gaussian(post, lim))
-            kl_medians.append(float(np.median(vals)))
+            w = simulate_stats(dgp, n, derived_seeds(720, n, replications=reps)).first_columns(dgp.p)
+            post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
+            lim = gaussian_bvm_limit(ols(w), v, n, alpha)
+            kl_medians.append(float(np.median(kl_gaussian(post, lim))))
         assert all(a > b for a, b in zip(kl_medians, kl_medians[1:])), kl_medians
         assert kl_medians[-1] < 0.01, kl_medians
 
@@ -321,49 +316,38 @@ def test_criterion_7_regression_verification_suite(capsys):
         # Prior and local-normality defects decay with n.
         defect_medians = []
         for n in (100, 1000, 10**4):
-            rows = []
-            for rep in range(reps):
-                w = simulate(dgp, n, derived_seed(740, n, rep)).first_columns(dgp.p)
-                post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
-                prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, w)
-                rows.append([abs(prior_term), abs(lan_term), lan_residual_sup(w, dgp)])
+            w = simulate_stats(dgp, n, derived_seeds(740, n, replications=reps)).first_columns(dgp.p)
+            post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
+            prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, w)
+            rows = np.column_stack([np.abs(prior_term), np.abs(lan_term), lan_residual_sup(w, dgp)])
             defect_medians.append(np.median(rows, axis=0))
         defect_medians = np.array(defect_medians)
         assert np.all(defect_medians[1] < defect_medians[0]), defect_medians
         assert np.all(defect_medians[2] < defect_medians[1]), defect_medians
 
-        # Surrogate fidelity at n = 5000 and the location of the exact argmin.
+        # Surrogate fidelity at n = 5000 and the location of the exact argmin,
+        # the alpha grid evaluated in one stacked call per replication.
         n = 5000
         eps = 1.0
         eps_n = eps / n
         scenario = misspec_scenario(dgp, eps)
         alpha_grid = np.round(np.arange(0.40, 1.4001, 0.01), 10)
-        gaps = {a: [] for a in (0.25, 0.5, 0.75, 1.0)}
-        exact_curves = []
         full_prior = ConjugatePrior(np.zeros(2), np.eye(2))
-        for rep in range(reps):
-            stats = simulate(dgp, n, derived_seed(760, n, rep))
-            w = stats.first_columns(dgp.p)
-            fin = FiniteSampleInputs(ols(w), ols(stats)[:1], n, eps_n)
-            true_post, _ = true_posterior_theta(stats, full_prior, dgp.sigma_eps, dgp.p)
-            std_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
-            for a in gaps:
-                alpha_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, a)
-                exact = exact_expected_kl(true_post, alpha_post, std_post, eps_n)
-                gaps[a].append(abs(exact - r_star(a, scenario, fin)))
-            exact_curves.append(
-                [
-                    exact_expected_kl(
-                        true_post,
-                        conjugate_alpha_posterior(w, prior, dgp.sigma_u, a),
-                        std_post,
-                        eps_n,
-                    )
-                    for a in alpha_grid
-                ]
+        stats = simulate_stats(dgp, n, derived_seeds(760, n, replications=reps))
+        w = stats.first_columns(dgp.p)
+        fin = FiniteSampleInputs(ols(w), ols(stats)[:, :1], n, eps_n)
+        true_post, _ = true_posterior_theta(stats, full_prior, dgp.sigma_eps, dgp.p)
+        std_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, 1.0)
+        for a in (0.25, 0.5, 0.75, 1.0):
+            alpha_post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, a)
+            gaps = np.abs(exact_expected_kl(true_post, alpha_post, std_post, eps_n) - r_star(a, scenario, fin))
+            assert np.median(gaps) < 0.02, (a, float(np.median(gaps)))
+        exact_curves = [
+            exact_expected_kl(
+                true_post[rep], conjugate_alpha_posterior(w[rep], prior, dgp.sigma_u, alpha_grid), std_post[rep], eps_n
             )
-        for a, vals in gaps.items():
-            assert np.median(vals) < 0.02, (a, float(np.median(vals)))
+            for rep in range(reps)
+        ]
         median_curve = np.median(np.array(exact_curves), axis=0)
         exact_argmin = float(alpha_grid[int(np.argmin(median_curve))])
         assert abs(exact_argmin - limit_alpha_star(scenario)) < 0.05, exact_argmin

@@ -723,10 +723,10 @@ class TestCLI:
     def test_out_of_memory_in_a_draw_worker_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
         real_block = regression._standard_block
 
-        def block(dgp, n, seed):
+        def block(dgp, n, rng):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("Unable to allocate 6.00 GiB")
-            return real_block(dgp, n, seed)
+            return real_block(dgp, n, rng)
 
         monkeypatch.setattr(regression, "_standard_block", block)
         monkeypatch.setattr(regression, "_draw_workers", lambda normals: 2)
@@ -762,6 +762,12 @@ class TestCLI:
         code = "import sys, alphapost.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_defers_numpy_random(self):
+        # numpy loads numpy.random on first use, and the package's first draw is the first use.
+        code = "import sys, alphapost.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_closed_form_run_imports_no_scipy(self, tmp_path):
         # p = 1 surrogate-fidelity needs only the KL closed forms, and p = 1

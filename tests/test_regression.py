@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from alphapost import regression
@@ -17,6 +19,7 @@ from alphapost.regression import (
     concentration_markov_bound,
     curvature,
     derived_seed,
+    derived_seeds,
     failure_case_hellinger,
     lan_residual_sup,
     misspec_scenario,
@@ -38,6 +41,7 @@ from oracles import (
     lan_terms,
     normal_tail_two_sided,
     sample_stats,
+    seed_sequence_seed,
     simulate_rows,
     stack_stats,
 )
@@ -91,6 +95,59 @@ class TestRegressionDGP:
         assert toy_dgp(sigma_u=1e-154).sigma_u == 1e-154
         with pytest.raises(ValueError, match="^sigma_eps, gamma0: the derived sigma_u .* is too small"):
             toy_dgp(gamma0=[0.0], sigma_eps=1e-160)
+
+
+# Masters and keys of one, two and several 32-bit words.
+MASTERS = (0, 1, 2**31 - 2, 2**32, 2**40 + 5, 2**64 + 3, 2**128, 2**130 + 7)
+KEYS = ((), (7,), (2**32,), (200, 0), (2**33 + 1,), (5, 2**40, 3))
+
+
+class TestDerivedSeeds:
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_seeds_are_numpys(self, master):
+        for key in KEYS:
+            assert derived_seed(master, *key) == seed_sequence_seed(master, *key), key
+            seeds = derived_seeds(master, *key, replications=40)
+            assert seeds.dtype == np.uint32
+            assert seeds.tolist() == [seed_sequence_seed(master, *key, rep) for rep in range(40)], key
+            assert [derived_seed(master, *key, rep) for rep in (0, 39)] == seeds[[0, -1]].tolist()
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(
+        st.integers(0, 2**140),
+        st.lists(st.integers(0, 2**70), max_size=3),
+        st.integers(0, 6),
+    )
+    def test_any_master_and_key_give_numpys_seeds(self, master, key, replications):
+        assert derived_seed(master, *key) == seed_sequence_seed(master, *key)
+        seeds = derived_seeds(master, *key, replications=replications)
+        assert seeds.tolist() == [seed_sequence_seed(master, *key, rep) for rep in range(replications)]
+
+    def test_streams_are_numpys(self):
+        # The derived seeds come as one uint32 array, other seeds as integers of any word count.
+        for seeds in (derived_seeds(3, 200, replications=60), [0, 5, 2**32 - 1, 2**32, 2**64 + 3, 2**100, 6]):
+            streams, generator = regression._stream_words(seeds), regression._generator_of()
+            assert streams.shape == (len(seeds), 4)
+            for words, seed in zip(streams, seeds):
+                expected = np.random.default_rng(seed).standard_normal(1000)
+                assert np.array_equal(generator(words).standard_normal(1000), expected), seed
+
+    def test_negative_master_or_key_is_refused_as_numpy_does(self):
+        for master, key in ((-1, ()), (-1, (5,)), (3, (-5,)), (3, (5, -1))):
+            with pytest.raises(ValueError):
+                seed_sequence_seed(master, *key)
+            with pytest.raises(ValueError, match="non-negative"):
+                derived_seed(master, *key)
+            with pytest.raises(ValueError, match="non-negative"):
+                derived_seeds(master, *key, replications=3)
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate(toy_dgp(), 10, -1)
+
+    def test_refuses_more_replications_than_one_key_word_holds(self):
+        for replications in (2**32, 2**40, -1):
+            with pytest.raises(ValueError, match=r"^replications: must lie in \[0, 4294967295\]"):
+                derived_seeds(0, 5, replications=replications)
+        assert derived_seeds(0, 5, replications=0).shape == (0,)
 
 
 class TestSimulate:
@@ -174,9 +231,9 @@ class TestSimulateStats:
     def test_any_worker_count_gives_the_same_stack(self, monkeypatch, workers):
         real_block, threads = regression._standard_block, set()
 
-        def block(dgp, n, seed):
+        def block(dgp, n, rng):
             threads.add(threading.current_thread())
-            return real_block(dgp, n, seed)
+            return real_block(dgp, n, rng)
 
         cases = [(p, d, n) for p, d in ((1, 1), (2, 1)) for n in (p + d, 1000, 10**4)]
         seeds = [derived_seed(12, rep) for rep in range(7)]
