@@ -77,9 +77,11 @@ _LAN_BOX = 3.0  # lan_residual_sup's box is [-_LAN_BOX, _LAN_BOX]^p
 # Samples of fewer standard normals per seed are drawn on the calling thread
 # alone: below this block size starting the worker threads costs more than
 # they save.  On 2 vCPUs with one BLAS thread, simulate_stats on 100 seeds
-# (medians of 41 calls, three runs) took 3.2-3.6 ms serially and 3.2-3.5 ms
-# on two threads at 3 x 525 normals, 3.4-4.3 and 3.2-3.7 ms at 3 x 575.
-_THREAD_MIN_NORMALS = 1600
+# (medians of 41 calls, three runs) took 3.4-4.6 ms serially and 3.1-3.5 ms
+# on two threads at 3 x 550 normals, 3.4-4.7 and 3.0-3.4 ms at 3 x 575, the
+# serial path faster in one run of each, and 3.5-4.0 and 3.2-3.3 ms at
+# 3 x 600, where two threads won every run.
+_THREAD_MIN_NORMALS = 1800
 
 
 # numpy's SeedSequence (numpy.random.bit_generator), which derives every
@@ -103,12 +105,16 @@ def _words(value: int) -> list[int]:
     return words
 
 
+@functools.cache
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    # The hash constant before each of count hashes and after the last, as a (count + 1, 1) column.
+    # The hash constant before each of count hashes and after the last, as a
+    # read-only (count + 1, 1) column, cached: a scalar derived_seed needs it too.
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult % _WORD)
-    return np.array(consts, dtype=np.uint32)[:, None]
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -198,13 +204,10 @@ def _stream_words(seeds: Sequence[int]) -> np.ndarray:
     are hashed in one pass.
     """
     state = np.empty((8, len(seeds)), dtype=np.uint32)
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32:
-        state[:] = _seed_state(seeds[None], 8)
-    else:
-        words = [_words(seed) for seed in seeds]
-        for length in set(map(len, words)):
-            members = [i for i, w in enumerate(words) if len(w) == length]
-            state[:, members] = _seed_state(np.array([words[i] for i in members], dtype=np.uint32).T, 8)
+    words = [_words(seed) for seed in seeds]
+    for length in set(map(len, words)):
+        members = [i for i, w in enumerate(words) if len(w) == length]
+        state[:, members] = _seed_state(np.array([words[i] for i in members], dtype=np.uint32).T, 8)
     # Word pairs read little-endian, as numpy reads them.
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
@@ -424,7 +427,7 @@ def simulate_stats(dgp: RegressionDGP, n: int, seeds: Sequence[int]) -> Sufficie
     as soon as they are drawn, by the library's one blockwise Gram routine;
     the stack maps to ``M' G M`` by one congruence, since
     ``[W, Z, Y] = [N, e] M``.  The seeds are drawn on every CPU in the
-    process's affinity once a sample has 1,600 standard normals, with one
+    process's affinity once a sample has 1,800 standard normals, with one
     raw block per thread alive; the result is bit-identical for any thread
     count.
     """
