@@ -9,6 +9,7 @@ import numpy as np
 
 from alphapost import (
     GaussianDist,
+    GridAxis,
     GridDensity,
     hellinger_sq_gaussian,
     kl_gaussian,
@@ -43,7 +44,7 @@ print("Pinsker check: TV <= sqrt(KL / 2):", tv <= np.sqrt(kl_gaussian(p, r) / 2)
 
 # The same distances on tabulated densities.  Gridding a Gaussian and
 # comparing against the closed form is the library's basic consistency check.
-x = np.linspace(-10, 10, 4001)
+x = GridAxis(-10.0, 10.0, 4001)
 gp = GridDensity.from_gaussian(p, x)
 gq = GridDensity.from_gaussian(q, x)
 print("grid KL vs closed form:", abs(kl_grid(gp, gq) - kl_gaussian(p, q)))

@@ -12,6 +12,7 @@ import numpy as np
 from alphapost import (
     ConjugatePrior,
     GaussianDist,
+    GridAxis,
     GridDensity,
     RegressionDGP,
     conjugate_alpha_posterior,
@@ -29,7 +30,7 @@ print("projected variances:      ", np.diag(proj.cov), " (understated: 1.5 < 2)"
 
 # Numeric projection of a one-dimensional target tabulated on a grid.
 line = GaussianDist(1.0, 2.0)
-numeric = gmf_project_numeric(GridDensity.from_gaussian(line, np.linspace(-20, 22, 4001)))
+numeric = gmf_project_numeric(GridDensity.from_gaussian(line, GridAxis(-20.0, 22.0, 4001)))
 print("numeric projection gap:   ", abs(numeric.cov[0, 0] - gmf_project_gaussian(line).cov[0, 0]))
 
 # The mean-field limit of a tempered posterior inverts only diag(V), so its

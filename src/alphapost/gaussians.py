@@ -31,6 +31,7 @@ All functions are pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -146,10 +147,6 @@ class GaussianDist:
         """Lower-triangular Cholesky factor of the covariance."""
         return self._chol
 
-    def half_log_det(self) -> float | np.ndarray:
-        """log |cov| / 2, from the Cholesky diagonal."""
-        return _result(_half_log_det(self._chol))
-
 
 def _require_single(*dists):
     # For routines that take one distribution (Gaussian or mean-field), not a stack.
@@ -171,7 +168,7 @@ def log_density(g: GaussianDist, x: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"point dimension {pts.shape[1]} does not match distribution dimension {g.dim}")
     y = np.linalg.solve(g.chol, (pts - g.mean).T)
     quad = np.einsum("ij,ij->j", y, y)
-    out = -0.5 * (g.dim * np.log(2.0 * np.pi) + quad) - g.half_log_det()
+    out = -0.5 * (g.dim * np.log(2.0 * np.pi) + quad) - _half_log_det(g.chol)
     return float(out[0]) if single else out
 
 
@@ -624,14 +621,26 @@ def _not_a_knot_slopes(y: np.ndarray) -> np.ndarray:
     return s.T
 
 
+def _require_axis(axis) -> GridAxis:
+    # The one entry rule of the grid layer: its axes are GridAxis objects.
+    if not isinstance(axis, GridAxis):
+        raise TypeError(f"the grid axis must be a GridAxis, not {type(axis).__name__}")
+    return axis
+
+
 class GridAxis:
     """A uniform axis of ``num`` nodes from ``lo`` to ``hi``, or a stack of them (``lo``, ``hi`` of shape (k,)).
 
-    Only the end points are stored; :meth:`nodes` places the nodes as ``np.linspace`` does, bit for bit.  Ends
-    not finite, a step ``(hi - lo) / (num - 1)`` not positive and finite, or under 4 nodes raise ``ValueError``.
+    Only the end points are stored; :meth:`nodes` places the nodes as ``np.linspace`` does, bit for bit.  A
+    ``num`` that is not an integer, ends not finite, a step ``(hi - lo) / (num - 1)`` not positive and finite,
+    or under 4 nodes raise ``ValueError``.
     """
 
     def __init__(self, lo: float | np.ndarray, hi: float | np.ndarray, num: int):
+        try:
+            num = operator.index(num)
+        except TypeError:
+            raise ValueError(f"the grid's num must be an integer, got {num!r}") from None
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if lo.ndim > 1 or lo.shape != hi.shape or num < 4:
             raise ValueError("the grid is one axis of at least four nodes, or a stack of such axes")
@@ -641,23 +650,7 @@ class GridAxis:
             raise ValueError("the grid axis must be finite")
         if not np.all(step > 0.0):
             raise ValueError("the axis must be strictly increasing")
-        self.lo, self.hi, self.num, self.step = lo, hi, int(num), step
-
-    @classmethod
-    def of(cls, x) -> "GridAxis":
-        """``x`` if it is an axis, else the axis of the nodes ``x``: finite, increasing, steps within 1e-9 relative."""
-        if isinstance(x, cls):
-            return x
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        axis = cls(x[..., 0], x[..., -1], x.shape[-1])
-        if not np.all(np.isfinite(x)):
-            raise ValueError("the grid axis must be finite")
-        steps = np.diff(x, axis=-1)
-        if not np.all(steps > 0.0):
-            raise ValueError("the axis must be strictly increasing")
-        if not np.all(np.abs(steps - steps[..., :1]) <= 1e-9 * steps[..., :1]):
-            raise ValueError("the axis must be uniformly spaced")
-        return axis
+        self.lo, self.hi, self.num, self.step = lo, hi, num, step
 
     def __getitem__(self, index) -> "GridAxis":
         return GridAxis(self.lo[index], self.hi[index], self.num)
@@ -675,10 +668,10 @@ class GridAxis:
 class GridDensity:
     """A normalized density tabulated on a uniform axis, or a stack of them.
 
-    ``axis`` is a :class:`GridAxis` (or its nodes, checked once) and
-    ``log_weights`` the log unnormalized density at its nodes: an array, or
-    a function ``log_weights(rows, nodes, out)`` writing the members ``rows``
-    (a slice) at their (m, N) ``nodes`` into ``out``.  One pass over chunks
+    ``axis`` is a :class:`GridAxis` and ``log_weights`` the log
+    unnormalized density at its nodes: an array, or a function
+    ``log_weights(rows, nodes, out)`` writing the members ``rows`` (a
+    slice) at their (m, N) ``nodes`` into ``out``.  One pass over chunks
     of members fills them and takes the moments and ``normalizer``, the log
     trapezoid-rule integral, stabilized by a log-sum-exp shift: the density
     ``exp(log_weights - normalizer)`` integrates to 1 within 1e-8, and a
@@ -692,7 +685,7 @@ class GridDensity:
     normalizer: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        axis, fill = GridAxis.of(self.axis), self.log_weights if callable(self.log_weights) else None
+        axis, fill = _require_axis(self.axis), self.log_weights if callable(self.log_weights) else None
         shape = axis.lo.shape + (axis.num,)
         lw = np.empty(shape) if fill is not None else np.ascontiguousarray(self.log_weights, dtype=float)
         if lw.shape != shape:
@@ -732,19 +725,14 @@ class GridDensity:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_log_unnormalized(cls, x, log_values) -> "GridDensity":
-        """Normalize log values (an array, or a function as ``log_weights``) on ``x``, an axis or its nodes."""
-        return cls(x, log_values)
+    def from_log_unnormalized(cls, axis: GridAxis, log_values) -> "GridDensity":
+        """Normalize log values (an array, or a function as ``log_weights``) on ``axis``."""
+        return cls(axis, log_values)
 
     @classmethod
-    def from_gaussian(cls, g: GaussianDist, x) -> "GridDensity":
-        """The one-dimensional Gaussian ``g`` tabulated on ``x`` (one axis or its nodes)."""
-        return cls(x, log_density(g, GridAxis.of(x).nodes()[:, None]))
-
-    @property
-    def x(self) -> np.ndarray:
-        """The nodes, rebuilt from the axis's end points: a read-only view."""
-        return np.lib.stride_tricks.as_strided(self.axis.nodes(), writeable=False)
+    def from_gaussian(cls, g: GaussianDist, axis: GridAxis) -> "GridDensity":
+        """The one-dimensional Gaussian ``g`` tabulated on one ``axis``."""
+        return cls(axis, log_density(g, _require_axis(axis).nodes()[:, None]))
 
     def pdf(self) -> np.ndarray:
         """Normalized density values at the grid nodes."""
@@ -754,9 +742,6 @@ class GridDensity:
     def log_pdf(self) -> np.ndarray:
         """Normalized log density values at the grid nodes."""
         return self.log_weights - np.asarray(self.normalizer)[..., None]
-
-    def integral(self) -> float | np.ndarray:
-        return _result(_trapezoid(self.pdf(), self.axis.step))
 
     def _spline(self) -> np.ndarray:
         # The node slopes, per unit node index, of the cubic interpolant of
@@ -848,7 +833,8 @@ class GridDensity:
 
 
 def _check_same_axis(p: GridDensity, q: GridDensity):
-    if p.axis is not q.axis and (p.x.shape != q.x.shape or not np.allclose(p.x, q.x, rtol=1e-12, atol=0.0)):
+    a, b = p.axis, q.axis
+    if a.num != b.num or not (np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)):
         raise ValueError("grid densities must share identical axes")
 
 

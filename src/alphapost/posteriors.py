@@ -37,6 +37,7 @@ from .gaussians import (
     _clamp_kl,
     _ndtr,
     _positive_part_mean,
+    _require_axis,
     _result,
     _symmetric,
     log_density,
@@ -118,10 +119,6 @@ class SufficientStats:
     @property
     def xty(self) -> np.ndarray:
         return self.gram[..., : self.k, self.k]
-
-    @property
-    def yty(self) -> float | np.ndarray:
-        return self.gram[..., self.k, self.k]
 
     def first_columns(self, k: int) -> "SufficientStats":
         """The statistics of the regression of ``Y`` on the first ``k`` design columns only."""
@@ -269,15 +266,15 @@ def grid_alpha_posterior(
     log_lik: Callable[..., np.ndarray],
     log_prior: Callable[[np.ndarray], np.ndarray],
     alpha: float | Sequence[float],
-    x: GridAxis | np.ndarray,
+    x: GridAxis,
 ) -> GridDensity:
     """Tempered posterior of a one-dimensional parameter, tabulated on the axis ``x``, or a stack of them.
 
-    ``x`` is a :class:`~alphapost.gaussians.GridAxis` or its nodes: one axis
-    of N nodes, or a stack of k axes with ``alpha`` one value or k of them.
-    One axis passes ``log_lik`` (the joint log-likelihood of the full
-    sample, such as :func:`~alphapost.regression.regression_likelihood`)
-    and ``log_prior`` its (N, 1) points for (N,) values.  A stack is
+    ``x`` is a :class:`~alphapost.gaussians.GridAxis`: one axis of N
+    nodes, or a stack of k axes with ``alpha`` one value or k of them.  One
+    axis passes ``log_lik`` (the joint log-likelihood of the full sample,
+    such as :func:`~alphapost.regression.regression_likelihood`) and
+    ``log_prior`` its (N, 1) points for (N,) values.  A stack is
     tabulated in one pass, m consecutive members at a time:
     ``log_lik(points, rows)`` maps the (m, N, 1) points of the members
     ``rows`` (a slice) to (m, N) values, member ``i``'s from its own sample,
@@ -286,7 +283,7 @@ def grid_alpha_posterior(
     ``exp(alpha * log_lik + log_prior)``, normalized with a log-sum-exp
     shift, so likelihoods growing with the sample size never overflow.
     """
-    axis = GridAxis.of(x)
+    axis = _require_axis(x)
     members = axis.lo.size
     alpha = _tempering(alpha, members)
     # The axes fix the members, so one axis takes one alpha.

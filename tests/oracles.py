@@ -10,9 +10,10 @@ objective of the Laplace-prior location model, the
 local-asymptotic-normality defect on a mesh, whose largest magnitude there
 bounds its sup from below, the regression sample as rows, which the
 library never forms, and the statistics of a sample or a stack of them
-from rows, draws from a Gaussian, which only the tests need, the
-grid spline's slopes by a node-by-node sweep, against which the library's
-blocked sweep is checked, and three grid references: the default axis
+from rows, draws from a Gaussian and its log density for Monte Carlo
+estimates, which only the tests need, the grid spline's slopes by a
+node-by-node sweep, against which the library's blocked sweep is
+checked, and three grid references: the default axis
 as an array of nodes, a grid density's moments in two passes, and the
 Gaussian log-likelihood by ``einsum``, and numpy's own ``SeedSequence``,
 which the library's seed derivation reproduces on arrays.
@@ -80,6 +81,25 @@ def gaussian_draws(g, rng, size):
     return g.mean + rng.standard_normal((size, g.dim)) @ np.linalg.cholesky(g.cov).T
 
 
+def gaussian_log_density(g):
+    """The log density of the single Gaussian ``g`` as a function of (N, dim) points, for Monte Carlo estimates.
+
+    The quadratic form through the inverse of the covariance's Cholesky
+    factor, which is formed once per distribution: a product per batch of
+    points where ``log_density`` solves against the factor.
+    """
+    assert not g.stacked
+    chol = np.linalg.cholesky(g.cov)
+    inv_chol_t = np.linalg.inv(chol).T
+    const = -0.5 * g.dim * np.log(2.0 * np.pi) - np.sum(np.log(np.diag(chol)))
+
+    def log_p(x):
+        y = (x - g.mean) @ inv_chol_t
+        return const - 0.5 * np.einsum("ij,ij->i", y, y)
+
+    return log_p
+
+
 def column_sweep_slopes(y):
     """Node slopes, per unit node index, of the not-a-knot cubic spline through each row of ``y`` (members, num).
 
@@ -130,7 +150,7 @@ def two_pass_moments(density):
     then times the squared deviations from that mean, each integrated with
     the axis's first step ``x[1] - x[0]``.
     """
-    x = density.x
+    x = density.axis.nodes()
     step = x[..., 1] - x[..., 0]
     pdf = np.exp(density.log_weights - np.asarray(density.normalizer)[..., None])
 

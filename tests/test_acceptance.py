@@ -62,6 +62,7 @@ from alphapost.robustness import (
 
 from oracles import (
     gaussian_draws,
+    gaussian_log_density,
     golden_min,
     mc_kl,
     mc_tv,
@@ -103,9 +104,7 @@ def test_criterion_1_divergence_kernel(capsys):
         # Monte Carlo oracle for the KL closed form (10^6 draws, 3 SE).
         p = GaussianDist(0.0, 1.0)
         for q in (GaussianDist(0.0, 2.0), GaussianDist(1.0, 1.0)):
-            est, se = mc_kl(
-                partial(gaussian_draws, p), lambda x: log_density(p, x), lambda x, q=q: log_density(q, x), 10**6, rng
-            )
+            est, se = mc_kl(partial(gaussian_draws, p), gaussian_log_density(p), gaussian_log_density(q), 10**6, rng)
             assert abs(kl_gaussian(p, q) - est) < 3 * se
         # 1-d quadrature oracle for the squared Hellinger distance.
         for q in (GaussianDist(0.0, 2.0), GaussianDist(3.0, 1.0)):
@@ -125,9 +124,7 @@ def test_criterion_1_divergence_kernel(capsys):
             a, b = GaussianDist(m1, c1), GaussianDist(m2, c2)
             kl = kl_gaussian(a, b)
             assert kl >= 0.0
-            mc, se = mc_tv(
-                partial(gaussian_draws, a), lambda x: log_density(a, x), lambda x: log_density(b, x), 20_000, rng
-            )
+            mc, se = mc_tv(partial(gaussian_draws, a), gaussian_log_density(a), gaussian_log_density(b), 20_000, rng)
             assert mc <= np.sqrt(kl / 2.0) + 3.0 * se
             assert hellinger_sq_gaussian(a, b) <= mc + 3.0 * se
 

@@ -95,7 +95,6 @@ class TestStacks:
         stack = GaussianDist([[0.0], [1.0], [2.0]], [[[1.0]], [[2.0]], [[3.0]]])
         assert stack.stacked and stack.dim == 1
         assert stack.mean.shape == (3, 1) and stack.chol.shape == (3, 1, 1)
-        assert_allclose(stack.half_log_det(), 0.5 * np.log([1.0, 2.0, 3.0]))
         member = stack[1]
         assert not member.stacked
         assert_allclose(member.mean, [1.0])
@@ -396,53 +395,61 @@ class TestTVGaussian:
 
 class TestGridDensity:
     def test_normalization_invariant(self):
-        x = np.linspace(-8, 8, 1001)
-        g = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), x)
-        assert abs(g.integral() - 1.0) < 1e-8
+        axis = GridAxis(-8.0, 8.0, 1001)
+        g = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), axis)
+        assert abs(trapezoid_weights(axis.nodes()) @ g.pdf() - 1.0) < 1e-8
 
     def test_large_log_weights_are_stabilized(self):
-        x = np.linspace(-5, 5, 501)
-        big = GridDensity.from_log_unnormalized(x, 5000.0 - 0.5 * x**2)
-        assert abs(big.integral() - 1.0) < 1e-8
+        axis = GridAxis(-5.0, 5.0, 501)
+        x = axis.nodes()
+        big = GridDensity.from_log_unnormalized(axis, 5000.0 - 0.5 * x**2)
+        assert abs(trapezoid_weights(x) @ big.pdf() - 1.0) < 1e-8
 
     def test_rejects_non_finite_log_weights(self):
-        x = np.linspace(-1, 1, 11)
         with pytest.raises(ValueError, match="finite"):
-            GridDensity.from_log_unnormalized(x, np.full(11, -np.inf))
-
-    def test_rejects_non_uniform_axis(self):
-        x = np.array([0.0, 0.1, 0.3, 0.6])
-        with pytest.raises(ValueError, match="uniform"):
-            GridDensity(x, np.zeros(4))
+            GridDensity.from_log_unnormalized(GridAxis(-1.0, 1.0, 11), np.full(11, -np.inf))
 
     @pytest.mark.parametrize(
         "x, log_weights, message",
         [
-            (np.linspace(0.0, 1.0, 11), np.zeros(10), r"^log values of shape \(10,\) for a grid of shape \(11,\)$"),
-            (np.linspace(0.0, 1.0, 3), np.zeros(3), "^the grid is one axis of at least four nodes"),
-            (np.zeros((2, 2, 5)), np.zeros((2, 2, 5)), "^the grid is one axis of at least four nodes"),
-            # The first step is positive, a later one negative.
-            (np.array([0.0, 1.0, 2.0, 1.5, 3.0]), np.zeros(5), "^the axis must be strictly increasing$"),
+            ((0.0, 1.0, 11), np.zeros(10), r"^log values of shape \(10,\) for a grid of shape \(11,\)$"),
+            ((0.0, 1.0, 3), np.zeros(3), "^the grid is one axis of at least four nodes"),
         ],
     )
     def test_rejects_a_malformed_grid(self, x, log_weights, message):
+        # x holds the axis's (lo, hi, num).
         with pytest.raises(ValueError, match=message):
-            GridDensity(x, log_weights)
+            GridDensity(GridAxis(*x), log_weights)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: GridDensity(x, np.zeros(x.shape)),
+            lambda x: GridDensity.from_log_unnormalized(x, np.zeros(x.shape)),
+            lambda x: GridDensity.from_gaussian(GaussianDist(0.0, 1.0), x),
+        ],
+        ids=["constructor", "from_log_unnormalized", "from_gaussian"],
+    )
+    def test_node_arrays_are_refused(self, build):
+        # The grid layer takes a GridAxis only, never an array of its nodes.
+        for nodes in (np.linspace(0.0, 1.0, 11), np.linspace([0.0, 1.0], [1.0, 2.0], 11, axis=-1)):
+            with pytest.raises(TypeError, match="^the grid axis must be a GridAxis, not ndarray$"):
+                build(nodes)
 
     def test_constructor_and_classmethod_agree(self):
         # One construction path: the normalizer is computed, never passed.
-        for x in (np.linspace(-4.0, 5.0, 101), np.linspace([-4.0, 0.0], [5.0, 1.0], 101, axis=-1)):
+        for axis in (GridAxis(-4.0, 5.0, 101), GridAxis([-4.0, 0.0], [5.0, 1.0], 101)):
+            x = axis.nodes()
             lw = -np.abs(x - 0.4) - x**2
-            built, normalized = GridDensity(x, lw), GridDensity.from_log_unnormalized(x, lw)
+            built, normalized = GridDensity(axis, lw), GridDensity.from_log_unnormalized(axis, lw)
             assert np.array_equal(built.normalizer, normalized.normalizer)
             assert np.array_equal(built.log_pdf(), normalized.log_pdf())
             assert np.array_equal(built.moments(), normalized.moments())
         with pytest.raises(TypeError):
-            GridDensity(x, lw, 0.0)
+            GridDensity(axis, lw, 0.0)
 
     def test_moments_match_source(self):
-        x = np.linspace(-9, 11, 2001)
-        g = GridDensity.from_gaussian(GaussianDist(1.0, 2.0), x)
+        g = GridDensity.from_gaussian(GaussianDist(1.0, 2.0), GridAxis(-9.0, 11.0, 2001))
         mean, var = g.moments()
         assert_allclose(mean, 1.0, atol=1e-9)
         assert_allclose(var, 2.0, atol=1e-8)
@@ -450,7 +457,7 @@ class TestGridDensity:
     def test_gaussian_log_density_derivatives(self):
         # The log density of N(m, s2) has derivative -(x - m)/s2 and second derivative -1/s2.
         m, s2 = 0.5, 2.0
-        grid = GridDensity.from_gaussian(GaussianDist(m, s2), np.linspace(m - 12.0, m + 12.0, 4001))
+        grid = GridDensity.from_gaussian(GaussianDist(m, s2), GridAxis(m - 12.0, m + 12.0, 4001))
         pts = m + np.random.default_rng(4).uniform(-3.0, 3.0, size=20)
         vals, grads, hess = grid.log_pdf_and_grad_at(pts)
         assert grads.shape == hess.shape == pts.shape
@@ -467,14 +474,15 @@ class TestGridDensity:
 
         rng = np.random.default_rng(11)
         centre, half = rng.normal(size=rows), rng.uniform(0.5, 3.0, size=rows)
-        x = np.linspace(centre - half, centre + half, 301, axis=-1)
+        axis = GridAxis(centre - half, centre + half, 301)
+        x = axis.nodes()
         y = 0.1 * np.cumsum(rng.normal(size=x.shape), axis=-1) - x**2
         y[0] = -3.0 * np.abs(x[0] - centre[0] - 0.123) - x[0] ** 2
         pts = rng.uniform(x[:, :1], x[:, -1:], size=(rows, 40))
         pts[:, :3] = x[:, [0, -1, 17]]
-        grid = GridDensity.from_log_unnormalized(x, y)
+        grid = GridDensity.from_log_unnormalized(axis, y)
         if rows == 1:
-            grid, pts = GridDensity.from_log_unnormalized(x[0], y[0]), pts[0]
+            grid, pts = GridDensity.from_log_unnormalized(axis[0], y[0]), pts[0]
         got = grid.log_pdf_and_grad_at(pts)
         for i in range(rows):
             spline = CubicSpline(x[i], np.atleast_2d(grid.log_pdf())[i])
@@ -558,12 +566,13 @@ class TestGridDensity:
         # Past 2^26 in magnitude float64's spacing exceeds 1e-8, so the log
         # normalizer would not hold the integral to 1 within 1e-8; at 1e20 it
         # would not even register log(mass).
-        x = np.linspace(-5.0, 5.0, 501)
+        axis = GridAxis(-5.0, 5.0, 501)
+        x = axis.nodes()
         message = r"reach .* in magnitude: past 2\^26, float64 does not resolve the log normalizer"
         with pytest.raises(ValueError, match=message):
-            GridDensity.from_log_unnormalized(x, offset - 0.5 * x**2)
-        just_inside = GridDensity.from_log_unnormalized(x, 2.0**25 - 0.5 * x**2)
-        assert abs(just_inside.integral() - 1.0) < 1e-8
+            GridDensity.from_log_unnormalized(axis, offset - 0.5 * x**2)
+        just_inside = GridDensity.from_log_unnormalized(axis, 2.0**25 - 0.5 * x**2)
+        assert abs(trapezoid_weights(x) @ just_inside.pdf() - 1.0) < 1e-8
 
     @pytest.mark.parametrize(
         "lo, hi, num, message",
@@ -575,6 +584,8 @@ class TestGridDensity:
             ([0.0, 2.0], [1.0, 1.0], 11, "^the axis must be strictly increasing$"),
             (0.0, 1.0, 3, "^the grid is one axis of at least four nodes"),
             ([0.0, 1.0], [1.0], 11, "^the grid is one axis of at least four nodes"),
+            (0.0, 1.0, 4.7, "^the grid's num must be an integer, got 4.7$"),
+            (0.0, 1.0, 5.0, "^the grid's num must be an integer, got 5.0$"),
         ],
     )
     def test_axis_end_points_are_checked(self, lo, hi, num, message):
@@ -582,18 +593,19 @@ class TestGridDensity:
             GridAxis(lo, hi, num)
 
     def test_stack_members_match_single_densities(self):
-        x = np.linspace([-3.0, 0.0], [4.0, 1.0], 201, axis=-1)
-        stack = GridDensity.from_log_unnormalized(x, -np.abs(x - 0.4) - x**2)
+        axis = GridAxis([-3.0, 0.0], [4.0, 1.0], 201)
+        x = axis.nodes()
+        stack = GridDensity.from_log_unnormalized(axis, -np.abs(x - 0.4) - x**2)
         assert stack.normalizer.shape == (2,)
         pts = np.linspace(x[:, 3], x[:, -4], 9, axis=-1)
-        other = GridDensity.from_log_unnormalized(x, -0.5 * x**2)
+        other = GridDensity.from_log_unnormalized(axis, -0.5 * x**2)
         for i in range(2):
-            single = GridDensity.from_log_unnormalized(x[i], -np.abs(x[i] - 0.4) - x[i] ** 2)
+            single = GridDensity.from_log_unnormalized(axis[i], -np.abs(x[i] - 0.4) - x[i] ** 2)
             assert single.normalizer == stack.normalizer[i]
             for got, want in zip(stack.log_pdf_and_grad_at(pts), single.log_pdf_and_grad_at(pts[i])):
                 assert np.array_equal(got[i], want)
             assert [m[i] for m in stack.moments()] == list(single.moments())
-            single_other = GridDensity.from_log_unnormalized(x[i], -0.5 * x[i] ** 2)
+            single_other = GridDensity.from_log_unnormalized(axis[i], -0.5 * x[i] ** 2)
             assert kl_grid(stack, other)[i] == kl_grid(single, single_other)
             assert tv_grid(stack, other)[i] == tv_grid(single, single_other)
 
@@ -602,15 +614,16 @@ class TestGridDensity:
         # evaluation bit for bit; a single density is member 0 of a stack of one.
         rng = np.random.default_rng(12)
         centre = rng.normal(size=5)
-        x = np.linspace(centre - 2.0, centre + 3.0, 301, axis=-1)
+        axis = GridAxis(centre - 2.0, centre + 3.0, 301)
+        x = axis.nodes()
         y = -np.abs(x - 0.3) - x**2
-        stack = GridDensity.from_log_unnormalized(x, y)
+        stack = GridDensity.from_log_unnormalized(axis, y)
         pts = rng.uniform(x[:, :1], x[:, -1:], size=(5, 40))
         full = stack.log_pdf_and_grad_at(pts)
         rows = np.array([3, 0, 4])
         for got, want in zip(stack.log_pdf_and_grad_at(pts[rows], rows), full):
             assert got.shape == (3, 40) and np.array_equal(got, want[rows])
-        single = GridDensity.from_log_unnormalized(x[2], y[2])
+        single = GridDensity.from_log_unnormalized(axis[2], y[2])
         for got, want in zip(single.log_pdf_and_grad_at(pts[2:3], [0]), single.log_pdf_and_grad_at(pts[2])):
             assert np.array_equal(got[0], want)
         with pytest.raises(ValueError, match="shape"):
@@ -619,7 +632,7 @@ class TestGridDensity:
             stack.log_pdf_and_grad_at(pts[[1]] + 6.0, [1])
 
     def test_stacked_points_must_match_the_stack(self):
-        stack = GridDensity.from_log_unnormalized(np.linspace([0.0, 0.0], [1.0, 2.0], 11, axis=-1), np.zeros((2, 11)))
+        stack = GridDensity.from_log_unnormalized(GridAxis([0.0, 0.0], [1.0, 2.0], 11), np.zeros((2, 11)))
         with pytest.raises(ValueError, match="shape"):
             stack.log_pdf_and_grad_at(np.full(3, 0.5))
         with pytest.raises(ValueError, match="support"):
@@ -631,20 +644,19 @@ class TestGridDensity:
 
 class TestGridDivergences:
     def test_kl_grid_self_is_zero(self):
-        x = np.linspace(-10, 10, 1001)
-        g = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), x)
+        g = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), GridAxis(-10.0, 10.0, 1001))
         assert abs(kl_grid(g, g)) < 1e-10
 
     def test_kl_grid_matches_analytic(self):
-        x = np.linspace(-10, 10, 4001)
+        x = GridAxis(-10.0, 10.0, 4001)
         p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), x)
         q = GridDensity.from_gaussian(GaussianDist(0.0, 2.0), x)
         assert abs(kl_grid(p, q) - kl_gaussian(GaussianDist(0.0, 1.0), GaussianDist(0.0, 2.0))) < 1e-6
 
     def test_kl_grid_laplace_vs_gaussian_mc_oracle(self):
-        x = np.linspace(-14, 14, 8001)
-        lap = GridDensity.from_log_unnormalized(x, -np.log(2.0) - np.abs(x))
-        gau = GridDensity.from_gaussian(GaussianDist(0.0, 2.0), x)
+        axis = GridAxis(-14.0, 14.0, 8001)
+        lap = GridDensity.from_log_unnormalized(axis, -np.log(2.0) - np.abs(axis.nodes()))
+        gau = GridDensity.from_gaussian(GaussianDist(0.0, 2.0), axis)
         rng = np.random.default_rng(3)
         est, se = mc_kl(
             lambda r, num: r.laplace(size=(num, 1)),
@@ -656,13 +668,13 @@ class TestGridDivergences:
         assert abs(kl_grid(lap, gau) - est) < 3 * se
 
     def test_tv_grid_equal_variance_closed_form(self):
-        x = np.linspace(-10, 10, 8001)
+        x = GridAxis(-10.0, 10.0, 8001)
         p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), x)
         q = GridDensity.from_gaussian(GaussianDist(1.0, 1.0), x)
         assert abs(tv_grid(p, q) - tv_equal_variance(0.0, 1.0, 1.0)) < 1e-6
 
     def test_tv_grid_mixture_vs_mc_oracle(self):
-        x = np.linspace(-12, 12, 8001)
+        axis = GridAxis(-12.0, 12.0, 8001)
 
         def log_mix(x):
             x = np.asarray(x)
@@ -670,8 +682,8 @@ class TestGridDivergences:
             b = -0.5 * np.log(2 * np.pi) - 0.5 * (x - 2.0) ** 2
             return np.logaddexp(a, b) - np.log(2.0)
 
-        p = GridDensity.from_log_unnormalized(x, log_mix(x))
-        q = GridDensity.from_gaussian(GaussianDist(0.0, 5.0), x)
+        p = GridDensity.from_log_unnormalized(axis, log_mix(axis.nodes()))
+        q = GridDensity.from_gaussian(GaussianDist(0.0, 5.0), axis)
 
         def sample_mix(rng, num):
             comp = rng.integers(0, 2, size=num)
@@ -688,9 +700,32 @@ class TestGridDivergences:
         assert abs(tv_grid(p, q) - est) < 3 * se
 
     def test_axis_mismatch_rejected(self):
-        p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-5, 5, 101))
-        q = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-6, 6, 101))
+        p = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), GridAxis(-5.0, 5.0, 101))
+        q = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), GridAxis(-6.0, 6.0, 101))
         with pytest.raises(ValueError, match="axes"):
             kl_grid(p, q)
         with pytest.raises(ValueError, match="axes"):
             tv_grid(p, q)
+
+    def test_axes_are_equal_when_their_ends_and_node_counts_are(self):
+        # Two separately built axes with equal (lo, hi, num) are one axis; ends
+        # one ulp apart, or another node count, are not.
+        g = GaussianDist(0.0, 1.0)
+        p = GridDensity.from_gaussian(g, GridAxis(-5.0, 5.0, 101))
+        q = GridDensity.from_gaussian(GaussianDist(0.5, 2.0), GridAxis(-5.0, 5.0, 101))
+        assert kl_grid(p, q) > 0.0 and tv_grid(p, q) > 0.0
+        stack = GridDensity.from_log_unnormalized(GridAxis([-5.0, -1.0], [5.0, 1.0], 101), np.zeros((2, 101)))
+        same = GridDensity.from_log_unnormalized(GridAxis([-5.0, -1.0], [5.0, 1.0], 101), np.ones((2, 101)))
+        assert_allclose(tv_grid(stack, same), [0.0, 0.0], rtol=0.0, atol=1e-15)
+        for other in (
+            GridAxis(-5.0, np.nextafter(5.0, 6.0), 101),
+            GridAxis(np.nextafter(-5.0, -6.0), 5.0, 101),
+            GridAxis(-5.0, 5.0, 102),
+        ):
+            off = GridDensity.from_gaussian(g, other)
+            with pytest.raises(ValueError, match="^grid densities must share identical axes$"):
+                kl_grid(p, off)
+            with pytest.raises(ValueError, match="^grid densities must share identical axes$"):
+                tv_grid(p, off)
+        with pytest.raises(ValueError, match="^grid densities must share identical axes$"):
+            tv_grid(stack, GridDensity.from_log_unnormalized(GridAxis([-5.0], [5.0], 101), np.zeros((1, 101))))

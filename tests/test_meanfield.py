@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from alphapost.gaussians import GaussianDist, GridDensity, kl_gaussian
+from alphapost.gaussians import GaussianDist, GridAxis, GridDensity, kl_gaussian
 from alphapost.meanfield import (
     GH_NODES,
     _gh_rule,
@@ -111,7 +111,7 @@ class TestNumericProjection:
 
     def test_gridded_gaussian_matches_closed_form_1d(self):
         target = GaussianDist(1.0, 2.0)
-        grid = GridDensity.from_gaussian(target, np.linspace(-20, 22, 4001))
+        grid = GridDensity.from_gaussian(target, GridAxis(-20.0, 22.0, 4001))
         proj = gmf_project_numeric(grid)
         closed = gmf_project_gaussian(target)
         assert_allclose(proj.mean, closed.mean, atol=1e-5)
@@ -119,7 +119,7 @@ class TestNumericProjection:
 
     def test_far_init_reaches_same_optimum(self):
         target = GaussianDist(1.0, 2.0)
-        grid = GridDensity.from_gaussian(target, np.linspace(-30, 32, 6001))
+        grid = GridDensity.from_gaussian(target, GridAxis(-30.0, 32.0, 6001))
         default = gmf_project_numeric(grid)
         far = gmf_project_numeric(grid, GaussianDist(1.0 + 5.0 * np.sqrt(2.0), 2.0))
         assert_allclose(far.mean, default.mean, atol=1e-6)
@@ -224,8 +224,8 @@ class TestNumericProjection:
         # it that needs more than the one iteration allowed.
         from alphapost import meanfield
 
-        x = np.linspace([-30.0, -30.0], [30.0, 30.0], 3001, axis=-1)
-        stack = GridDensity.from_log_unnormalized(x, -0.5 * x**2)
+        axis = GridAxis([-30.0, -30.0], [30.0, 30.0], 3001)
+        stack = GridDensity.from_log_unnormalized(axis, -0.5 * axis.nodes() ** 2)
         start = GaussianDist([[0.0], [1.0]], [[[1.0]], [[2.0]]])
         monkeypatch.setattr(meanfield, "MAX_ITER", 1)
         with pytest.raises(RuntimeError, match="converge"):
@@ -233,17 +233,17 @@ class TestNumericProjection:
 
     def test_nodes_outside_support_rejected(self):
         target = GaussianDist(0.0, 1.0)
-        grid = GridDensity.from_gaussian(target, np.linspace(-6, 6, 1001))
+        grid = GridDensity.from_gaussian(target, GridAxis(-6.0, 6.0, 1001))
         with pytest.raises(ValueError, match="support"):
             gmf_project_numeric(grid, GaussianDist(5.0, 1.0))
 
     def test_stacked_init_rejected(self):
-        grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-8, 8, 1001))
+        grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), GridAxis(-8.0, 8.0, 1001))
         with pytest.raises(ValueError, match="stack"):
             gmf_project_numeric(grid, GaussianDist([[0.0], [0.1]], [[[1.0]], [[1.0]]]))
 
     def test_dimension_above_two_rejected(self):
-        grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), np.linspace(-8, 8, 1001))
+        grid = GridDensity.from_gaussian(GaussianDist(0.0, 1.0), GridAxis(-8.0, 8.0, 1001))
         with pytest.raises(ValueError, match="dimension 3"):
             gmf_project_numeric(grid, GaussianDist(np.zeros(3), np.eye(3)))
 
@@ -330,7 +330,7 @@ class TestPenalizedObjective:
         for alpha in (0.25, 0.5, 1.0, 2.0):
             lik, log_prior, post = conjugate_1d_setup(alpha=alpha)
             sd = float(np.sqrt(post.cov[0, 0]))
-            grid = np.linspace(post.mean[0] - 14 * sd, post.mean[0] + 14 * sd, 2001)
+            grid = GridAxis(post.mean[0] - 14 * sd, post.mean[0] + 14 * sd, 2001)
             grid_post = grid_alpha_posterior(lik, log_prior, alpha, grid)
             projected = gmf_project_numeric(grid_post)
             init = GaussianDist(post.mean + 0.5 * sd, post.cov * 1.5)

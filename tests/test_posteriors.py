@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from alphapost.gaussians import GaussianDist, GridDensity, kl_grid, tv_grid
+from alphapost.gaussians import GaussianDist, GridAxis, GridDensity, kl_grid, tv_grid
 from alphapost.posteriors import (
     ConjugatePrior,
     SufficientStats,
@@ -17,7 +17,7 @@ from alphapost.posteriors import (
 )
 from alphapost.regression import RegressionDGP, derived_seed, ols, regression_likelihood, simulate
 
-from oracles import default_grid_nodes, sample_stats, stack_stats, tv_equal_variance
+from oracles import default_grid_nodes, sample_stats, stack_stats, trapezoid_weights, tv_equal_variance
 
 
 def collinear_design(n=200):
@@ -173,7 +173,7 @@ class TestGridAlphaPosterior:
         # One N(theta, 1) observation at 0.7 with a standard normal prior.
         lik = lambda t: -0.5 * np.log(2 * np.pi) - 0.5 * (0.7 - np.atleast_2d(t)[:, 0]) ** 2
         log_prior = lambda pts: -0.5 * np.log(2 * np.pi) - 0.5 * np.atleast_2d(pts)[:, 0] ** 2
-        x = np.linspace(-4, 4, 2001)
+        x = GridAxis(-4.0, 4.0, 2001)
         post = grid_alpha_posterior(lik, log_prior, 1.0, x)
         exact = GridDensity.from_gaussian(GaussianDist(0.35, 0.5), x)
         assert np.max(np.abs(post.pdf() - exact.pdf())) < 1e-6
@@ -186,7 +186,7 @@ class TestGridAlphaPosterior:
             prior = ConjugatePrior([float(rng.normal())], [[float(rng.uniform(0.2, 2.0))]])
             w = simulate(dgp, int(rng.integers(50, 400)), int(rng.integers(10**6))).first_columns(dgp.p)
             post = conjugate_alpha_posterior(w, prior, dgp.sigma_u, alpha)
-            x = np.linspace(post.mean[0] - 10 * post.cov[0, 0] ** 0.5, post.mean[0] + 10 * post.cov[0, 0] ** 0.5, 2001)
+            x = GridAxis(post.mean[0] - 10 * post.cov[0, 0] ** 0.5, post.mean[0] + 10 * post.cov[0, 0] ** 0.5, 2001)
             grid = grid_alpha_posterior(
                 regression_likelihood(w, dgp.sigma_u),
                 prior.log_density_fn(dgp.sigma_u),
@@ -204,8 +204,9 @@ class TestGridAlphaPosterior:
             sx2 - 2 * np.atleast_2d(t)[:, 0] * sx + 100 * np.atleast_2d(t)[:, 0] ** 2
         )
         log_prior = lambda pts: -np.log(2.0) - np.abs(np.atleast_2d(pts)[:, 0])
-        post = grid_alpha_posterior(lik, log_prior, 0.5, np.linspace(-2, 2, 3001))
-        assert abs(post.integral() - 1.0) < 1e-8
+        axis = GridAxis(-2.0, 2.0, 3001)
+        post = grid_alpha_posterior(lik, log_prior, 0.5, axis)
+        assert abs(trapezoid_weights(axis.nodes()) @ post.pdf() - 1.0) < 1e-8
         pdf = post.pdf()
         peak = int(np.argmax(pdf))
         assert np.all(np.diff(pdf[: peak + 1]) >= -1e-12)
@@ -214,24 +215,31 @@ class TestGridAlphaPosterior:
     def test_too_few_nodes_rejected(self):
         lik = lambda t: np.zeros(np.atleast_2d(t).shape[0])
         with pytest.raises(ValueError, match="101"):
-            grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, np.linspace(0, 1, 50))
+            grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, GridAxis(0.0, 1.0, 50))
 
     def test_non_finite_log_likelihood_rejected(self):
         lik = lambda t: np.full(np.atleast_2d(t).shape[0], np.nan)
         with pytest.raises(ValueError, match="non-finite"):
-            grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, np.linspace(0, 1, 101))
+            grid_alpha_posterior(lik, lambda p: np.zeros(np.atleast_2d(p).shape[0]), 1.0, GridAxis(0.0, 1.0, 101))
 
     def test_axes_of_another_dimension_than_the_likelihood_rejected(self):
         lik = regression_likelihood(sample_stats(np.ones((50, 2)), np.arange(50.0)), 1.0)
         with pytest.raises(ValueError, match="dimension 1.*2 design columns"):
-            grid_alpha_posterior(lik, lambda p: np.zeros(len(p)), 1.0, np.linspace(0, 1, 101))
+            grid_alpha_posterior(lik, lambda p: np.zeros(len(p)), 1.0, GridAxis(0.0, 1.0, 101))
 
     def test_dimension_above_two_rejected(self):
         lik = lambda t: np.zeros(np.atleast_2d(t).shape[0])
         with pytest.raises(ValueError, match="one axis"):
-            grid_alpha_posterior(lik, lambda p: 0.0, 1.0, np.stack([np.stack([np.linspace(0, 1, 101)] * 3)] * 2))
+            grid_alpha_posterior(lik, lambda p: 0.0, 1.0, GridAxis(np.zeros((2, 3)), np.ones((2, 3)), 101))
 
-    @pytest.mark.parametrize("axes", [np.linspace(0, 1, 101), np.linspace(0, 1, 101)[None]])
+    @pytest.mark.parametrize("nodes", [np.linspace(0, 1, 101), np.linspace(0, 1, 101)[None]])
+    def test_node_arrays_are_refused(self, nodes):
+        # The axis is a GridAxis, never an array of its nodes.
+        lik = lambda t: np.zeros(t.shape[:-1])
+        with pytest.raises(TypeError, match="^the grid axis must be a GridAxis, not ndarray$"):
+            grid_alpha_posterior(lik, lik, 1.0, nodes)
+
+    @pytest.mark.parametrize("axes", [GridAxis(0.0, 1.0, 101), GridAxis([0.0], [1.0], 101)])
     def test_several_alphas_on_one_axis_rejected(self, axes):
         # The axes fix the members, so one axis takes one alpha.
         lik = lambda t: np.zeros(t.shape[:-1])
@@ -239,7 +247,7 @@ class TestGridAlphaPosterior:
             grid_alpha_posterior(lik, lik, [0.5, 1.0], axes)
 
     def test_one_alpha_in_a_vector_on_one_axis(self):
-        x = np.linspace(-2, 2, 101)
+        x = GridAxis(-2.0, 2.0, 101)
         lik = lambda t: -0.5 * t[..., 0] ** 2
         single = grid_alpha_posterior(lik, lik, [0.5], x)
         assert np.array_equal(single.log_weights, grid_alpha_posterior(lik, lik, 0.5, x).log_weights)
@@ -288,7 +296,7 @@ class TestGridAlphaPosterior:
         assert np.array_equal(axes.nodes(), want)
         flat = lambda pts: 0.0 * pts[..., 0]
         post = grid_alpha_posterior(lambda pts, rows: -0.5 * pts[..., 0] ** 2, flat, alpha, axes)
-        assert np.array_equal(post.x, want) and not post.x.flags.writeable
+        assert np.array_equal(post.axis.nodes(), want)
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -296,31 +304,30 @@ class TestGridAlphaPosterior:
             ("non-finite axis", "the grid axis must be finite"),
             ("too few nodes", "the grid axis needs at least 101 nodes"),
             ("non-finite log-likelihood", "non-finite log-likelihood on a grid node"),
-            ("non-uniform axis", "the axis must be uniformly spaced"),
             ("decreasing axis", "the axis must be strictly increasing"),
         ],
     )
     def test_one_bad_member_rejects_the_stack(self, fault, message):
-        # Each rejection of the tabulation, raised with its message when only
-        # member 1 of three is at fault (the node count is the whole stack's).
+        # Each rejection of a stack of axes or of its tabulation, raised with
+        # its message when only member 1 of three is at fault (the node count
+        # is the whole stack's).
         rng = np.random.default_rng(9)
         samples = [sample_stats(np.ones(40), rng.normal(0.3, 1.0, 40)) for _ in range(3)]
         alpha = np.array([0.25, 1.0, 0.5])
-        axes = default_grid_axis(np.array([ols(s)[0] for s in samples]), 1.0, 40, alpha, 301).nodes()
+        axes = default_grid_axis(np.array([ols(s)[0] for s in samples]), 1.0, 40, alpha, 301)
+        lo, hi, num = axes.lo.copy(), axes.hi.copy(), axes.num
         stacked = regression_likelihood(stack_stats(samples), 1.0)
         log_lik = stacked
         if fault == "non-finite axis":
-            axes[1, 7] = np.inf
+            hi[1] = np.inf
         elif fault == "too few nodes":
-            axes = axes[:, :100]
+            num = 100
         elif fault == "non-finite log-likelihood":
             log_lik = lambda pts, rows: stacked(pts, rows) * np.array([[1.0], [np.nan], [1.0]])[rows]
-        elif fault == "non-uniform axis":
-            axes[1, 150] += 0.25 * (axes[1, 1] - axes[1, 0])
         else:
-            axes[1] = axes[1, ::-1]
+            lo[1], hi[1] = hi[1], lo[1]
         with pytest.raises(ValueError, match=f"^{message}$"):
-            grid_alpha_posterior(log_lik, lambda pts: -np.abs(pts[..., 0]), alpha, axes)
+            grid_alpha_posterior(log_lik, lambda pts: -np.abs(pts[..., 0]), alpha, GridAxis(lo, hi, num))
 
 
 class TestGaussianBvmLimit:

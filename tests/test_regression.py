@@ -185,7 +185,8 @@ class TestSimulate:
         w = simulate(dgp, 50, 11).first_columns(dgp.p)
         # Y = W theta0 exactly: the coefficients, and a residual sum of squares of 0 up to rounding.
         assert_allclose(ols(w), dgp.theta0, atol=1e-12)
-        assert abs(w.yty - w.xty @ dgp.theta0) <= 1e-12 * w.yty
+        yty = w.gram[..., w.k, w.k]
+        assert abs(yty - w.xty @ dgp.theta0) <= 1e-12 * yty
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError, match="at least"):
