@@ -8,7 +8,10 @@ bodies: every replication derives its own RNG stream from
 ``(master seed, n, rep)`` and rows are sorted deterministically before
 writing.  The replicated experiments reduce each replication's sample to
 its sufficient statistics as soon as it is drawn, and then run one stacked
-computation over every (replication, alpha) cell of each sample size.
+computation over every (replication, alpha) cell of each sample size.  The
+regression model's convergence experiments go further: they join the cells
+of every sample size into one stack, so each divergence is called once per
+run.
 
 CSV schemas (stable, one file per run):
 
@@ -465,27 +468,44 @@ def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[
     return _cell_rows(n, rep, alpha, np.concatenate(kl))
 
 
-def _regression_convergence(
-    cfg: ExperimentConfig, dgp: RegressionDGP, prior: ConjugatePrior, n: int, project: bool
-) -> list[list]:
-    w = _replications(cfg, dgp, n, cfg.replications).first_columns(dgp.p)
-    theta_hat = ols(w)
+def _joined(stacks: list[GaussianDist]) -> GaussianDist:
+    # One stack of the members of ``stacks``, in order.
+    return GaussianDist(np.concatenate([g.mean for g in stacks]), np.concatenate([g.cov for g in stacks]))
+
+
+def _regression_convergence(cfg: ExperimentConfig, project: bool) -> list[list]:
+    """The rows of every sample size, from one stack of all their (rep, alpha) cells.
+
+    Each n's posteriors and limits are built from its own replications; each
+    divergence then runs once over the joined stacks, since at a few cells per
+    n the fixed cost of a call outweighs its work.  Rows are sorted as
+    :func:`_replicated_rows` sorts them.
+    """
+    dgp, prior = cfg.dgp(), cfg.prior()
     v = curvature(dgp)
-    # One stack over every (rep, alpha) cell: posteriors, limits and divergences.
     rep, alpha = _cells(cfg.replications, cfg.alphas)
-    post = _tempered_posterior(w[rep], prior, dgp.sigma_u, alpha, "sigma_u, alphas")
-    if project:
-        lim = _mean_field_limit(theta_hat[rep], v, n, alpha, "sigma_u, cov_ww, alphas")
-        return _cell_rows(n, rep, alpha, kl_gaussian(gmf_project_gaussian(post), lim))
-    lim = gaussian_bvm_limit(theta_hat[rep], v, n, alpha)
-    return _cell_rows(n, rep, alpha, tv_gaussian(post, lim), kl_gaussian(post, lim))
+    posts, lims = [], []
+    for n in cfg.n_grid:
+        w = _replications(cfg, dgp, n, cfg.replications).first_columns(dgp.p)
+        theta_hat = ols(w)
+        post = _tempered_posterior(w[rep], prior, dgp.sigma_u, alpha, "sigma_u, alphas")
+        if project:
+            lims.append(_mean_field_limit(theta_hat[rep], v, n, alpha, "sigma_u, cov_ww, alphas"))
+            post = gmf_project_gaussian(post)
+        else:
+            lims.append(gaussian_bvm_limit(theta_hat[rep], v, n, alpha))
+        posts.append(post)
+    post, lim = _joined(posts), _joined(lims)
+    columns = [kl_gaussian(post, lim)] if project else [tv_gaussian(post, lim), kl_gaussian(post, lim)]
+    parts = zip(cfg.n_grid, *(np.split(c, len(cfg.n_grid)) for c in columns))
+    rows = [row for n, *part in parts for row in _cell_rows(n, rep, alpha, *part)]
+    return sorted(rows, key=lambda r: r[:3])
 
 
 def _convergence_rows(cfg: ExperimentConfig, project: bool) -> list[list]:
     if cfg.model == "laplace-location":
         return _replicated_rows(cfg, lambda n: _location_convergence(cfg, n, project))
-    dgp, prior = cfg.dgp(), cfg.prior()
-    return _replicated_rows(cfg, lambda n: _regression_convergence(cfg, dgp, prior, n, project))
+    return _regression_convergence(cfg, project)
 
 
 def _exact_robustness(

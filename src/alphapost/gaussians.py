@@ -22,7 +22,7 @@ rule.
 
 The module needs only numpy: the normal CDF behind the total variation
 evaluates Cephes' rational approximations to erf and erfc over whole arrays,
-a stack of 2-d pairs runs its outer rules as (pairs x nodes) arrays, and the
+a stack of 2-d pairs runs its outer rules as (pieces x nodes) arrays, and the
 grid's cubic spline is solved here.
 
 All functions are pure.
@@ -422,55 +422,101 @@ def _outer_pieces(mu: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return j, ends, used
 
 
+# Each piece of the 2-D TV's outer rule is refined by nested trapezoid levels
+# of _TV_FIRST * 2^k intervals until the pair's value at two successive
+# levels agrees within _TV_TOL.  A pair with a frame standard deviation
+# outside _TV_NESTED_SD can have an outer spike narrow enough for both levels
+# to miss it and agree early, so it takes the fixed rule instead.
+_TV_FIRST = 64
+_TV_TOL = 1e-13
+_TV_NESTED_SD = (1.0 / 8.0, 8.0)
+
+
 def _tv_2d(mu: np.ndarray, s: np.ndarray, budget: int) -> np.ndarray:
     # A stack of pairs, mu and s of shape (k, 2): the inner coordinate j in
     # closed form, the outer i by a trapezoid rule.  Each piece of the outer
     # range is mapped by x = mid - half cos(theta): a kink at its ends becomes
-    # sin(theta), and the rule in theta stays spectrally accurate.
+    # sin(theta), and the rule in theta stays spectrally accurate.  Each piece
+    # is one row of the (pieces x nodes) arrays, with its pair's frame.
     j, ends, used = _outer_pieces(mu, s)
-    mu_i, s_i = (np.take_along_axis(a, 1 - j, axis=-1) for a in (mu, s))
-    mu_j, s_j = (np.take_along_axis(a, j, axis=-1) for a in (mu, s))
     pieces = np.sum(used, axis=-1) - 1
-    tv = np.empty(len(mu))
-    # The budget is shared among a pair's pieces, so pairs with as many
-    # pieces share one node layout and one (pairs x nodes) evaluation.
-    for count in (1, 2, 3):
-        members = np.flatnonzero(pieces == count)
-        theta = np.linspace(0.0, np.pi, max(budget // count, 2))
-        for rows in _row_chunks(members.size, count * theta.size):
-            block = members[rows]
-            e = ends[block][used[block]].reshape(block.size, count + 1)
-            mid, half = (e[:, 1:] + e[:, :-1]) / 2.0, (e[:, 1:] - e[:, :-1]) / 2.0
-            x = (mid[..., None] - half[..., None] * np.cos(theta)).reshape(block.size, -1)
-            w = (half[..., None] * np.sin(theta) * (theta[1] - theta[0])).reshape(block.size, -1)
-            m_i, sd_i = mu_i[block], s_i[block]
-            z = (x - m_i) / sd_i
-            lo_p, hi_p, lo_q, hi_q = _ratio_set(mu_j[block], s_j[block], z * z - x * x + np.log(sd_i * sd_i))
+    pair = np.repeat(np.arange(len(mu)), pieces)
+    # ends[used] lists each pair's ends in turn, one more than its pieces, so
+    # the piece in row r, of pair k, runs from entry r + k to r + k + 1.
+    e, at = ends[used], pair + np.arange(pair.size)
+    lo, hi = e[at][:, None], e[at + 1][:, None]
+    row = [(hi + lo) / 2.0, (hi - lo) / 2.0]
+    row += [np.take_along_axis(a, c, axis=-1)[pair] for a, c in ((mu, 1 - j), (s, 1 - j), (mu, j), (s, j))]
+
+    def piece_sums(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        # Per row, the sum over theta of half sin(theta) g(x(theta)), where
+        # g(x) = p_i(x) P_p(section at x) - q_i(x) P_q(section at x).
+        out = np.empty(rows.size)
+        for block in _row_chunks(rows.size, theta.size):
+            mid, half, mu_i, s_i, mu_j, s_j = (a[rows[block]] for a in row)
+            x = mid - half * np.cos(theta)
+            z = (x - mu_i) / s_i
+            lo_p, hi_p, lo_q, hi_q = _ratio_set(mu_j, s_j, z * z - x * x + np.log(s_i * s_i))
             p_outer = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-            q_outer = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sd_i)
+            q_outer = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * s_i)
             g = p_outer * _normal_mass(lo_p, hi_p) - q_outer * _normal_mass(lo_q, hi_q)
-            tv[block] = np.einsum("kn,kn->k", w, g)
+            out[block] = np.einsum("kn,kn->k", half * np.sin(theta), g)
+        return out
+
+    # acc[r] is row r's sum over its nodes so far: each level adds the
+    # midpoints of the last, and the ends have weight sin(theta) = 0.  A level
+    # of n intervals per piece takes pieces * n + 1 nodes, as neighbouring
+    # pieces share an end.  bincount adds a pair's rows in order.
+    acc = np.zeros(pair.size)
+    tv = np.full(len(mu), np.nan)
+    converged = np.zeros(len(mu), dtype=bool)
+    active = np.all((_TV_NESTED_SD[0] <= s) & (s <= _TV_NESTED_SD[1]), axis=-1)
+    n, theta = _TV_FIRST, np.arange(1, _TV_FIRST) * (np.pi / _TV_FIRST)
+    while True:
+        active &= pieces * n + 1 <= budget
+        if not np.any(active):
+            break
+        rows = np.flatnonzero(active[pair])
+        acc[rows] += piece_sums(rows, theta)
+        value = np.bincount(pair[rows], acc[rows], len(mu))[active] * (np.pi / n)
+        converged[active] = np.abs(value - tv[active]) <= _TV_TOL
+        tv[active] = value
+        active &= ~converged
+        n *= 2
+        theta = np.arange(1, n, 2) * (np.pi / n)
+    # The rest take the fixed rule: the budget shared among a pair's pieces.
+    rest = ~converged
+    for count in set(pieces[rest].tolist()):
+        theta = np.linspace(0.0, np.pi, max(budget // count, 2))
+        rows = np.flatnonzero((rest & (pieces == count))[pair])
+        acc[rows] = piece_sums(rows, theta) * (theta[1] - theta[0])
+    tv[rest] = np.bincount(pair, acc, len(mu))[rest]
     # Where s_j <= 1 the section is the complement of the interval; the
     # whole-line terms p_outer - q_outer integrate to 0, which leaves a sign flip.
-    return np.where(s_j[:, 0] > 1.0, tv, 0.0 - tv)
+    return np.where(np.take_along_axis(s, j, axis=-1)[:, 0] > 1.0, tv, 0.0 - tv)
 
 
-def tv_gaussian(p: GaussianDist, q: GaussianDist, method: str = "exact", budget: int = 2001) -> float | np.ndarray:
+def tv_gaussian(p: GaussianDist, q: GaussianDist, method: str = "exact", budget: int = 32_769) -> float | np.ndarray:
     """Exact total variation distance between Gaussians of dimension <= 2, broadcast over stacks.
 
     ``P_p(A) - P_q(A)`` for the set ``A = {p > q}``, in the frame where
     ``p = N(0, I)`` and ``q`` has a diagonal covariance.  In dimension 1 ``A``
     is bounded by the roots of a quadratic and the result is a closed form in
     the normal CDF (``budget`` is unused).  In dimension 2 the inner
-    coordinate is integrated in closed form and the outer one by ``budget``
-    trapezoid nodes in a cosine map, split where ``A``'s section appears or
-    vanishes.  The default 2001 nodes agree with 40001 to within 1e-12 even
-    for strongly elongated pairs, as long as each of q's variances in that
-    frame (where p's are 1) is at least 1e-12.  A stack evaluates its pairs'
-    rules together, grouped by their number of pieces, as (pairs x nodes)
-    arrays in blocks of whole pairs; each pair keeps the nodes it would
-    have alone.  Two single distributions give a float value, a stack the
-    array of values.
+    coordinate is integrated in closed form and the outer one by a trapezoid
+    rule in a cosine map, split into one to three pieces where ``A``'s
+    section appears or vanishes.  ``budget`` is the most outer nodes a pair
+    may take (pieces share their ends); the default is 2^15 + 1.  Where both
+    of q's standard deviations in that frame (where p's are 1) lie in
+    [1/8, 8], each piece starts at 65 nodes and halves its step, adding only
+    the new midpoints, until the pair's values at two successive levels agree
+    within 1e-13; on 8,856 seeded pairs in that range the result agrees with
+    the fixed rule at 160,001 nodes within 1e-12.  A pair outside that range,
+    or one that would exceed ``budget`` unconverged, takes the fixed rule:
+    ``budget // pieces`` nodes per piece, with no error estimate.  A stack
+    refines its pairs together, as (pieces x nodes) arrays in blocks of whole
+    pieces; each pair stops where it would alone and keeps its value alone.
+    Two single distributions give a float value, a stack the array of values.
 
     ``method`` accepts only ``"exact"``; it stays in the signature while the
     benchmark's tracer reads it, and goes with ROADMAP item 6.

@@ -40,9 +40,9 @@ def test_a_traced_run_counts_every_layer():
     assert len(rows) == 8
     # The replications are drawn straight into their statistics.
     assert metrics["regression.simulate.calls"] == 0
-    # One stacked posterior and one stacked TV per sample size.
+    # One stacked posterior per sample size, and one stacked TV over all of them.
     assert metrics["posteriors.conjugate_alpha_posterior.calls"] == 2
-    assert metrics["gaussians.tv_gaussian.calls"] == 2
+    assert metrics["gaussians.tv_gaussian.calls"] == 1
 
 
 def test_a_traced_laplace_projection_counts_the_grid_work():

@@ -319,6 +319,37 @@ class TestTVGaussian:
             coarse, fine = tv_gaussian(p, q, budget=2001), tv_gaussian(p, q, budget=40_001)
             assert abs(coarse - fine) < 1e-12
 
+    @pytest.mark.parametrize(
+        "q_mean, q_sd, converged",
+        [
+            # Frame sds 4 and 1/4, in the nested rule's range.
+            ([0.0, 0.0], [4.0, 0.25], 0.6880834784905218),
+            # Frame sds far outside it: the fixed rule at the full budget.
+            ([-0.163, 0.573], [3.39e-3, 367.0], 0.9962145413597056),
+        ],
+    )
+    def test_2d_default_budget_reaches_the_converged_value(self, q_mean, q_sd, converged):
+        # The converged values are the fixed-node rule's at 160,001 nodes.
+        p, q = GaussianDist([0.0, 0.0], np.eye(2)), GaussianDist(q_mean, np.diag(np.square(q_sd)))
+        assert abs(tv_gaussian(p, q) - converged) <= 1e-12
+
+    def test_2d_nested_rule_matches_the_fine_fixed_rule(self, monkeypatch):
+        # Pairs with frame sds in [1/8, 8], where each pair stops refining once
+        # two levels agree, against the fixed-node rule alone at 40,001 nodes.
+        rng = np.random.default_rng(31)
+        sd = np.exp(rng.uniform(-np.log(8.0), np.log(8.0), size=(96, 2)))
+        # About half of them with zero offset.
+        mean = rng.uniform(-6.0, 6.0, size=(96, 2)) * rng.integers(0, 2, size=(96, 1))
+        # Zero offsets with s_i s_j = 1, where {p > q} is two cones meeting at the origin.
+        sd = np.vstack([sd, [[4.0, 0.25], [np.sqrt(8.0), np.sqrt(0.125)], [np.sqrt(2.0), np.sqrt(0.5)]]])
+        mean = np.vstack([mean, np.zeros((3, 2))])
+        p = GaussianDist(np.zeros_like(mean), np.broadcast_to(np.eye(2), (len(mean), 2, 2)))
+        q = GaussianDist(mean, (sd * sd)[:, :, None] * np.eye(2))
+        nested = tv_gaussian(p, q)
+        # No frame lies in an empty range, so every pair takes the fixed rule.
+        monkeypatch.setattr(gaussians, "_TV_NESTED_SD", (1.0, 0.0))
+        assert np.max(np.abs(nested - tv_gaussian(p, q, budget=40_001))) <= 1e-12
+
     def test_pinsker_specific_pair(self):
         p, q = GaussianDist(0.0, 1.0), GaussianDist(0.3, 1.1)
         tv = tv_gaussian(p, q, "exact", 4001)
