@@ -2,21 +2,26 @@
 
 ``perfbench/tracing.py`` wraps the functions named in its ``TARGETS`` by
 ``getattr`` and binds the arguments of ``tv_gaussian`` by name, so renaming
-or removing any of them would crash ``perfbench/run.py --trace 1``.
+or removing any of them would crash ``perfbench/run.py --trace 1``.  The
+benchmark's 2-D TV pairs stay on the rule's early-stopping path.
 """
 
 import importlib
 import inspect
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.tracing import TARGETS, Tracer  # noqa: E402
+from perfbench.workloads import grid_numerics  # noqa: E402
 
-from alphapost import gaussians  # noqa: E402
+from alphapost import experiments, gaussians  # noqa: E402
 from alphapost.experiments import ExperimentConfig, run_experiment  # noqa: E402
 
 
@@ -74,3 +79,24 @@ def test_a_traced_laplace_bvm_run_tabulates_no_grid():
     assert len(rows) == 8
     for name in ("posteriors.grid_alpha_posterior", "gaussians.kl_grid", "gaussians.tv_grid"):
         assert metrics[f"{name}.calls"] == 0, name
+
+
+def test_the_benchmark_2d_tv_pairs_stop_early_and_reach_the_rule(monkeypatch):
+    # Every tv-2d.bvm-convergence pair at seed 0 has frame sds inside the
+    # range where a pair may stop early, and a log Bhattacharyya coefficient
+    # above the threshold under which tv_gaussian returns 1 without a rule.
+    (invocation,) = [inv for inv in grid_numerics(0) if inv.name == "tv-2d.bvm-convergence"]
+    pairs = []
+
+    def recording(p, q, *args, **kwargs):
+        pairs.append((p, q))
+        return gaussians.tv_gaussian(p, q, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "tv_gaussian", recording)
+    _, rows = run_experiment(ExperimentConfig(**invocation.config), invocation.experiment)
+    ((p, q),) = pairs
+    assert len(p.mean) == len(rows) == 16
+    mu, s = gaussians._tv_frame(p, q)
+    low, high = gaussians._TV_NESTED_SD
+    assert np.all((low <= s) & (s <= high))
+    assert np.all(gaussians._log_bhattacharyya(mu, s) >= -54.0 * math.log(2.0))

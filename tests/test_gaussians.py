@@ -262,8 +262,9 @@ class TestTVGaussian:
     @pytest.mark.filterwarnings("error")
     def test_2d_pairs_whose_discriminant_would_overflow_are_apart(self):
         # q's offset squares to 1.69e308 and its first variance is 1e306, both
-        # finite, but a (log d + ell) in the inner section is about 7e308; in
-        # its scaled form the rule stays finite, and the TV is 1 either way round.
+        # finite, but a (log d + ell) in the inner section would be about
+        # 7e308; the Bhattacharyya guard returns 1 before any rule forms it,
+        # either way round.
         p = GaussianDist([0.0, 0.0], np.eye(2))
         q = GaussianDist([1.3e154, 0.0], np.diag([1e306, 1.0]))
         for a, b in ((p, q), (q, p)):
@@ -324,18 +325,19 @@ class TestTVGaussian:
         [
             # Frame sds 4 and 1/4, in the nested rule's range.
             ([0.0, 0.0], [4.0, 0.25], 0.6880834784905218),
-            # Frame sds far outside it: the fixed rule at the full budget.
+            # Frame sds far outside it: refined to the last level of the default budget.
             ([-0.163, 0.573], [3.39e-3, 367.0], 0.9962145413597056),
         ],
     )
     def test_2d_default_budget_reaches_the_converged_value(self, q_mean, q_sd, converged):
-        # The converged values are the fixed-node rule's at 160,001 nodes.
+        # The converged values are a 160,001-node trapezoid rule's in the same cosine map.
         p, q = GaussianDist([0.0, 0.0], np.eye(2)), GaussianDist(q_mean, np.diag(np.square(q_sd)))
         assert abs(tv_gaussian(p, q) - converged) <= 1e-12
 
     def test_2d_nested_rule_matches_the_fine_fixed_rule(self, monkeypatch):
         # Pairs with frame sds in [1/8, 8], where each pair stops refining once
-        # two levels agree, against the fixed-node rule alone at 40,001 nodes.
+        # two levels agree, against the same rule with no early stop, refined
+        # to its last level within 40,001 nodes.
         rng = np.random.default_rng(31)
         sd = np.exp(rng.uniform(-np.log(8.0), np.log(8.0), size=(96, 2)))
         # About half of them with zero offset.
@@ -346,7 +348,7 @@ class TestTVGaussian:
         p = GaussianDist(np.zeros_like(mean), np.broadcast_to(np.eye(2), (len(mean), 2, 2)))
         q = GaussianDist(mean, (sd * sd)[:, :, None] * np.eye(2))
         nested = tv_gaussian(p, q)
-        # No frame lies in an empty range, so every pair takes the fixed rule.
+        # No frame lies in an empty range, so no pair stops early.
         monkeypatch.setattr(gaussians, "_TV_NESTED_SD", (1.0, 0.0))
         assert np.max(np.abs(nested - tv_gaussian(p, q, budget=40_001))) <= 1e-12
 
@@ -381,6 +383,27 @@ class TestTVGaussian:
         g = GaussianDist([0.0, 0.0], np.eye(2))
         with pytest.raises(ValueError, match="^budget must be a positive integer >= 2$"):
             tv_gaussian(g, g, budget=1)
+
+    @pytest.mark.parametrize("budget", [2001.5, 2.0, "2001"])
+    @pytest.mark.parametrize("q_sd", [[1.2, 0.7], [1e3, 1.0], [1.3]])
+    def test_rejects_a_budget_that_is_not_an_integer(self, budget, q_sd):
+        # On every path: 1-D, and 2-D in and out of the early-stopping range.
+        q = GaussianDist(np.full(len(q_sd), 0.2), np.diag(np.square(q_sd)))
+        p = GaussianDist(np.zeros(len(q_sd)), np.eye(len(q_sd)))
+        with pytest.raises(ValueError, match="^budget must be a positive integer >= 2$"):
+            tv_gaussian(p, q, budget=budget)
+
+    def test_2d_budget_of_two_gives_the_first_level(self):
+        # The first level, 64 intervals per piece, runs whatever the budget:
+        # its value is that of the largest budget that holds no second level.
+        p, q = GaussianDist([0.0, 0.0], np.eye(2)), GaussianDist([0.3, 0.1], np.diag([2.0, 0.5]))
+        mu, s = _tv_frame(p, q)
+        pieces = np.sum(_outer_pieces(mu[None], s[None])[2]) - 1
+        coarse = tv_gaussian(p, q, budget=2)
+        assert coarse == tv_gaussian(p, q, budget=128 * int(pieces))
+        assert np.isfinite(coarse)
+        assert abs(coarse - 0.2334139338) <= 1e-5
+        assert abs(tv_gaussian(p, q, budget=np.int64(2001)) - 0.2334139338) <= 1e-10
 
     @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
     def test_quadrature_method_is_gone(self, method):
@@ -422,6 +445,85 @@ class TestTVGaussian:
         stacked = tv_gaussian(p, q, budget=2001)
         alone = [tv_gaussian(p[i], q[i], budget=2001) for i in range(len(mean))]
         assert np.max(np.abs(stacked - alone)) <= 1e-15
+
+
+# The guard's threshold: log BC below it puts the TV within 2^-54 of 1.
+LOG_BC_APART = -54.0 * np.log(2.0)
+
+
+def frame_stack(mu, s):
+    # p = N(0, I) against q = N(mu, diag(s^2)), for mu and s of shape (k, dim).
+    k, dim = mu.shape
+    p = GaussianDist(np.zeros((k, dim)), np.broadcast_to(np.eye(dim), (k, dim, dim)))
+    return p, GaussianDist(mu, (s * s)[:, :, None] * np.eye(dim))
+
+
+def offsets_at(log_bc, s, direction):
+    # Offsets along ``direction`` (rows) that put each frame's log BC at
+    # ``log_bc``; NaN where the sds alone put it lower.
+    scale = gaussians._log_bhattacharyya(np.zeros_like(s), s)
+    quad = np.sum((direction / np.hypot(1.0, s)) ** 2, axis=-1) / 4.0
+    with np.errstate(invalid="ignore"):
+        return direction * np.sqrt((scale - log_bc) / quad)[:, None]
+
+
+class TestTVBhattacharyyaGuard:
+    def test_1d_pairs_straddling_the_threshold(self, monkeypatch):
+        # Below the threshold the result is exactly 1, and the closed form
+        # itself is within 2^-53 of it; above it, the closed form's own value,
+        # which rounds to 1 near the threshold and, at s = 1, not at half of it.
+        s = np.repeat([1e-8, 0.1, 1.0, 3.0, 1e8], 8)[:, None]
+        side = np.tile([-0.5, -0.2, -1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3], 5)
+        mu = offsets_at(LOG_BC_APART * (1.0 + side), s, np.where(np.arange(s.size) % 2, 1.0, -1.0)[:, None])
+        p, q = frame_stack(mu, s)
+        log_bc = gaussians._log_bhattacharyya(*_tv_frame(p, q))
+        apart = log_bc < LOG_BC_APART
+        assert np.array_equal(apart, side > 0.0)
+        guarded = tv_gaussian(p, q)
+        monkeypatch.setattr(gaussians, "_log_bhattacharyya", lambda mu, s: np.zeros(mu.shape[:-1]))
+        closed = tv_gaussian(p, q)
+        assert np.all(guarded[apart] == 1.0)
+        assert np.all(closed[apart] >= 1.0 - 2.0**-53)
+        assert np.array_equal(guarded[~apart], closed[~apart])
+        assert np.all(closed[(side <= -0.2) & (s[:, 0] == 1.0)] < 1.0)
+
+    def test_2d_pairs_far_apart_never_reach_the_rule(self, monkeypatch):
+        # The Le Cam test's pairs at first frame sds of 10^-150 and 10^150,
+        # both argument orders.
+        def refuse(mu, s, budget):
+            assert len(mu) == 0, "a pair far apart reached the 2-D rule"
+            return np.empty(0)
+
+        monkeypatch.setattr(gaussians, "_tv_2d", refuse)
+        shift = np.array([0.0, 0.3, 5.0, 0.0, 0.3, 5.0])
+        mu = np.column_stack([shift, np.full(6, 0.1)])
+        s = np.column_stack([np.repeat([1e-150, 1e150], 3), np.ones(6)])
+        p, q = frame_stack(mu, s)
+        for a, b in ((p, q), (q, p)):
+            assert np.array_equal(tv_gaussian(a, b), np.ones(6))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sweep_near_the_threshold_raises_no_floating_point_error(self, dim):
+        # Frame sds up to 10^+-33 and offsets up to 8 hypot(1, s), at random
+        # and placed within +-2 of the threshold; no overflow, division by
+        # zero or invalid operation anywhere in the rules.
+        rng = np.random.default_rng(32)
+        k = 500 if dim == 1 else 100
+        s = 10.0 ** rng.uniform(-33.0, 33.0, size=(2 * k, dim))
+        direction = rng.uniform(-1.0, 1.0, size=(2 * k, dim))
+        mu = 8.0 * np.hypot(1.0, s) * direction
+        near = offsets_at(LOG_BC_APART + rng.uniform(-2.0, 2.0, size=k), s[k:], direction[k:])
+        keep = np.all(np.abs(near) <= 8.0 * np.hypot(1.0, s[k:]), axis=-1)
+        mu[k:][keep] = near[keep]
+        p, q = frame_stack(mu, s)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for a, b in ((p, q), (q, p)):
+                tv = tv_gaussian(a, b, budget=2001)
+                assert np.all(np.isfinite(tv)) and np.all((0.0 <= tv) & (tv <= 1.0))
+        log_bc = gaussians._log_bhattacharyya(*_tv_frame(p, q))
+        # Enough of the sweep lies near the threshold, and enough reaches the rules.
+        assert np.sum(np.abs(log_bc - LOG_BC_APART) < 2.0) >= k // 4
+        assert np.sum(log_bc >= LOG_BC_APART) >= k // 4
 
 
 class TestGridDensity:
