@@ -5,13 +5,16 @@ documented computation, and writes ``<experiment>.csv`` plus
 ``<experiment>.json`` (config echo, library version, wall clock) into the
 output directory.  Reruns with the same seed produce byte-identical CSV
 bodies: every replication derives its own RNG stream from
-``(master seed, n, rep)`` and rows are sorted deterministically before
-writing.  The replicated experiments reduce each replication's sample to
-its sufficient statistics as soon as it is drawn, and then run one stacked
-computation over every (replication, alpha) cell of each sample size.  The
-regression model's convergence experiments go further: they join the cells
-of every sample size into one stack, so each divergence is called once per
-run.
+``(master seed, n, rep)``.  Each experiment returns one column per CSV
+column, and :func:`run_experiment` alone turns them into rows, sorted
+stably by their first three columns.  So neither the order of ``n_grid``
+or ``alphas`` nor the number of replications changes a row, and a repeated
+value repeats its rows.  The replicated experiments reduce each
+replication's sample to its sufficient statistics as soon as it is drawn,
+and then run one stacked computation over every (replication, alpha) cell
+of each sample size.  The regression model's convergence experiments go
+further: they join the cells of every sample size into one stack, so each
+divergence is called once per run.
 
 CSV schemas (stable, one file per run):
 
@@ -351,16 +354,14 @@ def laplace_log_prior(loc: float = 0.0, scale: float = 1.0) -> Callable[[np.ndar
 # -- experiment implementations --------------------------------------------
 
 
-def _replicated_rows(cfg: ExperimentConfig, rows_at: Callable[[int], list[list]]) -> list[list]:
-    """Rows of ``rows_at(n)`` over ``n_grid``, sorted by their first three columns.
+def _per_n(cfg: ExperimentConfig, columns_at: Callable[[int], list]) -> list[np.ndarray]:
+    """The columns of ``columns_at(n)`` over ``n_grid``, each n's joined in turn.
 
-    ``rows_at(n)`` gives the rows of every replication at ``n``.  A
-    replication's rows are fixed by ``(n, rep)``, from which its RNG stream
-    is derived, so the result does not depend on the order of ``n_grid`` or
-    ``alphas``, nor on the number of replications.
+    ``columns_at(n)`` gives the columns of every replication at ``n``.  A
+    replication's values are fixed by ``(n, rep)``, from which its RNG
+    stream is derived.
     """
-    rows = [row for n in cfg.n_grid for row in rows_at(n)]
-    return sorted(rows, key=lambda r: r[:3])
+    return [np.concatenate(column) for column in zip(*map(columns_at, cfg.n_grid))]
 
 
 def _replications(cfg: ExperimentConfig, dgp: RegressionDGP, n: int, reps: int) -> SufficientStats:
@@ -373,21 +374,16 @@ def _replications(cfg: ExperimentConfig, dgp: RegressionDGP, n: int, reps: int) 
 
 
 def _cells(reps: int, alphas) -> tuple[np.ndarray, np.ndarray]:
-    # Each (replication, alpha) cell's replication and alpha, replication-major:
-    # the CSV's row order.  The library pairs stacked members elementwise, so
-    # inputs gathered per cell with [rep], at these alphas, give one member per cell.
+    # Each (replication, alpha) cell's replication and alpha, replication-major.
+    # The library pairs stacked members elementwise, so inputs gathered per
+    # cell with [rep], at these alphas, give one member per cell.
     alphas = np.asarray(alphas, dtype=float)
     return np.repeat(np.arange(reps), alphas.size), np.tile(alphas, reps)
 
 
-def _floats(*columns) -> list[list]:
-    # Result columns as lists of Python floats, which csv formats faster than numpy's.
-    return [np.asarray(column, dtype=float).tolist() for column in columns]
-
-
-def _cell_rows(n: int, rep: np.ndarray, alpha: np.ndarray, *columns) -> list[list]:
-    # One row per cell of _cells, from columns stacked in the same order.
-    return [[n, r, a, *vals] for r, a, vals in zip(rep.tolist(), alpha.tolist(), zip(*_floats(*columns)))]
+def _cell_columns(n: int, rep: np.ndarray, alpha: np.ndarray, *columns) -> list[np.ndarray]:
+    # The n, rep and alpha columns of the cells of _cells, then columns stacked in the same order.
+    return [np.full(rep.size, n), rep, alpha, *columns]
 
 
 def _location_stats(cfg: ExperimentConfig, n: int) -> SufficientStats:
@@ -440,13 +436,13 @@ def _tempered_posterior(
         raise ValueError(f"{names}: {err}") from err
 
 
-def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[list]:
+def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[np.ndarray]:
     stats = _location_stats(cfg, n)
     theta_hat = ols(stats)
     rep, alpha = _cells(cfg.replications, cfg.alphas)
     if not project:
         tv, kl = laplace_location_divergences(theta_hat[rep, 0], cfg.noise_sd, n, alpha, cfg.prior_loc, cfg.prior_scale)
-        return _cell_rows(n, rep, alpha, tv, kl)
+        return _cell_columns(n, rep, alpha, tv, kl)
     # A stack of grid posteriors, one per cell, each with its replication's
     # likelihood, and one projection per stack.
     v = np.array([[_location_curvature(cfg.noise_sd)]])
@@ -465,7 +461,7 @@ def _location_convergence(cfg: ExperimentConfig, n: int, project: bool) -> list[
                 f"of n = {n} has no mean-field projection: {err}"
             ) from err
         kl.append(kl_gaussian(proj, lim[block]))
-    return _cell_rows(n, rep, alpha, np.concatenate(kl))
+    return _cell_columns(n, rep, alpha, np.concatenate(kl))
 
 
 def _joined(stacks: list[GaussianDist]) -> GaussianDist:
@@ -473,13 +469,12 @@ def _joined(stacks: list[GaussianDist]) -> GaussianDist:
     return GaussianDist(np.concatenate([g.mean for g in stacks]), np.concatenate([g.cov for g in stacks]))
 
 
-def _regression_convergence(cfg: ExperimentConfig, project: bool) -> list[list]:
-    """The rows of every sample size, from one stack of all their (rep, alpha) cells.
+def _regression_convergence(cfg: ExperimentConfig, project: bool) -> list[np.ndarray]:
+    """The columns of every sample size, from one stack of all their (rep, alpha) cells.
 
     Each n's posteriors and limits are built from its own replications; each
     divergence then runs once over the joined stacks, since at a few cells per
-    n the fixed cost of a call outweighs its work.  Rows are sorted as
-    :func:`_replicated_rows` sorts them.
+    n the fixed cost of a call outweighs its work.
     """
     dgp, prior = cfg.dgp(), cfg.prior()
     v = curvature(dgp)
@@ -496,15 +491,14 @@ def _regression_convergence(cfg: ExperimentConfig, project: bool) -> list[list]:
             lims.append(gaussian_bvm_limit(theta_hat[rep], v, n, alpha))
         posts.append(post)
     post, lim = _joined(posts), _joined(lims)
-    columns = [kl_gaussian(post, lim)] if project else [tv_gaussian(post, lim), kl_gaussian(post, lim)]
-    parts = zip(cfg.n_grid, *(np.split(c, len(cfg.n_grid)) for c in columns))
-    rows = [row for n, *part in parts for row in _cell_rows(n, rep, alpha, *part)]
-    return sorted(rows, key=lambda r: r[:3])
+    divergences = [kl_gaussian(post, lim)] if project else [tv_gaussian(post, lim), kl_gaussian(post, lim)]
+    k = len(cfg.n_grid)
+    return [np.repeat(cfg.n_grid, rep.size), np.tile(rep, k), np.tile(alpha, k), *divergences]
 
 
-def _convergence_rows(cfg: ExperimentConfig, project: bool) -> list[list]:
+def _convergence_columns(cfg: ExperimentConfig, project: bool) -> list[np.ndarray]:
     if cfg.model == "laplace-location":
-        return _replicated_rows(cfg, lambda n: _location_convergence(cfg, n, project))
+        return _per_n(cfg, lambda n: _location_convergence(cfg, n, project))
     return _regression_convergence(cfg, project)
 
 
@@ -515,7 +509,7 @@ def _exact_robustness(
     full_prior: ConjugatePrior,
     stats: SufficientStats,
 ) -> tuple[np.ndarray, np.ndarray, FiniteSampleInputs, np.ndarray]:
-    """The cells of the stacked samples at the sorted alphas, their finite-sample inputs and ``r_exact``.
+    """The (rep, alpha) cells of the stacked samples, their finite-sample inputs and ``r_exact``.
 
     The cells are :func:`_cells`'; ``r_exact`` is the expected KL of the
     tempered posterior against the correctly specified
@@ -524,7 +518,7 @@ def _exact_robustness(
     """
     n = stats.n
     eps_n = cfg.eps / n
-    rep, alpha = _cells(len(stats.gram), np.sort(cfg.alphas))
+    rep, alpha = _cells(len(stats.gram), cfg.alphas)
     w = stats.first_columns(dgp.p)
     fin = FiniteSampleInputs(ols(w)[rep], ols(stats)[rep, : dgp.p], n, eps_n)
     true_post, _ = true_posterior_theta(stats, full_prior, dgp.sigma_eps, dgp.p)
@@ -533,78 +527,75 @@ def _exact_robustness(
     return rep, alpha, fin, exact_expected_kl(true_post[rep], post, std_post[rep], eps_n)
 
 
-def exp_bvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    return ["n", "rep", "alpha", "tv", "kl"], _convergence_rows(cfg, False)
+def exp_bvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list]:
+    return ["n", "rep", "alpha", "tv", "kl"], _convergence_columns(cfg, False)
 
 
-def exp_vbvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    return ["n", "rep", "alpha", "kl"], _convergence_rows(cfg, True)
+def exp_vbvm_convergence(cfg: ExperimentConfig) -> tuple[list[str], list]:
+    return ["n", "rep", "alpha", "kl"], _convergence_columns(cfg, True)
 
 
-def exp_robustness_curve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+def exp_robustness_curve(cfg: ExperimentConfig) -> tuple[list[str], list]:
     scenario = cfg.scenario()
     dgp = cfg.dgp()
     stats = _replications(cfg, dgp, cfg.single_n(), 1)
     _, alpha, fin, r_exact = _exact_robustness(cfg, dgp, cfg.prior(), cfg.full_prior(), stats)
-    curves = zip(*_floats(alpha, r_star(alpha, scenario, fin), r_tilde_star(alpha, scenario, fin), r_exact))
-    rows = [list(row) for row in curves]
-    return ["alpha", "r_star", "r_tilde_star", "r_exact"], rows
+    columns = [alpha, r_star(alpha, scenario, fin), r_tilde_star(alpha, scenario, fin), r_exact]
+    return ["alpha", "r_star", "r_tilde_star", "r_exact"], columns
 
 
-def exp_optimal_alpha(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+def exp_optimal_alpha(cfg: ExperimentConfig) -> tuple[list[str], list]:
     scenario = cfg.scenario()
     fin = FiniteSampleInputs.at_population_limits(scenario, cfg.single_n())
-    row = [
-        float(limit_alpha_star(scenario)),
-        float(limit_alpha_tilde(scenario)),
-        float(optimal_alpha(scenario, fin)),
-        float(optimal_alpha_tilde(scenario, fin)),
+    columns = [
+        [limit_alpha_star(scenario)],
+        [limit_alpha_tilde(scenario)],
+        [optimal_alpha(scenario, fin)],
+        [optimal_alpha_tilde(scenario, fin)],
     ]
-    return ["alpha_star_limit", "alpha_tilde_star_limit", "alpha_star_n", "alpha_tilde_star_n"], [row]
+    return ["alpha_star_limit", "alpha_tilde_star_limit", "alpha_star_n", "alpha_tilde_star_n"], columns
 
 
-def exp_failure_case(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    n_grid = sorted(cfg.n_grid)
-    h2 = failure_case_hellinger(cfg.dgp(), cfg.prior(), cfg.alpha0, n_grid, cfg.seed)
-    return ["n", "h2_failure", "h2_control"], [[n, *row] for n, row in zip(n_grid, h2.tolist())]
+def exp_failure_case(cfg: ExperimentConfig) -> tuple[list[str], list]:
+    h2 = failure_case_hellinger(cfg.dgp(), cfg.prior(), cfg.alpha0, cfg.n_grid, cfg.seed)
+    return ["n", "h2_failure", "h2_control"], [cfg.n_grid, h2[:, 0], h2[:, 1]]
 
 
-def exp_assumption_checks(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+def exp_assumption_checks(cfg: ExperimentConfig) -> tuple[list[str], list]:
     dgp = cfg.dgp()
     prior = cfg.prior()
     v = curvature(dgp)
     theta_star = pseudo_true(dgp)
 
-    def rows_at(n: int) -> list[list]:
+    def columns_at(n: int) -> list[np.ndarray]:
         w = _replications(cfg, dgp, n, cfg.replications).first_columns(dgp.p)
         post = _tempered_posterior(w, prior, dgp.sigma_u, cfg.alpha, "sigma_u, alpha")
         prior_term, lan_term = assumption2_terms(post.mean, post.cov, dgp, prior, w)
         markov = concentration_markov_bound(post.mean, post.cov, theta_star, np.log(n), n)
         kl_limit = kl_gaussian(post, gaussian_bvm_limit(ols(w), v, n, cfg.alpha))
-        columns = zip(*_floats(lan_residual_sup(w, dgp), prior_term, lan_term, markov, kl_limit))
-        return [[n, rep, *vals] for rep, vals in enumerate(columns)]
+        rep = np.arange(cfg.replications)
+        return [np.full(rep.size, n), rep, lan_residual_sup(w, dgp), prior_term, lan_term, markov, kl_limit]
 
-    rows = _replicated_rows(cfg, rows_at)
-    return ["n", "rep", "lan_sup", "prior_term", "lan_term", "markov_bound", "kl_limit"], rows
+    return ["n", "rep", "lan_sup", "prior_term", "lan_term", "markov_bound", "kl_limit"], _per_n(cfg, columns_at)
 
 
-def exp_surrogate_fidelity(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+def exp_surrogate_fidelity(cfg: ExperimentConfig) -> tuple[list[str], list]:
     scenario = cfg.scenario()
     dgp = cfg.dgp()
     prior = cfg.prior()
     full_prior = cfg.full_prior()
 
-    def rows_at(n: int) -> list[list]:
+    def columns_at(n: int) -> list[np.ndarray]:
         stats = _replications(cfg, dgp, n, cfg.replications)
         rep, alpha, fin, r_exact = _exact_robustness(cfg, dgp, prior, full_prior, stats)
         r_surr = r_star(alpha, scenario, fin)
-        return _cell_rows(n, rep, alpha, r_exact, r_surr, np.abs(r_exact - r_surr))
+        return _cell_columns(n, rep, alpha, r_exact, r_surr, np.abs(r_exact - r_surr))
 
-    rows = _replicated_rows(cfg, rows_at)
-    return ["n", "rep", "alpha", "r_exact", "r_star", "abs_diff"], rows
+    return ["n", "rep", "alpha", "r_exact", "r_star", "abs_diff"], _per_n(cfg, columns_at)
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], tuple[list[str], list[list]]]] = {
+# Each experiment's CSV column names and one 1-D array (or list) of values per column.
+EXPERIMENTS: dict[str, Callable[[ExperimentConfig], tuple[list[str], list]]] = {
     "bvm-convergence": exp_bvm_convergence,
     "vbvm-convergence": exp_vbvm_convergence,
     "robustness-curve": exp_robustness_curve,
@@ -618,16 +609,20 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig], tuple[list[str], list[list]]
 def run_experiment(cfg: ExperimentConfig, experiment: str) -> tuple[list[str], list[list]]:
     """Validate the config and produce the experiment's column names and rows.
 
-    A NaN or infinite cell raises ``ValueError`` naming its column, so no
-    output is written from it.
+    This is the one place where an experiment's columns become rows.  A NaN
+    or infinite value raises ``ValueError`` naming its columns, so no output
+    is written from it.  Rows hold Python ints and floats, and are sorted
+    stably by their first three columns: a row does not depend on the order
+    of ``n_grid`` or ``alphas``, and a repeated value repeats its rows.
     """
     cfg.validate(experiment)
-    columns, rows = EXPERIMENTS[experiment](cfg)
-    finite = np.isfinite(np.array(rows, dtype=float)).all(axis=0)
-    if not finite.all():
-        bad = ", ".join(name for name, ok in zip(columns, finite) if not ok)
-        raise ValueError(f"{bad}: not every result is finite")
-    return columns, rows
+    names, columns = EXPERIMENTS[experiment](cfg)
+    columns = [np.asarray(column) for column in columns]
+    bad = [name for name, column in zip(names, columns) if not np.isfinite(column).all()]
+    if bad:
+        raise ValueError(f"{', '.join(bad)}: not every result is finite")
+    rows = sorted(zip(*(column.tolist() for column in columns)), key=lambda row: row[:3])
+    return names, [list(row) for row in rows]
 
 
 def _replace_atomically(path: Path, write: Callable[[TextIO], object]):

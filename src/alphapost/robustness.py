@@ -238,27 +238,18 @@ def r_infinity(alpha: float, p: int, eps: float, d_quad: float) -> float:
 
 
 def optimized_limit_kl(s: MisspecScenario) -> float:
-    """Expected KL at the optimal tempering: ``(-p log p + p log(p + eps d'Vd)) / 2``.
+    """Expected KL at the optimal tempering: ``-p log(alpha*) / 2 = p log((p + eps d'Vd) / p) / 2``.
 
     Grows logarithmically in the squared misspecification, against the
     linear growth of the untempered criterion.
     """
-    d = s.d
-    return 0.5 * (-s.p * np.log(s.p) + s.p * np.log(s.p + s.eps * float(d @ s.V @ d)))
+    return -0.5 * s.p * np.log(limit_alpha_star(s))
 
 
 def optimized_limit_kl_var(s: MisspecScenario) -> float:
-    """Mean-field analogue of :func:`optimized_limit_kl`, with the determinant correction."""
-    d = s.d
-    vt = s.V_tilde
-    trace = float(np.trace(vt @ np.linalg.inv(s.V)))
+    """Mean-field analogue of :func:`optimized_limit_kl`: ``[log det V - sum_j log V_jj - p log(alpha~*)] / 2``."""
     _, logdet_v = np.linalg.slogdet(s.V)
-    logdet_vt = float(np.sum(np.log(np.diag(s.V))))
-    return 0.5 * (
-        -s.p * np.log(s.p)
-        + s.p * np.log(trace + s.eps * float(d @ vt @ d))
-        + (logdet_v - logdet_vt)
-    )
+    return 0.5 * (logdet_v - np.sum(np.log(np.diag(s.V))) - s.p * np.log(limit_alpha_tilde(s)))
 
 
 def exact_expected_kl(

@@ -181,6 +181,14 @@ class TestDeclaredRanges:
                 config_with(name, value).validate("optimal-alpha")
 
 
+# Every experiment on the regression model, and the convergence ones on the location model too.
+EVERY_RUN = [
+    *((e, "regression") for e in EXPERIMENTS),
+    ("bvm-convergence", "laplace-location"),
+    ("vbvm-convergence", "laplace-location"),
+]
+
+
 class TestExperimentOutputs:
     def test_optimal_alpha_no_misspecification_emits_one(self, tmp_path):
         cfg = ExperimentConfig.from_file(
@@ -240,6 +248,29 @@ class TestExperimentOutputs:
         assert len(short) == len(full) * 3 // 5
         assert short == [row for row in full if int(row[1]) < 3]
 
+    @pytest.mark.parametrize("experiment, model", EVERY_RUN)
+    def test_rows_are_sorted_whatever_the_config_order(self, tmp_path, experiment, model):
+        # Rows are sorted stably by their first three columns, so n_grid and
+        # alphas in another order give the sorted config's rows, and a
+        # repeated n or alpha repeats the rows that carry it.
+        def run(n_grid, alphas):
+            text = (
+                f"seed = 29\nreplications = 2\nn_grid = {n_grid}\nn = 100\nalphas = {alphas}\n"
+                f"model = {model}\ngrid_points = 301\n"
+            )
+            return run_experiment(ExperimentConfig.from_file(write_config(tmp_path, text)), experiment)
+
+        names, plain = run("50,100", "0.25,0.5,1.0")
+        _, shuffled = run("100,50,100", "1.0,0.25,0.5,0.25")
+        copies = {"n": {50: 1, 100: 2}, "alpha": {0.25: 2, 0.5: 1, 1.0: 1}}
+
+        def times(row):
+            return math.prod(copies[name][v] for name, v in zip(names, row) if name in copies)
+
+        assert shuffled == sorted(shuffled, key=lambda row: row[:3])
+        assert shuffled == [row for row in plain for _ in range(times(row))]
+        assert len(shuffled) > len(plain) or experiment == "optimal-alpha"
+
     @pytest.mark.parametrize("experiment", ["bvm-convergence", "vbvm-convergence"])
     def test_location_rows_do_not_depend_on_the_run_shape(self, tmp_path, monkeypatch, experiment):
         # The location model stacks every (rep, alpha) cell of a sample size,
@@ -294,16 +325,9 @@ class TestExperimentOutputs:
         for experiment in [*EXPERIMENTS, *reversed(list(EXPERIMENTS))]:
             assert run_experiment(shared, experiment) == want[experiment], experiment
 
-    @pytest.mark.parametrize(
-        "experiment, model",
-        [
-            *((e, "regression") for e in EXPERIMENTS),
-            ("bvm-convergence", "laplace-location"),
-            ("vbvm-convergence", "laplace-location"),
-        ],
-    )
+    @pytest.mark.parametrize("experiment, model", EVERY_RUN)
     def test_every_cell_is_a_python_number(self, tmp_path, experiment, model):
-        # Rows leave the experiments as Python ints and floats, never numpy
+        # Rows leave run_experiment as Python ints and floats, never numpy
         # scalars, so the CSV writer formats plain numbers.
         text = f"seed = 23\nreplications = 2\nn_grid = 50,100\nn = 100\nalphas = 0.5,1.0\nmodel = {model}\n"
         _, rows = run_experiment(ExperimentConfig.from_file(write_config(tmp_path, text)), experiment)
