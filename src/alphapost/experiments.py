@@ -2,19 +2,19 @@
 
 Each experiment reads one flat ``key = value`` config file, runs a fixed,
 documented computation, and writes ``<experiment>.csv`` plus
-``<experiment>.json`` (config echo, library version, wall clock) into the
-output directory.  Reruns with the same seed produce byte-identical CSV
-bodies: every replication derives its own RNG stream from
-``(master seed, n, rep)``.  Each experiment returns one column per CSV
-column, and :func:`run_experiment` alone turns them into rows, sorted
-stably by their first three columns.  So neither the order of ``n_grid``
-or ``alphas`` nor the number of replications changes a row, and a repeated
-value repeats its rows.  The replicated experiments reduce each
-replication's sample to its sufficient statistics as soon as it is drawn,
-and then run one stacked computation over every (replication, alpha) cell
-of each sample size.  The regression model's convergence experiments go
-further: they join the cells of every sample size into one stack, so each
-divergence is called once per run.
+``<experiment>.json`` (config echo, library version, wall clock, the
+environment and the peak resident set) into the output directory.  Reruns
+with the same seed produce byte-identical CSV bodies: every replication
+derives its own RNG stream from ``(master seed, n, rep)``.  Each experiment
+returns one column per CSV column, and :func:`run_experiment` alone turns
+them into rows, sorted stably by their first three columns.  So neither the
+order of ``n_grid`` or ``alphas`` nor the number of replications changes a
+row, and a repeated value repeats its rows.  The replicated experiments
+reduce each replication's sample to its sufficient statistics as soon as it
+is drawn, and then run one stacked computation over every (replication,
+alpha) cell of each sample size.  The regression model's convergence
+experiments go further: they join the cells of every sample size into one
+stack, so each divergence is called once per run.
 
 CSV schemas (stable, one file per run):
 
@@ -47,12 +47,18 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, TextIO
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # a platform without it: the sidecar has no peak_rss_mb
+    resource = None
 
 from . import __version__
 from .gaussians import GaussianDist, _row_chunks, kl_gaussian, tv_gaussian
@@ -71,6 +77,7 @@ from .posteriors import (
 )
 from .regression import (
     RegressionDGP,
+    _draw_threads,
     _gram_stack,
     assumption2_terms,
     concentration_markov_bound,
@@ -638,6 +645,26 @@ def _replace_atomically(path: Path, write: Callable[[TextIO], object]):
         raise
 
 
+def _environment() -> dict:
+    # What a run's timings depend on.  draw_threads is the number of threads
+    # a sample of 1,800 or more standard normals is drawn on, which is why
+    # CPU time can exceed wall time.
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "alphapost": __version__,
+        "cpu_count": os.cpu_count(),
+        "draw_threads": _draw_threads(),
+    }
+
+
+def _peak_rss_mb() -> float:
+    # The process's peak resident set so far, in MiB: ru_maxrss is in bytes
+    # on macOS and in KiB elsewhere.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def write_outputs(
     cfg: ExperimentConfig,
     experiment: str,
@@ -648,7 +675,11 @@ def write_outputs(
     """Write ``<experiment>.csv`` and its JSON sidecar into the output directory.
 
     Each file is replaced atomically, so a failure part way leaves the
-    previous file, if any, unchanged.
+    previous file, if any, unchanged.  Besides the config echo, the library
+    version and ``elapsed_seconds``, the sidecar holds ``environment`` (the
+    Python, numpy and alphapost versions, ``os.cpu_count()`` and the draw
+    threads) and, where the ``resource`` module exists, ``peak_rss_mb``,
+    the process's peak resident set so far in MiB.
     """
     out_dir = Path(cfg.out)
 
@@ -663,7 +694,10 @@ def write_outputs(
         "config": cfg.to_dict(),
         "version": __version__,
         "elapsed_seconds": elapsed_seconds,
+        "environment": _environment(),
     }
+    if resource is not None:
+        sidecar["peak_rss_mb"] = _peak_rss_mb()
     csv_path = out_dir / f"{experiment}.csv"
     json_path = out_dir / f"{experiment}.json"
     try:

@@ -347,15 +347,18 @@ def _standard_block(dgp: RegressionDGP, n: int, rng: np.random.Generator) -> tup
     return block[:kn].reshape(n, dgp.p + dgp.d), block[kn:]
 
 
-def _draw_workers(normals: int) -> int:
-    # Threads that draw samples of this many standard normals each: one per
-    # CPU the process may run on, or 1 below _THREAD_MIN_NORMALS.
-    if normals < _THREAD_MIN_NORMALS:
-        return 1
+def _draw_threads() -> int:
+    # The threads a sample of _THREAD_MIN_NORMALS or more standard normals is
+    # drawn on: one per CPU the process may run on.
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         return os.cpu_count() or 1
+
+
+def _draw_workers(normals: int) -> int:
+    # Threads that draw samples of this many standard normals each.
+    return 1 if normals < _THREAD_MIN_NORMALS else _draw_threads()
 
 
 def _gram_stack(

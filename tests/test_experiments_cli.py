@@ -3,15 +3,19 @@
 import ast
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alphapost
 from alphapost import experiments, regression
 from alphapost.cli import main
 from alphapost.experiments import (
@@ -39,6 +43,9 @@ alphas = 0.5,1.0
 model = laplace-location
 grid_points = 401
 """
+
+# Samples of 3,000 standard normals, which are drawn on threads.
+THREADED = "seed = 7\nreplications = 3\nn_grid = 1000\n"
 
 FAST_REGRESSION = """
 seed = 7
@@ -374,7 +381,8 @@ class TestCLI:
         out = tmp_path / "out"
         assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(out)]) == 0
         sidecar = json.loads((out / "optimal-alpha.json").read_text())
-        assert set(sidecar) == {"config", "version", "elapsed_seconds"}
+        peak_rss = {"peak_rss_mb"} if experiments.resource is not None else set()
+        assert set(sidecar) == {"config", "version", "elapsed_seconds", "environment"} | peak_rss
         echo = ExperimentConfig(**sidecar["config"])
         echo.validate("optimal-alpha")
         _, rows_echo = run_experiment(echo, "optimal-alpha")
@@ -382,6 +390,24 @@ class TestCLI:
         cfg.out = str(out)
         _, rows_orig = run_experiment(cfg, "optimal-alpha")
         assert rows_echo == rows_orig
+
+    def test_sidecar_records_the_environment_and_peak_memory(self, tmp_path):
+        cfg_path = write_config(tmp_path, FAST_REGRESSION)
+        out = tmp_path / "out"
+        assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(out)]) == 0
+        sidecar = json.loads((out / "optimal-alpha.json").read_text())
+        assert sidecar["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "alphapost": alphapost.__version__,
+            "cpu_count": os.cpu_count(),
+            "draw_threads": regression._draw_threads(),
+        }
+        if experiments.resource is None:
+            pytest.skip("no resource module: the sidecar has no peak_rss_mb")
+        # ru_maxrss only grows, so the run's figure is at most this process's peak now.
+        after = experiments._peak_rss_mb()
+        assert 1.0 < sidecar["peak_rss_mb"] <= after < 1e5
 
     def test_seed_override_changes_rows(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)
@@ -863,6 +889,44 @@ class TestCLI:
                     found.append(f"{path.name}: {getattr(top, 'name', 'module level')}")
         assert found == []
 
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [
+            *(
+                pytest.param(e, f"seed = 23\nreplications = 2\nn_grid = 50,100\nn = 100\nmodel = {m}\n", id=f"{e}-{m}")
+                for e, m in EVERY_RUN
+            ),
+            pytest.param("bvm-convergence", THREADED, id="bvm-convergence-threaded"),
+        ],
+    )
+    def test_no_thread_outlives_main(self, tmp_path, monkeypatch, experiment, text):
+        # run() ends the process by os._exit once main returns, which would
+        # cut short any thread still running.  Two draw threads on any
+        # machine, so the threaded config starts one, and it draws slowly, so
+        # it would still be running unless main waits for it.
+        started = []
+        start, real_block = threading.Thread.start, regression._standard_block
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        def slow_block(dgp, n, rng):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.1)
+            return real_block(dgp, n, rng)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        monkeypatch.setattr(regression, "_draw_threads", lambda: 2)
+        monkeypatch.setattr(regression, "_standard_block", slow_block)
+        before = threading.active_count()
+        cfg_path = write_config(tmp_path, text)
+        assert self.run_cli([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in started)
+        if text == THREADED:
+            assert started
+
     def test_module_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_REGRESSION)
         out = tmp_path / "mod"
@@ -872,7 +936,92 @@ class TestCLI:
             text=True,
         )
         assert proc.returncode == 0
-        assert (out / "optimal-alpha.csv").exists()
+        assert proc.stdout == f"wrote {out / 'optimal-alpha.csv'} and {out / 'optimal-alpha.json'}\n"
+        assert proc.stderr == ""
+        assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(tmp_path / "in")]) == 0
+        assert (out / "optimal-alpha.csv").read_bytes() == (tmp_path / "in" / "optimal-alpha.csv").read_bytes()
+        failures = [
+            ("optimal-alpha", "seeed = 1\n", 2, "config error: seeed: unknown configuration field"),
+            ("bvm-convergence", f"{FAST_REGRESSION}mu_pi = 1e300\n", 3,
+             "numerical failure: kl: not every result is finite"),
+        ]
+        for experiment, text, code, first_line in failures:
+            bad = write_config(tmp_path, text, "bad.cfg")
+            proc = subprocess.run(
+                [sys.executable, "-m", "alphapost", experiment, "--config", str(bad), "--out", str(tmp_path / "bad")],
+                capture_output=True,
+                text=True,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr.splitlines()[0]) == (code, "", first_line)
+
+    def test_profiled_module_entry_point_prints_its_stats(self, tmp_path):
+        # A profiler is installed, so the run ends the usual way and cProfile reports.
+        cfg_path = write_config(tmp_path, FAST_REGRESSION)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "alphapost", "optimal-alpha", "--config", str(cfg_path),
+             "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(f"wrote {tmp_path / 'optimal-alpha.csv'}")
+        assert " function calls " in proc.stdout and "ncalls  tottime  percall  cumtime  percall" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "observer",
+        [
+            "",
+            "sys.settrace(lambda *args: None)",
+            "sys.setprofile(lambda *args: None)",
+            pytest.param(
+                "sys.monitoring.use_tool_id(3, 'test')",
+                marks=pytest.mark.skipif(sys.version_info < (3, 12), reason="sys.monitoring is new in 3.12"),
+            ),
+        ],
+    )
+    def test_run_skips_teardown_unless_observed(self, tmp_path, observer):
+        # An atexit callback runs only if the interpreter is finalized.
+        cfg_path = write_config(tmp_path, FAST_REGRESSION)
+        argv = ["alphapost", "optimal-alpha", "--config", str(cfg_path), "--out", str(tmp_path)]
+        code = f"import atexit, sys; atexit.register(print, 'finalized'); sys.argv = {argv!r}; {observer}\n"
+        code += "from alphapost.cli import run; run()"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[1:] == (["finalized"] if observer else [])
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_closed_stdout_keeps_the_runs_exit_status(self, tmp_path, unbuffered, profiled):
+        # The "wrote" line is best effort: with nobody reading stdout, the run
+        # still exits 0 with no traceback.  Unbuffered, print itself fails;
+        # buffered, its flush does.  Profiled, the process ends by sys.exit
+        # and the interpreter flushes stdout again.
+        cfg_path = write_config(tmp_path, FAST_REGRESSION)
+        out = tmp_path / "piped"
+        profiler = ["-m", "cProfile", "-o", str(tmp_path / "profile")] if profiled else []
+        argv = [*profiler, "-m", "alphapost", "optimal-alpha", "--config", str(cfg_path), "--out", str(out)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert self.run_cli(["optimal-alpha", "--config", str(cfg_path), "--out", str(tmp_path / "in")]) == 0
+        assert (out / "optimal-alpha.csv").read_bytes() == (tmp_path / "in" / "optimal-alpha.csv").read_bytes()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+    def test_script_entry_point_is_run(self):
+        import tomllib
+
+        pyproject = tomllib.loads((Path(experiments.__file__).parents[2] / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"] == {"alphapost": "alphapost.cli:run"}
 
     def test_all_experiments_have_subcommands(self):
         from alphapost.cli import build_parser
