@@ -1,5 +1,11 @@
 """Command line entry point: ``alphapost <experiment> --config <path> [options]``.
 
+One parser reads the command line: its first positional argument names the
+experiment, one of :data:`~alphapost.experiments.EXPERIMENTS`, and
+``--config`` (required), ``--seed`` and ``--out`` may come before or after
+it.  ``alphapost --help`` lists the experiments; an unknown one is an
+``invalid choice`` and, like any other usage error, exits with status 2.
+
 Exit status: 0 on success, 2 on configuration errors (the message names the
 offending field), 3 on numerical failure, running out of memory included.
 
@@ -34,13 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphapost",
         description="Run a named, seeded experiment and write CSV + JSON outputs.",
+        epilog="experiments:\n  " + "\n  ".join(EXPERIMENTS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=f"run the {name} experiment")
-        sp.add_argument("--config", required=True, help="path to a flat key = value config file")
-        sp.add_argument("--seed", type=int, default=None, help="override the master seed")
-        sp.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("experiment", choices=EXPERIMENTS, metavar="experiment", help="the experiment to run")
+    parser.add_argument("--config", required=True, help="path to a flat key = value config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
+    parser.add_argument("--out", default=None, help="output directory")
     return parser
 
 

@@ -98,7 +98,7 @@ def _spd_cholesky(mat: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{name} must be positive definite") from err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianDist:
     """A multivariate normal distribution N(mean, cov), or a stack of them.
 
@@ -109,6 +109,8 @@ class GaussianDist:
     factorization; violation by any member raises ``ValueError`` at
     construction.  Scalars are promoted, so ``GaussianDist(0.0, 1.0)`` is the
     standard normal on the real line.
+    Instances compare and hash by identity: array fields have no single
+    truth value to compare by.
     """
 
     mean: np.ndarray
@@ -708,7 +710,7 @@ class GridAxis:
         return x if self.lo.ndim else x[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDensity:
     """A normalized density tabulated on a uniform axis, or a stack of them.
 
@@ -722,6 +724,8 @@ class GridDensity:
     normalizer of 2^26 or more in magnitude, not resolved to 1e-8, raises
     ``ValueError``.  A stack has ``log_weights`` of shape (k, N), member ``i``
     on ``axis[i]``, and every method returns one value (or row) per member.
+    Instances compare and hash by identity: array fields have no single
+    truth value to compare by.
     """
 
     axis: GridAxis

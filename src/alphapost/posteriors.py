@@ -73,7 +73,7 @@ def _sample_size(n) -> int:
     return int(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SufficientStats:
     """Sufficient statistics of linear-model samples: the size ``n`` and the Gram matrix of ``[X, Y]``.
 
@@ -83,6 +83,8 @@ class SufficientStats:
     that takes these broadcasts over the stack, so one sample runs the same
     code as a stack; ``stack[i]`` and ``stack[index]`` select members, as for
     :class:`GaussianDist`.  ``gram`` must be finite; ``n`` at least 1.
+    Instances compare and hash by identity: array fields have no single
+    truth value to compare by.
     """
 
     n: int
@@ -128,7 +130,7 @@ class SufficientStats:
         return SufficientStats(self.n, self.gram[..., keep[:, None], keep])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugatePrior:
     """Gaussian prior ``N(mu_pi, sigma_u^2 * Sigma_pi^{-1})`` in precision-scale form.
 
@@ -137,6 +139,8 @@ class ConjugatePrior:
     symmetrized) and positive semidefinite, and the all-zeros matrix encodes
     the flat-prior limit (the posterior then collapses to pure least squares
     for every ``alpha``).  Violations raise ``ValueError`` naming the field.
+    Instances compare and hash by identity: array fields have no single
+    truth value to compare by.
     """
 
     mu_pi: np.ndarray

@@ -256,7 +256,7 @@ def _covariance_block(name: str, value, rows: int, cols: int, p: int, d: int) ->
     return block.reshape(rows, cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionDGP:
     """True data-generating process and the analyst's working model.
 
@@ -273,6 +273,8 @@ class RegressionDGP:
     whose square overflows, or a given or derived ``sigma_u`` (0 included)
     whose curvature ``1 / sigma_u^2`` overflows raises ``ValueError`` naming
     the fields.
+    Instances compare and hash by identity: array fields have no single
+    truth value to compare by.
     """
 
     theta0: np.ndarray

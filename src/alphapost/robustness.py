@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MisspecScenario:
     """Population-level ingredients of the robustness analysis.
 
@@ -59,6 +59,8 @@ class MisspecScenario:
     ``n * eps_n``.  Each of ``V`` and ``Omega`` must be finite, symmetric to
     within 1e-12 of its largest entry and positive definite; both are kept
     as given, and a violation raises ``ValueError`` naming the matrix.
+    Instances compare and hash by identity: array fields have no single
+    truth value to compare by.
     """
 
     theta0: np.ndarray
@@ -100,7 +102,7 @@ class MisspecScenario:
         return np.diag(np.diag(self.V))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSampleInputs:
     """Sample-size-n ingredients: the two ML estimates, n, and the misspecification probability.
 
@@ -108,6 +110,8 @@ class FiniteSampleInputs:
     stack: shape (k, p) holds one pair per member, and the routines below
     give one value per member.  ``n`` must be a positive integer and
     ``eps_n`` lie in [0, 1].
+    Instances compare and hash by identity: array fields have no single
+    truth value to compare by.
     """
 
     theta_hat_ml_F: np.ndarray

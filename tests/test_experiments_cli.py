@@ -105,7 +105,7 @@ class TestConfigParsing:
             ExperimentConfig.from_file(write_config(tmp_path, text))
 
     def test_experiment_line_is_an_unknown_field(self, tmp_path):
-        # The subcommand names the experiment; a config names none.
+        # The first argument names the experiment; a config names none.
         with pytest.raises(ConfigError, match="^experiment: unknown configuration field$"):
             ExperimentConfig.from_file(write_config(tmp_path, "seed = 1\nexperiment = failure-case\n"))
 
@@ -826,6 +826,7 @@ class TestCLI:
         # projection's spline is solved in numpy.  The draws' worker threads
         # (n = 1000 has 3,000 normals per sample) import neither
         # concurrent.futures nor logging, which would add to every launch.
+        # Nor does any run import numpy.ma (np.unique does, at about 10 ms).
         regression = write_config(tmp_path, FAST_REGRESSION)
         threaded = write_config(tmp_path, "seed = 7\nreplications = 3\nn_grid = 1000\n", "threaded.cfg")
         laplace = write_config(tmp_path, FAST_LOCATION, "laplace.cfg")
@@ -842,7 +843,7 @@ class TestCLI:
                 f"code = main([{experiment!r}, '--config', {str(cfg_path)!r}, "
                 f"'--out', {str(tmp_path / str(i))!r}]); "
                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'logging') "
-                "or m.startswith('concurrent.futures')))"
+                "or m.split('.')[:2] == ['numpy', 'ma'] or m.startswith('concurrent.futures')))"
             )
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
             assert proc.stdout.strip().splitlines()[-1] == "0 []", (experiment, cfg_path.name)
@@ -1023,10 +1024,34 @@ class TestCLI:
         pyproject = tomllib.loads((Path(experiments.__file__).parents[2] / "pyproject.toml").read_text())
         assert pyproject["project"]["scripts"] == {"alphapost": "alphapost.cli:run"}
 
-    def test_all_experiments_have_subcommands(self):
+    def test_all_experiments_have_subcommands(self, tmp_path, capsys):
         from alphapost.cli import build_parser
 
         parser = build_parser()
         for name in EXPERIMENTS:
             args = parser.parse_args([name, "--config", "x"])
             assert args.experiment == name
+            # The options may come before the experiment too.
+            args = parser.parse_args(["--config", "x", "--seed", "3", name])
+            assert (args.experiment, args.config, args.seed, args.out) == (name, "x", 3, None)
+
+        proc = subprocess.run([sys.executable, "-m", "alphapost", "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert all(name in proc.stdout for name in EXPERIMENTS)
+
+        cfg_path = write_config(tmp_path, FAST_REGRESSION)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-experiment", "--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument experiment: invalid choice: 'no-such-experiment'" in capsys.readouterr().err
+        assert not out.exists()
+
+        with pytest.raises(SystemExit) as exc:
+            main(["optimal-alpha", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+        assert not out.exists()
+
+        assert main(["--config", str(cfg_path), "--out", str(out), "optimal-alpha"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["optimal-alpha.csv", "optimal-alpha.json"]
